@@ -7,14 +7,7 @@ PKGS    := ./...
 BENCH   ?= .
 OUT     ?= results
 
-.PHONY: all build test race bench microbench vet fmt-check fairvet staticcheck lint lint-fast ci fairbench clean
-
-# fairvet memoizes its `go list -export` module-graph walk when
-# FAIRVET_CACHE names a directory (internal/analysis/cache.go); the
-# lint targets opt in so repeat runs skip the multi-second walk. The
-# cache self-invalidates on any source, module-file, or toolchain
-# change. Point it elsewhere (or at "") to opt out.
-FAIRVET_CACHE ?= $(CURDIR)/.fairvet-cache
+.PHONY: all build test race bench bench-smoke microbench vet fmt-check fairvet staticcheck lint ci fairbench clean
 
 # staticcheck is version-pinned: a drifting linter turns every upgrade
 # into a triage session. Bump deliberately, re-triage, update
@@ -50,6 +43,12 @@ bench:
 	$(GO) test -run '^$$' -bench '$(BENCH)' -benchmem -benchtime 3x .
 	$(GO) run ./cmd/fairbench -small -huge -out $(OUT)
 
+# bench/ (the BENCHMARK.json harness) is a module of its own, so the
+# root ./... never compiles it: this is the only target that notices a
+# root-module change breaking it.
+bench-smoke:
+	cd bench && $(GO) vet . && $(GO) test ./...
+
 microbench:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/eventsim/ ./internal/simnet/ ./internal/fairness/
 
@@ -60,26 +59,11 @@ fmt-check:
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi
 
 # fairvet is the project's own vet: the analyzers in internal/analysis
-# machine-enforce the repo invariants (fixed-seed determinism, drop
-# conservation, buffer ownership, copy-on-write, hot-path allocation
-# discipline). Zero unsuppressed findings, every escape hatch verified.
+# enforce the invariants no dynamic test owns (fixed-seed determinism,
+# drop conservation, wire-kind exhaustiveness). Zero unsuppressed
+# findings, every escape hatch verified.
 fairvet:
-	FAIRVET_CACHE=$(FAIRVET_CACHE) $(GO) run ./cmd/fairvet $(PKGS)
-
-# lint-fast is the inner-loop complement to `make lint`: fairvet only,
-# and only over the packages whose Go files changed (committed or not)
-# since the merge base with origin/main. Falls back to the whole tree
-# when that ref is unavailable (fresh clones, detached CI checkouts).
-lint-fast:
-	@if base=$$(git merge-base origin/main HEAD 2>/dev/null); then \
-		dirs=$$(git diff --name-only $$base -- '*.go' | grep -v '/testdata/' | xargs -r -n1 dirname | sort -u); \
-		pkgs=$$(for d in $$dirs; do [ -d "$$d" ] && printf './%s ' "$$d"; done); \
-		if [ -z "$$pkgs" ]; then echo "lint-fast: no Go packages changed since origin/main"; \
-		else echo "lint-fast: fairvet $$pkgs"; FAIRVET_CACHE=$(FAIRVET_CACHE) $(GO) run ./cmd/fairvet $$pkgs; fi; \
-	else \
-		echo "lint-fast: origin/main unavailable; running the full tree"; \
-		FAIRVET_CACHE=$(FAIRVET_CACHE) $(GO) run ./cmd/fairvet $(PKGS); \
-	fi
+	$(GO) run ./cmd/fairvet $(PKGS)
 
 # staticcheck runs only when the pinned binary is available (the tool
 # is an external module; offline or hermetic builds skip it with a
@@ -98,7 +82,7 @@ staticcheck:
 
 lint: fmt-check vet fairvet staticcheck
 
-ci: lint build test race
+ci: lint build test race bench-smoke
 
 # Regenerate every experiment table + CSVs + the BENCH_<date>.json run
 # record (see PERFORMANCE.md).

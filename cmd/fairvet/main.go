@@ -1,30 +1,23 @@
 // Command fairvet is the project's vet: a multichecker running the
-// fairgossip-specific analyzers that machine-enforce the repo's
-// invariants — fixed-seed determinism, exact drop conservation,
-// encode-once buffer ownership, copy-on-write publication,
-// allocation-free hot paths (interprocedurally, over the call graph),
-// goroutine-leak freedom, wire-kind switch exhaustiveness, and
-// annotated mutex discipline. `make lint` runs it over the whole tree;
-// a clean run means zero unsuppressed findings and a verified
+// fairgossip-specific analyzers for the invariants no dynamic test
+// owns — fixed-seed determinism, exact drop conservation, and wire-kind
+// switch exhaustiveness. `make lint` runs it over the whole tree; a
+// clean run means zero unsuppressed findings and a verified
 // justification on every //fair:ignore escape hatch.
 //
 // Usage:
 //
-//	fairvet [-rules r1,r2] [-list] [-json] [packages]
+//	fairvet [-list] [packages]
 //
 // Packages default to ./... relative to the current directory. Exit
-// status is 1 when findings remain, 2 on load or usage errors
-// (including a -rules naming no known rule). With -json, each finding
-// is one JSON object per line: {"file","line","col","rule","message"}.
+// status is 1 when findings remain, 2 on load or usage errors.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"fairgossip/internal/analysis"
 	"fairgossip/internal/analysis/rules"
@@ -38,8 +31,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("fairvet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "print the rule catalogue and exit")
-	jsonOut := fs.Bool("json", false, "emit findings as one JSON object per line")
-	ruleNames := fs.String("rules", "", "comma-separated subset of rules to run (default: all)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -49,70 +40,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	active := rules.All()
-	if *ruleNames != "" {
-		var unknown []string
-		active, unknown = rules.ByName(strings.Split(*ruleNames, ","))
-		if len(unknown) > 0 {
-			fmt.Fprintf(stderr, "fairvet: unknown rule(s) in -rules: %s\n\nthe rule catalogue:\n", strings.Join(unknown, ", "))
-			printCatalogue(stderr)
-			return 2
-		}
-		if len(active) == 0 {
-			fmt.Fprintf(stderr, "fairvet: -rules named no rules\n")
-			return 2
-		}
-	}
-
-	patterns := fs.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-
-	pkgs, err := analysis.Load(".", patterns...)
+	pkgs, err := analysis.Load(".", fs.Args()...)
 	if err != nil {
 		fmt.Fprintf(stderr, "fairvet: %v\n", err)
 		return 2
 	}
-	findings, err := analysis.Run(pkgs, active, rules.Known())
+	findings, err := analysis.Run(pkgs, rules.All())
 	if err != nil {
 		fmt.Fprintf(stderr, "fairvet: %v\n", err)
 		return 2
 	}
 	for _, f := range findings {
-		if *jsonOut {
-			line, err := json.Marshal(jsonFinding{
-				File:    f.Position.Filename,
-				Line:    f.Position.Line,
-				Col:     f.Position.Column,
-				Rule:    f.Rule,
-				Message: f.Message,
-			})
-			if err != nil {
-				fmt.Fprintf(stderr, "fairvet: %v\n", err)
-				return 2
-			}
-			fmt.Fprintf(stdout, "%s\n", line)
-		} else {
-			fmt.Fprintln(stdout, f)
-		}
+		fmt.Fprintln(stdout, f)
 	}
 	if len(findings) > 0 {
 		fmt.Fprintf(stderr, "fairvet: %d finding(s)\n", len(findings))
 		return 1
 	}
 	return 0
-}
-
-// jsonFinding is the -json line shape; the CI problem matcher in
-// .github/fairvet-problem-matcher.json parses the plain-text form, and
-// other tooling (editors, dashboards) consumes this one.
-type jsonFinding struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Col     int    `json:"col"`
-	Rule    string `json:"rule"`
-	Message string `json:"message"`
 }
 
 func printCatalogue(w io.Writer) {

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -11,28 +10,16 @@ func TestListCatalogue(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errb); code != 0 {
 		t.Fatalf("fairvet -list = %d, stderr: %s", code, errb.String())
 	}
-	for _, rule := range []string{"determinism", "dropacct", "bufown", "cowatomic", "hotpath", "goroleak", "wirekind", "guardedby", "directive"} {
-		if !strings.Contains(out.String(), rule+"\n") {
-			t.Errorf("catalogue is missing rule %q:\n%s", rule, out.String())
+	// Exactly the surviving catalogue, in order: rule names are the
+	// unindented lines.
+	var names []string
+	for _, line := range strings.Split(out.String(), "\n") {
+		if line != "" && !strings.HasPrefix(line, "\t") {
+			names = append(names, line)
 		}
 	}
-}
-
-// TestUnknownRuleSubset pins exit code 2 for a -rules naming anything
-// unknown — even alongside valid names — with the catalogue printed so
-// the caller can fix the invocation without a second command.
-func TestUnknownRuleSubset(t *testing.T) {
-	for _, arg := range []string{"nosuchrule", "hotpath,nosuchrule"} {
-		var out, errb strings.Builder
-		if code := run([]string{"-rules", arg}, &out, &errb); code != 2 {
-			t.Fatalf("fairvet -rules %s = %d, want 2", arg, code)
-		}
-		if !strings.Contains(errb.String(), "unknown rule(s) in -rules: nosuchrule") {
-			t.Errorf("-rules %s: stderr = %q, want the unknown-rule complaint", arg, errb.String())
-		}
-		if !strings.Contains(errb.String(), "wirekind\n") {
-			t.Errorf("-rules %s: stderr should print the catalogue, got %q", arg, errb.String())
-		}
+	if got, want := strings.Join(names, ","), "determinism,dropacct,wirekind,directive"; got != want {
+		t.Errorf("catalogue rules = %s, want %s", got, want)
 	}
 }
 
@@ -54,37 +41,5 @@ func TestFindingsExitOne(t *testing.T) {
 	}
 	if !strings.Contains(errb.String(), "finding(s)") {
 		t.Errorf("stderr = %q, want the finding count", errb.String())
-	}
-}
-
-// TestFindingsJSON pins the -json line shape end to end: one object
-// per finding, parseable, with the fields tooling consumes.
-func TestFindingsJSON(t *testing.T) {
-	t.Chdir("../../internal/analysis/rules/testdata")
-	var out, errb strings.Builder
-	if code := run([]string{"-json", "./wirekind"}, &out, &errb); code != 1 {
-		t.Fatalf("fairvet -json over the wirekind fixture = %d, want 1\nstderr: %s", code, errb.String())
-	}
-	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("got %d JSON lines, want 2:\n%s", len(lines), out.String())
-	}
-	for _, line := range lines {
-		var f jsonFinding
-		if err := json.Unmarshal([]byte(line), &f); err != nil {
-			t.Fatalf("unparseable -json line %q: %v", line, err)
-		}
-		if f.Rule != "wirekind" {
-			t.Errorf("finding rule = %q, want wirekind", f.Rule)
-		}
-		if !strings.HasSuffix(f.File, "wirekind.go") {
-			t.Errorf("finding file = %q, want a wirekind.go path", f.File)
-		}
-		if f.Line <= 0 || f.Col <= 0 {
-			t.Errorf("finding position = %d:%d, want positive", f.Line, f.Col)
-		}
-		if !strings.Contains(f.Message, "switch over wirekind kinds") {
-			t.Errorf("finding message = %q, want the wirekind message", f.Message)
-		}
 	}
 }

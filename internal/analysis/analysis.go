@@ -2,11 +2,11 @@
 // golang.org/x/tools/go/analysis vocabulary: an Analyzer inspects one
 // type-checked package through a Pass and reports Diagnostics.
 //
-// The repo's correctness story (fixed-seed determinism, exact drop
-// conservation, encode-once buffer ownership, copy-on-write publication,
-// allocation-free hot paths) is enforced at runtime by audits and
-// AllocsPerRun pins; the analyzers under rules/ move those checks to
-// review time. The x/tools module itself is deliberately not a
+// Most of the repo's correctness story is enforced at runtime (the
+// golden fixed-seed hash, AllocsPerRun pins, the race detector,
+// goroutine-settle tests); the analyzers under rules/ cover the
+// invariants no dynamic test owns — see LINTING.md for the trial that
+// decided which. The x/tools module itself is deliberately not a
 // dependency — the module has zero third-party requirements and the
 // toolchain image is offline — so this package carries the three pieces
 // the real framework would provide: the Analyzer/Pass/Diagnostic types
@@ -43,26 +43,10 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 	// Path is the package's import path (fixtures get their fixture
-	// module path, e.g. "fixtures/hotpath").
+	// module path, e.g. "fixtures/wirekind").
 	Path string
 
-	pkg   *Package
-	facts *FactStore
 	diags *[]Diagnostic
-}
-
-// ExportFact records a cross-package fact under key (see facts.go for
-// the key conventions). Facts survive for the rest of the Run: packages
-// are processed in dependency order, so a fact exported here is visible
-// to every later pass, including passes over importing packages.
-func (p *Pass) ExportFact(key string, fact any) {
-	p.facts.Export(key, fact)
-}
-
-// LookupFact returns the fact exported under key by this or any earlier
-// pass in the Run.
-func (p *Pass) LookupFact(key string) (any, bool) {
-	return p.facts.Lookup(key)
 }
 
 // Report records a finding at pos. Category subdivides a rule for

@@ -18,31 +18,15 @@ import (
 //	                                determinism rule's wallclock
 //	                                category only (time.Now and
 //	                                friends); same verification.
-//	//fair:hotpath                  marks the following function as an
-//	                                allocation-free hot path; the
-//	                                hotpath rule checks its body and,
-//	                                through exported facts, every
-//	                                function it transitively calls.
-//	//fair:deterministic            marks the file's package as
-//	                                sim-deterministic, extending the
-//	                                determinism rule's built-in package
-//	                                list (fixtures use this; new sim
-//	                                packages should too).
-//	//fair:guardedby <field>        on a struct field: every access must
-//	                                hold the named sibling mutex (the
-//	                                guardedby rule checks accessors).
 //
 // One comment may carry several directives back to back —
-// `//fair:ignore hotpath reason //fair:ignore goroleak reason` — for
+// `//fair:ignore dropacct reason //fair:ignore wirekind reason` — for
 // lines where two rules fire at once. Files with CRLF line endings
 // parse identically: stray carriage returns are whitespace to the
 // field splitter.
 const (
-	DirIgnore        = "ignore"
-	DirWallclock     = "wallclock"
-	DirHotpath       = "hotpath"
-	DirDeterministic = "deterministic"
-	DirGuardedBy     = "guardedby"
+	DirIgnore    = "ignore"
+	DirWallclock = "wallclock"
 )
 
 // A Directive is one parsed //fair: comment (or one segment of a
@@ -52,7 +36,6 @@ type Directive struct {
 	Kind    string // one of the Dir* constants, or the raw unknown word
 	Known   bool   // Kind is one of the Dir* constants
 	Rule    string // DirIgnore only: the rule being suppressed
-	Arg     string // DirGuardedBy only: the guarding field name
 	Reason  string // DirIgnore, DirWallclock: the justification
 }
 
@@ -110,58 +93,6 @@ func parseSegment(c *ast.Comment, seg string) Directive {
 	case DirWallclock:
 		d.Reason = strings.Join(fields[1:], " ")
 		d.Known = true
-	case DirGuardedBy:
-		if len(fields) > 1 {
-			d.Arg = fields[1]
-		}
-		d.Known = true
-	case DirHotpath, DirDeterministic:
-		d.Known = true
 	}
 	return d
-}
-
-// HasDirective reports whether the comment group contains a //fair:
-// directive of the given kind (used to find //fair:hotpath function
-// annotations and //fair:deterministic package markers).
-func HasDirective(cg *ast.CommentGroup, kind string) bool {
-	if cg == nil {
-		return false
-	}
-	for _, c := range cg.List {
-		for _, d := range parseComment(c) {
-			if d.Kind == kind {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// DirectiveArg returns the argument of the first directive of the
-// given kind in the comment group ("" if absent). Guardedby checks use
-// it to read the guarding field name off a struct field's comment.
-func DirectiveArg(cg *ast.CommentGroup, kind string) (string, bool) {
-	if cg == nil {
-		return "", false
-	}
-	for _, c := range cg.List {
-		for _, d := range parseComment(c) {
-			if d.Kind == kind {
-				return d.Arg, true
-			}
-		}
-	}
-	return "", false
-}
-
-// FileMarkedDeterministic reports whether any comment in the file is a
-// //fair:deterministic package marker.
-func FileMarkedDeterministic(f *ast.File) bool {
-	for _, d := range ParseDirectives(f) {
-		if d.Kind == DirDeterministic {
-			return true
-		}
-	}
-	return false
 }

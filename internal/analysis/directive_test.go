@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"go/types"
 	"strings"
 	"testing"
 )
@@ -27,11 +26,8 @@ func TestParseDirectivesCRLF(t *testing.T) {
 		"package p",
 		"",
 		"func f() {",
-		"\t_ = 1 //fair:ignore hotpath reason words here",
-		"}",
-		"",
-		"type s struct {",
-		"\tn int //fair:guardedby mu",
+		"\t_ = 1 //fair:ignore dropacct reason words here",
+		"\t_ = 2 //fair:wallclock paced in wall time",
 		"}",
 		"",
 	}, "\r\n")
@@ -41,15 +37,17 @@ func TestParseDirectivesCRLF(t *testing.T) {
 		t.Fatalf("got %d directives, want 2: %+v", len(ds), ds)
 	}
 	ig := ds[0]
-	if ig.Kind != DirIgnore || ig.Rule != "hotpath" || ig.Reason != "reason words here" {
+	if ig.Kind != DirIgnore || ig.Rule != "dropacct" || ig.Reason != "reason words here" {
 		t.Errorf("CRLF ignore parsed as %+v", ig)
 	}
-	if strings.ContainsRune(ig.Reason, '\r') {
-		t.Errorf("reason leaked a carriage return: %q", ig.Reason)
+	wc := ds[1]
+	if wc.Kind != DirWallclock || wc.Reason != "paced in wall time" {
+		t.Errorf("CRLF wallclock parsed as %+v", wc)
 	}
-	gb := ds[1]
-	if gb.Kind != DirGuardedBy || gb.Arg != "mu" || strings.ContainsRune(gb.Arg, '\r') {
-		t.Errorf("CRLF guardedby parsed as %+v", gb)
+	for _, d := range ds {
+		if strings.ContainsRune(d.Reason, '\r') {
+			t.Errorf("reason leaked a carriage return: %q", d.Reason)
+		}
 	}
 }
 
@@ -59,7 +57,7 @@ func TestParseDirectivesMultiPerComment(t *testing.T) {
 	src := `package p
 
 func f() {
-	_ = 1 //fair:ignore hotpath reason one //fair:ignore goroleak reason two
+	_ = 1 //fair:ignore dropacct reason one //fair:ignore wirekind reason two
 }
 `
 	_, f := parseSrc(t, src)
@@ -67,10 +65,10 @@ func f() {
 	if len(ds) != 2 {
 		t.Fatalf("got %d directives, want 2: %+v", len(ds), ds)
 	}
-	if ds[0].Rule != "hotpath" || ds[0].Reason != "reason one" {
+	if ds[0].Rule != "dropacct" || ds[0].Reason != "reason one" {
 		t.Errorf("first segment parsed as %+v", ds[0])
 	}
-	if ds[1].Rule != "goroleak" || ds[1].Reason != "reason two" {
+	if ds[1].Rule != "wirekind" || ds[1].Reason != "reason two" {
 		t.Errorf("second segment parsed as %+v", ds[1])
 	}
 }
@@ -80,104 +78,13 @@ func f() {
 // is not part of the directive — even when the want text itself quotes
 // a //fair: marker.
 func TestParseDirectivesWantSuffix(t *testing.T) {
-	src := "package p\n\nfunc f() {\n\t_ = 1 //fair:ignore hotpath the reason // want `//fair:ignore names unknown rule`\n}\n"
+	src := "package p\n\nfunc f() {\n\t_ = 1 //fair:ignore dropacct the reason // want `//fair:ignore names unknown rule`\n}\n"
 	_, f := parseSrc(t, src)
 	ds := ParseDirectives(f)
 	if len(ds) != 1 {
 		t.Fatalf("got %d directives, want 1: %+v", len(ds), ds)
 	}
-	if ds[0].Rule != "hotpath" || ds[0].Reason != "the reason" {
+	if ds[0].Rule != "dropacct" || ds[0].Reason != "the reason" {
 		t.Errorf("directive parsed as %+v", ds[0])
-	}
-}
-
-// TestDirectiveArgTrailingWords checks that //fair:guardedby takes one
-// argument and tolerates prose after it.
-func TestDirectiveArgTrailingWords(t *testing.T) {
-	src := `package p
-
-type s struct {
-	n int //fair:guardedby mu -- set once by the dispatcher, read everywhere
-}
-`
-	_, f := parseSrc(t, src)
-	ds := ParseDirectives(f)
-	if len(ds) != 1 || ds[0].Kind != DirGuardedBy {
-		t.Fatalf("got %+v, want one guardedby directive", ds)
-	}
-	if ds[0].Arg != "mu" {
-		t.Errorf("Arg = %q, want %q", ds[0].Arg, "mu")
-	}
-}
-
-// checkSrc type-checks one dependency-free source file into a Package
-// the driver can run over, bypassing the go list loader.
-func checkSrc(t *testing.T, src string) *Package {
-	t.Helper()
-	fset, f := parseSrc(t, src)
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-	}
-	tpkg, err := (&types.Config{}).Check("p", fset, []*ast.File{f}, info)
-	if err != nil {
-		t.Fatalf("type-checking test source: %v", err)
-	}
-	return &Package{
-		Path:   "p",
-		Name:   "p",
-		Fset:   fset,
-		Syntax: []*ast.File{f},
-		Types:  tpkg,
-		Info:   info,
-	}
-}
-
-// TestInactiveRuleIgnoreStaysLive pins the -rules subset semantics: an
-// ignore naming a known rule that is not in the active set must be
-// left alone — neither a stale-hatch finding (it may well suppress
-// something when the full suite runs) nor an unknown-rule finding. The
-// same hatch under the full vocabulary-but-active run IS stale, and
-// under a vocabulary that has never heard of the rule it is unknown.
-func TestInactiveRuleIgnoreStaysLive(t *testing.T) {
-	const src = `package p
-
-func f() int {
-	x := 1 //fair:ignore hotpath disabled-run hatch: must stay quiet, not go stale
-	return x
-}
-`
-	noop := func(name string) *Analyzer {
-		return &Analyzer{Name: name, Doc: "noop", Run: func(*Pass) error { return nil }}
-	}
-
-	run := func(t *testing.T, analyzers []*Analyzer, known map[string]bool) []Finding {
-		t.Helper()
-		findings, err := Run([]*Package{checkSrc(t, src)}, analyzers, known)
-		if err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		return findings
-	}
-
-	// hotpath known but inactive: the hatch is live, zero findings.
-	fs := run(t, []*Analyzer{noop("other")}, map[string]bool{"other": true, "hotpath": true})
-	for _, f := range fs {
-		t.Errorf("known-but-inactive rule hatch reported: %s", f)
-	}
-
-	// hotpath active (and reporting nothing here): now the hatch really
-	// is stale and the audit must say so.
-	fs = run(t, []*Analyzer{noop("hotpath")}, nil)
-	if len(fs) != 1 || fs[0].Rule != DirectiveRule || fs[0].Category != "unused" {
-		t.Errorf("active-rule stale hatch: got %v, want one %s/unused finding", fs, DirectiveRule)
-	}
-
-	// hotpath outside the vocabulary entirely: unknown rule.
-	fs = run(t, []*Analyzer{noop("other")}, map[string]bool{"other": true})
-	if len(fs) != 1 || fs[0].Category != "unknown-rule" {
-		t.Errorf("unknown-rule hatch: got %v, want one %s/unknown-rule finding", fs, DirectiveRule)
 	}
 }

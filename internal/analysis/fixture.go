@@ -26,16 +26,14 @@ type want struct {
 // RunFixture loads one fixture package from a testdata module, runs the
 // analyzers over it, and asserts the findings match the `// want`
 // expectations exactly: every finding needs a matching want on its
-// line, and every want must be satisfied by some finding. known lists
-// the full rule vocabulary for //fair:ignore validation (nil derives it
-// from the active analyzers).
-func RunFixture(t testing.TB, moduleDir, pkgPattern string, analyzers []*Analyzer, known map[string]bool) {
+// line, and every want must be satisfied by some finding.
+func RunFixture(t testing.TB, moduleDir, pkgPattern string, analyzers []*Analyzer) {
 	t.Helper()
 	pkgs, err := Load(moduleDir, "./"+pkgPattern)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", pkgPattern, err)
 	}
-	findings, err := Run(pkgs, analyzers, known)
+	findings, err := Run(pkgs, analyzers)
 	if err != nil {
 		t.Fatalf("running analyzers on %s: %v", pkgPattern, err)
 	}

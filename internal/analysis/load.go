@@ -11,34 +11,27 @@ import (
 	"go/types"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"runtime"
 )
 
 // A Package is one loaded, parsed, type-checked target package.
 type Package struct {
-	Path    string // import path
-	Name    string
-	Dir     string
-	GoFiles []string // absolute paths, build-constraint filtered, no tests
-	Imports []string // imported package paths (for dependency ordering)
-	Fset    *token.FileSet
-	Syntax  []*ast.File
-	Types   *types.Package
-	Info    *types.Info
-
-	graph *CallGraph // built lazily by Pass.Graph
+	Path   string // import path
+	Fset   *token.FileSet
+	Syntax []*ast.File // build-constraint filtered, no tests
+	Types  *types.Package
+	Info   *types.Info
 }
 
 // listedPackage is the subset of `go list -json` output the loader
 // consumes.
 type listedPackage struct {
 	ImportPath string
-	Name       string
 	Dir        string
 	Export     string
 	GoFiles    []string
-	Imports    []string
 	Standard   bool
 	DepOnly    bool
 	Incomplete bool
@@ -64,9 +57,17 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	out, err := listPackages(dir, patterns)
+	args := append([]string{
+		"list", "-export", "-deps",
+		"-json=ImportPath,Dir,Export,GoFiles,Standard,DepOnly,Incomplete,Error",
+	}, patterns...)
+	cmd := exec.Command("go", args...)
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("go list %v: %v\n%s", patterns, err, stderr.String())
 	}
 
 	exports := make(map[string]string)
@@ -102,7 +103,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	imp := importer.ForCompiler(fset, "gc", lookup)
 
 	var pkgs []*Package
-	for _, t := range sortDeps(targets) {
+	for _, t := range targets {
 		pkg, err := typeCheck(fset, imp, t)
 		if err != nil {
 			return nil, err
@@ -112,43 +113,8 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// sortDeps orders targets dependencies-first. The facts layer depends
-// on this: a fact about a function in package P must be final before
-// any importer of P is analyzed, because P's syntax is out of reach by
-// then. `go list -deps` already emits a valid postorder, but the target
-// filter can disturb it, so the order is re-derived here from the
-// Imports lists (restricted to edges between targets; ties and
-// non-target imports fall back to the incoming order, which go list
-// keeps deterministic).
-func sortDeps(targets []*listedPackage) []*listedPackage {
-	isTarget := make(map[string]*listedPackage, len(targets))
-	for _, t := range targets {
-		isTarget[t.ImportPath] = t
-	}
-	seen := make(map[string]bool, len(targets))
-	var order []*listedPackage
-	var visit func(t *listedPackage)
-	visit = func(t *listedPackage) {
-		if seen[t.ImportPath] {
-			return
-		}
-		seen[t.ImportPath] = true
-		for _, imp := range t.Imports {
-			if dep, ok := isTarget[imp]; ok {
-				visit(dep)
-			}
-		}
-		order = append(order, t)
-	}
-	for _, t := range targets {
-		visit(t)
-	}
-	return order
-}
-
 func typeCheck(fset *token.FileSet, imp types.Importer, t *listedPackage) (*Package, error) {
 	var files []*ast.File
-	var paths []string
 	for _, gf := range t.GoFiles {
 		path := gf
 		if !filepath.IsAbs(path) {
@@ -159,7 +125,6 @@ func typeCheck(fset *token.FileSet, imp types.Importer, t *listedPackage) (*Pack
 			return nil, fmt.Errorf("parsing %s: %v", path, err)
 		}
 		files = append(files, f)
-		paths = append(paths, path)
 	}
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
@@ -176,13 +141,10 @@ func typeCheck(fset *token.FileSet, imp types.Importer, t *listedPackage) (*Pack
 		return nil, fmt.Errorf("type-checking %s: %v", t.ImportPath, err)
 	}
 	return &Package{
-		Path:    t.ImportPath,
-		Name:    t.Name,
-		Dir:     t.Dir,
-		GoFiles: paths,
-		Fset:    fset,
-		Syntax:  files,
-		Types:   tpkg,
-		Info:    info,
+		Path:   t.ImportPath,
+		Fset:   fset,
+		Syntax: files,
+		Types:  tpkg,
+		Info:   info,
 	}, nil
 }

@@ -8,22 +8,31 @@ import (
 	"fairgossip/internal/analysis"
 )
 
-// DeterministicPackages is the built-in list of sim-deterministic
-// import paths: everything a fixed-seed run flows through, where a
-// stray wall-clock read or a draw from the process-global RNG silently
-// breaks the byte-identical (seed, population) guarantee that the
-// experiment tables, the scenario sim column, and the planned sharded
-// kernel's per-(seed, shardCount) merges all lean on. Packages outside
-// the list opt in with a //fair:deterministic file comment.
+// DeterministicPackages is the one list of sim-deterministic import
+// paths: everything a fixed-seed run (the golden fairbench hash, the
+// scenario sim column, the sharded kernel's per-(seed, shardCount)
+// merges) flows through, where a stray wall-clock read, a draw from the
+// process-global RNG, or a map-order-dependent result silently breaks
+// the byte-identical guarantee. A new sim package joins by adding its
+// path here; there is no per-file opt-in.
 var DeterministicPackages = map[string]bool{
-	"fairgossip/internal/eventsim":   true,
-	"fairgossip/internal/simnet":     true,
-	"fairgossip/internal/core":       true,
-	"fairgossip/internal/gossip":     true,
-	"fairgossip/internal/membership": true,
-	"fairgossip/internal/fairness":   true,
-	"fairgossip/internal/randutil":   true,
-	"fairgossip/internal/scenario":   true,
+	"fairgossip/internal/eventsim":    true,
+	"fairgossip/internal/simnet":      true,
+	"fairgossip/internal/core":        true,
+	"fairgossip/internal/gossip":      true,
+	"fairgossip/internal/membership":  true,
+	"fairgossip/internal/fairness":    true,
+	"fairgossip/internal/randutil":    true,
+	"fairgossip/internal/scenario":    true,
+	"fairgossip/internal/structured":  true,
+	"fairgossip/internal/adaptive":    true,
+	"fairgossip/internal/workload":    true,
+	"fairgossip/internal/experiment":  true,
+	"fairgossip/internal/dam":         true,
+	"fairgossip/internal/balance":     true,
+	"fairgossip/internal/pubsub":      true,
+	"fairgossip/internal/stats":       true,
+	"fairgossip/internal/benchrecord": true,
 }
 
 // wallclockFuncs are the package time entry points that read or wait on
@@ -56,21 +65,12 @@ var globalRandFuncs = map[string]bool{
 // streams, no map-iteration order feeding ordering-sensitive logic.
 var Determinism = &analysis.Analyzer{
 	Name: "determinism",
-	Doc:  "In sim-deterministic packages (eventsim, simnet, core, gossip, membership, fairness, randutil, scenario, plus //fair:deterministic opt-ins) forbid time.Now/Since/Sleep and friends (//fair:wallclock <reason> to override), the global math/rand top-level draws (pass a seeded *rand.Rand), package-level *rand.Rand/rand.Source variables (a stream shared across shards consumes in goroutine-interleaving order), and map-range loops whose bodies feed ordering-sensitive logic (calls, appends, sends).",
+	Doc:  "In the sim-deterministic packages (rules.DeterministicPackages: everything a fixed-seed run flows through) forbid time.Now/Since/Sleep and friends (//fair:wallclock <reason> to override), the global math/rand top-level draws (pass a seeded *rand.Rand), package-level *rand.Rand/rand.Source variables (a stream shared across shards consumes in goroutine-interleaving order), and map-range loops whose bodies feed ordering-sensitive logic (calls, appends, sends).",
 	Run:  runDeterminism,
 }
 
 func runDeterminism(pass *analysis.Pass) error {
-	inScope := DeterministicPackages[pass.Path]
-	if !inScope {
-		for _, f := range pass.Files {
-			if analysis.FileMarkedDeterministic(f) {
-				inScope = true
-				break
-			}
-		}
-	}
-	if !inScope {
+	if !DeterministicPackages[pass.Path] {
 		return nil
 	}
 	for _, f := range pass.Files {

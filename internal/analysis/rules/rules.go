@@ -1,15 +1,15 @@
-// Package rules holds fairvet's project-law analyzers: each one turns
-// an invariant this repo otherwise enforces at runtime (fixed-seed
-// determinism, exact drop conservation, encode-once buffer ownership,
-// copy-on-write publication, allocation-free hot paths) into a
-// review-time diagnostic. See LINTING.md for the rule catalogue and the
-// invariant each rule guards.
+// Package rules holds fairvet's project-law analyzers: the three
+// invariants (fixed-seed determinism, exact drop conservation, wire-kind
+// switch exhaustiveness) whose only enforcer is a review-time
+// diagnostic. Invariants a dynamic test already pins (allocation-free
+// hot paths, goroutine shutdown, lock discipline, buffer ownership,
+// copy-on-write publication) are deliberately not here; LINTING.md
+// records the trial behind that split.
 package rules
 
 import (
 	"go/ast"
 	"go/types"
-	"path/filepath"
 
 	"fairgossip/internal/analysis"
 )
@@ -19,46 +19,8 @@ func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		Determinism,
 		DropAcct,
-		BufOwn,
-		CowAtomic,
-		Hotpath,
-		Goroleak,
 		Wirekind,
-		GuardedBy,
 	}
-}
-
-// Known returns the full rule vocabulary //fair:ignore may name.
-func Known() map[string]bool {
-	m := make(map[string]bool)
-	for _, a := range All() {
-		m[a.Name] = true
-	}
-	return m
-}
-
-// ByName resolves a subset for fairvet -rules, returning the names
-// that matched nothing so the caller can refuse them: a typoed rule
-// name silently vetting nothing is worse than no vet at all.
-func ByName(names []string) (active []*analysis.Analyzer, unknown []string) {
-	for _, n := range names {
-		found := false
-		for _, a := range All() {
-			if a.Name == n {
-				active = append(active, a)
-				found = true
-			}
-		}
-		if !found {
-			unknown = append(unknown, n)
-		}
-	}
-	return active, unknown
-}
-
-// shortFile trims a path to its base name for finding messages.
-func shortFile(path string) string {
-	return filepath.Base(path)
 }
 
 // isTransportSend reports whether call is a transport-style send: a
@@ -109,14 +71,6 @@ func builtinName(info *types.Info, call *ast.CallExpr) string {
 		return b.Name()
 	}
 	return ""
-}
-
-// ident returns the object an identifier expression denotes, else nil.
-func ident(info *types.Info, e ast.Expr) types.Object {
-	if id, ok := e.(*ast.Ident); ok {
-		return info.ObjectOf(id)
-	}
-	return nil
 }
 
 // mentionsDrop reports whether any identifier or selector in the

@@ -1,8 +1,6 @@
 // Package determinism seeds every violation class the determinism rule
-// catches, in a package that opts into the sim-deterministic contract
-// via the marker below (the fixture path is not on the built-in list).
-//
-//fair:deterministic
+// catches. The fixture path is not on rules.DeterministicPackages; the
+// fixture suite adds it for the test run.
 package determinism
 
 import (

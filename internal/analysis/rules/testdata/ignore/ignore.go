@@ -1,9 +1,9 @@
 // Package ignore exercises the driver's suppression audit: the //fair:
 // vocabulary is itself verified, so a malformed, unjustified, or stale
 // escape hatch is a finding — only a justified hatch that suppresses a
-// real diagnostic stays silent.
-//
-//fair:deterministic
+// real diagnostic stays silent. (The fixture suite adds this package to
+// rules.DeterministicPackages so the wallclock hatches have something
+// to suppress.)
 package ignore
 
 import "time"

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"go/token"
 	"sort"
-	"strings"
 )
 
 // DirectiveRule is the pseudo-rule under which the driver reports
@@ -32,28 +31,13 @@ type suppressor struct {
 // //fair:wallclock comment, on the same line or the line above. Every
 // suppression must carry a justification and must actually suppress
 // something; violations surface as findings under DirectiveRule.
-//
-// known is the full rule vocabulary for validating //fair:ignore
-// comments; pass nil to derive it from analyzers. Keeping it separate
-// lets a subset run (fairvet -rules, fixture suites) validate only the
-// suppressions aimed at the active rules: an ignore naming an inactive
-// but known rule is left alone rather than reported as unused.
-func Run(pkgs []*Package, analyzers []*Analyzer, known map[string]bool) ([]Finding, error) {
-	if known == nil {
-		known = make(map[string]bool, len(analyzers))
-		for _, a := range analyzers {
-			known[a.Name] = true
-		}
-	}
-	active := make(map[string]bool, len(analyzers))
+func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
+	// The analyzers in the run are the whole vocabulary a //fair:ignore
+	// may name.
+	known := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
-		active[a.Name] = true
+		known[a.Name] = true
 	}
-
-	// One fact store spans the whole run: Load returns packages in
-	// dependency order, so facts exported while analyzing a package are
-	// final by the time its importers run.
-	facts := NewFactStore()
 
 	var findings []Finding
 	for _, pkg := range pkgs {
@@ -66,8 +50,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer, known map[string]bool) ([]Findi
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.Info,
 				Path:      pkg.Path,
-				pkg:       pkg,
-				facts:     facts,
 				diags:     &diags,
 			}
 			if err := a.Run(pass); err != nil {
@@ -75,7 +57,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer, known map[string]bool) ([]Findi
 			}
 		}
 
-		sups, audit := collectSuppressors(pkg, known, active)
+		sups, audit := collectSuppressors(pkg, known)
 		findings = append(findings, audit...)
 
 		for _, d := range diags {
@@ -123,7 +105,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer, known map[string]bool) ([]Findi
 
 // collectSuppressors indexes the package's suppression comments and
 // reports the malformed ones.
-func collectSuppressors(pkg *Package, known, active map[string]bool) ([]*suppressor, []Finding) {
+func collectSuppressors(pkg *Package, known map[string]bool) ([]*suppressor, []Finding) {
 	var sups []*suppressor
 	var audit []Finding
 	for _, f := range pkg.Syntax {
@@ -133,12 +115,9 @@ func collectSuppressors(pkg *Package, known, active map[string]bool) ([]*suppres
 				audit = append(audit, Finding{
 					Position: pos, Rule: DirectiveRule, Category: "unknown",
 					Message: fmt.Sprintf("unknown //fair: directive %q (want %s)", d.Kind,
-						strings.Join([]string{DirIgnore, DirWallclock, DirHotpath, DirDeterministic, DirGuardedBy}, ", ")),
+						DirIgnore+", "+DirWallclock),
 				})
 				continue
-			}
-			if d.Kind != DirIgnore && d.Kind != DirWallclock {
-				continue // hotpath/deterministic are markers, not suppressors
 			}
 			s := &suppressor{d: d, file: pos.Filename, line: pos.Line, valid: true}
 			if d.Kind == DirIgnore {
@@ -149,13 +128,6 @@ func collectSuppressors(pkg *Package, known, active map[string]bool) ([]*suppres
 					})
 					s.valid = false
 				}
-				// Only audit suppressions aimed at rules in this run.
-				if known[d.Rule] && !active[d.Rule] {
-					continue
-				}
-			}
-			if d.Kind == DirWallclock && !active["determinism"] {
-				continue
 			}
 			if s.valid && d.Reason == "" {
 				audit = append(audit, Finding{

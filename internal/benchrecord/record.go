@@ -14,7 +14,9 @@ package benchrecord
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -103,11 +105,13 @@ func (r *Record) Validate() error {
 	if len(r.Metrics) == 0 {
 		return fmt.Errorf("metrics map is empty: the record contributes nothing to the trajectory")
 	}
-	for k, v := range r.Metrics {
+	// Sorted, so a record with several bad metrics always names the
+	// same one first.
+	for _, k := range slices.Sorted(maps.Keys(r.Metrics)) {
 		if k == "" || k != MetricKey(k) {
 			return fmt.Errorf("metric key %q is not canonical (want %q)", k, MetricKey(k))
 		}
-		if math.IsNaN(v) || math.IsInf(v, 0) {
+		if v := r.Metrics[k]; math.IsNaN(v) || math.IsInf(v, 0) {
 			return fmt.Errorf("metric %q is not finite", k)
 		}
 	}

@@ -3,6 +3,7 @@ package benchrecord
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -51,6 +52,25 @@ func TestValidateRejectsDrift(t *testing.T) {
 		tc.mutate(&r)
 		if err := r.Validate(); err == nil {
 			t.Errorf("%s: validation passed, want failure", tc.name)
+		}
+	}
+}
+
+// TestValidateNamesFirstBadKeyInOrder: with several bad metrics the
+// error must not depend on map iteration order — the sorted-first
+// offender is named on every call.
+func TestValidateNamesFirstBadKeyInOrder(t *testing.T) {
+	r := validRecord()
+	for _, k := range []string{"Zed Key", "Bad Key", "Mid Key", "Other Key"} {
+		r.Metrics[k] = 1
+	}
+	want := r.Validate()
+	if want == nil || !strings.Contains(want.Error(), `"Bad Key"`) {
+		t.Fatalf("Validate = %v, want the sorted-first offender \"Bad Key\"", want)
+	}
+	for i := 0; i < 50; i++ {
+		if got := r.Validate(); got.Error() != want.Error() {
+			t.Fatalf("Validate error changed between calls: %q then %q", want, got)
 		}
 	}
 }

@@ -55,31 +55,35 @@ func NewCluster(n int, cfg Config, opts ClusterOptions) *Cluster {
 		pool: &msgPool{},
 	}
 	for i := 0; i < n; i++ {
-		nd := newNode(simnet.NodeID(i), net, ledger, cfg, n, rand.New(rand.NewSource(opts.Seed^int64(0x9e3779b9*uint32(i+1)))))
-		nd.pool = c.pool
+		nd := newNode(simnet.NodeID(i), net, ledger, cfg, n, rand.New(rand.NewSource(opts.Seed^int64(0x9e3779b9*uint32(i+1)))), c.pool)
 		net.AddNode(nd)
 		c.Nodes = append(c.Nodes, nd)
 	}
-	// Bootstrap overlay views with random contacts (a join service in a
-	// deployed system; free here, like handing out a seed-peer list).
-	if cfg.Membership == MemberCyclon {
-		boot := rand.New(rand.NewSource(opts.Seed + 7))
-		for _, nd := range c.Nodes {
-			k := cfg.ViewCap / 2
-			if k < 3 {
-				k = 3
-			}
-			ids := make([]simnet.NodeID, 0, k)
-			for len(ids) < k && n > 1 {
-				cand := simnet.NodeID(boot.Intn(n))
-				if cand != nd.id {
-					ids = append(ids, cand)
-				}
-			}
-			nd.bootstrapView(ids)
-		}
-	}
+	bootstrapViews(c.Nodes, cfg, opts.Seed)
 	return c
+}
+
+// bootstrapViews seeds every node's Cyclon view with random contacts (a
+// join service in a deployed system; free here, like handing out a
+// seed-peer list). One rng walks the nodes in global id order, so the
+// initial overlay is the same whatever the shard count.
+func bootstrapViews(nodes []*Node, cfg Config, seed int64) {
+	if cfg.Membership != MemberCyclon {
+		return
+	}
+	n := len(nodes)
+	k := max(cfg.ViewCap/2, 3)
+	boot := rand.New(rand.NewSource(seed + 7))
+	for _, nd := range nodes {
+		ids := make([]simnet.NodeID, 0, k)
+		for len(ids) < k && n > 1 {
+			cand := simnet.NodeID(boot.Intn(n))
+			if cand != nd.id {
+				ids = append(ids, cand)
+			}
+		}
+		nd.bootstrapView(ids)
+	}
 }
 
 // Config returns the cluster's (defaulted) configuration.
@@ -128,8 +132,7 @@ func (c *Cluster) Join(seed simnet.NodeID) simnet.NodeID {
 	n := len(c.Nodes) + 1
 	c.Ledger.Grow(n)
 	id := simnet.NodeID(len(c.Nodes))
-	nd := newNode(id, c.Net, c.Ledger, c.cfg, n, rand.New(rand.NewSource(c.seed^int64(0x9e3779b9*uint32(id+1)))))
-	nd.pool = c.pool
+	nd := newNode(id, c.Net, c.Ledger, c.cfg, n, rand.New(rand.NewSource(c.seed^int64(0x9e3779b9*uint32(id+1)))), c.pool)
 	c.Net.AddNode(nd)
 	c.Nodes = append(c.Nodes, nd)
 	if c.cfg.Membership == MemberCyclon {

@@ -64,11 +64,10 @@ type Node struct {
 	// partner bias (semantic.go).
 	peerFPs map[simnet.NodeID]uint64
 
-	// pool recycles gossip envelopes (pool.go); nil falls back to plain
-	// allocation. When set, event selection goes through SelectInto with
-	// selScratch and buildGossip copies the batch into the envelope's
-	// own recycled backing, so the scratch can be reused next round while
-	// the envelope is still in flight.
+	// pool recycles gossip envelopes (pool.go). Event selection goes
+	// through SelectInto with selScratch and buildGossip copies the batch
+	// into the envelope's own recycled backing, so the scratch can be
+	// reused next round while the envelope is still in flight.
 	pool       *msgPool
 	selScratch []*pubsub.Event
 
@@ -88,13 +87,14 @@ type topicGroup struct {
 	retryIn int // rounds until the join walk is retried while the view is empty
 }
 
-func newNode(id simnet.NodeID, net *simnet.Network, ledger *fairness.Ledger, cfg Config, n int, rng *rand.Rand) *Node {
+func newNode(id simnet.NodeID, net *simnet.Network, ledger *fairness.Ledger, cfg Config, n int, rng *rand.Rand, pool *msgPool) *Node {
 	nd := &Node{
 		id:     id,
 		net:    net,
 		cfg:    cfg,
 		rng:    rng,
 		ledger: ledger,
+		pool:   pool,
 		seen:   gossip.NewSeenSet(cfg.SeenCap),
 		buffer: gossip.NewBuffer(cfg.BufferCap, cfg.BufferMaxAge),
 		groups: make(map[string]*topicGroup),
@@ -352,32 +352,22 @@ func (nd *Node) groupAds(g *topicGroup) []membership.Entry {
 	return append(ads, membership.Entry{ID: nd.id, Age: 0})
 }
 
-// selectEvents picks this round's batch from buf. With an envelope pool
-// the selection lands in the node's reusable scratch (SelectInto draws
-// the identical random stream, so pooling never changes a fixed-seed
-// run); buildGossip then copies the batch into the envelope before the
-// scratch's next reuse.
+// selectEvents picks this round's batch from buf into the node's
+// reusable scratch; buildGossip copies the batch into the envelope
+// before the scratch's next reuse.
 func (nd *Node) selectEvents(buf *gossip.Buffer) []*pubsub.Event {
-	if nd.pool != nil {
-		return buf.SelectInto(nd.rng, &nd.selScratch, nd.batch, nd.cfg.Policy)
-	}
-	return buf.Select(nd.rng, nd.batch, nd.cfg.Policy)
+	return buf.SelectInto(nd.rng, &nd.selScratch, nd.batch, nd.cfg.Policy)
 }
 
-// buildGossip assembles one gossip wire message. Pooled envelopes come
-// back with one owner reference; the send paths drop it after the fanout
-// (wireMsg.Release no-ops on plain-allocated messages).
+// buildGossip assembles one gossip wire message in a pooled envelope,
+// which comes back with one owner reference; the send paths drop it
+// after the fanout.
 func (nd *Node) buildGossip(topic string, events []*pubsub.Event, ads []membership.Entry) *wireMsg {
-	var m *wireMsg
-	if nd.pool != nil {
-		m = nd.pool.get()
-		m.Kind = kindGossip
-		m.Topic = topic
-		m.Events = append(m.Events[:0], events...)
-		m.Ads = append(m.Ads[:0], ads...)
-	} else {
-		m = &wireMsg{Kind: kindGossip, Topic: topic, Events: events, Ads: ads}
-	}
+	m := nd.pool.get()
+	m.Kind = kindGossip
+	m.Topic = topic
+	m.Events = append(m.Events[:0], events...)
+	m.Ads = append(m.Ads[:0], ads...)
 	if nd.Cheat && nd.cfg.JunkPadding > 0 {
 		m.Junk = nd.cfg.JunkPadding
 	}

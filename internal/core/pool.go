@@ -26,7 +26,7 @@ import (
 // cluster the lock is uncontended and costs a few nanoseconds.
 type msgPool struct {
 	mu   sync.Mutex
-	free []*wireMsg //fair:guardedby mu
+	free []*wireMsg // guarded by mu
 }
 
 // get returns an envelope holding one owner reference. Kind and payload

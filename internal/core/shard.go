@@ -130,25 +130,7 @@ func NewShardedCluster(n, shards int, cfg Config, opts ClusterOptions) *ShardedC
 	for i := 0; i < n; i++ {
 		sc.addNode(i, n)
 	}
-	if cfg.Membership == MemberCyclon {
-		// Same bootstrap stream as the legacy cluster: one rng, nodes in
-		// global id order, so the initial overlay is shard-count-blind.
-		boot := rand.New(rand.NewSource(opts.Seed + 7))
-		for _, nd := range sc.Nodes {
-			k := cfg.ViewCap / 2
-			if k < 3 {
-				k = 3
-			}
-			ids := make([]simnet.NodeID, 0, k)
-			for len(ids) < k && n > 1 {
-				cand := simnet.NodeID(boot.Intn(n))
-				if cand != nd.id {
-					ids = append(ids, cand)
-				}
-			}
-			nd.bootstrapView(ids)
-		}
-	}
+	bootstrapViews(sc.Nodes, cfg, opts.Seed)
 	return sc
 }
 
@@ -162,8 +144,7 @@ func (sc *ShardedCluster) addNode(i, n int) {
 			sh.net.AddRemote()
 			continue
 		}
-		nd := newNode(simnet.NodeID(i), sh.net, sc.Ledger, sc.cfg, n, rand.New(rand.NewSource(sc.seed^int64(0x9e3779b9*uint32(i+1)))))
-		nd.pool = sh.pool
+		nd := newNode(simnet.NodeID(i), sh.net, sc.Ledger, sc.cfg, n, rand.New(rand.NewSource(sc.seed^int64(0x9e3779b9*uint32(i+1)))), sh.pool)
 		nd.auditSink = sc.auditSink(sh)
 		sh.net.AddNode(nd)
 		sc.Nodes = append(sc.Nodes, nd)
@@ -507,11 +488,4 @@ func (sc *ShardedCluster) DeliveryRatio(interested []int, minEach uint64) float6
 		}
 	}
 	return float64(ok) / float64(len(interested))
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -13,8 +13,11 @@
 package dam
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 
@@ -229,24 +232,16 @@ func (d *DAM) Publish(node int, topic string, eventSize int) (int, error) {
 	return delivered, nil
 }
 
-func sortedKeys(set map[int]bool) []int {
-	out := make([]int, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
+func sortedKeys[K cmp.Ordered, V any](set map[K]V) []K {
+	return slices.Sorted(maps.Keys(set))
 }
 
 // ForcedMembers returns the nodes recruited into supertopic groups they
 // have no natural interest in, with the topics they were forced into.
 func (d *DAM) ForcedMembers() map[int][]string {
 	out := make(map[int][]string, len(d.forced))
-	for n, topics := range d.forced {
-		for t := range topics {
-			out[n] = append(out[n], t)
-		}
-		sort.Strings(out[n])
+	for _, n := range sortedKeys(d.forced) {
+		out[n] = sortedKeys(d.forced[n])
 	}
 	return out
 }

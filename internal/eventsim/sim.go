@@ -138,10 +138,9 @@ func (s *Sim) After(d time.Duration, fn func()) Timer {
 // time (negative d coerces to zero). The record is stored inline in the
 // pooled event arena: unlike After with a capturing closure, this path
 // performs no per-call allocation, which is what makes the simulated
-// network's send hot path allocation-free. Message events cannot be
-// stopped; they always fire.
-//
-//fair:hotpath
+// network's send hot path allocation-free (pinned by
+// TestScheduleMsgStepZeroAlloc). Message events cannot be stopped; they
+// always fire.
 func (s *Sim) ScheduleMsg(d time.Duration, h MsgHandler, m Msg) {
 	if d < 0 {
 		d = 0
@@ -156,8 +155,6 @@ func (s *Sim) ScheduleMsg(d time.Duration, h MsgHandler, m Msg) {
 // the destination shard enqueues it here between windows. Injection
 // order assigns the FIFO tie-break sequence, so a fixed merge order
 // yields a fixed firing order.
-//
-//fair:hotpath
 func (s *Sim) ScheduleMsgAt(at time.Duration, h MsgHandler, m Msg) {
 	s.schedule(at, nil, h, m, evMsg)
 }

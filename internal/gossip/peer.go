@@ -127,20 +127,25 @@ func (p *Peer) Publish(ev *pubsub.Event) {
 
 // Round executes one timer expiry of Fig. 4: select participants, select
 // events, send. It then ages the buffer and, when enabled, runs one
-// anti-entropy step.
-//
-//fair:hotpath
+// anti-entropy step. TestPeerRoundAllocs pins the round at exactly the
+// two allocations called out below plus the sampler's partner slice.
 func (p *Peer) Round() {
 	p.rounds++
-	events := p.buffer.Select(p.rng, p.cfg.Batch, p.cfg.Policy) //fair:ignore hotpath in-flight Msg payloads hold the selection beyond this round, so the slice cannot be reused; BenchmarkDisseminationRound tracks the cost
+	// In-flight Msg payloads hold the selection beyond this round, so
+	// the slice cannot be reused (allocation 1).
+	events := p.buffer.Select(p.rng, p.cfg.Batch, p.cfg.Policy)
 	if len(events) > 0 {
 		size := MsgWireSize(events)
-		var payload any = Msg{Events: events} //fair:ignore hotpath one boxed Msg per round, shared by every fanout send; BenchmarkDisseminationRound tracks the per-round cost
+		// One boxed Msg per round, shared by every fanout send
+		// (allocation 2).
+		var payload any = Msg{Events: events}
 		for _, q := range p.sampler.SamplePeers(p.rng, p.cfg.Fanout) {
 			p.net.Send(p.ID, q, payload, size)
 		}
 	}
-	p.antiEntropyRound() //fair:ignore hotpath the anti-entropy digest is a deliberate fresh copy (it travels in an in-flight message), paid once every antiEntropyEvery rounds
+	// The anti-entropy digest is a deliberate fresh copy (it travels in
+	// an in-flight message), paid once every antiEntropyEvery rounds.
+	p.antiEntropyRound()
 	p.buffer.Tick()
 }
 

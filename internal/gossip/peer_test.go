@@ -194,3 +194,37 @@ func BenchmarkDisseminationRound(b *testing.B) {
 		sim.Run()
 	}
 }
+
+type nopHandler struct{}
+
+func (nopHandler) HandleMessage(simnet.Message) {}
+
+// TestPeerRoundAllocs pins the classic peer's steady-state round at
+// exactly three allocations: the fresh selection slice and the one boxed
+// Msg (both held by in-flight payloads, so neither can be reused) plus
+// the sampler's partner slice. The fanout sends and the deliveries they
+// schedule must add nothing.
+func TestPeerRoundAllocs(t *testing.T) {
+	const n = 6
+	sim := eventsim.New(7)
+	net := simnet.New(sim, simnet.Config{Latency: simnet.ConstantLatency(time.Microsecond)})
+	p := NewPeer(0, net, membership.FullSampler{Self: 0, N: n}, rand.New(rand.NewSource(7)),
+		Config{Fanout: 3, Batch: 8, BufferMaxAge: 1 << 20})
+	net.AddNode(p)
+	for i := 1; i < n; i++ {
+		net.AddNode(nopHandler{})
+	}
+	for i := 0; i < 32; i++ {
+		p.Publish(&pubsub.Event{ID: pubsub.EventID{Publisher: 0, Seq: uint32(i + 1)}, Topic: "t"})
+	}
+	round := func() {
+		p.Round()
+		sim.Run() // drain the fanout so the kernel arena stays warm, not growing
+	}
+	for i := 0; i < 16; i++ {
+		round()
+	}
+	if avg := testing.AllocsPerRun(200, round); avg != 3 {
+		t.Fatalf("classic round allocates %.2f times, want exactly 3 (selection, boxed Msg, partner sample)", avg)
+	}
+}

@@ -272,8 +272,8 @@ type Cluster struct {
 
 	stop    chan struct{}
 	wg      sync.WaitGroup
-	started bool       //fair:guardedby mu
-	stopped bool       //fair:guardedby mu
+	started bool       // guarded by mu
+	stopped bool       // guarded by mu
 	mu      sync.Mutex // guards started/stopped and structural growth (Join)
 }
 
@@ -902,7 +902,8 @@ func (p *peer) loop() {
 	}
 }
 
-//fair:hotpath
+// round runs one timer expiry. TestLiveRoundPathAllocs pins the steady
+// state at exactly one allocation (gossip's envelope buffer).
 func (p *peer) round() {
 	if p.down.Load() {
 		return // crashed: no protocol activity at all
@@ -911,7 +912,9 @@ func (p *peer) round() {
 	// Membership maintenance runs for free-riders too (they stay
 	// reachable, like core's defectors), never for crashed peers.
 	if p.rounds%p.c.cfg.ShuffleEvery == 0 {
-		p.membershipRound() //fair:ignore hotpath shuffle offers are deliberate fresh copies (they travel in in-flight messages), paid once every ShuffleEvery rounds
+		// Shuffle offers are deliberate fresh copies (they travel in
+		// in-flight messages), paid once every ShuffleEvery rounds.
+		p.membershipRound()
 	}
 	// A free-rider receives and delivers but never forwards; its buffer
 	// still ages so it does not hoard a backlog to replay on reform.
@@ -1021,8 +1024,6 @@ func (p *peer) announce() {
 
 // gossip runs one round's push: SELECTEVENTS, SELECTPARTICIPANTS,
 // encode once, send the shared immutable bytes to every partner.
-//
-//fair:hotpath
 func (p *peer) gossip() {
 	// The selection runs over peer-owned scratch: it dies at the encode
 	// below, so unlike the envelope it never leaves this frame.
@@ -1035,8 +1036,9 @@ func (p *peer) gossip() {
 		return
 	}
 	// The envelope buffer must be fresh each round — receivers hold it
-	// asynchronously — so it is the round path's one allocation.
-	buf, err := wire.AppendEnvelope(make([]byte, 0, wire.EnvelopeSize(events)), uint32(p.id), events) //fair:ignore hotpath receivers hold the envelope asynchronously, so it cannot be pooled; TestLiveRoundPathAllocs pins the round at exactly this allocation
+	// asynchronously, so it cannot be pooled — and it is the round
+	// path's one allocation (TestLiveRoundPathAllocs pins exactly that).
+	buf, err := wire.AppendEnvelope(make([]byte, 0, wire.EnvelopeSize(events)), uint32(p.id), events)
 	if err != nil {
 		// Unencodable events (a topic beyond the u16 framing, say)
 		// cannot be gossiped; skip the fanout without charging anyone.

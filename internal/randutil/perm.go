@@ -14,9 +14,8 @@ import "math/rand"
 // filled slice. It performs the same Intn(i+1) draw for every i in [0,n)
 // as rand.Perm (including the redundant i=0 draw that Go 1 compatibility
 // pins), so the consumed random stream and the resulting permutation are
-// bit-identical.
-//
-//fair:hotpath
+// bit-identical. TestPermIntoZeroAlloc pins the steady state at zero
+// allocations.
 func PermInto(rng *rand.Rand, scratch *[]int, n int) []int {
 	p := (*scratch)[:0]
 	for i := 0; i < n; i++ {

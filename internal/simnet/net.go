@@ -236,8 +236,8 @@ func (n *Network) TotalTraffic() Traffic { return n.total }
 // Send queues a message for delivery. Loss, partitions and crashes apply.
 // Sending from or to an unknown node is a silent drop (dynamic systems
 // routinely address departed peers; protocols observe it as loss).
-//
-//fair:hotpath
+// TestSendDeliverZeroAlloc pins the send→deliver cycle at zero
+// allocations.
 func (n *Network) Send(from, to NodeID, payload any, size int) {
 	if size < 0 {
 		size = 0

@@ -100,12 +100,12 @@ type ShapedNet struct {
 	drops     atomic.Uint64
 
 	mu      sync.Mutex             // guards rng, links, queue, seq, closed, running
-	rng     *rand.Rand             //fair:guardedby mu
-	links   map[uint64]*linkBucket //fair:guardedby mu
-	queue   deferredQueue          //fair:guardedby mu
-	seq     uint64                 //fair:guardedby mu
-	closed  bool                   //fair:guardedby mu
-	running bool                   //fair:guardedby mu -- dispatcher goroutine started (lazily, on first hold)
+	rng     *rand.Rand             // guarded by mu
+	links   map[uint64]*linkBucket // guarded by mu
+	queue   deferredQueue          // guarded by mu
+	seq     uint64                 // guarded by mu
+	closed  bool                   // guarded by mu
+	running bool                   // guarded by mu -- dispatcher goroutine started (lazily, on first hold)
 
 	wake      chan struct{}
 	halt      chan struct{}

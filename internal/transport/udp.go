@@ -47,7 +47,7 @@ type UDPNet struct {
 	// retired holds the pre-rebind socket of every moved peer: Rebind is
 	// make-before-break, so the old socket keeps draining datagrams that
 	// were addressed to it until Close — a rebind loses nothing.
-	//fair:guardedby mu
+	// Guarded by mu.
 	retired []*net.UDPConn
 
 	readers sync.WaitGroup
@@ -55,7 +55,7 @@ type UDPNet struct {
 	// kernel; Close uses them to quiesce before tearing sockets down.
 	sentD, recvD atomic.Uint64
 
-	closed    bool //fair:guardedby mu
+	closed    bool // guarded by mu
 	closeOnce sync.Once
 }
 
