@@ -223,7 +223,7 @@ func runSingle(args []string, stdout, stderr io.Writer) int {
 		*rounds, elapsed.Seconds(), cluster.Sim.Steps())
 	fmt.Fprintln(stdout, cluster.Report().String())
 
-	tot := cluster.Net.TotalTraffic()
+	tot := cluster.TotalTraffic()
 	fmt.Fprintf(stdout, "network              %d msgs, %.2f MB, %d dropped\n",
 		tot.MsgsSent, float64(tot.BytesSent)/1e6, tot.Dropped)
 	fmt.Fprintf(stdout, "events delivered     %d\n\n", cluster.DeliveredTotal())

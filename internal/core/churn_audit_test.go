@@ -130,9 +130,9 @@ func TestCheaterAuditExposure(t *testing.T) {
 func TestInactiveNodeSkipsRounds(t *testing.T) {
 	c := NewCluster(4, Config{Mode: ModeContent}, ClusterOptions{Seed: 4})
 	c.Node(2).Leave()
-	sent := c.Net.Stats(2).MsgsSent
+	sent := c.Stats(2).MsgsSent
 	c.RunRounds(10)
-	if got := c.Net.Stats(2).MsgsSent; got != sent {
+	if got := c.Stats(2).MsgsSent; got != sent {
 		t.Fatal("inactive node kept sending")
 	}
 }

@@ -2,26 +2,48 @@ package core
 
 import (
 	"math/rand"
+	"sync"
 	"time"
 
 	"fairgossip/internal/eventsim"
 	"fairgossip/internal/fairness"
+	"fairgossip/internal/randutil"
 	"fairgossip/internal/simnet"
 )
 
-// Cluster wires n FairGossip nodes onto one simulated network with a
-// shared fairness ledger. It is the unit experiments (and the public
-// facade) drive.
+// Cluster wires n FairGossip nodes onto a simulated network with a
+// shared fairness ledger, partitioned across one or more shards (see
+// shard.go for the window/barrier mechanics). It is the unit
+// experiments, the scenario engine and the public facade drive.
+//
+// Determinism contract: a run is byte-identical per (seed, shardCount).
+// Different shard counts are different (equally valid) executions —
+// cross-shard messages are quantised to the next barrier, so the event
+// interleaving legitimately depends on the partition. One shard is the
+// plain single-threaded discrete-event run: shard 0's kernel is seeded
+// with the cluster seed itself (randutil.ShardSeed(seed, 0) is the
+// identity), nothing is remote, and no goroutine is started.
+//
+// All mutating methods (Join, Leave, Partition, Publish via Node, ...)
+// must be called from the goroutine that calls RunRounds, between calls.
 type Cluster struct {
+	// Sim and Net are the sole shard's kernel and network when
+	// Shards() == 1, and nil otherwise: code that reaches through them
+	// fails loudly on a sharded cluster instead of silently seeing
+	// shard 0. The cluster's own methods (TotalTraffic, Partition,
+	// SetLoss, ...) work at every shard count.
 	Sim    *eventsim.Sim
 	Net    *simnet.Network
 	Ledger *fairness.Ledger
 	Nodes  []*Node
 
-	cfg     Config
-	seed    int64
-	tickers []*eventsim.Ticker
-	pool    *msgPool
+	shards []*shard
+	cfg    Config
+	seed   int64
+	per    int // ids per shard (shard i owns [i*per, min((i+1)*per, n)))
+	// barrier is runWindow's; a field rather than a local so that a
+	// window allocates nothing (a captured local escapes to the heap).
+	barrier sync.WaitGroup
 }
 
 // ClusterOptions bundles the environment knobs of a cluster.
@@ -34,30 +56,46 @@ type ClusterOptions struct {
 	Weights fairness.Weights
 }
 
-// NewCluster builds a stopped cluster of n nodes. Call Start (or use
-// RunRounds, which starts lazily) to begin gossip rounds.
+// NewCluster builds a stopped one-shard cluster of n nodes. Call Start
+// (or use RunRounds, which starts lazily) to begin gossip rounds.
 func NewCluster(n int, cfg Config, opts ClusterOptions) *Cluster {
-	cfg = cfg.withDefaults()
-	sim := eventsim.New(opts.Seed)
-	net := simnet.New(sim, opts.NetConfig)
-	ledger := fairness.NewLedger(n, opts.Weights)
+	return NewShardedCluster(n, 1, cfg, opts)
+}
 
+// NewShardedCluster builds a stopped cluster of n nodes split across
+// the given number of shards (clamped to [1, n]). Node RNG streams use
+// the same (seed, id) derivation at every shard count.
+func NewShardedCluster(n, shards int, cfg Config, opts ClusterOptions) *Cluster {
+	shards = max(1, min(shards, n))
+	cfg = cfg.withDefaults()
 	c := &Cluster{
-		Sim:    sim,
-		Net:    net,
-		Ledger: ledger,
+		Ledger: fairness.NewLedger(n, opts.Weights),
+		Nodes:  make([]*Node, 0, n),
 		cfg:    cfg,
 		seed:   opts.Seed,
-		Nodes:  make([]*Node, 0, n),
-		// One envelope pool per cluster: pooling is output-invariant
-		// (SelectInto draws the same random stream as Select and the
-		// copied batch is byte-equal), so it is always on.
-		pool: &msgPool{},
+		per:    shardSpan(n, shards),
+	}
+	for s := 0; s < shards; s++ {
+		sim := eventsim.New(randutil.ShardSeed(opts.Seed, s))
+		sh := &shard{
+			sim: sim,
+			net: simnet.New(sim, opts.NetConfig),
+			// One envelope pool per shard: pooling is output-invariant
+			// (SelectInto draws the same random stream as Select and the
+			// copied batch is byte-equal), so it is always on.
+			pool:   &msgPool{},
+			lo:     s * c.per,
+			hi:     min((s+1)*c.per, n),
+			outbox: make([][]pendingMsg, shards),
+		}
+		sh.net.SetRemote(c.remoteHook(sh))
+		c.shards = append(c.shards, sh)
+	}
+	if shards == 1 {
+		c.Sim, c.Net = c.shards[0].sim, c.shards[0].net
 	}
 	for i := 0; i < n; i++ {
-		nd := newNode(simnet.NodeID(i), net, ledger, cfg, n, rand.New(rand.NewSource(opts.Seed^int64(0x9e3779b9*uint32(i+1)))), c.pool)
-		net.AddNode(nd)
-		c.Nodes = append(c.Nodes, nd)
+		c.addNode(i, n)
 	}
 	bootstrapViews(c.Nodes, cfg, opts.Seed)
 	return c
@@ -89,54 +127,83 @@ func bootstrapViews(nodes []*Node, cfg Config, seed int64) {
 // Config returns the cluster's (defaulted) configuration.
 func (c *Cluster) Config() Config { return c.cfg }
 
-// Start launches the round tickers — per-node jittered ones by default,
-// or a single batched ticker under Config.BatchRounds. Idempotent.
+// N returns the current population size.
+func (c *Cluster) N() int { return len(c.Nodes) }
+
+// Shards returns the shard count.
+func (c *Cluster) Shards() int { return len(c.shards) }
+
+// Node returns the i-th node.
+func (c *Cluster) Node(i int) *Node { return c.Nodes[i] }
+
+// Start launches the round tickers on every shard — per-node jittered
+// ones by default, or one batched ticker per shard under
+// Config.BatchRounds. Idempotent.
 func (c *Cluster) Start() {
-	if len(c.tickers) > 0 {
-		return
-	}
-	if c.cfg.BatchRounds {
-		// One ticker drives every node in id order; ranging over c.Nodes
-		// through the receiver picks up mid-run joiners automatically.
-		c.tickers = append(c.tickers, c.Sim.Every(c.cfg.RoundPeriod, c.cfg.Jitter, func() {
-			for _, nd := range c.Nodes {
-				nd.Round()
-			}
-		}))
-		return
-	}
-	for _, nd := range c.Nodes {
-		nd := nd
-		c.tickers = append(c.tickers, c.Sim.Every(c.cfg.RoundPeriod, c.cfg.Jitter, nd.Round))
+	for _, sh := range c.shards {
+		if len(sh.tickers) > 0 {
+			continue
+		}
+		if c.cfg.BatchRounds {
+			// One ticker drives the shard's nodes in id order; re-slicing
+			// on every fire picks up mid-run joiners (Join extends the
+			// tail shard's hi).
+			sh.tickers = append(sh.tickers, sh.sim.Every(c.cfg.RoundPeriod, c.cfg.Jitter, func() {
+				for _, nd := range c.Nodes[sh.lo:sh.hi] {
+					nd.Round()
+				}
+			}))
+			continue
+		}
+		for _, nd := range c.Nodes[sh.lo:sh.hi] {
+			sh.tickers = append(sh.tickers, sh.sim.Every(c.cfg.RoundPeriod, c.cfg.Jitter, nd.Round))
+		}
 	}
 }
 
-// Stop halts the round tickers (the simulator can still drain in-flight
-// messages with Sim.Run).
+// Stop halts the round tickers; in-flight messages can still be settled
+// with Drain.
 func (c *Cluster) Stop() {
-	for _, t := range c.tickers {
-		t.Stop()
+	for _, sh := range c.shards {
+		for _, t := range sh.tickers {
+			t.Stop()
+		}
+		sh.tickers = nil
 	}
-	c.tickers = nil
 }
+
+// RunRounds advances virtual time by r round periods, starting the
+// cluster if needed. Each round is one barrier window.
+func (c *Cluster) RunRounds(r int) {
+	c.Start()
+	for i := 0; i < r; i++ {
+		c.runWindow(c.now() + c.cfg.RoundPeriod)
+	}
+}
+
+// now is the shared virtual clock: every window leaves every kernel at
+// the same deadline, so any shard's clock is the cluster's.
+func (c *Cluster) now() time.Duration { return c.shards[0].sim.Now() }
 
 // Join boots a new node into the cluster mid-run, bootstrapped through
 // seed. Under MemberCyclon the joiner starts with only the seed in its
 // view and pays for a charged view-repair exchange (the same
 // introduction a rejoining node buys); under MemberFull the idealised
 // directory tells every node the new population size for free, the
-// same way the initial roster was free. The joiner's round ticker
+// same way the initial roster was free. The id extends the tail shard's
+// range, so existing ranges never move. The joiner's round ticker
 // starts immediately when the cluster is running. Returns the new
 // node's id.
 func (c *Cluster) Join(seed simnet.NodeID) simnet.NodeID {
-	n := len(c.Nodes) + 1
+	id := len(c.Nodes)
+	n := id + 1
 	c.Ledger.Grow(n)
-	id := simnet.NodeID(len(c.Nodes))
-	nd := newNode(id, c.Net, c.Ledger, c.cfg, n, rand.New(rand.NewSource(c.seed^int64(0x9e3779b9*uint32(id+1)))), c.pool)
-	c.Net.AddNode(nd)
-	c.Nodes = append(c.Nodes, nd)
+	c.addNode(id, n)
+	sh := c.shards[len(c.shards)-1]
+	sh.hi = n
+	nd := c.Nodes[id]
 	if c.cfg.Membership == MemberCyclon {
-		if seed >= 0 && int(seed) < len(c.Nodes)-1 {
+		if seed >= 0 && int(seed) < id {
 			nd.cyclon.View().Add(seed)
 			nd.send(seed, &wireMsg{Kind: kindViewRepair}, fairness.ClassInfra)
 		}
@@ -145,12 +212,12 @@ func (c *Cluster) Join(seed simnet.NodeID) simnet.NodeID {
 			other.SetPopulation(n)
 		}
 	}
-	if len(c.tickers) > 0 && !c.cfg.BatchRounds {
-		// The batched ticker ranges over c.Nodes and already covers the
+	if len(sh.tickers) > 0 && !c.cfg.BatchRounds {
+		// The batched ticker re-slices c.Nodes and already covers the
 		// joiner; only the per-node schedule needs a new ticker.
-		c.tickers = append(c.tickers, c.Sim.Every(c.cfg.RoundPeriod, c.cfg.Jitter, nd.Round))
+		sh.tickers = append(sh.tickers, sh.sim.Every(c.cfg.RoundPeriod, c.cfg.Jitter, nd.Round))
 	}
-	return id
+	return simnet.NodeID(id)
 }
 
 // Leave departs node id gracefully (Node.LeaveGracefully): under Cyclon
@@ -164,15 +231,71 @@ func (c *Cluster) Leave(id simnet.NodeID) {
 	c.Nodes[id].LeaveGracefully()
 }
 
-// RunRounds advances virtual time by r round periods, starting the
-// cluster if needed.
-func (c *Cluster) RunRounds(r int) {
-	c.Start()
-	c.Sim.RunUntil(c.Sim.Now() + time.Duration(r)*c.cfg.RoundPeriod)
+// Up reports whether node id is up (checked on its owner network).
+func (c *Cluster) Up(id simnet.NodeID) bool {
+	if id < 0 || int(id) >= len(c.Nodes) {
+		return false
+	}
+	return c.shards[c.shardOf(int(id))].net.Up(id)
 }
 
-// Node returns the i-th node.
-func (c *Cluster) Node(i int) *Node { return c.Nodes[i] }
+// Partition splits every shard's network identically: delivery-time
+// checks run on the destination's owner network, which therefore needs
+// the full partition map regardless of where the sender lives.
+func (c *Cluster) Partition(side []simnet.NodeID) {
+	for _, sh := range c.shards {
+		sh.net.Partition(side)
+	}
+}
+
+// Heal removes any partition on every shard.
+func (c *Cluster) Heal() {
+	for _, sh := range c.shards {
+		sh.net.Heal()
+	}
+}
+
+// SetLoss sets the drop probability on every shard's network.
+func (c *Cluster) SetLoss(p float64) {
+	for _, sh := range c.shards {
+		sh.net.SetLoss(p)
+	}
+}
+
+// SetLatency swaps the latency model on every shard's network.
+func (c *Cluster) SetLatency(m simnet.LatencyModel) {
+	for _, sh := range c.shards {
+		sh.net.SetLatency(m)
+	}
+}
+
+// TotalTraffic sums the per-shard networks' counters. Each event is
+// counted on exactly one network (sends and send-time drops on the
+// source shard, receives and delivery-time drops on the destination
+// shard), so the sum is the whole-population truth.
+func (c *Cluster) TotalTraffic() simnet.Traffic {
+	return c.sumTraffic((*simnet.Network).TotalTraffic)
+}
+
+// Stats sums one node's traffic counters across shards (its owner shard
+// holds almost everything; destination shards hold delivery-time drops
+// charged back to it).
+func (c *Cluster) Stats(id simnet.NodeID) simnet.Traffic {
+	return c.sumTraffic(func(n *simnet.Network) simnet.Traffic { return n.Stats(id) })
+}
+
+func (c *Cluster) sumTraffic(of func(*simnet.Network) simnet.Traffic) simnet.Traffic {
+	var t simnet.Traffic
+	for _, sh := range c.shards {
+		st := of(sh.net)
+		t.MsgsSent += st.MsgsSent
+		t.BytesSent += st.BytesSent
+		t.MsgsRecv += st.MsgsRecv
+		t.BytesRecv += st.BytesRecv
+		t.Dropped += st.Dropped
+	}
+	return t
+}
 
 // Report computes the fairness report over the whole population.
 func (c *Cluster) Report() fairness.Report { return c.Ledger.Report() }

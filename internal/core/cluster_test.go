@@ -158,15 +158,15 @@ func TestClusterStartStopIdempotent(t *testing.T) {
 	c := contentCluster(8, 5, ControllerSpec{Kind: ControllerStatic})
 	c.Start()
 	c.Start() // no double tickers
-	if len(c.tickers) != 8 {
-		t.Fatalf("tickers = %d, want 8", len(c.tickers))
+	if len(c.shards[0].tickers) != 8 {
+		t.Fatalf("tickers = %d, want 8", len(c.shards[0].tickers))
 	}
 	c.Stop()
-	if len(c.tickers) != 0 {
+	if len(c.shards[0].tickers) != 0 {
 		t.Fatal("stop did not clear tickers")
 	}
 	c.RunRounds(1) // restarts lazily
-	if len(c.tickers) != 8 {
+	if len(c.shards[0].tickers) != 8 {
 		t.Fatal("RunRounds did not restart")
 	}
 }
@@ -320,7 +320,7 @@ func TestClusterJoinDeterminism(t *testing.T) {
 		c.RunRounds(5)
 		c.Node(1).Publish("t", nil, []byte("z"))
 		c.RunRounds(15)
-		return c.DeliveredTotal() + c.Net.TotalTraffic().MsgsSent*1000
+		return c.DeliveredTotal() + c.TotalTraffic().MsgsSent*1000
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("join broke determinism: %d vs %d", a, b)

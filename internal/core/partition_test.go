@@ -32,7 +32,7 @@ func TestPartitionHealConvergence(t *testing.T) {
 	for i := range side {
 		side[i] = simnet.NodeID(i)
 	}
-	c.Net.Partition(side)
+	c.Partition(side)
 
 	// Publish one event on each side during the partition.
 	c.Node(0).Publish("left", nil, nil)
@@ -56,7 +56,7 @@ func TestPartitionHealConvergence(t *testing.T) {
 	}
 
 	// Heal and converge.
-	c.Net.Heal()
+	c.Heal()
 	c.RunRounds(25)
 	for i := 0; i < 48; i++ {
 		if got := c.Ledger.Account(i).Delivered; got != 2 {

@@ -22,7 +22,7 @@ func shardTestConfig() Config {
 // runSharded drives a fixed workload: everyone subscribes to everything,
 // publishers spread across the id space (so traffic crosses every shard
 // boundary), a mid-run crash and rejoin, then a drained settle.
-func runSharded(n, shards int, seed int64) *ShardedCluster {
+func runSharded(n, shards int, seed int64) *Cluster {
 	sc := NewShardedCluster(n, shards, shardTestConfig(), ClusterOptions{Seed: seed})
 	for _, nd := range sc.Nodes {
 		nd.Subscribe(pubsub.MatchAll())
@@ -45,7 +45,7 @@ func runSharded(n, shards int, seed int64) *ShardedCluster {
 // fingerprint folds every account and every per-node traffic counter
 // into one comparable string: if any counter anywhere differs between
 // two runs, the fingerprints differ.
-func fingerprint(sc *ShardedCluster) string {
+func fingerprint(sc *Cluster) string {
 	var b strings.Builder
 	for i := 0; i < sc.N(); i++ {
 		a := sc.Ledger.Account(i)
@@ -63,39 +63,18 @@ func fingerprint(sc *ShardedCluster) string {
 // for every shard count — the (seed, shardCount) determinism contract.
 func TestShardedDeterministicPerShardCount(t *testing.T) {
 	for _, shards := range []int{1, 2, 4, 8} {
-		a := fingerprint(runSharded(64, shards, 42))
+		sc := runSharded(64, shards, 42)
+		// Sim/Net are the sole shard's kernel and network, and nil as soon
+		// as there is more than one: a reach-through on a sharded cluster
+		// must fail loudly, not show shard 0.
+		if one := sc.Shards() == 1; (sc.Sim != nil) != one || (sc.Net != nil) != one {
+			t.Fatalf("shards=%d: Sim set %v, Net set %v", sc.Shards(), sc.Sim != nil, sc.Net != nil)
+		}
+		a := fingerprint(sc)
 		b := fingerprint(runSharded(64, shards, 42))
 		if a != b {
 			t.Fatalf("shards=%d: two identical runs diverged:\n--- run 1\n%s--- run 2\n%s", shards, a, b)
 		}
-	}
-}
-
-// shards=1 must be the legacy engine verbatim: byte-identical output to
-// a plain Cluster driven through the same schedule.
-func TestShardsOneMatchesLegacy(t *testing.T) {
-	sc := runSharded(64, 1, 7)
-
-	c := NewCluster(64, shardTestConfig(), ClusterOptions{Seed: 7})
-	for _, nd := range c.Nodes {
-		nd.Subscribe(pubsub.MatchAll())
-	}
-	for burst := 0; burst < 5; burst++ {
-		for p := 0; p < 4; p++ {
-			c.Node((burst+p*16)%64).Publish("t", nil, []byte("payload"))
-		}
-		c.RunRounds(4)
-	}
-	c.Node(32).Leave()
-	c.RunRounds(4)
-	c.Node(32).Rejoin(0)
-	c.RunRounds(8)
-	c.Stop()
-	c.Sim.Run()
-
-	legacy := &ShardedCluster{single: c, Ledger: c.Ledger, Nodes: c.Nodes, cfg: c.cfg}
-	if got, want := fingerprint(sc), fingerprint(legacy); got != want {
-		t.Fatalf("shards=1 diverged from the legacy cluster:\n--- sharded\n%s--- legacy\n%s", got, want)
 	}
 }
 
@@ -122,7 +101,7 @@ func TestShardedCrossShardDelivery(t *testing.T) {
 // either received or counted as dropped, with no double counting from
 // the mailbox hand-off.
 func TestShardedConservation(t *testing.T) {
-	for _, shards := range []int{2, 4} {
+	for _, shards := range []int{1, 2, 4} {
 		sc := runSharded(48, shards, 11)
 		tot := sc.TotalTraffic()
 		if tot.MsgsSent != tot.MsgsRecv+tot.Dropped {
@@ -132,76 +111,83 @@ func TestShardedConservation(t *testing.T) {
 	}
 }
 
-// Partition and loss must apply uniformly across all shard networks.
+// Partition and heal must apply uniformly across all shard networks —
+// through the same cluster methods at every shard count, one included.
 func TestShardedPartitionBlocksCrossGroup(t *testing.T) {
-	const n, shards = 32, 4
-	sc := NewShardedCluster(n, shards, shardTestConfig(), ClusterOptions{Seed: 5})
-	for _, nd := range sc.Nodes {
-		nd.Subscribe(pubsub.MatchAll())
-	}
-	// Isolate the first half (spanning shards 0 and 1) from the second.
-	side := make([]simnet.NodeID, 0, n/2)
-	for i := 0; i < n/2; i++ {
-		side = append(side, simnet.NodeID(i))
-	}
-	sc.Partition(side)
-	sc.Node(0).Publish("t", nil, []byte("x"))
-	sc.RunRounds(20)
-	for i := n / 2; i < n; i++ {
-		if d := sc.Ledger.Account(i).Delivered; d != 0 {
-			t.Fatalf("node %d delivered %d events across a partition", i, d)
+	const n = 32
+	for _, shards := range []int{1, 2, 4} {
+		sc := NewShardedCluster(n, shards, shardTestConfig(), ClusterOptions{Seed: 5})
+		for _, nd := range sc.Nodes {
+			nd.Subscribe(pubsub.MatchAll())
 		}
-	}
-	sc.Heal()
-	// The pre-heal event has aged out of every buffer by now
-	// (BufferMaxAge default is 8 rounds); publish a fresh one to prove
-	// the healed network carries traffic across the old boundary again.
-	sc.Node(0).Publish("t", nil, []byte("y"))
-	sc.RunRounds(30)
-	sc.Stop()
-	sc.Drain()
-	healed := 0
-	for i := n / 2; i < n; i++ {
-		if sc.Ledger.Account(i).Delivered > 0 {
-			healed++
+		// Isolate the first half (spanning shards 0 and 1 of 4) from the
+		// second.
+		side := make([]simnet.NodeID, 0, n/2)
+		for i := 0; i < n/2; i++ {
+			side = append(side, simnet.NodeID(i))
 		}
-	}
-	if healed == 0 {
-		t.Fatalf("no node beyond the healed partition ever delivered")
+		sc.Partition(side)
+		sc.Node(0).Publish("t", nil, []byte("x"))
+		sc.RunRounds(20)
+		for i := n / 2; i < n; i++ {
+			if d := sc.Ledger.Account(i).Delivered; d != 0 {
+				t.Fatalf("shards=%d: node %d delivered %d events across a partition", shards, i, d)
+			}
+		}
+		sc.Heal()
+		// The pre-heal event has aged out of every buffer by now
+		// (BufferMaxAge default is 8 rounds); publish a fresh one to prove
+		// the healed network carries traffic across the old boundary again.
+		sc.Node(0).Publish("t", nil, []byte("y"))
+		sc.RunRounds(30)
+		sc.Stop()
+		sc.Drain()
+		healed := 0
+		for i := n / 2; i < n; i++ {
+			if sc.Ledger.Account(i).Delivered > 0 {
+				healed++
+			}
+		}
+		if healed == 0 {
+			t.Fatalf("shards=%d: no node beyond the healed partition ever delivered", shards)
+		}
 	}
 }
 
 // Join must extend the tail shard and make the joiner a full
-// participant (receiving cross-shard gossip).
+// participant (receiving cross-shard gossip when there is more than one
+// shard).
 func TestShardedJoin(t *testing.T) {
-	const n, shards = 32, 4
-	sc := NewShardedCluster(n, shards, shardTestConfig(), ClusterOptions{Seed: 9})
-	for _, nd := range sc.Nodes {
-		nd.Subscribe(pubsub.MatchAll())
-	}
-	sc.RunRounds(2)
-	id := sc.Join(0)
-	if got, want := int(id), n; got != want {
-		t.Fatalf("joiner id = %d, want %d", got, want)
-	}
-	if sc.shardOf(int(id)) != shards-1 {
-		t.Fatalf("joiner landed on shard %d, want tail shard %d", sc.shardOf(int(id)), shards-1)
-	}
-	joiner := sc.Node(int(id))
-	joiner.Subscribe(pubsub.MatchAll())
-	sc.Node(0).Publish("t", nil, []byte("x")) // other end of the id space
-	sc.RunRounds(30)
-	sc.Stop()
-	sc.Drain()
-	if sc.Ledger.Account(int(id)).Delivered == 0 {
-		t.Fatalf("joiner never delivered the cross-shard event")
+	const n = 32
+	for _, shards := range []int{1, 2, 4} {
+		sc := NewShardedCluster(n, shards, shardTestConfig(), ClusterOptions{Seed: 9})
+		for _, nd := range sc.Nodes {
+			nd.Subscribe(pubsub.MatchAll())
+		}
+		sc.RunRounds(2)
+		id := sc.Join(0)
+		if got, want := int(id), n; got != want {
+			t.Fatalf("shards=%d: joiner id = %d, want %d", shards, got, want)
+		}
+		if sc.shardOf(int(id)) != shards-1 {
+			t.Fatalf("joiner landed on shard %d, want tail shard %d", sc.shardOf(int(id)), shards-1)
+		}
+		joiner := sc.Node(int(id))
+		joiner.Subscribe(pubsub.MatchAll())
+		sc.Node(0).Publish("t", nil, []byte("x")) // other end of the id space
+		sc.RunRounds(30)
+		sc.Stop()
+		sc.Drain()
+		if sc.Ledger.Account(int(id)).Delivered == 0 {
+			t.Fatalf("shards=%d: joiner never delivered the event", shards)
+		}
 	}
 }
 
 // Batched rounds must stay deterministic and functional when sharded —
 // the configuration the -huge bench tier runs.
 func TestShardedBatchRoundsDeterministic(t *testing.T) {
-	run := func() *ShardedCluster {
+	run := func() *Cluster {
 		cfg := shardTestConfig()
 		cfg.BatchRounds = true
 		sc := NewShardedCluster(64, 4, cfg, ClusterOptions{Seed: 21})

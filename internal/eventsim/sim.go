@@ -223,17 +223,6 @@ func (s *Sim) RunUntil(deadline time.Duration) uint64 {
 	return fired
 }
 
-// RunSteps fires at most n events and returns how many actually fired
-// (fewer when the queue drains first).
-func (s *Sim) RunSteps(n uint64) uint64 {
-	s.halted = false
-	var fired uint64
-	for fired < n && !s.halted && s.Step() {
-		fired++
-	}
-	return fired
-}
-
 // --- pooled event arena ------------------------------------------------------
 
 type evKind uint8

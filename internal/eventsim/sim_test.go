@@ -134,20 +134,6 @@ func TestHalt(t *testing.T) {
 	}
 }
 
-func TestRunSteps(t *testing.T) {
-	s := New(1)
-	count := 0
-	for i := 0; i < 5; i++ {
-		s.After(time.Duration(i)*time.Millisecond, func() { count++ })
-	}
-	if n := s.RunSteps(3); n != 3 || count != 3 {
-		t.Fatalf("RunSteps(3) fired %d (count %d)", n, count)
-	}
-	if n := s.RunSteps(100); n != 2 || count != 5 {
-		t.Fatalf("RunSteps(100) fired %d (count %d), want 2 (5)", n, count)
-	}
-}
-
 func TestDeterminismAcrossRuns(t *testing.T) {
 	trace := func(seed int64) []int64 {
 		s := New(seed)

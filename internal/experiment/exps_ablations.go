@@ -317,7 +317,7 @@ func ExpA5(opts Options) []Table {
 		for _, id := range scenario.SampleDistinct(rng, n, n/5, nil) {
 			c.Node(id).Leave()
 		}
-		c.Net.SetLoss(0.10)
+		c.SetLoss(0.10)
 		c.RunRounds(10) // let membership digest the failures
 		post := probe(3)
 

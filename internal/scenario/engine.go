@@ -290,34 +290,27 @@ func (r *Run) Leave(id int) {
 }
 
 // downLocked applies the shared model updates for a peer going offline
-// (crash or graceful leave). Callers hold r.mu.
+// (crash or graceful leave): its own pending pairs are released, and so
+// are those of every event it published — a silenced publisher's copies
+// may exist nowhere else. Other holders may well still spread such an
+// event; the engine just stops requiring it. Callers hold r.mu.
 func (r *Run) downLocked(id int) {
 	r.noteFaultLocked()
 	r.up[id] = false
 	r.everDown[id] = true
-	for _, evID := range r.evOrder {
-		rec := r.events[evID]
-		// Joiners are absent from the pair arrays of pre-join events.
-		if id < len(rec.eligible) && rec.eligible[id] && !rec.delivered[id] {
-			rec.eligible[id] = false
-			rec.nEligible--
-		}
-	}
-	r.releaseSilencedPublisherLocked(id)
+	r.releaseLocked(func(rec *evRec, peer int) bool { return peer == id || rec.publisher == id })
 }
 
-// releaseSilencedPublisherLocked releases the undelivered pairs of every
-// event published by a peer that just stopped forwarding (crash or
-// free-ride). Peers that already delivered stay counted; other holders
-// may well still spread the event — the engine just stops requiring it.
-func (r *Run) releaseSilencedPublisherLocked(id int) {
+// releaseLocked is the one place eligibility shrinks: every pair still
+// owed (eligible, not yet delivered) that drop selects stops being
+// required. Peers that already delivered stay counted, and joiners are
+// absent from the pair arrays of pre-join events, so neither is ever
+// offered to drop. Callers hold r.mu.
+func (r *Run) releaseLocked(drop func(rec *evRec, peer int) bool) {
 	for _, evID := range r.evOrder {
 		rec := r.events[evID]
-		if rec.publisher != id {
-			continue
-		}
 		for i, el := range rec.eligible {
-			if el && !rec.delivered[i] {
+			if el && !rec.delivered[i] && drop(rec, i) {
 				rec.eligible[i] = false
 				rec.nEligible--
 			}
@@ -387,7 +380,7 @@ func (r *Run) JoinNode() int {
 
 // SetFreeRider toggles free-riding. A free-rider still receives, so its
 // own eligibility is untouched, but events it published and had not yet
-// spread are released (see releaseSilencedPublisherLocked).
+// spread are released, as for a publisher going down (see downLocked).
 func (r *Run) SetFreeRider(id int, on bool) {
 	if !r.rt.SetFreeRider(id, on) {
 		return
@@ -397,7 +390,7 @@ func (r *Run) SetFreeRider(id int, on bool) {
 	r.free[id] = on
 	if on {
 		r.noteFaultLocked()
-		r.releaseSilencedPublisherLocked(id)
+		r.releaseLocked(func(rec *evRec, _ int) bool { return rec.publisher == id })
 	}
 }
 
@@ -428,22 +421,18 @@ func (r *Run) splitModelLocked(side []int) {
 		}
 	}
 	r.split = true
-	for _, evID := range r.evOrder {
-		rec := r.events[evID]
-		pg := r.group[rec.publisher]
-		for i, el := range rec.eligible {
-			if el && !rec.delivered[i] && r.group[i] != pg {
-				rec.eligible[i] = false
-				rec.nEligible--
-			}
-		}
-	}
+	r.releaseLocked(func(rec *evRec, peer int) bool { return r.group[peer] != r.group[rec.publisher] })
 }
 
 // Heal removes the partition; events published from now on reach the
 // whole population again.
 func (r *Run) Heal() {
 	r.rt.Heal()
+	r.healModel()
+}
+
+// healModel is the engine-side half of Heal and RegionalHeal.
+func (r *Run) healModel() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.noteFaultLocked()
@@ -467,9 +456,7 @@ func (r *Run) SetLoss(p float64) {
 // stochastic slack — but counts as a fault action for the recovery and
 // hygiene clocks.
 func (r *Run) ShapeTo(sp ShapeSpec) {
-	if !r.rt.SetShape(sp) {
-		return
-	}
+	r.rt.SetShape(sp)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.noteFaultLocked()
@@ -501,10 +488,7 @@ func (r *Run) RegionalOutage(region int) {
 // RegionalHeal reconnects all regions.
 func (r *Run) RegionalHeal() {
 	r.rt.RegionOutage(nil, false)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.noteFaultLocked()
-	r.split = false
+	r.healModel()
 }
 
 // RebindPeer moves one peer to a fresh transport address and
@@ -556,13 +540,7 @@ func (r *Run) Resubscribe(id int) {
 	// Release pending events this node no longer matches.
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, evID := range r.evOrder {
-		rec := r.events[evID]
-		if id < len(rec.eligible) && rec.eligible[id] && !rec.delivered[id] && !r.matchNowLocked(id, rec.ev) {
-			rec.eligible[id] = false
-			rec.nEligible--
-		}
-	}
+	r.releaseLocked(func(rec *evRec, peer int) bool { return peer == id && !r.matchNowLocked(id, rec.ev) })
 }
 
 // PublishRandom publishes one popularity-sampled event from a random
@@ -818,7 +796,6 @@ type Result struct {
 	FalseDeliveries int
 	Sent, Recv      uint64
 	Dropped         uint64
-	HasTraffic      bool
 	JainEarly       float64
 	JainLate        float64
 	HasFairness     bool
@@ -841,11 +818,9 @@ func (res *Result) String() string {
 	fmt.Fprintf(&b, "  delivered pairs    %d\n", res.DeliveredPairs)
 	fmt.Fprintf(&b, "  delivery ratio     %g\n", res.DeliveryRatio)
 	fmt.Fprintf(&b, "  false deliveries   %d\n", res.FalseDeliveries)
-	if res.HasTraffic {
-		fmt.Fprintf(&b, "  msgs sent          %d\n", res.Sent)
-		fmt.Fprintf(&b, "  msgs received      %d\n", res.Recv)
-		fmt.Fprintf(&b, "  msgs dropped       %d\n", res.Dropped)
-	}
+	fmt.Fprintf(&b, "  msgs sent          %d\n", res.Sent)
+	fmt.Fprintf(&b, "  msgs received      %d\n", res.Recv)
+	fmt.Fprintf(&b, "  msgs dropped       %d\n", res.Dropped)
 	if res.HasFairness {
 		fmt.Fprintf(&b, "  jain early->late   %g -> %g\n", res.JainEarly, res.JainLate)
 	}
@@ -877,9 +852,7 @@ func (r *Run) result() *Result {
 	} else {
 		res.DeliveryRatio = 1
 	}
-	if sent, recv, dropped, ok := r.rt.Traffic(); ok {
-		res.Sent, res.Recv, res.Dropped, res.HasTraffic = sent, recv, dropped, true
-	}
+	res.Sent, res.Recv, res.Dropped = r.rt.Traffic()
 	if r.sc.CheckFairness && r.sc.TargetRatio > 0 {
 		res.JainEarly, res.JainLate = r.fairnessWindowsLocked()
 		res.HasFairness = true

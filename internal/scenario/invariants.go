@@ -16,16 +16,14 @@ type Invariant struct {
 }
 
 // invariants assembles the checks that apply to this run: the universal
-// ones, drop conservation where the runtime counts drops, and fairness
-// convergence where the scenario asks for it.
+// ones — no runtime can opt out of any of them — and those the scenario
+// asks for.
 func (r *Run) invariants() []Invariant {
 	list := []Invariant{
 		NoFalseDelivery(),
 		EventualDelivery(),
 		LedgerConservation(),
-	}
-	if r.rt.Has(CapDropStats) {
-		list = append(list, DropConservation())
+		DropConservation(),
 	}
 	if r.sc.CheckFairness && r.sc.TargetRatio > 0 {
 		list = append(list, FairnessConvergence())
@@ -83,21 +81,16 @@ func EventualDelivery() Invariant {
 
 // DropConservation: every message the network accepted was either
 // received or counted as dropped — nothing vanishes, nothing is
-// double-delivered. Exact on every runtime that exposes counters: the
-// sim drains its event queue before the check, the live runtime counts
-// each send attempt against a drop bucket (injected faults, full
-// inboxes, refused sends) and quiesces its transport on Close. Since
-// the live runtime gained these counters, inbox-overflow drops are part
-// of the books — a storm run can no longer pass while losing messages
-// invisibly.
+// double-delivered. Exact on every runtime, and checked on every
+// runtime: the sim drains its event queue before the check, the live
+// runtime counts each send attempt against a drop bucket (injected
+// faults, full inboxes, refused sends) and quiesces its transport on
+// Close — a storm run cannot pass while losing messages invisibly.
 func DropConservation() Invariant {
 	return Invariant{
 		Name: "drop-conservation",
 		Check: func(r *Run) error {
-			sent, recv, dropped, ok := r.rt.Traffic()
-			if !ok {
-				return nil
-			}
+			sent, recv, dropped := r.rt.Traffic()
 			if sent != recv+dropped {
 				return fmt.Errorf("sent %d != received %d + dropped %d (leak of %d)",
 					sent, recv, dropped, int64(sent)-int64(recv)-int64(dropped))

@@ -13,17 +13,6 @@ import (
 	"fairgossip/internal/transport"
 )
 
-// Capability flags what a Runtime can do beyond the common fault surface.
-type Capability uint8
-
-const (
-	// CapDeterministic: same seed ⇒ bit-identical run (the simulator).
-	CapDeterministic Capability = iota
-	// CapDropStats: network-level sent/received/dropped counters exist,
-	// so drop conservation can be checked exactly.
-	CapDropStats
-)
-
 // Runtime is the small surface a scenario needs from a cluster: the three
 // pub/sub operations, fault injection, membership growth, and time. It
 // is implemented by both the deterministic simulation (core.Cluster) and
@@ -35,8 +24,6 @@ type Runtime interface {
 	Name() string
 	// N returns the current population size (it grows under Join).
 	N() int
-	// Has reports an optional capability.
-	Has(c Capability) bool
 
 	// Start launches the cluster (idempotent; sim starts lazily).
 	Start()
@@ -65,11 +52,10 @@ type Runtime interface {
 	Leave(id int) bool
 
 	// SetShape swaps the WAN shaping profile mid-run (round-relative
-	// units, converted to the runtime's own clock). Returns false when
-	// the runtime cannot shape (never, for the built-in columns: live
-	// clusters always carry the middleware and the sim swaps its latency
-	// model and composed loss).
-	SetShape(sp ShapeSpec) bool
+	// units, converted to the runtime's own clock): live clusters always
+	// carry the middleware, the sim swaps its latency model and composed
+	// loss.
+	SetShape(sp ShapeSpec)
 	// RegionOutage cuts the given members off from the rest of the
 	// population (on=true) or reconnects everyone (on=false, members
 	// ignored). Intra-member traffic still flows.
@@ -95,8 +81,10 @@ type Runtime interface {
 
 	// Ledger exposes the shared fairness ledger.
 	Ledger() *fairness.Ledger
-	// Traffic returns network counters when CapDropStats is available.
-	Traffic() (sent, recv, dropped uint64, ok bool)
+	// Traffic returns the network-level message counters; every runtime
+	// must count every loss it can cause, because drop conservation
+	// (sent == recv + dropped) is checked on all of them.
+	Traffic() (sent, recv, dropped uint64)
 	// Views snapshots every peer's partial view (indexed by peer id),
 	// or ok=false when the runtime has no per-peer views to inspect —
 	// the sim column's idealised full-membership sampler keeps no
@@ -117,11 +105,10 @@ const simRound = 100 * time.Millisecond
 // simBaseLatency is the sim column's unshaped one-way delay.
 const simBaseLatency = 2 * time.Millisecond
 
-// SimRuntime adapts core.ShardedCluster (deterministic discrete-event
-// sim, optionally split across per-core shards; Shards=1 is the legacy
-// single-threaded engine byte-for-byte).
+// SimRuntime adapts core.Cluster (deterministic discrete-event sim,
+// split across Scenario.Shards per-core shards when that is above one).
 type SimRuntime struct {
-	C *core.ShardedCluster
+	C *core.Cluster
 
 	// faultLoss and shapeLoss are the two independent loss layers; the
 	// network gets their composition 1-(1-fault)(1-shape). The sim has
@@ -169,10 +156,6 @@ func NewSimRuntime(sc Scenario, seed int64) *SimRuntime {
 
 func (s *SimRuntime) Name() string { return "sim" }
 func (s *SimRuntime) N() int       { return s.C.N() }
-
-func (s *SimRuntime) Has(c Capability) bool {
-	return c == CapDeterministic || c == CapDropStats
-}
 
 func (s *SimRuntime) Start() { s.C.Start() }
 
@@ -285,14 +268,14 @@ func (s *SimRuntime) applyLoss() {
 // model. The reorder draw mirrors the live shaper: with probability
 // Reorder a message takes a large extra delay, up to 3×(delay+jitter),
 // and overtakes traffic sent after it.
-func (s *SimRuntime) SetShape(sp ShapeSpec) bool {
+func (s *SimRuntime) SetShape(sp ShapeSpec) {
 	s.shapeLoss = sp.Loss
 	s.applyLoss()
 	delay := time.Duration(sp.DelayRounds * float64(simRound))
 	jitter := time.Duration(sp.JitterRounds * float64(simRound))
 	if delay <= 0 && jitter <= 0 && sp.Reorder <= 0 {
 		s.C.SetLatency(simnet.ConstantLatency(simBaseLatency))
-		return true
+		return
 	}
 	reorder := sp.Reorder
 	span := 3 * (delay + jitter)
@@ -309,7 +292,6 @@ func (s *SimRuntime) SetShape(sp ShapeSpec) bool {
 		}
 		return d
 	})
-	return true
 }
 
 // RegionOutage maps a regional cut onto the sim's partition model: the
@@ -341,9 +323,9 @@ func (s *SimRuntime) Drain(rounds int, progress func() uint64) {
 
 func (s *SimRuntime) Ledger() *fairness.Ledger { return s.C.Ledger }
 
-func (s *SimRuntime) Traffic() (sent, recv, dropped uint64, ok bool) {
+func (s *SimRuntime) Traffic() (sent, recv, dropped uint64) {
 	t := s.C.TotalTraffic()
-	return t.MsgsSent, t.MsgsRecv, t.Dropped, true
+	return t.MsgsSent, t.MsgsRecv, t.Dropped
 }
 
 func (s *SimRuntime) Close() { s.C.Stop() }
@@ -411,10 +393,9 @@ func newLiveRuntime(sc Scenario, seed int64, tf transport.Factory, name string) 
 	return &LiveRuntime{C: c, period: LiveRoundPeriod, name: name}, nil
 }
 
-func (l *LiveRuntime) Name() string          { return l.name }
-func (l *LiveRuntime) N() int                { return l.C.Ledger().Len() }
-func (l *LiveRuntime) Has(c Capability) bool { return c == CapDropStats }
-func (l *LiveRuntime) Start()                { l.C.Start() }
+func (l *LiveRuntime) Name() string { return l.name }
+func (l *LiveRuntime) N() int       { return l.C.Ledger().Len() }
+func (l *LiveRuntime) Start()       { l.C.Start() }
 
 func (l *LiveRuntime) Subscribe(id int, f pubsub.Filter) (pubsub.SubID, bool) {
 	return l.C.Subscribe(id, f)
@@ -442,8 +423,8 @@ func (l *LiveRuntime) SetLoss(p float64)                 { l.C.SetLoss(p) }
 
 // SetShape swaps the middleware profile (always installed — see
 // newLiveRuntime), converted to this column's wall-clock round.
-func (l *LiveRuntime) SetShape(sp ShapeSpec) bool {
-	return l.C.SetShape(liveProfile(&sp, l.period))
+func (l *LiveRuntime) SetShape(sp ShapeSpec) {
+	l.C.SetShape(liveProfile(&sp, l.period))
 }
 
 // RegionOutage tags the members at the shaper; cross-boundary envelopes
@@ -505,9 +486,9 @@ func (l *LiveRuntime) Views() ([][]int, bool) { return l.C.Views(), true }
 // (injected faults, full inboxes, refused sends), so the tightened
 // drop-conservation invariant applies to live runs too: a storm can no
 // longer pass while losing messages invisibly.
-func (l *LiveRuntime) Traffic() (sent, recv, dropped uint64, ok bool) {
+func (l *LiveRuntime) Traffic() (sent, recv, dropped uint64) {
 	t := l.C.Traffic()
-	return t.Sent, t.Recv, t.Dropped, true
+	return t.Sent, t.Recv, t.Dropped
 }
 
 func (l *LiveRuntime) Close() { l.C.Stop() }

@@ -58,10 +58,11 @@ type Scenario struct {
 	// the live ledger has no churn-penalty hook wired yet).
 	RepairPenalty float64
 	// Shards splits the sim column's kernel across that many per-core
-	// shards (default 1 = the legacy single-threaded engine, byte-for-
-	// byte). Runs are deterministic per (seed, Shards); different shard
-	// counts are different, equally valid executions because cross-shard
-	// messages quantise to round barriers. Live columns ignore it.
+	// shards (default 1: one kernel on the caller's goroutine, the
+	// column TestSimColumnGolden pins). Runs are deterministic per
+	// (seed, Shards); different shard counts are different, equally
+	// valid executions because cross-shard messages quantise to round
+	// barriers. Live columns ignore it.
 	Shards int
 
 	// Live-runtime membership knobs: partial-view capacity (default 24 —

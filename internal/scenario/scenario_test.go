@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math/rand"
 	"strings"
 	"testing"
@@ -20,6 +22,26 @@ func TestBuiltinsOnSim(t *testing.T) {
 				t.Fatalf("degenerate run:\n%s", res.String())
 			}
 		})
+	}
+}
+
+// simColumnGolden pins the sim column of the scenario table: SHA-256
+// over the concatenated Result.String() of every builtin at seed 1, in
+// Builtins() order. Recorded at the parent of the PR that made
+// core.Cluster the one engine, so it is what "the sim column did not
+// move" means across refactors of core, simnet, eventsim or this
+// engine's eligibility model — the scenario twin of fairbench's
+// TestGoldenStdoutHash. A deliberate change to a builtin's schedule or
+// to the protocol moves it; update it then, and say why.
+const simColumnGolden = "10dddecf9d23276c2bf9f0a5867b211031df5803730ad6ec4c2c2fbf810cc51d"
+
+func TestSimColumnGolden(t *testing.T) {
+	h := sha256.New()
+	for _, sc := range Builtins() {
+		h.Write([]byte(Execute(NewSimRuntime(sc, 1), sc, 1).String()))
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != simColumnGolden {
+		t.Errorf("sim column hash %s, want %s — a fixed-seed builtin result changed", got, simColumnGolden)
 	}
 }
 
@@ -64,7 +86,7 @@ func TestBuiltinsOnLiveUDP(t *testing.T) {
 			if res.Published == 0 || res.Deliveries == 0 {
 				t.Fatalf("degenerate run:\n%s", res.String())
 			}
-			if !res.HasTraffic || res.Sent == 0 {
+			if res.Sent == 0 {
 				t.Fatalf("udp runtime exposed no traffic counters:\n%s", res.String())
 			}
 		})
@@ -80,9 +102,6 @@ func TestLiveTrafficCountersBalance(t *testing.T) {
 	res := Execute(NewLiveRuntime(sc, 2), sc, 2)
 	if !res.Ok() {
 		t.Fatalf("violations:\n%s", res.String())
-	}
-	if !res.HasTraffic {
-		t.Fatal("live runtime exposed no traffic counters")
 	}
 	if res.Sent == 0 || res.Dropped == 0 {
 		t.Fatalf("storm produced no counted traffic/drops: sent %d dropped %d", res.Sent, res.Dropped)
@@ -307,7 +326,7 @@ func TestDropConservationSeesPartitionDrops(t *testing.T) {
 	if !res.Ok() {
 		t.Fatalf("violations:\n%s", res.String())
 	}
-	if !res.HasTraffic || res.Dropped == 0 {
+	if res.Dropped == 0 {
 		t.Fatalf("partition scenario dropped nothing:\n%s", res.String())
 	}
 }
@@ -477,7 +496,7 @@ func TestShapedColumnCountsShaperDrops(t *testing.T) {
 	if !res.Ok() {
 		t.Fatalf("violations:\n%s", res.String())
 	}
-	if !res.HasTraffic || res.Dropped == 0 {
+	if res.Dropped == 0 {
 		t.Fatalf("2%% shaper loss dropped nothing counted:\n%s", res.String())
 	}
 	if res.Sent != res.Recv+res.Dropped {
@@ -576,18 +595,5 @@ func TestShardedSimCalmStorm(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestShardsOneIsLegacyColumn: Shards=1 must produce byte-identical
-// results to the unset (legacy) default — the sharded runtime wraps the
-// single-threaded engine verbatim at shard count one.
-func TestShardsOneIsLegacyColumn(t *testing.T) {
-	sc, _ := ByName("storm")
-	legacy := Execute(NewSimRuntime(sc, 42), sc, 42)
-	sc.Shards = 1
-	one := Execute(NewSimRuntime(sc, 42), sc, 42)
-	if legacy.String() != one.String() {
-		t.Fatalf("Shards=1 diverged from the legacy column:\n--- legacy\n%s--- shards=1\n%s", legacy.String(), one.String())
 	}
 }

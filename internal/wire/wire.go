@@ -57,8 +57,6 @@ const (
 	// It deliberately equals gossip.MsgHeaderSize so encoded bytes equal
 	// accounted bytes.
 	HeaderSize = 16
-	// EventIDSize is the encoded size of an EventID.
-	EventIDSize = 8
 	// EntryWireSize is the encoded size of one membership view entry:
 	// id(4) + age(2). It equals membership.EntryWireSize, the accounting
 	// size the simulated runtime has always charged per entry.
@@ -325,24 +323,6 @@ func DecodeEvent(data []byte) (*pubsub.Event, error) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(data)-r.off)
 	}
 	return ev, nil
-}
-
-// AppendEventID appends the 8-byte encoding of an event ID.
-func AppendEventID(dst []byte, id pubsub.EventID) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, id.Publisher)
-	return binary.BigEndian.AppendUint32(dst, id.Seq)
-}
-
-// DecodeEventID decodes an 8-byte event ID; the buffer must be exactly
-// EventIDSize bytes.
-func DecodeEventID(data []byte) (pubsub.EventID, error) {
-	if len(data) != EventIDSize {
-		return pubsub.EventID{}, fmt.Errorf("%w: %d bytes, want %d", ErrCorrupt, len(data), EventIDSize)
-	}
-	return pubsub.EventID{
-		Publisher: binary.BigEndian.Uint32(data[0:4]),
-		Seq:       binary.BigEndian.Uint32(data[4:8]),
-	}, nil
 }
 
 // readEvent decodes one event record at the reader's cursor. The

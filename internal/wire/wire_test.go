@@ -234,25 +234,6 @@ func TestDecodedEventsDoNotAliasInput(t *testing.T) {
 	}
 }
 
-// TestEventIDRoundTrip: the smallest vocabulary item.
-func TestEventIDRoundTrip(t *testing.T) {
-	id := pubsub.EventID{Publisher: 0xdeadbeef, Seq: 0x01020304}
-	buf := AppendEventID(nil, id)
-	if len(buf) != EventIDSize {
-		t.Fatalf("encoded %d bytes, want %d", len(buf), EventIDSize)
-	}
-	back, err := DecodeEventID(buf)
-	if err != nil || back != id {
-		t.Fatalf("round trip: %v, %v", back, err)
-	}
-	if _, err := DecodeEventID(buf[:7]); err == nil {
-		t.Fatal("short event id accepted")
-	}
-	if _, err := DecodeEventID(append(buf, 0)); err == nil {
-		t.Fatal("long event id accepted")
-	}
-}
-
 // TestEncodeLimits: unencodable events (oversized fields, invalid
 // values) are refused with ErrTooLarge/ErrCorrupt rather than producing
 // an undecodable envelope.
