@@ -7,7 +7,7 @@ PKGS    := ./...
 BENCH   ?= .
 OUT     ?= results
 
-.PHONY: all build test race bench bench-smoke microbench vet fmt-check fairvet staticcheck lint ci fairbench loc clean
+.PHONY: all build test race soak bench bench-smoke microbench vet fmt-check fairvet staticcheck lint ci fairbench loc clean
 
 # staticcheck is version-pinned: a drifting linter turns every upgrade
 # into a triage session. Bump deliberately, re-triage, update
@@ -34,6 +34,19 @@ test:
 # put more than one shard under the detector.
 race:
 	$(GO) test -race -shuffle=on ./internal/core/ ./internal/fairness/ ./internal/gossip/ ./internal/live/ ./internal/eventsim/ ./internal/simnet/ ./internal/scenario/ ./internal/transport/ ./internal/wire/ ./internal/membership/
+
+# soak is the recipe that reproduced the live sub-churn flake (ROADMAP
+# item 1): the three packages that run real goroutines and sockets,
+# uncached and under the race detector, five times in a row. go test
+# runs the packages concurrently, and on a small box that contention
+# *is* the load — wake-ups arrive late, inboxes back up, commands and
+# envelopes interleave in orders a quiet run never sees. The budget is
+# zero failures: one red pass fails the target.
+soak:
+	@for pass in 1 2 3 4 5; do \
+		echo "soak pass $$pass/5"; \
+		$(GO) test -count=1 -race ./internal/live ./internal/scenario ./internal/transport || exit 1; \
+	done
 
 # bench runs the Go benchmarks, then regenerates the dated
 # BENCH_<date>.json run record via fairbench — every bench invocation

@@ -7,10 +7,12 @@
 //
 // Messages move as encoded bytes: each round a peer packs its selected
 // events into one wire envelope (internal/wire) and hands the bytes to
-// its transport endpoint (internal/transport); receivers decode into
-// events they own outright. The default ChanTransport delivers the
-// bytes in-process; Config.Transport swaps in real loopback UDP sockets
-// (transport.UDP()) with no protocol change. Because the envelope
+// its transport endpoint (internal/transport); receivers validate the
+// envelope, dedup on the event ids, and decode — into events they own
+// outright — only what they have not seen. The default ChanTransport
+// delivers the bytes in-process; Config.Transport swaps in real
+// loopback UDP sockets (transport.UDP()) with no protocol change.
+// Because the envelope
 // encoding is sized exactly like the accounting formula the ledger has
 // always charged (wire.EnvelopeSize == gossip.MsgWireSize), the
 // contribution a peer is billed is literally the number of bytes put on
@@ -70,7 +72,11 @@ type Config struct {
 	Fanout int
 	Batch  int
 	// RoundPeriod is the gossip period (default 20ms — examples want to
-	// finish quickly; a WAN deployment would use 1s+).
+	// finish quickly; a WAN deployment would use 1s+). Each peer's rounds
+	// fall on a fixed grid of this period at a phase drawn once from its
+	// seeded RNG, so the rate is RoundPeriod exactly, however long a
+	// round's work takes; ticks a stalled peer missed are skipped, not
+	// replayed.
 	RoundPeriod time.Duration
 	// TargetRatio > 0 enables the AIMD fairness controller with that
 	// contribution-per-benefit target; 0 keeps static levers.
@@ -315,7 +321,7 @@ type peer struct {
 	free  atomic.Bool
 	group atomic.Int32
 
-	env     wire.Envelope      // decode scratch: backing arrays are reused
+	env     wire.Envelope      // scan scratch: backing arrays are reused; Records alias the buffer in receive
 	targets []simnet.NodeID    // SampleInto scratch for partner selection
 	sample  []int              // int-converted partner scratch
 	sel     []*pubsub.Event    // SelectInto scratch: the selection dies at encode
@@ -882,10 +888,15 @@ func (p *peer) loop() {
 	if p.joinSeed >= 0 {
 		p.announce()
 	}
-	// The command channel must be drained before Start too; tickers with
-	// jitter desynchronise the rounds.
-	jitter := time.Duration(p.rng.Int63n(int64(p.c.cfg.RoundPeriod)))
-	timer := time.NewTimer(p.c.cfg.RoundPeriod + jitter)
+	// Rounds fall on a fixed per-peer grid: start + period + jitter, then
+	// every period after that. The jitter desynchronises the peers; the
+	// absolute deadline keeps them that way — re-arming relative to when
+	// a round's work ended would stretch the period by that work and let
+	// every late wake-up pull the timers it covers onto one phase.
+	period := p.c.cfg.RoundPeriod
+	jitter := time.Duration(p.rng.Int63n(int64(period)))
+	next := time.Now().Add(period + jitter)
+	timer := time.NewTimer(time.Until(next))
 	defer timer.Stop()
 	for {
 		select {
@@ -897,9 +908,23 @@ func (p *peer) loop() {
 			p.receive(buf)
 		case <-timer.C:
 			p.round()
-			timer.Reset(p.c.cfg.RoundPeriod)
+			next = nextTick(next, time.Now(), period)
+			timer.Reset(time.Until(next))
 		}
 	}
+}
+
+// nextTick returns the round deadline that follows the one that was due
+// at due, as seen at now: the next grid point, or — when the peer fell
+// more than a period behind — the first grid point still in the future.
+// Ticks lost to a stall are skipped, never replayed: a peer that slept
+// through five rounds runs one, not a burst of five.
+func nextTick(due, now time.Time, period time.Duration) time.Time {
+	next := due.Add(period)
+	if late := now.Sub(next); late > 0 {
+		next = next.Add((late/period + 1) * period)
+	}
+	return next
 }
 
 // round runs one timer expiry. TestLiveRoundPathAllocs pins the steady
@@ -1172,14 +1197,29 @@ func (p *peer) receive(buf []byte) {
 	}
 }
 
+// receiveEvents dedups before it decodes: push gossip delivers most
+// events many times over, so only a record whose id is new is
+// materialised into an event (one this peer owns outright); a duplicate
+// costs a seen-set probe and nothing else. The envelope was validated
+// whole before this runs, and len(rec.Raw) is the event's WireSize, so
+// the novelty audit is charged exactly what an eager decode would
+// charge.
 func (p *peer) receiveEvents(from int) {
 	novel, dup := 0, 0
-	for _, ev := range p.env.Events {
-		if !p.seen.Add(ev.ID) {
-			dup += ev.WireSize()
+	for _, rec := range p.env.Records {
+		if !p.seen.Add(rec.ID) {
+			dup += len(rec.Raw)
 			continue
 		}
-		novel += ev.WireSize()
+		ev, err := rec.Decode()
+		if err != nil {
+			// The scan accepted these bytes with the same walker, so the
+			// shared read-only buffer changed under us — a contract breach
+			// elsewhere, counted rather than acted on.
+			p.c.traffic.malformed.Add(1)
+			continue
+		}
+		novel += len(rec.Raw)
 		p.buffer.Insert(ev)
 		p.deliverIfInterested(ev)
 	}

@@ -530,12 +530,19 @@ func (r *Run) Resubscribe(id int) {
 		}
 	}
 	r.mu.Unlock()
-	for _, rec := range active {
-		r.rt.Unsubscribe(id, rec.sub)
-	}
 	count := workload.SubCount(r.Rng, 1, r.sc.MaxSubs)
 	for _, topic := range r.topics.SampleSet(r.Rng, count) {
 		r.subscribe(id, topic, r.Round)
+	}
+	// Make before break: the new filters go in before the old ones come
+	// out. A topic in both sets (topic-000 under Zipf, most of the time)
+	// is a continuous match in the model, so the runtime must never be
+	// without a filter for it — on the live columns the two are separate
+	// commands to the peer, and an event whose first copy lands between
+	// them is marked seen, matched by nothing, and never delivered.
+	// Overlapping filters deliver once: Interest.Match is a bool.
+	for _, rec := range active {
+		r.rt.Unsubscribe(id, rec.sub)
 	}
 	// Release pending events this node no longer matches.
 	r.mu.Lock()

@@ -3,9 +3,12 @@ package scenario
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
+
+	"fairgossip/internal/pubsub"
 )
 
 // TestBuiltinsOnSim runs every built-in scenario against the
@@ -595,5 +598,84 @@ func TestShardedSimCalmStorm(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// gapRecorder is a Runtime that watches the filters the engine installs
+// and removes: for every (peer, topic) it counts the live filters and
+// flags the moment a topic is left with none and is subscribed again
+// before any time has passed — the break-before-make window.
+type gapRecorder struct {
+	*SimRuntime
+	now      int                // rounds stepped so far
+	live     map[peerTopic]int  // filters installed per (peer, topic)
+	emptied  map[peerTopic]int  // when a (peer, topic) last dropped to zero filters
+	topicOf  map[peerSub]string // what each subscription id filters on
+	overlaps int                // subscribes that found a filter already there
+	gaps     []string           // break-before-make windows seen
+}
+
+type peerTopic struct {
+	peer  int
+	topic string
+}
+
+type peerSub struct {
+	peer int
+	sub  pubsub.SubID
+}
+
+func (g *gapRecorder) Step(rounds int) {
+	g.now += rounds
+	g.SimRuntime.Step(rounds)
+}
+
+func (g *gapRecorder) Subscribe(id int, f pubsub.Filter) (pubsub.SubID, bool) {
+	sub, ok := g.SimRuntime.Subscribe(id, f)
+	topic, _ := pubsub.TopicOf(f)
+	k := peerTopic{id, topic}
+	if at, was := g.emptied[k]; was && at == g.now && g.live[k] == 0 {
+		g.gaps = append(g.gaps, fmt.Sprintf("peer %d had no filter for %s between an Unsubscribe and this Subscribe", id, topic))
+	}
+	if g.live[k] > 0 {
+		g.overlaps++
+	}
+	g.live[k]++
+	g.topicOf[peerSub{id, sub}] = topic
+	return sub, ok
+}
+
+func (g *gapRecorder) Unsubscribe(id int, sub pubsub.SubID) bool {
+	k := peerTopic{id, g.topicOf[peerSub{id, sub}]}
+	g.live[k]--
+	if g.live[k] == 0 {
+		g.emptied[k] = g.now
+	}
+	return g.SimRuntime.Unsubscribe(id, sub)
+}
+
+// TestResubscribeMakesBeforeItBreaks: when a peer's redrawn interest
+// set keeps a topic it already had, the engine's model sees one
+// continuous match — so the runtime must never be left without a filter
+// for that topic. Resubscribe used to Unsubscribe first; on the live
+// columns those are two commands to the peer goroutine, and an event
+// whose first copy landed between them was marked seen and never
+// delivered (the sub-churn flake: "missed event … topic-000").
+func TestResubscribeMakesBeforeItBreaks(t *testing.T) {
+	sc, _ := ByName("sub-churn")
+	g := &gapRecorder{
+		SimRuntime: NewSimRuntime(sc, 1),
+		live:       map[peerTopic]int{},
+		emptied:    map[peerTopic]int{},
+		topicOf:    map[peerSub]string{},
+	}
+	if res := Execute(g, sc, 1); !res.Ok() {
+		t.Fatalf("violations:\n%s", res.String())
+	}
+	if len(g.gaps) > 0 {
+		t.Fatalf("%d break-before-make windows, first: %s", len(g.gaps), g.gaps[0])
+	}
+	if g.overlaps == 0 {
+		t.Fatal("no redrawn set kept a topic: the schedule does not exercise the window")
 	}
 }

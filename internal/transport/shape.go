@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -123,18 +122,58 @@ type deferred struct {
 	buf []byte
 }
 
+// deferredQueue is a binary min-heap on (due, seq), hand-rolled like
+// eventsim's: container/heap would box each multi-word deferred through
+// an interface on the way in and again on the way out, one allocation
+// apiece on the shaped send path.
 type deferredQueue []deferred
 
-func (q deferredQueue) Len() int { return len(q) }
-func (q deferredQueue) Less(i, j int) bool {
+func (q deferredQueue) less(i, j int) bool {
 	if !q[i].due.Equal(q[j].due) {
 		return q[i].due.Before(q[j].due)
 	}
 	return q[i].seq < q[j].seq
 }
-func (q deferredQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *deferredQueue) Push(x any)   { *q = append(*q, x.(deferred)) }
-func (q *deferredQueue) Pop() (x any) { old := *q; n := len(old); x = old[n-1]; *q = old[:n-1]; return }
+
+func (q *deferredQueue) push(d deferred) {
+	h := append(*q, d)
+	*q = h
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !h.less(i, parent) {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+}
+
+// pop removes and returns the earliest held envelope.
+func (q *deferredQueue) pop() deferred {
+	h := *q
+	d := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h[n] = deferred{} // drop the slot's hold on the envelope
+	h = h[:n]
+	*q = h
+	for i := 0; ; {
+		l := 2*i + 1
+		if l >= n {
+			break
+		}
+		small := l
+		if r := l + 1; r < n && h.less(r, l) {
+			small = r
+		}
+		if !h.less(small, i) {
+			break
+		}
+		h[i], h[small] = h[small], h[i]
+		i = small
+	}
+	return d
+}
 
 type linkBucket struct {
 	tokens float64
@@ -250,7 +289,7 @@ func (s *ShapedNet) Close() error {
 func (s *ShapedNet) holdLocked(d deferred) {
 	s.seq++
 	d.seq = s.seq
-	heap.Push(&s.queue, d)
+	s.queue.push(d)
 	if !s.running {
 		s.running = true
 		go s.dispatch()
@@ -266,6 +305,10 @@ func (s *ShapedNet) holdLocked(d deferred) {
 // on Close drains everything left immediately.
 func (s *ShapedNet) dispatch() {
 	defer close(s.done)
+	// One timer, re-armed for every wait (since go 1.23 Reset needs no
+	// drain: a re-armed timer never delivers a stale tick).
+	timer := time.NewTimer(0)
+	defer timer.Stop()
 	for {
 		s.mu.Lock()
 		if s.closed {
@@ -274,13 +317,12 @@ func (s *ShapedNet) dispatch() {
 			s.mu.Unlock()
 			// Flush in due order (heap order is close enough for a
 			// teardown path, but due order keeps FIFO per link).
-			for rest.Len() > 0 {
-				d := heap.Pop(&rest).(deferred)
-				s.deliver(d)
+			for len(rest) > 0 {
+				s.deliver(rest.pop())
 			}
 			return
 		}
-		if s.queue.Len() == 0 {
+		if len(s.queue) == 0 {
 			s.mu.Unlock()
 			select {
 			case <-s.wake:
@@ -292,17 +334,15 @@ func (s *ShapedNet) dispatch() {
 		next := s.queue[0].due
 		if next.After(now) {
 			s.mu.Unlock()
-			t := time.NewTimer(next.Sub(now))
+			timer.Reset(next.Sub(now))
 			select {
-			case <-t.C:
+			case <-timer.C:
 			case <-s.wake:
-				t.Stop()
 			case <-s.halt:
-				t.Stop()
 			}
 			continue
 		}
-		d := heap.Pop(&s.queue).(deferred)
+		d := s.queue.pop()
 		s.mu.Unlock()
 		s.deliver(d)
 	}

@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -442,4 +443,36 @@ func BenchmarkShapedSend(b *testing.B) {
 			_ = ep.Send(1, buf)
 		}
 	})
+}
+
+// TestDeferredQueueOrder: the hand-rolled heap pops in (due, seq) order
+// — equal due times in send order, which is what keeps a jitter-free
+// link FIFO — and a warm queue takes a push and a pop without
+// allocating (the reason it is not container/heap).
+func TestDeferredQueueOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	base := time.Unix(100, 0)
+	var q deferredQueue
+	for seq := uint64(1); seq <= 500; seq++ {
+		q.push(deferred{due: base.Add(time.Duration(rng.Intn(40)) * time.Millisecond), seq: seq})
+	}
+	prev := q.pop()
+	for len(q) > 0 {
+		d := q.pop()
+		if d.due.Before(prev.due) || (d.due.Equal(prev.due) && d.seq < prev.seq) {
+			t.Fatalf("popped (%v, %d) after (%v, %d)", d.due, d.seq, prev.due, prev.seq)
+		}
+		prev = d
+	}
+	for seq := uint64(1); seq <= 64; seq++ {
+		q.push(deferred{due: base, seq: seq})
+	}
+	avg := testing.AllocsPerRun(100, func() {
+		d := q.pop()
+		d.due = d.due.Add(time.Millisecond)
+		q.push(d)
+	})
+	if avg != 0 {
+		t.Fatalf("pop+push on a warm queue allocates %.2f times, want 0", avg)
+	}
 }

@@ -7,13 +7,17 @@ import (
 	"fairgossip/internal/pubsub"
 )
 
-// FuzzWireDecode hardens the decoder against arbitrary input. Two
+// FuzzWireDecode hardens the decoder against arbitrary input. Three
 // properties, from a corpus seeded with real encoded envelopes:
 //
 //  1. DecodeEnvelope never panics and never over-reads, whatever the
 //     bytes (the fuzz engine explores truncations, bit flips, and
 //     hostile length fields from the seeds).
-//  2. The format is canonical: when decode succeeds, re-encoding the
+//  2. The scan is the only gate a receiver has, so what it accepts must
+//     be materialisable: every record's Decode succeeds, the id the
+//     scan read is the event's, Raw is exactly the event's WireSize
+//     bytes, and the records back to back are exactly the body.
+//  3. The format is canonical: when the scan succeeds, re-encoding the
 //     decoded envelope reproduces the input byte for byte. Every field
 //     is either fixed, exactly validated, or round-tripped at the bit
 //     level (floats), so there is exactly one encoding per message.
@@ -71,7 +75,14 @@ func FuzzWireDecode(f *testing.F) {
 		var back []byte
 		var err error
 		if env.Kind == KindEvents {
-			back, err = AppendEnvelope(nil, env.Sender, env.Events)
+			var body []byte
+			for _, rec := range env.Records {
+				body = append(body, rec.Raw...)
+			}
+			if !bytes.Equal(body, data[HeaderSize:]) {
+				t.Fatalf("records do not tile the body:\n in  %x\n got %x", data[HeaderSize:], body)
+			}
+			back, err = AppendEnvelope(nil, env.Sender, decodeAll(t, &env))
 		} else {
 			back, err = AppendMembership(nil, env.Kind, env.Sender, env.Entries)
 		}

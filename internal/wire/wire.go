@@ -35,6 +35,16 @@
 // Encoding is allocation-conscious: Append* functions append into a
 // caller-provided buffer (encode a fanout's envelope once, reuse
 // nothing, share the immutable bytes with every destination).
+//
+// Decoding is two steps, because push gossip delivers most events many
+// times over and a receiver throws every copy but the first away.
+// DecodeEnvelope is a validating scan: it checks the whole envelope and
+// allocates nothing, leaving each event as an EventRecord — its ID plus
+// the record's bytes, still inside the input buffer. EventRecord.Decode
+// materialises one record into an event that owns all its memory, and
+// a receiver calls it only for the IDs it has not seen. Scan and
+// materialise are one walker (walkEvent), so they cannot disagree about
+// what is well-formed.
 package wire
 
 import (
@@ -112,18 +122,37 @@ var (
 	ErrTooLarge  = errors.New("wire: message exceeds encodable limits")
 )
 
-// Envelope is one decoded protocol message: its kind, the sending
-// peer, and the kind's payload — Events for KindEvents, Entries for
+// Envelope is one scanned protocol message: its kind, the sending
+// peer, and the kind's payload — Records for KindEvents, Entries for
 // the membership kinds (the other slice is always empty).
-// DecodeEnvelope reuses the Events and Entries backing arrays across
-// calls; the *pubsub.Event values themselves are freshly allocated and
-// never alias the input buffer, so receivers own them outright.
+// DecodeEnvelope reuses the Records and Entries backing arrays across
+// calls. Records alias the buffer DecodeEnvelope was given: they are
+// valid only while that buffer is, must be treated as read-only (other
+// receivers may hold the same bytes), and must not outlive the call
+// that received the buffer. Events produced by EventRecord.Decode never
+// alias it.
 type Envelope struct {
 	Kind    byte
 	Sender  uint32
-	Events  []*pubsub.Event
+	Records []EventRecord
 	Entries []ViewEntry
 }
+
+// EventRecord is one validated event record of a scanned envelope.
+type EventRecord struct {
+	// ID is the record's event id, read during the scan so a receiver
+	// can deduplicate before paying for anything else.
+	ID pubsub.EventID
+	// Raw is the encoded record: a read-only sub-slice of the scanned
+	// buffer, capacity-capped to its length, with
+	// len(Raw) == Event.WireSize() of the event it encodes.
+	Raw []byte
+}
+
+// Decode materialises the record into an event that owns all of its
+// memory — nothing in it aliases Raw. A record DecodeEnvelope produced
+// always decodes: the scan ran the same walker over the same bytes.
+func (rec EventRecord) Decode() (*pubsub.Event, error) { return DecodeEvent(rec.Raw) }
 
 // EnvelopeSize returns the exact number of bytes AppendEnvelope will
 // produce for this batch. It equals gossip.MsgWireSize(events), the
@@ -167,13 +196,15 @@ func AppendEnvelope(dst []byte, sender uint32, events []*pubsub.Event) ([]byte, 
 	return dst, nil
 }
 
-// DecodeEnvelope decodes data into env. The whole buffer must be
-// consumed exactly: short input, trailing bytes, a count/body-length
-// mismatch, or any malformed record is an error.
+// DecodeEnvelope scans data into env without allocating (once env's
+// backing arrays have grown). The whole buffer must be consumed exactly:
+// short input, trailing bytes, a count/body-length mismatch, or any
+// malformed record anywhere is an error, and on error env holds no
+// records — an envelope is accepted whole or not at all.
 func DecodeEnvelope(data []byte, env *Envelope) error {
 	env.Kind = KindEvents
 	env.Sender = 0
-	env.Events = env.Events[:0]
+	env.Records = env.Records[:0]
 	env.Entries = env.Entries[:0]
 	if len(data) < HeaderSize {
 		return fmt.Errorf("%w: %d header bytes of %d", ErrTruncated, len(data), HeaderSize)
@@ -211,21 +242,25 @@ func DecodeEnvelope(data []byte, env *Envelope) error {
 		}
 		return nil
 	}
-	// Cheap hostile-count guard before any event allocation.
+	// Cheap hostile-count guard before the Records array grows.
 	if count*eventMinSize > body {
 		return fmt.Errorf("%w: %d events cannot fit in %d body bytes", ErrCorrupt, count, body)
 	}
+	// Records reach env only once the last byte has checked out.
+	recs := env.Records
 	r := reader{buf: data, off: HeaderSize}
 	for i := 0; i < count; i++ {
-		ev, err := readEvent(&r)
-		if err != nil {
-			return err
+		start := r.off
+		id := walkEvent(&r, nil)
+		if r.err != nil {
+			return r.err
 		}
-		env.Events = append(env.Events, ev)
+		recs = append(recs, EventRecord{ID: id, Raw: data[start:r.off:r.off]})
 	}
 	if r.off != len(data) {
 		return fmt.Errorf("%w: %d trailing bytes after %d events", ErrCorrupt, len(data)-r.off, count)
 	}
+	env.Records = recs
 	return nil
 }
 
@@ -312,40 +347,50 @@ func AppendEvent(dst []byte, e *pubsub.Event) ([]byte, error) {
 
 // DecodeEvent decodes a single standalone event record, consuming the
 // whole buffer exactly (the framing pubsub.Event.UnmarshalBinary
-// enforces too).
+// enforces too). The returned event owns all of its memory — nothing
+// aliases data.
 func DecodeEvent(data []byte) (*pubsub.Event, error) {
 	r := reader{buf: data}
-	ev, err := readEvent(&r)
-	if err != nil {
-		return nil, err
+	e := &pubsub.Event{}
+	walkEvent(&r, e)
+	if r.err != nil {
+		return nil, r.err
 	}
 	if r.off != len(data) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(data)-r.off)
 	}
-	return ev, nil
+	return e, nil
 }
 
-// readEvent decodes one event record at the reader's cursor. The
-// returned event owns all of its memory — nothing aliases r.buf.
-func readEvent(r *reader) (*pubsub.Event, error) {
-	e := &pubsub.Event{}
-	e.ID.Publisher = r.u32()
-	e.ID.Seq = r.u32()
-	e.Topic = string(r.take(int(r.u16())))
+// walkEvent is the one event-record walker: it advances the reader over
+// the record at its cursor, applying every well-formedness check, and
+// returns the record's id. A nil e makes it a pure scan that allocates
+// nothing; otherwise it also fills e with copies of everything it
+// walks. On malformed input r.err is set (and e is garbage).
+func walkEvent(r *reader, e *pubsub.Event) pubsub.EventID {
+	id := pubsub.EventID{Publisher: r.u32(), Seq: r.u32()}
+	topic := r.take(int(r.u16()))
 	nattrs := int(r.u16())
 	if r.err == nil && nattrs*attrMinSize > r.rem() {
 		r.fail(fmt.Errorf("%w: %d attributes cannot fit in %d bytes", ErrCorrupt, nattrs, r.rem()))
 	}
-	if nattrs > 0 && r.err == nil {
-		e.Attrs = make([]pubsub.Attr, 0, nattrs)
+	if e != nil && r.err == nil {
+		e.ID = id
+		e.Topic = string(topic)
+		if nattrs > 0 {
+			e.Attrs = make([]pubsub.Attr, 0, nattrs)
+		}
 	}
 	for i := 0; i < nattrs && r.err == nil; i++ {
-		key := string(r.take(int(r.u16())))
+		key := r.take(int(r.u16()))
 		kind := pubsub.Kind(r.u8())
 		var v pubsub.Value
 		switch kind {
 		case pubsub.KindString:
-			v = pubsub.String(string(r.take(int(r.u16()))))
+			s := r.take(int(r.u16()))
+			if e != nil {
+				v = pubsub.String(string(s))
+			}
 		case pubsub.KindNum:
 			v = pubsub.Num(math.Float64frombits(r.u64()))
 		case pubsub.KindBool:
@@ -360,19 +405,19 @@ func readEvent(r *reader) (*pubsub.Event, error) {
 		default:
 			r.fail(fmt.Errorf("%w: invalid attribute kind %d", ErrCorrupt, kind))
 		}
-		e.Attrs = append(e.Attrs, pubsub.Attr{Key: key, Val: v})
+		if e != nil && r.err == nil {
+			e.Attrs = append(e.Attrs, pubsub.Attr{Key: string(key), Val: v})
+		}
 	}
 	plen := int(r.u32())
 	if r.err == nil && plen > r.rem() {
 		r.fail(fmt.Errorf("%w: payload of %d bytes with %d remaining", ErrTruncated, plen, r.rem()))
 	}
-	if plen > 0 && r.err == nil {
-		e.Payload = append([]byte(nil), r.take(plen)...)
+	payload := r.take(plen)
+	if e != nil && len(payload) > 0 {
+		e.Payload = append([]byte(nil), payload...)
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	return e, nil
+	return id
 }
 
 // reader is a bounds-checked cursor that records the first error and

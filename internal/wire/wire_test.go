@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -64,6 +66,29 @@ func eventsEqual(t *testing.T, got, want *pubsub.Event) {
 	}
 }
 
+// decodeAll materialises every record of a scanned envelope, checking
+// the record contract on the way: the id read by the scan is the
+// event's, Raw is exactly the event's WireSize bytes and cannot be
+// appended into its neighbour.
+func decodeAll(t testing.TB, env *Envelope) []*pubsub.Event {
+	t.Helper()
+	events := make([]*pubsub.Event, len(env.Records))
+	for i, rec := range env.Records {
+		ev, err := rec.Decode()
+		if err != nil {
+			t.Fatalf("record %d: scan accepted what Decode rejects: %v", i, err)
+		}
+		if rec.ID != ev.ID {
+			t.Fatalf("record %d: scanned id %v, decoded id %v", i, rec.ID, ev.ID)
+		}
+		if len(rec.Raw) != ev.WireSize() || cap(rec.Raw) != len(rec.Raw) {
+			t.Fatalf("record %d: Raw len %d cap %d, WireSize %d", i, len(rec.Raw), cap(rec.Raw), ev.WireSize())
+		}
+		events[i] = ev
+	}
+	return events
+}
+
 // TestEventRecordMatchesPubsubCodec: AppendEvent must produce exactly
 // the pubsub MarshalBinary bytes (and therefore exactly WireSize bytes)
 // — the invariant that makes encoded size equal accounted size.
@@ -120,14 +145,23 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 		if env.Sender != 42 {
 			t.Fatalf("n=%d: sender %d, want 42", n, env.Sender)
 		}
-		if len(env.Events) != n {
-			t.Fatalf("n=%d: decoded %d events", n, len(env.Events))
+		if len(env.Records) != n {
+			t.Fatalf("n=%d: scanned %d records", n, len(env.Records))
 		}
+		got := decodeAll(t, &env)
 		for i := range batch {
-			eventsEqual(t, env.Events[i], batch[i])
+			eventsEqual(t, got[i], batch[i])
+		}
+		// The records tile the body: back to back, nothing between them.
+		var body []byte
+		for _, rec := range env.Records {
+			body = append(body, rec.Raw...)
+		}
+		if !bytes.Equal(body, buf[HeaderSize:]) {
+			t.Fatalf("n=%d: records concatenated are not the body", n)
 		}
 		// Canonical: re-encoding the decoded envelope reproduces the bytes.
-		back, err := AppendEnvelope(nil, env.Sender, env.Events)
+		back, err := AppendEnvelope(nil, env.Sender, got)
 		if err != nil {
 			t.Fatalf("n=%d: re-encode: %v", n, err)
 		}
@@ -137,10 +171,12 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestEnvelopeDecodeReusesEventsSlice: the Events backing array is
-// recycled across decodes (receivers decode in a loop).
-func TestEnvelopeDecodeReusesEventsSlice(t *testing.T) {
-	buf, err := AppendEnvelope(nil, 1, sampleEvents())
+// TestEnvelopeScanZeroAlloc: receivers scan in a loop with one scratch
+// Envelope, and most of what they scan is duplicates they will drop —
+// so the scan of a realistic 8-event envelope into a warm Envelope
+// allocates nothing (the Records backing array is recycled).
+func TestEnvelopeScanZeroAlloc(t *testing.T) {
+	buf, err := AppendEnvelope(nil, 1, benchBatch())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,14 +184,44 @@ func TestEnvelopeDecodeReusesEventsSlice(t *testing.T) {
 	if err := DecodeEnvelope(buf, &env); err != nil {
 		t.Fatal(err)
 	}
-	first := cap(env.Events)
-	for i := 0; i < 8; i++ {
+	avg := testing.AllocsPerRun(100, func() {
 		if err := DecodeEnvelope(buf, &env); err != nil {
 			t.Fatal(err)
 		}
+	})
+	if avg != 0 {
+		t.Fatalf("scan allocates %.2f times per envelope, want 0", avg)
 	}
-	if cap(env.Events) != first {
-		t.Fatalf("Events slice reallocated: cap %d -> %d", first, cap(env.Events))
+}
+
+// TestRecordDecodeAllocBudget: materialising one novel record costs the
+// event, its topic and its payload, plus the attrs slice and one string
+// per attribute key and per string value — nothing else.
+func TestRecordDecodeAllocBudget(t *testing.T) {
+	for i, ev := range append(sampleEvents(), benchBatch()[0]) {
+		raw, err := AppendEvent(nil, ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		budget := 3
+		if len(ev.Attrs) > 0 {
+			budget++
+		}
+		for _, a := range ev.Attrs {
+			budget++
+			if a.Val.Kind() == pubsub.KindString {
+				budget++
+			}
+		}
+		rec := EventRecord{ID: ev.ID, Raw: raw}
+		avg := testing.AllocsPerRun(100, func() {
+			if _, err := rec.Decode(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if avg > float64(budget) {
+			t.Fatalf("event %d: Decode allocates %.0f times, budget %d", i, avg, budget)
+		}
 	}
 }
 
@@ -199,6 +265,64 @@ func TestDecodeRejectsHostileInput(t *testing.T) {
 	}
 }
 
+// TestScanRejectsWholeEnvelope: the scan materialises nothing, so it is
+// the only gate — a defect in the *last* record, after any number of
+// good ones, must still reject the envelope and leave no record behind
+// for a caller to act on.
+func TestScanRejectsWholeEnvelope(t *testing.T) {
+	last := &pubsub.Event{
+		ID:    pubsub.EventID{Publisher: 5, Seq: 5},
+		Topic: "last",
+		Attrs: []pubsub.Attr{
+			{Key: "n", Val: pubsub.Num(1)},
+			{Key: "b", Val: pubsub.Bool(true)},
+		},
+		Payload: []byte("tail"),
+	}
+	good, err := AppendEnvelope(nil, 7, append(sampleEvents(), last))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lastAt := len(good) - last.WireSize()
+	// Offsets inside the last record: id(8) topicLen(2) "last"(4)
+	// attrCount(2) keyLen(2) "n"(1) kind(1) num(8) keyLen(2) "b"(1)
+	// kind(1) bool(1) payloadLen(4) "tail"(4).
+	numKindAt := lastAt + 8 + 2 + 4 + 2 + 2 + 1
+	boolAt := numKindAt + 1 + 8 + 2 + 1 + 1
+	plenAt := boolAt + 1
+	// fix patches the header's body-length field after a resize.
+	fix := func(b []byte) []byte {
+		binary.BigEndian.PutUint32(b[12:16], uint32(len(b)-HeaderSize))
+		return b
+	}
+	cases := map[string][]byte{
+		"bad kind byte":        mutate(good, numKindAt, 9),
+		"bad bool byte":        mutate(good, boolAt, 2),
+		"payload overruns":     mutate(good, plenAt+3, 5),
+		"payload underruns":    mutate(good, plenAt+3, 3), // one trailing byte
+		"under-count":          mutate(good, 9, good[9]-1),
+		"over-count":           mutate(good, 9, good[9]+1),
+		"ragged tail":          fix(append(append([]byte(nil), good...), 0xab)),
+		"last record cut":      fix(append([]byte(nil), good[:len(good)-2]...)),
+		"attr count overflows": mutate(good, lastAt+8+2+4, 0xff),
+	}
+	for i := lastAt; i < len(good); i++ {
+		cases[fmt.Sprintf("body cut at %d", i)] = fix(append([]byte(nil), good[:i]...))
+	}
+	var env Envelope
+	for name, data := range cases {
+		if err := DecodeEnvelope(good, &env); err != nil || len(env.Records) != len(sampleEvents())+1 {
+			t.Fatalf("control envelope: %v, %d records", err, len(env.Records))
+		}
+		if err := DecodeEnvelope(data, &env); err == nil {
+			t.Fatalf("%s: scan accepted a malformed envelope", name)
+		}
+		if len(env.Records) != 0 {
+			t.Fatalf("%s: rejected envelope left %d records behind", name, len(env.Records))
+		}
+	}
+}
+
 func mutate(b []byte, at int, v byte) []byte {
 	out := append([]byte(nil), b...)
 	out[at] = v
@@ -207,7 +331,8 @@ func mutate(b []byte, at int, v byte) []byte {
 
 // TestDecodedEventsDoNotAliasInput: receivers hand decoded events to
 // their buffers while the input buffer may be shared with other
-// receivers — nothing in a decoded event may point into it.
+// receivers — records point into it, but nothing in an event that
+// Decode returned may.
 func TestDecodedEventsDoNotAliasInput(t *testing.T) {
 	src := &pubsub.Event{
 		ID: pubsub.EventID{Publisher: 1, Seq: 1}, Topic: "t",
@@ -222,7 +347,7 @@ func TestDecodedEventsDoNotAliasInput(t *testing.T) {
 	if err := DecodeEnvelope(buf, &env); err != nil {
 		t.Fatal(err)
 	}
-	got := env.Events[0]
+	got := decodeAll(t, &env)[0]
 	for i := range buf {
 		buf[i] = 0xff // scribble over the wire bytes
 	}
@@ -283,9 +408,9 @@ func TestMembershipRoundTrip(t *testing.T) {
 			if env.Kind != kind || env.Sender != 9 {
 				t.Fatalf("kind %d n=%d: header mangled: %+v", kind, n, env)
 			}
-			if len(env.Events) != 0 || len(env.Entries) != n {
-				t.Fatalf("kind %d n=%d: decoded %d events, %d entries",
-					kind, n, len(env.Events), len(env.Entries))
+			if len(env.Records) != 0 || len(env.Entries) != n {
+				t.Fatalf("kind %d n=%d: decoded %d records, %d entries",
+					kind, n, len(env.Records), len(env.Entries))
 			}
 			for i := range entries[:n] {
 				if env.Entries[i] != entries[i] {
@@ -335,7 +460,7 @@ func TestMembershipRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestMembershipDecodeReusesEntriesSlice: like the Events slice, the
+// TestMembershipDecodeReusesEntriesSlice: like the Records slice, the
 // Entries backing array is recycled across decodes.
 func TestMembershipDecodeReusesEntriesSlice(t *testing.T) {
 	buf, err := AppendMembership(nil, KindShuffleReply, 1, []ViewEntry{{ID: 1}, {ID: 2}, {ID: 3}})
@@ -376,13 +501,13 @@ func TestKindSwitchClearsPayloads(t *testing.T) {
 	if err := DecodeEnvelope(memBuf, &env); err != nil {
 		t.Fatal(err)
 	}
-	if len(env.Events) != 0 || len(env.Entries) != 1 || env.Kind != KindJoin {
-		t.Fatalf("stale events survived a kind switch: %+v", env)
+	if len(env.Records) != 0 || len(env.Entries) != 1 || env.Kind != KindJoin {
+		t.Fatalf("stale records survived a kind switch: %+v", env)
 	}
 	if err := DecodeEnvelope(evBuf, &env); err != nil {
 		t.Fatal(err)
 	}
-	if len(env.Entries) != 0 || len(env.Events) != len(sampleEvents()) || env.Kind != KindEvents {
+	if len(env.Entries) != 0 || len(env.Records) != len(sampleEvents()) || env.Kind != KindEvents {
 		t.Fatalf("stale entries survived a kind switch: %+v", env)
 	}
 }
@@ -434,11 +559,12 @@ func TestRandomisedRoundTrip(t *testing.T) {
 		if err := DecodeEnvelope(buf, &env); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if env.Sender != sender || len(env.Events) != len(batch) {
+		if env.Sender != sender || len(env.Records) != len(batch) {
 			t.Fatalf("trial %d: envelope header mangled", trial)
 		}
+		got := decodeAll(t, &env)
 		for i := range batch {
-			eventsEqual(t, env.Events[i], batch[i])
+			eventsEqual(t, got[i], batch[i])
 		}
 	}
 }
