@@ -7,7 +7,7 @@ PKGS    := ./...
 BENCH   ?= .
 OUT     ?= results
 
-.PHONY: all build test race soak bench bench-smoke microbench vet fmt-check fairvet staticcheck lint ci fairbench loc clean
+.PHONY: all build test race soak bench bench-smoke microbench vet fmt-check fairvet staticcheck lint ci fairbench loc footprint clean
 
 # staticcheck is version-pinned: a drifting linter turns every upgrade
 # into a triage session. Bump deliberately, re-triage, update
@@ -65,7 +65,7 @@ bench-smoke:
 	cd bench && $(GO) vet . && $(GO) test ./...
 
 microbench:
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/eventsim/ ./internal/simnet/ ./internal/fairness/
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/eventsim/ ./internal/simnet/ ./internal/fairness/ ./internal/gossip/
 
 vet:
 	$(GO) vet $(PKGS)
@@ -110,6 +110,13 @@ fairbench:
 loc:
 	@printf 'non-test Go lines outside bench/: '; find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l
 	@printf 'sim engine (core/cluster.go + core/shard.go): '; cat internal/core/cluster.go internal/core/shard.go | wc -l
+
+# footprint prints what one simulated node costs on the live heap, from
+# the test that holds it to its budget (sim-huge's configuration at
+# N = 20 000; see PERFORMANCE.md "Per-node footprint").
+footprint:
+	@out=$$($(GO) test ./internal/core -run TestNodeFootprintBudget -count=1 -v); status=$$?; \
+		echo "$$out" | grep -E 'bytes|^(FAIL|ok)'; exit $$status
 
 clean:
 	rm -rf $(OUT)

@@ -161,11 +161,15 @@ func TestFairbenchRecordMirroredToRoot(t *testing.T) {
 // goldenStdoutHash pins the full -small -seed 1 experiment suite's
 // stdout (header lines stripped — they carry wall-clock seconds). The
 // kernel-sharding PR verified this hash is unchanged by the envelope
-// pool and the SelectInto scratch reuse: both are output-invariant. If
-// a change moves it on purpose, regenerate with:
+// pool and the SelectInto scratch reuse: both are output-invariant. It
+// was re-baselined once, from 2204ff69…, when per-node streams moved to
+// the 16-byte randutil.NewStream generator — a lagged-Fibonacci source's
+// state is its stream, so no stream-preserving shrink existed
+// (PERFORMANCE.md "Determinism contract" has the before/after). If a
+// change moves it on purpose, regenerate with:
 //
 //	go run ./cmd/fairbench -seed 1 -small -out '' -json '' | grep -v '^##########' | sha256sum
-const goldenStdoutHash = "2204ff6916201697cc3065dddaf3861ad5fdf9b6b5630a3ee587602ae94bcdf1"
+const goldenStdoutHash = "6914bd666c160a477ac81c5cd6c208ac29a947ad6c57054446bdc29162a4de69"
 
 // stableStdout strips the wall-clock-bearing header lines, mirroring
 // the grep in the regeneration command (including grep's omission of a

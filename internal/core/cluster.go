@@ -89,6 +89,7 @@ func NewShardedCluster(n, shards int, cfg Config, opts ClusterOptions) *Cluster 
 			outbox: make([][]pendingMsg, shards),
 		}
 		sh.net.SetRemote(c.remoteHook(sh))
+		sh.auditSink = c.auditSink(sh)
 		c.shards = append(c.shards, sh)
 	}
 	if shards == 1 {

@@ -19,14 +19,14 @@ import (
 type Node struct {
 	id     simnet.NodeID
 	net    *simnet.Network
-	cfg    Config
+	cfg    *Config // the cluster's, shared and read-only
 	rng    *rand.Rand
 	ledger *fairness.Ledger
 
 	interest   pubsub.Interest
 	seen       *gossip.SeenSet
 	buffer     *gossip.Buffer         // content-mode event buffer
-	groups     map[string]*topicGroup // topic-mode groups this node is in
+	groups     map[string]*topicGroup // topic-mode groups this node is in; nil until the first join
 	groupOrder []string               // sorted group topics (deterministic rounds)
 
 	cyclon *membership.Cyclon // nil when MemberFull
@@ -71,11 +71,14 @@ type Node struct {
 	pool       *msgPool
 	selScratch []*pubsub.Event
 
-	// auditSink, when set, intercepts novelty audits instead of charging
-	// the ledger directly. The sharded cluster installs one that applies
-	// same-shard audits immediately and defers cross-shard audits to the
-	// round barrier, where they are applied in fixed shard order — the
-	// one write that would otherwise race another shard's controller
+	// peerScratch backs every partner draw (overlayPeers, viewPeers):
+	// each caller consumes the sample before the node draws again.
+	peerScratch []simnet.NodeID
+
+	// auditSink is the owning shard's (shard.go): it charges same-shard
+	// novelty audits to the ledger at once and defers cross-shard ones to
+	// the round barrier, where they are applied in fixed shard order —
+	// the one write that would otherwise race another shard's controller
 	// read and break fixed-seed reproducibility.
 	auditSink func(from, useful, junk int)
 }
@@ -87,7 +90,7 @@ type topicGroup struct {
 	retryIn int // rounds until the join walk is retried while the view is empty
 }
 
-func newNode(id simnet.NodeID, net *simnet.Network, ledger *fairness.Ledger, cfg Config, n int, rng *rand.Rand, pool *msgPool) *Node {
+func newNode(id simnet.NodeID, net *simnet.Network, ledger *fairness.Ledger, cfg *Config, n int, rng *rand.Rand, pool *msgPool) *Node {
 	nd := &Node{
 		id:     id,
 		net:    net,
@@ -97,8 +100,7 @@ func newNode(id simnet.NodeID, net *simnet.Network, ledger *fairness.Ledger, cfg
 		pool:   pool,
 		seen:   gossip.NewSeenSet(cfg.SeenCap),
 		buffer: gossip.NewBuffer(cfg.BufferCap, cfg.BufferMaxAge),
-		groups: make(map[string]*topicGroup),
-		ctrl:   buildController(cfg, n),
+		ctrl:   buildController(*cfg, n),
 		active: true,
 	}
 	nd.fanout = nd.ctrl.Fanout()
@@ -145,12 +147,20 @@ func (nd *Node) bootstrapView(ids []simnet.NodeID) {
 	}
 }
 
-// overlayPeers samples k partners from the overlay substrate.
+// overlayPeers samples k partners from the overlay substrate into
+// peerScratch.
 func (nd *Node) overlayPeers(k int) []simnet.NodeID {
 	if nd.cyclon != nil {
-		return nd.cyclon.View().Sample(nd.rng, k)
+		return nd.viewPeers(nd.cyclon.View(), k)
 	}
-	return nd.full.SamplePeers(nd.rng, k)
+	nd.peerScratch = nd.full.SamplePeersInto(nd.rng, k, nd.peerScratch)
+	return nd.peerScratch
+}
+
+// viewPeers samples k partners from v into peerScratch.
+func (nd *Node) viewPeers(v *membership.View, k int) []simnet.NodeID {
+	nd.peerScratch = v.SampleInto(nd.rng, k, nd.peerScratch)
+	return nd.peerScratch
 }
 
 // send transmits a wire message and charges the ledger.
@@ -337,7 +347,7 @@ func (nd *Node) roundTopics() {
 			continue
 		}
 		ads := nd.groupAds(g)
-		nd.sendGossipAll(g.view.Sample(nd.rng, nd.fanout), topic, events, ads)
+		nd.sendGossipAll(nd.viewPeers(g.view, nd.fanout), topic, events, ads)
 		g.buffer.Tick()
 	}
 }
@@ -346,7 +356,7 @@ func (nd *Node) roundTopics() {
 // group views alive without a directory service.
 func (nd *Node) groupAds(g *topicGroup) []membership.Entry {
 	ads := make([]membership.Entry, 0, nd.cfg.AdLen+1)
-	for _, id := range g.view.Sample(nd.rng, nd.cfg.AdLen) {
+	for _, id := range nd.viewPeers(g.view, nd.cfg.AdLen) {
 		ads = append(ads, membership.Entry{ID: id, Age: 1})
 	}
 	return append(ads, membership.Entry{ID: nd.id, Age: 0})
@@ -437,6 +447,9 @@ func (nd *Node) joinGroup(topic string) {
 	if _, ok := nd.groups[topic]; ok {
 		return
 	}
+	if nd.groups == nil {
+		nd.groups = make(map[string]*topicGroup)
+	}
 	nd.groups[topic] = &topicGroup{
 		view:   membership.NewView(nd.id, nd.cfg.TopicViewCap),
 		buffer: gossip.NewBuffer(nd.cfg.BufferCap, nd.cfg.BufferMaxAge),
@@ -448,34 +461,45 @@ func (nd *Node) joinGroup(topic string) {
 // subscribeWalk launches a random walk that terminates at some subscriber
 // of the topic, which replies with group-bootstrap entries.
 func (nd *Node) subscribeWalk(topic string) {
-	contacts := nd.overlayPeers(1)
-	if len(contacts) == 0 {
-		return
-	}
-	nd.walksSent++
-	nd.send(contacts[0], &wireMsg{
-		Kind:   kindSubWalk,
-		Topic:  topic,
-		Origin: nd.id,
-		Hops:   nd.cfg.WalkHopLimit,
-	}, fairness.ClassInfra)
+	nd.startWalk(&wireMsg{Kind: kindSubWalk, Topic: topic})
 }
 
 // publishWalk hands an event from a non-subscribed publisher to the
 // topic's group.
 func (nd *Node) publishWalk(ev *pubsub.Event) {
+	nd.startWalk(&wireMsg{Kind: kindPubWalk, Topic: ev.Topic, Events: []*pubsub.Event{ev}})
+}
+
+// startWalk originates a walk at one overlay contact, if there is one.
+func (nd *Node) startWalk(m *wireMsg) {
 	contacts := nd.overlayPeers(1)
 	if len(contacts) == 0 {
 		return
 	}
 	nd.walksSent++
-	nd.send(contacts[0], &wireMsg{
-		Kind:   kindPubWalk,
-		Topic:  ev.Topic,
-		Events: []*pubsub.Event{ev},
-		Origin: nd.id,
-		Hops:   nd.cfg.WalkHopLimit,
-	}, fairness.ClassInfra)
+	m.Origin, m.Hops = nd.id, nd.cfg.WalkHopLimit
+	nd.send(contacts[0], m, fairness.ClassInfra)
+}
+
+// relayWalk passes a walk this node does not terminate one hop on — the
+// §5.1 maintenance burden — avoiding the peer it came from when a
+// second draw allows. A walk out of hops dies here.
+func (nd *Node) relayWalk(from simnet.NodeID, m *wireMsg) {
+	if m.Hops <= 1 {
+		return
+	}
+	nd.walkRelays++
+	next := nd.overlayPeers(1)
+	if len(next) == 0 || next[0] == from {
+		next = nd.overlayPeers(1)
+	}
+	if len(next) == 0 {
+		return
+	}
+	fwd := *m
+	fwd.Hops = m.Hops - 1
+	fwd.pool, fwd.refs = nil, 0 // the forwarded copy is plain-allocated
+	nd.send(next[0], &fwd, fairness.ClassInfra)
 }
 
 // --- Churn (§3.2 penalty) ----------------------------------------------------
@@ -634,14 +658,10 @@ func (nd *Node) handleGossip(from simnet.NodeID, m *wireMsg) {
 		nd.deliverIfInterested(ev)
 	}
 	// Novelty audit (§5.2 bias resistance): grade the sender's bytes.
-	// This is the one ledger write aimed at ANOTHER process's account;
-	// sharded clusters route it through auditSink so a remote sender's
-	// controller never races it mid-window.
-	if nd.auditSink != nil {
-		nd.auditSink(int(from), novel, dup)
-		return
-	}
-	nd.ledger.AddAudit(int(from), novel, dup)
+	// This is the one ledger write aimed at ANOTHER process's account, so
+	// it goes through the shard's auditSink: a remote sender's controller
+	// must never race it mid-window.
+	nd.auditSink(int(from), novel, dup)
 }
 
 func (nd *Node) handleSubWalk(from simnet.NodeID, m *wireMsg) {
@@ -649,7 +669,7 @@ func (nd *Node) handleSubWalk(from simnet.NodeID, m *wireMsg) {
 		// We are a subscriber: answer with bootstrap entries and adopt
 		// the new member.
 		entries := make([]membership.Entry, 0, nd.cfg.ShuffleLen+1)
-		for _, id := range g.view.Sample(nd.rng, nd.cfg.ShuffleLen) {
+		for _, id := range nd.viewPeers(g.view, nd.cfg.ShuffleLen) {
 			entries = append(entries, membership.Entry{ID: id, Age: 1})
 		}
 		entries = append(entries, membership.Entry{ID: nd.id, Age: 0})
@@ -657,22 +677,7 @@ func (nd *Node) handleSubWalk(from simnet.NodeID, m *wireMsg) {
 		g.view.Add(m.Origin)
 		return
 	}
-	// Not interested: relay — the §5.1 maintenance burden.
-	if m.Hops <= 1 {
-		return // walk dies
-	}
-	nd.walkRelays++
-	next := nd.overlayPeers(1)
-	if len(next) == 0 || next[0] == from {
-		next = nd.overlayPeers(1)
-	}
-	if len(next) == 0 {
-		return
-	}
-	fwd := *m
-	fwd.Hops = m.Hops - 1
-	fwd.pool, fwd.refs = nil, 0 // the forwarded copy is plain-allocated
-	nd.send(next[0], &fwd, fairness.ClassInfra)
+	nd.relayWalk(from, m) // not interested
 }
 
 func (nd *Node) handleSubAck(m *wireMsg) {
@@ -695,21 +700,7 @@ func (nd *Node) handlePubWalk(from simnet.NodeID, m *wireMsg) {
 		}
 		return
 	}
-	if m.Hops <= 1 {
-		return
-	}
-	nd.walkRelays++
-	next := nd.overlayPeers(1)
-	if len(next) == 0 || next[0] == from {
-		next = nd.overlayPeers(1)
-	}
-	if len(next) == 0 {
-		return
-	}
-	fwd := *m
-	fwd.Hops = m.Hops - 1
-	fwd.pool, fwd.refs = nil, 0 // the forwarded copy is plain-allocated
-	nd.send(next[0], &fwd, fairness.ClassInfra)
+	nd.relayWalk(from, m)
 }
 
 func (nd *Node) deliverIfInterested(ev *pubsub.Event) {

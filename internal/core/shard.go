@@ -1,11 +1,11 @@
 package core
 
 import (
-	"math/rand"
 	"time"
 
 	"fairgossip/internal/eventsim"
 	"fairgossip/internal/fairness"
+	"fairgossip/internal/randutil"
 	"fairgossip/internal/simnet"
 )
 
@@ -31,13 +31,14 @@ import (
 // barrier orders everything a shard wrote before everything the caller
 // (and the next window's goroutines) read.
 type shard struct {
-	sim     *eventsim.Sim
-	net     *simnet.Network
-	pool    *msgPool
-	lo, hi  int            // owned id range [lo, hi)
-	outbox  [][]pendingMsg // per destination shard, FIFO within a pair
-	audits  []deferredAudit
-	tickers []*eventsim.Ticker
+	sim       *eventsim.Sim
+	net       *simnet.Network
+	pool      *msgPool
+	lo, hi    int            // owned id range [lo, hi)
+	outbox    [][]pendingMsg // per destination shard, FIFO within a pair
+	audits    []deferredAudit
+	auditSink func(from, useful, junk int) // shared by the shard's nodes
+	tickers   []*eventsim.Ticker
 }
 
 // pendingMsg is a cross-shard message parked in a mailbox until the
@@ -81,12 +82,8 @@ func (c *Cluster) addNode(i, n int) {
 			sh.net.AddRemote()
 			continue
 		}
-		nd := newNode(simnet.NodeID(i), sh.net, c.Ledger, c.cfg, n, rand.New(rand.NewSource(c.seed^int64(0x9e3779b9*uint32(i+1)))), sh.pool)
-		if len(c.shards) > 1 {
-			// With one shard every audited sender is local, so the node
-			// charges the ledger directly.
-			nd.auditSink = c.auditSink(sh)
-		}
+		nd := newNode(simnet.NodeID(i), sh.net, c.Ledger, &c.cfg, n, randutil.NewStream(randutil.NodeSeed(c.seed, i)), sh.pool)
+		nd.auditSink = sh.auditSink
 		sh.net.AddNode(nd)
 		c.Nodes = append(c.Nodes, nd)
 	}

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"fairgossip/internal/core"
@@ -11,6 +10,7 @@ import (
 	"fairgossip/internal/gossip"
 	"fairgossip/internal/membership"
 	"fairgossip/internal/pubsub"
+	"fairgossip/internal/randutil"
 	"fairgossip/internal/simnet"
 )
 
@@ -52,7 +52,7 @@ func runPushPull(seed int64, n, antiEvery int) (coverage, totalKB float64) {
 		peers[i] = gossip.NewPeer(
 			simnet.NodeID(i), net,
 			membership.FullSampler{Self: simnet.NodeID(i), N: n},
-			rand.New(rand.NewSource(seed*7919+int64(i))),
+			randutil.NewStream(seed*7919+int64(i)),
 			gossip.Config{Fanout: 1, Batch: 4, BufferMaxAge: 2},
 		)
 		if antiEvery > 0 {

@@ -12,6 +12,7 @@ import (
 	"fairgossip/internal/gossip"
 	"fairgossip/internal/membership"
 	"fairgossip/internal/pubsub"
+	"fairgossip/internal/randutil"
 	"fairgossip/internal/simnet"
 	"fairgossip/internal/workload"
 )
@@ -264,7 +265,7 @@ func buildClassic(seed int64, n, fanout, maxAge int, loss float64) (*eventsim.Si
 		peers[i] = gossip.NewPeer(
 			simnet.NodeID(i), net,
 			membership.FullSampler{Self: simnet.NodeID(i), N: n},
-			rand.New(rand.NewSource(seed*7919+int64(i))),
+			randutil.NewStream(seed*7919+int64(i)),
 			gossip.Config{Fanout: fanout, Batch: 4, BufferMaxAge: maxAge},
 		)
 		net.AddNode(peers[i])

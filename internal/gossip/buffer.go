@@ -12,6 +12,7 @@
 package gossip
 
 import (
+	"math"
 	"math/rand"
 
 	"fairgossip/internal/pubsub"
@@ -33,133 +34,100 @@ const (
 )
 
 type bufEntry struct {
+	id   pubsub.EventID
 	ev   *pubsub.Event
-	age  int // rounds since insertion
-	sent int // times included in an outgoing gossip message
+	age  int32 // rounds since insertion
+	sent int32 // times included in an outgoing gossip message
 }
 
 // Buffer is the bounded `events` set of Fig. 4 with lpbcast-style
 // age-based eviction: events older than MaxAge rounds are dropped, and
-// when capacity overflows the oldest (then most-sent) entries go first.
+// when capacity overflows the first entry in buffer order goes.
 //
-// Entries live in a recycled slab indexed through the id map, so the
-// per-message insert/evict churn of a long run allocates nothing once the
-// slab has warmed up.
+// Buffer order is insertion order until a PolicyLeastSent selection,
+// whose stable sort by send count reorders the entries in place and for
+// good. A capacity eviction therefore removes the oldest entry under
+// PolicyRandom and PolicyNewest, and the first of the least-sent entries
+// once PolicyLeastSent has run — the order fixed-seed runs are pinned to
+// (TestCapacityEvictionFollowsBufferOrder).
+//
+// The entries are one flat slice kept in buffer order and id lookup scans
+// it: buffers hold tens of events, steady-state insert/evict churn
+// allocates nothing and a round touches one contiguous block. The scan
+// is what a buffer of a thousand events with a hundred arrivals a round
+// would pay for (BenchmarkBufferRound); nothing in the tree builds one.
 type Buffer struct {
 	cap    int
-	maxAge int
-	slab   []bufEntry // entry storage; indices are stable handles
-	freeL  []int32    // recycled slab slots
-	items  map[pubsub.EventID]int32
-	order  []pubsub.EventID // insertion order, oldest first
-	perm   []int            // scratch for PolicyRandom selection
+	maxAge int32
+	ents   []bufEntry // buffer order, eviction end first
+	perm   []int      // scratch for PolicyRandom selection
 }
 
 // NewBuffer returns a buffer holding at most capacity events, each for at
 // most maxAge rounds. Minimums of 1 apply.
 func NewBuffer(capacity, maxAge int) *Buffer {
-	if capacity < 1 {
-		capacity = 1
-	}
-	if maxAge < 1 {
-		maxAge = 1
-	}
 	return &Buffer{
-		cap:    capacity,
-		maxAge: maxAge,
-		items:  make(map[pubsub.EventID]int32, capacity),
+		cap:    max(capacity, 1),
+		maxAge: int32(min(max(maxAge, 1), math.MaxInt32)),
 	}
 }
 
 // Len returns the number of buffered events.
-func (b *Buffer) Len() int { return len(b.items) }
+func (b *Buffer) Len() int { return len(b.ents) }
+
+// find returns the entry holding id, or nil.
+func (b *Buffer) find(id pubsub.EventID) *bufEntry {
+	ents := b.ents
+	for i := range ents {
+		if ents[i].id == id {
+			return &ents[i]
+		}
+	}
+	return nil
+}
 
 // Contains reports whether the event id is buffered.
-func (b *Buffer) Contains(id pubsub.EventID) bool {
-	_, ok := b.items[id]
-	return ok
-}
+func (b *Buffer) Contains(id pubsub.EventID) bool { return b.find(id) != nil }
 
 // Get returns the buffered event with the given id, if present. Serving
 // an event through Get (anti-entropy pulls) counts as a send for the
 // least-sent selection policy.
 func (b *Buffer) Get(id pubsub.EventID) (*pubsub.Event, bool) {
-	idx, ok := b.items[id]
-	if !ok {
+	e := b.find(id)
+	if e == nil {
 		return nil, false
 	}
-	e := &b.slab[idx]
 	e.sent++
 	return e.ev, true
 }
 
-// alloc returns a free slab slot.
-func (b *Buffer) alloc() int32 {
-	if n := len(b.freeL); n > 0 {
-		idx := b.freeL[n-1]
-		b.freeL = b.freeL[:n-1]
-		return idx
-	}
-	b.slab = append(b.slab, bufEntry{})
-	return int32(len(b.slab) - 1)
-}
-
-// release recycles a slab slot, dropping the event reference for the GC.
-func (b *Buffer) release(idx int32) {
-	b.slab[idx] = bufEntry{}
-	b.freeL = append(b.freeL, idx)
-}
-
 // Insert adds an event. It reports false for duplicates. When the buffer
-// is full, the oldest entry is evicted to make room.
+// is full, the first entry in buffer order is evicted to make room.
 func (b *Buffer) Insert(ev *pubsub.Event) bool {
-	if _, dup := b.items[ev.ID]; dup {
+	if b.find(ev.ID) != nil {
 		return false
 	}
-	if len(b.items) >= b.cap {
-		b.evictOldest()
+	e := bufEntry{id: ev.ID, ev: ev}
+	if n := len(b.ents); n >= b.cap {
+		copy(b.ents, b.ents[1:])
+		b.ents[n-1] = e
+		return true
 	}
-	idx := b.alloc()
-	b.slab[idx] = bufEntry{ev: ev}
-	b.items[ev.ID] = idx
-	b.order = append(b.order, ev.ID)
+	b.ents = append(b.ents, e)
 	return true
-}
-
-func (b *Buffer) evictOldest() {
-	for len(b.order) > 0 {
-		id := b.order[0]
-		b.order = b.order[1:]
-		if idx, ok := b.items[id]; ok {
-			delete(b.items, id)
-			b.release(idx)
-			return
-		}
-	}
 }
 
 // Tick advances every entry's age by one round and evicts expired
 // entries. Call once per gossip round.
 func (b *Buffer) Tick() {
-	if len(b.items) == 0 {
-		return
-	}
-	live := b.order[:0]
-	for _, id := range b.order {
-		idx, ok := b.items[id]
-		if !ok {
-			continue
+	live := b.ents[:0]
+	for _, e := range b.ents {
+		if e.age++; e.age < b.maxAge {
+			live = append(live, e)
 		}
-		e := &b.slab[idx]
-		e.age++
-		if e.age >= b.maxAge {
-			delete(b.items, id)
-			b.release(idx)
-			continue
-		}
-		live = append(live, id)
 	}
-	b.order = live
+	clear(b.ents[len(live):]) // drop the expired events' references
+	b.ents = live
 }
 
 // Select returns up to n distinct buffered events according to the
@@ -167,9 +135,7 @@ func (b *Buffer) Tick() {
 // (callers hand it to in-flight messages); the permutation scratch behind
 // PolicyRandom is reused across calls.
 func (b *Buffer) Select(rng *rand.Rand, n int, policy Policy) []*pubsub.Event {
-	if n > len(b.items) {
-		n = len(b.items)
-	}
+	n = min(n, len(b.ents))
 	if n <= 0 {
 		return nil
 	}
@@ -188,58 +154,51 @@ func (b *Buffer) Select(rng *rand.Rand, n int, policy Policy) []*pubsub.Event {
 func (b *Buffer) SelectInto(rng *rand.Rand, scratch *[]*pubsub.Event, n int, policy Policy) []*pubsub.Event {
 	out := (*scratch)[:0]
 	*scratch = out
-	if n > len(b.items) {
-		n = len(b.items)
-	}
+	n = min(n, len(b.ents))
 	if n <= 0 {
 		return out
 	}
-	ids := b.liveIDs()
+	var picked []bufEntry
 	switch policy {
 	case PolicyNewest:
-		// order is oldest-first; take from the tail.
-		ids = ids[len(ids)-n:]
+		picked = b.ents[len(b.ents)-n:]
 	case PolicyLeastSent:
-		// Partial selection by sent count; stable by age for determinism.
-		b.sortBySent(ids)
-		ids = ids[:n]
+		b.sortBySent()
+		picked = b.ents[:n]
 	default: // PolicyRandom
-		perm := randutil.PermInto(rng, &b.perm, len(ids))
-		for _, idx := range perm[:n] {
-			e := &b.slab[b.items[ids[idx]]]
-			e.sent++
-			out = append(out, e.ev)
+		for _, i := range randutil.PermInto(rng, &b.perm, len(b.ents))[:n] {
+			b.ents[i].sent++
+			out = append(out, b.ents[i].ev)
 		}
-		*scratch = out
-		return out
 	}
-	for _, id := range ids {
-		e := &b.slab[b.items[id]]
-		e.sent++
-		out = append(out, e.ev)
+	for i := range picked {
+		picked[i].sent++
+		out = append(out, picked[i].ev)
 	}
 	*scratch = out
 	return out
 }
 
-// liveIDs compacts b.order, dropping tombstones, and returns it.
-func (b *Buffer) liveIDs() []pubsub.EventID {
-	live := b.order[:0]
-	for _, id := range b.order {
-		if _, ok := b.items[id]; ok {
-			live = append(live, id)
+// sortBySent is a stable insertion sort of the entries by ascending send
+// count (buffers are small, and after the first round nearly sorted).
+// It is what makes buffer order differ from insertion order.
+func (b *Buffer) sortBySent() {
+	for i := 1; i < len(b.ents); i++ {
+		e := b.ents[i]
+		j := i
+		for ; j > 0 && e.sent < b.ents[j-1].sent; j-- {
+			b.ents[j] = b.ents[j-1]
 		}
+		b.ents[j] = e
 	}
-	b.order = live
-	return live
 }
 
-// sortBySent is an insertion sort by ascending sent count (buffers are
-// small; stability preserves age order among equals).
-func (b *Buffer) sortBySent(ids []pubsub.EventID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && b.slab[b.items[ids[j]]].sent < b.slab[b.items[ids[j-1]]].sent; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
+// ids returns the buffered ids in buffer order, in a fresh slice (a
+// digest message keeps it).
+func (b *Buffer) ids() []pubsub.EventID {
+	out := make([]pubsub.EventID, len(b.ents))
+	for i := range b.ents {
+		out[i] = b.ents[i].id
 	}
+	return out
 }

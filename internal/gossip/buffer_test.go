@@ -1,7 +1,9 @@
 package gossip
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -244,5 +246,307 @@ func TestSelectIntoZeroAllocSteadyState(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("SelectInto allocates %v per run, want 0", allocs)
+	}
+}
+
+// mapBuffer is the map-backed Buffer this package shipped before the flat
+// layout, kept verbatim as the differential oracle: a slab of entries
+// indexed through an id map plus an `order` slice that the least-sent
+// sort permutes in place — which is where "a capacity eviction removes
+// the first entry in buffer order, not the oldest" comes from.
+type mapBuffer struct {
+	cap, maxAge int
+	slab        []mapEntry
+	freeL       []int32
+	items       map[pubsub.EventID]int32
+	order       []pubsub.EventID
+}
+
+type mapEntry struct {
+	ev        *pubsub.Event
+	age, sent int
+}
+
+func newMapBuffer(capacity, maxAge int) *mapBuffer {
+	return &mapBuffer{cap: max(capacity, 1), maxAge: max(maxAge, 1), items: make(map[pubsub.EventID]int32)}
+}
+
+func (b *mapBuffer) Len() int { return len(b.items) }
+
+func (b *mapBuffer) Contains(id pubsub.EventID) bool {
+	_, ok := b.items[id]
+	return ok
+}
+
+func (b *mapBuffer) Get(id pubsub.EventID) (*pubsub.Event, bool) {
+	idx, ok := b.items[id]
+	if !ok {
+		return nil, false
+	}
+	b.slab[idx].sent++
+	return b.slab[idx].ev, true
+}
+
+func (b *mapBuffer) release(id pubsub.EventID) {
+	idx := b.items[id]
+	delete(b.items, id)
+	b.slab[idx] = mapEntry{}
+	b.freeL = append(b.freeL, idx)
+}
+
+func (b *mapBuffer) Insert(ev *pubsub.Event) bool {
+	if _, dup := b.items[ev.ID]; dup {
+		return false
+	}
+	if len(b.items) >= b.cap {
+		b.release(b.order[0])
+		b.order = b.order[1:]
+	}
+	var idx int32
+	if n := len(b.freeL); n > 0 {
+		idx, b.freeL = b.freeL[n-1], b.freeL[:n-1]
+	} else {
+		b.slab = append(b.slab, mapEntry{})
+		idx = int32(len(b.slab) - 1)
+	}
+	b.slab[idx] = mapEntry{ev: ev}
+	b.items[ev.ID] = idx
+	b.order = append(b.order, ev.ID)
+	return true
+}
+
+func (b *mapBuffer) Tick() {
+	live := b.order[:0]
+	for _, id := range b.order {
+		e := &b.slab[b.items[id]]
+		e.age++
+		if e.age >= b.maxAge {
+			b.release(id)
+			continue
+		}
+		live = append(live, id)
+	}
+	b.order = live
+}
+
+func (b *mapBuffer) Select(rng *rand.Rand, n int, policy Policy) []*pubsub.Event {
+	n = min(n, len(b.items))
+	if n <= 0 {
+		return nil
+	}
+	ids := b.order
+	switch policy {
+	case PolicyNewest:
+		ids = ids[len(ids)-n:]
+	case PolicyLeastSent:
+		for i := 1; i < len(ids); i++ {
+			for j := i; j > 0 && b.slab[b.items[ids[j]]].sent < b.slab[b.items[ids[j-1]]].sent; j-- {
+				ids[j], ids[j-1] = ids[j-1], ids[j]
+			}
+		}
+		ids = ids[:n]
+	default:
+		picked := make([]pubsub.EventID, 0, n)
+		for _, idx := range rng.Perm(len(ids))[:n] {
+			picked = append(picked, ids[idx])
+		}
+		ids = picked
+	}
+	out := make([]*pubsub.Event, 0, n)
+	for _, id := range ids {
+		e := &b.slab[b.items[id]]
+		e.sent++
+		out = append(out, e.ev)
+	}
+	return out
+}
+
+// TestBufferMatchesMapOracle drives the flat Buffer and the map-backed
+// oracle with the same seeded operation sequences — inserts from a small
+// id space (so duplicates and re-insertions after eviction occur), ticks,
+// selections under every policy with lock-stepped RNGs, Get, Contains —
+// and demands identical return values, Len and RNG position after every
+// step. Small capacities against a large id space force capacity
+// evictions after least-sent reorders.
+func TestBufferMatchesMapOracle(t *testing.T) {
+	for _, capacity := range []int{1, 8, 256} {
+		for _, policy := range []Policy{PolicyRandom, PolicyNewest, PolicyLeastSent, 0} {
+			for seed := int64(1); seed <= 4; seed++ {
+				ops := rand.New(rand.NewSource(seed))
+				maxAge := 1 + ops.Intn(12)
+				got, want := NewBuffer(capacity, maxAge), newMapBuffer(capacity, maxAge)
+				r1, r2 := rand.New(rand.NewSource(seed+100)), rand.New(rand.NewSource(seed+100))
+				idSpace := uint32(3 * capacity)
+				var scratch []*pubsub.Event
+				fail := func(step int, format string, args ...any) {
+					t.Helper()
+					t.Fatalf("cap %d age %d policy %d seed %d step %d: %s", capacity, maxAge, policy, seed, step, fmt.Sprintf(format, args...))
+				}
+				for step := 0; step < 4000; step++ {
+					id := pubsub.EventID{Publisher: 1, Seq: ops.Uint32() % idSpace}
+					switch op := ops.Intn(16); {
+					case op < 9:
+						e := &pubsub.Event{ID: id}
+						if g, w := got.Insert(e), want.Insert(e); g != w {
+							fail(step, "Insert(%v) = %v, oracle %v", id, g, w)
+						}
+					case op < 11:
+						got.Tick()
+						want.Tick()
+					case op < 14:
+						n := ops.Intn(capacity+3) - 1 // -1 and 0 included
+						w := want.Select(r2, n, policy)
+						var g []*pubsub.Event
+						if op == 11 {
+							g = got.Select(r1, n, policy)
+							if (g == nil) != (w == nil) {
+								fail(step, "Select nil-ness: %v vs oracle %v", g == nil, w == nil)
+							}
+						} else {
+							g = got.SelectInto(r1, &scratch, n, policy)
+						}
+						if len(g) != len(w) {
+							fail(step, "Select(%d) returned %d events, oracle %d", n, len(g), len(w))
+						}
+						for i := range w {
+							if g[i] != w[i] {
+								fail(step, "Select(%d)[%d] = %v, oracle %v", n, i, g[i].ID, w[i].ID)
+							}
+						}
+					case op < 15:
+						ge, gok := got.Get(id)
+						we, wok := want.Get(id)
+						if ge != we || gok != wok {
+							fail(step, "Get(%v) = %v,%v, oracle %v,%v", id, ge, gok, we, wok)
+						}
+					default:
+						if g, w := got.Contains(id), want.Contains(id); g != w {
+							fail(step, "Contains(%v) = %v, oracle %v", id, g, w)
+						}
+					}
+					if got.Len() != want.Len() {
+						fail(step, "Len = %d, oracle %d", got.Len(), want.Len())
+					}
+				}
+				if r1.Int63() != r2.Int63() {
+					fail(4000, "random streams diverged")
+				}
+				if g, w := got.ids(), want.order; !slices.Equal(g, w) {
+					fail(4000, "buffer order %v, oracle %v", g, w)
+				}
+			}
+		}
+	}
+}
+
+// TestCapacityEvictionFollowsBufferOrder writes down the one semantic
+// nobody had: a least-sent selection reorders the buffer, so the next
+// capacity eviction takes the first entry in that order, not the oldest
+// entry.
+func TestCapacityEvictionFollowsBufferOrder(t *testing.T) {
+	b := NewBuffer(4, 100)
+	for i := uint32(1); i <= 4; i++ {
+		b.Insert(ev(1, i))
+		b.Tick() // distinct ages: event 1 is the oldest
+	}
+	rng := rand.New(rand.NewSource(1))
+	b.Select(rng, 2, PolicyLeastSent) // sends 1 and 2
+	b.Select(rng, 2, PolicyLeastSent) // sorts to 3 4 1 2, sends 3 and 4
+	b.Insert(ev(1, 5))
+	if !b.Contains(pubsub.EventID{Publisher: 1, Seq: 1}) || b.Contains(pubsub.EventID{Publisher: 1, Seq: 3}) {
+		t.Fatalf("eviction after a least-sent reorder must take event 3 (first in buffer order), buffer holds %v", b.ids())
+	}
+}
+
+// TestBufferSteadyStateZeroAlloc pins a whole round — arrivals, a
+// selection and the tick that expires as many entries as arrived — at
+// zero allocations once the buffer has reached its steady occupancy,
+// both when age and when capacity is what evicts.
+func TestBufferSteadyStateZeroAlloc(t *testing.T) {
+	for _, tc := range []struct {
+		name                       string
+		capacity, maxAge, arrivals int
+	}{
+		{"age-bound", 64, 8, 4},
+		{"capacity-bound", 16, 8, 4},
+	} {
+		for _, policy := range []Policy{PolicyRandom, PolicyNewest, PolicyLeastSent} {
+			b := NewBuffer(tc.capacity, tc.maxAge)
+			rng := rand.New(rand.NewSource(5))
+			scratch := make([]*pubsub.Event, 0, 8)
+			events := make([]*pubsub.Event, 4096)
+			for i := range events {
+				events[i] = ev(3, uint32(i))
+			}
+			next := 0
+			round := func() {
+				for k := 0; k < tc.arrivals; k++ {
+					b.Insert(events[next%len(events)])
+					next++
+				}
+				b.SelectInto(rng, &scratch, 8, policy)
+				b.Tick()
+			}
+			for r := 0; r < 4*tc.maxAge; r++ {
+				round()
+			}
+			if allocs := testing.AllocsPerRun(200, round); allocs != 0 {
+				t.Errorf("%s, policy %d: a steady-state round allocates %v, want 0", tc.name, policy, allocs)
+			}
+		}
+	}
+}
+
+// BenchmarkBufferRound is one gossip round of buffer work at a steady
+// occupancy: the arrivals, a least-sent selection (the policy every bench
+// workload runs, and the only one that sorts) and the tick that expires
+// what arrived maxAge rounds ago. Occupancy is arrivals × maxAge. The
+// plain cases leave capacity to spare, so only the tick evicts; "full"
+// makes capacity the limit, so every arrival also pays an eviction;
+// "archive" is the anti-entropy archive's round — four times the
+// forwarding buffer's lifetime, never selected from — the one buffer in
+// the tree that can hold a thousand events.
+func BenchmarkBufferRound(b *testing.B) {
+	for _, c := range []struct {
+		name                              string
+		capacity, maxAge, arrivals, batch int
+	}{
+		{"occ=8", 32, 8, 1, 8},    // sim-huge's buffer
+		{"occ=16", 256, 16, 1, 8}, // sim-fair's
+		{"occ=256", 512, 8, 32, 8},
+		{"occ=256/full", 256, 16, 32, 8},
+		{"occ=1024", 2048, 8, 128, 8},
+		{"occ=1024/full", 1024, 16, 128, 8},
+		{"occ=256/archive", 512, 32, 8, 0},
+		{"occ=1024/archive", 2048, 32, 32, 0},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			buf := NewBuffer(c.capacity, c.maxAge)
+			rng := rand.New(rand.NewSource(1))
+			events := make([]*pubsub.Event, 8*c.capacity)
+			for i := range events {
+				events[i] = ev(1, uint32(i))
+			}
+			var scratch []*pubsub.Event
+			next := 0
+			round := func() {
+				for k := 0; k < c.arrivals; k++ {
+					buf.Insert(events[next%len(events)])
+					next++
+				}
+				if c.batch > 0 {
+					buf.SelectInto(rng, &scratch, c.batch, PolicyLeastSent)
+				}
+				buf.Tick()
+			}
+			for r := 0; r < 4*c.maxAge; r++ {
+				round()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				round()
+			}
+		})
 	}
 }

@@ -68,15 +68,14 @@ func (p *Peer) antiEntropyRound() {
 	if int(p.rounds)%p.antiEntropyEvery != 0 {
 		return
 	}
-	ids := p.archive.liveIDs()
-	if len(ids) == 0 {
+	if p.archive.Len() == 0 {
 		return
 	}
 	targets := p.sampler.SamplePeers(p.rng, 1)
 	if len(targets) == 0 {
 		return
 	}
-	digest := DigestMsg{IDs: append([]pubsub.EventID(nil), ids...)}
+	digest := DigestMsg{IDs: p.archive.ids()}
 	p.net.Send(p.ID, targets[0], digest, DigestWireSize(len(digest.IDs)))
 }
 

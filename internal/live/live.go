@@ -1080,7 +1080,7 @@ func (p *peer) gossip() {
 // rounds allocate nothing here.
 func (p *peer) samplePeers(k int) []int {
 	got := p.cyclon.View().SampleInto(p.rng, k, p.targets[:0])
-	if got == nil {
+	if len(got) == 0 {
 		return nil
 	}
 	p.targets = got

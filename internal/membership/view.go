@@ -215,28 +215,39 @@ func (v *View) IDs() []simnet.NodeID {
 }
 
 // Sample returns min(k, Len) distinct peers drawn uniformly without
-// replacement using rng.
+// replacement using rng, in a fresh slice.
 func (v *View) Sample(rng *rand.Rand, k int) []simnet.NodeID {
 	return v.SampleInto(rng, k, nil)
 }
 
-// SampleInto is Sample drawing into dst's backing array — the live
-// runtime's per-round partner selection, which must not allocate in
-// steady state. It makes exactly the draws Sample makes.
+// SampleInto is Sample drawing into dst's backing array (replaced by one
+// of the right size when too small) — the per-round partner selection of
+// both runtimes, which must not allocate in steady state. It makes
+// exactly the draws Sample makes; an empty sample is dst[:0].
 func (v *View) SampleInto(rng *rand.Rand, k int, dst []simnet.NodeID) []simnet.NodeID {
 	n := len(v.entries)
 	if k > n {
 		k = n
 	}
 	if k <= 0 {
-		return nil
+		return dst[:0]
 	}
 	perm := randutil.PermInto(rng, &v.perm, n)
-	dst = dst[:0]
+	dst = sized(dst, k)
 	for i := 0; i < k; i++ {
 		dst = append(dst, v.entries[perm[i]].ID)
 	}
 	return dst
+}
+
+// sized empties dst, replacing it when it cannot hold k ids. (Not
+// slices.Grow: its single allocation is a compiler optimisation the race
+// detector's build does not make, and the alloc pins run there too.)
+func sized(dst []simnet.NodeID, k int) []simnet.NodeID {
+	if cap(dst) < k {
+		return make([]simnet.NodeID, 0, k)
+	}
+	return dst[:0]
 }
 
 // Sampler provides random communication partners for dissemination — the
@@ -244,14 +255,6 @@ func (v *View) SampleInto(rng *rand.Rand, k int, dst []simnet.NodeID) []simnet.N
 type Sampler interface {
 	// SamplePeers returns up to k distinct peers (excluding the caller).
 	SamplePeers(rng *rand.Rand, k int) []simnet.NodeID
-}
-
-// ViewSampler adapts a View to the Sampler interface.
-type ViewSampler struct{ View *View }
-
-// SamplePeers implements Sampler.
-func (s ViewSampler) SamplePeers(rng *rand.Rand, k int) []simnet.NodeID {
-	return s.View.Sample(rng, k)
 }
 
 // FullSampler samples uniformly from the complete population [0, N),
@@ -264,6 +267,12 @@ type FullSampler struct {
 
 // SamplePeers implements Sampler.
 func (s FullSampler) SamplePeers(rng *rand.Rand, k int) []simnet.NodeID {
+	return s.SamplePeersInto(rng, k, nil)
+}
+
+// SamplePeersInto is SamplePeers drawing into dst's backing array, on
+// SampleInto's terms.
+func (s FullSampler) SamplePeersInto(rng *rand.Rand, k int, dst []simnet.NodeID) []simnet.NodeID {
 	pop := s.N
 	if s.Self >= 0 && int(s.Self) < s.N {
 		pop--
@@ -272,9 +281,9 @@ func (s FullSampler) SamplePeers(rng *rand.Rand, k int) []simnet.NodeID {
 		k = pop
 	}
 	if k <= 0 {
-		return nil
+		return dst[:0]
 	}
-	out := make([]simnet.NodeID, 0, k)
+	out := sized(dst, k)
 draw:
 	for len(out) < k {
 		id := simnet.NodeID(rng.Intn(s.N))
@@ -292,7 +301,4 @@ draw:
 	return out
 }
 
-var (
-	_ Sampler = ViewSampler{}
-	_ Sampler = FullSampler{}
-)
+var _ Sampler = FullSampler{}

@@ -2,6 +2,7 @@ package membership
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -271,5 +272,45 @@ func TestSuspectClearedByRemoveAndEvict(t *testing.T) {
 	v.Remove(2)
 	if v.SuspectOf(2) != 0 || v.Len() != 0 {
 		t.Fatal("view not empty after removals")
+	}
+}
+
+// The Into forms must make the draws and return the ids of the
+// allocating forms, reuse a big-enough destination without allocating,
+// and size a too-small one in a single allocation — which is all that
+// Sample and SamplePeers, their nil-destination wrappers, cost.
+func TestSampleIntoMatchesFresh(t *testing.T) {
+	v := NewView(0, 32)
+	for i := 1; i <= 20; i++ {
+		v.Add(simnet.NodeID(i))
+	}
+	full := FullSampler{Self: 0, N: 1000}
+	for _, tc := range []struct {
+		name  string
+		fresh func(*rand.Rand, int) []simnet.NodeID
+		into  func(*rand.Rand, int, []simnet.NodeID) []simnet.NodeID
+	}{
+		{"view", v.Sample, v.SampleInto},
+		{"full", full.SamplePeers, full.SamplePeersInto},
+	} {
+		r1, r2 := rand.New(rand.NewSource(4)), rand.New(rand.NewSource(4))
+		var dst []simnet.NodeID
+		for _, k := range []int{0, 1, 9, 3, 40, 9} {
+			want := tc.fresh(r1, k)
+			got := tc.into(r2, k, dst)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s k=%d: into %v, fresh %v", tc.name, k, got, want)
+			}
+			dst = got
+		}
+		if r1.Int63() != r2.Int63() {
+			t.Fatalf("%s: random streams diverged", tc.name)
+		}
+		if a := testing.AllocsPerRun(100, func() { dst = tc.into(r2, 9, dst) }); a != 0 {
+			t.Errorf("%s: sampling into a big-enough destination allocates %v, want 0", tc.name, a)
+		}
+		if a := testing.AllocsPerRun(100, func() { tc.fresh(r2, 9) }); a != 1 {
+			t.Errorf("%s: a fresh sample allocates %v, want 1", tc.name, a)
+		}
 	}
 }

@@ -28,3 +28,11 @@ func ShardSeed(seed int64, shard int) int64 {
 	}
 	return int64(SplitMix64(uint64(seed) ^ (uint64(shard) * 0xd1342543de82ef95)))
 }
+
+// NodeSeed derives the seed of one simulated node's private stream from
+// the run's master seed. The multiplier is odd, so distinct ids give
+// distinct seeds; the derivation does not depend on the shard count, so
+// a node draws the same stream wherever it lives.
+func NodeSeed(seed int64, id int) int64 {
+	return seed ^ int64(0x9e3779b9*uint32(id+1))
+}

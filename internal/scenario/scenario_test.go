@@ -30,13 +30,15 @@ func TestBuiltinsOnSim(t *testing.T) {
 
 // simColumnGolden pins the sim column of the scenario table: SHA-256
 // over the concatenated Result.String() of every builtin at seed 1, in
-// Builtins() order. Recorded at the parent of the PR that made
-// core.Cluster the one engine, so it is what "the sim column did not
-// move" means across refactors of core, simnet, eventsim or this
-// engine's eligibility model — the scenario twin of fairbench's
+// Builtins() order. It is what "the sim column did not move" means
+// across refactors of core, simnet, eventsim or this engine's
+// eligibility model — the scenario twin of fairbench's
 // TestGoldenStdoutHash. A deliberate change to a builtin's schedule or
-// to the protocol moves it; update it then, and say why.
-const simColumnGolden = "10dddecf9d23276c2bf9f0a5867b211031df5803730ad6ec4c2c2fbf810cc51d"
+// to the protocol moves it; update it then, and say why. Moved once,
+// from 10dddecf… (recorded at the parent of the PR that made
+// core.Cluster the one engine), when per-node streams became
+// randutil.NewStream's: PERFORMANCE.md "Determinism contract".
+const simColumnGolden = "2f8257202b9fbfd7c8bc5c12cf3a3815ea186414ab2f0b05279138390c80f590"
 
 func TestSimColumnGolden(t *testing.T) {
 	h := sha256.New()
