@@ -48,15 +48,10 @@ soak:
 		$(GO) test -count=1 -race ./internal/live ./internal/scenario ./internal/transport || exit 1; \
 	done
 
-# bench runs the Go benchmarks, then regenerates the dated
-# BENCH_<date>.json run record via fairbench — every bench invocation
-# leaves a fresh machine-readable baseline (CI uploads it as an
-# artifact). -huge appends the EXP-HUGE tier: N=100k nodes on the
-# sharded kernel, swept over shard counts, so the record carries
-# rounds/sec scaling alongside the protocol experiments.
+# bench runs the Go benchmarks (one per experiment). Performance
+# measurement proper is bench/ — see bench/README.md.
 bench:
 	$(GO) test -run '^$$' -bench '$(BENCH)' -benchmem -benchtime 3x .
-	$(GO) run ./cmd/fairbench -small -huge -out $(OUT)
 
 # bench/ (the BENCHMARK.json harness) is a module of its own, so the
 # root ./... never compiles it: this is the only target that notices a
@@ -99,8 +94,7 @@ lint: fmt-check vet fairvet staticcheck
 
 ci: lint build test race bench-smoke
 
-# Regenerate every experiment table + CSVs + the BENCH_<date>.json run
-# record (see PERFORMANCE.md).
+# Regenerate every experiment table + CSVs.
 fairbench:
 	$(GO) run ./cmd/fairbench -small -out $(OUT)
 

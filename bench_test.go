@@ -1,4 +1,4 @@
-// Benchmark harness: one benchmark per experiment in DESIGN.md §3. Each
+// Benchmark harness: one benchmark per experiment in experiment.All(). Each
 // regenerates the corresponding figure/claim of the paper at bench scale
 // and reports domain metrics (fairness indices, delivery ratios) via
 // b.ReportMetric, so `go test -bench=.` reproduces the whole evaluation.

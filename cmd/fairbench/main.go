@@ -1,33 +1,26 @@
-// Command fairbench regenerates every experiment in DESIGN.md §3 as text
-// tables and CSV files — the reproduction of all figures and quantitative
-// claims of the paper. Alongside the CSVs it writes a machine-readable
-// BENCH_<date>.json run record (benchrecord schema: a flat numeric
-// metrics map plus the per-experiment tables and wall-clock) so
-// successive PRs can track the performance trajectory.
+// Command fairbench regenerates every experiment in experiment.All() as
+// text tables and CSV files — the reproduction of all figures and
+// quantitative claims of the paper (PAPER.md). It measures the protocol,
+// not the clock: performance is bench/'s job (bench/README.md).
 //
 // Usage:
 //
-//	fairbench [-seed N] [-small] [-out results/] [-only EXP-F1,EXP-A3] [-json path]
-//	          [-huge] [-shards 1,2,4,8]
+//	fairbench [-seed N] [-small] [-out results/] [-only EXP-F1,EXP-A3]
 //
-// -only filters the standard experiment suite; -huge appends the
-// EXP-HUGE scaling tier (N ≥ 100k nodes on the sharded kernel, swept
-// over -shards), so `-only EXP-NONE -huge` runs the huge tier alone.
+// Exit status is 2 on usage errors, including an -only ID that is not in
+// the catalogue.
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"time"
 
-	"fairgossip/internal/benchrecord"
 	"fairgossip/internal/experiment"
 )
 
@@ -35,28 +28,15 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// recordTables converts experiment tables to the schema package's
-// dependency-free mirror type.
-func recordTables(tables []experiment.Table) []benchrecord.Table {
-	out := make([]benchrecord.Table, len(tables))
-	for i, t := range tables {
-		out[i] = benchrecord.Table{ID: t.ID, Title: t.Title, Note: t.Note, Cols: t.Cols, Rows: t.Rows}
-	}
-	return out
-}
-
 // run is the testable entry point: explicit args, writers, exit code.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("fairbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		seed     = fs.Int64("seed", 1, "random seed (same seed = identical output)")
-		small    = fs.Bool("small", false, "bench-scale parameters (fast)")
-		outDir   = fs.String("out", "results", "directory for CSV output (empty = no CSV)")
-		only     = fs.String("only", "", "comma-separated experiment IDs to run (e.g. EXP-F1,EXP-A3)")
-		jsonPath = fs.String("json", "", "path for the JSON run record (default <out>/BENCH_<date>.json; empty out disables)")
-		huge     = fs.Bool("huge", false, "append the EXP-HUGE tier: N>=100k nodes on the sharded kernel")
-		shardStr = fs.String("shards", "1,2,4,8", "shard counts the -huge tier sweeps")
+		seed   = fs.Int64("seed", 1, "random seed (same seed = identical output)")
+		small  = fs.Bool("small", false, "bench-scale parameters (fast)")
+		outDir = fs.String("out", "results", "directory for CSV output (empty = no CSV)")
+		only   = fs.String("only", "", "comma-separated experiment IDs to run (e.g. EXP-F1,EXP-A3)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -65,23 +45,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	specs := experiment.All()
+	known := map[string]bool{}
+	for _, spec := range specs {
+		known[spec.ID] = true
+	}
 	want := map[string]bool{}
 	for _, id := range strings.Split(*only, ",") {
-		if id = strings.TrimSpace(id); id != "" {
-			want[strings.ToUpper(id)] = true
-		}
-	}
-	var shards []int
-	for _, s := range strings.Split(*shardStr, ",") {
-		if s = strings.TrimSpace(s); s == "" {
+		if id = strings.ToUpper(strings.TrimSpace(id)); id == "" {
 			continue
 		}
-		v, err := strconv.Atoi(s)
-		if err != nil || v < 1 {
-			fmt.Fprintf(stderr, "fairbench: bad -shards entry %q\n", s)
+		if !known[id] {
+			fmt.Fprintf(stderr, "fairbench: unknown experiment %q; the catalogue is:\n", id)
+			for _, spec := range specs {
+				fmt.Fprintf(stderr, "  %s\t%s\n", spec.ID, spec.Title)
+			}
 			return 2
 		}
-		shards = append(shards, v)
+		want[id] = true
 	}
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
@@ -89,89 +70,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 	}
-	started := time.Now()
-	record := benchrecord.Record{
-		Date:    started.UTC().Format(time.RFC3339),
-		Seed:    *seed,
-		Small:   *small,
-		Metrics: map[string]float64{},
-	}
-	// emit prints one experiment's tables, folds every numeric cell into
-	// the record's flat metrics map, and writes the CSVs.
-	emit := func(id, title string, elapsed float64, tables []experiment.Table) int {
-		fmt.Fprintf(stdout, "\n########## %s — %s  (%.1fs)\n\n", id, title, elapsed)
-		record.Experiments = append(record.Experiments, benchrecord.Experiment{
-			ID:      id,
-			Title:   title,
-			Seconds: elapsed,
-			Tables:  recordTables(tables),
-		})
-		record.Metrics[benchrecord.MetricKey("seconds", id)] = elapsed
-		for ti, t := range tables {
-			benchrecord.HarvestTable(record.Metrics, id,
-				benchrecord.Table{Cols: t.Cols, Rows: t.Rows})
-			fmt.Fprintln(stdout, t.String())
-			if *outDir != "" {
-				name := fmt.Sprintf("%s_%d.csv", strings.ToLower(strings.ReplaceAll(id, "-", "_")), ti)
-				if err := os.WriteFile(filepath.Join(*outDir, name), []byte(t.CSV()), 0o644); err != nil {
-					fmt.Fprintf(stderr, "fairbench: %v\n", err)
-					return 1
-				}
-			}
-		}
-		return 0
-	}
 	opts := experiment.Options{Seed: *seed, Small: *small}
-	for _, spec := range experiment.All() {
+	for _, spec := range specs {
 		if len(want) > 0 && !want[spec.ID] {
 			continue
 		}
 		start := time.Now()
 		tables := spec.Run(opts)
-		if rc := emit(spec.ID, spec.Title, time.Since(start).Seconds(), tables); rc != 0 {
-			return rc
+		fmt.Fprintf(stdout, "\n########## %s — %s  (%.1fs)\n\n", spec.ID, spec.Title, time.Since(start).Seconds())
+		for ti, t := range tables {
+			fmt.Fprintln(stdout, t.String())
+			if *outDir == "" {
+				continue
+			}
+			name := fmt.Sprintf("%s_%d.csv", strings.ToLower(strings.ReplaceAll(spec.ID, "-", "_")), ti)
+			if err := os.WriteFile(filepath.Join(*outDir, name), []byte(t.CSV()), 0o644); err != nil {
+				fmt.Fprintf(stderr, "fairbench: %v\n", err)
+				return 1
+			}
 		}
-	}
-	if *huge {
-		hugeOpts := experiment.HugeOptions{Seed: *seed, Shards: shards}
-		start := time.Now()
-		tables := experiment.RunHuge(hugeOpts)
-		if rc := emit("EXP-HUGE", "sharded kernel scaling tier", time.Since(start).Seconds(), tables); rc != 0 {
-			return rc
-		}
-	}
-	record.Metrics["total_seconds"] = time.Since(started).Seconds()
-	path := *jsonPath
-	mirror := ""
-	if path == "" && *outDir != "" {
-		base := "BENCH_" + started.UTC().Format("2006-01-02") + ".json"
-		path = filepath.Join(*outDir, base)
-		// Trajectory tooling scans the repository root for BENCH_*.json,
-		// while the CSV bundle (and the historical record location) is
-		// the -out directory — mirror the record to the root so both
-		// consumers see it. No mirror needed when -out already is the
-		// working directory.
-		if filepath.Clean(*outDir) != "." {
-			mirror = base
-		}
-	}
-	if path != "" {
-		if err := record.Validate(); err != nil {
-			fmt.Fprintf(stderr, "fairbench: refusing to write an invalid record: %v\n", err)
-			return 1
-		}
-		blob, err := json.MarshalIndent(record, "", "  ")
-		if err == nil {
-			err = os.WriteFile(path, append(blob, '\n'), 0o644)
-		}
-		if err == nil && mirror != "" {
-			err = os.WriteFile(mirror, append(blob, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(stderr, "fairbench: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "\nrun record: %s\n", path)
 	}
 	return 0
 }

@@ -148,19 +148,18 @@ type (
 
 // WAN shaping middleware (see internal/transport). ShapeTransport wraps
 // any TransportNet — the in-process channels, the UDP sockets, or a
-// custom substrate — with per-link delay, jitter, reorder, i.i.d. loss,
-// token-bucket bandwidth caps and correlated regional outages, all
-// drawn from one seeded RNG. Every shaper-induced loss is counted, so
-// the cluster's sent == received + dropped ledger stays exact. The
-// LiveConfig.Shape knob installs it inside a cluster; scenario shaping
-// (ShapeSpec, the shaped-wan/regional-outage/mobile-rebind/
-// intermittent-links builtins) drives it in round-relative units on
-// every differential column.
+// custom substrate — with per-link delay, jitter, reorder and i.i.d.
+// loss, all drawn from one seeded RNG. Every shaper-induced loss is
+// counted, so the cluster's sent == received + dropped ledger stays
+// exact. The LiveConfig.Shape knob installs it inside a cluster;
+// scenario shaping (ShapeSpec, the shaped-wan/regional-outage/
+// mobile-rebind/intermittent-links builtins) drives it in
+// round-relative units on every differential column.
 type (
 	// TransportProfile parameterises the shaping middleware.
 	TransportProfile = transport.Profile
 	// ShapedTransportNet is a TransportNet wrapped by ShapeTransport; it
-	// adds SetProfile, SetOutage, Drops and Rebind on top of Net.
+	// adds SetProfile, Drops and Rebind on top of Net.
 	ShapedTransportNet = transport.ShapedNet
 	// ShapeSpec is a round-relative shaping profile for scenarios.
 	ShapeSpec = scenario.ShapeSpec

@@ -16,23 +16,22 @@ import (
 // the byte-identical guarantee. A new sim package joins by adding its
 // path here; there is no per-file opt-in.
 var DeterministicPackages = map[string]bool{
-	"fairgossip/internal/eventsim":    true,
-	"fairgossip/internal/simnet":      true,
-	"fairgossip/internal/core":        true,
-	"fairgossip/internal/gossip":      true,
-	"fairgossip/internal/membership":  true,
-	"fairgossip/internal/fairness":    true,
-	"fairgossip/internal/randutil":    true,
-	"fairgossip/internal/scenario":    true,
-	"fairgossip/internal/structured":  true,
-	"fairgossip/internal/adaptive":    true,
-	"fairgossip/internal/workload":    true,
-	"fairgossip/internal/experiment":  true,
-	"fairgossip/internal/dam":         true,
-	"fairgossip/internal/balance":     true,
-	"fairgossip/internal/pubsub":      true,
-	"fairgossip/internal/stats":       true,
-	"fairgossip/internal/benchrecord": true,
+	"fairgossip/internal/eventsim":   true,
+	"fairgossip/internal/simnet":     true,
+	"fairgossip/internal/core":       true,
+	"fairgossip/internal/gossip":     true,
+	"fairgossip/internal/membership": true,
+	"fairgossip/internal/fairness":   true,
+	"fairgossip/internal/randutil":   true,
+	"fairgossip/internal/scenario":   true,
+	"fairgossip/internal/structured": true,
+	"fairgossip/internal/adaptive":   true,
+	"fairgossip/internal/workload":   true,
+	"fairgossip/internal/experiment": true,
+	"fairgossip/internal/dam":        true,
+	"fairgossip/internal/balance":    true,
+	"fairgossip/internal/pubsub":     true,
+	"fairgossip/internal/stats":      true,
 }
 
 // wallclockFuncs are the package time entry points that read or wait on

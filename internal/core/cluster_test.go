@@ -209,37 +209,6 @@ func TestFullMembershipMode(t *testing.T) {
 	}
 }
 
-func TestSmoothedControllerConfigured(t *testing.T) {
-	// Smoothing must keep the cluster functional and still adapt under
-	// sustained pressure.
-	c := NewCluster(32, Config{
-		Mode:   ModeContent,
-		Fanout: 8,
-		Batch:  16,
-		Controller: ControllerSpec{
-			Kind:        ControllerAIMD,
-			TargetRatio: 10, // absurdly tight: must shed
-			Smoothing:   0.3,
-		},
-	}, ClusterOptions{Seed: 9})
-	for _, nd := range c.Nodes {
-		nd.Subscribe(pubsub.MatchAll())
-	}
-	for r := 0; r < 20; r++ {
-		c.Node(r%32).Publish("t", nil, make([]byte, 32))
-		c.RunRounds(3)
-	}
-	shed := 0
-	for _, nd := range c.Nodes {
-		if nd.Fanout()*nd.Batch() < 8*16 {
-			shed++
-		}
-	}
-	if shed < 16 {
-		t.Fatalf("only %d/32 smoothed controllers shed load", shed)
-	}
-}
-
 func TestCyclonGeneratesInfraTraffic(t *testing.T) {
 	c := contentCluster(32, 8, ControllerSpec{Kind: ControllerStatic})
 	c.RunRounds(20)

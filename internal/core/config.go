@@ -58,9 +58,6 @@ type ControllerSpec struct {
 	Tolerance float64
 	Gain      float64
 	Beta      float64
-	// Smoothing ∈ (0,1) applies EWMA smoothing to controller inputs
-	// (adaptive.NewSmoothed); 0 or 1 disables.
-	Smoothing float64
 }
 
 // Membership selects the peer-sampling substrate.
@@ -100,15 +97,10 @@ type Config struct {
 	ControlWindow int
 
 	// Membership substrate (default MemberCyclon), with view capacity
-	// (default 16), shuffle length (default 8), and shuffle period in
-	// rounds (default 4).
+	// (default 16) and shuffle period in rounds (default 4).
 	Membership    Membership
 	ViewCap       int
-	ShuffleLen    int
 	ShuffleEvery  int
-	TopicViewCap  int     // per-topic group view capacity (default 12)
-	AdLen         int     // membership ads piggybacked on topic gossip (default 2)
-	WalkHopLimit  int     // subscription walk TTL (default 16)
 	BufferCap     int     // event buffer capacity (default 256)
 	BufferMaxAge  int     // rounds an event stays forwardable (default 8)
 	SeenCap       int     // dedup memory (default 8192)
@@ -130,6 +122,14 @@ type Config struct {
 	// fixed-seed output differs from the legacy schedule.
 	BatchRounds bool
 }
+
+// Membership parameters of the overlay and the topic-mode (§5.1) groups.
+const (
+	shuffleLen   = 8  // entries exchanged per shuffle
+	topicViewCap = 12 // per-topic group view capacity
+	adLen        = 2  // membership ads piggybacked on topic gossip
+	walkHopLimit = 16 // subscription walk TTL
+)
 
 func (c Config) withDefaults() Config {
 	if c.Mode == 0 {
@@ -167,20 +167,8 @@ func (c Config) withDefaults() Config {
 	if c.ViewCap <= 0 {
 		c.ViewCap = 16
 	}
-	if c.ShuffleLen <= 0 {
-		c.ShuffleLen = 8
-	}
 	if c.ShuffleEvery <= 0 {
 		c.ShuffleEvery = 4
-	}
-	if c.TopicViewCap <= 0 {
-		c.TopicViewCap = 12
-	}
-	if c.AdLen <= 0 {
-		c.AdLen = 2
-	}
-	if c.WalkHopLimit <= 0 {
-		c.WalkHopLimit = 16
 	}
 	if c.BufferCap <= 0 {
 		c.BufferCap = 256
@@ -208,17 +196,12 @@ func buildController(cfg Config, n int) adaptive.Controller {
 		Beta:        cfg.Controller.Beta,
 		Limits:      limits,
 	}
-	var ctrl adaptive.Controller
 	switch cfg.Controller.Kind {
 	case ControllerAIMD:
-		ctrl = adaptive.NewAIMD(acfg, cfg.Controller.Lever, cfg.Fanout, cfg.Batch)
+		return adaptive.NewAIMD(acfg, cfg.Controller.Lever, cfg.Fanout, cfg.Batch)
 	case ControllerProportional:
-		ctrl = adaptive.NewProportional(acfg, cfg.Controller.Lever, cfg.Fanout, cfg.Batch)
+		return adaptive.NewProportional(acfg, cfg.Controller.Lever, cfg.Fanout, cfg.Batch)
 	default:
 		return adaptive.Static{F: cfg.Fanout, N: cfg.Batch}
 	}
-	if s := cfg.Controller.Smoothing; s > 0 && s < 1 {
-		ctrl = adaptive.NewSmoothed(ctrl, s)
-	}
-	return ctrl
 }

@@ -106,7 +106,7 @@ func newNode(id simnet.NodeID, net *simnet.Network, ledger *fairness.Ledger, cfg
 	nd.fanout = nd.ctrl.Fanout()
 	nd.batch = nd.ctrl.Batch()
 	if cfg.Membership == MemberCyclon {
-		nd.cyclon = membership.NewCyclon(membership.NewView(id, cfg.ViewCap), cfg.ShuffleLen)
+		nd.cyclon = membership.NewCyclon(membership.NewView(id, cfg.ViewCap), shuffleLen)
 	} else {
 		nd.full = membership.FullSampler{Self: id, N: n}
 	}
@@ -313,10 +313,7 @@ func splitByTopic(events []*pubsub.Event) [][]*pubsub.Event {
 }
 
 func (nd *Node) roundTopics() {
-	minView := nd.cfg.TopicViewCap / 4
-	if minView < 1 {
-		minView = 1
-	}
+	const minView = topicViewCap / 4
 	for _, topic := range nd.groupOrder {
 		g := nd.groups[topic]
 		// Keep walking while the group view is undersized: a join that
@@ -355,8 +352,8 @@ func (nd *Node) roundTopics() {
 // groupAds samples a few known members (plus self) to piggyback, keeping
 // group views alive without a directory service.
 func (nd *Node) groupAds(g *topicGroup) []membership.Entry {
-	ads := make([]membership.Entry, 0, nd.cfg.AdLen+1)
-	for _, id := range nd.viewPeers(g.view, nd.cfg.AdLen) {
+	ads := make([]membership.Entry, 0, adLen+1)
+	for _, id := range nd.viewPeers(g.view, adLen) {
 		ads = append(ads, membership.Entry{ID: id, Age: 1})
 	}
 	return append(ads, membership.Entry{ID: nd.id, Age: 0})
@@ -451,7 +448,7 @@ func (nd *Node) joinGroup(topic string) {
 		nd.groups = make(map[string]*topicGroup)
 	}
 	nd.groups[topic] = &topicGroup{
-		view:   membership.NewView(nd.id, nd.cfg.TopicViewCap),
+		view:   membership.NewView(nd.id, topicViewCap),
 		buffer: gossip.NewBuffer(nd.cfg.BufferCap, nd.cfg.BufferMaxAge),
 	}
 	nd.rebuildGroupOrder()
@@ -477,7 +474,7 @@ func (nd *Node) startWalk(m *wireMsg) {
 		return
 	}
 	nd.walksSent++
-	m.Origin, m.Hops = nd.id, nd.cfg.WalkHopLimit
+	m.Origin, m.Hops = nd.id, walkHopLimit
 	nd.send(contacts[0], m, fairness.ClassInfra)
 }
 
@@ -668,8 +665,8 @@ func (nd *Node) handleSubWalk(from simnet.NodeID, m *wireMsg) {
 	if g, ok := nd.groups[m.Topic]; ok {
 		// We are a subscriber: answer with bootstrap entries and adopt
 		// the new member.
-		entries := make([]membership.Entry, 0, nd.cfg.ShuffleLen+1)
-		for _, id := range nd.viewPeers(g.view, nd.cfg.ShuffleLen) {
+		entries := make([]membership.Entry, 0, shuffleLen+1)
+		for _, id := range nd.viewPeers(g.view, shuffleLen) {
 			entries = append(entries, membership.Entry{ID: id, Age: 1})
 		}
 		entries = append(entries, membership.Entry{ID: nd.id, Age: 0})

@@ -185,7 +185,7 @@ func TestShardedJoin(t *testing.T) {
 }
 
 // Batched rounds must stay deterministic and functional when sharded —
-// the configuration the -huge bench tier runs.
+// the configuration bench/'s sim-huge runs.
 func TestShardedBatchRoundsDeterministic(t *testing.T) {
 	run := func() *Cluster {
 		cfg := shardTestConfig()

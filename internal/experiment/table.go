@@ -1,8 +1,8 @@
 // Package experiment is the benchmark harness: one function per
-// figure/claim of the paper (see DESIGN.md §3 for the index), each
-// returning text/CSV tables whose *shape* is compared against the paper's
-// assertions in EXPERIMENTS.md. All experiments are deterministic in the
-// seed and scale down for `go test -bench`.
+// figure/claim of the paper (All() is the index, PAPER.md the source),
+// each returning text/CSV tables whose *shape* is compared against the
+// paper's assertions. All experiments are deterministic in the seed and
+// scale down for `go test -bench`.
 package experiment
 
 import (
@@ -114,7 +114,8 @@ type Options struct {
 	Small bool
 }
 
-// All returns the registry of every experiment, in DESIGN.md order.
+// All returns the registry of every experiment, in the paper's order:
+// figures, §4 baselines, then ablations and extensions.
 func All() []Spec {
 	return []Spec{
 		{"EXP-F1", "Fairness ratio equalisation (Fig. 1)", ExpF1},

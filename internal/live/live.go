@@ -81,8 +81,6 @@ type Config struct {
 	// TargetRatio > 0 enables the AIMD fairness controller with that
 	// contribution-per-benefit target; 0 keeps static levers.
 	TargetRatio float64
-	// ControlWindow is rounds between controller updates (default 5).
-	ControlWindow int
 	// InboxDepth is the per-peer channel buffer (default 1024).
 	InboxDepth int
 	// BufferMaxAge is how many rounds an event stays forwardable
@@ -92,11 +90,9 @@ type Config struct {
 	// guarantees fresh events win send slots under backlog).
 	Policy gossip.Policy
 	// ViewCap is each peer's partial-view capacity (default 16),
-	// ShuffleLen the entries exchanged per Cyclon shuffle (default 8,
-	// clamped to ViewCap), ShuffleEvery the rounds between a peer's
-	// shuffle initiations (default 2).
+	// ShuffleEvery the rounds between a peer's shuffle initiations
+	// (default 2).
 	ViewCap      int
-	ShuffleLen   int
 	ShuffleEvery int
 	// EvictStrikes is the failure detector's threshold: a view entry
 	// whose peer leaves this many consecutive shuffle offers unanswered
@@ -124,13 +120,18 @@ type Config struct {
 	Transport transport.Factory
 	// Shape, when non-nil, wraps the transport in the shaping middleware
 	// (transport.Shape) with this initial profile — per-link delay,
-	// jitter, reorder, loss, bandwidth policing and regional outages, all
-	// from a seeded RNG. The zero Profile is inert but still installs the
-	// middleware, which is what lets SetShape/SetOutage act mid-run. A
-	// zero Profile.Seed is filled from Config.Seed. Nil keeps the
-	// transport bare (the historical semantics, byte for byte).
+	// jitter, reorder and loss, all from a seeded RNG. The zero Profile
+	// is inert but still installs the middleware, which is what lets
+	// SetShape act mid-run. A zero Profile.Seed is filled from
+	// Config.Seed. Nil keeps the transport bare (the historical
+	// semantics, byte for byte).
 	Shape *transport.Profile
 }
+
+const (
+	controlWindow = 5 // rounds between controller updates
+	shuffleLen    = 8 // entries exchanged per Cyclon shuffle (NewCyclon clamps it to ViewCap)
+)
 
 func (c Config) withDefaults() Config {
 	if c.N < 2 {
@@ -145,9 +146,6 @@ func (c Config) withDefaults() Config {
 	if c.RoundPeriod <= 0 {
 		c.RoundPeriod = 20 * time.Millisecond
 	}
-	if c.ControlWindow <= 0 {
-		c.ControlWindow = 5
-	}
 	if c.InboxDepth <= 0 {
 		c.InboxDepth = 1024
 	}
@@ -159,12 +157,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ViewCap <= 0 {
 		c.ViewCap = 16
-	}
-	if c.ShuffleLen <= 0 {
-		c.ShuffleLen = 8
-	}
-	if c.ShuffleLen > c.ViewCap {
-		c.ShuffleLen = c.ViewCap
 	}
 	if c.ShuffleEvery <= 0 {
 		c.ShuffleEvery = 2
@@ -237,9 +229,8 @@ type Traffic struct {
 	// Dropped is every counted loss: FaultDrops + InboxDrops +
 	// TransportDrops + ShaperDrops. A message can only land in one
 	// bucket: the fault check runs before the envelope reaches the
-	// shaper, and the shaper's internal verdicts (outage, loss,
-	// bandwidth) are mutually exclusive — so shaping composed with
-	// scenario faults never double-counts a loss.
+	// shaper — so shaping composed with scenario faults never
+	// double-counts a loss.
 	Dropped uint64
 	// FaultDrops: injected faults ate it (crashed destination,
 	// partition, i.i.d. loss).
@@ -250,10 +241,9 @@ type Traffic struct {
 	// TransportDrops: the transport refused or failed the send
 	// (oversized datagram, closed socket, an address nobody holds).
 	TransportDrops uint64
-	// ShaperDrops: the shaping middleware ate it (profile loss, a
-	// policed bandwidth cap, a regional-outage boundary, or a deferred
-	// delivery the substrate refused). Zero unless Config.Shape
-	// installed the shaper.
+	// ShaperDrops: the shaping middleware ate it (profile loss, or a
+	// deferred delivery the substrate refused). Zero unless
+	// Config.Shape installed the shaper.
 	ShaperDrops uint64
 	// Malformed counts received envelopes that failed to decode or
 	// carried an invalid sender (a subset of Recv, not of Dropped).
@@ -417,7 +407,7 @@ func (c *Cluster) newPeer(id int) *peer {
 		buffer:   gossip.NewBuffer(256, cfg.BufferMaxAge),
 		seen:     gossip.NewSeenSet(8192),
 		ctrl:     ctrl,
-		cyclon:   membership.NewCyclon(membership.NewView(simnet.NodeID(id), cfg.ViewCap), cfg.ShuffleLen),
+		cyclon:   membership.NewCyclon(membership.NewView(simnet.NodeID(id), cfg.ViewCap), shuffleLen),
 		joinSeed: -1,
 		det:      newDetector(cfg.EvictStrikes, cfg.QuarantineRounds),
 		probe:    simnet.None,
@@ -788,28 +778,14 @@ func (c *Cluster) SetLoss(p float64) {
 }
 
 // SetShape swaps the shaping middleware's profile mid-run (delay,
-// jitter, reorder, loss, bandwidth). Returns false when the cluster was
-// built without Config.Shape — shaping cannot be bolted on after
+// jitter, reorder, loss). Returns false when the cluster was built
+// without Config.Shape — shaping cannot be bolted on after
 // construction, because peers hold their transport endpoints.
 func (c *Cluster) SetShape(p transport.Profile) bool {
 	if c.shaped == nil {
 		return false
 	}
 	c.shaped.SetProfile(p)
-	return true
-}
-
-// SetOutage marks (on) or clears (off) a correlated regional outage
-// over the given peer ids: boundary-crossing envelopes are eaten with
-// probability Profile.OutageLoss (default 1) and counted in
-// Traffic().ShaperDrops; traffic wholly inside the region still flows.
-// on=false with nil members lifts every outage. Returns false without
-// the shaping middleware.
-func (c *Cluster) SetOutage(members []int, on bool) bool {
-	if c.shaped == nil {
-		return false
-	}
-	c.shaped.SetOutage(members, on)
 	return true
 }
 
@@ -947,7 +923,7 @@ func (p *peer) round() {
 		p.gossip()
 	}
 	p.buffer.Tick()
-	if p.rounds%p.c.cfg.ControlWindow == 0 {
+	if p.rounds%controlWindow == 0 {
 		acct := p.c.ledger.Account(p.id)
 		delta := fairness.Delta(acct, p.last)
 		p.last = acct

@@ -235,7 +235,7 @@ func TestLiveConfigDefaults(t *testing.T) {
 	if c.cfg.Fanout != 4 || c.cfg.Batch != 8 || c.cfg.InboxDepth != 1024 {
 		t.Fatalf("defaults: %+v", c.cfg)
 	}
-	if c.cfg.ViewCap != 16 || c.cfg.ShuffleLen != 8 || c.cfg.ShuffleEvery != 2 {
+	if c.cfg.ViewCap != 16 || c.cfg.ShuffleEvery != 2 {
 		t.Fatalf("membership defaults: %+v", c.cfg)
 	}
 }

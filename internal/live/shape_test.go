@@ -77,8 +77,8 @@ func TestShapedLedgerBytesExact(t *testing.T) {
 }
 
 // TestShapedDropCompositionExact is the count-once audit: with shaper
-// loss, scenario fault loss, crashed destinations AND a regional outage
-// all active at once, conservation stays exact — a message dropped by
+// loss, scenario fault loss, crashed destinations AND a partition all
+// active at once, conservation stays exact — a message dropped by
 // one layer never reaches the next, so no loss is counted twice and
 // none vanishes.
 func TestShapedDropCompositionExact(t *testing.T) {
@@ -95,9 +95,7 @@ func TestShapedDropCompositionExact(t *testing.T) {
 	c.SetLoss(0.25) // fault-layer loss stacked on shaper loss
 	c.Start()
 	c.Crash(7) // crashed destination: fault layer eats it first
-	if !c.SetOutage([]int{2, 3}, true) {
-		t.Fatal("SetOutage refused with the shaper installed")
-	}
+	c.Partition([]int{2, 3})
 	for k := 0; k < 30; k++ {
 		c.Publish(k%5, "t", nil, make([]byte, 48))
 		time.Sleep(2 * time.Millisecond)
@@ -111,10 +109,10 @@ func TestShapedDropCompositionExact(t *testing.T) {
 			tr.Sent, tr.Recv, tr.Dropped, int64(tr.Sent)-int64(tr.Recv)-int64(tr.Dropped))
 	}
 	if tr.FaultDrops == 0 {
-		t.Fatal("fault layer (loss + crashed peer) dropped nothing")
+		t.Fatal("fault layer (loss + crashed peer + partition) dropped nothing")
 	}
 	if tr.ShaperDrops == 0 {
-		t.Fatal("shaper layer (loss + outage) dropped nothing")
+		t.Fatal("shaper layer (loss) dropped nothing")
 	}
 }
 
@@ -124,9 +122,6 @@ func TestSetShapeRequiresMiddleware(t *testing.T) {
 	bare := mustCluster(t, Config{N: 2, Seed: 23})
 	if bare.SetShape(transport.Profile{Loss: 1}) {
 		t.Fatal("SetShape succeeded without Config.Shape")
-	}
-	if bare.SetOutage([]int{0}, true) {
-		t.Fatal("SetOutage succeeded without Config.Shape")
 	}
 	bare.Stop()
 

@@ -126,7 +126,7 @@ func Execute(rt Runtime, sc Scenario, seed int64) *Result {
 	}
 	r.setup()
 	rt.Start()
-	rt.Step(sc.Warmup)
+	rt.Step(warmupRounds)
 
 	for round := 0; round < sc.Rounds; round++ {
 		r.Round = round
@@ -149,7 +149,7 @@ func Execute(rt Runtime, sc Scenario, seed int64) *Result {
 	if sc.CheckRecovery || sc.CheckViewHygiene {
 		r.settle()
 	}
-	rt.Drain(sc.DrainRounds, r.deliveries.Load)
+	rt.Drain(drainRounds, r.deliveries.Load)
 	// Close before judging: on the live runtime a straggler delivery
 	// could otherwise land between two reads of an invariant check.
 	// Everything the checks need (ledger, traffic counters) outlives the
@@ -403,14 +403,6 @@ func (r *Run) Partition(side []int) {
 	r.rt.Partition(side)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.splitModelLocked(side)
-}
-
-// splitModelLocked applies the engine-side model of a connectivity cut
-// isolating side from the rest — shared by Partition and RegionalOutage,
-// which differ only in the runtime mechanism (fault-layer partition vs
-// shaper region tags). Callers hold r.mu.
-func (r *Run) splitModelLocked(side []int) {
 	r.noteFaultLocked()
 	for i := range r.group {
 		r.group[i] = 0
@@ -428,11 +420,6 @@ func (r *Run) splitModelLocked(side []int) {
 // whole population again.
 func (r *Run) Heal() {
 	r.rt.Heal()
-	r.healModel()
-}
-
-// healModel is the engine-side half of Heal and RegionalHeal.
-func (r *Run) healModel() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.noteFaultLocked()
@@ -463,11 +450,10 @@ func (r *Run) ShapeTo(sp ShapeSpec) {
 }
 
 // RegionalOutage cuts region (id mod Scenario.Regions) off from the
-// rest of the population. The engine models it exactly like a
-// partition — undelivered cross-boundary pairs are released — while the
-// runtime enforces it with its own mechanism (shaper region tags on the
-// live columns, the partition model on sim). No-op unless the scenario
-// declares Regions > 0.
+// rest of the population. It is a Partition whose side the scenario
+// names by address region: one cut in the model, one in the runtime,
+// and like any Partition it replaces a cut already in force. No-op
+// unless the scenario declares Regions > 0.
 func (r *Run) RegionalOutage(region int) {
 	if r.sc.Regions <= 0 {
 		return
@@ -479,16 +465,7 @@ func (r *Run) RegionalOutage(region int) {
 			members = append(members, id)
 		}
 	}
-	r.rt.RegionOutage(members, true)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.splitModelLocked(members)
-}
-
-// RegionalHeal reconnects all regions.
-func (r *Run) RegionalHeal() {
-	r.rt.RegionOutage(nil, false)
-	r.healModel()
+	r.Partition(members)
 }
 
 // RebindPeer moves one peer to a fresh transport address and
@@ -716,11 +693,11 @@ func (r *Run) settle() {
 	recovered, clean := true, true
 	if r.sc.CheckRecovery {
 		recovered = false
-		recDeadline = lastFault + int(r.sc.RecoveryC*float64(r.N())+0.5)
+		recDeadline = lastFault + r.recoveryBudget()
 	}
 	if r.sc.CheckViewHygiene {
 		clean = false
-		hygDeadline = lastFault + r.sc.HygieneRounds
+		hygDeadline = lastFault + r.hygieneBudget()
 	}
 	round := r.sc.Rounds // rounds elapsed: the publishing phase just ended
 	for {
@@ -752,6 +729,14 @@ func (r *Run) settle() {
 		round++
 	}
 }
+
+// recoveryBudget is the bounded-recovery budget in rounds after the last
+// fault, over the current population (joiners count).
+func (r *Run) recoveryBudget() int { return recoveryC * r.N() }
+
+// hygieneBudget is the view-hygiene budget in rounds after the last
+// fault, over the founding population.
+func (r *Run) hygieneBudget() int { return 2 * r.sc.N }
 
 // recoveryMet reports whether delivery has reached the scenario's
 // MinDelivery floor over the pairs eligible right now.

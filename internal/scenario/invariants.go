@@ -143,7 +143,7 @@ func LedgerConservation() Invariant {
 	}
 }
 
-// ViewHygiene: within HygieneRounds of the last fault action, no live
+// ViewHygiene: within 2·N rounds of the last fault action, no live
 // peer's membership view still holds the address of a down peer —
 // graceful leavers are scrubbed by the Leave hand-off, crashed peers by
 // the probe-timeout failure detector riding the Cyclon shuffles. Stale
@@ -163,7 +163,7 @@ func ViewHygiene() Invariant {
 			}
 			if r.hygieneAt < 0 {
 				return fmt.Errorf("views not clean within %d rounds of the last fault (round %d): %s",
-					r.sc.HygieneRounds, r.LastFault(), r.hygieneNote)
+					r.hygieneBudget(), r.LastFault(), r.hygieneNote)
 			}
 			if off := r.hygieneOffender(); off != "" {
 				return fmt.Errorf("dead address resurfaced after round %d: %s", r.hygieneAt, off)
@@ -174,7 +174,7 @@ func ViewHygiene() Invariant {
 }
 
 // BoundedRecovery: delivery reaches the MinDelivery floor within
-// ⌈RecoveryC·N⌉ rounds of the last fault action — the recovery-time
+// recoveryC·N rounds of the last fault action — the recovery-time
 // bound that turns "eventual delivery" into a budgeted guarantee
 // (linear-in-N dissemination bounds in the style of arXiv:1701.06800).
 // The settle phase records the round the floor was first met; never
@@ -183,13 +183,13 @@ func BoundedRecovery() Invariant {
 	return Invariant{
 		Name: "bounded-recovery",
 		Check: func(r *Run) error {
-			budget := int(r.sc.RecoveryC*float64(r.N()) + 0.5)
+			budget := r.recoveryBudget()
 			if r.recoveredAt < 0 {
 				r.mu.Lock()
 				eligible, delivered, firstMiss := r.pairTotalsLocked()
 				r.mu.Unlock()
-				return fmt.Errorf("delivery did not recover within %d rounds (c=%g, N=%d) of the last fault (round %d): %d/%d pairs; e.g. %s",
-					budget, r.sc.RecoveryC, r.N(), r.LastFault(), delivered, eligible, firstMiss)
+				return fmt.Errorf("delivery did not recover within %d rounds (c=%d, N=%d) of the last fault (round %d): %d/%d pairs; e.g. %s",
+					budget, recoveryC, r.N(), r.LastFault(), delivered, eligible, firstMiss)
 			}
 			if got := r.recoveredAt - r.LastFault(); got > budget {
 				return fmt.Errorf("recovered %d rounds after the last fault, budget %d", got, budget)
@@ -212,7 +212,7 @@ func FairnessConvergence() Invariant {
 			r.mu.Lock()
 			early, late := r.fairnessWindowsLocked()
 			r.mu.Unlock()
-			floor := r.sc.FairnessFloor
+			floor := fairnessFloor
 			if strings.HasPrefix(r.rt.Name(), "live") {
 				// Wall-clock scheduling jitters the live windows; hold the
 				// same shape to a looser floor.

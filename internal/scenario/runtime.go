@@ -56,10 +56,6 @@ type Runtime interface {
 	// carry the middleware, the sim swaps its latency model and composed
 	// loss.
 	SetShape(sp ShapeSpec)
-	// RegionOutage cuts the given members off from the rest of the
-	// population (on=true) or reconnects everyone (on=false, members
-	// ignored). Intra-member traffic still flows.
-	RegionOutage(members []int, on bool)
 	// Rebind moves a peer to a fresh transport address and re-announces
 	// it through the join path. On substrates without real addresses
 	// (sim, chan) it is a successful no-op — the address IS the id.
@@ -263,11 +259,10 @@ func (s *SimRuntime) applyLoss() {
 
 // SetShape maps a round-relative spec onto the simulator: Loss composes
 // with fault loss, Delay/Jitter/Reorder become a latency model drawn
-// from the sim's own seeded RNG (so shaped runs stay bit-deterministic),
-// and RatePerRound is ignored — the idealised network has no bandwidth
-// model. The reorder draw mirrors the live shaper: with probability
-// Reorder a message takes a large extra delay, up to 3×(delay+jitter),
-// and overtakes traffic sent after it.
+// from the sim's own seeded RNG (so shaped runs stay bit-deterministic).
+// The reorder draw mirrors the live shaper: with probability Reorder a
+// message takes a large extra delay, up to 3×(delay+jitter), and
+// overtakes traffic sent after it.
 func (s *SimRuntime) SetShape(sp ShapeSpec) {
 	s.shapeLoss = sp.Loss
 	s.applyLoss()
@@ -292,18 +287,6 @@ func (s *SimRuntime) SetShape(sp ShapeSpec) {
 		}
 		return d
 	})
-}
-
-// RegionOutage maps a regional cut onto the sim's partition model: the
-// members keep talking among themselves and lose everyone else, which
-// is exactly the shaper's region-tag semantics with a hard (OutageLoss
-// = 1) boundary.
-func (s *SimRuntime) RegionOutage(members []int, on bool) {
-	if !on {
-		s.C.Heal()
-		return
-	}
-	s.Partition(members)
 }
 
 // Rebind is a successful no-op: the simulator addresses nodes by dense
@@ -369,8 +352,7 @@ func newLiveRuntime(sc Scenario, seed int64, tf transport.Factory, name string) 
 	sc = sc.withDefaults()
 	// Always install the shaping middleware — inert when the scenario
 	// declares no profile (one atomic load per send), shaped otherwise —
-	// so the Shape/RegionalOutage actions work mid-run on every live
-	// column.
+	// so the Shape action works mid-run on every live column.
 	prof := liveProfile(sc.Shape, LiveRoundPeriod)
 	c, err := live.NewCluster(live.Config{
 		N:            sc.N,
@@ -381,7 +363,6 @@ func newLiveRuntime(sc Scenario, seed int64, tf transport.Factory, name string) 
 		BufferMaxAge: sc.BufferMaxAge,
 		Policy:       gossip.PolicyLeastSent, // see NewSimRuntime
 		ViewCap:      sc.ViewCap,
-		ShuffleLen:   sc.ShuffleLen,
 		ShuffleEvery: sc.ShuffleEvery,
 		Seed:         seed,
 		Transport:    tf,
@@ -426,11 +407,6 @@ func (l *LiveRuntime) SetLoss(p float64)                 { l.C.SetLoss(p) }
 func (l *LiveRuntime) SetShape(sp ShapeSpec) {
 	l.C.SetShape(liveProfile(&sp, l.period))
 }
-
-// RegionOutage tags the members at the shaper; cross-boundary envelopes
-// are dropped into the counted ShaperDrops bucket, so drop conservation
-// stays exact through the outage.
-func (l *LiveRuntime) RegionOutage(members []int, on bool) { l.C.SetOutage(members, on) }
 
 // Rebind moves the peer to a fresh transport endpoint (a real socket
 // swap on live-udp, a no-op on the in-process chan substrate) and

@@ -68,12 +68,10 @@ type Scenario struct {
 	// Live-runtime membership knobs: partial-view capacity (default 24 —
 	// large enough that a 32-peer scenario's views mix well, small
 	// enough that they stay genuinely partial and join-wave joiners must
-	// propagate), entries exchanged per Cyclon shuffle (default 8), and
-	// rounds between a peer's shuffle initiations (default 2). The sim
-	// column keeps the idealised full-membership sampler — see
-	// NewSimRuntime.
+	// propagate) and rounds between a peer's shuffle initiations
+	// (default 2). The sim column keeps the idealised full-membership
+	// sampler — see NewSimRuntime.
 	ViewCap      int
-	ShuffleLen   int
 	ShuffleEvery int
 	// JoinGrace is the joiner eligibility rule: a peer added by
 	// JoinNodes is only required to deliver events published at least
@@ -89,11 +87,9 @@ type Scenario struct {
 	PerRound int // events published per round (default 2)
 	Payload  int // event payload bytes (default 64)
 
-	// Phases: Warmup rounds before publishing, Rounds publishing rounds,
-	// DrainRounds after publishing stops.
-	Warmup      int // default 5
-	Rounds      int // default 30
-	DrainRounds int // default 12
+	// Rounds is the publishing phase (default 30), between warmupRounds
+	// before it and drainRounds after.
+	Rounds int
 
 	// Steps are the timed fault actions; EveryRound, when set, runs each
 	// publishing round after the timed steps (dynamic behaviour such as
@@ -116,29 +112,34 @@ type Scenario struct {
 	// Lossy schedules leave slack for stochastic tails.
 	MinDelivery float64
 	// CheckFairness enables the fairness-ratio convergence invariant
-	// (requires TargetRatio > 0); FairnessFloor is the late-window Jain
-	// index floor (default 0.5).
+	// (requires TargetRatio > 0): the late-window Jain index must reach
+	// fairnessFloor.
 	CheckFairness bool
-	FairnessFloor float64
 
 	// CheckRecovery enables the bounded-recovery invariant: delivery
-	// must reach the MinDelivery floor within ⌈RecoveryC·N⌉ rounds
-	// (default c = 2) of the last fault action. The engine appends a
-	// settle phase after the publishing schedule that steps the runtime
-	// one round at a time until the floor is met or the budget runs out,
-	// recording the round recovery was first observed.
+	// must reach the MinDelivery floor within recoveryC·N rounds of the
+	// last fault action. The engine appends a settle phase after the
+	// publishing schedule that steps the runtime one round at a time
+	// until the floor is met or the budget runs out, recording the round
+	// recovery was first observed.
 	CheckRecovery bool
-	RecoveryC     float64
 
-	// CheckViewHygiene enables the view-hygiene invariant: within
-	// HygieneRounds (default 2·N) of the last fault action, no live
-	// peer's membership view may still hold the address of a down peer —
-	// graceful leavers via the Leave hand-off, crashed peers via the
-	// probe-timeout failure detector. Vacuous on runtimes without
-	// inspectable partial views (the idealised sim column).
+	// CheckViewHygiene enables the view-hygiene invariant: within 2·N
+	// rounds of the last fault action, no live peer's membership view
+	// may still hold the address of a down peer — graceful leavers via
+	// the Leave hand-off, crashed peers via the probe-timeout failure
+	// detector. Vacuous on runtimes without inspectable partial views
+	// (the idealised sim column).
 	CheckViewHygiene bool
-	HygieneRounds    int
 }
+
+// What no scenario ever varied (LINTING.md, "The options census").
+const (
+	warmupRounds  = 5   // rounds before publishing starts
+	drainRounds   = 12  // rounds after publishing stops
+	fairnessFloor = 0.5 // fairness-convergence: late-window Jain floor
+	recoveryC     = 2   // bounded-recovery: budget is recoveryC·N rounds
+)
 
 func (sc Scenario) withDefaults() Scenario {
 	if sc.N <= 0 {
@@ -158,9 +159,6 @@ func (sc Scenario) withDefaults() Scenario {
 	}
 	if sc.ViewCap <= 0 {
 		sc.ViewCap = 24
-	}
-	if sc.ShuffleLen <= 0 {
-		sc.ShuffleLen = 8
 	}
 	if sc.ShuffleEvery <= 0 {
 		sc.ShuffleEvery = 2
@@ -182,26 +180,11 @@ func (sc Scenario) withDefaults() Scenario {
 	} else if sc.Payload == 0 {
 		sc.Payload = 64
 	}
-	if sc.Warmup <= 0 {
-		sc.Warmup = 5
-	}
 	if sc.Rounds <= 0 {
 		sc.Rounds = 30
 	}
-	if sc.DrainRounds <= 0 {
-		sc.DrainRounds = 12
-	}
 	if sc.MinDelivery <= 0 {
 		sc.MinDelivery = 1
-	}
-	if sc.FairnessFloor <= 0 {
-		sc.FairnessFloor = 0.5
-	}
-	if sc.RecoveryC <= 0 {
-		sc.RecoveryC = 2
-	}
-	if sc.HygieneRounds <= 0 {
-		sc.HygieneRounds = 2 * sc.N
 	}
 	return sc
 }
@@ -564,7 +547,7 @@ func Builtins() []Scenario {
 		},
 		{
 			Name:             "regional-outage",
-			Note:             "one of four address regions drops off the map mid-run, keeps gossiping internally, then reconnects; correlated loss lands in the counted shaper bucket",
+			Note:             "one of four address regions drops off the map mid-run, keeps gossiping internally, then reconnects; the boundary's losses land in the counted fault bucket",
 			Regions:          4,
 			Shape:            &ShapeSpec{DelayRounds: 0.1, JitterRounds: 0.15},
 			BufferMaxAge:     14,
@@ -615,7 +598,6 @@ func Builtins() []Scenario {
 			BufferMaxAge:  14,
 			MinDelivery:   0.97, // AIMD may shed batch to its floor while converging
 			CheckFairness: true,
-			FairnessFloor: 0.5,
 		},
 	}
 }

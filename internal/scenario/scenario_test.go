@@ -438,7 +438,7 @@ func TestGracefulDrainScrubsViews(t *testing.T) {
 	if recoveredAt < 0 || hygieneAt < 0 {
 		t.Fatalf("settle never observed recovery (%d) / hygiene (%d)", recoveredAt, hygieneAt)
 	}
-	if hygieneAt-lastFault > sc.withDefaults().HygieneRounds {
+	if hygieneAt-lastFault > 2*sc.withDefaults().N {
 		t.Errorf("hygiene at round %d exceeds budget from fault round %d", hygieneAt, lastFault)
 	}
 }
@@ -462,7 +462,7 @@ func TestCrashStormRecoveryBounded(t *testing.T) {
 	if lastFault != 14 {
 		t.Errorf("lastFault %d, want 14 (the loss-clearing step)", lastFault)
 	}
-	budget := int(sc.withDefaults().RecoveryC*float64(sc.withDefaults().N) + 0.5)
+	budget := recoveryC * sc.withDefaults().N
 	if recoveredAt < 0 || recoveredAt-lastFault > budget {
 		t.Errorf("recovery at round %d violates budget %d from fault round %d", recoveredAt, budget, lastFault)
 	}
@@ -564,7 +564,7 @@ func TestShapePresets(t *testing.T) {
 		if name == "none" && sp != nil {
 			t.Fatal("preset none returned a profile")
 		}
-		if name != "none" && sp.inert() {
+		if name != "none" && *sp == (ShapeSpec{}) {
 			t.Fatalf("preset %q is inert", name)
 		}
 	}

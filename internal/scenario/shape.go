@@ -26,16 +26,6 @@ type ShapeSpec struct {
 	// Loss is the i.i.d. shaper drop probability, composed with (not
 	// replacing) any scenario fault loss.
 	Loss float64
-	// RatePerRound caps per-link bandwidth in bytes per round. Live
-	// columns enforce it with a token bucket; the idealised sim network
-	// has no bandwidth model, so there it is documented slack, not a cap.
-	RatePerRound int
-}
-
-// inert reports whether the spec shapes nothing.
-func (sp ShapeSpec) inert() bool {
-	return sp.DelayRounds == 0 && sp.JitterRounds == 0 && sp.Reorder == 0 &&
-		sp.Loss == 0 && sp.RatePerRound == 0
 }
 
 // liveProfile converts a round-relative spec to the wall-clock
@@ -44,17 +34,12 @@ func liveProfile(sp *ShapeSpec, round time.Duration) transport.Profile {
 	if sp == nil {
 		return transport.Profile{}
 	}
-	p := transport.Profile{
+	return transport.Profile{
 		Delay:   time.Duration(sp.DelayRounds * float64(round)),
 		Jitter:  time.Duration(sp.JitterRounds * float64(round)),
 		Reorder: sp.Reorder,
 		Loss:    sp.Loss,
 	}
-	if sp.RatePerRound > 0 && round > 0 {
-		p.Rate = int(float64(sp.RatePerRound) / round.Seconds())
-		p.Burst = 4 * sp.RatePerRound
-	}
-	return p
 }
 
 // --- Presets -----------------------------------------------------------------
@@ -101,8 +86,8 @@ func ClearShape() Action {
 
 // RegionalOutage cuts one region (peers with id ≡ region mod
 // Scenario.Regions) off from the rest of the population: intra-region
-// traffic still flows, cross-boundary traffic is dropped at the shaper
-// (live columns) or the partition model (sim). Requires Regions > 0.
+// traffic still flows, cross-boundary traffic is dropped by the
+// runtime's partition (see Run.RegionalOutage). Requires Regions > 0.
 func RegionalOutage(region int) Action {
 	return Action{
 		Name: fmt.Sprintf("regional outage %d", region),
@@ -110,9 +95,10 @@ func RegionalOutage(region int) Action {
 	}
 }
 
-// RegionalHeal reconnects all regions.
+// RegionalHeal reconnects all regions: the outage is a partition, so
+// this is Heal under the scenario author's name for it.
 func RegionalHeal() Action {
-	return Action{Name: "regional heal", Do: func(r *Run) { r.RegionalHeal() }}
+	return Action{Name: "regional heal", Do: func(r *Run) { r.Heal() }}
 }
 
 // RebindFrac makes ⌈frac·N⌉ random up peers change their transport

@@ -1,9 +1,8 @@
-// Package structured implements the §4.1 baseline: a Pastry-like
-// prefix-routing identifier space and Scribe-style rendezvous multicast
-// trees built on top of it.
+// Package structured implements the paper's §4.1 baseline (PAPER.md): a
+// Pastry-like prefix-routing identifier space and Scribe-style
+// rendezvous multicast trees built on top of it.
 //
-// Substitution note (documented in DESIGN.md): real Pastry optimises
-// routing-table entries for network proximity. The paper's fairness
+// Substitution note: real Pastry optimises routing-table entries for network proximity. The paper's fairness
 // argument depends only on *who forwards* — i.e. on tree membership
 // induced by prefix routes — so this implementation routes on the
 // identifier space alone and builds routing state from the global node

@@ -10,8 +10,8 @@ import (
 
 // Profile parameterises the shaping middleware: what the network between
 // two endpoints does to an envelope beyond delivering it instantly. The
-// zero value is an inert profile (no delay, no loss, no cap) — shaping
-// it costs one atomic load per Send.
+// zero value is an inert profile (no delay, no loss) — shaping it costs
+// one atomic load per Send.
 type Profile struct {
 	// Seed drives every stochastic decision the shaper makes (loss
 	// draws, jitter draws, reorder draws). Shape captures it once at
@@ -31,23 +31,11 @@ type Profile struct {
 	// The sender is not told — like a real datagram network — but the
 	// loss is counted in Drops().
 	Loss float64
-	// Rate, when > 0, polices each directed link (from, to) to this many
-	// bytes per second through a token bucket; an envelope that finds
-	// the bucket short is dropped and counted, which is how a policed
-	// (not buffered) link behaves.
-	Rate int
-	// Burst is the token-bucket depth in bytes (default max(Rate/8,
-	// 16384)). Envelopes larger than Burst can never pass a capped link.
-	Burst int
-	// OutageLoss is the drop probability applied to envelopes crossing a
-	// regional-outage boundary (see SetOutage). Zero means 1: an outage
-	// is a hard cut unless explicitly softened.
-	OutageLoss float64
 }
 
 // inert reports whether the profile shapes nothing.
 func (p Profile) inert() bool {
-	return p.Delay == 0 && p.Jitter == 0 && p.Reorder == 0 && p.Loss == 0 && p.Rate == 0
+	return p.Delay == 0 && p.Jitter == 0 && p.Reorder == 0 && p.Loss == 0
 }
 
 // Rebinder is the optional Net capability behind mobile peers: move one
@@ -61,10 +49,10 @@ type Rebinder interface {
 }
 
 // Shape wraps any Net in the shaping middleware. Outbound envelopes are
-// intercepted at Send time: loss, outage and bandwidth verdicts are
-// immediate (and counted in Drops()); delay, jitter and reorder hold
-// the envelope in a time-ordered queue and deliver it through the
-// substrate later, from a single dispatcher goroutine.
+// intercepted at Send time: the loss verdict is immediate (and counted
+// in Drops()); delay, jitter and reorder hold the envelope in a
+// time-ordered queue and deliver it through the substrate later, from a
+// single dispatcher goroutine.
 //
 // The buffer-ownership contract survives shaping untouched: a held
 // envelope is the same immutable byte slice the sender passed in — the
@@ -77,7 +65,6 @@ func Shape(inner Net, p Profile) *ShapedNet {
 	s := &ShapedNet{
 		inner: inner,
 		rng:   rand.New(rand.NewSource(p.Seed)),
-		links: make(map[uint64]*linkBucket),
 		wake:  make(chan struct{}, 1),
 		halt:  make(chan struct{}),
 		done:  make(chan struct{}),
@@ -91,20 +78,14 @@ func Shape(inner Net, p Profile) *ShapedNet {
 type ShapedNet struct {
 	inner Net
 	prof  atomic.Pointer[Profile]
-	// outage tags each peer id with a region generation; envelopes whose
-	// endpoints carry different tags cross an outage boundary. Nil when
-	// no outage is in force (the fast path checks exactly that).
-	outage    atomic.Pointer[[]int32]
-	outageGen int32
-	drops     atomic.Uint64
+	drops atomic.Uint64
 
-	mu      sync.Mutex             // guards rng, links, queue, seq, closed, running
-	rng     *rand.Rand             // guarded by mu
-	links   map[uint64]*linkBucket // guarded by mu
-	queue   deferredQueue          // guarded by mu
-	seq     uint64                 // guarded by mu
-	closed  bool                   // guarded by mu
-	running bool                   // guarded by mu -- dispatcher goroutine started (lazily, on first hold)
+	mu      sync.Mutex    // guards rng, queue, seq, closed, running
+	rng     *rand.Rand    // guarded by mu
+	queue   deferredQueue // guarded by mu
+	seq     uint64        // guarded by mu
+	closed  bool          // guarded by mu
+	running bool          // guarded by mu -- dispatcher goroutine started (lazily, on first hold)
 
 	wake      chan struct{}
 	halt      chan struct{}
@@ -175,11 +156,6 @@ func (q *deferredQueue) pop() deferred {
 	return d
 }
 
-type linkBucket struct {
-	tokens float64
-	last   time.Time
-}
-
 // Attach implements Net: handlers pass straight through to the
 // substrate (shaping is applied on the send side only), and the
 // returned endpoint wraps the substrate's.
@@ -188,7 +164,7 @@ func (s *ShapedNet) Attach(id int, h Handler) (Transport, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &shapedEndpoint{s: s, id: id, inner: inner}, nil
+	return &shapedEndpoint{s: s, inner: inner}, nil
 }
 
 // SetProfile swaps the shaping profile for all subsequent Sends.
@@ -198,58 +174,10 @@ func (s *ShapedNet) SetProfile(p Profile) {
 	s.prof.Store(&prof)
 }
 
-// SetOutage marks (on) or clears (on=false) a correlated regional
-// outage over the given peer ids. While marked, every envelope with
-// exactly one endpoint inside the region — and any envelope between two
-// distinct marked regions — is dropped with probability OutageLoss
-// (default 1, a hard cut); traffic wholly inside one region still
-// flows. Calling with on=false and nil members lifts every outage.
-func (s *ShapedNet) SetOutage(members []int, on bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !on && members == nil {
-		s.outage.Store(nil)
-		return
-	}
-	var cur []int32
-	if old := s.outage.Load(); old != nil {
-		cur = *old
-	}
-	n := len(cur)
-	for _, id := range members {
-		if id+1 > n {
-			n = id + 1
-		}
-	}
-	grown := make([]int32, n)
-	copy(grown, cur)
-	if on {
-		s.outageGen++
-		for _, id := range members {
-			if id >= 0 {
-				grown[id] = s.outageGen
-			}
-		}
-	} else {
-		for _, id := range members {
-			if id >= 0 && id < len(grown) {
-				grown[id] = 0
-			}
-		}
-	}
-	for _, tag := range grown {
-		if tag != 0 {
-			s.outage.Store(&grown)
-			return
-		}
-	}
-	s.outage.Store(nil)
-}
-
-// Drops returns how many envelopes the shaper has eaten (profile loss,
-// policed bandwidth, outage boundaries, and deferred deliveries the
-// substrate refused). Together with the substrate's own accounting this
-// keeps sent == recv + dropped exact under shaping.
+// Drops returns how many envelopes the shaper has eaten (profile loss
+// and deferred deliveries the substrate refused). Together with the
+// substrate's own accounting this keeps sent == recv + dropped exact
+// under shaping.
 func (s *ShapedNet) Drops() uint64 { return s.drops.Load() }
 
 // Held reports how many envelopes are currently deferred (test hook).
@@ -357,38 +285,8 @@ func (s *ShapedNet) deliver(d deferred) {
 	}
 }
 
-// takeLocked runs the token bucket for one directed link. Callers hold
-// s.mu.
-func (s *ShapedNet) takeLocked(from, to, size int, p *Profile) bool {
-	burst := float64(p.Burst)
-	if burst <= 0 {
-		burst = float64(p.Rate) / 8
-		if burst < 16384 {
-			burst = 16384
-		}
-	}
-	key := uint64(uint32(from))<<32 | uint64(uint32(to))
-	now := time.Now()
-	b := s.links[key]
-	if b == nil {
-		b = &linkBucket{tokens: burst, last: now}
-		s.links[key] = b
-	}
-	b.tokens += now.Sub(b.last).Seconds() * float64(p.Rate)
-	b.last = now
-	if b.tokens > burst {
-		b.tokens = burst
-	}
-	if b.tokens < float64(size) {
-		return false
-	}
-	b.tokens -= float64(size)
-	return true
-}
-
 type shapedEndpoint struct {
 	s     *ShapedNet
-	id    int
 	inner Transport
 }
 
@@ -399,8 +297,7 @@ type shapedEndpoint struct {
 func (e *shapedEndpoint) Send(to int, buf []byte) error {
 	s := e.s
 	p := s.prof.Load()
-	tags := s.outage.Load()
-	if p.inert() && tags == nil {
+	if p.inert() {
 		return e.inner.Send(to, buf)
 	}
 	s.mu.Lock()
@@ -408,33 +305,7 @@ func (e *shapedEndpoint) Send(to int, buf []byte) error {
 		s.mu.Unlock()
 		return ErrClosed
 	}
-	if tags != nil {
-		tg := *tags
-		var a, b int32
-		if e.id >= 0 && e.id < len(tg) {
-			a = tg[e.id]
-		}
-		if to >= 0 && to < len(tg) {
-			b = tg[to]
-		}
-		if a != b {
-			ol := p.OutageLoss
-			if ol <= 0 {
-				ol = 1
-			}
-			if ol >= 1 || s.rng.Float64() < ol {
-				s.drops.Add(1)
-				s.mu.Unlock()
-				return nil
-			}
-		}
-	}
 	if p.Loss > 0 && s.rng.Float64() < p.Loss {
-		s.drops.Add(1)
-		s.mu.Unlock()
-		return nil
-	}
-	if p.Rate > 0 && !s.takeLocked(e.id, to, len(buf), p) {
 		s.drops.Add(1)
 		s.mu.Unlock()
 		return nil

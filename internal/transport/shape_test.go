@@ -211,61 +211,6 @@ func TestShapeReorderHappens(t *testing.T) {
 	}
 }
 
-// TestShapeOutage: a regional outage cuts boundary-crossing links hard
-// (counted drops) while intra-region traffic flows; lifting it restores
-// everything.
-func TestShapeOutage(t *testing.T) {
-	h := newShapeHarness(t, 4, Profile{Seed: 3})
-	h.s.SetOutage([]int{2, 3}, true)
-	send := func(from, to int) {
-		t.Helper()
-		if err := h.eps[from].Send(to, mark(from, to, 16)); err != nil {
-			t.Fatalf("send %d->%d: %v", from, to, err)
-		}
-	}
-	send(0, 1) // outside: flows
-	send(2, 3) // inside the cut region: flows
-	send(0, 2) // crosses the boundary: eaten
-	send(3, 1) // crosses the boundary: eaten
-	if got, drops := h.delivered(), h.s.Drops(); got != 2 || drops != 2 {
-		t.Fatalf("during outage: delivered %d (want 2), drops %d (want 2)", got, drops)
-	}
-	h.s.SetOutage(nil, false)
-	send(0, 2)
-	if got := h.delivered(); got != 3 {
-		t.Fatalf("after heal: delivered %d (want 3)", got)
-	}
-	if err := h.s.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestShapeBandwidthPolices: a starved token bucket drops (and counts)
-// the overflow instead of queueing it.
-func TestShapeBandwidthPolices(t *testing.T) {
-	h := newShapeHarness(t, 2, Profile{Seed: 5, Rate: 1024, Burst: 2048})
-	const k = 64
-	for seq := 0; seq < k; seq++ {
-		if err := h.eps[0].Send(1, mark(0, seq, 256)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := h.s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, drops := uint64(h.delivered()), h.s.Drops()
-	if got+drops != k {
-		t.Fatalf("conservation under policing: %d + %d != %d", got, drops, k)
-	}
-	// 64×256B = 16KiB burst against a 2KiB bucket: most must be policed.
-	if drops == 0 {
-		t.Fatal("16KiB burst through a 2KiB bucket dropped nothing")
-	}
-	if got == 0 {
-		t.Fatal("the burst head should fit the initial bucket")
-	}
-}
-
 // TestShapeInertFastPath: the zero profile delegates synchronously —
 // no dispatcher, no holds, delivery completes inside Send.
 func TestShapeInertFastPath(t *testing.T) {
