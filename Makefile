@@ -7,7 +7,7 @@ PKGS    := ./...
 BENCH   ?= .
 OUT     ?= results
 
-.PHONY: all build test race soak bench bench-smoke microbench vet fmt-check fairvet staticcheck lint ci fairbench loc footprint clean
+.PHONY: all build test race soak bench bench-smoke microbench vet fmt-check fairvet staticcheck lint ci fairbench loc footprint redundancy clean
 
 # staticcheck is version-pinned: a drifting linter turns every upgrade
 # into a triage session. Bump deliberately, re-triage, update
@@ -111,6 +111,14 @@ loc:
 footprint:
 	@out=$$($(GO) test ./internal/core -run TestNodeFootprintBudget -count=1 -v); status=$$?; \
 		echo "$$out" | grep -E 'bytes|^(FAIL|ok)'; exit $$status
+
+# redundancy prints what a delivery costs on the wire and how much of
+# what peers receive is news, from the test that holds both to their
+# budgets and checks that no delivery is lost (the sim-fair configuration
+# at N = 200; see PERFORMANCE.md "Redundancy budget").
+redundancy:
+	@out=$$($(GO) test ./internal/core -run TestRedundancyBudget -count=1 -v); status=$$?; \
+		echo "$$out" | grep -E 'redundancy|never delivered|^(FAIL|ok)'; exit $$status
 
 clean:
 	rm -rf $(OUT)

@@ -126,11 +126,16 @@ func TestFairbenchBadFlag(t *testing.T) {
 // was re-baselined once, from 2204ff69…, when per-node streams moved to
 // the 16-byte randutil.NewStream generator — a lagged-Fibonacci source's
 // state is its stream, so no stream-preserving shrink existed
-// (PERFORMANCE.md "Determinism contract" has the before/after). If a
-// change moves it on purpose, regenerate with:
+// (PERFORMANCE.md "Determinism contract" has the before/after), and once
+// more, from 6914bd66…, when holders began retiring an event after
+// 2 × batch copies of it came back (gossip.Buffer.Duplicate: fewer
+// pushes, so every table moves) — the same re-baseline carries EXP-F3's
+// start inside its fanout limits and its two rewritten notes
+// (PERFORMANCE.md "Redundancy budget"). If a change moves it on purpose,
+// regenerate with:
 //
 //	go run ./cmd/fairbench -seed 1 -small -out '' | grep -v '^##########' | sha256sum
-const goldenStdoutHash = "6914bd666c160a477ac81c5cd6c208ac29a947ad6c57054446bdc29162a4de69"
+const goldenStdoutHash = "b26cd5b024c5451e7f80c194d2af6e8d6aec3441ab98b4bf30b39dc499157526"
 
 // stableStdout strips the wall-clock-bearing header lines, mirroring
 // the grep in the regeneration command (including grep's omission of a

@@ -102,7 +102,7 @@ type Config struct {
 	ViewCap       int
 	ShuffleEvery  int
 	BufferCap     int     // event buffer capacity (default 256)
-	BufferMaxAge  int     // rounds an event stays forwardable (default 8)
+	BufferMaxAge  int     // rounds an event stays forwardable at most (default 8; gossip.Buffer.Duplicate retires it sooner)
 	SeenCap       int     // dedup memory (default 8192)
 	RepairPenalty float64 // churn penalty charged per rejoin (default 0: off)
 	JunkPadding   int     // bytes of junk a cheater pads per message (EXP-A6)
@@ -131,6 +131,10 @@ const (
 	walkHopLimit = 16 // subscription walk TTL
 )
 
+// defaultBatch is Config.Batch's default, and the room for events a
+// pooled envelope starts with (pool.go).
+const defaultBatch = 8
+
 func (c Config) withDefaults() Config {
 	if c.Mode == 0 {
 		c.Mode = ModeContent
@@ -147,7 +151,7 @@ func (c Config) withDefaults() Config {
 		c.Fanout = 4
 	}
 	if c.Batch <= 0 {
-		c.Batch = 8
+		c.Batch = defaultBatch
 	}
 	if c.Policy == 0 {
 		c.Policy = gossip.PolicyRandom

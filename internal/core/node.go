@@ -626,10 +626,14 @@ func (nd *Node) handleGossip(from simnet.NodeID, m *wireMsg) {
 		}
 	}
 	novel, dup := 0, m.Junk
-	var g *topicGroup
+	// Fair-by-structure: in topic mode only group members re-forward.
+	// Events for groups we are not in are delivered (if interesting) but
+	// never buffered for forwarding.
+	buf := nd.buffer
 	if nd.cfg.Mode == ModeTopics {
-		g = nd.groups[m.Topic]
-		if g != nil {
+		buf = nil
+		if g := nd.groups[m.Topic]; g != nil {
+			buf = g.buffer
 			for _, ad := range m.Ads {
 				g.view.AddAged(ad)
 			}
@@ -638,19 +642,14 @@ func (nd *Node) handleGossip(from simnet.NodeID, m *wireMsg) {
 	for _, ev := range m.Events {
 		if !nd.seen.Add(ev.ID) {
 			dup += ev.WireSize()
+			if buf != nil {
+				buf.Duplicate(ev.ID, nd.batch)
+			}
 			continue
 		}
 		novel += ev.WireSize()
-		switch {
-		case nd.cfg.Mode == ModeTopics:
-			// Fair-by-structure: only group members re-forward. Events
-			// for groups we are not in are delivered (if interesting)
-			// but never buffered for forwarding.
-			if g != nil {
-				g.buffer.Insert(ev)
-			}
-		default:
-			nd.buffer.Insert(ev)
+		if buf != nil {
+			buf.Insert(ev)
 		}
 		nd.deliverIfInterested(ev)
 	}

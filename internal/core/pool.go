@@ -3,6 +3,8 @@ package core
 import (
 	"sync"
 	"sync/atomic"
+
+	"fairgossip/internal/pubsub"
 )
 
 // msgPool recycles gossip envelopes (wireMsg records and their Events/Ads
@@ -24,6 +26,16 @@ import (
 // releases cross-shard deliveries on the destination shard's goroutine
 // while the owning shard keeps allocating; within one single-threaded
 // cluster the lock is uncontended and costs a few nanoseconds.
+//
+// That hand-back is a wall-clock race: in the window after a neighbour
+// shard's jittered ticker skips one, the owner has no cross-shard
+// deliveries to work through, reaches its own tick while the neighbour is
+// still releasing last round's envelopes, and finds the freelist empty
+// for most of its nodes — once per shard, in a round the seed picks, for
+// a count the scheduler picks. An empty freelist therefore restocks by
+// the slab (refill), so that such a round costs 2/poolSlab allocations a
+// miss instead of 2 and a run's allocation count stops depending on
+// either.
 type msgPool struct {
 	mu   sync.Mutex
 	free []*wireMsg // guarded by mu
@@ -33,18 +45,33 @@ type msgPool struct {
 // fields are zeroed; Events/Ads keep their backing capacity.
 func (p *msgPool) get() *wireMsg {
 	p.mu.Lock()
-	var m *wireMsg
-	if n := len(p.free); n > 0 {
-		m = p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
+	if len(p.free) == 0 {
+		p.refill()
 	}
+	n := len(p.free)
+	m := p.free[n-1]
+	p.free[n-1] = nil
+	p.free = p.free[:n-1]
 	p.mu.Unlock()
-	if m == nil {
-		m = &wireMsg{pool: p}
-	}
 	atomic.StoreInt32(&m.refs, 1)
 	return m
+}
+
+// poolSlab is how many envelopes an empty freelist allocates at once.
+const poolSlab = 64
+
+// refill stocks the freelist with poolSlab envelopes in two allocations:
+// the records, and one block their Events arrays are cut from (room for
+// the default batch each; a larger batch regrows its own). Called with mu
+// held.
+func (p *msgPool) refill() {
+	slab := make([]wireMsg, poolSlab)
+	store := make([]*pubsub.Event, poolSlab*defaultBatch)
+	for i := range slab {
+		slab[i].pool = p
+		slab[i].Events = store[i*defaultBatch : i*defaultBatch : (i+1)*defaultBatch]
+		p.free = append(p.free, &slab[i])
+	}
 }
 
 // put resets and recycles an envelope whose refcount reached zero.

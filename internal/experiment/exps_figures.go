@@ -108,13 +108,13 @@ func ExpF3(opts Options) []Table {
 	conv := Table{
 		ID:    "EXP-F3",
 		Title: "Window-fairness (Jain) trajectory while adapting",
-		Note:  "adaptive variants climb toward 1 and stay; static stays flat and low",
+		Note:  "batch-adapting variants hold a window Jain about 0.1 above static from the first window on; no variant climbs — every column follows the publish mix — and fanout alone tracks static",
 		Cols:  []string{"round"},
 	}
 	final := Table{
 		ID:    "EXP-F3",
 		Title: "Final fairness per lever",
-		Note:  "both levers together reach the best fairness at equal reliability",
+		Note:  "the batch lever carries the gain (about +0.1 Jain, contribution tracks benefit); the fanout lever buys nothing alone and next to nothing on top; deliveries within 1% of static",
 		Cols:  []string{"variant", "ratio_jain", "ratio_cov", "contrib_benefit_corr", "deliveries"},
 	}
 	series := make([][]float64, len(variants))
@@ -123,8 +123,10 @@ func ExpF3(opts Options) []Table {
 		stocks := workload.NewStocks(16)
 		rng := rand.New(rand.NewSource(opts.Seed + 500))
 		c := core.NewCluster(n, core.Config{
-			Mode:       core.ModeContent,
-			Fanout:     5,
+			Mode: core.ModeContent,
+			// One above the floor, so the fanout lever starts inside its
+			// limits with room to move both ways.
+			Fanout:     adaptive.DefaultLimits(n).FanoutMin + 1,
 			Batch:      8,
 			Controller: v.spec,
 		}, core.ClusterOptions{Seed: opts.Seed, NetConfig: defaultNet()})

@@ -14,6 +14,7 @@ package gossip
 import (
 	"math"
 	"math/rand"
+	"slices"
 
 	"fairgossip/internal/pubsub"
 	"fairgossip/internal/randutil"
@@ -33,16 +34,34 @@ const (
 	PolicyLeastSent
 )
 
+// bufEntry is 24 bytes, and sim-huge holds BufferCap × N of them: the
+// two counters saturate at 16 bits (an entry is sent at most once a round
+// and retires long before either matters) so that dups fits beside sent.
 type bufEntry struct {
 	id   pubsub.EventID
 	ev   *pubsub.Event
-	age  int32 // rounds since insertion
-	sent int32 // times included in an outgoing gossip message
+	age  int32  // rounds since insertion
+	sent uint16 // times included in an outgoing gossip message
+	dups uint16 // copies of this event that came back (Duplicate)
+}
+
+// bufStart is the room the first Insert makes: a filling buffer then
+// allocates at its first event and not at every doubling on the way
+// here, whose rounds — on a cluster still warming up — are the seed's to
+// pick (PERFORMANCE.md "A steady allocation count").
+const bufStart = 8
+
+// bump is a saturating increment.
+func bump(c *uint16) {
+	if *c != math.MaxUint16 {
+		*c++
+	}
 }
 
 // Buffer is the bounded `events` set of Fig. 4 with lpbcast-style
 // age-based eviction: events older than MaxAge rounds are dropped, and
-// when capacity overflows the first entry in buffer order goes.
+// when capacity overflows the first entry in buffer order goes. An event
+// also leaves early once enough copies of it have come back (Duplicate).
 //
 // Buffer order is insertion order until a PolicyLeastSent selection,
 // whose stable sort by send count reorders the entries in place and for
@@ -75,36 +94,36 @@ func NewBuffer(capacity, maxAge int) *Buffer {
 // Len returns the number of buffered events.
 func (b *Buffer) Len() int { return len(b.ents) }
 
-// find returns the entry holding id, or nil.
-func (b *Buffer) find(id pubsub.EventID) *bufEntry {
+// index returns the position of the entry holding id, or -1.
+func (b *Buffer) index(id pubsub.EventID) int {
 	ents := b.ents
 	for i := range ents {
 		if ents[i].id == id {
-			return &ents[i]
+			return i
 		}
 	}
-	return nil
+	return -1
 }
 
 // Contains reports whether the event id is buffered.
-func (b *Buffer) Contains(id pubsub.EventID) bool { return b.find(id) != nil }
+func (b *Buffer) Contains(id pubsub.EventID) bool { return b.index(id) >= 0 }
 
 // Get returns the buffered event with the given id, if present. Serving
 // an event through Get (anti-entropy pulls) counts as a send for the
 // least-sent selection policy.
 func (b *Buffer) Get(id pubsub.EventID) (*pubsub.Event, bool) {
-	e := b.find(id)
-	if e == nil {
+	i := b.index(id)
+	if i < 0 {
 		return nil, false
 	}
-	e.sent++
-	return e.ev, true
+	bump(&b.ents[i].sent)
+	return b.ents[i].ev, true
 }
 
 // Insert adds an event. It reports false for duplicates. When the buffer
 // is full, the first entry in buffer order is evicted to make room.
 func (b *Buffer) Insert(ev *pubsub.Event) bool {
-	if b.find(ev.ID) != nil {
+	if b.index(ev.ID) >= 0 {
 		return false
 	}
 	e := bufEntry{id: ev.ID, ev: ev}
@@ -113,8 +132,39 @@ func (b *Buffer) Insert(ev *pubsub.Event) bool {
 		b.ents[n-1] = e
 		return true
 	}
+	if cap(b.ents) == 0 {
+		b.ents = make([]bufEntry, 0, min(b.cap, bufStart))
+	}
 	b.ents = append(b.ents, e)
 	return true
+}
+
+// retireCopies × the holder's batch is how many returned copies retire an
+// event. Copies received per delivery set the miss probability (≈ e^-copies);
+// 2 is the smallest factor that lost no delivery on any bench workload —
+// 1 × batch lost one in 10⁶ on sim-huge (PERFORMANCE.md "Redundancy
+// budget"). If a run ever loses a delivery to this rule the factor goes up.
+const retireCopies = 2
+
+// Duplicate records that a copy of the event came back from the network
+// — some peer already has it, so this holder's pushes of it are that much
+// less likely to be news — and retires the event once retireCopies × batch
+// copies have returned, batch being the holder's batch lever at this
+// call. The duplicate is the ack: no copies return while an event is
+// still spreading, so only the saturated tail of pushes is cut, and a
+// throttled peer (small batch) stops sooner. An id the buffer does not
+// hold is a no-op; the caller's SeenSet keeps a retired event from being
+// buffered again. This is the one definition of the rule: the simulated
+// node and the live peer both call it from their duplicate branch.
+func (b *Buffer) Duplicate(id pubsub.EventID, batch int) {
+	i := b.index(id)
+	if i < 0 {
+		return
+	}
+	bump(&b.ents[i].dups)
+	if int(b.ents[i].dups) >= retireCopies*batch {
+		b.ents = slices.Delete(b.ents, i, i+1) // keeps buffer order, drops the event's reference
+	}
 }
 
 // Tick advances every entry's age by one round and evicts expired
@@ -144,19 +194,24 @@ func (b *Buffer) Select(rng *rand.Rand, n int, policy Policy) []*pubsub.Event {
 }
 
 // SelectInto is Select with caller-owned storage: the selection appends
-// into *scratch (reset to length zero first), growing it only when the
-// batch exceeds its capacity, and returns the filled slice. It consumes
-// the random stream draw-for-draw identically to Select, so swapping it
-// in never changes a fixed-seed run — only its allocation profile. The
-// caller must not hand the returned slice to anything that outlives the
-// scratch's next reuse; the pooled gossip envelope path copies out of it
-// before the next round.
+// into *scratch (reset to length zero first), growing it when the batch
+// exceeds its capacity — once, to the n asked for, not step by step as a
+// filling buffer lengthens the batch — and returns the filled slice. It
+// consumes the random stream draw-for-draw identically to Select, so
+// swapping it in never changes a fixed-seed run — only its allocation
+// profile. The caller must not hand the returned slice to anything that
+// outlives the scratch's next reuse; the pooled gossip envelope path
+// copies out of it before the next round.
 func (b *Buffer) SelectInto(rng *rand.Rand, scratch *[]*pubsub.Event, n int, policy Policy) []*pubsub.Event {
 	out := (*scratch)[:0]
 	*scratch = out
+	room := min(n, b.cap)
 	n = min(n, len(b.ents))
 	if n <= 0 {
 		return out
+	}
+	if cap(out) < n {
+		out = make([]*pubsub.Event, 0, room)
 	}
 	var picked []bufEntry
 	switch policy {
@@ -167,12 +222,12 @@ func (b *Buffer) SelectInto(rng *rand.Rand, scratch *[]*pubsub.Event, n int, pol
 		picked = b.ents[:n]
 	default: // PolicyRandom
 		for _, i := range randutil.PermInto(rng, &b.perm, len(b.ents))[:n] {
-			b.ents[i].sent++
+			bump(&b.ents[i].sent)
 			out = append(out, b.ents[i].ev)
 		}
 	}
 	for i := range picked {
-		picked[i].sent++
+		bump(&picked[i].sent)
 		out = append(out, picked[i].ev)
 	}
 	*scratch = out

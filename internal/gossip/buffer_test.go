@@ -2,10 +2,12 @@ package gossip
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"fairgossip/internal/pubsub"
 )
@@ -250,10 +252,13 @@ func TestSelectIntoZeroAllocSteadyState(t *testing.T) {
 }
 
 // mapBuffer is the map-backed Buffer this package shipped before the flat
-// layout, kept verbatim as the differential oracle: a slab of entries
-// indexed through an id map plus an `order` slice that the least-sent
-// sort permutes in place — which is where "a capacity eviction removes
-// the first entry in buffer order, not the oldest" comes from.
+// layout, kept as the differential oracle: a slab of entries indexed
+// through an id map plus an `order` slice that the least-sent sort
+// permutes in place — which is where "a capacity eviction removes the
+// first entry in buffer order, not the oldest" comes from. It has since
+// been taught one thing, the retirement rule (Duplicate), written out
+// here with its own literal 2 so the oracle does not share the constant
+// it checks.
 type mapBuffer struct {
 	cap, maxAge int
 	slab        []mapEntry
@@ -263,8 +268,8 @@ type mapBuffer struct {
 }
 
 type mapEntry struct {
-	ev        *pubsub.Event
-	age, sent int
+	ev              *pubsub.Event
+	age, sent, dups int
 }
 
 func newMapBuffer(capacity, maxAge int) *mapBuffer {
@@ -313,6 +318,18 @@ func (b *mapBuffer) Insert(ev *pubsub.Event) bool {
 	b.items[ev.ID] = idx
 	b.order = append(b.order, ev.ID)
 	return true
+}
+
+func (b *mapBuffer) Duplicate(id pubsub.EventID, batch int) {
+	idx, ok := b.items[id]
+	if !ok {
+		return
+	}
+	b.slab[idx].dups++
+	if b.slab[idx].dups >= 2*batch {
+		b.release(id)
+		b.order = slices.DeleteFunc(b.order, func(o pubsub.EventID) bool { return o == id })
+	}
 }
 
 func (b *mapBuffer) Tick() {
@@ -364,10 +381,12 @@ func (b *mapBuffer) Select(rng *rand.Rand, n int, policy Policy) []*pubsub.Event
 // TestBufferMatchesMapOracle drives the flat Buffer and the map-backed
 // oracle with the same seeded operation sequences — inserts from a small
 // id space (so duplicates and re-insertions after eviction occur), ticks,
-// selections under every policy with lock-stepped RNGs, Get, Contains —
-// and demands identical return values, Len and RNG position after every
-// step. Small capacities against a large id space force capacity
-// evictions after least-sent reorders.
+// selections under every policy with lock-stepped RNGs, Get, Contains,
+// returned copies at batch levers 1–3 (so entries retire at 2, 4 and 6
+// copies, and a lever that drops retires on the next one) — and demands
+// identical return values, Len and RNG position after every step. Small
+// capacities against a large id space force capacity evictions after
+// least-sent reorders.
 func TestBufferMatchesMapOracle(t *testing.T) {
 	for _, capacity := range []int{1, 8, 256} {
 		for _, policy := range []Policy{PolicyRandom, PolicyNewest, PolicyLeastSent, 0} {
@@ -384,7 +403,7 @@ func TestBufferMatchesMapOracle(t *testing.T) {
 				}
 				for step := 0; step < 4000; step++ {
 					id := pubsub.EventID{Publisher: 1, Seq: ops.Uint32() % idSpace}
-					switch op := ops.Intn(16); {
+					switch op := ops.Intn(19); {
 					case op < 9:
 						e := &pubsub.Event{ID: id}
 						if g, w := got.Insert(e), want.Insert(e); g != w {
@@ -419,10 +438,14 @@ func TestBufferMatchesMapOracle(t *testing.T) {
 						if ge != we || gok != wok {
 							fail(step, "Get(%v) = %v,%v, oracle %v,%v", id, ge, gok, we, wok)
 						}
-					default:
+					case op < 16:
 						if g, w := got.Contains(id), want.Contains(id); g != w {
 							fail(step, "Contains(%v) = %v, oracle %v", id, g, w)
 						}
+					default:
+						batch := 1 + ops.Intn(3)
+						got.Duplicate(id, batch)
+						want.Duplicate(id, batch)
 					}
 					if got.Len() != want.Len() {
 						fail(step, "Len = %d, oracle %d", got.Len(), want.Len())
@@ -436,6 +459,119 @@ func TestBufferMatchesMapOracle(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestDuplicateRetires table-tests the retirement rule's edges. Each case
+// inserts events 1..3 in order, replays a script of returned copies
+// against event 2, and names what must be left.
+func TestDuplicateRetires(t *testing.T) {
+	type dup struct{ seq, batch, times int }
+	for _, tc := range []struct {
+		name   string
+		script []dup
+		want   []uint32 // seqs left, in buffer order
+	}{
+		{"unknown id is a no-op", []dup{{9, 1, 5}}, []uint32{1, 2, 3}},
+		{"one short of 2 × batch stays", []dup{{2, 8, 15}}, []uint32{1, 2, 3}},
+		{"the 2 × batch-th copy retires, order kept", []dup{{2, 8, 16}}, []uint32{1, 3}},
+		{"copies after retirement are no-ops", []dup{{2, 1, 2}, {2, 1, 5}}, []uint32{1, 3}},
+		{"a lever that drops retires on the next copy", []dup{{2, 8, 4}, {2, 2, 1}}, []uint32{1, 3}},
+		{"a lever that rises keeps the count but moves the bar", []dup{{2, 1, 1}, {2, 4, 6}}, []uint32{1, 2, 3}},
+		{"counts are per entry", []dup{{1, 2, 3}, {3, 2, 3}, {2, 2, 3}}, []uint32{1, 2, 3}},
+	} {
+		b := NewBuffer(8, 100)
+		for i := uint32(1); i <= 3; i++ {
+			b.Insert(ev(1, i))
+		}
+		for _, d := range tc.script {
+			for k := 0; k < d.times; k++ {
+				b.Duplicate(pubsub.EventID{Publisher: 1, Seq: uint32(d.seq)}, d.batch)
+			}
+		}
+		var got []uint32
+		for _, id := range b.ids() {
+			got = append(got, id.Seq)
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%s: buffer holds %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestRetiredEventStaysOut drives the receive path both runtimes share —
+// seen-set first, then Insert for a first copy or Duplicate for a later
+// one — and checks that a retired event is not buffered again by a later
+// copy while its id is still in the SeenSet.
+func TestRetiredEventStaysOut(t *testing.T) {
+	b, seen := NewBuffer(8, 100), NewSeenSet(4)
+	receive := func(e *pubsub.Event, batch int) {
+		if !seen.Add(e.ID) {
+			b.Duplicate(e.ID, batch)
+			return
+		}
+		b.Insert(e)
+	}
+	e := ev(1, 1)
+	for copies := 1; copies <= 3; copies++ { // the first copy and 2 × batch duplicates
+		receive(e, 1)
+	}
+	if b.Contains(e.ID) {
+		t.Fatal("event still buffered after 2 × batch duplicates")
+	}
+	for copies := 0; copies < 5; copies++ {
+		receive(e, 1)
+	}
+	if b.Contains(e.ID) {
+		t.Fatal("a later copy re-buffered a retired event whose id is still in the SeenSet")
+	}
+}
+
+// TestBufEntryStays24Bytes: sim-huge holds BufferCap 32 × 100 000 nodes
+// of these; a fourth 32-bit field would make each 32 bytes.
+func TestBufEntryStays24Bytes(t *testing.T) {
+	if size := unsafe.Sizeof(bufEntry{}); size != 24 {
+		t.Fatalf("bufEntry is %d bytes, want 24", size)
+	}
+}
+
+// TestEntryCountersSaturate: the 16-bit counters stop at their maximum
+// rather than wrap — a wrapped sent would jump the least-sent queue, a
+// wrapped dups would never retire.
+func TestEntryCountersSaturate(t *testing.T) {
+	b := NewBuffer(2, 100)
+	e := ev(1, 1)
+	b.Insert(e)
+	for i := 0; i < math.MaxUint16+10; i++ {
+		b.Get(e.ID)
+		b.Duplicate(e.ID, math.MaxUint16) // 2 × batch is out of a 16-bit count's reach
+	}
+	if got := b.ents[0]; got.sent != math.MaxUint16 || got.dups != math.MaxUint16 {
+		t.Fatalf("after %d bumps sent = %d, dups = %d, want both %d", math.MaxUint16+10, got.sent, got.dups, math.MaxUint16)
+	}
+}
+
+// TestDuplicateZeroAlloc pins the duplicate path — it runs some thirty
+// times per delivery — at zero allocations: a copy of a buffered event,
+// a copy of one long gone, and the copy that retires (with the insert
+// that puts the event back for the next run).
+func TestDuplicateZeroAlloc(t *testing.T) {
+	b := NewBuffer(32, 100)
+	events := make([]*pubsub.Event, 16)
+	for i := range events {
+		events[i] = ev(1, uint32(i))
+		b.Insert(events[i])
+	}
+	gone := pubsub.EventID{Publisher: 2, Seq: 1}
+	allocs := testing.AllocsPerRun(200, func() {
+		b.Duplicate(events[3].ID, math.MaxUint16)
+		b.Duplicate(gone, 8)
+		b.Duplicate(events[7].ID, 1)
+		b.Duplicate(events[7].ID, 1) // retires
+		b.Insert(events[7])
+	})
+	if allocs != 0 {
+		t.Fatalf("the duplicate path allocates %v per run, want 0", allocs)
 	}
 }
 
@@ -494,6 +630,31 @@ func TestBufferSteadyStateZeroAlloc(t *testing.T) {
 				t.Errorf("%s, policy %d: a steady-state round allocates %v, want 0", tc.name, policy, allocs)
 			}
 		}
+	}
+}
+
+// TestBufferWarmUpAllocatesOnce pins what a filling buffer costs: a new
+// holder that gains an event a round up to bufStart, selecting a batch of
+// eight from it every round, makes two allocations in all — its entries
+// and its selection scratch — and not one per doubling, whose rounds on a
+// cluster still warming up are the seed's to pick.
+func TestBufferWarmUpAllocatesOnce(t *testing.T) {
+	events := make([]*pubsub.Event, bufStart)
+	for i := range events {
+		events[i] = ev(4, uint32(i))
+	}
+	rng := rand.New(rand.NewSource(6))
+	allocs := testing.AllocsPerRun(50, func() {
+		b := Buffer{cap: 32, maxAge: 100} // NewBuffer's allocation is not the subject
+		var scratch []*pubsub.Event
+		for _, e := range events {
+			b.Insert(e)
+			b.SelectInto(rng, &scratch, 8, PolicyLeastSent)
+			b.Tick()
+		}
+	})
+	if allocs != 2 {
+		t.Fatalf("filling a buffer to %d events allocates %v times, want 2", bufStart, allocs)
 	}
 }
 

@@ -83,8 +83,9 @@ type Config struct {
 	TargetRatio float64
 	// InboxDepth is the per-peer channel buffer (default 1024).
 	InboxDepth int
-	// BufferMaxAge is how many rounds an event stays forwardable
-	// (default 8; raise it for bursty publication loads).
+	// BufferMaxAge is how many rounds an event stays forwardable at
+	// most (default 8; raise it for bursty publication loads); 2 × batch
+	// returned copies retire it sooner (gossip.Buffer.Duplicate).
 	BufferMaxAge int
 	// Policy is the SELECTEVENTS policy (default random; least-sent
 	// guarantees fresh events win send slots under backlog).
@@ -1176,7 +1177,8 @@ func (p *peer) receive(buf []byte) {
 // receiveEvents dedups before it decodes: push gossip delivers most
 // events many times over, so only a record whose id is new is
 // materialised into an event (one this peer owns outright); a duplicate
-// costs a seen-set probe and nothing else. The envelope was validated
+// costs a seen-set probe and a count towards retiring this peer's own
+// copy (gossip.Buffer.Duplicate), nothing else. The envelope was validated
 // whole before this runs, and len(rec.Raw) is the event's WireSize, so
 // the novelty audit is charged exactly what an eager decode would
 // charge.
@@ -1185,6 +1187,7 @@ func (p *peer) receiveEvents(from int) {
 	for _, rec := range p.env.Records {
 		if !p.seen.Add(rec.ID) {
 			dup += len(rec.Raw)
+			p.buffer.Duplicate(rec.ID, p.batch)
 			continue
 		}
 		ev, err := rec.Decode()

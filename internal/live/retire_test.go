@@ -1,0 +1,73 @@
+package live
+
+import (
+	"testing"
+
+	"fairgossip/internal/core"
+	"fairgossip/internal/fairness"
+	"fairgossip/internal/pubsub"
+	"fairgossip/internal/wire"
+)
+
+// simRetiresOn feeds a simulated node one copy of one event at a time
+// and returns the copy after which it no longer forwards the event. The
+// feeder is node 0 of a two-node cluster whose tickers never start: each
+// hand-driven Round of node 0 pushes the event to its only partner and
+// the kernel is run dry, so node 1 has received exactly k copies when
+// its own first Round shows — by a charged application message or none —
+// whether the event is still in its buffer. That Round sends node 0 a
+// duplicate, hence a fresh cluster per k.
+func simRetiresOn(t *testing.T, batch int) int {
+	t.Helper()
+	for k := 1; k <= 4*batch+2; k++ {
+		c := core.NewCluster(2, core.Config{
+			Membership: core.MemberFull, Fanout: 1, Batch: batch, BufferMaxAge: 1 << 10,
+		}, core.ClusterOptions{Seed: 1})
+		c.Node(0).Publish("t", nil, []byte("x"))
+		for copies := 0; copies < k; copies++ {
+			c.Node(0).Round()
+			c.Sim.Run()
+		}
+		c.Node(1).Round()
+		if c.Ledger.Account(1).MsgsSent[fairness.ClassApp] == 0 {
+			return k
+		}
+	}
+	t.Fatalf("batch %d: the simulated node still forwards after %d copies", batch, 4*batch+2)
+	return 0
+}
+
+// liveRetiresOn feeds the same sequence — the event once as news, then
+// as duplicates — to a live peer's receive path and returns the copy
+// that empties its buffer.
+func liveRetiresOn(t *testing.T, batch int) int {
+	t.Helper()
+	c := mustCluster(t, Config{N: 2, Fanout: 1, Batch: batch, Seed: 1})
+	p := c.peerAt(1)
+	ev := &pubsub.Event{ID: pubsub.EventID{Publisher: 0, Seq: 1}, Topic: "t", Payload: []byte("x")}
+	env, err := wire.AppendEnvelope(nil, 0, []*pubsub.Event{ev})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 1; k <= 4*batch+2; k++ {
+		p.receive(env)
+		if !p.buffer.Contains(ev.ID) {
+			return k
+		}
+	}
+	t.Fatalf("batch %d: the live peer still buffers after %d copies", batch, 4*batch+2)
+	return 0
+}
+
+// TestRetirementParity: the simulated node and the live peer call the
+// one rule (gossip.Buffer.Duplicate) from their own duplicate branches
+// with their own batch lever; fed the same copies they must retire on
+// the same one, the first copy plus 2 × batch duplicates.
+func TestRetirementParity(t *testing.T) {
+	for _, batch := range []int{1, 4, 8} {
+		sim, live := simRetiresOn(t, batch), liveRetiresOn(t, batch)
+		if want := 1 + 2*batch; sim != want || live != want {
+			t.Errorf("batch %d: sim retires on copy %d, live on copy %d, want both %d", batch, sim, live, want)
+		}
+	}
+}
