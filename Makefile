@@ -33,10 +33,10 @@ test:
 # TestSharded* and scenario's TestShardedSimCalmStorm are the tests that
 # put more than one shard under the detector.
 race:
-	$(GO) test -race -shuffle=on ./internal/core/ ./internal/fairness/ ./internal/gossip/ ./internal/live/ ./internal/eventsim/ ./internal/simnet/ ./internal/scenario/ ./internal/transport/ ./internal/wire/ ./internal/membership/
+	$(GO) test -race -shuffle=on ./internal/core/ ./internal/protocol/ ./internal/fairness/ ./internal/gossip/ ./internal/live/ ./internal/eventsim/ ./internal/simnet/ ./internal/scenario/ ./internal/transport/ ./internal/wire/ ./internal/membership/
 
 # soak is the recipe that reproduced the live sub-churn flake (ROADMAP
-# item 1): the three packages that run real goroutines and sockets,
+# item 5): the three packages that run real goroutines and sockets,
 # uncached and under the race detector, five times in a row. go test
 # runs the packages concurrently, and on a small box that contention
 # *is* the load — wake-ups arrive late, inboxes back up, commands and
@@ -98,7 +98,7 @@ ci: lint build test race bench-smoke
 fairbench:
 	$(GO) run ./cmd/fairbench -small -out $(OUT)
 
-# loc prints the two numbers ROADMAP item 4's line budget is judged by,
+# loc prints the two numbers ROADMAP item 8's line budget is judged by,
 # measured the same way every PR: non-test Go lines outside bench/, and
 # the simulated-cluster engine.
 loc:

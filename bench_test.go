@@ -4,7 +4,7 @@
 // b.ReportMetric, so `go test -bench=.` reproduces the whole evaluation.
 //
 // Paper-scale runs (larger n, more rounds) are produced by
-// `go run ./cmd/fairbench` — see EXPERIMENTS.md.
+// `go run ./cmd/fairbench` (its `-only` catalogue is experiment.All()).
 package fairgossip_test
 
 import (

@@ -24,7 +24,10 @@
 // Two runtimes are provided. NewSim builds a deterministic
 // discrete-event-simulated cluster (what the experiments in
 // cmd/fairbench use); NewLive builds a real-concurrency cluster with one
-// goroutine per peer, suitable for embedding in applications.
+// goroutine per peer, suitable for embedding in applications. They are
+// two drivers of one peer: the protocol itself — push round, Cyclon
+// exchange, failure detector, join back-off — is written once, in
+// internal/protocol, with no clock, goroutine or socket in it.
 //
 // Both runtimes can be driven through the fault-injection scenario
 // engine (RunScenario): seeded schedules of churn, partitions, loss,

@@ -19,6 +19,7 @@ var DeterministicPackages = map[string]bool{
 	"fairgossip/internal/eventsim":   true,
 	"fairgossip/internal/simnet":     true,
 	"fairgossip/internal/core":       true,
+	"fairgossip/internal/protocol":   true,
 	"fairgossip/internal/gossip":     true,
 	"fairgossip/internal/membership": true,
 	"fairgossip/internal/fairness":   true,

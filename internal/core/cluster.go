@@ -1,12 +1,13 @@
 package core
 
 import (
-	"math/rand"
 	"sync"
 	"time"
 
 	"fairgossip/internal/eventsim"
 	"fairgossip/internal/fairness"
+	"fairgossip/internal/membership"
+	"fairgossip/internal/protocol"
 	"fairgossip/internal/randutil"
 	"fairgossip/internal/simnet"
 )
@@ -39,6 +40,7 @@ type Cluster struct {
 
 	shards []*shard
 	cfg    Config
+	par    protocol.Params // what cfg comes to for a protocol.Peer; every node points at it
 	seed   int64
 	per    int // ids per shard (shard i owns [i*per, min((i+1)*per, n)))
 	// barrier is runWindow's; a field rather than a local so that a
@@ -72,14 +74,16 @@ func NewShardedCluster(n, shards int, cfg Config, opts ClusterOptions) *Cluster 
 		Ledger: fairness.NewLedger(n, opts.Weights),
 		Nodes:  make([]*Node, 0, n),
 		cfg:    cfg,
+		par:    cfg.params(),
 		seed:   opts.Seed,
 		per:    shardSpan(n, shards),
 	}
 	for s := 0; s < shards; s++ {
 		sim := eventsim.New(randutil.ShardSeed(opts.Seed, s))
 		sh := &shard{
-			sim: sim,
-			net: simnet.New(sim, opts.NetConfig),
+			sim:    sim,
+			net:    simnet.New(sim, opts.NetConfig),
+			ledger: c.Ledger,
 			// One envelope pool per shard: pooling is output-invariant
 			// (SelectInto draws the same random stream as Select and the
 			// copied batch is byte-equal), so it is always on.
@@ -98,31 +102,10 @@ func NewShardedCluster(n, shards int, cfg Config, opts ClusterOptions) *Cluster 
 	for i := 0; i < n; i++ {
 		c.addNode(i, n)
 	}
-	bootstrapViews(c.Nodes, cfg, opts.Seed)
+	if cfg.Membership == MemberCyclon {
+		protocol.Bootstrap(n, cfg.ViewCap, opts.Seed, func(i int) *membership.View { return c.Nodes[i].View() })
+	}
 	return c
-}
-
-// bootstrapViews seeds every node's Cyclon view with random contacts (a
-// join service in a deployed system; free here, like handing out a
-// seed-peer list). One rng walks the nodes in global id order, so the
-// initial overlay is the same whatever the shard count.
-func bootstrapViews(nodes []*Node, cfg Config, seed int64) {
-	if cfg.Membership != MemberCyclon {
-		return
-	}
-	n := len(nodes)
-	k := max(cfg.ViewCap/2, 3)
-	boot := rand.New(rand.NewSource(seed + 7))
-	for _, nd := range nodes {
-		ids := make([]simnet.NodeID, 0, k)
-		for len(ids) < k && n > 1 {
-			cand := simnet.NodeID(boot.Intn(n))
-			if cand != nd.id {
-				ids = append(ids, cand)
-			}
-		}
-		nd.bootstrapView(ids)
-	}
 }
 
 // Config returns the cluster's (defaulted) configuration.
@@ -149,7 +132,7 @@ func (c *Cluster) Start() {
 			// One ticker drives the shard's nodes in id order; re-slicing
 			// on every fire picks up mid-run joiners (Join extends the
 			// tail shard's hi).
-			sh.tickers = append(sh.tickers, sh.sim.Every(c.cfg.RoundPeriod, c.cfg.Jitter, func() {
+			sh.tickers = append(sh.tickers, sh.sim.Every(c.cfg.RoundPeriod, c.cfg.jitter(), func() {
 				for _, nd := range c.Nodes[sh.lo:sh.hi] {
 					nd.Round()
 				}
@@ -157,7 +140,7 @@ func (c *Cluster) Start() {
 			continue
 		}
 		for _, nd := range c.Nodes[sh.lo:sh.hi] {
-			sh.tickers = append(sh.tickers, sh.sim.Every(c.cfg.RoundPeriod, c.cfg.Jitter, nd.Round))
+			sh.tickers = append(sh.tickers, sh.sim.Every(c.cfg.RoundPeriod, c.cfg.jitter(), nd.Round))
 		}
 	}
 }
@@ -205,7 +188,7 @@ func (c *Cluster) Join(seed simnet.NodeID) simnet.NodeID {
 	nd := c.Nodes[id]
 	if c.cfg.Membership == MemberCyclon {
 		if seed >= 0 && int(seed) < id {
-			nd.cyclon.View().Add(seed)
+			nd.View().Add(seed)
 			nd.send(seed, &wireMsg{Kind: kindViewRepair}, fairness.ClassInfra)
 		}
 	} else {
@@ -216,20 +199,25 @@ func (c *Cluster) Join(seed simnet.NodeID) simnet.NodeID {
 	if len(sh.tickers) > 0 && !c.cfg.BatchRounds {
 		// The batched ticker re-slices c.Nodes and already covers the
 		// joiner; only the per-node schedule needs a new ticker.
-		sh.tickers = append(sh.tickers, sh.sim.Every(c.cfg.RoundPeriod, c.cfg.Jitter, nd.Round))
+		sh.tickers = append(sh.tickers, sh.sim.Every(c.cfg.RoundPeriod, c.cfg.jitter(), nd.Round))
 	}
 	return simnet.NodeID(id)
 }
 
-// Leave departs node id gracefully (Node.LeaveGracefully): under Cyclon
-// membership the leaver hands its freshest view entries to its
-// neighbours before going offline; under the idealised full sampler it
-// simply goes offline. The sim mirror of live.Cluster.Leave.
+// Leave departs node id gracefully — the sim mirror of
+// live.Cluster.Leave. Under Cyclon membership the leaver hands up to
+// ShuffleLen of its freshest view entries to every view neighbour in a
+// charged kindLeave message before going offline (protocol.Peer.Leave),
+// so the overlay loses an address without losing degree; under the
+// idealised full sampler it simply goes offline.
 func (c *Cluster) Leave(id simnet.NodeID) {
-	if id < 0 || int(id) >= len(c.Nodes) {
+	if id < 0 || int(id) >= len(c.Nodes) || !c.Nodes[id].active {
 		return
 	}
-	c.Nodes[id].LeaveGracefully()
+	nd := c.Nodes[id]
+	nd.Peer.Leave(&nd.sh.out)
+	nd.sendMembership(&nd.sh.out)
+	nd.Leave()
 }
 
 // Up reports whether node id is up (checked on its owner network).

@@ -22,6 +22,7 @@ import (
 
 	"fairgossip/internal/adaptive"
 	"fairgossip/internal/gossip"
+	"fairgossip/internal/protocol"
 )
 
 // Mode selects the selectivity scheme of §5.
@@ -36,29 +37,18 @@ const (
 	ModeTopics
 )
 
-// ControllerKind selects the adaptation law for a node.
-type ControllerKind uint8
-
-const (
-	// ControllerStatic pins F and N (classic gossip, the unfair baseline).
-	ControllerStatic ControllerKind = iota + 1
-	// ControllerAIMD adapts via additive increase / multiplicative decrease.
-	ControllerAIMD
-	// ControllerProportional adapts via a damped P-controller.
-	ControllerProportional
+// ControllerKind and ControllerSpec — how a node adapts its
+// participation — are the shared machine's, re-exported.
+type (
+	ControllerKind = protocol.ControllerKind
+	ControllerSpec = protocol.ControllerSpec
 )
 
-// ControllerSpec describes how a node adapts its participation.
-type ControllerSpec struct {
-	Kind  ControllerKind
-	Lever adaptive.Lever // which §5.2 lever(s) may move (AIMD/Proportional)
-	// TargetRatio is f: desired contribution bytes per unit benefit.
-	TargetRatio float64
-	// Tolerance, Gain, Beta: see adaptive.Config.
-	Tolerance float64
-	Gain      float64
-	Beta      float64
-}
+const (
+	ControllerStatic       = protocol.ControllerStatic
+	ControllerAIMD         = protocol.ControllerAIMD
+	ControllerProportional = protocol.ControllerProportional
+)
 
 // Membership selects the peer-sampling substrate.
 type Membership uint8
@@ -76,10 +66,9 @@ const (
 type Config struct {
 	Mode Mode
 
-	// RoundPeriod is the gossip timer period T; Jitter desynchronises
-	// nodes. Defaults: 100ms / 10ms.
+	// RoundPeriod is the gossip timer period T (default 100ms); a tenth
+	// of it of per-tick jitter desynchronises the nodes.
 	RoundPeriod time.Duration
-	Jitter      time.Duration
 
 	// Fanout and Batch are the initial (or static) F and N. Defaults 4/8.
 	Fanout int
@@ -92,15 +81,11 @@ type Config struct {
 	Controller ControllerSpec
 	// Limits bound the adaptive levers; zero value = adaptive.DefaultLimits(n).
 	Limits adaptive.Limits
-	// ControlWindow is how many rounds pass between controller updates
-	// (default 5).
-	ControlWindow int
 
-	// Membership substrate (default MemberCyclon), with view capacity
-	// (default 16) and shuffle period in rounds (default 4).
+	// Membership substrate (default MemberCyclon) and its view capacity
+	// (default 16).
 	Membership    Membership
 	ViewCap       int
-	ShuffleEvery  int
 	BufferCap     int     // event buffer capacity (default 256)
 	BufferMaxAge  int     // rounds an event stays forwardable at most (default 8; gossip.Buffer.Duplicate retires it sooner)
 	SeenCap       int     // dedup memory (default 8192)
@@ -125,7 +110,7 @@ type Config struct {
 
 // Membership parameters of the overlay and the topic-mode (§5.1) groups.
 const (
-	shuffleLen   = 8  // entries exchanged per shuffle
+	shuffleEvery = 4  // rounds between a node's Cyclon shuffle initiations
 	topicViewCap = 12 // per-topic group view capacity
 	adLen        = 2  // membership ads piggybacked on topic gossip
 	walkHopLimit = 16 // subscription walk TTL
@@ -142,11 +127,6 @@ func (c Config) withDefaults() Config {
 	if c.RoundPeriod <= 0 {
 		c.RoundPeriod = 100 * time.Millisecond
 	}
-	if c.Jitter < 0 {
-		c.Jitter = 0
-	} else if c.Jitter == 0 {
-		c.Jitter = c.RoundPeriod / 10
-	}
 	if c.Fanout <= 0 {
 		c.Fanout = 4
 	}
@@ -156,23 +136,11 @@ func (c Config) withDefaults() Config {
 	if c.Policy == 0 {
 		c.Policy = gossip.PolicyRandom
 	}
-	if c.Controller.Kind == 0 {
-		c.Controller.Kind = ControllerStatic
-	}
-	if c.Controller.Lever == 0 {
-		c.Controller.Lever = adaptive.LeverBoth
-	}
-	if c.ControlWindow <= 0 {
-		c.ControlWindow = 5
-	}
 	if c.Membership == 0 {
 		c.Membership = MemberCyclon
 	}
 	if c.ViewCap <= 0 {
 		c.ViewCap = 16
-	}
-	if c.ShuffleEvery <= 0 {
-		c.ShuffleEvery = 4
 	}
 	if c.BufferCap <= 0 {
 		c.BufferCap = 256
@@ -186,26 +154,21 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// buildController instantiates the node-local controller for a population
-// of size n.
-func buildController(cfg Config, n int) adaptive.Controller {
-	limits := cfg.Limits
-	if limits == (adaptive.Limits{}) {
-		limits = adaptive.DefaultLimits(n)
+// jitter is the width of the uniform delay added to every round tick.
+func (c Config) jitter() time.Duration { return c.RoundPeriod / 10 }
+
+// params translates the (defaulted) configuration into what a
+// protocol.Peer reads. The detector and the join hand-shake stay off: a
+// simulated node is introduced by kindViewRepair and nothing evicts.
+func (c Config) params() protocol.Params {
+	par := protocol.Params{
+		Fanout: c.Fanout, Batch: c.Batch, Policy: c.Policy,
+		Controller: c.Controller, Limits: c.Limits,
+		ShuffleEvery: shuffleEvery,
+		BufferCap:    c.BufferCap, BufferMaxAge: c.BufferMaxAge, SeenCap: c.SeenCap,
 	}
-	acfg := adaptive.Config{
-		TargetRatio: cfg.Controller.TargetRatio,
-		Tolerance:   cfg.Controller.Tolerance,
-		Gain:        cfg.Controller.Gain,
-		Beta:        cfg.Controller.Beta,
-		Limits:      limits,
+	if c.Membership == MemberCyclon {
+		par.ViewCap = c.ViewCap
 	}
-	switch cfg.Controller.Kind {
-	case ControllerAIMD:
-		return adaptive.NewAIMD(acfg, cfg.Controller.Lever, cfg.Fanout, cfg.Batch)
-	case ControllerProportional:
-		return adaptive.NewProportional(acfg, cfg.Controller.Lever, cfg.Fanout, cfg.Batch)
-	default:
-		return adaptive.Static{F: cfg.Fanout, N: cfg.Batch}
-	}
+	return par
 }

@@ -1,58 +1,42 @@
 package core
 
 import (
-	"math/rand"
 	"sort"
 
-	"fairgossip/internal/adaptive"
 	"fairgossip/internal/fairness"
 	"fairgossip/internal/gossip"
 	"fairgossip/internal/membership"
+	"fairgossip/internal/protocol"
 	"fairgossip/internal/pubsub"
 	"fairgossip/internal/simnet"
 )
 
-// Node is one FairGossip process. It implements simnet.Handler; the
-// cluster drives its Round method from a jittered per-node ticker.
+// Node is one FairGossip process under the simulator: the shared
+// protocol.Peer state machine, plus what only the simulator has — the
+// simnet binding, §5.1's topic groups and walks, semantic partner bias,
+// cheat padding and the view-repair introduction. It implements
+// simnet.Handler; the cluster drives its Round method from a jittered
+// per-node ticker.
 //
-// Nodes are single-threaded: all methods run on the simulator goroutine.
+// Nodes are single-threaded: all methods run on the simulator goroutine
+// of the shard that owns them.
 type Node struct {
-	id     simnet.NodeID
-	net    *simnet.Network
-	cfg    *Config // the cluster's, shared and read-only
-	rng    *rand.Rand
-	ledger *fairness.Ledger
+	protocol.Peer
 
-	interest   pubsub.Interest
-	seen       *gossip.SeenSet
-	buffer     *gossip.Buffer         // content-mode event buffer
+	// sh is the owning shard: its network, ledger, envelope pool, audit
+	// sink and the output scratch every Peer call of the shard writes to
+	// (each caller consumes it before the shard's next call).
+	sh  *shard
+	cfg *Config // the cluster's, shared and read-only
+
 	groups     map[string]*topicGroup // topic-mode groups this node is in; nil until the first join
 	groupOrder []string               // sorted group topics (deterministic rounds)
 
-	cyclon *membership.Cyclon // nil when MemberFull
-	full   membership.FullSampler
-
-	ctrl     adaptive.Controller
-	lastAcct fairness.Account
-	fanout   int
-	batch    int
-
-	round  int
-	pubSeq uint32
 	active bool
-
-	// OnDeliver, when set, observes every delivered event.
-	OnDeliver func(*pubsub.Event)
 
 	// Cheat makes this node pad every outgoing gossip message with
 	// cfg.JunkPadding bytes of worthless data (EXP-A6).
 	Cheat bool
-
-	// FreeRide makes this node stop forwarding gossip while it keeps
-	// receiving and delivering — the classic defector the fairness
-	// machinery exists to expose. Membership maintenance continues, so
-	// the node stays reachable (and keeps benefiting).
-	FreeRide bool
 
 	// walkRelays counts subscription/publication walks this node relayed
 	// for others — §5.1's maintenance burden.
@@ -63,24 +47,6 @@ type Node struct {
 	// peerFPs remembers other peers' interest fingerprints for semantic
 	// partner bias (semantic.go).
 	peerFPs map[simnet.NodeID]uint64
-
-	// pool recycles gossip envelopes (pool.go). Event selection goes
-	// through SelectInto with selScratch and buildGossip copies the batch
-	// into the envelope's own recycled backing, so the scratch can be
-	// reused next round while the envelope is still in flight.
-	pool       *msgPool
-	selScratch []*pubsub.Event
-
-	// peerScratch backs every partner draw (overlayPeers, viewPeers):
-	// each caller consumes the sample before the node draws again.
-	peerScratch []simnet.NodeID
-
-	// auditSink is the owning shard's (shard.go): it charges same-shard
-	// novelty audits to the ledger at once and defers cross-shard ones to
-	// the round barrier, where they are applied in fixed shard order —
-	// the one write that would otherwise race another shard's controller
-	// read and break fixed-seed reproducibility.
-	auditSink func(from, useful, junk int)
 }
 
 // topicGroup is this node's slice of one per-topic gossip group.
@@ -90,38 +56,6 @@ type topicGroup struct {
 	retryIn int // rounds until the join walk is retried while the view is empty
 }
 
-func newNode(id simnet.NodeID, net *simnet.Network, ledger *fairness.Ledger, cfg *Config, n int, rng *rand.Rand, pool *msgPool) *Node {
-	nd := &Node{
-		id:     id,
-		net:    net,
-		cfg:    cfg,
-		rng:    rng,
-		ledger: ledger,
-		pool:   pool,
-		seen:   gossip.NewSeenSet(cfg.SeenCap),
-		buffer: gossip.NewBuffer(cfg.BufferCap, cfg.BufferMaxAge),
-		ctrl:   buildController(*cfg, n),
-		active: true,
-	}
-	nd.fanout = nd.ctrl.Fanout()
-	nd.batch = nd.ctrl.Batch()
-	if cfg.Membership == MemberCyclon {
-		nd.cyclon = membership.NewCyclon(membership.NewView(id, cfg.ViewCap), shuffleLen)
-	} else {
-		nd.full = membership.FullSampler{Self: id, N: n}
-	}
-	return nd
-}
-
-// ID returns the node's network identity.
-func (nd *Node) ID() simnet.NodeID { return nd.id }
-
-// Fanout returns the current fanout lever F_i.
-func (nd *Node) Fanout() int { return nd.fanout }
-
-// Batch returns the current gossip-message-size lever N_i.
-func (nd *Node) Batch() int { return nd.batch }
-
 // Active reports whether the node is participating.
 func (nd *Node) Active() bool { return nd.active }
 
@@ -129,45 +63,31 @@ func (nd *Node) Active() bool { return nd.active }
 // relayed on behalf of others.
 func (nd *Node) WalkRelays() uint64 { return nd.walkRelays }
 
-// Interest exposes the node's interest function (read-only use).
-func (nd *Node) Interest() *pubsub.Interest { return &nd.interest }
+// overlayPeers samples k partners from the overlay substrate into the
+// shard's scratch.
+func (nd *Node) overlayPeers(k int) []simnet.NodeID { return nd.Partners(k, &nd.sh.out) }
 
-// SetPopulation updates the idealised full sampler's population after a
-// join (no-op under Cyclon, whose views learn of joiners through
-// charged shuffle traffic instead).
-func (nd *Node) SetPopulation(n int) { nd.full.N = n }
-
-// bootstrapView seeds the overlay view (cluster wiring).
-func (nd *Node) bootstrapView(ids []simnet.NodeID) {
-	if nd.cyclon == nil {
-		return
-	}
-	for _, id := range ids {
-		nd.cyclon.View().Add(id)
-	}
-}
-
-// overlayPeers samples k partners from the overlay substrate into
-// peerScratch.
-func (nd *Node) overlayPeers(k int) []simnet.NodeID {
-	if nd.cyclon != nil {
-		return nd.viewPeers(nd.cyclon.View(), k)
-	}
-	nd.peerScratch = nd.full.SamplePeersInto(nd.rng, k, nd.peerScratch)
-	return nd.peerScratch
-}
-
-// viewPeers samples k partners from v into peerScratch.
+// viewPeers samples k partners from a topic group's view into the
+// shard's scratch.
 func (nd *Node) viewPeers(v *membership.View, k int) []simnet.NodeID {
-	nd.peerScratch = v.SampleInto(nd.rng, k, nd.peerScratch)
-	return nd.peerScratch
+	out := &nd.sh.out
+	out.Targets = v.SampleInto(nd.Rand(), k, out.Targets)
+	return out.Targets
 }
 
-// send transmits a wire message and charges the ledger.
+// send transmits a wire message and charges the ledger — the byte charge
+// is the driver's, which alone knows the size.
 func (nd *Node) send(to simnet.NodeID, m *wireMsg, class fairness.Class) {
 	size := m.size()
-	nd.net.Send(nd.id, to, m, size)
-	nd.ledger.AddSend(int(nd.id), class, size)
+	nd.sh.net.Send(nd.ID(), to, m, size)
+	nd.sh.ledger.AddSend(int(nd.ID()), class, size)
+}
+
+// sendMembership sends what the machine's last input left in out.Sends.
+func (nd *Node) sendMembership(out *protocol.Out) {
+	for _, s := range out.Sends {
+		nd.send(s.To, &wireMsg{Kind: msgKind(s.Kind), Entries: s.Entries}, fairness.ClassInfra)
+	}
 }
 
 // --- Public API: the three operations of §2 -------------------------------
@@ -176,8 +96,7 @@ func (nd *Node) send(to simnet.NodeID, m *wireMsg, class fairness.Class) {
 // mode, plain topic filters additionally join the topic's gossip group
 // through a random-walk subscription (§5.1).
 func (nd *Node) Subscribe(f pubsub.Filter) pubsub.SubID {
-	id := nd.interest.Subscribe(f)
-	nd.ledger.SetFilters(int(nd.id), nd.interest.Count())
+	id := nd.Peer.Subscribe(f)
 	if nd.cfg.Mode == ModeTopics {
 		if topic, ok := pubsub.TopicOf(f); ok {
 			nd.joinGroup(topic)
@@ -190,14 +109,12 @@ func (nd *Node) Subscribe(f pubsub.Filter) pubsub.SubID {
 // gossip groups no remaining filter selects; its stale view entries age
 // out of other members' views.
 func (nd *Node) Unsubscribe(id pubsub.SubID) bool {
-	ok := nd.interest.Unsubscribe(id)
-	if !ok {
+	if !nd.Peer.Unsubscribe(id) {
 		return false
 	}
-	nd.ledger.SetFilters(int(nd.id), nd.interest.Count())
 	if nd.cfg.Mode == ModeTopics {
 		for _, topic := range nd.groupOrder {
-			if !nd.interest.HasTopic(topic) {
+			if !nd.Interest().HasTopic(topic) {
 				delete(nd.groups, topic)
 			}
 		}
@@ -219,78 +136,58 @@ func (nd *Node) rebuildGroupOrder() {
 // publisher that is not itself subscribed hands the event to a group
 // member via a publication walk.
 func (nd *Node) Publish(topic string, attrs []pubsub.Attr, payload []byte) pubsub.EventID {
-	nd.pubSeq++
-	ev := &pubsub.Event{
-		ID:      pubsub.EventID{Publisher: uint32(nd.id), Seq: nd.pubSeq},
-		Topic:   topic,
-		Attrs:   attrs,
-		Payload: payload,
-	}
-	nd.ledger.AddPublish(int(nd.id), ev.WireSize())
-	nd.seen.Add(ev.ID)
-	nd.deliverIfInterested(ev)
-
+	buf := nd.Buffer()
 	if nd.cfg.Mode == ModeTopics {
+		buf = nil
 		if g, ok := nd.groups[topic]; ok {
-			g.buffer.Insert(ev)
-		} else {
-			nd.publishWalk(ev)
+			buf = g.buffer
 		}
-	} else {
-		nd.buffer.Insert(ev)
+	}
+	ev := nd.Peer.Publish(buf, topic, attrs, payload)
+	if buf == nil {
+		nd.publishWalk(ev)
 	}
 	return ev.ID
 }
 
 // --- Round logic -----------------------------------------------------------
 
-// Round executes one gossip period: membership maintenance, dissemination
-// in every group (or the flat overlay), buffer aging, and periodically a
-// controller update.
+// Round executes one gossip period. The machine runs it — membership
+// maintenance, the push step, periodically a controller update — and the
+// node sends what it decides; topic groups and semantic bias replace the
+// push step with their own, built on the machine's Select and Partners.
 func (nd *Node) Round() {
 	if !nd.active {
 		return
 	}
-	nd.round++
-
-	if nd.cyclon != nil && nd.round%nd.cfg.ShuffleEvery == 0 {
-		nd.initiateShuffle()
-	}
-
-	switch nd.cfg.Mode {
-	case ModeTopics:
+	out := &nd.sh.out
+	nd.Maintain(out)
+	nd.sendMembership(out)
+	switch {
+	case nd.cfg.Mode == ModeTopics:
 		nd.roundTopics()
+	case nd.cfg.SemanticBias > 0:
+		nd.roundSemantic()
 	default:
-		nd.roundContent()
+		nd.Push(out)
+		nd.sendGossipAll(out.Targets, "", out.Events, nil)
 	}
-
-	if nd.round%nd.cfg.ControlWindow == 0 {
-		nd.updateController()
-	}
+	nd.Adapt() // after the sends: the window reads what they were charged
 }
 
-func (nd *Node) roundContent() {
-	if nd.FreeRide {
-		nd.buffer.Tick()
-		return
-	}
-	events := nd.selectEvents(nd.buffer)
-	switch {
-	case len(events) == 0:
-	case nd.cfg.SemanticBias > 0:
-		// Semantic mode sends topic-coherent sub-batches: a mixed batch
-		// has a blurred fingerprint that matches everyone, so the bias
-		// needs per-topic messages to have a signal.
-		for _, group := range splitByTopic(events) {
+// roundSemantic sends topic-coherent sub-batches: a mixed batch has a
+// blurred fingerprint that matches everyone, so the bias needs per-topic
+// messages to have a signal.
+func (nd *Node) roundSemantic() {
+	if !nd.FreeRide {
+		for _, group := range splitByTopic(nd.Select(nd.Buffer(), &nd.sh.out)) {
 			fp := batchFingerprint(group)
-			for _, q := range nd.biasedPeers(nd.fanout, fp) {
+			for _, q := range nd.biasedPeers(nd.Fanout(), fp) {
 				nd.sendGossip(q, "", group, nil)
 			}
 		}
-	default:
-		nd.sendGossipAll(nd.overlayPeers(nd.fanout), "", events, nil)
 	}
-	nd.buffer.Tick()
+	nd.Buffer().Tick()
 }
 
 // splitByTopic partitions a batch into per-topic groups, in sorted topic
@@ -336,15 +233,15 @@ func (nd *Node) roundTopics() {
 		// (and keeps benefiting) while contributing nothing.
 		var events []*pubsub.Event
 		if !nd.FreeRide {
-			events = nd.selectEvents(g.buffer)
+			events = nd.Select(g.buffer, &nd.sh.out)
 		}
-		heartbeat := nd.round%4 == 0
+		heartbeat := nd.Rounds()%4 == 0
 		if len(events) == 0 && !heartbeat {
 			g.buffer.Tick()
 			continue
 		}
 		ads := nd.groupAds(g)
-		nd.sendGossipAll(nd.viewPeers(g.view, nd.fanout), topic, events, ads)
+		nd.sendGossipAll(nd.viewPeers(g.view, nd.Fanout()), topic, events, ads)
 		g.buffer.Tick()
 	}
 }
@@ -356,21 +253,14 @@ func (nd *Node) groupAds(g *topicGroup) []membership.Entry {
 	for _, id := range nd.viewPeers(g.view, adLen) {
 		ads = append(ads, membership.Entry{ID: id, Age: 1})
 	}
-	return append(ads, membership.Entry{ID: nd.id, Age: 0})
-}
-
-// selectEvents picks this round's batch from buf into the node's
-// reusable scratch; buildGossip copies the batch into the envelope
-// before the scratch's next reuse.
-func (nd *Node) selectEvents(buf *gossip.Buffer) []*pubsub.Event {
-	return buf.SelectInto(nd.rng, &nd.selScratch, nd.batch, nd.cfg.Policy)
+	return append(ads, membership.Entry{ID: nd.ID(), Age: 0})
 }
 
 // buildGossip assembles one gossip wire message in a pooled envelope,
 // which comes back with one owner reference; the send paths drop it
 // after the fanout.
 func (nd *Node) buildGossip(topic string, events []*pubsub.Event, ads []membership.Entry) *wireMsg {
-	m := nd.pool.get()
+	m := nd.sh.pool.get()
 	m.Kind = kindGossip
 	m.Topic = topic
 	m.Events = append(m.Events[:0], events...)
@@ -379,7 +269,7 @@ func (nd *Node) buildGossip(topic string, events []*pubsub.Event, ads []membersh
 		m.Junk = nd.cfg.JunkPadding
 	}
 	if nd.cfg.SemanticBias > 0 {
-		m.FP = interestFingerprint(&nd.interest)
+		m.FP = interestFingerprint(nd.Interest())
 		m.FPAds = nd.fpAds(2)
 	}
 	return m
@@ -410,32 +300,10 @@ func (nd *Node) sendGossipAll(peers []simnet.NodeID, topic string, events []*pub
 	m := nd.buildGossip(topic, events, ads)
 	size := m.size()
 	for _, q := range peers {
-		nd.net.Send(nd.id, q, m, size)
-		nd.ledger.AddSend(int(nd.id), fairness.ClassApp, size)
+		nd.sh.net.Send(nd.ID(), q, m, size)
+		nd.sh.ledger.AddSend(int(nd.ID()), fairness.ClassApp, size)
 	}
 	m.Release()
-}
-
-func (nd *Node) updateController() {
-	acct := nd.ledger.Account(int(nd.id))
-	delta := fairness.Delta(acct, nd.lastAcct)
-	nd.lastAcct = acct
-	w := nd.ledger.Weights()
-	sample := adaptive.Sample{
-		Benefit:      fairness.Benefit(delta, w),
-		Contribution: fairness.Contribution(delta, w),
-	}
-	nd.fanout, nd.batch = nd.ctrl.Update(sample)
-}
-
-// --- Membership ------------------------------------------------------------
-
-func (nd *Node) initiateShuffle() {
-	target, offer, ok := nd.cyclon.InitiateShuffle(nd.rng)
-	if !ok {
-		return
-	}
-	nd.send(target, &wireMsg{Kind: kindShuffle, Entries: offer}, fairness.ClassInfra)
 }
 
 // --- Topic-group joining (§5.1) ---------------------------------------------
@@ -448,7 +316,7 @@ func (nd *Node) joinGroup(topic string) {
 		nd.groups = make(map[string]*topicGroup)
 	}
 	nd.groups[topic] = &topicGroup{
-		view:   membership.NewView(nd.id, topicViewCap),
+		view:   membership.NewView(nd.ID(), topicViewCap),
 		buffer: gossip.NewBuffer(nd.cfg.BufferCap, nd.cfg.BufferMaxAge),
 	}
 	nd.rebuildGroupOrder()
@@ -474,7 +342,7 @@ func (nd *Node) startWalk(m *wireMsg) {
 		return
 	}
 	nd.walksSent++
-	m.Origin, m.Hops = nd.id, walkHopLimit
+	m.Origin, m.Hops = nd.ID(), walkHopLimit
 	nd.send(contacts[0], m, fairness.ClassInfra)
 }
 
@@ -504,50 +372,18 @@ func (nd *Node) relayWalk(from simnet.NodeID, m *wireMsg) {
 // Leave takes the node offline without notice.
 func (nd *Node) Leave() {
 	nd.active = false
-	nd.net.SetUp(nd.id, false)
-}
-
-// LeaveGracefully departs with notice — the sim mirror of the live
-// runtime's Cluster.Leave. Under Cyclon membership the node hands up to
-// ShuffleLen of its freshest view entries to every view neighbour in a
-// charged kindLeave message before going offline, so the overlay loses
-// an address without losing degree; under the full sampler there are no
-// views to repair and the departure reduces to Leave.
-func (nd *Node) LeaveGracefully() {
-	if !nd.active {
-		return
-	}
-	if nd.cyclon != nil {
-		ents := nd.cyclon.View().Entries()
-		sort.SliceStable(ents, func(i, j int) bool { return ents[i].Age < ents[j].Age })
-		k := nd.cyclon.ShuffleLen()
-		for _, to := range ents {
-			hand := make([]membership.Entry, 0, k)
-			for _, e := range ents {
-				if len(hand) == k {
-					break
-				}
-				if e.ID != to.ID {
-					hand = append(hand, e)
-				}
-			}
-			// Each message owns its slice: simnet delivers payloads later,
-			// by reference.
-			nd.send(to.ID, &wireMsg{Kind: kindLeave, Entries: hand}, fairness.ClassInfra)
-		}
-	}
-	nd.Leave()
+	nd.sh.net.SetUp(nd.ID(), false)
 }
 
 // Rejoin brings the node back, repairing its overlay view through the
 // bootstrap contact and charging the configured instability penalty.
 func (nd *Node) Rejoin(bootstrap simnet.NodeID) {
 	nd.active = true
-	nd.net.SetUp(nd.id, true)
+	nd.sh.net.SetUp(nd.ID(), true)
 	if nd.cfg.RepairPenalty > 0 {
-		nd.ledger.AddChurnPenalty(int(nd.id), nd.cfg.RepairPenalty)
+		nd.sh.ledger.AddChurnPenalty(int(nd.ID()), nd.cfg.RepairPenalty)
 	}
-	if nd.cyclon != nil {
+	if nd.View() != nil {
 		nd.send(bootstrap, &wireMsg{Kind: kindViewRepair}, fairness.ClassInfra)
 	}
 	// Re-join all topic groups (stale views may point to departed peers).
@@ -569,17 +405,10 @@ func (nd *Node) HandleMessage(msg simnet.Message) {
 	switch m.Kind {
 	case kindGossip:
 		nd.handleGossip(msg.From, m)
-	case kindShuffle:
-		if nd.cyclon == nil {
-			return
-		}
-		reply := nd.cyclon.HandleShuffle(nd.rng, msg.From, m.Entries)
-		nd.send(msg.From, &wireMsg{Kind: kindShuffleReply, Entries: reply}, fairness.ClassInfra)
-	case kindShuffleReply:
-		if nd.cyclon == nil {
-			return
-		}
-		nd.cyclon.HandleReply(msg.From, m.Entries)
+	case kindShuffle, kindShuffleReply, kindLeave:
+		out := &nd.sh.out
+		nd.RecvMembership(protocol.Kind(m.Kind), msg.From, m.Entries, out)
+		nd.sendMembership(out)
 	case kindSubWalk:
 		nd.handleSubWalk(msg.From, m)
 	case kindSubAck:
@@ -587,32 +416,18 @@ func (nd *Node) HandleMessage(msg simnet.Message) {
 	case kindPubWalk:
 		nd.handlePubWalk(msg.From, m)
 	case kindViewRepair:
-		if nd.cyclon == nil {
+		v := nd.View()
+		if v == nil {
 			return
 		}
-		nd.send(msg.From, &wireMsg{
-			Kind:    kindViewRepairAck,
-			Entries: nd.cyclon.View().Entries(),
-		}, fairness.ClassInfra)
+		nd.send(msg.From, &wireMsg{Kind: kindViewRepairAck, Entries: v.Entries()}, fairness.ClassInfra)
 		// Knowing the requester is alive is free information: remember it,
 		// so a joining node becomes reachable the moment its seed answers.
-		nd.cyclon.View().Add(msg.From)
+		v.Add(msg.From)
 	case kindViewRepairAck:
-		if nd.cyclon == nil {
-			return
-		}
-		for _, e := range m.Entries {
-			nd.cyclon.View().AddAged(e)
-		}
-	case kindLeave:
-		if nd.cyclon == nil {
-			return
-		}
-		// Forget the leaver, adopt the replacement contacts it handed over.
-		nd.cyclon.View().Remove(msg.From)
-		for _, e := range m.Entries {
-			if e.ID != msg.From {
-				nd.cyclon.View().AddAged(e)
+		if v := nd.View(); v != nil {
+			for _, e := range m.Entries {
+				v.AddAged(e)
 			}
 		}
 	}
@@ -625,11 +440,10 @@ func (nd *Node) handleGossip(from simnet.NodeID, m *wireMsg) {
 			nd.rememberFingerprint(ad.ID, ad.FP)
 		}
 	}
-	novel, dup := 0, m.Junk
 	// Fair-by-structure: in topic mode only group members re-forward.
 	// Events for groups we are not in are delivered (if interesting) but
 	// never buffered for forwarding.
-	buf := nd.buffer
+	buf := nd.Buffer()
 	if nd.cfg.Mode == ModeTopics {
 		buf = nil
 		if g := nd.groups[m.Topic]; g != nil {
@@ -639,36 +453,24 @@ func (nd *Node) handleGossip(from simnet.NodeID, m *wireMsg) {
 			}
 		}
 	}
-	for _, ev := range m.Events {
-		if !nd.seen.Add(ev.ID) {
-			dup += ev.WireSize()
-			if buf != nil {
-				buf.Duplicate(ev.ID, nd.batch)
-			}
-			continue
-		}
-		novel += ev.WireSize()
-		if buf != nil {
-			buf.Insert(ev)
-		}
-		nd.deliverIfInterested(ev)
-	}
-	// Novelty audit (§5.2 bias resistance): grade the sender's bytes.
-	// This is the one ledger write aimed at ANOTHER process's account, so
-	// it goes through the shard's auditSink: a remote sender's controller
-	// must never race it mid-window.
-	nd.auditSink(int(from), novel, dup)
+	novel, dup := nd.RecvEvents(from, buf, m)
+	// Novelty audit (§5.2 bias resistance): grade the sender's bytes,
+	// cheat padding included. This is the one ledger write aimed at
+	// ANOTHER process's account, so it goes through the shard's
+	// auditSink: a remote sender's controller must never race it
+	// mid-window.
+	nd.sh.auditSink(int(from), novel, dup+m.Junk)
 }
 
 func (nd *Node) handleSubWalk(from simnet.NodeID, m *wireMsg) {
 	if g, ok := nd.groups[m.Topic]; ok {
 		// We are a subscriber: answer with bootstrap entries and adopt
 		// the new member.
-		entries := make([]membership.Entry, 0, shuffleLen+1)
-		for _, id := range nd.viewPeers(g.view, shuffleLen) {
+		entries := make([]membership.Entry, 0, protocol.ShuffleLen+1)
+		for _, id := range nd.viewPeers(g.view, protocol.ShuffleLen) {
 			entries = append(entries, membership.Entry{ID: id, Age: 1})
 		}
-		entries = append(entries, membership.Entry{ID: nd.id, Age: 0})
+		entries = append(entries, membership.Entry{ID: nd.ID(), Age: 0})
 		nd.send(m.Origin, &wireMsg{Kind: kindSubAck, Topic: m.Topic, Entries: entries}, fairness.ClassInfra)
 		g.view.Add(m.Origin)
 		return
@@ -688,25 +490,12 @@ func (nd *Node) handleSubAck(m *wireMsg) {
 
 func (nd *Node) handlePubWalk(from simnet.NodeID, m *wireMsg) {
 	if g, ok := nd.groups[m.Topic]; ok {
-		for _, ev := range m.Events {
-			if nd.seen.Add(ev.ID) {
-				g.buffer.Insert(ev)
-				nd.deliverIfInterested(ev)
-			}
-		}
+		// The hand-off is the event's first copy here, not gossip to grade:
+		// admitted like any batch, unaudited.
+		nd.RecvEvents(from, g.buffer, m)
 		return
 	}
 	nd.relayWalk(from, m)
-}
-
-func (nd *Node) deliverIfInterested(ev *pubsub.Event) {
-	if !nd.interest.Match(ev) {
-		return
-	}
-	nd.ledger.AddDelivery(int(nd.id))
-	if nd.OnDeliver != nil {
-		nd.OnDeliver(ev)
-	}
 }
 
 var _ simnet.Handler = (*Node)(nil)

@@ -79,7 +79,7 @@ const fingerprintWireSize = 8
 
 // rememberFingerprint stores a peer's advertised fingerprint.
 func (nd *Node) rememberFingerprint(from simnet.NodeID, fp uint64) {
-	if fp == 0 || from == nd.id {
+	if fp == 0 || from == nd.ID() {
 		return
 	}
 	if nd.peerFPs == nil {
@@ -104,7 +104,7 @@ func (nd *Node) fpAds(k int) []fpAd {
 		k = len(ids)
 	}
 	out := make([]fpAd, 0, k)
-	for _, idx := range nd.rng.Perm(len(ids))[:k] {
+	for _, idx := range nd.Rand().Perm(len(ids))[:k] {
 		id := simnet.NodeID(ids[idx])
 		out = append(out, fpAd{ID: id, FP: nd.peerFPs[id]})
 	}
@@ -142,7 +142,7 @@ func (nd *Node) biasedPeers(k int, targetFP uint64) []simnet.NodeID {
 	matching := make([]simnet.NodeID, 0, len(ids))
 	for _, idInt := range ids {
 		id := simnet.NodeID(idInt)
-		if id != nd.id && fingerprintOverlap(targetFP, nd.peerFPs[id]) > 0 {
+		if id != nd.ID() && fingerprintOverlap(targetFP, nd.peerFPs[id]) > 0 {
 			matching = append(matching, id)
 		}
 	}
@@ -151,7 +151,7 @@ func (nd *Node) biasedPeers(k int, targetFP uint64) []simnet.NodeID {
 	}
 	out := make([]simnet.NodeID, 0, k)
 	used := make(map[simnet.NodeID]struct{}, k)
-	for _, idx := range nd.rng.Perm(len(matching))[:want] {
+	for _, idx := range nd.Rand().Perm(len(matching))[:want] {
 		out = append(out, matching[idx])
 		used[matching[idx]] = struct{}{}
 	}

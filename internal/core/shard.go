@@ -5,6 +5,7 @@ import (
 
 	"fairgossip/internal/eventsim"
 	"fairgossip/internal/fairness"
+	"fairgossip/internal/protocol"
 	"fairgossip/internal/randutil"
 	"fairgossip/internal/simnet"
 )
@@ -33,7 +34,9 @@ import (
 type shard struct {
 	sim       *eventsim.Sim
 	net       *simnet.Network
+	ledger    *fairness.Ledger // the cluster's
 	pool      *msgPool
+	out       protocol.Out   // every Peer call of the shard's nodes writes here; read before the next call
 	lo, hi    int            // owned id range [lo, hi)
 	outbox    [][]pendingMsg // per destination shard, FIFO within a pair
 	audits    []deferredAudit
@@ -82,8 +85,8 @@ func (c *Cluster) addNode(i, n int) {
 			sh.net.AddRemote()
 			continue
 		}
-		nd := newNode(simnet.NodeID(i), sh.net, c.Ledger, &c.cfg, n, randutil.NewStream(randutil.NodeSeed(c.seed, i)), sh.pool)
-		nd.auditSink = sh.auditSink
+		rng := randutil.NewStream(randutil.NodeSeed(c.seed, i))
+		nd := &Node{Peer: protocol.New(simnet.NodeID(i), n, &c.par, rng, c.Ledger), sh: sh, cfg: &c.cfg, active: true}
 		sh.net.AddNode(nd)
 		c.Nodes = append(c.Nodes, nd)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"fairgossip/internal/gossip"
 	"fairgossip/internal/membership"
+	"fairgossip/internal/protocol"
 	"fairgossip/internal/pubsub"
 	"fairgossip/internal/simnet"
 )
@@ -10,16 +11,20 @@ import (
 // msgKind discriminates FairGossip wire messages.
 type msgKind uint8
 
+// The Cyclon and leave kinds are the machine's, value for value, so both
+// directions convert with a cast. protocol.KindJoin has no counterpart: a
+// simulated node is introduced by kindViewRepair, not by an announcement.
 const (
-	kindGossip        msgKind = iota + 1 // event dissemination (app)
-	kindShuffle                          // Cyclon offer (infra)
-	kindShuffleReply                     // Cyclon answer (infra)
-	kindSubWalk                          // subscription random walk (infra)
-	kindSubAck                           // walk answer: group bootstrap (infra)
-	kindPubWalk                          // publisher hand-off walk (infra)
-	kindViewRepair                       // rejoin view request (infra)
-	kindViewRepairAck                    // rejoin view answer (infra)
-	kindLeave                            // graceful departure + hand-off entries (infra)
+	kindShuffle      = msgKind(protocol.KindOffer) // Cyclon offer (infra)
+	kindShuffleReply = msgKind(protocol.KindReply) // Cyclon answer (infra)
+	kindLeave        = msgKind(protocol.KindLeave) // graceful departure + hand-off entries (infra)
+
+	kindGossip        msgKind = iota + 16 // event dissemination (app)
+	kindSubWalk                           // subscription random walk (infra)
+	kindSubAck                            // walk answer: group bootstrap (infra)
+	kindPubWalk                           // publisher hand-off walk (infra)
+	kindViewRepair                        // rejoin view request (infra)
+	kindViewRepairAck                     // rejoin view answer (infra)
 )
 
 // fpAd is a third-party interest-fingerprint advertisement: profile
@@ -58,6 +63,17 @@ type wireMsg struct {
 	pool *msgPool
 	refs int32
 }
+
+// A gossip message is the machine's protocol.Batch as it stands: the
+// simulator passes events by reference, already materialised.
+
+func (m *wireMsg) Len() int { return len(m.Events) }
+
+func (m *wireMsg) Head(i int) (pubsub.EventID, int) {
+	return m.Events[i].ID, m.Events[i].WireSize()
+}
+
+func (m *wireMsg) Event(i int) *pubsub.Event { return m.Events[i] }
 
 const (
 	wireHeaderSize = 8

@@ -24,12 +24,11 @@ func leverTrace(opts Options, spec core.ControllerSpec, windows, f0, n0 int, lim
 	n := pick(opts.Small, 64, 128)
 	stocks := workload.NewStocks(16)
 	c := core.NewCluster(n, core.Config{
-		Mode:          core.ModeContent,
-		Fanout:        f0,
-		Batch:         n0,
-		Controller:    spec,
-		Limits:        limits,
-		ControlWindow: 5,
+		Mode:       core.ModeContent,
+		Fanout:     f0,
+		Batch:      n0,
+		Controller: spec,
+		Limits:     limits,
 	}, core.ClusterOptions{Seed: opts.Seed, NetConfig: defaultNet()})
 	for i := 0; i < n; i++ {
 		sel := 0.01 + 0.5*float64(i)/float64(n-1)

@@ -133,8 +133,7 @@ func All() []Spec {
 		{"EXP-A4", "Message size requirement & policies (§5.2 Q4)", ExpA4},
 		{"EXP-A5", "Robustness under adaptation (§5.2 Q5)", ExpA5},
 		{"EXP-A6", "Bias resistance via audit (§5.2 Q6)", ExpA6},
-		// Extensions beyond the paper's core sketch (documented in
-		// EXPERIMENTS.md under "extensions").
+		// Extensions beyond the paper's core sketch (exps_extensions.go).
 		{"EXP-X1", "Push-pull anti-entropy repair (extension)", ExpX1},
 		{"EXP-X2", "Semantic partner bias vs interest sparsity (extension)", ExpX2},
 	}

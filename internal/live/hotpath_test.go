@@ -15,9 +15,9 @@ import (
 func TestLiveSamplePeersZeroAlloc(t *testing.T) {
 	c := mustCluster(t, Config{N: 32, Fanout: 5, Seed: 21})
 	p := c.peerAt(0)
-	p.samplePeers(5) // warm the scratch buffers
-	if avg := testing.AllocsPerRun(200, func() { p.samplePeers(5) }); avg != 0 {
-		t.Fatalf("samplePeers allocates %.2f times per call, want 0", avg)
+	p.m.Partners(5, &p.out) // warm the scratch buffers
+	if avg := testing.AllocsPerRun(200, func() { p.m.Partners(5, &p.out) }); avg != 0 {
+		t.Fatalf("Partners allocates %.2f times per call, want 0", avg)
 	}
 }
 
@@ -30,14 +30,14 @@ func TestLiveSamplePeersDrawsFromTheView(t *testing.T) {
 	p := c.peerAt(3)
 	inView := func() map[int]bool {
 		m := map[int]bool{}
-		for _, e := range p.cyclon.View().Entries() {
-			m[int(e.ID)] = true
+		for _, q := range p.m.View().IDs() {
+			m[int(q)] = true
 		}
 		return m
 	}
 	for trial := 0; trial < 200; trial++ {
 		view := inView()
-		got := p.samplePeers(4)
+		got := p.m.Partners(4, &p.out)
 		if want := min(4, len(view)); len(got) != want {
 			t.Fatalf("sampled %d peers, want %d", len(got), want)
 		}
@@ -46,19 +46,19 @@ func TestLiveSamplePeersDrawsFromTheView(t *testing.T) {
 			if q == 3 {
 				t.Fatal("sampled self")
 			}
-			if !view[q] {
+			if !view[int(q)] {
 				t.Fatalf("peer %d is not in the view %v", q, view)
 			}
-			if seen[q] {
+			if seen[int(q)] {
 				t.Fatalf("duplicate peer %d", q)
 			}
-			seen[q] = true
+			seen[int(q)] = true
 		}
 	}
-	if got := p.samplePeers(99); len(got) != p.cyclon.View().Len() {
-		t.Fatalf("oversized k: %d peers, want the whole view (%d)", len(got), p.cyclon.View().Len())
+	if got := p.m.Partners(99, &p.out); len(got) != p.m.View().Len() {
+		t.Fatalf("oversized k: %d peers, want the whole view (%d)", len(got), p.m.View().Len())
 	}
-	if got := p.samplePeers(0); got != nil {
+	if got := p.m.Partners(0, &p.out); len(got) != 0 {
 		t.Fatalf("k=0 sampled %v", got)
 	}
 }

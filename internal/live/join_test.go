@@ -76,6 +76,25 @@ func TestLiveJoinIntegratesAndDelivers(t *testing.T) {
 	}
 }
 
+// TestLiveJoinerLimitsFollowThePopulation: a joiner's controller is
+// clamped by adaptive.DefaultLimits of the population it joins, as the
+// simulator's always was — not of the founding Config.N. Seven founders
+// have FanoutMin ⌈ln 7⌉ = 2; the eighth peer crosses the ⌈ln n⌉ step to
+// 3. A start below the floor is clamped up to it, so the floor reads
+// straight off Levers.
+func TestLiveJoinerLimitsFollowThePopulation(t *testing.T) {
+	c := mustCluster(t, Config{N: 7, Fanout: 1, TargetRatio: 1000, Seed: 36})
+	id, err := c.Join(0)
+	if err != nil {
+		t.Fatalf("Join: %v", err)
+	}
+	founder, _, _ := c.Levers(0)
+	joiner, _, ok := c.Levers(id)
+	if !ok || founder != 2 || joiner != 3 {
+		t.Fatalf("fanout floors: founder %d, joiner %d (ok %v), want 2 and 3", founder, joiner, ok)
+	}
+}
+
 // TestLiveJoinValidation: bad seeds and stopped clusters are errors;
 // joining before Start is legal (the peer launches with the rest).
 func TestLiveJoinValidation(t *testing.T) {

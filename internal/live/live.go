@@ -1,46 +1,38 @@
 // Package live is the real-concurrency runtime: one goroutine per peer,
 // a pluggable transport as the links, and wall-clock tickers for gossip
-// rounds. It runs the same content-mode FairGossip protocol as
-// internal/core but against Go's scheduler instead of the deterministic
-// simulator — the form a deployed system (and the runnable examples)
-// would use.
+// rounds — the form a deployed system (and the runnable examples) would
+// use. The protocol is not written here: every peer is a protocol.Peer,
+// the state machine internal/core runs under the deterministic simulator,
+// and this package is its second driver — the goroutine, inbox, wire
+// codec and fault switches around it.
 //
 // Messages move as encoded bytes: each round a peer packs its selected
 // events into one wire envelope (internal/wire) and hands the bytes to
 // its transport endpoint (internal/transport); receivers validate the
 // envelope, dedup on the event ids, and decode — into events they own
 // outright — only what they have not seen. The default ChanTransport
-// delivers the bytes in-process; Config.Transport swaps in real
-// loopback UDP sockets (transport.UDP()) with no protocol change.
-// Because the envelope
-// encoding is sized exactly like the accounting formula the ledger has
-// always charged (wire.EnvelopeSize == gossip.MsgWireSize), the
-// contribution a peer is billed is literally the number of bytes put on
-// the wire.
+// delivers the bytes in-process; Config.Transport swaps in real loopback
+// UDP sockets (transport.UDP()) with no protocol change. The encodings
+// are sized exactly like the accounting formulas the ledger has always
+// charged (wire.EnvelopeSize == gossip.MsgWireSize, wire.MembershipSize
+// for Cyclon traffic), so the contribution a peer is billed is literally
+// the number of bytes put on the wire.
 //
-// Membership is a partial view, not a roster: each peer runs the Cyclon
-// view-shuffling protocol (membership.Cyclon) as real wire traffic —
-// shuffle offers and replies are encoded envelopes, charged to the
-// fairness ledger as infrastructure contribution, byte for byte
-// (wire.MembershipSize is both the encoded and the charged size).
-// Partner selection samples the peer's current view; nothing on the
-// gossip path reads a full membership list, which is what lets clusters
-// grow while running: Join boots a new peer mid-run that announces
-// itself to a seed and integrates through ordinary shuffles. Hostile or
-// stale view entries (a crashed peer, a garbage id off the wire) are
-// self-healing: they age, become shuffle targets, draw no reply, and
-// are culled — every send they attract lands in a counted drop bucket.
+// Membership is a partial view, not a roster: nothing on the gossip path
+// reads a full membership list, which is what lets clusters grow while
+// running (Join). Hostile or stale view entries (a crashed peer, a
+// garbage id off the wire) are self-healing: they age, become shuffle
+// targets, draw no reply, and are culled — every send they attract lands
+// in a counted drop bucket.
 //
 // Concurrency model: each peer's protocol state is owned by its single
 // goroutine. External calls (Subscribe, Publish) are funneled into the
 // peer loop through a command channel and executed there, so no protocol
-// state needs locks. The peer table itself lives behind an atomic
-// pointer and grows copy-on-write (peers never move), so Join does not
-// block running peers. The shared fairness.Ledger is internally
-// synchronised. A peer whose inbox overflows drops messages, which is
-// exactly how a saturated UDP socket behaves — except here every such
-// drop is counted (see Traffic), so load can never lose messages
-// invisibly.
+// state needs locks. The peer table lives behind an atomic pointer and
+// grows copy-on-write (peers never move), so Join does not block running
+// peers. The shared fairness.Ledger is internally synchronised. A peer
+// whose inbox overflows drops messages, exactly as a saturated UDP socket
+// does — except that every such drop is counted (see Traffic).
 package live
 
 import (
@@ -48,7 +40,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -57,6 +48,7 @@ import (
 	"fairgossip/internal/fairness"
 	"fairgossip/internal/gossip"
 	"fairgossip/internal/membership"
+	"fairgossip/internal/protocol"
 	"fairgossip/internal/pubsub"
 	"fairgossip/internal/simnet"
 	"fairgossip/internal/transport"
@@ -128,11 +120,6 @@ type Config struct {
 	// semantics, byte for byte).
 	Shape *transport.Profile
 }
-
-const (
-	controlWindow = 5 // rounds between controller updates
-	shuffleLen    = 8 // entries exchanged per Cyclon shuffle (NewCyclon clamps it to ViewCap)
-)
 
 func (c Config) withDefaults() Config {
 	if c.N < 2 {
@@ -260,6 +247,7 @@ type Traffic struct {
 // has exited.
 type Cluster struct {
 	cfg     Config
+	par     protocol.Params // what cfg comes to for a protocol.Peer; every peer points at it
 	ledger  *fairness.Ledger
 	peers   atomic.Pointer[[]*peer] // copy-on-write: Join appends, peers never move
 	faults  *faults
@@ -274,50 +262,36 @@ type Cluster struct {
 	mu      sync.Mutex // guards started/stopped and structural growth (Join)
 }
 
+// peer is the live driver of one protocol.Peer: the goroutine, inbox and
+// transport endpoint around it, the wire codec in both directions, and
+// the fault switches scenario drivers flip from outside.
 type peer struct {
-	id       int
-	c        *Cluster
-	rng      *rand.Rand
-	tr       transport.Transport
-	inbox    chan []byte
-	cmds     chan func()
-	buffer   *gossip.Buffer
-	seen     *gossip.SeenSet
-	in       pubsub.Interest
-	ctrl     adaptive.Controller
-	cyclon   *membership.Cyclon
-	joinSeed int // seed to (re)announce to while the view is empty; -1 for founders
-	fanout   int
-	batch    int
-	rounds   int
-	last     fairness.Account
-	pubSeq   uint32
-	deliver  func(*pubsub.Event)
+	id    int
+	c     *Cluster
+	tr    transport.Transport
+	inbox chan []byte
+	cmds  chan func()
 
-	// Failure-detector state (peer-goroutine-owned): the outstanding
-	// shuffle probe and the evidence ledger behind eviction decisions.
-	det        detector
-	probe      simnet.NodeID // current unanswered shuffle target, or None
-	probeEntry membership.Entry
+	// m is the protocol state and out where it leaves what to send; both
+	// are owned by the peer goroutine. Round jitter and loss draws share
+	// the machine's random stream.
+	m   protocol.Peer
+	out protocol.Out
 
-	// Join-handshake backoff (peer-goroutine-owned except the flag,
-	// which JoinErr reads from outside).
-	joinAttempts int
-	joinWait     int // membership rounds to sit out before re-announcing
-	joinFailed   atomic.Bool
+	// joinFailed mirrors m.JoinFailed after every call that can move it,
+	// for JoinErr to read from outside.
+	joinFailed atomic.Bool
 
 	// Per-peer fault state (atomic: scenario drivers flip it from
-	// outside the peer goroutine).
+	// outside the peer goroutine). free is copied into the machine at
+	// the top of each round.
 	down  atomic.Bool
 	free  atomic.Bool
 	group atomic.Int32
 
-	env     wire.Envelope      // scan scratch: backing arrays are reused; Records alias the buffer in receive
-	targets []simnet.NodeID    // SampleInto scratch for partner selection
-	sample  []int              // int-converted partner scratch
-	sel     []*pubsub.Event    // SelectInto scratch: the selection dies at encode
-	entOut  []wire.ViewEntry   // membership encode scratch
-	entIn   []membership.Entry // membership decode conversion scratch
+	env    wire.Envelope      // scan scratch: backing arrays are reused; Records alias the buffer in receive
+	entOut []wire.ViewEntry   // membership encode scratch
+	entIn  []membership.Entry // membership decode conversion scratch
 }
 
 // NewCluster builds a stopped cluster. The only error source is the
@@ -344,6 +318,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	}
 	c := &Cluster{
 		cfg:    cfg,
+		par:    cfg.params(),
 		ledger: fairness.NewLedger(cfg.N, fairness.DefaultWeights()),
 		faults: &faults{},
 		net:    nw,
@@ -352,7 +327,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	}
 	peers := make([]*peer, 0, cfg.N)
 	for i := 0; i < cfg.N; i++ {
-		p := c.newPeer(i)
+		p := c.newPeer(i, cfg.N)
 		tr, err := nw.Attach(i, p.ingress)
 		if err != nil {
 			_ = nw.Close()
@@ -361,60 +336,40 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		p.tr = tr
 		peers = append(peers, p)
 	}
-	// Bootstrap overlay views with random contacts (a join service in a
-	// deployed system; free here, like handing out a seed-peer list —
-	// late joiners pay for their introduction instead, see Join).
-	boot := rand.New(rand.NewSource(cfg.Seed + 7))
-	k := cfg.ViewCap / 2
-	if k < 3 {
-		k = 3
-	}
-	if k > cfg.N-1 {
-		k = cfg.N - 1
-	}
-	for _, p := range peers {
-		for added := 0; added < k; added++ {
-			cand := boot.Intn(cfg.N)
-			if cand == p.id {
-				added--
-				continue
-			}
-			p.cyclon.View().Add(simnet.NodeID(cand))
-		}
-	}
+	protocol.Bootstrap(cfg.N, cfg.ViewCap, cfg.Seed, func(i int) *membership.View { return peers[i].m.View() })
 	c.peers.Store(&peers)
 	return c, nil
 }
 
-// newPeer builds one peer's protocol state (transport endpoint attached
-// by the caller).
-func (c *Cluster) newPeer(id int) *peer {
-	cfg := c.cfg
-	var ctrl adaptive.Controller
-	if cfg.TargetRatio > 0 {
-		ctrl = adaptive.NewAIMD(adaptive.Config{
-			TargetRatio: cfg.TargetRatio,
-			Limits:      adaptive.DefaultLimits(cfg.N),
-		}, adaptive.LeverBoth, cfg.Fanout, cfg.Batch)
-	} else {
-		ctrl = adaptive.Static{F: cfg.Fanout, N: cfg.Batch}
+// params translates the (defaulted) configuration into what a
+// protocol.Peer reads: AIMD on both levers when TargetRatio is set, a
+// Cyclon view, and the detector and join hand-shake the simulator leaves
+// off.
+func (c Config) params() protocol.Params {
+	par := protocol.Params{
+		Fanout: c.Fanout, Batch: c.Batch, Policy: c.Policy,
+		ViewCap: c.ViewCap, ShuffleEvery: c.ShuffleEvery,
+		BufferCap: 256, BufferMaxAge: c.BufferMaxAge, SeenCap: 8192,
+		EvictStrikes: c.EvictStrikes, QuarantineRounds: c.QuarantineRounds,
+		JoinAttempts: c.JoinAttempts, JoinBackoffCap: c.JoinBackoffCap,
 	}
-	p := &peer{
-		id:       id,
-		c:        c,
-		rng:      rand.New(rand.NewSource(cfg.Seed ^ int64(id*2654435761+1))),
-		inbox:    make(chan []byte, cfg.InboxDepth),
-		cmds:     make(chan func(), 64),
-		buffer:   gossip.NewBuffer(256, cfg.BufferMaxAge),
-		seen:     gossip.NewSeenSet(8192),
-		ctrl:     ctrl,
-		cyclon:   membership.NewCyclon(membership.NewView(simnet.NodeID(id), cfg.ViewCap), shuffleLen),
-		joinSeed: -1,
-		det:      newDetector(cfg.EvictStrikes, cfg.QuarantineRounds),
-		probe:    simnet.None,
+	if c.TargetRatio > 0 {
+		par.Controller = protocol.ControllerSpec{Kind: protocol.ControllerAIMD, Lever: adaptive.LeverBoth, TargetRatio: c.TargetRatio}
 	}
-	p.fanout, p.batch = ctrl.Fanout(), ctrl.Batch()
-	return p
+	return par
+}
+
+// newPeer builds peer id of a population of n (transport endpoint
+// attached by the caller).
+func (c *Cluster) newPeer(id, n int) *peer {
+	rng := rand.New(rand.NewSource(c.cfg.Seed ^ int64(id*2654435761+1)))
+	return &peer{
+		id:    id,
+		c:     c,
+		inbox: make(chan []byte, c.cfg.InboxDepth),
+		cmds:  make(chan func(), 64),
+		m:     protocol.New(simnet.NodeID(id), n, &c.par, rng, c.ledger),
+	}
 }
 
 // peerList returns the current peer table (immutable snapshot).
@@ -502,9 +457,7 @@ func (c *Cluster) Join(seed int) (int, error) {
 		return 0, fmt.Errorf("live: seed peer %d out of range [0,%d)", seed, len(peers))
 	}
 	id := len(peers)
-	p := c.newPeer(id)
-	p.joinSeed = seed
-	p.cyclon.View().Add(simnet.NodeID(seed))
+	p := c.newPeer(id, id+1)
 	tr, err := c.net.Attach(id, p.ingress)
 	if err != nil {
 		// Nothing to roll back: the ledger has not grown yet (Grow has
@@ -521,6 +474,12 @@ func (c *Cluster) Join(seed int) (int, error) {
 	copy(grown, peers)
 	grown[id] = p
 	c.peers.Store(&grown)
+	// The joiner announces itself before its goroutine exists (nothing
+	// else can touch it yet): the seed learns the new address at once and
+	// replies with bootstrap entries. This is attempt #1 of the machine's
+	// bounded, backed-off hand-shake.
+	p.m.Join(simnet.NodeID(seed), &p.out)
+	p.flushMembership()
 	if c.started {
 		c.wg.Add(1)
 		go func() {
@@ -587,9 +546,7 @@ func (c *Cluster) do(id int, fn func()) bool {
 func (c *Cluster) Subscribe(id int, f pubsub.Filter) (pubsub.SubID, bool) {
 	var sub pubsub.SubID
 	ok := c.do(id, func() {
-		p := c.peerAt(id)
-		sub = p.in.Subscribe(f)
-		c.ledger.SetFilters(id, p.in.Count())
+		sub = c.peerAt(id).m.Subscribe(f)
 	})
 	return sub, ok
 }
@@ -597,11 +554,7 @@ func (c *Cluster) Subscribe(id int, f pubsub.Filter) (pubsub.SubID, bool) {
 // Unsubscribe removes a subscription from a peer.
 func (c *Cluster) Unsubscribe(id int, sub pubsub.SubID) bool {
 	removed := false
-	ok := c.do(id, func() {
-		p := c.peerAt(id)
-		removed = p.in.Unsubscribe(sub)
-		c.ledger.SetFilters(id, p.in.Count())
-	})
+	ok := c.do(id, func() { removed = c.peerAt(id).m.Unsubscribe(sub) })
 	return ok && removed
 }
 
@@ -612,7 +565,7 @@ func (c *Cluster) Unsubscribe(id int, sub pubsub.SubID) bool {
 // forwarding — treat it as read-only, or the peer forwards the
 // mutation.
 func (c *Cluster) OnDeliver(id int, fn func(*pubsub.Event)) bool {
-	return c.do(id, func() { c.peerAt(id).deliver = fn })
+	return c.do(id, func() { c.peerAt(id).m.OnDeliver = fn })
 }
 
 // Levers reports a peer's current fanout and batch levers (synchronised
@@ -620,7 +573,7 @@ func (c *Cluster) OnDeliver(id int, fn func(*pubsub.Event)) bool {
 func (c *Cluster) Levers(id int) (fanout, batch int, ok bool) {
 	ok = c.do(id, func() {
 		p := c.peerAt(id)
-		fanout, batch = p.fanout, p.batch
+		fanout, batch = p.m.Fanout(), p.m.Batch()
 	})
 	return fanout, batch, ok
 }
@@ -630,11 +583,16 @@ func (c *Cluster) Levers(id int) (fanout, batch int, ok bool) {
 // ids.
 func (c *Cluster) View(id int) []int {
 	var out []int
-	c.do(id, func() {
-		for _, e := range c.peerAt(id).cyclon.View().Entries() {
-			out = append(out, int(e.ID))
-		}
-	})
+	c.do(id, func() { out = c.peerAt(id).view() })
+	return out
+}
+
+func (p *peer) view() []int {
+	ids := p.m.View().IDs()
+	out := make([]int, len(ids))
+	for i, id := range ids {
+		out[i] = int(id)
+	}
 	return out
 }
 
@@ -652,14 +610,9 @@ func (c *Cluster) Views() [][]int {
 	for i, p := range peers {
 		if running {
 			out[i] = c.View(i)
-			continue
+		} else {
+			out[i] = p.view()
 		}
-		ids := p.cyclon.View().IDs()
-		v := make([]int, len(ids))
-		for j, id := range ids {
-			v[j] = int(id)
-		}
-		out[i] = v
 	}
 	return out
 }
@@ -704,8 +657,9 @@ func (c *Cluster) Crash(id int) bool {
 
 // Leave departs a peer gracefully: on its own goroutine it hands its
 // freshest view entries to every view neighbour in KindLeave envelopes
-// (real, ledger-charged infrastructure traffic), then goes silent
-// exactly like a crashed peer. Compare Crash, the departure without
+// (protocol.Peer.Leave; real, ledger-charged infrastructure traffic —
+// sends to already-dead neighbours land in the counted drop buckets as
+// usual), then goes silent exactly like a crashed peer. Compare Crash, the departure without
 // notice. Returns false for invalid ids or a stopped cluster.
 func (c *Cluster) Leave(id int) bool {
 	return c.do(id, func() {
@@ -713,7 +667,8 @@ func (c *Cluster) Leave(id int) bool {
 		if p.down.Load() {
 			return // already offline: nothing to announce
 		}
-		p.sendLeave()
+		p.m.Leave(&p.out)
+		p.flushMembership()
 		p.down.Store(true)
 	})
 }
@@ -808,36 +763,20 @@ func (c *Cluster) Rebind(id int) bool {
 		if rb, ok := c.net.(transport.Rebinder); ok {
 			_, _ = rb.Rebind(id) // in-process substrates: nothing to move
 		}
-		if ents := p.cyclon.View().Entries(); len(ents) > 0 {
-			p.joinSeed = int(ents[p.rng.Intn(len(ents))].ID)
+		seed := simnet.None // an isolated peer re-announces to its old seed
+		if ids := p.m.View().IDs(); len(ids) > 0 {
+			seed = ids[p.m.Rand().Intn(len(ids))]
 		}
-		if p.joinSeed < 0 {
-			return // an isolated founder has nobody to re-announce to
-		}
-		// Fresh handshake budget: the re-announcement is attempt #1, and
-		// the ordinary backoff machinery covers a silent seed.
-		p.joinAttempts, p.joinWait = 0, 0
-		p.joinFailed.Store(false)
-		p.sendJoin()
-		p.joinAttempts++
+		p.m.Join(seed, &p.out)
+		p.flushMembership()
 	})
 }
 
 // Publish originates an event at the given peer.
 func (c *Cluster) Publish(id int, topic string, attrs []pubsub.Attr, payload []byte) bool {
 	return c.do(id, func() {
-		p := c.peerAt(id)
-		p.pubSeq++
-		ev := &pubsub.Event{
-			ID:      pubsub.EventID{Publisher: uint32(id), Seq: p.pubSeq},
-			Topic:   topic,
-			Attrs:   attrs,
-			Payload: payload,
-		}
-		c.ledger.AddPublish(id, ev.WireSize())
-		p.seen.Add(ev.ID)
-		p.buffer.Insert(ev)
-		p.deliverIfInterested(ev)
+		m := &c.peerAt(id).m
+		m.Publish(m.Buffer(), topic, attrs, payload)
 	})
 }
 
@@ -858,20 +797,13 @@ func (p *peer) ingress(buf []byte) {
 }
 
 func (p *peer) loop() {
-	// A joiner announces itself before its first round: the seed learns
-	// the new address immediately and replies with bootstrap entries.
-	// Routing through announce() makes this attempt #1 of the bounded,
-	// backed-off handshake.
-	if p.joinSeed >= 0 {
-		p.announce()
-	}
 	// Rounds fall on a fixed per-peer grid: start + period + jitter, then
 	// every period after that. The jitter desynchronises the peers; the
 	// absolute deadline keeps them that way — re-arming relative to when
 	// a round's work ended would stretch the period by that work and let
 	// every late wake-up pull the timers it covers onto one phase.
 	period := p.c.cfg.RoundPeriod
-	jitter := time.Duration(p.rng.Int63n(int64(period)))
+	jitter := time.Duration(p.m.Rand().Int63n(int64(period)))
 	next := time.Now().Add(period + jitter)
 	timer := time.NewTimer(time.Until(next))
 	defer timer.Stop()
@@ -904,137 +836,26 @@ func nextTick(due, now time.Time, period time.Duration) time.Time {
 	return next
 }
 
-// round runs one timer expiry. TestLiveRoundPathAllocs pins the steady
-// state at exactly one allocation (gossip's envelope buffer).
+// round runs one timer expiry: the machine decides, this sends.
+// TestLiveRoundPathAllocs pins the steady state at exactly one allocation
+// (gossip's envelope buffer).
 func (p *peer) round() {
 	if p.down.Load() {
 		return // crashed: no protocol activity at all
 	}
-	p.rounds++
-	// Membership maintenance runs for free-riders too (they stay
-	// reachable, like core's defectors), never for crashed peers.
-	if p.rounds%p.c.cfg.ShuffleEvery == 0 {
-		// Shuffle offers are deliberate fresh copies (they travel in
-		// in-flight messages), paid once every ShuffleEvery rounds.
-		p.membershipRound()
-	}
-	// A free-rider receives and delivers but never forwards; its buffer
-	// still ages so it does not hoard a backlog to replay on reform.
-	if !p.free.Load() {
-		p.gossip()
-	}
-	p.buffer.Tick()
-	if p.rounds%controlWindow == 0 {
-		acct := p.c.ledger.Account(p.id)
-		delta := fairness.Delta(acct, p.last)
-		p.last = acct
-		w := p.c.ledger.Weights()
-		p.fanout, p.batch = p.ctrl.Update(adaptive.Sample{
-			Benefit:      fairness.Benefit(delta, w),
-			Contribution: fairness.Contribution(delta, w),
-		})
-	}
+	p.m.FreeRide = p.free.Load()
+	p.m.Tick(&p.out)
+	// Shuffle offers are deliberate fresh copies (they travel in
+	// in-flight messages), paid once every ShuffleEvery rounds.
+	p.flushMembership()
+	p.gossip(p.out.Events, p.out.Targets)
+	p.m.Adapt() // after the sends: the window reads what they were charged
 }
 
-// membershipRound runs one Cyclon step: settle the previous shuffle's
-// probe verdict, then age the view, cull the oldest entry as shuffle
-// target, and send it our offer — which doubles as the failure
-// detector's probe of that target. An isolated peer (a joiner whose
-// handshake died, or a view decimated by churn) falls back to
-// re-announcing itself to its join seed, under capped backoff.
-func (p *peer) membershipRound() {
-	p.resolveProbe()
-	// Capture the current oldest before initiating: IncrementAges
-	// preserves the age order (ties and all), so this is the entry
-	// InitiateShuffle is about to cull, at one round younger.
-	old, _ := p.cyclon.View().Oldest()
-	target, offer, ok := p.cyclon.InitiateShuffle(p.rng)
-	if !ok {
-		p.announce()
-		return
-	}
-	// A non-empty view means the peer is integrated; a later isolation
-	// (churn eating the whole view) gets a fresh retry budget.
-	p.joinAttempts, p.joinWait = 0, 0
-	p.joinFailed.Store(false)
-	p.probe = target
-	p.probeEntry = membership.Entry{ID: target, Age: old.Age + 1}
-	p.sendMembership(wire.KindShuffleOffer, int(target), offer)
-}
-
-// resolveProbe settles the verdict on the previous membership round's
-// shuffle target. Silence since then is a strike; EvictStrikes
-// consecutive strikes evicts and quarantines the address. Anything
-// less restores the culled entry with its age frozen (MarkSuspect), so
-// it stays the oldest, is re-targeted promptly, and third-party
-// re-offers cannot launder the suspicion away.
-func (p *peer) resolveProbe() {
-	if p.probe == simnet.None {
-		return
-	}
-	id := p.probe
-	p.probe = simnet.None
-	v := p.cyclon.View()
-	if p.det.strike(id) {
-		p.det.bury(id, p.rounds)
-		// The shuffle already culled the entry; a third party may have
-		// re-offered it mid-probe, so remove defensively.
-		v.Remove(id)
-		return
-	}
-	v.AddAged(p.probeEntry)
-	v.MarkSuspect(id)
-}
-
-// noteAlive records direct contact from a peer: every piece of
-// detector evidence against it is void, a pending probe of it is
-// answered, and any view suspicion is cleared.
-func (p *peer) noteAlive(from simnet.NodeID) {
-	p.det.alive(from)
-	if p.probe == from {
-		p.probe = simnet.None
-	}
-	p.cyclon.View().ClearSuspect(from)
-}
-
-// announce re-sends the join announcement under capped exponential
-// backoff with seeded jitter. After Config.JoinAttempts announcements
-// with no usable view the peer gives up: the abandonment is surfaced
-// through JoinErr and counted in Traffic().JoinGiveUps, instead of the
-// old behaviour of re-announcing every membership round forever.
-func (p *peer) announce() {
-	if p.joinSeed < 0 || p.joinFailed.Load() {
-		return // founders have no seed; a given-up joiner stays quiet
-	}
-	if p.joinWait > 0 {
-		p.joinWait--
-		return
-	}
-	if p.joinAttempts >= p.c.cfg.JoinAttempts {
-		p.joinFailed.Store(true)
-		p.c.traffic.joinGiveUps.Add(1)
-		return
-	}
-	p.sendJoin()
-	p.joinAttempts++
-	backoff := p.c.cfg.JoinBackoffCap
-	if s := p.joinAttempts - 1; s < 10 && 1<<s < backoff {
-		backoff = 1 << s
-	}
-	p.joinWait = backoff + p.rng.Intn(backoff)
-}
-
-// gossip runs one round's push: SELECTEVENTS, SELECTPARTICIPANTS,
-// encode once, send the shared immutable bytes to every partner.
-func (p *peer) gossip() {
-	// The selection runs over peer-owned scratch: it dies at the encode
-	// below, so unlike the envelope it never leaves this frame.
-	events := p.buffer.SelectInto(p.rng, &p.sel, p.batch, p.c.cfg.Policy)
-	if len(events) == 0 {
-		return
-	}
-	targets := p.samplePeers(p.fanout)
-	if len(targets) == 0 {
+// gossip sends one round's push: encode once, share the immutable bytes
+// with every partner.
+func (p *peer) gossip(events []*pubsub.Event, targets []simnet.NodeID) {
+	if len(events) == 0 || len(targets) == 0 {
 		return
 	}
 	// The envelope buffer must be fresh each round — receivers hold it
@@ -1047,56 +868,23 @@ func (p *peer) gossip() {
 		return
 	}
 	for _, q := range targets {
-		p.send(q, buf, fairness.ClassApp)
+		p.send(int(q), buf, fairness.ClassApp)
 	}
 }
 
-// samplePeers draws up to k distinct partners from the peer's partial
-// view — SELECTPARTICIPANTS(F) over the membership substrate, not a
-// full roster. SampleInto runs over reused scratch, so steady-state
-// rounds allocate nothing here.
-func (p *peer) samplePeers(k int) []int {
-	got := p.cyclon.View().SampleInto(p.rng, k, p.targets[:0])
-	if len(got) == 0 {
-		return nil
+// flushMembership sends what the machine's last input left in out.Sends
+// (real, charged infrastructure traffic — a joiner pays for its own
+// introduction) and mirrors the join hand-shake's verdict where JoinErr
+// and Traffic can see it.
+func (p *peer) flushMembership() {
+	for _, s := range p.out.Sends {
+		p.sendMembership(byte(s.Kind), int(s.To), s.Entries)
 	}
-	p.targets = got
-	out := p.sample[:0]
-	for _, q := range got {
-		out = append(out, int(q))
-	}
-	p.sample = out
-	return out
-}
-
-// sendJoin announces this peer to its join seed (real, charged
-// infrastructure traffic — a joiner pays for its own introduction).
-func (p *peer) sendJoin() {
-	p.sendMembership(wire.KindJoin, p.joinSeed, nil)
-}
-
-// sendLeave notifies every view neighbour of this peer's departure,
-// handing each up to ShuffleLen of the freshest view entries (excluding
-// the neighbour's own address) as replacement contacts — the overlay
-// loses an address but keeps its degree. Every notification is charged
-// like any other membership traffic; sends to already-dead neighbours
-// land in the counted drop buckets as usual.
-func (p *peer) sendLeave() {
-	ents := p.cyclon.View().Entries()
-	sort.SliceStable(ents, func(i, j int) bool { return ents[i].Age < ents[j].Age })
-	k := p.cyclon.ShuffleLen()
-	hand := make([]membership.Entry, 0, k)
-	for _, to := range ents {
-		hand = hand[:0]
-		for _, e := range ents {
-			if len(hand) == k {
-				break
-			}
-			if e.ID != to.ID {
-				hand = append(hand, e)
-			}
+	if failed := p.m.JoinFailed(); failed != p.joinFailed.Load() {
+		p.joinFailed.Store(failed)
+		if failed {
+			p.c.traffic.joinGiveUps.Add(1)
 		}
-		p.sendMembership(wire.KindLeave, int(to.ID), hand)
 	}
 }
 
@@ -1106,14 +894,9 @@ func (p *peer) sendLeave() {
 func (p *peer) sendMembership(kind byte, to int, entries []membership.Entry) {
 	p.entOut = p.entOut[:0]
 	for _, e := range entries {
-		age := e.Age
-		if age > math.MaxUint16 {
-			age = math.MaxUint16
+		if e.ID >= 0 {
+			p.entOut = append(p.entOut, wire.ViewEntry{ID: uint32(e.ID), Age: uint16(min(e.Age, math.MaxUint16))})
 		}
-		if e.ID < 0 {
-			continue
-		}
-		p.entOut = append(p.entOut, wire.ViewEntry{ID: uint32(e.ID), Age: uint16(age)})
 	}
 	buf, err := wire.AppendMembership(make([]byte, 0, wire.MembershipSize(len(p.entOut))), kind, uint32(p.id), p.entOut)
 	if err != nil {
@@ -1130,7 +913,7 @@ func (p *peer) sendMembership(kind byte, to int, entries []membership.Entry) {
 func (p *peer) send(to int, buf []byte, class fairness.Class) {
 	p.c.ledger.AddSend(p.id, class, len(buf))
 	p.c.traffic.sent.Add(1)
-	if q := p.c.peerAt(to); q != nil && p.c.faults.dropLink(p, q, p.rng) {
+	if q := p.c.peerAt(to); q != nil && p.c.faults.dropLink(p, q, p.m.Rand()) {
 		p.c.traffic.faultDrops.Add(1)
 		return
 	}
@@ -1156,123 +939,52 @@ func (p *peer) receive(buf []byte) {
 		p.c.traffic.malformed.Add(1)
 		return
 	}
-	// Any valid envelope is proof of life for its sender — the failure
-	// detector never holds evidence against a peer it can hear.
-	p.noteAlive(simnet.NodeID(from))
+	// Any valid envelope is proof of life for its sender — the machine's
+	// failure detector never holds evidence against a peer it can hear.
 	switch p.env.Kind {
 	case wire.KindEvents:
-		p.receiveEvents(from)
-	case wire.KindShuffleOffer:
-		reply := p.cyclon.HandleShuffle(p.rng, simnet.NodeID(from), p.entriesIn())
-		p.sendMembership(wire.KindShuffleReply, from, reply)
-	case wire.KindShuffleReply:
-		p.cyclon.HandleReply(simnet.NodeID(from), p.entriesIn())
-	case wire.KindJoin:
-		p.handleJoin(from)
-	case wire.KindLeave:
-		p.handleLeave(from)
+		// The envelope was validated whole before this runs, and
+		// len(rec.Raw) is the event's WireSize, so the novelty audit is
+		// charged exactly what an eager decode would charge.
+		novel, dup := p.m.RecvEvents(simnet.NodeID(from), p.m.Buffer(), scanned{p})
+		p.c.ledger.AddAudit(from, novel, dup)
+	case wire.KindShuffleOffer, wire.KindShuffleReply, wire.KindJoin, wire.KindLeave:
+		p.m.RecvMembership(protocol.Kind(p.env.Kind), simnet.NodeID(from), p.entriesIn(), &p.out)
+		p.flushMembership()
 	}
 }
 
-// receiveEvents dedups before it decodes: push gossip delivers most
-// events many times over, so only a record whose id is new is
-// materialised into an event (one this peer owns outright); a duplicate
-// costs a seen-set probe and a count towards retiring this peer's own
-// copy (gossip.Buffer.Duplicate), nothing else. The envelope was validated
-// whole before this runs, and len(rec.Raw) is the event's WireSize, so
-// the novelty audit is charged exactly what an eager decode would
-// charge.
-func (p *peer) receiveEvents(from int) {
-	novel, dup := 0, 0
-	for _, rec := range p.env.Records {
-		if !p.seen.Add(rec.ID) {
-			dup += len(rec.Raw)
-			p.buffer.Duplicate(rec.ID, p.batch)
-			continue
-		}
-		ev, err := rec.Decode()
-		if err != nil {
-			// The scan accepted these bytes with the same walker, so the
-			// shared read-only buffer changed under us — a contract breach
-			// elsewhere, counted rather than acted on.
-			p.c.traffic.malformed.Add(1)
-			continue
-		}
-		novel += len(rec.Raw)
-		p.buffer.Insert(ev)
-		p.deliverIfInterested(ev)
+// scanned is the peer's validated envelope as the machine's
+// protocol.Batch: the machine dedups on the record ids and only a record
+// whose id is new is materialised into an event (one this peer owns
+// outright).
+type scanned struct{ *peer }
+
+func (p scanned) Len() int { return len(p.env.Records) }
+
+func (p scanned) Head(i int) (pubsub.EventID, int) {
+	rec := &p.env.Records[i]
+	return rec.ID, len(rec.Raw)
+}
+
+func (p scanned) Event(i int) *pubsub.Event {
+	ev, err := p.env.Records[i].Decode()
+	if err != nil {
+		// The scan accepted these bytes with the same walker, so the
+		// shared read-only buffer changed under us — a contract breach
+		// elsewhere, counted rather than acted on.
+		p.c.traffic.malformed.Add(1)
+		return nil
 	}
-	p.c.ledger.AddAudit(from, novel, dup)
+	return ev
 }
 
 // entriesIn converts the decoded envelope's entries into membership
-// entries over reused scratch, refusing quarantined addresses — the
-// half of eviction that keeps third-party gossip from recirculating a
-// dead peer back into the view it was just probed out of.
+// entries over reused scratch.
 func (p *peer) entriesIn() []membership.Entry {
 	p.entIn = p.entIn[:0]
 	for _, e := range p.env.Entries {
-		id := simnet.NodeID(e.ID)
-		if p.det.buried(id, p.rounds) {
-			continue
-		}
-		p.entIn = append(p.entIn, membership.Entry{ID: id, Age: int(e.Age)})
+		p.entIn = append(p.entIn, membership.Entry{ID: simnet.NodeID(e.ID), Age: int(e.Age)})
 	}
 	return p.entIn
-}
-
-// handleLeave processes a graceful departure: forget the leaver, refuse
-// its address from future offers, and adopt the replacement contacts it
-// handed over (already filtered through the quarantine — including the
-// fresh verdict against the leaver itself).
-func (p *peer) handleLeave(from int) {
-	id := simnet.NodeID(from)
-	v := p.cyclon.View()
-	v.Remove(id)
-	p.det.bury(id, p.rounds)
-	if p.probe == id {
-		p.probe = simnet.None
-	}
-	for _, e := range p.entriesIn() {
-		v.AddAged(e)
-	}
-}
-
-// handleJoin admits a joining peer: merge whatever view it announced,
-// remember its address, and bootstrap it with a sample of our own view
-// sent back as a shuffle reply (the joiner merges it conservatively,
-// learning our address too).
-func (p *peer) handleJoin(from int) {
-	v := p.cyclon.View()
-	for _, e := range p.entriesIn() {
-		v.AddAged(e)
-	}
-	v.Add(simnet.NodeID(from))
-	ents := v.Entries()
-	p.rng.Shuffle(len(ents), func(i, j int) { ents[i], ents[j] = ents[j], ents[i] })
-	k := p.cyclon.ShuffleLen()
-	if k > len(ents) {
-		k = len(ents)
-	}
-	boot := ents[:0]
-	for _, e := range ents {
-		if len(boot) == k {
-			break
-		}
-		if int(e.ID) == from {
-			continue // the joiner does not need its own address back
-		}
-		boot = append(boot, e)
-	}
-	p.sendMembership(wire.KindShuffleReply, from, boot)
-}
-
-func (p *peer) deliverIfInterested(ev *pubsub.Event) {
-	if !p.in.Match(ev) {
-		return
-	}
-	p.c.ledger.AddDelivery(p.id)
-	if p.deliver != nil {
-		p.deliver(ev)
-	}
 }

@@ -153,7 +153,7 @@ func TestLiveRoundCadence(t *testing.T) {
 	p := c.peerAt(0)
 	// sample reads the round counter and the clock on the peer goroutine.
 	sample := func() (rounds int, at time.Time) {
-		if !c.do(0, func() { rounds, at = p.rounds, time.Now() }) {
+		if !c.do(0, func() { rounds, at = p.m.Rounds(), time.Now() }) {
 			t.Fatal("cluster stopped")
 		}
 		return rounds, at
@@ -204,7 +204,7 @@ func TestLiveRoundCadence(t *testing.T) {
 	var r0 int
 	var woke time.Time
 	c.do(0, func() {
-		r0 = p.rounds
+		r0 = p.m.Rounds()
 		time.Sleep(4*period + period/2) // four or five ticks fall due while the goroutine is away
 		woke = time.Now()
 	})

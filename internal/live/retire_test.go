@@ -51,7 +51,7 @@ func liveRetiresOn(t *testing.T, batch int) int {
 	}
 	for k := 1; k <= 4*batch+2; k++ {
 		p.receive(env)
-		if !p.buffer.Contains(ev.ID) {
+		if !p.m.Buffer().Contains(ev.ID) {
 			return k
 		}
 	}
@@ -59,10 +59,12 @@ func liveRetiresOn(t *testing.T, batch int) int {
 	return 0
 }
 
-// TestRetirementParity: the simulated node and the live peer call the
-// one rule (gossip.Buffer.Duplicate) from their own duplicate branches
-// with their own batch lever; fed the same copies they must retire on
-// the same one, the first copy plus 2 × batch duplicates.
+// TestRetirementParity is the driver-level check of the rule
+// protocol.TestFirstCopyPlusTwoBatchesOfDuplicatesRetires pins on the
+// machine: a simulated node fed through simnet and a live peer fed
+// encoded envelopes both reach the one admission loop
+// (protocol.Peer.RecvEvents) and must retire on the same copy, the first
+// plus 2 × batch duplicates.
 func TestRetirementParity(t *testing.T) {
 	for _, batch := range []int{1, 4, 8} {
 		sim, live := simRetiresOn(t, batch), liveRetiresOn(t, batch)

@@ -1,23 +1,22 @@
-package live
+package protocol
 
 import "fairgossip/internal/simnet"
 
-// detector is a peer's timeout-based failure detector. It owns no
-// timers and sends no probe messages of its own: the probes ARE the
-// ordinary Cyclon shuffle offers the peer already sends (and already
-// pays for as ClassInfra traffic), so enabling detection changes not
-// one byte of the wire protocol or the ledger. Each membership round
-// the peer checks whether its previous shuffle target ever answered —
-// with anything, not just the reply; a failure detector wants proof of
-// life, not protocol compliance. Unanswered probes accumulate strikes;
-// evictAfter consecutive strikes evicts the address from the view and
-// quarantines it so third-party gossip cannot resurrect it, which is
-// what turns "the entry eventually ages out" into "no live peer's view
+// detector is a peer's timeout-based failure detector. It owns no timers
+// and sends no probes of its own: the probes ARE the Cyclon shuffle offers
+// the peer already sends (and pays for as ClassInfra traffic), so
+// detection changes not one byte of the wire protocol or the ledger. Each
+// membership round the peer checks whether its previous shuffle target
+// ever answered — with anything, not just the reply. Unanswered probes
+// accumulate strikes; evictAfter consecutive ones evict the address from
+// the view and quarantine it so third-party gossip cannot resurrect it,
+// which turns "the entry eventually ages out" into "no live peer's view
 // contains a dead address within a bounded number of rounds".
 //
-// All state is owned by the peer goroutine; no synchronisation.
+// A detector built with evictAfter 0 is off: it holds no maps and the
+// Peer never strikes or buries through it.
 type detector struct {
-	evictAfter int // consecutive unanswered probes before eviction (K)
+	evictAfter int // consecutive unanswered probes before eviction (K); 0 = off
 	quarantine int // rounds an evicted address stays refused
 
 	// strikes counts consecutive unanswered probes per address. It
@@ -30,13 +29,15 @@ type detector struct {
 }
 
 func newDetector(evictAfter, quarantine int) detector {
-	return detector{
-		evictAfter: evictAfter,
-		quarantine: quarantine,
-		strikes:    make(map[simnet.NodeID]int),
-		dead:       make(map[simnet.NodeID]int),
+	d := detector{evictAfter: evictAfter, quarantine: quarantine}
+	if d.on() {
+		d.strikes = make(map[simnet.NodeID]int)
+		d.dead = make(map[simnet.NodeID]int)
 	}
+	return d
 }
+
+func (d *detector) on() bool { return d.evictAfter > 0 }
 
 // alive records direct contact from id: all evidence against it is
 // void, including a standing quarantine (a rejoined peer revives the

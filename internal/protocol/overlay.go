@@ -1,0 +1,268 @@
+package protocol
+
+import (
+	"math/rand"
+	"sort"
+
+	"fairgossip/internal/membership"
+	"fairgossip/internal/simnet"
+	"fairgossip/internal/wire"
+)
+
+// Kind names a membership message. The values are the wire codec's, so
+// the live driver converts with a cast; the simulator maps them onto its
+// own message kinds.
+type Kind uint8
+
+const (
+	KindOffer = Kind(wire.KindShuffleOffer) // Cyclon offer
+	KindReply = Kind(wire.KindShuffleReply) // Cyclon answer, and a seed's bootstrap for a joiner
+	KindJoin  = Kind(wire.KindJoin)         // a joiner's announcement to its seed
+	KindLeave = Kind(wire.KindLeave)        // graceful departure + hand-off entries
+)
+
+// overlay is what a peer keeps because its membership is a partial view
+// rather than the full roster: the Cyclon state, the failure detector
+// that rides its shuffles, and the join hand-shake.
+type overlay struct {
+	cyclon *membership.Cyclon
+
+	det        detector
+	probe      simnet.NodeID    // current unanswered shuffle target, or None
+	probeEntry membership.Entry // what to restore if it stays unanswered
+
+	joinSeed     simnet.NodeID // whom to (re)announce to while the view is empty; None for founders
+	joinAttempts int
+	joinWait     int // membership rounds to sit out before re-announcing
+	joinFailed   bool
+
+	in []membership.Entry // admit's scratch
+}
+
+// Bootstrap seeds the n founders' views with random contacts (a join
+// service in a deployed system; free here, like handing out a seed-peer
+// list — late joiners pay for their introduction instead). One stream
+// walks the peers in id order, so the initial overlay depends on nothing
+// but (n, viewCap, seed).
+func Bootstrap(n, viewCap int, seed int64, view func(i int) *membership.View) {
+	k := max(viewCap/2, 3)
+	boot := rand.New(rand.NewSource(seed + 7))
+	for i := 0; i < n; i++ {
+		v := view(i)
+		for added := 0; added < k && n > 1; {
+			if cand := simnet.NodeID(boot.Intn(n)); cand != v.Self() {
+				v.Add(cand)
+				added++
+			}
+		}
+	}
+}
+
+// shuffle runs one Cyclon step: settle the previous shuffle's probe
+// verdict, then age the view, cull the oldest entry as shuffle target,
+// and offer it our entries — which doubles as the failure detector's
+// probe of that target. An isolated peer (a dead hand-shake, a view eaten
+// by churn) falls back to re-announcing itself to its join seed.
+func (p *Peer) shuffle(out *Out) {
+	ov := p.ov
+	p.resolveProbe()
+	// IncrementAges preserves the age order (ties and all), so the
+	// current oldest is the entry InitiateShuffle is about to cull, at
+	// one round younger.
+	old, _ := ov.cyclon.View().Oldest()
+	target, offer, ok := ov.cyclon.InitiateShuffle(p.rng)
+	if !ok {
+		p.announce(out)
+		return
+	}
+	// A non-empty view means the peer is integrated; a later isolation
+	// gets a fresh retry budget.
+	ov.joinAttempts, ov.joinWait, ov.joinFailed = 0, 0, false
+	if ov.det.on() {
+		ov.probe = target
+		ov.probeEntry = membership.Entry{ID: target, Age: old.Age + 1}
+	}
+	out.send(KindOffer, target, offer)
+}
+
+// resolveProbe settles the verdict on the previous membership round's
+// shuffle target. Silence since then is a strike; EvictStrikes
+// consecutive strikes evicts and quarantines the address. Anything less
+// restores the culled entry with its age frozen (MarkSuspect), so it
+// stays the oldest, is re-targeted promptly, and third-party re-offers
+// cannot launder the suspicion away.
+func (p *Peer) resolveProbe() {
+	ov := p.ov
+	if ov.probe == simnet.None {
+		return
+	}
+	id := ov.probe
+	ov.probe = simnet.None
+	v := ov.cyclon.View()
+	if ov.det.strike(id) {
+		ov.det.bury(id, p.round)
+		// The shuffle already culled the entry; a third party may have
+		// re-offered it mid-probe, so remove defensively.
+		v.Remove(id)
+		return
+	}
+	v.AddAged(ov.probeEntry)
+	v.MarkSuspect(id)
+}
+
+// heard records direct contact from a peer: every piece of detector
+// evidence against it is void, a pending probe of it is answered, and any
+// view suspicion is cleared. Every input that names a sender comes here.
+func (p *Peer) heard(from simnet.NodeID) {
+	ov := p.ov
+	if ov == nil || !ov.det.on() {
+		return
+	}
+	ov.det.alive(from)
+	if ov.probe == from {
+		ov.probe = simnet.None
+	}
+	ov.cyclon.View().ClearSuspect(from)
+}
+
+// admit drops quarantined addresses from received entries — the half of
+// eviction that keeps third-party gossip from recirculating a dead peer
+// into the view it was just probed out of. The simulator shares the input
+// with other receivers, so a filtered copy goes to scratch.
+func (ov *overlay) admit(entries []membership.Entry, round int) []membership.Entry {
+	if len(ov.det.dead) == 0 {
+		return entries
+	}
+	ov.in = ov.in[:0]
+	for _, e := range entries {
+		if !ov.det.buried(e.ID, round) {
+			ov.in = append(ov.in, e)
+		}
+	}
+	return ov.in
+}
+
+// RecvMembership handles one membership message from peer from; replies
+// are left in out.Sends. A peer without a partial view ignores them all.
+func (p *Peer) RecvMembership(kind Kind, from simnet.NodeID, entries []membership.Entry, out *Out) {
+	out.Sends = out.Sends[:0]
+	ov := p.ov
+	if ov == nil {
+		return
+	}
+	p.heard(from)
+	entries = ov.admit(entries, p.round)
+	v := ov.cyclon.View()
+	switch kind {
+	case KindOffer:
+		out.send(KindReply, from, ov.cyclon.HandleShuffle(p.rng, from, entries))
+	case KindReply:
+		ov.cyclon.HandleReply(from, entries)
+	case KindJoin:
+		// Admit a joining peer: merge whatever view it announced, remember
+		// its address, and bootstrap it with a sample of our own view sent
+		// back as a shuffle reply (the joiner merges it conservatively,
+		// learning our address too, and has no use for its own).
+		for _, e := range entries {
+			v.AddAged(e)
+		}
+		v.Add(from)
+		ents := v.Entries()
+		p.rng.Shuffle(len(ents), func(i, j int) { ents[i], ents[j] = ents[j], ents[i] })
+		out.send(KindReply, from, freshest(ents, ov.cyclon.ShuffleLen(), from))
+	case KindLeave:
+		// A graceful departure: forget the leaver, refuse its address from
+		// future offers, and adopt the replacement contacts it handed over.
+		v.Remove(from)
+		if ov.det.on() {
+			ov.det.bury(from, p.round)
+			if ov.probe == from {
+				ov.probe = simnet.None
+			}
+		}
+		for _, e := range entries {
+			if e.ID != from {
+				v.AddAged(e)
+			}
+		}
+	}
+}
+
+// freshest returns, in a slice of its own, the first k of ents that are
+// not about peer skip.
+func freshest(ents []membership.Entry, k int, skip simnet.NodeID) []membership.Entry {
+	out := make([]membership.Entry, 0, k)
+	for _, e := range ents {
+		if len(out) == k {
+			break
+		}
+		if e.ID != skip {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// Join makes the peer (one with a partial view) a joiner introduced by
+// seed and announces it: the seed joins the view and is the address the
+// peer re-announces itself to, on a fresh budget, whenever a membership
+// round finds the view empty. The seed replies with bootstrap entries.
+// With simnet.None the previous seed is kept — how a peer that moved to a
+// new address makes the overlay re-learn it promptly.
+func (p *Peer) Join(seed simnet.NodeID, out *Out) {
+	out.Sends = out.Sends[:0]
+	ov := p.ov
+	if seed != simnet.None {
+		ov.joinSeed = seed
+		ov.cyclon.View().Add(seed)
+	}
+	ov.joinAttempts, ov.joinWait, ov.joinFailed = 0, 0, false
+	p.announce(out)
+}
+
+// JoinFailed reports whether the peer has given up announcing itself:
+// Params.JoinAttempts announcements, capped exponential back-off between
+// them, and still no view. A view entry from anywhere lifts it.
+func (p *Peer) JoinFailed() bool { return p.ov != nil && p.ov.joinFailed }
+
+// announce sends the join announcement under capped exponential back-off
+// with seeded jitter, and gives up after Params.JoinAttempts of them
+// instead of re-announcing every membership round forever.
+func (p *Peer) announce(out *Out) {
+	ov := p.ov
+	if ov.joinSeed == simnet.None || ov.joinFailed {
+		return // founders have no seed; a given-up joiner stays quiet
+	}
+	if ov.joinWait > 0 {
+		ov.joinWait--
+		return
+	}
+	if ov.joinAttempts >= p.par.JoinAttempts {
+		ov.joinFailed = true
+		return
+	}
+	out.send(KindJoin, ov.joinSeed, nil)
+	ov.joinAttempts++
+	backoff := p.par.JoinBackoffCap
+	if s := ov.joinAttempts - 1; s < 10 && 1<<s < backoff {
+		backoff = 1 << s
+	}
+	ov.joinWait = backoff + p.rng.Intn(backoff)
+}
+
+// Leave announces a graceful departure: every view neighbour is handed up
+// to ShuffleLen of the freshest view entries (excluding its own address)
+// as replacement contacts — the overlay loses an address but keeps its
+// degree. Under the full sampler there are no views to repair. Going
+// silent afterwards is the driver's business.
+func (p *Peer) Leave(out *Out) {
+	out.Sends = out.Sends[:0]
+	if p.ov == nil {
+		return
+	}
+	ents := p.ov.cyclon.View().Entries()
+	sort.SliceStable(ents, func(i, j int) bool { return ents[i].Age < ents[j].Age })
+	for _, to := range ents {
+		out.send(KindLeave, to.ID, freshest(ents, p.ov.cyclon.ShuffleLen(), to.ID))
+	}
+}

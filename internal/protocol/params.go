@@ -1,0 +1,78 @@
+package protocol
+
+import (
+	"fairgossip/internal/adaptive"
+	"fairgossip/internal/gossip"
+)
+
+// ControllerKind selects the adaptation law for a peer.
+type ControllerKind uint8
+
+const (
+	// ControllerStatic pins F and N (classic gossip, the unfair baseline).
+	ControllerStatic ControllerKind = iota + 1
+	// ControllerAIMD adapts via additive increase / multiplicative decrease.
+	ControllerAIMD
+	// ControllerProportional adapts via a damped P-controller.
+	ControllerProportional
+)
+
+// ControllerSpec describes how a peer adapts its participation; the zero
+// value is static, and an adaptive kind with no Lever moves both.
+type ControllerSpec struct {
+	Kind        ControllerKind
+	Lever       adaptive.Lever // which §5.2 lever(s) may move (AIMD/Proportional)
+	TargetRatio float64        // f: desired contribution bytes per unit benefit
+	Gain, Beta  float64        // see adaptive.Config
+}
+
+const (
+	ControlWindow = 5 // rounds between controller updates
+	ShuffleLen    = 8 // entries a Cyclon shuffle exchanges (NewCyclon clamps it to the view capacity)
+)
+
+// Params is what a driver's own configuration (core.Config, live.Config)
+// comes to once its defaults are filled in: the values a Peer reads. A
+// cluster builds one and every Peer of it points at it, read-only. There
+// is no defaulting here — that stays where the options are declared.
+type Params struct {
+	Fanout, Batch int           // initial (or static) levers F and N
+	Policy        gossip.Policy // SELECTEVENTS policy
+	// Controller selects static or adaptive participation; Limits bound
+	// the levers, the zero value meaning adaptive.DefaultLimits of the
+	// population the peer was built into.
+	Controller ControllerSpec
+	Limits     adaptive.Limits
+
+	// ViewCap > 0 runs a Cyclon partial view of that capacity, initiating
+	// a shuffle every ShuffleEvery rounds; 0 is the idealised uniform
+	// sampler over the whole population.
+	ViewCap, ShuffleEvery int
+
+	BufferCap    int // event buffer capacity
+	BufferMaxAge int // rounds an event stays forwardable at most
+	SeenCap      int // dedup memory
+
+	// The failure detector and the join hand-shake, as live.Config
+	// documents them; EvictStrikes 0 leaves the detector off.
+	EvictStrikes, QuarantineRounds int
+	JoinAttempts, JoinBackoffCap   int
+}
+
+// controller instantiates the peer-local controller for a population of n.
+func (par *Params) controller(n int) adaptive.Controller {
+	limits := par.Limits
+	if limits == (adaptive.Limits{}) {
+		limits = adaptive.DefaultLimits(n)
+	}
+	spec := par.Controller
+	acfg := adaptive.Config{TargetRatio: spec.TargetRatio, Gain: spec.Gain, Beta: spec.Beta, Limits: limits}
+	switch spec.Kind {
+	case ControllerAIMD:
+		return adaptive.NewAIMD(acfg, spec.Lever, par.Fanout, par.Batch)
+	case ControllerProportional:
+		return adaptive.NewProportional(acfg, spec.Lever, par.Fanout, par.Batch)
+	default:
+		return adaptive.Static{F: par.Fanout, N: par.Batch}
+	}
+}

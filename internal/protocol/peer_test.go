@@ -1,0 +1,427 @@
+package protocol
+
+import (
+	"math/rand"
+	"testing"
+
+	"fairgossip/internal/fairness"
+	"fairgossip/internal/gossip"
+	"fairgossip/internal/membership"
+	"fairgossip/internal/pubsub"
+	"fairgossip/internal/simnet"
+)
+
+// These tests drive one or two machines by hand: no simulator, no
+// goroutine, no socket. What a driver would put on the network is read
+// straight out of the Out.
+
+const population = 16
+
+// livelike is the configuration the live runtime gives its peers: Cyclon
+// views, a shuffle every round, detector and join hand-shake on.
+func livelike() Params {
+	return Params{
+		Fanout: 3, Batch: 4, Policy: gossip.PolicyRandom,
+		Controller: ControllerSpec{Kind: ControllerStatic},
+		ViewCap:    8, ShuffleEvery: 1,
+		BufferCap: 64, BufferMaxAge: 1 << 20, SeenCap: 1024,
+		EvictStrikes: 2, QuarantineRounds: 1000,
+		JoinAttempts: 3, JoinBackoffCap: 2,
+	}
+}
+
+func newPeer(id simnet.NodeID, par *Params, ledger *fairness.Ledger) *Peer {
+	p := New(id, population, par, rand.New(rand.NewSource(int64(id)+1)), ledger)
+	return &p
+}
+
+func newLedger() *fairness.Ledger {
+	return fairness.NewLedger(population, fairness.DefaultWeights())
+}
+
+// events is a Batch of already-materialised events, counting how many
+// bodies the machine asked for.
+type events struct {
+	evs    []*pubsub.Event
+	bodies int
+}
+
+func (b *events) Len() int { return len(b.evs) }
+func (b *events) Head(i int) (pubsub.EventID, int) {
+	return b.evs[i].ID, b.evs[i].WireSize()
+}
+func (b *events) Event(i int) *pubsub.Event { b.bodies++; return b.evs[i] }
+
+func event(pub, seq uint32) *pubsub.Event {
+	return &pubsub.Event{ID: pubsub.EventID{Publisher: pub, Seq: seq}, Topic: "t", Payload: []byte("x")}
+}
+
+func viewIDs(p *Peer) map[simnet.NodeID]bool {
+	m := map[simnet.NodeID]bool{}
+	for _, id := range p.View().IDs() {
+		m[id] = true
+	}
+	return m
+}
+
+// TestTickEmitsOneBatchToFanoutViewMembers: a tick selects at most the
+// batch lever and names exactly fanout distinct partners, every one a
+// view member and none the peer itself — under both membership
+// substrates — and names nobody when there is nothing to send.
+func TestTickEmitsOneBatchToFanoutViewMembers(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		viewCap int
+	}{{"cyclon", 8}, {"full sampler", 0}} {
+		t.Run(tc.name, func(t *testing.T) {
+			par := livelike()
+			par.ViewCap, par.ShuffleEvery = tc.viewCap, 1<<20
+			p := newPeer(0, &par, newLedger())
+			if v := p.View(); v != nil {
+				for id := simnet.NodeID(1); id <= 6; id++ {
+					v.Add(id)
+				}
+			}
+			var out Out
+			p.Tick(&out)
+			if len(out.Events) != 0 || len(out.Targets) != 0 || len(out.Sends) != 0 {
+				t.Fatalf("an idle peer emitted %d events to %d targets, %d sends", len(out.Events), len(out.Targets), len(out.Sends))
+			}
+			for k := 0; k < 6; k++ {
+				p.Publish(p.Buffer(), "t", nil, []byte("x"))
+			}
+			for round := 0; round < 50; round++ {
+				p.Tick(&out)
+				if len(out.Events) != par.Batch {
+					t.Fatalf("round %d: batch of %d, want the lever %d", round, len(out.Events), par.Batch)
+				}
+				if len(out.Targets) != par.Fanout {
+					t.Fatalf("round %d: %d targets, want fanout %d", round, len(out.Targets), par.Fanout)
+				}
+				seen := map[simnet.NodeID]bool{}
+				for _, q := range out.Targets {
+					if q == p.ID() || seen[q] || q < 0 || int(q) >= population {
+						t.Fatalf("round %d: bad target set %v", round, out.Targets)
+					}
+					if v := p.View(); v != nil && !v.Contains(q) {
+						t.Fatalf("round %d: target %d is not in the view %v", round, q, v.IDs())
+					}
+					seen[q] = true
+				}
+			}
+			p.FreeRide = true
+			p.Tick(&out)
+			if len(out.Events) != 0 || len(out.Targets) != 0 {
+				t.Fatalf("a free-rider pushed %d events to %d targets", len(out.Events), len(out.Targets))
+			}
+		})
+	}
+}
+
+// TestFirstCopyPlusTwoBatchesOfDuplicatesRetires is the rule
+// live.TestRetirementParity polices across the two drivers, checked on
+// the one implementation: an event leaves the buffer on its first copy
+// plus 2 × batch duplicates, its body is asked for once, and the audit
+// grades every copy.
+func TestFirstCopyPlusTwoBatchesOfDuplicatesRetires(t *testing.T) {
+	for _, batch := range []int{1, 4, 8} {
+		par := livelike()
+		par.Batch = batch
+		ledger := newLedger()
+		p := newPeer(1, &par, ledger)
+		p.Subscribe(pubsub.Topic("t"))
+		ev := event(0, 1)
+		b := &events{evs: []*pubsub.Event{ev}}
+		retiredOn := 0
+		for k := 1; k <= 4*batch+2 && retiredOn == 0; k++ {
+			novel, dup := p.RecvEvents(0, p.Buffer(), b)
+			if wantNovel := k == 1; (novel == ev.WireSize()) != wantNovel || (dup == ev.WireSize()) == wantNovel {
+				t.Fatalf("batch %d copy %d: audit novel %d dup %d", batch, k, novel, dup)
+			}
+			if !p.Buffer().Contains(ev.ID) {
+				retiredOn = k
+			}
+		}
+		if want := 1 + 2*batch; retiredOn != want {
+			t.Errorf("batch %d: retired on copy %d, want %d", batch, retiredOn, want)
+		}
+		if b.bodies != 1 {
+			t.Errorf("batch %d: asked for the event's body %d times, want once", batch, b.bodies)
+		}
+		if d := ledger.Account(1).Delivered; d != 1 {
+			t.Errorf("batch %d: %d deliveries, want 1", batch, d)
+		}
+	}
+}
+
+// offerFrom returns what peer q would offer p in a shuffle.
+func offerFrom(q simnet.NodeID, ids ...simnet.NodeID) []membership.Entry {
+	ents := []membership.Entry{{ID: q}}
+	for _, id := range ids {
+		ents = append(ents, membership.Entry{ID: id, Age: 1})
+	}
+	return ents
+}
+
+// TestDetector: an unanswered shuffle target comes back suspect and is
+// evicted and quarantined at EvictStrikes; direct contact voids the
+// evidence; a quarantined address is refused from third-party offers.
+func TestDetector(t *testing.T) {
+	par := livelike()
+	var out Out
+
+	// step runs one round in which every shuffle target answers (with
+	// nothing new) except the silent one, and reports whether that one
+	// was the target.
+	step := func(t *testing.T, p *Peer, silent simnet.NodeID) bool {
+		t.Helper()
+		p.Tick(&out)
+		if len(out.Sends) != 1 || out.Sends[0].Kind != KindOffer {
+			t.Fatalf("a founder's membership round sent %+v, want one offer", out.Sends)
+		}
+		to := out.Sends[0].To
+		if to != silent {
+			p.RecvMembership(KindReply, to, offerFrom(to), &out)
+		}
+		return to == silent
+	}
+	// probe steps until the silent peer has been offered a shuffle, then
+	// once more so that the verdict on that probe is in.
+	probe := func(t *testing.T, p *Peer, silent simnet.NodeID) {
+		t.Helper()
+		for i := 0; !step(t, p, silent); i++ {
+			if i == 40 {
+				t.Fatalf("peer %d never became the shuffle target; view %v", silent, p.View().IDs())
+			}
+		}
+		step(t, p, silent)
+	}
+	// held checks that id is still the peer's — in the view under that
+	// much suspicion, or culled from it only as the probe now pending —
+	// with that many strikes against it and no quarantine.
+	held := func(t *testing.T, p *Peer, id simnet.NodeID, strikes int) {
+		t.Helper()
+		_, dead := p.ov.det.dead[id]
+		inView := p.View().Contains(id) && p.View().SuspectOf(id) == strikes
+		if dead || p.ov.det.strikes[id] != strikes || !(inView || p.ov.probe == id) {
+			t.Fatalf("peer %d: quarantined %v, %d strikes, in view %v (suspicion %d), probe pending %v; want held with %d strikes",
+				id, dead, p.ov.det.strikes[id], p.View().Contains(id), p.View().SuspectOf(id), p.ov.probe == id, strikes)
+		}
+	}
+	founder := func() *Peer {
+		p := newPeer(0, &par, newLedger())
+		for id := simnet.NodeID(1); id <= 4; id++ {
+			p.View().Add(id)
+		}
+		return p
+	}
+
+	t.Run("strikes evict and quarantine", func(t *testing.T) {
+		p := founder()
+		probe(t, p, 2)
+		held(t, p, 2, 1)
+		probe(t, p, 2) // second strike == EvictStrikes
+		if _, dead := p.ov.det.dead[2]; !dead || p.View().Contains(2) || p.ov.probe == 2 {
+			t.Fatal("not evicted and quarantined after EvictStrikes silent probes")
+		}
+		// A third party re-offers the dead address: refused. A stranger in
+		// the same offer is admitted.
+		p.RecvMembership(KindOffer, 3, offerFrom(3, 2, 9), &out)
+		if p.View().Contains(2) {
+			t.Fatal("a quarantined address came back through an offer")
+		}
+		if !p.View().Contains(9) {
+			t.Fatal("the quarantine filter dropped an innocent entry")
+		}
+		if len(out.Sends) != 1 || out.Sends[0].Kind != KindReply || out.Sends[0].To != 3 {
+			t.Fatalf("offer not answered: %+v", out.Sends)
+		}
+		// Direct contact lifts the quarantine.
+		p.RecvEvents(2, p.Buffer(), &events{})
+		p.RecvMembership(KindOffer, 3, offerFrom(3, 2), &out)
+		if !p.View().Contains(2) {
+			t.Fatal("address still refused after it spoke for itself")
+		}
+	})
+
+	t.Run("direct contact voids the evidence", func(t *testing.T) {
+		p := founder()
+		probe(t, p, 2)
+		held(t, p, 2, 1)
+		p.RecvEvents(2, p.Buffer(), &events{}) // any message at all
+		if p.View().SuspectOf(2) != 0 || p.ov.det.strikes[2] != 0 || p.ov.probe == 2 {
+			t.Fatal("evidence survived direct contact")
+		}
+		// The strike count restarted too: one more silence is not eviction.
+		probe(t, p, 2)
+		held(t, p, 2, 1)
+	})
+
+	t.Run("off means off", func(t *testing.T) {
+		off := par
+		off.EvictStrikes = 0
+		p := newPeer(0, &off, newLedger())
+		p.View().Add(1)
+		for i := 0; i < 10; i++ {
+			p.Tick(&out) // the only entry is culled and never restored
+		}
+		if p.View().Len() != 0 {
+			t.Fatalf("detector off, yet the silent target was restored: %v", p.View().IDs())
+		}
+	})
+}
+
+// TestJoinerStopsAfterJoinAttempts: a joiner whose seed never answers
+// announces itself JoinAttempts times, under back-off, and then stays
+// quiet with JoinFailed set; hearing from anyone gives it a new budget.
+func TestJoinerStopsAfterJoinAttempts(t *testing.T) {
+	par := livelike()
+	p := newPeer(5, &par, newLedger())
+	var out Out
+	joins := 0
+	count := func() {
+		for _, s := range out.Sends {
+			if s.Kind == KindJoin {
+				if s.To != 0 || len(s.Entries) != 0 {
+					t.Fatalf("announcement %+v, want an empty one to the seed", s)
+				}
+				joins++
+			}
+		}
+	}
+	p.Join(0, &out)
+	count()
+	if ids := p.View().IDs(); joins != 1 || len(ids) != 1 || ids[0] != 0 {
+		t.Fatalf("joining: %d announcements, view %v; want one, and the seed alone", joins, ids)
+	}
+	// The silent seed is probed out of the view (EvictStrikes shuffles);
+	// from then on the peer is isolated and the budget runs.
+	joins = 0
+	for round := 0; round < 200; round++ {
+		p.Tick(&out)
+		count()
+	}
+	if joins != par.JoinAttempts {
+		t.Fatalf("%d announcements from an isolated peer, want JoinAttempts = %d", joins, par.JoinAttempts)
+	}
+	if !p.JoinFailed() {
+		t.Fatal("JoinFailed not set after the budget ran out")
+	}
+	// A bootstrap reply from anywhere integrates the peer after all.
+	p.RecvMembership(KindReply, 7, offerFrom(7, 8), &out)
+	p.Tick(&out)
+	if p.JoinFailed() {
+		t.Fatal("JoinFailed survived a populated view")
+	}
+	// A peer that moved re-announces to its old seed, on a fresh budget.
+	joins = 0
+	p.Join(simnet.None, &out)
+	count()
+	if joins != 1 {
+		t.Fatalf("%d re-announcements, want 1", joins)
+	}
+}
+
+// TestJoinerLimitsAreThePopulationItJoins: the controller's default
+// limits come from the population handed to New.
+func TestJoinerLimitsAreThePopulationItJoins(t *testing.T) {
+	par := livelike()
+	par.Fanout = 1
+	par.Controller = ControllerSpec{Kind: ControllerAIMD, TargetRatio: 1000}
+	rng := rand.New(rand.NewSource(1))
+	founder := New(0, 7, &par, rng, newLedger()) // ⌈ln 7⌉ = 2
+	joiner := New(7, 8, &par, rng, newLedger())  // ⌈ln 8⌉ = 3
+	if founder.Fanout() != 2 || joiner.Fanout() != 3 {
+		t.Fatalf("fanout floors %d and %d, want 2 and 3", founder.Fanout(), joiner.Fanout())
+	}
+}
+
+// TestLeaveHandsOverFreshestEntries: each neighbour gets one KindLeave
+// with at most ShuffleLen entries, freshest first, never its own address;
+// the receiver forgets the leaver, quarantines it and adopts the rest.
+func TestLeaveHandsOverFreshestEntries(t *testing.T) {
+	par := livelike()
+	par.ViewCap = 12
+	ledger := newLedger()
+	p := newPeer(0, &par, ledger)
+	for id := simnet.NodeID(1); id <= 12; id++ {
+		p.View().AddAged(membership.Entry{ID: id, Age: int(id)}) // 1 is the freshest
+	}
+	var out Out
+	p.Leave(&out)
+	if len(out.Sends) != 12 {
+		t.Fatalf("%d leave messages for 12 neighbours", len(out.Sends))
+	}
+	told := map[simnet.NodeID]bool{}
+	for _, s := range out.Sends {
+		if s.Kind != KindLeave || told[s.To] {
+			t.Fatalf("bad or repeated leave message %+v", s)
+		}
+		told[s.To] = true
+		if len(s.Entries) != ShuffleLen {
+			t.Fatalf("neighbour %d handed %d entries, want ShuffleLen", s.To, len(s.Entries))
+		}
+		next := simnet.NodeID(1)
+		for _, e := range s.Entries {
+			if next == s.To {
+				next++
+			}
+			if e.ID != next {
+				t.Fatalf("neighbour %d handed %v, want the freshest in order without itself", s.To, s.Entries)
+			}
+			next++
+		}
+	}
+
+	q := newPeer(3, &par, ledger)
+	q.View().Add(0)
+	var qout Out
+	for _, s := range out.Sends {
+		if s.To == 3 {
+			q.RecvMembership(KindLeave, 0, s.Entries, &qout)
+		}
+	}
+	got := viewIDs(q)
+	if got[0] || got[3] || len(got) != ShuffleLen {
+		t.Fatalf("after the hand-off the view is %v", q.View().IDs())
+	}
+	q.RecvMembership(KindOffer, 1, offerFrom(1, 0), &qout)
+	if q.View().Contains(0) {
+		t.Fatal("the leaver's address came back through an offer")
+	}
+
+	full := par
+	full.ViewCap = 0
+	f := newPeer(1, &full, ledger)
+	f.Leave(&out)
+	if len(out.Sends) != 0 {
+		t.Fatalf("a full-sampler peer sent %d leave messages", len(out.Sends))
+	}
+}
+
+// TestJoinBootstrapsTheJoiner: a seed answers an announcement with a
+// sample of its view that leaves the joiner's own address out, and
+// remembers the joiner.
+func TestJoinBootstrapsTheJoiner(t *testing.T) {
+	par := livelike()
+	p := newPeer(0, &par, newLedger())
+	for id := simnet.NodeID(1); id <= 5; id++ {
+		p.View().Add(id)
+	}
+	var out Out
+	p.RecvMembership(KindJoin, 9, nil, &out)
+	if !p.View().Contains(9) {
+		t.Fatal("the seed did not remember the joiner")
+	}
+	if len(out.Sends) != 1 || out.Sends[0].Kind != KindReply || out.Sends[0].To != 9 {
+		t.Fatalf("no bootstrap reply: %+v", out.Sends)
+	}
+	if n := len(out.Sends[0].Entries); n != 5 {
+		t.Fatalf("bootstrap of %d entries, want the 5 others", n)
+	}
+	for _, e := range out.Sends[0].Entries {
+		if e.ID == 9 {
+			t.Fatal("the joiner was sent its own address")
+		}
+	}
+}
