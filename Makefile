@@ -98,12 +98,14 @@ ci: lint build test race bench-smoke
 fairbench:
 	$(GO) run ./cmd/fairbench -small -out $(OUT)
 
-# loc prints the two numbers ROADMAP item 8's line budget is judged by,
-# measured the same way every PR: non-test Go lines outside bench/, and
-# the simulated-cluster engine.
+# loc prints the numbers ROADMAP item 8's budget is judged by, measured
+# the same way every PR: non-test Go lines outside bench/, the
+# simulated-cluster engine, and the options census (LINTING.md) from the
+# test that pins it.
 loc:
 	@printf 'non-test Go lines outside bench/: '; find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l
 	@printf 'sim engine (core/cluster.go + core/shard.go): '; cat internal/core/cluster.go internal/core/shard.go | wc -l
+	@printf 'options (fields of the six config structs): '; $(GO) test ./internal/scenario -run TestOptionsCensus -count=1 -v | sed -n 's/.*options census: //p'
 
 # footprint prints what one simulated node costs on the live heap, from
 # the test that holds it to its budget (sim-huge's configuration at

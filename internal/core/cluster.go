@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"sync"
 	"time"
 
@@ -169,39 +171,35 @@ func (c *Cluster) RunRounds(r int) {
 // the same deadline, so any shard's clock is the cluster's.
 func (c *Cluster) now() time.Duration { return c.shards[0].sim.Now() }
 
-// Join boots a new node into the cluster mid-run, bootstrapped through
-// seed. Under MemberCyclon the joiner starts with only the seed in its
-// view and pays for a charged view-repair exchange (the same
-// introduction a rejoining node buys); under MemberFull the idealised
-// directory tells every node the new population size for free, the
-// same way the initial roster was free. The id extends the tail shard's
-// range, so existing ranges never move. The joiner's round ticker
-// starts immediately when the cluster is running. Returns the new
-// node's id.
-func (c *Cluster) Join(seed simnet.NodeID) simnet.NodeID {
+// Join boots a new node into the cluster mid-run and returns its id. The
+// joiner starts with only seed in its view and announces itself in a
+// charged kindJoin message (protocol.Peer.Join — what a rejoining node
+// and live.Cluster.Join do too). The idealised full sampler draws from a
+// fixed population, so only a MemberCyclon cluster grows. The id extends
+// the tail shard's range, so existing ranges never move, and the joiner's
+// round ticker starts at once when the cluster is running.
+func (c *Cluster) Join(seed simnet.NodeID) (simnet.NodeID, error) {
 	id := len(c.Nodes)
+	if c.cfg.Membership != MemberCyclon {
+		return 0, errors.New("core: Join needs partial views (MemberCyclon); the full sampler's population is fixed")
+	}
+	if seed < 0 || int(seed) >= id {
+		return 0, fmt.Errorf("core: seed node %d out of range [0,%d)", seed, id)
+	}
 	n := id + 1
 	c.Ledger.Grow(n)
 	c.addNode(id, n)
 	sh := c.shards[len(c.shards)-1]
 	sh.hi = n
 	nd := c.Nodes[id]
-	if c.cfg.Membership == MemberCyclon {
-		if seed >= 0 && int(seed) < id {
-			nd.View().Add(seed)
-			nd.send(seed, &wireMsg{Kind: kindViewRepair}, fairness.ClassInfra)
-		}
-	} else {
-		for _, other := range c.Nodes {
-			other.SetPopulation(n)
-		}
-	}
+	nd.Peer.Join(seed, &sh.out)
+	nd.sendMembership(&sh.out)
 	if len(sh.tickers) > 0 && !c.cfg.BatchRounds {
 		// The batched ticker re-slices c.Nodes and already covers the
 		// joiner; only the per-node schedule needs a new ticker.
 		sh.tickers = append(sh.tickers, sh.sim.Every(c.cfg.RoundPeriod, c.cfg.jitter(), nd.Round))
 	}
-	return simnet.NodeID(id)
+	return simnet.NodeID(id), nil
 }
 
 // Leave departs node id gracefully — the sim mirror of

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"fairgossip/internal/fairness"
+	"fairgossip/internal/protocol"
 	"fairgossip/internal/pubsub"
 	"fairgossip/internal/simnet"
 )
@@ -224,52 +225,144 @@ func TestCyclonGeneratesInfraTraffic(t *testing.T) {
 }
 
 // TestClusterJoinMidRun: a node joining a running cluster grows the
-// ledger, gets a round ticker, integrates into the membership substrate
-// of either mode (Cyclon through a charged view-repair exchange, full
-// membership through the idealised directory), and both sends and
-// receives events.
+// ledger, gets a round ticker, integrates into the overlay through a
+// charged join announcement, and both sends and receives events.
 func TestClusterJoinMidRun(t *testing.T) {
-	for _, membership := range []Membership{MemberCyclon, MemberFull} {
-		name := "cyclon"
-		if membership == MemberFull {
-			name = "full"
-		}
-		t.Run(name, func(t *testing.T) {
-			c := NewCluster(16, Config{
-				Mode:       ModeContent,
-				Membership: membership,
-				Fanout:     5,
-				Batch:      8,
-			}, ClusterOptions{
-				Seed:      21,
-				NetConfig: simnet.Config{Latency: simnet.ConstantLatency(2 * time.Millisecond)},
-			})
-			for _, nd := range c.Nodes {
-				nd.Subscribe(pubsub.MatchAll())
-			}
-			c.RunRounds(8)
-			id := c.Join(3)
-			if int(id) != 16 || len(c.Nodes) != 17 || c.Ledger.Len() != 17 {
-				t.Fatalf("join bookkeeping: id %d, %d nodes, ledger %d", id, len(c.Nodes), c.Ledger.Len())
-			}
-			joiner := c.Node(int(id))
-			joiner.Subscribe(pubsub.MatchAll())
-			c.RunRounds(8) // let the joiner's address spread
-			c.Node(5).Publish("to-the-joiner", nil, []byte("x"))
-			c.RunRounds(20)
-			if got := c.Ledger.Account(int(id)).Delivered; got != 1 {
-				t.Fatalf("joiner delivered %d of 1 events published after it joined", got)
-			}
-			joiner.Publish("from-the-joiner", nil, []byte("y"))
-			c.RunRounds(20)
-			all := make([]int, len(c.Nodes))
-			for i := range all {
-				all[i] = i
-			}
-			if ratio := c.DeliveryRatio(all, 2); ratio < 0.99 {
-				t.Fatalf("delivery ratio %.3f after joiner published, want ≈1", ratio)
-			}
+	t.Run("cyclon", func(t *testing.T) {
+		c := NewCluster(16, Config{Mode: ModeContent, Fanout: 5, Batch: 8}, ClusterOptions{
+			Seed:      21,
+			NetConfig: simnet.Config{Latency: simnet.ConstantLatency(2 * time.Millisecond)},
 		})
+		for _, nd := range c.Nodes {
+			nd.Subscribe(pubsub.MatchAll())
+		}
+		c.RunRounds(8)
+		id, err := c.Join(3)
+		if err != nil || int(id) != 16 || len(c.Nodes) != 17 || c.Ledger.Len() != 17 {
+			t.Fatalf("join bookkeeping: id %d (%v), %d nodes, ledger %d", id, err, len(c.Nodes), c.Ledger.Len())
+		}
+		if got := c.Ledger.Account(int(id)).MsgsSent[fairness.ClassInfra]; got != 1 {
+			t.Fatalf("joiner paid for %d infrastructure messages at Join, want its one announcement", got)
+		}
+		joiner := c.Node(int(id))
+		joiner.Subscribe(pubsub.MatchAll())
+		c.RunRounds(8) // let the joiner's address spread
+		c.Node(5).Publish("to-the-joiner", nil, []byte("x"))
+		c.RunRounds(20)
+		if got := c.Ledger.Account(int(id)).Delivered; got != 1 {
+			t.Fatalf("joiner delivered %d of 1 events published after it joined", got)
+		}
+		joiner.Publish("from-the-joiner", nil, []byte("y"))
+		c.RunRounds(20)
+		all := make([]int, len(c.Nodes))
+		for i := range all {
+			all[i] = i
+		}
+		if ratio := c.DeliveryRatio(all, 2); ratio < 0.99 {
+			t.Fatalf("delivery ratio %.3f after joiner published, want ≈1", ratio)
+		}
+	})
+}
+
+// TestClusterJoinRejectsWhatCannotBeIntroduced: a seed that names no
+// node, and a cluster on the full sampler (whose population is fixed),
+// are refused with nothing grown — the joiner could never be reached.
+// A full-sampler node's Rejoin announces to nobody.
+func TestClusterJoinRejectsWhatCannotBeIntroduced(t *testing.T) {
+	c := contentCluster(8, 3, ControllerSpec{Kind: ControllerStatic})
+	for _, seed := range []simnet.NodeID{-1, 8} {
+		if id, err := c.Join(seed); err == nil {
+			t.Errorf("Join(%d) admitted node %d through a seed that does not exist", seed, id)
+		}
+	}
+	full := NewCluster(8, Config{Mode: ModeContent, Membership: MemberFull}, ClusterOptions{Seed: 3})
+	if id, err := full.Join(0); err == nil {
+		t.Errorf("a full-sampler cluster admitted node %d nobody will ever sample", id)
+	}
+	for _, cl := range []*Cluster{c, full} {
+		if len(cl.Nodes) != 8 || cl.Ledger.Len() != 8 {
+			t.Errorf("a refused join grew the cluster to %d nodes, ledger %d", len(cl.Nodes), cl.Ledger.Len())
+		}
+	}
+	full.Node(2).Leave()
+	full.Node(2).Rejoin(0)
+	if got := full.Ledger.Account(2).MsgsSent[fairness.ClassInfra]; got != 0 || !full.Node(2).Active() {
+		t.Errorf("full-sampler rejoin: %d infrastructure messages, active %v", got, full.Node(2).Active())
+	}
+}
+
+// viewsHolding counts the up nodes whose view holds id.
+func viewsHolding(c *Cluster, id simnet.NodeID) int {
+	n := 0
+	for _, nd := range c.Nodes {
+		if nd.Active() && nd.View().Contains(id) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestDetectorScrubsCrashed is live.TestLiveDetectorEvictsCrashed under
+// virtual time: a node that crashes without notice is probed out of every
+// up node's view by its silence alone, and stays out. At this seed the
+// last view is clean 12 rounds after the crash; the budget is the
+// scenario table's 2·N.
+func TestDetectorScrubsCrashed(t *testing.T) {
+	const n = 32
+	c := NewCluster(n, Config{Mode: ModeContent, ShuffleEvery: 1}, ClusterOptions{Seed: 52})
+	c.RunRounds(10)
+	if viewsHolding(c, 0) == 0 {
+		t.Fatal("nobody holds node 0 before the crash: the test checks nothing")
+	}
+	c.Node(0).Leave()
+	rounds := 0
+	for ; viewsHolding(c, 0) > 0; rounds++ {
+		if rounds == 2*n {
+			t.Fatalf("%d views still hold the crashed node after %d rounds", viewsHolding(c, 0), rounds)
+		}
+		c.RunRounds(1)
+	}
+	t.Logf("views clean %d rounds after the crash", rounds)
+	// Nobody holds the address, so nobody can re-offer it — also once
+	// every quarantine has expired.
+	c.RunRounds(protocol.QuarantineRounds + 2*n)
+	if got := viewsHolding(c, 0); got != 0 {
+		t.Fatalf("the dead address resurfaced in %d views", got)
+	}
+}
+
+// TestJoinerGivesUpOnDeadSeed is live.TestLiveJoinGiveUpBounded under
+// virtual time: a joiner whose seed never answers pays for its
+// announcement, for the EvictStrikes shuffle offers that probe the seed
+// out of its view, for JoinAttempts backed-off re-announcements — and
+// then for nothing more.
+func TestJoinerGivesUpOnDeadSeed(t *testing.T) {
+	c := NewCluster(4, Config{Mode: ModeContent, ShuffleEvery: 1}, ClusterOptions{Seed: 53})
+	c.RunRounds(2)
+	c.Node(1).Leave()
+	id, err := c.Join(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	joiner := c.Node(int(id))
+	infra := func() uint64 { return c.Ledger.Account(int(id)).MsgsSent[fairness.ClassInfra] }
+	rounds := 0
+	for ; !joiner.JoinFailed(); rounds++ {
+		if rounds == 1000 {
+			t.Fatalf("still announcing after %d rounds (%d infrastructure messages)", rounds, infra())
+		}
+		c.RunRounds(1)
+	}
+	want := uint64(1 + protocol.EvictStrikes + protocol.JoinAttempts)
+	if got := infra(); got != want {
+		t.Errorf("joiner sent %d infrastructure messages, want 1 + EvictStrikes + JoinAttempts = %d", got, want)
+	}
+	if most := protocol.EvictStrikes + 1 + protocol.JoinAttempts*2*protocol.JoinBackoffCap; rounds > most {
+		t.Errorf("gave up after %d rounds, back-off allows at most %d", rounds, most)
+	}
+	c.RunRounds(100)
+	if got := infra(); got != want || !joiner.JoinFailed() || joiner.View().Len() != 0 {
+		t.Errorf("after giving up: %d infrastructure messages (want %d), failed %v, view %v", got, want, joiner.JoinFailed(), joiner.View().IDs())
 	}
 }
 
@@ -282,8 +375,11 @@ func TestClusterJoinDeterminism(t *testing.T) {
 			nd.Subscribe(pubsub.MatchAll())
 		}
 		c.RunRounds(5)
-		c.Join(0)
-		c.Join(2)
+		for _, seed := range []simnet.NodeID{0, 2} {
+			if _, err := c.Join(seed); err != nil {
+				t.Fatal(err)
+			}
+		}
 		c.Node(12).Subscribe(pubsub.MatchAll())
 		c.Node(13).Subscribe(pubsub.MatchAll())
 		c.RunRounds(5)

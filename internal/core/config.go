@@ -82,10 +82,13 @@ type Config struct {
 	// Limits bound the adaptive levers; zero value = adaptive.DefaultLimits(n).
 	Limits adaptive.Limits
 
-	// Membership substrate (default MemberCyclon) and its view capacity
-	// (default 16).
+	// Membership substrate (default MemberCyclon), its view capacity
+	// (default 16) and the rounds between a node's Cyclon shuffle
+	// initiations (default 4) — which is also the failure detector's
+	// probe cadence, so scenarios that must scrub views fast lower it.
 	Membership    Membership
 	ViewCap       int
+	ShuffleEvery  int
 	BufferCap     int     // event buffer capacity (default 256)
 	BufferMaxAge  int     // rounds an event stays forwardable at most (default 8; gossip.Buffer.Duplicate retires it sooner)
 	SeenCap       int     // dedup memory (default 8192)
@@ -108,9 +111,8 @@ type Config struct {
 	BatchRounds bool
 }
 
-// Membership parameters of the overlay and the topic-mode (§5.1) groups.
+// Membership parameters of the topic-mode (§5.1) groups.
 const (
-	shuffleEvery = 4  // rounds between a node's Cyclon shuffle initiations
 	topicViewCap = 12 // per-topic group view capacity
 	adLen        = 2  // membership ads piggybacked on topic gossip
 	walkHopLimit = 16 // subscription walk TTL
@@ -142,6 +144,9 @@ func (c Config) withDefaults() Config {
 	if c.ViewCap <= 0 {
 		c.ViewCap = 16
 	}
+	if c.ShuffleEvery <= 0 {
+		c.ShuffleEvery = 4
+	}
 	if c.BufferCap <= 0 {
 		c.BufferCap = 256
 	}
@@ -158,13 +163,12 @@ func (c Config) withDefaults() Config {
 func (c Config) jitter() time.Duration { return c.RoundPeriod / 10 }
 
 // params translates the (defaulted) configuration into what a
-// protocol.Peer reads. The detector and the join hand-shake stay off: a
-// simulated node is introduced by kindViewRepair and nothing evicts.
+// protocol.Peer reads.
 func (c Config) params() protocol.Params {
 	par := protocol.Params{
 		Fanout: c.Fanout, Batch: c.Batch, Policy: c.Policy,
 		Controller: c.Controller, Limits: c.Limits,
-		ShuffleEvery: shuffleEvery,
+		ShuffleEvery: c.ShuffleEvery,
 		BufferCap:    c.BufferCap, BufferMaxAge: c.BufferMaxAge, SeenCap: c.SeenCap,
 	}
 	if c.Membership == MemberCyclon {

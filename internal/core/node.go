@@ -13,10 +13,9 @@ import (
 
 // Node is one FairGossip process under the simulator: the shared
 // protocol.Peer state machine, plus what only the simulator has — the
-// simnet binding, §5.1's topic groups and walks, semantic partner bias,
-// cheat padding and the view-repair introduction. It implements
-// simnet.Handler; the cluster drives its Round method from a jittered
-// per-node ticker.
+// simnet binding, §5.1's topic groups and walks, semantic partner bias
+// and cheat padding. It implements simnet.Handler; the cluster drives
+// its Round method from a jittered per-node ticker.
 //
 // Nodes are single-threaded: all methods run on the simulator goroutine
 // of the shard that owns them.
@@ -375,17 +374,17 @@ func (nd *Node) Leave() {
 	nd.sh.net.SetUp(nd.ID(), false)
 }
 
-// Rejoin brings the node back, repairing its overlay view through the
-// bootstrap contact and charging the configured instability penalty.
+// Rejoin brings the node back, announcing it to the bootstrap contact
+// like any joiner (protocol.Peer.Join: charged, retried under back-off)
+// and charging the configured instability penalty.
 func (nd *Node) Rejoin(bootstrap simnet.NodeID) {
 	nd.active = true
 	nd.sh.net.SetUp(nd.ID(), true)
 	if nd.cfg.RepairPenalty > 0 {
 		nd.sh.ledger.AddChurnPenalty(int(nd.ID()), nd.cfg.RepairPenalty)
 	}
-	if nd.View() != nil {
-		nd.send(bootstrap, &wireMsg{Kind: kindViewRepair}, fairness.ClassInfra)
-	}
+	nd.Peer.Join(bootstrap, &nd.sh.out)
+	nd.sendMembership(&nd.sh.out)
 	// Re-join all topic groups (stale views may point to departed peers).
 	for _, topic := range nd.groupOrder {
 		if nd.groups[topic].view.Len() == 0 {
@@ -405,7 +404,7 @@ func (nd *Node) HandleMessage(msg simnet.Message) {
 	switch m.Kind {
 	case kindGossip:
 		nd.handleGossip(msg.From, m)
-	case kindShuffle, kindShuffleReply, kindLeave:
+	case kindShuffle, kindShuffleReply, kindJoin, kindLeave:
 		out := &nd.sh.out
 		nd.RecvMembership(protocol.Kind(m.Kind), msg.From, m.Entries, out)
 		nd.sendMembership(out)
@@ -415,21 +414,6 @@ func (nd *Node) HandleMessage(msg simnet.Message) {
 		nd.handleSubAck(m)
 	case kindPubWalk:
 		nd.handlePubWalk(msg.From, m)
-	case kindViewRepair:
-		v := nd.View()
-		if v == nil {
-			return
-		}
-		nd.send(msg.From, &wireMsg{Kind: kindViewRepairAck, Entries: v.Entries()}, fairness.ClassInfra)
-		// Knowing the requester is alive is free information: remember it,
-		// so a joining node becomes reachable the moment its seed answers.
-		v.Add(msg.From)
-	case kindViewRepairAck:
-		if v := nd.View(); v != nil {
-			for _, e := range m.Entries {
-				v.AddAged(e)
-			}
-		}
 	}
 }
 

@@ -155,19 +155,21 @@ func TestShardedPartitionBlocksCrossGroup(t *testing.T) {
 }
 
 // Join must extend the tail shard and make the joiner a full
-// participant (receiving cross-shard gossip when there is more than one
-// shard).
+// participant (announcing itself to a seed on another shard, and
+// receiving cross-shard gossip, when there is more than one).
 func TestShardedJoin(t *testing.T) {
 	const n = 32
+	cfg := shardTestConfig()
+	cfg.Membership = MemberCyclon // only partial views admit joiners
 	for _, shards := range []int{1, 2, 4} {
-		sc := NewShardedCluster(n, shards, shardTestConfig(), ClusterOptions{Seed: 9})
+		sc := NewShardedCluster(n, shards, cfg, ClusterOptions{Seed: 9})
 		for _, nd := range sc.Nodes {
 			nd.Subscribe(pubsub.MatchAll())
 		}
 		sc.RunRounds(2)
-		id := sc.Join(0)
-		if got, want := int(id), n; got != want {
-			t.Fatalf("shards=%d: joiner id = %d, want %d", shards, got, want)
+		id, err := sc.Join(0)
+		if got, want := int(id), n; got != want || err != nil {
+			t.Fatalf("shards=%d: joiner id = %d (%v), want %d", shards, got, err, want)
 		}
 		if sc.shardOf(int(id)) != shards-1 {
 			t.Fatalf("joiner landed on shard %d, want tail shard %d", sc.shardOf(int(id)), shards-1)

@@ -11,20 +11,18 @@ import (
 // msgKind discriminates FairGossip wire messages.
 type msgKind uint8
 
-// The Cyclon and leave kinds are the machine's, value for value, so both
-// directions convert with a cast. protocol.KindJoin has no counterpart: a
-// simulated node is introduced by kindViewRepair, not by an announcement.
+// The membership kinds are the machine's, value for value, so both
+// directions convert with a cast.
 const (
 	kindShuffle      = msgKind(protocol.KindOffer) // Cyclon offer (infra)
-	kindShuffleReply = msgKind(protocol.KindReply) // Cyclon answer (infra)
+	kindShuffleReply = msgKind(protocol.KindReply) // Cyclon answer, a joiner's bootstrap (infra)
+	kindJoin         = msgKind(protocol.KindJoin)  // a (re)joiner's announcement to its seed (infra)
 	kindLeave        = msgKind(protocol.KindLeave) // graceful departure + hand-off entries (infra)
 
-	kindGossip        msgKind = iota + 16 // event dissemination (app)
-	kindSubWalk                           // subscription random walk (infra)
-	kindSubAck                            // walk answer: group bootstrap (infra)
-	kindPubWalk                           // publisher hand-off walk (infra)
-	kindViewRepair                        // rejoin view request (infra)
-	kindViewRepairAck                     // rejoin view answer (infra)
+	kindGossip  msgKind = iota + 16 // event dissemination (app)
+	kindSubWalk                     // subscription random walk (infra)
+	kindSubAck                      // walk answer: group bootstrap (infra)
+	kindPubWalk                     // publisher hand-off walk (infra)
 )
 
 // fpAd is a third-party interest-fingerprint advertisement: profile
@@ -48,7 +46,7 @@ type wireMsg struct {
 	FP     uint64             // sender interest fingerprint (semantic bias)
 	FPAds  []fpAd             // piggybacked third-party fingerprints
 
-	// kindShuffle / kindShuffleReply / kindSubAck / kindViewRepairAck
+	// kindShuffle / kindShuffleReply / kindJoin / kindLeave / kindSubAck
 	Entries []membership.Entry
 
 	// kindSubWalk / kindPubWalk
@@ -96,13 +94,11 @@ func (m *wireMsg) size() int {
 		if m.Kind == kindPubWalk {
 			n += 6 // origin + hops
 		}
-	case kindShuffle, kindShuffleReply, kindSubAck, kindViewRepairAck, kindLeave:
+	case kindShuffle, kindShuffleReply, kindJoin, kindLeave, kindSubAck:
 		n += len(m.Entries) * membership.EntryWireSize
 		n += topicTagSize + len(m.Topic)
 	case kindSubWalk:
 		n += topicTagSize + len(m.Topic) + 6
-	case kindViewRepair:
-		n += 2
 	}
 	return n
 }

@@ -84,26 +84,10 @@ type Config struct {
 	Policy gossip.Policy
 	// ViewCap is each peer's partial-view capacity (default 16),
 	// ShuffleEvery the rounds between a peer's shuffle initiations
-	// (default 2).
+	// (default 2) — which double as the failure detector's probes, so
+	// detection costs no extra message or byte.
 	ViewCap      int
 	ShuffleEvery int
-	// EvictStrikes is the failure detector's threshold: a view entry
-	// whose peer leaves this many consecutive shuffle offers unanswered
-	// is evicted and quarantined (default 3). The detector rides the
-	// ordinary Cyclon traffic — no extra probe messages, no extra bytes.
-	EvictStrikes int
-	// QuarantineRounds is how many rounds an evicted address is refused
-	// from incoming view entries before it gets the benefit of the
-	// doubt again (default 64). Direct contact lifts it immediately.
-	QuarantineRounds int
-	// JoinAttempts bounds how many times an isolated joiner re-announces
-	// itself before giving up (default 8). Attempts are spaced by capped
-	// exponential backoff with seeded jitter; a give-up is surfaced by
-	// JoinErr and counted in Traffic().JoinGiveUps.
-	JoinAttempts int
-	// JoinBackoffCap caps the backoff between announcements, in
-	// membership rounds (default 16).
-	JoinBackoffCap int
 	// Seed drives per-peer randomness (peer i uses Seed^i).
 	Seed int64
 	// Transport selects the message substrate: nil means in-process
@@ -148,18 +132,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ShuffleEvery <= 0 {
 		c.ShuffleEvery = 2
-	}
-	if c.EvictStrikes <= 0 {
-		c.EvictStrikes = 3
-	}
-	if c.QuarantineRounds <= 0 {
-		c.QuarantineRounds = 64
-	}
-	if c.JoinAttempts <= 0 {
-		c.JoinAttempts = 8
-	}
-	if c.JoinBackoffCap <= 0 {
-		c.JoinBackoffCap = 16
 	}
 	return c
 }
@@ -237,7 +209,7 @@ type Traffic struct {
 	// carried an invalid sender (a subset of Recv, not of Dropped).
 	Malformed uint64
 	// JoinGiveUps counts joiners that abandoned the handshake after
-	// Config.JoinAttempts announcements (not part of Dropped: nothing
+	// protocol.JoinAttempts announcements (not part of Dropped: nothing
 	// was sent, which is the point of giving up).
 	JoinGiveUps uint64
 }
@@ -342,16 +314,13 @@ func NewCluster(cfg Config) (*Cluster, error) {
 }
 
 // params translates the (defaulted) configuration into what a
-// protocol.Peer reads: AIMD on both levers when TargetRatio is set, a
-// Cyclon view, and the detector and join hand-shake the simulator leaves
-// off.
+// protocol.Peer reads: AIMD on both levers when TargetRatio is set, and
+// a Cyclon view.
 func (c Config) params() protocol.Params {
 	par := protocol.Params{
 		Fanout: c.Fanout, Batch: c.Batch, Policy: c.Policy,
 		ViewCap: c.ViewCap, ShuffleEvery: c.ShuffleEvery,
 		BufferCap: 256, BufferMaxAge: c.BufferMaxAge, SeenCap: 8192,
-		EvictStrikes: c.EvictStrikes, QuarantineRounds: c.QuarantineRounds,
-		JoinAttempts: c.JoinAttempts, JoinBackoffCap: c.JoinBackoffCap,
 	}
 	if c.TargetRatio > 0 {
 		par.Controller = protocol.ControllerSpec{Kind: protocol.ControllerAIMD, Lever: adaptive.LeverBoth, TargetRatio: c.TargetRatio}
@@ -623,7 +592,7 @@ var ErrJoinAbandoned = errors.New("live: join handshake abandoned after bounded 
 
 // JoinErr reports the join handshake's outcome for a peer: nil while
 // the handshake is pending or succeeded, ErrJoinAbandoned once the
-// peer has given up (Config.JoinAttempts announcements, capped
+// peer has given up (protocol.JoinAttempts announcements, capped
 // exponential backoff between them, and still no view).
 func (c *Cluster) JoinErr(id int) error {
 	p := c.peerAt(id)

@@ -66,15 +66,14 @@ func TestLiveLeaveScrubsViews(t *testing.T) {
 // detected by its silence alone — unanswered shuffle offers accumulate
 // strikes until every live peer evicts and quarantines the address.
 // The detector rides ordinary Cyclon traffic: no probe messages exist
-// to check for.
+// to check for. Wall-clock smoke at the production constants; the logic
+// is protocol.TestDetector's and core.TestDetectorScrubsCrashed's.
 func TestLiveDetectorEvictsCrashed(t *testing.T) {
 	c := mustCluster(t, Config{
 		N: 8, Fanout: 3,
-		RoundPeriod:      3 * time.Millisecond,
-		ShuffleEvery:     1,
-		EvictStrikes:     2,
-		QuarantineRounds: 10_000, // no benefit of the doubt inside this test
-		Seed:             52,
+		RoundPeriod:  3 * time.Millisecond,
+		ShuffleEvery: 1,
+		Seed:         52,
 	})
 	c.Start()
 
@@ -104,16 +103,16 @@ func TestLiveDetectorEvictsCrashed(t *testing.T) {
 // exponential backoff, then gives up: JoinErr reports ErrJoinAbandoned
 // and the abandonment is counted in Traffic().JoinGiveUps — visible,
 // not part of the Dropped books (nothing was sent for the skipped
-// announcements).
+// announcements). Wall-clock smoke at the production constants (≈ 160
+// membership rounds at worst); the logic is
+// protocol.TestJoinerStopsAfterJoinAttempts's and
+// core.TestJoinerGivesUpOnDeadSeed's.
 func TestLiveJoinGiveUpBounded(t *testing.T) {
 	c := mustCluster(t, Config{
 		N: 2, Fanout: 2,
-		RoundPeriod:    2 * time.Millisecond,
-		ShuffleEvery:   1,
-		EvictStrikes:   2,
-		JoinAttempts:   3,
-		JoinBackoffCap: 2,
-		Seed:           53,
+		RoundPeriod:  2 * time.Millisecond,
+		ShuffleEvery: 1,
+		Seed:         53,
 	})
 	c.Start()
 	defer c.Stop()

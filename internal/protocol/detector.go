@@ -8,17 +8,11 @@ import "fairgossip/internal/simnet"
 // detection changes not one byte of the wire protocol or the ledger. Each
 // membership round the peer checks whether its previous shuffle target
 // ever answered — with anything, not just the reply. Unanswered probes
-// accumulate strikes; evictAfter consecutive ones evict the address from
+// accumulate strikes; EvictStrikes consecutive ones evict the address from
 // the view and quarantine it so third-party gossip cannot resurrect it,
 // which turns "the entry eventually ages out" into "no live peer's view
 // contains a dead address within a bounded number of rounds".
-//
-// A detector built with evictAfter 0 is off: it holds no maps and the
-// Peer never strikes or buries through it.
 type detector struct {
-	evictAfter int // consecutive unanswered probes before eviction (K); 0 = off
-	quarantine int // rounds an evicted address stays refused
-
 	// strikes counts consecutive unanswered probes per address. It
 	// deliberately lives outside the view: the probed entry leaves the
 	// view during the shuffle, and evidence must survive the entry
@@ -27,17 +21,6 @@ type detector struct {
 	// dead maps quarantined addresses to the round they were evicted.
 	dead map[simnet.NodeID]int
 }
-
-func newDetector(evictAfter, quarantine int) detector {
-	d := detector{evictAfter: evictAfter, quarantine: quarantine}
-	if d.on() {
-		d.strikes = make(map[simnet.NodeID]int)
-		d.dead = make(map[simnet.NodeID]int)
-	}
-	return d
-}
-
-func (d *detector) on() bool { return d.evictAfter > 0 }
 
 // alive records direct contact from id: all evidence against it is
 // void, including a standing quarantine (a rejoined peer revives the
@@ -55,7 +38,7 @@ func (d *detector) alive(id simnet.NodeID) {
 // the address has now earned eviction.
 func (d *detector) strike(id simnet.NodeID) bool {
 	n := d.strikes[id] + 1
-	if n >= d.evictAfter {
+	if n >= EvictStrikes {
 		delete(d.strikes, id)
 		return true
 	}
@@ -76,7 +59,7 @@ func (d *detector) buried(id simnet.NodeID, round int) bool {
 	if !ok {
 		return false
 	}
-	if round-at > d.quarantine {
+	if round-at > QuarantineRounds {
 		delete(d.dead, id)
 		return false
 	}

@@ -78,10 +78,8 @@ func (p *Peer) shuffle(out *Out) {
 	// A non-empty view means the peer is integrated; a later isolation
 	// gets a fresh retry budget.
 	ov.joinAttempts, ov.joinWait, ov.joinFailed = 0, 0, false
-	if ov.det.on() {
-		ov.probe = target
-		ov.probeEntry = membership.Entry{ID: target, Age: old.Age + 1}
-	}
+	ov.probe = target
+	ov.probeEntry = membership.Entry{ID: target, Age: old.Age + 1}
 	out.send(KindOffer, target, offer)
 }
 
@@ -115,7 +113,7 @@ func (p *Peer) resolveProbe() {
 // view suspicion is cleared. Every input that names a sender comes here.
 func (p *Peer) heard(from simnet.NodeID) {
 	ov := p.ov
-	if ov == nil || !ov.det.on() {
+	if ov == nil {
 		return
 	}
 	ov.det.alive(from)
@@ -173,13 +171,9 @@ func (p *Peer) RecvMembership(kind Kind, from simnet.NodeID, entries []membershi
 	case KindLeave:
 		// A graceful departure: forget the leaver, refuse its address from
 		// future offers, and adopt the replacement contacts it handed over.
+		// (heard already settled a pending probe of it.)
 		v.Remove(from)
-		if ov.det.on() {
-			ov.det.bury(from, p.round)
-			if ov.probe == from {
-				ov.probe = simnet.None
-			}
-		}
+		ov.det.bury(from, p.round)
 		for _, e := range entries {
 			if e.ID != from {
 				v.AddAged(e)
@@ -208,10 +202,14 @@ func freshest(ents []membership.Entry, k int, skip simnet.NodeID) []membership.E
 // peer re-announces itself to, on a fresh budget, whenever a membership
 // round finds the view empty. The seed replies with bootstrap entries.
 // With simnet.None the previous seed is kept — how a peer that moved to a
-// new address makes the overlay re-learn it promptly.
+// new address makes the overlay re-learn it promptly. A peer without a
+// partial view has nobody to be introduced to.
 func (p *Peer) Join(seed simnet.NodeID, out *Out) {
 	out.Sends = out.Sends[:0]
 	ov := p.ov
+	if ov == nil {
+		return
+	}
 	if seed != simnet.None {
 		ov.joinSeed = seed
 		ov.cyclon.View().Add(seed)
@@ -221,12 +219,12 @@ func (p *Peer) Join(seed simnet.NodeID, out *Out) {
 }
 
 // JoinFailed reports whether the peer has given up announcing itself:
-// Params.JoinAttempts announcements, capped exponential back-off between
+// JoinAttempts announcements, capped exponential back-off between
 // them, and still no view. A view entry from anywhere lifts it.
 func (p *Peer) JoinFailed() bool { return p.ov != nil && p.ov.joinFailed }
 
 // announce sends the join announcement under capped exponential back-off
-// with seeded jitter, and gives up after Params.JoinAttempts of them
+// with seeded jitter, and gives up after JoinAttempts of them
 // instead of re-announcing every membership round forever.
 func (p *Peer) announce(out *Out) {
 	ov := p.ov
@@ -237,16 +235,13 @@ func (p *Peer) announce(out *Out) {
 		ov.joinWait--
 		return
 	}
-	if ov.joinAttempts >= p.par.JoinAttempts {
+	if ov.joinAttempts >= JoinAttempts {
 		ov.joinFailed = true
 		return
 	}
 	out.send(KindJoin, ov.joinSeed, nil)
 	ov.joinAttempts++
-	backoff := p.par.JoinBackoffCap
-	if s := ov.joinAttempts - 1; s < 10 && 1<<s < backoff {
-		backoff = 1 << s
-	}
+	backoff := min(1<<(ov.joinAttempts-1), JoinBackoffCap)
 	ov.joinWait = backoff + p.rng.Intn(backoff)
 }
 

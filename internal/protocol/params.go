@@ -29,6 +29,19 @@ type ControllerSpec struct {
 const (
 	ControlWindow = 5 // rounds between controller updates
 	ShuffleLen    = 8 // entries a Cyclon shuffle exchanges (NewCyclon clamps it to the view capacity)
+
+	// The failure detector: a view entry whose peer leaves EvictStrikes
+	// consecutive shuffle offers unanswered is evicted, and its address
+	// refused from incoming entries for QuarantineRounds rounds (direct
+	// contact lifts that at once).
+	EvictStrikes     = 3
+	QuarantineRounds = 64
+
+	// The join hand-shake: an isolated joiner re-announces itself at most
+	// JoinAttempts times, backing off exponentially up to JoinBackoffCap
+	// membership rounds (plus seeded jitter) in between.
+	JoinAttempts   = 8
+	JoinBackoffCap = 16
 )
 
 // Params is what a driver's own configuration (core.Config, live.Config)
@@ -52,11 +65,6 @@ type Params struct {
 	BufferCap    int // event buffer capacity
 	BufferMaxAge int // rounds an event stays forwardable at most
 	SeenCap      int // dedup memory
-
-	// The failure detector and the join hand-shake, as live.Config
-	// documents them; EvictStrikes 0 leaves the detector off.
-	EvictStrikes, QuarantineRounds int
-	JoinAttempts, JoinBackoffCap   int
 }
 
 // controller instantiates the peer-local controller for a population of n.

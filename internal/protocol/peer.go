@@ -30,9 +30,9 @@
 //     window reads the account, and books the novelty audit RecvEvents
 //     returns against the sender: the one write aimed at another peer's
 //     account, which the sharded simulator defers to a barrier.
-//   - The failure detector runs iff Params.EvictStrikes > 0 and the join
-//     hand-shake iff Join was called; otherwise neither draws a random
-//     number, so the simulator leaves them off and stays bit-identical.
+//   - The failure detector runs wherever there is a partial view
+//     (Params.ViewCap > 0) and draws no random number; the join hand-shake
+//     runs iff Join was called. Neither has a switch.
 package protocol
 
 import (
@@ -123,7 +123,7 @@ func New(id simnet.NodeID, n int, par *Params, rng *rand.Rand, ledger *fairness.
 	if par.ViewCap > 0 {
 		p.ov = &overlay{
 			cyclon:   membership.NewCyclon(membership.NewView(id, par.ViewCap), ShuffleLen),
-			det:      newDetector(par.EvictStrikes, par.QuarantineRounds),
+			det:      detector{strikes: make(map[simnet.NodeID]int), dead: make(map[simnet.NodeID]int)},
 			probe:    simnet.None,
 			joinSeed: simnet.None,
 		}
@@ -148,10 +148,6 @@ func (p *Peer) View() *membership.View {
 	}
 	return p.ov.cyclon.View()
 }
-
-// SetPopulation tells the idealised full sampler of a join (no-op under
-// Cyclon, whose views learn of joiners through charged shuffles).
-func (p *Peer) SetPopulation(n int) { p.full.N = n }
 
 // Subscribe registers a filter and returns its subscription ID.
 func (p *Peer) Subscribe(f pubsub.Filter) pubsub.SubID {

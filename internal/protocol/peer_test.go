@@ -17,16 +17,14 @@ import (
 
 const population = 16
 
-// livelike is the configuration the live runtime gives its peers: Cyclon
-// views, a shuffle every round, detector and join hand-shake on.
+// livelike is a configuration like the one the drivers give their peers:
+// Cyclon views, here with a shuffle every round.
 func livelike() Params {
 	return Params{
 		Fanout: 3, Batch: 4, Policy: gossip.PolicyRandom,
 		Controller: ControllerSpec{Kind: ControllerStatic},
 		ViewCap:    8, ShuffleEvery: 1,
 		BufferCap: 64, BufferMaxAge: 1 << 20, SeenCap: 1024,
-		EvictStrikes: 2, QuarantineRounds: 1000,
-		JoinAttempts: 3, JoinBackoffCap: 2,
 	}
 }
 
@@ -171,30 +169,31 @@ func TestDetector(t *testing.T) {
 	var out Out
 
 	// step runs one round in which every shuffle target answers (with
-	// nothing new) except the silent one, and reports whether that one
-	// was the target.
-	step := func(t *testing.T, p *Peer, silent simnet.NodeID) bool {
+	// nothing new) except the silent one.
+	step := func(t *testing.T, p *Peer, silent simnet.NodeID) {
 		t.Helper()
 		p.Tick(&out)
 		if len(out.Sends) != 1 || out.Sends[0].Kind != KindOffer {
 			t.Fatalf("a founder's membership round sent %+v, want one offer", out.Sends)
 		}
-		to := out.Sends[0].To
-		if to != silent {
+		if to := out.Sends[0].To; to != silent {
 			p.RecvMembership(KindReply, to, offerFrom(to), &out)
 		}
-		return to == silent
 	}
-	// probe steps until the silent peer has been offered a shuffle, then
-	// once more so that the verdict on that probe is in.
+	// probe steps until the verdict on one more unanswered offer to the
+	// silent peer is in: exactly one more strike.
 	probe := func(t *testing.T, p *Peer, silent simnet.NodeID) {
 		t.Helper()
-		for i := 0; !step(t, p, silent); i++ {
+		for i := 0; ; i++ {
+			pending := p.ov.probe == silent
+			step(t, p, silent)
+			if pending {
+				return
+			}
 			if i == 40 {
 				t.Fatalf("peer %d never became the shuffle target; view %v", silent, p.View().IDs())
 			}
 		}
-		step(t, p, silent)
 	}
 	// held checks that id is still the peer's — in the view under that
 	// much suspicion, or culled from it only as the probe now pending —
@@ -218,9 +217,11 @@ func TestDetector(t *testing.T) {
 
 	t.Run("strikes evict and quarantine", func(t *testing.T) {
 		p := founder()
-		probe(t, p, 2)
-		held(t, p, 2, 1)
-		probe(t, p, 2) // second strike == EvictStrikes
+		for strikes := 1; strikes < EvictStrikes; strikes++ {
+			probe(t, p, 2)
+			held(t, p, 2, strikes)
+		}
+		probe(t, p, 2) // strike number EvictStrikes
 		if _, dead := p.ov.det.dead[2]; !dead || p.View().Contains(2) || p.ov.probe == 2 {
 			t.Fatal("not evicted and quarantined after EvictStrikes silent probes")
 		}
@@ -236,6 +237,13 @@ func TestDetector(t *testing.T) {
 		if len(out.Sends) != 1 || out.Sends[0].Kind != KindReply || out.Sends[0].To != 3 {
 			t.Fatalf("offer not answered: %+v", out.Sends)
 		}
+		// The verdict expires: QuarantineRounds later the address gets the
+		// benefit of the doubt again, and not a round sooner.
+		buried := p.ov.det.dead[2]
+		if !p.ov.det.buried(2, buried+QuarantineRounds) || p.ov.det.buried(2, buried+QuarantineRounds+1) {
+			t.Fatalf("quarantine does not last exactly QuarantineRounds = %d rounds", QuarantineRounds)
+		}
+		p.ov.det.bury(2, buried)
 		// Direct contact lifts the quarantine.
 		p.RecvEvents(2, p.Buffer(), &events{})
 		p.RecvMembership(KindOffer, 3, offerFrom(3, 2), &out)
@@ -255,19 +263,6 @@ func TestDetector(t *testing.T) {
 		// The strike count restarted too: one more silence is not eviction.
 		probe(t, p, 2)
 		held(t, p, 2, 1)
-	})
-
-	t.Run("off means off", func(t *testing.T) {
-		off := par
-		off.EvictStrikes = 0
-		p := newPeer(0, &off, newLedger())
-		p.View().Add(1)
-		for i := 0; i < 10; i++ {
-			p.Tick(&out) // the only entry is culled and never restored
-		}
-		if p.View().Len() != 0 {
-			t.Fatalf("detector off, yet the silent target was restored: %v", p.View().IDs())
-		}
 	})
 }
 
@@ -295,14 +290,15 @@ func TestJoinerStopsAfterJoinAttempts(t *testing.T) {
 		t.Fatalf("joining: %d announcements, view %v; want one, and the seed alone", joins, ids)
 	}
 	// The silent seed is probed out of the view (EvictStrikes shuffles);
-	// from then on the peer is isolated and the budget runs.
+	// from then on the peer is isolated and the budget runs: each wait is
+	// under twice its back-off, and the back-off doubles up to the cap.
 	joins = 0
-	for round := 0; round < 200; round++ {
+	for round := 0; round < EvictStrikes+1+JoinAttempts*(2*JoinBackoffCap+1); round++ {
 		p.Tick(&out)
 		count()
 	}
-	if joins != par.JoinAttempts {
-		t.Fatalf("%d announcements from an isolated peer, want JoinAttempts = %d", joins, par.JoinAttempts)
+	if joins != JoinAttempts {
+		t.Fatalf("%d announcements from an isolated peer, want JoinAttempts = %d", joins, JoinAttempts)
 	}
 	if !p.JoinFailed() {
 		t.Fatal("JoinFailed not set after the budget ran out")
@@ -396,6 +392,10 @@ func TestLeaveHandsOverFreshestEntries(t *testing.T) {
 	f.Leave(&out)
 	if len(out.Sends) != 0 {
 		t.Fatalf("a full-sampler peer sent %d leave messages", len(out.Sends))
+	}
+	f.Join(0, &out) // nobody to be introduced to, and no view to put the seed in
+	if len(out.Sends) != 0 || f.JoinFailed() {
+		t.Fatalf("a full-sampler peer announced itself: %+v", out.Sends)
 	}
 }
 

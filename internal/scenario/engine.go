@@ -689,44 +689,23 @@ func (r *Run) pairTotalsLocked() (eligible, delivered int, firstMiss string) {
 // settle phase is part of the reproducible schedule.
 func (r *Run) settle() {
 	lastFault := r.LastFault()
-	recDeadline, hygDeadline := -1, -1
-	recovered, clean := true, true
-	if r.sc.CheckRecovery {
-		recovered = false
-		recDeadline = lastFault + r.recoveryBudget()
-	}
-	if r.sc.CheckViewHygiene {
-		clean = false
-		hygDeadline = lastFault + r.hygieneBudget()
-	}
-	round := r.sc.Rounds // rounds elapsed: the publishing phase just ended
-	for {
+	recovered, clean := !r.sc.CheckRecovery, !r.sc.CheckViewHygiene
+	recDeadline, hygDeadline := lastFault+r.recoveryBudget(), lastFault+r.hygieneBudget()
+	// round counts rounds elapsed: the publishing phase just ended.
+	for round := r.sc.Rounds; ; round++ {
 		if !recovered && r.recoveryMet() {
-			recovered = true
-			r.recoveredAt = round
+			recovered, r.recoveredAt = true, round
 		}
 		if !clean && r.hygieneOffender() == "" {
-			clean = true
-			r.hygieneAt = round
+			clean, r.hygieneAt = true, round
 		}
-		if recovered && clean {
-			return
-		}
-		exhausted := true
-		if !recovered && round < recDeadline {
-			exhausted = false
-		}
-		if !clean && round < hygDeadline {
-			exhausted = false
-		}
-		if exhausted {
+		if (recovered || round >= recDeadline) && (clean || round >= hygDeadline) {
 			if !clean {
 				r.hygieneNote = r.hygieneOffender()
 			}
 			return
 		}
 		r.rt.Step(1)
-		round++
 	}
 }
 
@@ -749,13 +728,9 @@ func (r *Run) recoveryMet() bool {
 
 // hygieneOffender returns a description of one live peer whose
 // membership view still holds the address of a down peer, or "" when
-// every live view is clean. On runtimes without inspectable views (the
-// idealised full-membership sim column) the check is vacuously clean.
+// every live view is clean.
 func (r *Run) hygieneOffender() string {
-	views, ok := r.rt.Views()
-	if !ok {
-		return ""
-	}
+	views := r.rt.Views()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for id, view := range views {
@@ -792,6 +767,14 @@ type Result struct {
 	JainLate        float64
 	HasFairness     bool
 
+	// RecoveredAfter and CleanAfter are the rounds from the last fault
+	// action to the settle phase (which starts when publishing ends)
+	// first seeing delivery back at the floor and every live view clean,
+	// each with the budget it is judged against: zero when the scenario
+	// does not check it or the settle phase never saw it (a violation).
+	RecoveredAfter, RecoveryBudget int
+	CleanAfter, HygieneBudget      int
+
 	Violations []string
 }
 
@@ -815,6 +798,12 @@ func (res *Result) String() string {
 	fmt.Fprintf(&b, "  msgs dropped       %d\n", res.Dropped)
 	if res.HasFairness {
 		fmt.Fprintf(&b, "  jain early->late   %g -> %g\n", res.JainEarly, res.JainLate)
+	}
+	if res.RecoveryBudget > 0 {
+		fmt.Fprintf(&b, "  recovered after    %d rounds (budget %d·N = %d)\n", res.RecoveredAfter, recoveryC, res.RecoveryBudget)
+	}
+	if res.HygieneBudget > 0 {
+		fmt.Fprintf(&b, "  views clean after  %d rounds (budget 2·N = %d)\n", res.CleanAfter, res.HygieneBudget)
 	}
 	if len(res.Violations) == 0 {
 		b.WriteString("  invariants         all passing\n")
@@ -848,6 +837,12 @@ func (r *Run) result() *Result {
 	if r.sc.CheckFairness && r.sc.TargetRatio > 0 {
 		res.JainEarly, res.JainLate = r.fairnessWindowsLocked()
 		res.HasFairness = true
+	}
+	if r.recoveredAt >= 0 {
+		res.RecoveredAfter, res.RecoveryBudget = r.recoveredAt-r.lastFault, r.recoveryBudget()
+	}
+	if r.hygieneAt >= 0 {
+		res.CleanAfter, res.HygieneBudget = r.hygieneAt-r.lastFault, r.hygieneBudget()
 	}
 	return res
 }

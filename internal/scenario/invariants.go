@@ -152,15 +152,10 @@ func LedgerConservation() Invariant {
 // shuffle and gossip fanout. The settle phase records when clean views
 // were first observed; after Close the final views are audited again
 // (authoritative read — no peer goroutine can resurrect an address).
-// Vacuous on runtimes without inspectable partial views (the idealised
-// full-membership sim column reports ok=false from Views).
 func ViewHygiene() Invariant {
 	return Invariant{
 		Name: "view-hygiene",
 		Check: func(r *Run) error {
-			if _, ok := r.rt.Views(); !ok {
-				return nil
-			}
 			if r.hygieneAt < 0 {
 				return fmt.Errorf("views not clean within %d rounds of the last fault (round %d): %s",
 					r.hygieneBudget(), r.LastFault(), r.hygieneNote)

@@ -62,9 +62,8 @@ type Runtime interface {
 	Rebind(id int) bool
 
 	// Join boots a new peer mid-run, bootstrapped through seed, and
-	// returns its id (ids stay dense). On the live runtime the joiner
-	// buys its introduction with charged membership traffic; on the sim
-	// the idealised directory admits it for free.
+	// returns its id (ids stay dense). On every runtime the joiner buys
+	// its introduction with charged membership traffic.
 	Join(seed int) (int, bool)
 
 	// Step advances time by whole gossip rounds (virtual time on sim,
@@ -81,12 +80,9 @@ type Runtime interface {
 	// must count every loss it can cause, because drop conservation
 	// (sent == recv + dropped) is checked on all of them.
 	Traffic() (sent, recv, dropped uint64)
-	// Views snapshots every peer's partial view (indexed by peer id),
-	// or ok=false when the runtime has no per-peer views to inspect —
-	// the sim column's idealised full-membership sampler keeps no
-	// views, so the view-hygiene invariant binds only the live columns.
+	// Views snapshots every peer's partial view (indexed by peer id).
 	// Must stay readable after Close (hygiene is judged post-drain).
-	Views() ([][]int, bool)
+	Views() [][]int
 	// Close releases the runtime (stops live goroutines).
 	Close()
 }
@@ -114,17 +110,18 @@ type SimRuntime struct {
 	shapeLoss float64
 }
 
-// NewSimRuntime builds a simulated cluster configured for a scenario.
-// Scenarios run content mode over the idealised full-membership sampler;
-// the live runtime runs real Cyclon partial views, so the differential
-// table compares the idealised-topology column against two
-// partial-view-over-real-transport columns and demands the same
-// invariants of all three.
+// NewSimRuntime builds a simulated cluster configured for a scenario:
+// content mode over the same Cyclon partial views, shuffle cadence,
+// failure detector and join hand-shake the live columns run, so the
+// differential table demands the same invariants of one protocol
+// configuration on three substrates.
 func NewSimRuntime(sc Scenario, seed int64) *SimRuntime {
 	sc = sc.withDefaults()
 	cfg := core.Config{
 		Mode:          core.ModeContent,
-		Membership:    core.MemberFull,
+		Membership:    core.MemberCyclon,
+		ViewCap:       sc.ViewCap,
+		ShuffleEvery:  sc.ShuffleEvery,
 		Fanout:        sc.Fanout,
 		Batch:         sc.Batch,
 		BufferMaxAge:  sc.BufferMaxAge,
@@ -196,8 +193,7 @@ func (s *SimRuntime) Rejoin(id int) bool {
 	if !s.valid(id) {
 		return false
 	}
-	// Bootstrap through the lowest-numbered live node (unused under the
-	// full sampler, but correct if a scenario ever runs Cyclon views).
+	// Bootstrap through the lowest-numbered live node.
 	boot := simnet.NodeID(0)
 	for i := 0; i < s.C.N(); i++ {
 		if i != id && s.C.Up(simnet.NodeID(i)) {
@@ -225,15 +221,19 @@ func (s *SimRuntime) Leave(id int) bool {
 	return true
 }
 
-// Views reports ok=false: scenario sim runs use the idealised
-// full-membership sampler, which holds no partial views to audit.
-func (s *SimRuntime) Views() ([][]int, bool) { return nil, false }
+func (s *SimRuntime) Views() [][]int {
+	views := make([][]int, s.C.N())
+	for i := range views {
+		for _, id := range s.C.Node(i).View().IDs() {
+			views[i] = append(views[i], int(id))
+		}
+	}
+	return views
+}
 
 func (s *SimRuntime) Join(seed int) (int, bool) {
-	if !s.valid(seed) {
-		return -1, false
-	}
-	return int(s.C.Join(simnet.NodeID(seed))), true
+	id, err := s.C.Join(simnet.NodeID(seed))
+	return int(id), err == nil
 }
 
 func (s *SimRuntime) Partition(side []int) {
@@ -415,10 +415,7 @@ func (l *LiveRuntime) Rebind(id int) bool { return l.C.Rebind(id) }
 
 func (l *LiveRuntime) Join(seed int) (int, bool) {
 	id, err := l.C.Join(seed)
-	if err != nil {
-		return -1, false
-	}
-	return id, true
+	return id, err == nil
 }
 
 func (l *LiveRuntime) Step(rounds int) {
@@ -455,7 +452,7 @@ func (l *LiveRuntime) Ledger() *fairness.Ledger { return l.C.Ledger() }
 
 // Views snapshots every peer's partial view; works while running and
 // after Close (live.Cluster reads directly once the goroutines exit).
-func (l *LiveRuntime) Views() ([][]int, bool) { return l.C.Views(), true }
+func (l *LiveRuntime) Views() [][]int { return l.C.Views() }
 
 // Traffic returns the live runtime's envelope-level counters. Since
 // the transport refactor every loss the runtime can cause is counted

@@ -65,12 +65,11 @@ type Scenario struct {
 	// barriers. Live columns ignore it.
 	Shards int
 
-	// Live-runtime membership knobs: partial-view capacity (default 24 —
-	// large enough that a 32-peer scenario's views mix well, small
+	// Membership knobs of every column: partial-view capacity (default
+	// 24 — large enough that a 32-peer scenario's views mix well, small
 	// enough that they stay genuinely partial and join-wave joiners must
 	// propagate) and rounds between a peer's shuffle initiations
-	// (default 2). The sim column keeps the idealised full-membership
-	// sampler — see NewSimRuntime.
+	// (default 2).
 	ViewCap      int
 	ShuffleEvery int
 	// JoinGrace is the joiner eligibility rule: a peer added by
@@ -128,8 +127,7 @@ type Scenario struct {
 	// rounds of the last fault action, no live peer's membership view
 	// may still hold the address of a down peer — graceful leavers via
 	// the Leave hand-off, crashed peers via the probe-timeout failure
-	// detector. Vacuous on runtimes without inspectable partial views
-	// (the idealised sim column).
+	// detector.
 	CheckViewHygiene bool
 }
 

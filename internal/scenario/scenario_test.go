@@ -12,19 +12,68 @@ import (
 )
 
 // TestBuiltinsOnSim runs every built-in scenario against the
-// deterministic simulated runtime; all invariants must pass.
+// deterministic simulated runtime, at seeds 1–16 (a table costs ≈ 0.1 s
+// of virtual-time execution); all invariants must pass at every one.
 func TestBuiltinsOnSim(t *testing.T) {
 	for _, sc := range Builtins() {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
-			res := Execute(NewSimRuntime(sc, 1), sc, 1)
-			if !res.Ok() {
-				t.Fatalf("invariant violations:\n%s", res.String())
-			}
-			if res.Published == 0 || res.Deliveries == 0 {
-				t.Fatalf("degenerate run:\n%s", res.String())
+			for seed := int64(1); seed <= 16; seed++ {
+				res := Execute(NewSimRuntime(sc, seed), sc, seed)
+				if !res.Ok() {
+					t.Errorf("invariant violations:\n%s", res.String())
+				}
+				if res.Published == 0 || res.Deliveries == 0 {
+					t.Errorf("degenerate run:\n%s", res.String())
+				}
 			}
 		})
+	}
+}
+
+// TestSimColumnHasAnOverlay: view-hygiene binds on the sim column. On the
+// two builtins that take peers down for good, every up peer's view is
+// inspectable, non-empty and within ViewCap; some up peer still holds a
+// dead address right after the last departure (so there is something to
+// scrub); and none does from the round the settle phase recorded.
+func TestSimColumnHasAnOverlay(t *testing.T) {
+	for name, lastDeparture := range map[string]int{"crash-storm-recover": 10, "graceful-drain": 16} {
+		sc, ok := ByName(name)
+		if !ok {
+			t.Fatalf("missing builtin %q", name)
+		}
+		viewCap := sc.withDefaults().ViewCap
+		shapes := func(r *Run, when string) {
+			views := r.rt.Views()
+			if len(views) != r.N() {
+				t.Fatalf("%s %s: %d views for %d peers", name, when, len(views), r.N())
+			}
+			for id, view := range views {
+				if r.NodeUp(id) && (len(view) == 0 || len(view) > viewCap) {
+					t.Errorf("%s %s: up peer %d has %d view entries, want 1..%d", name, when, id, len(view), viewCap)
+				}
+			}
+		}
+		sc.Steps = append(sc.Steps, Step{Round: lastDeparture, Action: Action{Name: "inspect", Do: func(r *Run) {
+			shapes(r, "right after the last departure")
+			if r.hygieneOffender() == "" {
+				t.Errorf("%s: no up peer holds a dead address right after round %d's departures", name, lastDeparture)
+			}
+		}}})
+		testInspect = func(r *Run) {
+			shapes(r, "after the run")
+			if off := r.hygieneOffender(); r.hygieneAt < 0 || off != "" {
+				t.Errorf("%s: views recorded clean at round %d, yet after the run: %q", name, r.hygieneAt, off)
+			}
+		}
+		res := Execute(NewSimRuntime(sc, 1), sc, 1)
+		testInspect = nil
+		if !res.Ok() {
+			t.Errorf("violations:\n%s", res.String())
+		}
+		if res.HygieneBudget == 0 || !strings.Contains(res.String(), "views clean after") {
+			t.Errorf("%s: the result does not report the hygiene measurement:\n%s", name, res.String())
+		}
 	}
 }
 
@@ -41,8 +90,14 @@ func TestBuiltinsOnSim(t *testing.T) {
 // once from 2f825720…, when holders began retiring an event after
 // 2 × batch copies of it came back (gossip.Buffer.Duplicate): message
 // counts fall in every builtin, every invariant still holds
-// (PERFORMANCE.md "Redundancy budget").
-const simColumnGolden = "d2de404d40b0cf9d5061a95149586a4a95650ccc51784b0f90e3356e46e02d1e"
+// (PERFORMANCE.md "Redundancy budget"). And once from d2de404d…, when
+// the sim column became the live columns' configuration — Cyclon views at
+// Scenario.ViewCap shuffled every Scenario.ShuffleEvery rounds, the
+// failure detector on, joiners and rejoiners introduced by
+// protocol.Peer.Join over kindJoin — and Result began to print the
+// recovery and hygiene measurements (PERFORMANCE.md "Determinism
+// contract").
+const simColumnGolden = "6455a26d10f5b5b8d3b564385bde4c0c858ec187683b35c815acfde7a6a847e3"
 
 func TestSimColumnGolden(t *testing.T) {
 	h := sha256.New()
@@ -449,15 +504,15 @@ func TestGracefulDrainScrubsViews(t *testing.T) {
 
 // TestCrashStormRecoveryBounded: crash-storm-recover on the
 // deterministic runtime — the settle phase must record recovery inside
-// the c·N budget measured from the last fault action. (View hygiene is
-// vacuous on the sim column: the idealised sampler has no views.)
+// the c·N budget, and clean views inside the 2·N one, both measured from
+// the last fault action.
 func TestCrashStormRecoveryBounded(t *testing.T) {
 	sc, ok := ByName("crash-storm-recover")
 	if !ok {
 		t.Fatal("crash-storm-recover builtin missing")
 	}
-	var recoveredAt, lastFault int
-	testInspect = func(r *Run) { recoveredAt, lastFault = r.recoveredAt, r.lastFault }
+	var recoveredAt, hygieneAt, lastFault int
+	testInspect = func(r *Run) { recoveredAt, hygieneAt, lastFault = r.recoveredAt, r.hygieneAt, r.lastFault }
 	defer func() { testInspect = nil }()
 	res := Execute(NewSimRuntime(sc, 5), sc, 5)
 	if !res.Ok() {
@@ -469,6 +524,9 @@ func TestCrashStormRecoveryBounded(t *testing.T) {
 	budget := recoveryC * sc.withDefaults().N
 	if recoveredAt < 0 || recoveredAt-lastFault > budget {
 		t.Errorf("recovery at round %d violates budget %d from fault round %d", recoveredAt, budget, lastFault)
+	}
+	if hygieneAt < 0 || hygieneAt-lastFault > 2*sc.withDefaults().N {
+		t.Errorf("views clean at round %d violates budget %d from fault round %d", hygieneAt, 2*sc.withDefaults().N, lastFault)
 	}
 }
 
