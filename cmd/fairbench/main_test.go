@@ -119,42 +119,68 @@ func TestFairbenchBadFlag(t *testing.T) {
 	}
 }
 
-// goldenStdoutHash pins the full -small -seed 1 experiment suite's
-// stdout (header lines stripped — they carry wall-clock seconds). The
-// kernel-sharding PR verified this hash is unchanged by the envelope
-// pool and the SelectInto scratch reuse: both are output-invariant. It
-// was re-baselined once, from 2204ff69…, when per-node streams moved to
-// the 16-byte randutil.NewStream generator — a lagged-Fibonacci source's
-// state is its stream, so no stream-preserving shrink existed
-// (PERFORMANCE.md "Determinism contract" has the before/after), and once
-// more, from 6914bd66…, when holders began retiring an event after
-// 2 × batch copies of it came back (gossip.Buffer.Duplicate: fewer
-// pushes, so every table moves) — the same re-baseline carries EXP-F3's
-// start inside its fanout limits and its two rewritten notes
-// (PERFORMANCE.md "Redundancy budget"). And once from b26cd5b0…, when the
-// failure detector came on under every Cyclon cluster (a shuffle target
-// that leaves an offer unanswered gets its culled view entry back) and
-// Rejoin/Join were introduced by protocol.Peer.Join over kindJoin in
-// place of kindViewRepair: the two tables with crashes and loss move
-// (EXP-T5, EXP-A5), no other row does (PERFORMANCE.md "Determinism
-// contract"). If a change moves it on purpose, regenerate with:
+// goldenStdoutHash pins the -small -seed 1 suite's stdout one experiment
+// at a time: the sha256 of the lines under each "##########" header (the
+// header itself carries wall-clock seconds), so a change that means to
+// move one table proves it moved no other. Until PR 25 this was one hash
+// of the whole stdout, re-baselined four times, each with its reason in
+// PERFORMANCE.md "Determinism contract": per-node streams moving to the
+// 16-byte randutil.NewStream (from 2204ff69…), retirement after 2 × batch
+// returned copies (gossip.Buffer.Duplicate, from 6914bd66…), the detector
+// under every Cyclon cluster and kindJoin introductions (from b26cd5b0…,
+// EXP-T5 and EXP-A5 only), and the last whole-suite hash, f69eb8b8…, from
+// which this table was split at PR 25's parent. PR 25 then moved three
+// entries: EXP-F4 and EXP-X1, whose classic baseline runs on core.Cluster
+// instead of its own peer, and EXP-T5, whose static variant rejoins node 0
+// through itself — a peer no longer sends itself membership messages
+// (protocol.FuzzPeerInputs found it). If a change moves an entry on
+// purpose, regenerate with:
 //
-//	go run ./cmd/fairbench -seed 1 -small -out '' | grep -v '^##########' | sha256sum
-const goldenStdoutHash = "f69eb8b89ea46cb0edeedc468f11193c7dbd0fbdcb024f9505aa78a096dcc9fa"
+//	go run ./cmd/fairbench -seed 1 -small -out '' > /tmp/fb.txt && cd "$(mktemp -d)" && awk '/^##########/{id=$2; next} id{print > id}' /tmp/fb.txt && sha256sum EXP-*
+var goldenStdoutHash = map[string]string{
+	"EXP-A1": "09273147e93cdca01aea567d615f134d373051082e8f3e28be25fefa8a5a8e25",
+	"EXP-A2": "4388175ec2b8fc3cf21e605d62679d317131b4f31c3a912ba93fffd139adbff6",
+	"EXP-A3": "6fbd34957a62b7453099c2a23524115bf9c29b72a59a27b4a9c1314453e8bb09",
+	"EXP-A4": "b44f5aaf83cbd6d29d6deaff1973626aa3887019bb560104ca3d0a3930fba82b",
+	"EXP-A5": "5743c7444ffdca60b1adcd1db537d5dce6d87ef99a44a97dcd0cb089724d6c06",
+	"EXP-A6": "a55bacb9e693cb5e286bcaf55e01fe2aac1a508ecb87d04cc0648266a6f6166d",
+	"EXP-F1": "1b9deac4b746bbb22e0676206f78007302caf8b148ad6d3c877784e4e33b4ec4",
+	"EXP-F2": "acce540d3606d6640cd2de233440b6d899c40e5ce8a139f307d00a6beb4f0c31",
+	"EXP-F3": "8c87800a6461e308dd6ec3341a39a79bcc569c7f2b3c574d3de6f915c9404384",
+	"EXP-F4": "3b118efbc94327444be86551f05843ac0b94854609ba46121c0927fe6ed6da7f",
+	"EXP-T1": "8f3fb4b3c53aea9538a3f6f64d25808fc8d30cdc08fb6c14f9fc5147fcf43474",
+	"EXP-T2": "e243640362e8e1d96b923a1334a92d5cbd4cd5617bf945c975706c757feab38c",
+	"EXP-T3": "9ca59d885340cbea29fceb40f3826d5cf7e5ce087980c4a875c895ef46b957fd",
+	"EXP-T4": "c3c945459808577cd6f5fa3630ab0177dc6c1f50a950540481be11be115d09d2",
+	"EXP-T5": "b50652e45f5ee1715a457047bb6a87967a9734672e2eb19d969c94df275d20f5",
+	"EXP-X1": "9aa12b61642699683b30c711a5ae7e622aecd2e318b358991aa35c43a58fa3c7",
+	"EXP-X2": "5dc497716e643b6303805883aac59d76f957f4172f2a99e22c32a72327df16aa",
+}
 
-// stableStdout strips the wall-clock-bearing header lines, mirroring
-// the grep in the regeneration command (including grep's omission of a
-// trailing newline-less empty element).
-func stableStdout(out string) string {
-	var b strings.Builder
-	for _, line := range strings.Split(out, "\n") {
-		if strings.HasPrefix(line, "##########") {
+// stdoutByExperiment splits fairbench's stdout into each experiment's
+// lines, mirroring the awk in the regeneration command: a header line
+// names the experiment and is dropped, every later line up to the next
+// header is kept with its newline.
+func stdoutByExperiment(out string) map[string]string {
+	parts := map[string]*strings.Builder{}
+	var cur *strings.Builder
+	for _, line := range strings.Split(strings.TrimSuffix(out, "\n"), "\n") {
+		if rest, ok := strings.CutPrefix(line, "########## "); ok {
+			id, _, _ := strings.Cut(rest, " ")
+			cur = &strings.Builder{}
+			parts[id] = cur
 			continue
 		}
-		b.WriteString(line)
-		b.WriteByte('\n')
+		if cur != nil {
+			cur.WriteString(line)
+			cur.WriteByte('\n')
+		}
 	}
-	return strings.TrimSuffix(b.String(), "\n")
+	texts := make(map[string]string, len(parts))
+	for id, b := range parts {
+		texts[id] = b.String()
+	}
+	return texts
 }
 
 func TestGoldenStdoutHash(t *testing.T) {
@@ -165,9 +191,27 @@ func TestGoldenStdoutHash(t *testing.T) {
 	if rc := run([]string{"-seed", "1", "-small", "-out", ""}, &stdout, &stderr); rc != 0 {
 		t.Fatalf("fairbench exited %d: %s", rc, stderr.String())
 	}
-	sum := sha256.Sum256([]byte(stableStdout(stdout.String())))
-	if got := hex.EncodeToString(sum[:]); got != goldenStdoutHash {
-		t.Errorf("stdout hash %s, want %s — the fixed-seed experiment output changed; "+
-			"if intentional, update goldenStdoutHash", got, goldenStdoutHash)
+	got := stdoutByExperiment(stdout.String())
+	for id := range got {
+		if _, ok := goldenStdoutHash[id]; !ok {
+			t.Errorf("%s ran but has no golden hash — add its entry", id)
+		}
+	}
+	ids := make([]string, 0, len(goldenStdoutHash))
+	for id := range goldenStdoutHash {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	for _, id := range ids {
+		text, ok := got[id]
+		if !ok {
+			t.Errorf("%s has a golden hash but did not run", id)
+			continue
+		}
+		sum := sha256.Sum256([]byte(text))
+		if h := hex.EncodeToString(sum[:]); h != goldenStdoutHash[id] {
+			t.Errorf("%s stdout hash %s, want %s — its fixed-seed output changed; if intentional, update its entry:\n%s",
+				id, h, goldenStdoutHash[id], text)
+		}
 	}
 }

@@ -62,13 +62,13 @@ func TestRejoinWithoutPenaltyConfigured(t *testing.T) {
 }
 
 func TestCheaterAuditExposure(t *testing.T) {
-	// EXP-A6 in miniature: a cheater pads every gossip message with junk
-	// bytes. Raw contribution rewards it; the novelty audit does not.
+	// EXP-A6 in miniature: a cheater pads every gossip message with
+	// junkPadding bytes. Raw contribution rewards it; the novelty audit
+	// does not.
 	c := NewCluster(32, Config{
-		Mode:        ModeContent,
-		Fanout:      5,
-		Batch:       4,
-		JunkPadding: 400,
+		Mode:   ModeContent,
+		Fanout: 5,
+		Batch:  4,
 	}, ClusterOptions{
 		Seed:      3,
 		NetConfig: simnet.Config{Latency: simnet.ConstantLatency(2 * time.Millisecond)},

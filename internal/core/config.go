@@ -93,7 +93,7 @@ type Config struct {
 	BufferMaxAge  int     // rounds an event stays forwardable at most (default 8; gossip.Buffer.Duplicate retires it sooner)
 	SeenCap       int     // dedup memory (default 8192)
 	RepairPenalty float64 // churn penalty charged per rejoin (default 0: off)
-	JunkPadding   int     // bytes of junk a cheater pads per message (EXP-A6)
+	AntiEntropy   int     // rounds between push-pull digests (EXP-X1, pushpull.go; default 0: off)
 
 	// SemanticBias ∈ (0,1] biases that fraction of content-mode gossip
 	// partners toward peers with overlapping interest fingerprints
@@ -111,11 +111,12 @@ type Config struct {
 	BatchRounds bool
 }
 
-// Membership parameters of the topic-mode (§5.1) groups.
+// Constants of the topic-mode (§5.1) groups and of cheat padding.
 const (
-	topicViewCap = 12 // per-topic group view capacity
-	adLen        = 2  // membership ads piggybacked on topic gossip
-	walkHopLimit = 16 // subscription walk TTL
+	topicViewCap = 12  // per-topic group view capacity
+	adLen        = 2   // membership ads piggybacked on topic gossip
+	walkHopLimit = 16  // subscription walk TTL
+	junkPadding  = 512 // bytes of junk a Cheat node pads every gossip message with (EXP-A6)
 )
 
 // defaultBatch is Config.Batch's default, and the room for events a

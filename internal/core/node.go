@@ -34,14 +34,16 @@ type Node struct {
 	active bool
 
 	// Cheat makes this node pad every outgoing gossip message with
-	// cfg.JunkPadding bytes of worthless data (EXP-A6).
+	// junkPadding bytes of worthless data (EXP-A6).
 	Cheat bool
 
+	archive *gossip.Buffer // push-pull's store (pushpull.go); nil unless Config.AntiEntropy
+
 	// walkRelays counts subscription/publication walks this node relayed
-	// for others — §5.1's maintenance burden.
-	walkRelays uint64
+	// for others — §5.1's maintenance burden; 32 bits keep Node at 352 B.
+	walkRelays uint32
 	// walksSent counts walks this node originated.
-	walksSent uint64
+	walksSent uint32
 
 	// peerFPs remembers other peers' interest fingerprints for semantic
 	// partner bias (semantic.go).
@@ -60,7 +62,7 @@ func (nd *Node) Active() bool { return nd.active }
 
 // WalkRelays returns how many subscription/publication walks this node
 // relayed on behalf of others.
-func (nd *Node) WalkRelays() uint64 { return nd.walkRelays }
+func (nd *Node) WalkRelays() uint64 { return uint64(nd.walkRelays) }
 
 // overlayPeers samples k partners from the overlay substrate into the
 // shard's scratch.
@@ -143,6 +145,9 @@ func (nd *Node) Publish(topic string, attrs []pubsub.Attr, payload []byte) pubsu
 		}
 	}
 	ev := nd.Peer.Publish(buf, topic, attrs, payload)
+	if nd.archive != nil {
+		nd.archive.Insert(ev)
+	}
 	if buf == nil {
 		nd.publishWalk(ev)
 	}
@@ -171,6 +176,7 @@ func (nd *Node) Round() {
 		nd.Push(out)
 		nd.sendGossipAll(out.Targets, "", out.Events, nil)
 	}
+	nd.antiEntropy()
 	nd.Adapt() // after the sends: the window reads what they were charged
 }
 
@@ -264,8 +270,8 @@ func (nd *Node) buildGossip(topic string, events []*pubsub.Event, ads []membersh
 	m.Topic = topic
 	m.Events = append(m.Events[:0], events...)
 	m.Ads = append(m.Ads[:0], ads...)
-	if nd.Cheat && nd.cfg.JunkPadding > 0 {
-		m.Junk = nd.cfg.JunkPadding
+	if nd.Cheat {
+		m.Junk = junkPadding
 	}
 	if nd.cfg.SemanticBias > 0 {
 		m.FP = interestFingerprint(nd.Interest())
@@ -414,6 +420,10 @@ func (nd *Node) HandleMessage(msg simnet.Message) {
 		nd.handleSubAck(m)
 	case kindPubWalk:
 		nd.handlePubWalk(msg.From, m)
+	case kindDigest:
+		nd.handleDigest(msg.From, m)
+	case kindPull:
+		nd.handlePull(msg.From, m)
 	}
 }
 
@@ -437,6 +447,7 @@ func (nd *Node) handleGossip(from simnet.NodeID, m *wireMsg) {
 			}
 		}
 	}
+	nd.archiveNew(m.Events)
 	novel, dup := nd.RecvEvents(from, buf, m)
 	// Novelty audit (§5.2 bias resistance): grade the sender's bytes,
 	// cheat padding included. This is the one ledger write aimed at
@@ -476,6 +487,7 @@ func (nd *Node) handlePubWalk(from simnet.NodeID, m *wireMsg) {
 	if g, ok := nd.groups[m.Topic]; ok {
 		// The hand-off is the event's first copy here, not gossip to grade:
 		// admitted like any batch, unaudited.
+		nd.archiveNew(m.Events)
 		nd.RecvEvents(from, g.buffer, m)
 		return
 	}

@@ -86,7 +86,7 @@ func (c *Cluster) addNode(i, n int) {
 			continue
 		}
 		rng := randutil.NewStream(randutil.NodeSeed(c.seed, i))
-		nd := &Node{Peer: protocol.New(simnet.NodeID(i), n, &c.par, rng, c.Ledger), sh: sh, cfg: &c.cfg, active: true}
+		nd := &Node{Peer: protocol.New(simnet.NodeID(i), n, &c.par, rng, c.Ledger), sh: sh, cfg: &c.cfg, active: true, archive: newArchive(&c.cfg)}
 		sh.net.AddNode(nd)
 		c.Nodes = append(c.Nodes, nd)
 	}

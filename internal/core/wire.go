@@ -23,6 +23,8 @@ const (
 	kindSubWalk                     // subscription random walk (infra)
 	kindSubAck                      // walk answer: group bootstrap (infra)
 	kindPubWalk                     // publisher hand-off walk (infra)
+	kindDigest                      // push-pull: the archive's event ids (infra)
+	kindPull                        // push-pull: the ids a digest's receiver lacks (infra)
 )
 
 // fpAd is a third-party interest-fingerprint advertisement: profile
@@ -53,6 +55,9 @@ type wireMsg struct {
 	Origin simnet.NodeID
 	Hops   int
 
+	// kindDigest / kindPull
+	IDs []pubsub.EventID
+
 	// pool/refs make gossip envelopes reference-counted and recyclable
 	// (pool.go). nil pool = plain allocated message; Retain/Release
 	// no-op on it, and the walk paths' `fwd := *m` forwarding copies
@@ -74,8 +79,9 @@ func (m *wireMsg) Head(i int) (pubsub.EventID, int) {
 func (m *wireMsg) Event(i int) *pubsub.Event { return m.Events[i] }
 
 const (
-	wireHeaderSize = 8
-	topicTagSize   = 2 // length prefix; topic bytes added separately
+	wireHeaderSize  = 8
+	topicTagSize    = 2 // length prefix; topic bytes added separately
+	eventIDWireSize = 8
 )
 
 // size computes the accounting size of a wire message.
@@ -99,6 +105,8 @@ func (m *wireMsg) size() int {
 		n += topicTagSize + len(m.Topic)
 	case kindSubWalk:
 		n += topicTagSize + len(m.Topic) + 6
+	case kindDigest, kindPull:
+		n += len(m.IDs) * eventIDWireSize
 	}
 	return n
 }

@@ -339,12 +339,11 @@ func ExpA6(opts Options) []Table {
 	n := pick(opts.Small, 64, 128)
 	const cheater = 3
 	c := core.NewCluster(n, core.Config{
-		Mode:        core.ModeContent,
-		Fanout:      5,
-		Batch:       4,
-		JunkPadding: 512,
+		Mode:   core.ModeContent,
+		Fanout: 5,
+		Batch:  4,
 	}, core.ClusterOptions{Seed: opts.Seed, NetConfig: defaultNet()})
-	c.Node(cheater).Cheat = true
+	c.Node(cheater).Cheat = true // pads every gossip message with 512 junk bytes
 	for i := 0; i < n; i++ {
 		c.Node(i).Subscribe(pubsub.MatchAll())
 	}

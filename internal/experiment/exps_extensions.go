@@ -5,12 +5,8 @@ import (
 	"time"
 
 	"fairgossip/internal/core"
-	"fairgossip/internal/eventsim"
 	"fairgossip/internal/fairness"
-	"fairgossip/internal/gossip"
-	"fairgossip/internal/membership"
 	"fairgossip/internal/pubsub"
-	"fairgossip/internal/randutil"
 	"fairgossip/internal/simnet"
 )
 
@@ -42,37 +38,12 @@ func ExpX1(opts Options) []Table {
 	return []Table{t}
 }
 
-// runPushPull measures single-event coverage and total network traffic
-// (push + digests + pulls) with the classic peer.
-func runPushPull(seed int64, n, antiEvery int) (coverage, totalKB float64) {
-	sim := eventsim.New(seed)
-	net := simnet.New(sim, simnet.Config{Latency: simnet.ConstantLatency(time.Millisecond)})
-	peers := make([]*gossip.Peer, n)
-	for i := 0; i < n; i++ {
-		peers[i] = gossip.NewPeer(
-			simnet.NodeID(i), net,
-			membership.FullSampler{Self: simnet.NodeID(i), N: n},
-			randutil.NewStream(seed*7919+int64(i)),
-			gossip.Config{Fanout: 1, Batch: 4, BufferMaxAge: 2},
-		)
-		if antiEvery > 0 {
-			peers[i].EnableAntiEntropy(antiEvery, 0)
-		}
-		net.AddNode(peers[i])
-	}
-	for _, p := range peers {
-		p := p
-		sim.Every(10*time.Millisecond, time.Millisecond, p.Round)
-	}
-	peers[0].Publish(&pubsub.Event{ID: pubsub.EventID{Publisher: 0, Seq: 1}, Topic: "t"})
-	sim.RunUntil(30 * 10 * time.Millisecond)
-	covered := 0
-	for _, p := range peers {
-		if p.Delivered() > 0 {
-			covered++
-		}
-	}
-	return float64(covered) / float64(n), float64(net.TotalTraffic().BytesSent) / 1e3
+// runPushPull measures the classic configuration's coverage and its
+// whole traffic in kB — push, digests and pulls — after 30 rounds.
+func runPushPull(seed int64, n, antiEvery int) (float64, float64) {
+	c := classicCluster(seed, n, core.Config{Fanout: 1, BufferMaxAge: 2, AntiEntropy: antiEvery}, 0)
+	c.RunRounds(30)
+	return coverage(c), float64(c.TotalTraffic().BytesSent) / 1e3
 }
 
 // ExpX2 — extension: semantic partner bias (§5.2's closing suggestion:

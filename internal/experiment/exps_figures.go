@@ -7,12 +7,8 @@ import (
 
 	"fairgossip/internal/adaptive"
 	"fairgossip/internal/core"
-	"fairgossip/internal/eventsim"
 	"fairgossip/internal/fairness"
-	"fairgossip/internal/gossip"
-	"fairgossip/internal/membership"
 	"fairgossip/internal/pubsub"
-	"fairgossip/internal/randutil"
 	"fairgossip/internal/simnet"
 	"fairgossip/internal/workload"
 )
@@ -164,7 +160,7 @@ func ExpF3(opts Options) []Table {
 
 // ExpF4 — Fig. 4: the basic push gossip algorithm itself. Delivery ratio
 // versus fanout (the ln n threshold), rounds to 99% coverage versus n,
-// and loss tolerance. Uses the classic peer (no fairness machinery).
+// and loss tolerance, on the classic configuration (classicCluster).
 func ExpF4(opts Options) []Table {
 	nBase := pick(opts.Small, 128, 512)
 	seeds := []int64{opts.Seed, opts.Seed + 1, opts.Seed + 2}
@@ -219,62 +215,53 @@ func ExpF4(opts Options) []Table {
 	return []Table{sweep, growth, loss}
 }
 
-// runClassicDissemination publishes one event into n classic Fig. 4 peers
-// and returns the coverage after `rounds` rounds. maxAge 1 gives
-// infect-and-die semantics (each peer forwards an event for exactly one
-// round) — the regime where the ln(n) fanout threshold is visible.
-func runClassicDissemination(seed int64, n, fanout, rounds, maxAge int, loss float64) float64 {
-	sim, peers := buildClassic(seed, n, fanout, maxAge, loss)
-	peers[0].Publish(&pubsub.Event{ID: pubsub.EventID{Publisher: 0, Seq: 1}, Topic: "t"})
-	sim.RunUntil(time.Duration(rounds) * 10 * time.Millisecond)
-	covered := 0
-	for _, p := range peers {
-		if p.Delivered() > 0 {
-			covered++
-		}
+// classicCluster is Fig. 4's push algorithm as a core configuration —
+// FairGossip with the §5.2 levers pinned: content mode over the full
+// sampler, static batch 4, every node subscribed to everything, one event
+// published at node 0. A link takes a tenth of a round, as under the
+// classic peer this replaced (at a hundredth an event hops several times
+// in one jittered round). cfg brings fanout, TTL and push-pull.
+func classicCluster(seed int64, n int, cfg core.Config, loss float64) *core.Cluster {
+	cfg.Mode, cfg.Membership, cfg.Batch = core.ModeContent, core.MemberFull, 4
+	c := core.NewCluster(n, cfg, core.ClusterOptions{Seed: seed, NetConfig: simnet.Config{
+		Latency: simnet.ConstantLatency(10 * time.Millisecond),
+		Loss:    loss,
+	}})
+	for _, nd := range c.Nodes {
+		nd.Subscribe(pubsub.MatchAll())
 	}
-	return float64(covered) / float64(n)
+	c.Node(0).Publish("t", nil, nil)
+	return c
+}
+
+// coverage is the share of a classic cluster's nodes that delivered its event.
+func coverage(c *core.Cluster) float64 {
+	all := make([]int, c.N())
+	for i := range all {
+		all[i] = i
+	}
+	return c.DeliveryRatio(all, 1)
+}
+
+// runClassicDissemination returns the classic configuration's coverage
+// after `rounds` rounds. maxAge 1 gives infect-and-die semantics (each
+// node forwards an event for exactly one round) — the regime where the
+// ln(n) fanout threshold is visible.
+func runClassicDissemination(seed int64, n, fanout, rounds, maxAge int, loss float64) float64 {
+	c := classicCluster(seed, n, core.Config{Fanout: fanout, BufferMaxAge: maxAge}, loss)
+	c.RunRounds(rounds)
+	return coverage(c)
 }
 
 // roundsToCoverage steps rounds one at a time until coverage of a single
 // event reaches the target, up to a cap of 60 rounds.
 func roundsToCoverage(seed int64, n, fanout int, target float64) int {
-	sim, peers := buildClassic(seed, n, fanout, 61, 0)
-	peers[0].Publish(&pubsub.Event{ID: pubsub.EventID{Publisher: 0, Seq: 1}, Topic: "t"})
+	c := classicCluster(seed, n, core.Config{Fanout: fanout, BufferMaxAge: 61}, 0)
 	for r := 1; r <= 60; r++ {
-		sim.RunUntil(time.Duration(r) * 10 * time.Millisecond)
-		covered := 0
-		for _, p := range peers {
-			if p.Delivered() > 0 {
-				covered++
-			}
-		}
-		if float64(covered)/float64(n) >= target {
+		c.RunRounds(1)
+		if coverage(c) >= target {
 			return r
 		}
 	}
 	return 60
-}
-
-func buildClassic(seed int64, n, fanout, maxAge int, loss float64) (*eventsim.Sim, []*gossip.Peer) {
-	sim := eventsim.New(seed)
-	net := simnet.New(sim, simnet.Config{
-		Latency: simnet.ConstantLatency(time.Millisecond),
-		Loss:    loss,
-	})
-	peers := make([]*gossip.Peer, n)
-	for i := 0; i < n; i++ {
-		peers[i] = gossip.NewPeer(
-			simnet.NodeID(i), net,
-			membership.FullSampler{Self: simnet.NodeID(i), N: n},
-			randutil.NewStream(seed*7919+int64(i)),
-			gossip.Config{Fanout: fanout, Batch: 4, BufferMaxAge: maxAge},
-		)
-		net.AddNode(peers[i])
-	}
-	for _, p := range peers {
-		p := p
-		sim.Every(10*time.Millisecond, time.Millisecond, p.Round)
-	}
-	return sim, peers
 }

@@ -4,11 +4,11 @@
 // into a gossip message (SELECTEVENTS), and pushes it. Receivers
 // deduplicate, re-buffer, and DELIVER events matching ISINTERESTED.
 //
-// The package provides the event buffer with age-based garbage collection,
-// the duplicate-suppression set, the event-selection policies (an ablation
-// axis), and a self-contained Peer used by the baseline reliability
-// experiments (EXP-F4). The full fairness-aware protocol in internal/core
-// composes the same pieces.
+// The package provides the pieces of that round: the event buffer with
+// age-based garbage collection and duplicate retirement, the
+// duplicate-suppression set, the event-selection policies (an ablation
+// axis) and the message size. internal/protocol composes them into the one
+// peer; the classic baseline is that peer with its levers pinned.
 package gossip
 
 import (
@@ -180,27 +180,14 @@ func (b *Buffer) Tick() {
 	b.ents = live
 }
 
-// Select returns up to n distinct buffered events according to the
-// policy, marking them as sent once each. The returned slice is fresh
-// (callers hand it to in-flight messages); the permutation scratch behind
-// PolicyRandom is reused across calls.
-func (b *Buffer) Select(rng *rand.Rand, n int, policy Policy) []*pubsub.Event {
-	n = min(n, len(b.ents))
-	if n <= 0 {
-		return nil
-	}
-	scratch := make([]*pubsub.Event, 0, n)
-	return b.SelectInto(rng, &scratch, n, policy)
-}
-
-// SelectInto is Select with caller-owned storage: the selection appends
-// into *scratch (reset to length zero first), growing it when the batch
-// exceeds its capacity — once, to the n asked for, not step by step as a
-// filling buffer lengthens the batch — and returns the filled slice. It
-// consumes the random stream draw-for-draw identically to Select, so
-// swapping it in never changes a fixed-seed run — only its allocation
-// profile. The caller must not hand the returned slice to anything that
-// outlives the scratch's next reuse; the pooled gossip envelope path
+// SelectInto picks up to n distinct buffered events according to the
+// policy, marking each as sent once, into caller-owned storage: the
+// selection appends into *scratch (reset to length zero first), growing
+// it when the batch exceeds its capacity — once, to the n asked for, not
+// step by step as a filling buffer lengthens the batch — and returns the
+// filled slice. The permutation scratch behind PolicyRandom is the
+// buffer's own. The caller must not hand the returned slice to anything
+// that outlives the scratch's next reuse; the pooled gossip envelope path
 // copies out of it before the next round.
 func (b *Buffer) SelectInto(rng *rand.Rand, scratch *[]*pubsub.Event, n int, policy Policy) []*pubsub.Event {
 	out := (*scratch)[:0]
@@ -248,12 +235,25 @@ func (b *Buffer) sortBySent() {
 	}
 }
 
-// ids returns the buffered ids in buffer order, in a fresh slice (a
-// digest message keeps it).
-func (b *Buffer) ids() []pubsub.EventID {
+// IDs returns the buffered ids in buffer order, in a fresh slice (a
+// push-pull digest keeps it).
+func (b *Buffer) IDs() []pubsub.EventID {
 	out := make([]pubsub.EventID, len(b.ents))
 	for i := range b.ents {
 		out[i] = b.ents[i].id
 	}
 	return out
+}
+
+// MsgHeaderSize is the fixed wire overhead of a gossip message.
+const MsgHeaderSize = 16
+
+// MsgWireSize returns the accounting size of a gossip message carrying
+// the given events.
+func MsgWireSize(events []*pubsub.Event) int {
+	n := MsgHeaderSize
+	for _, ev := range events {
+		n += ev.WireSize()
+	}
+	return n
 }

@@ -16,6 +16,12 @@ func ev(pub, seq uint32) *pubsub.Event {
 	return &pubsub.Event{ID: pubsub.EventID{Publisher: pub, Seq: seq}, Topic: "t"}
 }
 
+// pick is a selection into fresh storage.
+func pick(b *Buffer, rng *rand.Rand, n int, policy Policy) []*pubsub.Event {
+	var scratch []*pubsub.Event
+	return b.SelectInto(rng, &scratch, n, policy)
+}
+
 func TestBufferInsertDedup(t *testing.T) {
 	b := NewBuffer(4, 8)
 	if !b.Insert(ev(1, 1)) {
@@ -68,13 +74,13 @@ func TestSelectPolicies(t *testing.T) {
 	for i := uint32(1); i <= 5; i++ {
 		b.Insert(ev(1, i))
 	}
-	got := b.Select(rng, 2, PolicyNewest)
+	got := pick(b, rng, 2, PolicyNewest)
 	if len(got) != 2 || got[0].ID.Seq != 4 || got[1].ID.Seq != 5 {
 		t.Fatalf("newest picked %v", ids(got))
 	}
 
 	// LeastSent: previously sent events deprioritised.
-	got = b.Select(rng, 2, PolicyLeastSent)
+	got = pick(b, rng, 2, PolicyLeastSent)
 	for _, e := range got {
 		if e.ID.Seq == 4 || e.ID.Seq == 5 {
 			t.Fatalf("least-sent picked already-sent event %v", e.ID)
@@ -82,7 +88,7 @@ func TestSelectPolicies(t *testing.T) {
 	}
 
 	// Random: correct count, distinct.
-	got = b.Select(rng, 3, PolicyRandom)
+	got = pick(b, rng, 3, PolicyRandom)
 	if len(got) != 3 {
 		t.Fatalf("random picked %d", len(got))
 	}
@@ -94,21 +100,40 @@ func TestSelectPolicies(t *testing.T) {
 		seen[e.ID] = true
 	}
 
-	// Oversized n clamps; zero/negative yields nil.
-	if len(b.Select(rng, 99, PolicyRandom)) != 5 {
+	// Oversized n clamps; zero/negative selects nothing.
+	if len(pick(b, rng, 99, PolicyRandom)) != 5 {
 		t.Fatal("oversized n must clamp")
 	}
-	if b.Select(rng, 0, PolicyRandom) != nil {
-		t.Fatal("n=0 must return nil")
+	if len(pick(b, rng, 0, PolicyRandom)) != 0 {
+		t.Fatal("n=0 must select nothing")
 	}
 }
 
 func TestSelectEmptyBuffer(t *testing.T) {
 	b := NewBuffer(4, 4)
-	if got := b.Select(rand.New(rand.NewSource(1)), 3, PolicyRandom); got != nil {
+	if got := pick(b, rand.New(rand.NewSource(1)), 3, PolicyRandom); len(got) != 0 {
 		t.Fatalf("empty buffer selected %v", got)
 	}
 	b.Tick() // must not panic on empty
+}
+
+func TestBufferGet(t *testing.T) {
+	b := NewBuffer(4, 8)
+	e := ev(1, 1)
+	b.Insert(e)
+	got, ok := b.Get(e.ID)
+	if !ok || got != e {
+		t.Fatal("Get failed")
+	}
+	if _, ok := b.Get(pubsub.EventID{Publisher: 9, Seq: 9}); ok {
+		t.Fatal("Get returned missing event")
+	}
+	// Get counts as a send for the least-sent policy.
+	b.Insert(ev(1, 2))
+	sel := pick(b, rand.New(rand.NewSource(1)), 1, PolicyLeastSent)
+	if len(sel) != 1 || sel[0].ID.Seq != 2 {
+		t.Fatalf("least-sent should skip pulled event, picked %v", sel[0].ID)
+	}
 }
 
 func TestSeenSetFIFO(t *testing.T) {
@@ -153,6 +178,7 @@ func TestQuickBufferInvariants(t *testing.T) {
 		maxAge := int(ageRaw%8) + 1
 		b := NewBuffer(capacity, maxAge)
 		rng := rand.New(rand.NewSource(7))
+		var scratch []*pubsub.Event
 		for _, op := range ops {
 			switch op % 4 {
 			case 0, 1:
@@ -160,7 +186,7 @@ func TestQuickBufferInvariants(t *testing.T) {
 			case 2:
 				b.Tick()
 			case 3:
-				got := b.Select(rng, int(op%5), Policy(1+op%3))
+				got := b.SelectInto(rng, &scratch, int(op%5), Policy(1+op%3))
 				seen := map[pubsub.EventID]bool{}
 				for _, e := range got {
 					if seen[e.ID] || !b.Contains(e.ID) {
@@ -191,10 +217,11 @@ func ids(evs []*pubsub.Event) []pubsub.EventID {
 func BenchmarkBufferInsertSelect(b *testing.B) {
 	buf := NewBuffer(256, 8)
 	rng := rand.New(rand.NewSource(1))
+	var scratch []*pubsub.Event
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		buf.Insert(ev(1, uint32(i)))
-		buf.Select(rng, 8, PolicyRandom)
+		buf.SelectInto(rng, &scratch, 8, PolicyRandom)
 		if i%16 == 0 {
 			buf.Tick()
 		}
@@ -202,10 +229,11 @@ func BenchmarkBufferInsertSelect(b *testing.B) {
 }
 
 // SelectInto must consume the random stream and pick the same events as
-// Select, for every policy, while reusing the caller's scratch.
+// the map oracle's Select, for every policy, while reusing the caller's
+// scratch.
 func TestSelectIntoMatchesSelect(t *testing.T) {
 	for _, policy := range []Policy{PolicyRandom, PolicyNewest, PolicyLeastSent} {
-		a := NewBuffer(64, 8)
+		a := newMapBuffer(64, 8)
 		b := NewBuffer(64, 8)
 		for i := 0; i < 20; i++ {
 			ev := &pubsub.Event{ID: pubsub.EventID{Publisher: 1, Seq: uint32(i + 1)}}
@@ -417,7 +445,8 @@ func TestBufferMatchesMapOracle(t *testing.T) {
 						w := want.Select(r2, n, policy)
 						var g []*pubsub.Event
 						if op == 11 {
-							g = got.Select(r1, n, policy)
+							var fresh []*pubsub.Event
+							g = got.SelectInto(r1, &fresh, n, policy)
 							if (g == nil) != (w == nil) {
 								fail(step, "Select nil-ness: %v vs oracle %v", g == nil, w == nil)
 							}
@@ -454,7 +483,7 @@ func TestBufferMatchesMapOracle(t *testing.T) {
 				if r1.Int63() != r2.Int63() {
 					fail(4000, "random streams diverged")
 				}
-				if g, w := got.ids(), want.order; !slices.Equal(g, w) {
+				if g, w := got.IDs(), want.order; !slices.Equal(g, w) {
 					fail(4000, "buffer order %v, oracle %v", g, w)
 				}
 			}
@@ -490,7 +519,7 @@ func TestDuplicateRetires(t *testing.T) {
 			}
 		}
 		var got []uint32
-		for _, id := range b.ids() {
+		for _, id := range b.IDs() {
 			got = append(got, id.Seq)
 		}
 		if !slices.Equal(got, tc.want) {
@@ -586,11 +615,11 @@ func TestCapacityEvictionFollowsBufferOrder(t *testing.T) {
 		b.Tick() // distinct ages: event 1 is the oldest
 	}
 	rng := rand.New(rand.NewSource(1))
-	b.Select(rng, 2, PolicyLeastSent) // sends 1 and 2
-	b.Select(rng, 2, PolicyLeastSent) // sorts to 3 4 1 2, sends 3 and 4
+	pick(b, rng, 2, PolicyLeastSent) // sends 1 and 2
+	pick(b, rng, 2, PolicyLeastSent) // sorts to 3 4 1 2, sends 3 and 4
 	b.Insert(ev(1, 5))
 	if !b.Contains(pubsub.EventID{Publisher: 1, Seq: 1}) || b.Contains(pubsub.EventID{Publisher: 1, Seq: 3}) {
-		t.Fatalf("eviction after a least-sent reorder must take event 3 (first in buffer order), buffer holds %v", b.ids())
+		t.Fatalf("eviction after a least-sent reorder must take event 3 (first in buffer order), buffer holds %v", b.IDs())
 	}
 }
 

@@ -250,13 +250,6 @@ func sized(dst []simnet.NodeID, k int) []simnet.NodeID {
 	return dst[:0]
 }
 
-// Sampler provides random communication partners for dissemination — the
-// abstraction behind SELECTPARTICIPANTS(F) in Fig. 4 of the paper.
-type Sampler interface {
-	// SamplePeers returns up to k distinct peers (excluding the caller).
-	SamplePeers(rng *rand.Rand, k int) []simnet.NodeID
-}
-
 // FullSampler samples uniformly from the complete population [0, N),
 // excluding Self — the idealised "full knowledge" sampler classic gossip
 // analysis assumes.
@@ -265,7 +258,7 @@ type FullSampler struct {
 	N    int
 }
 
-// SamplePeers implements Sampler.
+// SamplePeers is SamplePeersInto a fresh slice.
 func (s FullSampler) SamplePeers(rng *rand.Rand, k int) []simnet.NodeID {
 	return s.SamplePeersInto(rng, k, nil)
 }
@@ -300,5 +293,3 @@ draw:
 	}
 	return out
 }
-
-var _ Sampler = FullSampler{}

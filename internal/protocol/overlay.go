@@ -140,12 +140,12 @@ func (ov *overlay) admit(entries []membership.Entry, round int) []membership.Ent
 	return ov.in
 }
 
-// RecvMembership handles one membership message from peer from; replies
-// are left in out.Sends. A peer without a partial view ignores them all.
+// RecvMembership handles one membership message from another peer, from;
+// replies go to out.Sends. Without a partial view it ignores them all.
 func (p *Peer) RecvMembership(kind Kind, from simnet.NodeID, entries []membership.Entry, out *Out) {
 	out.Sends = out.Sends[:0]
 	ov := p.ov
-	if ov == nil {
+	if ov == nil || from == p.id {
 		return
 	}
 	p.heard(from)
@@ -201,16 +201,16 @@ func freshest(ents []membership.Entry, k int, skip simnet.NodeID) []membership.E
 // seed and announces it: the seed joins the view and is the address the
 // peer re-announces itself to, on a fresh budget, whenever a membership
 // round finds the view empty. The seed replies with bootstrap entries.
-// With simnet.None the previous seed is kept — how a peer that moved to a
-// new address makes the overlay re-learn it promptly. A peer without a
-// partial view has nobody to be introduced to.
+// With simnet.None or its own id the previous seed is kept — how a peer
+// that moved to a new address makes the overlay re-learn it promptly. A
+// peer without a partial view has nobody to be introduced to.
 func (p *Peer) Join(seed simnet.NodeID, out *Out) {
 	out.Sends = out.Sends[:0]
 	ov := p.ov
 	if ov == nil {
 		return
 	}
-	if seed != simnet.None {
+	if seed != simnet.None && seed != p.id {
 		ov.joinSeed = seed
 		ov.cyclon.View().Add(seed)
 	}

@@ -133,13 +133,14 @@ func New(id simnet.NodeID, n int, par *Params, rng *rand.Rand, ledger *fairness.
 	return p
 }
 
-func (p *Peer) ID() simnet.NodeID          { return p.id }
-func (p *Peer) Fanout() int                { return p.fanout } // the lever F_i
-func (p *Peer) Batch() int                 { return p.batch }  // the lever N_i
-func (p *Peer) Rounds() int                { return p.round }  // gossip periods run so far
-func (p *Peer) Interest() *pubsub.Interest { return &p.interest }
-func (p *Peer) Buffer() *gossip.Buffer     { return p.buffer } // the flat overlay's event buffer
-func (p *Peer) Rand() *rand.Rand           { return p.rng }    // for a driver whose own round logic draws from the same stream
+func (p *Peer) ID() simnet.NodeID           { return p.id }
+func (p *Peer) Fanout() int                 { return p.fanout } // the lever F_i
+func (p *Peer) Batch() int                  { return p.batch }  // the lever N_i
+func (p *Peer) Rounds() int                 { return p.round }  // gossip periods run so far
+func (p *Peer) Interest() *pubsub.Interest  { return &p.interest }
+func (p *Peer) Buffer() *gossip.Buffer      { return p.buffer }            // the flat overlay's event buffer
+func (p *Peer) Rand() *rand.Rand            { return p.rng }               // for a driver whose own round logic draws from the same stream
+func (p *Peer) Seen(id pubsub.EventID) bool { return p.seen.Contains(id) } // published or admitted here (within SeenCap)
 
 // View returns the Cyclon partial view, or nil under the full sampler.
 func (p *Peer) View() *membership.View {
