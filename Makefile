@@ -7,7 +7,7 @@ PKGS    := ./...
 BENCH   ?= .
 OUT     ?= results
 
-.PHONY: all build test race soak bench bench-smoke microbench vet fmt-check fairvet staticcheck lint ci fairbench loc footprint redundancy clean
+.PHONY: all build test race soak bench bench-smoke microbench vet fmt-check fairvet staticcheck lint ci fairbench loc footprint redundancy allocs clean
 
 # staticcheck is version-pinned: a drifting linter turns every upgrade
 # into a triage session. Bump deliberately, re-triage, update
@@ -121,6 +121,14 @@ footprint:
 redundancy:
 	@out=$$($(GO) test ./internal/core -run TestRedundancyBudget -count=1 -v); status=$$?; \
 		echo "$$out" | grep -E 'redundancy|never delivered|^(FAIL|ok)'; exit $$status
+
+# allocs prints the allocation pins of the paths that run every round:
+# a steady sim-fair round, a Cyclon exchange, a live round with and
+# without a shuffle, and decoding a novel event (see PERFORMANCE.md
+# "Allocation regression tests").
+allocs:
+	@out=$$($(GO) test -count=1 -v -run 'TestSimFairRoundAllocs|TestShuffleExchangeZeroAlloc|TestLiveRoundPathAllocs|TestRecordDecodeAllocBudget' ./internal/core ./internal/membership ./internal/live ./internal/wire); status=$$?; \
+		echo "$$out" | grep -E 'allocs:|^(FAIL|ok)'; exit $$status
 
 clean:
 	rm -rf $(OUT)

@@ -84,10 +84,15 @@ func (nd *Node) send(to simnet.NodeID, m *wireMsg, class fairness.Class) {
 	nd.sh.ledger.AddSend(int(nd.ID()), class, size)
 }
 
-// sendMembership sends what the machine's last input left in out.Sends.
+// sendMembership sends what the machine's last input left in out.Sends,
+// copying each one's scratch entries into a pooled envelope.
 func (nd *Node) sendMembership(out *protocol.Out) {
 	for _, s := range out.Sends {
-		nd.send(s.To, &wireMsg{Kind: msgKind(s.Kind), Entries: s.Entries}, fairness.ClassInfra)
+		m := nd.sh.pool.get()
+		m.Kind = msgKind(s.Kind)
+		m.Entries = append(m.Entries[:0], s.Entries...)
+		nd.send(s.To, m, fairness.ClassInfra)
+		m.Release()
 	}
 }
 

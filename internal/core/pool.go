@@ -7,12 +7,12 @@ import (
 	"fairgossip/internal/pubsub"
 )
 
-// msgPool recycles gossip envelopes (wireMsg records and their Events/Ads
-// backing arrays). Profiling showed per-round wireMsg allocation as the
-// dominant steady-state allocation source once the kernel arena and the
-// buffer slabs warmed up (PERFORMANCE.md): every node allocates one
-// envelope plus an Events slice per round, none of which survives the
-// fanout's last delivery.
+// msgPool recycles gossip and membership envelopes (wireMsg records and
+// their Events/Ads/Entries arrays). Profiling showed per-round wireMsg
+// allocation as the dominant steady-state allocation source once the
+// kernel arena and the buffer slabs warmed up (PERFORMANCE.md): a node
+// sends an envelope every round and an offer or a reply every shuffle,
+// none of which survives its last delivery.
 //
 // Lifecycle: get() hands out an envelope with one owner reference. The
 // network retains once per in-flight copy it accepts (simnet.Refcounted)
@@ -81,16 +81,16 @@ func (p *msgPool) put(m *wireMsg) {
 	for i := range m.Events {
 		m.Events[i] = nil
 	}
-	events, ads := m.Events[:0], m.Ads[:0]
-	*m = wireMsg{pool: m.pool, Events: events, Ads: ads}
+	events, ads, entries := m.Events[:0], m.Ads[:0], m.Entries[:0]
+	*m = wireMsg{pool: m.pool, Events: events, Ads: ads, Entries: entries}
 	p.mu.Lock()
 	p.free = append(p.free, m)
 	p.mu.Unlock()
 }
 
-// Retain adds an in-flight reference (simnet.Refcounted). Envelopes
-// allocated outside a pool — walks, infra messages, forwarded copies —
-// are plain garbage-collected values and both methods no-op on them.
+// Retain adds an in-flight reference (simnet.Refcounted). Walks, their
+// acks and forwarded copies, digests and pulls are plain garbage-collected
+// envelopes: both methods no-op on them.
 func (m *wireMsg) Retain() {
 	if m.pool == nil {
 		return

@@ -20,18 +20,22 @@ type redundancy struct {
 	expected, missed int     // (event, interested peer) pairs over the whole run
 }
 
-// redundancyRun is bench's sim-fair workload at a tenth of its
-// population: Cyclon views of 32, fanout ⌈ln n⌉ + 1, batch 8, least-sent
-// selection, BufferMaxAge 16, AIMD on both levers (DefaultLimits but
-// BatchMin 4), 64 Zipf(1.01) topics with 1–16 subscriptions a node,
-// 5–50 ms latency, 2 % loss, one 64-byte event a round from a random
-// subscriber of its topic. 40 warm-up rounds, a 60-round window, then a
-// publish-free drain long enough for every buffer to empty.
-func redundancyRun(seed int64) redundancy {
-	const (
-		n                   = 200
-		warm, window, drain = 40, 60, 24
-	)
+// simFair is bench's sim-fair workload at a tenth of its population:
+// Cyclon views of 32, fanout ⌈ln n⌉ + 1, batch 8, least-sent selection,
+// BufferMaxAge 16, AIMD on both levers (DefaultLimits but BatchMin 4),
+// 64 Zipf(1.01) topics with 1–16 subscriptions a node, 5–50 ms latency,
+// 2 % loss, one 64-byte event a round from a random subscriber of its
+// topic.
+type simFair struct {
+	*Cluster
+	rng     *rand.Rand
+	topics  *workload.Topics
+	members map[string][]int // topic → subscribers
+	payload []byte
+}
+
+func newSimFair(seed int64) *simFair {
+	const n = 200
 	limits := adaptive.DefaultLimits(n)
 	limits.BatchMin = 4
 	c := NewCluster(n, Config{
@@ -48,21 +52,48 @@ func redundancyRun(seed int64) redundancy {
 		Loss:    0.02,
 	}})
 
-	rng := rand.New(rand.NewSource(seed))
-	topics := workload.NewTopics(64, 1.01)
-	members := make(map[string][]int)
-	delivered := 0
+	s := &simFair{
+		Cluster: c,
+		rng:     rand.New(rand.NewSource(seed)),
+		topics:  workload.NewTopics(64, 1.01),
+		members: make(map[string][]int),
+		payload: make([]byte, 64),
+	}
 	for i, nd := range c.Nodes {
-		for _, topic := range topics.SampleSet(rng, workload.SubCount(rng, 1, 16)) {
+		for _, topic := range s.topics.SampleSet(s.rng, workload.SubCount(s.rng, 1, 16)) {
 			nd.Subscribe(pubsub.Topic(topic))
-			members[topic] = append(members[topic], i)
+			s.members[topic] = append(s.members[topic], i)
 		}
+	}
+	return s
+}
+
+// round publishes the round's event and runs the round; it returns how
+// many peers the event is owed to.
+func (s *simFair) round() int {
+	topic := s.topics.Sample(s.rng)
+	for len(s.members[topic]) == 0 { // a tail topic nobody drew
+		topic = s.topics.Sample(s.rng)
+	}
+	subs := s.members[topic]
+	s.Node(subs[s.rng.Intn(len(subs))]).Publish(topic, nil, s.payload)
+	s.RunRounds(1)
+	return len(subs)
+}
+
+// redundancyRun runs simFair for 40 warm-up rounds, a 60-round window,
+// then a publish-free drain long enough for every buffer to empty.
+func redundancyRun(seed int64) redundancy {
+	const warm, window, drain = 40, 60, 24
+	c := newSimFair(seed)
+	delivered := 0
+	for _, nd := range c.Nodes {
 		nd.OnDeliver = func(*pubsub.Event) { delivered++ }
 	}
 
 	type totals struct{ sent, useful, junk, delivered float64 }
 	sum := func() (t totals) {
-		for i := 0; i < n; i++ {
+		for i := range c.Nodes {
 			a := c.Ledger.Account(i)
 			t.sent += float64(a.BytesSent[fairness.ClassApp] + a.BytesSent[fairness.ClassInfra])
 			t.useful += float64(a.UsefulBytes)
@@ -74,19 +105,11 @@ func redundancyRun(seed int64) redundancy {
 
 	var res redundancy
 	var start totals
-	payload := make([]byte, 64)
 	for r := 0; r < warm+window; r++ {
 		if r == warm {
 			start = sum()
 		}
-		topic := topics.Sample(rng)
-		for len(members[topic]) == 0 { // a tail topic nobody drew
-			topic = topics.Sample(rng)
-		}
-		subs := members[topic]
-		c.Node(subs[rng.Intn(len(subs))]).Publish(topic, nil, payload)
-		res.expected += len(subs)
-		c.RunRounds(1)
+		res.expected += c.round()
 	}
 	end := sum()
 	c.RunRounds(drain)
@@ -130,5 +153,24 @@ func TestRedundancyBudget(t *testing.T) {
 		if r.missed != 0 {
 			t.Errorf("seed %d: %d of %d (event, interested peer) pairs never delivered", seed, r.missed, r.expected)
 		}
+	}
+}
+
+// TestSimFairRoundAllocs pins what a steady round of simFair allocates,
+// its publication included, after 40 rounds of warm-up. Gossip and
+// membership envelopes come from the shard's pool and a Cyclon exchange
+// builds its offer and reply in scratch, so what is left is mostly the
+// published event. It read 204 while every offer and reply was a fresh
+// slice in a fresh envelope.
+func TestSimFairRoundAllocs(t *testing.T) {
+	const pin = 10
+	s := newSimFair(1)
+	for r := 0; r < 40; r++ {
+		s.round()
+	}
+	avg := testing.AllocsPerRun(20, func() { s.round() })
+	t.Logf("allocs: a steady sim-fair round (N = 200) costs %.0f, pin %d", avg, pin)
+	if avg > pin {
+		t.Fatalf("a steady sim-fair round allocates %.0f times, pin %d", avg, pin)
 	}
 }

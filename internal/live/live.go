@@ -262,6 +262,7 @@ type peer struct {
 	group atomic.Int32
 
 	env    wire.Envelope      // scan scratch: backing arrays are reused; Records alias the buffer in receive
+	topics wire.TopicTable    // the topics of decoded events, shared between them
 	entOut []wire.ViewEntry   // membership encode scratch
 	entIn  []membership.Entry // membership decode conversion scratch
 }
@@ -807,15 +808,13 @@ func nextTick(due, now time.Time, period time.Duration) time.Time {
 
 // round runs one timer expiry: the machine decides, this sends.
 // TestLiveRoundPathAllocs pins the steady state at exactly one allocation
-// (gossip's envelope buffer).
+// (gossip's envelope buffer), and a shuffle round at two (the offer's).
 func (p *peer) round() {
 	if p.down.Load() {
 		return // crashed: no protocol activity at all
 	}
 	p.m.FreeRide = p.free.Load()
 	p.m.Tick(&p.out)
-	// Shuffle offers are deliberate fresh copies (they travel in
-	// in-flight messages), paid once every ShuffleEvery rounds.
 	p.flushMembership()
 	p.gossip(p.out.Events, p.out.Targets)
 	p.m.Adapt() // after the sends: the window reads what they were charged
@@ -926,7 +925,7 @@ func (p *peer) receive(buf []byte) {
 // scanned is the peer's validated envelope as the machine's
 // protocol.Batch: the machine dedups on the record ids and only a record
 // whose id is new is materialised into an event (one this peer owns
-// outright).
+// outright, its topic from the peer's table).
 type scanned struct{ *peer }
 
 func (p scanned) Len() int { return len(p.env.Records) }
@@ -937,7 +936,7 @@ func (p scanned) Head(i int) (pubsub.EventID, int) {
 }
 
 func (p scanned) Event(i int) *pubsub.Event {
-	ev, err := p.env.Records[i].Decode()
+	ev, err := p.env.Records[i].Decode(&p.topics)
 	if err != nil {
 		// The scan accepted these bytes with the same walker, so the
 		// shared read-only buffer changed under us — a contract breach

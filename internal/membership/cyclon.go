@@ -21,11 +21,12 @@ type Cyclon struct {
 	view       *View
 	shuffleLen int
 
-	// pending tracks the entries offered in the most recent unanswered
-	// shuffle so that HandleReply can prefer replacing them.
+	// pending is a copy of the entries offered in the most recent
+	// unanswered shuffle so that HandleReply can prefer replacing them.
 	pending []Entry
 	target  simnet.NodeID
 
+	offer []Entry         // scratch every offer and reply is built in
 	perm  []int           // scratch for offer permutations
 	repls []simnet.NodeID // scratch for merge's replaceable list
 }
@@ -39,7 +40,8 @@ func NewCyclon(view *View, l int) *Cyclon {
 	if l > view.Cap() {
 		l = view.Cap()
 	}
-	return &Cyclon{view: view, shuffleLen: l, target: simnet.None}
+	buf := make([]Entry, 2*l) // offers and replies hold ≤ l entries: the scratch, then the pending copy
+	return &Cyclon{view: view, shuffleLen: l, target: simnet.None, offer: buf[:0:l], pending: buf[l:l]}
 }
 
 // View returns the underlying view.
@@ -51,7 +53,8 @@ func (c *Cyclon) ShuffleLen() int { return c.shuffleLen }
 // InitiateShuffle starts a shuffle round: ages the view, removes the
 // oldest peer as exchange target, and returns the offer to send it. ok is
 // false when the view is empty. The offer always includes a fresh entry
-// for the initiating node itself.
+// for the initiating node itself. It is scratch until the next
+// InitiateShuffle or HandleShuffle.
 func (c *Cyclon) InitiateShuffle(rng *rand.Rand) (target simnet.NodeID, offer []Entry, ok bool) {
 	c.view.IncrementAges()
 	oldest, found := c.view.Oldest()
@@ -60,19 +63,18 @@ func (c *Cyclon) InitiateShuffle(rng *rand.Rand) (target simnet.NodeID, offer []
 	}
 	c.view.Remove(oldest.ID)
 
-	offer = c.pickOffer(rng, c.shuffleLen-1)
-	offer = append(offer, Entry{ID: c.view.Self(), Age: 0})
-	// Aliasing the offer is safe: neither the transport nor merge mutates
-	// entry slices, and HandleReply drops the reference.
-	c.pending = offer
+	offer = append(c.pickOffer(rng, c.shuffleLen-1), Entry{ID: c.view.Self(), Age: 0})
+	// The victims are copied: an offer from a third peer, answered before
+	// this shuffle's reply arrives, reuses the scratch.
+	c.pending = append(c.pending[:0], offer...)
 	c.target = oldest.ID
 	return oldest.ID, offer, true
 }
 
-// pickOffer selects up to k random entries from the view (copies). The
-// returned slice is fresh — offers travel in in-flight messages — but the
-// permutation runs over the live entries through a reused scratch, with
-// the same draws an rng.Perm over a copy would make.
+// pickOffer selects up to k random entries from the view (copies) into
+// the offer scratch. The permutation runs over the live entries through a
+// reused scratch too, with the same draws an rng.Perm over a copy would
+// make.
 func (c *Cyclon) pickOffer(rng *rand.Rand, k int) []Entry {
 	entries := c.view.entries
 	if k > len(entries) {
@@ -81,7 +83,7 @@ func (c *Cyclon) pickOffer(rng *rand.Rand, k int) []Entry {
 	if k < 0 {
 		k = 0
 	}
-	out := make([]Entry, 0, k+1)
+	out := c.offer[:0]
 	for _, idx := range randutil.PermInto(rng, &c.perm, len(entries))[:k] {
 		out = append(out, entries[idx])
 	}
@@ -89,9 +91,9 @@ func (c *Cyclon) pickOffer(rng *rand.Rand, k int) []Entry {
 }
 
 // HandleShuffle processes an incoming offer from peer `from` and returns
-// the reply entries. The received entries are merged into the view,
-// preferring to overwrite the slots holding entries that were just sent
-// back in the reply.
+// the reply entries — scratch, on InitiateShuffle's terms. The received
+// entries are merged into the view, preferring to overwrite the slots
+// holding entries that were just sent back in the reply.
 func (c *Cyclon) HandleShuffle(rng *rand.Rand, from simnet.NodeID, offer []Entry) (reply []Entry) {
 	reply = c.pickOffer(rng, c.shuffleLen)
 	c.merge(offer, reply, from)
@@ -107,7 +109,7 @@ func (c *Cyclon) HandleReply(from simnet.NodeID, reply []Entry) {
 		return
 	}
 	c.merge(reply, c.pending, from)
-	c.pending = nil
+	c.pending = c.pending[:0]
 	c.target = simnet.None
 }
 

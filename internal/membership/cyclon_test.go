@@ -2,6 +2,7 @@ package membership
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -106,6 +107,79 @@ func TestCyclonShuffleLenClamped(t *testing.T) {
 	}
 }
 
+// TestReplyReplacesWhatWasOffered is the one hazard the offer scratch
+// adds: an offer from a third peer, answered between InitiateShuffle and
+// the reply, rebuilds the scratch the offer was built in. HandleReply must
+// still take its replacement victims from exactly the entries originally
+// offered — checked against an oracle with fresh-slice semantics, which
+// keeps its own copy of the offer and merges the reply against it.
+func TestReplyReplacesWhatWasOffered(t *testing.T) {
+	build := func() *Cyclon {
+		v := NewView(0, 8)
+		for id := simnet.NodeID(1); id <= 8; id++ {
+			v.AddAged(Entry{ID: id, Age: int(id)}) // 8 is the oldest: the target
+		}
+		return NewCyclon(v, 4)
+	}
+	third := []Entry{{ID: 20}, {ID: 21, Age: 1}, {ID: 22, Age: 1}} // fills the view
+	reply := []Entry{{ID: 30, Age: 1}, {ID: 31, Age: 1}, {ID: 32, Age: 1}, {ID: 33, Age: 1}}
+	replaced := 0
+	for seed := int64(1); seed <= 50; seed++ {
+		c, rng := build(), rand.New(rand.NewSource(seed))
+		target, offer, _ := c.InitiateShuffle(rng)
+		offered := slices.Clone(offer)
+		c.HandleShuffle(rng, 20, third)
+		before := c.View().Entries()
+		c.HandleReply(target, reply)
+
+		o, orng := build(), rand.New(rand.NewSource(seed))
+		_, fresh, _ := o.InitiateShuffle(orng)
+		fresh = slices.Clone(fresh)
+		o.HandleShuffle(orng, 20, third)
+		o.merge(reply, fresh, target)
+
+		if got, want := c.View().Entries(), o.View().Entries(); !slices.Equal(got, want) {
+			t.Fatalf("seed %d: view after the reply %v, fresh-slice oracle %v (offered %v)", seed, got, want, offered)
+		}
+		for _, e := range before {
+			if c.View().Contains(e.ID) {
+				continue
+			}
+			replaced++
+			if !slices.ContainsFunc(offered, func(x Entry) bool { return x.ID == e.ID }) {
+				t.Fatalf("seed %d: the reply evicted %d, which was never offered (offered %v)", seed, e.ID, offered)
+			}
+		}
+	}
+	if replaced == 0 {
+		t.Fatal("no seed made the reply replace an entry")
+	}
+}
+
+// TestShuffleExchangeZeroAlloc: once warm, a whole exchange — initiate,
+// handle, reply — allocates nothing on either side.
+func TestShuffleExchangeZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	a, b := NewCyclon(NewView(0, 16), 8), NewCyclon(NewView(1, 16), 8)
+	for id := simnet.NodeID(2); id < 18; id++ {
+		a.View().Add(id)
+		b.View().Add(id + 16)
+	}
+	exchange := func() {
+		target, offer, ok := a.InitiateShuffle(rng)
+		if !ok {
+			t.Fatal("the initiator's view drained")
+		}
+		a.HandleReply(target, b.HandleShuffle(rng, 0, offer))
+	}
+	exchange()
+	avg := testing.AllocsPerRun(200, exchange)
+	t.Logf("allocs: a Cyclon exchange (initiate, handle, reply) costs %.0f, pin 0", avg)
+	if avg != 0 {
+		t.Fatalf("a Cyclon exchange allocates %.0f times, want 0", avg)
+	}
+}
+
 // cyclonSimNode drives Cyclon over simnet for the convergence test.
 type cyclonSimNode struct {
 	id  simnet.NodeID
@@ -126,7 +200,7 @@ func (n *cyclonSimNode) HandleMessage(msg simnet.Message) {
 		return
 	}
 	reply := n.cy.HandleShuffle(n.rng, msg.From, sm.entries)
-	n.net.Send(n.id, msg.From, shuffleMsg{reply: true, entries: reply}, len(reply)*EntryWireSize)
+	n.net.Send(n.id, msg.From, shuffleMsg{reply: true, entries: slices.Clone(reply)}, len(reply)*EntryWireSize)
 }
 
 func (n *cyclonSimNode) shuffle() {
@@ -134,7 +208,7 @@ func (n *cyclonSimNode) shuffle() {
 	if !ok {
 		return
 	}
-	n.net.Send(n.id, target, shuffleMsg{entries: offer}, len(offer)*EntryWireSize)
+	n.net.Send(n.id, target, shuffleMsg{entries: slices.Clone(offer)}, len(offer)*EntryWireSize)
 }
 
 // TestCyclonConvergence runs 64 nodes bootstrapped in a ring and checks

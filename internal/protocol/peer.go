@@ -21,9 +21,9 @@
 //     be it Buffer(), a topic group's, or nil to deliver only.
 //   - Buffers: an input that takes an *Out overwrites the part it
 //     produces, and the driver sends out.Sends in order, then out.Events
-//     to each of out.Targets, before its next call. Events and Targets
-//     are scratch that dies at that call; a Send's Entries are fresh and
-//     the driver's to keep in flight.
+//     to each of out.Targets, before its next call. Events, Targets and
+//     a Send's Entries are scratch that dies at that call: a driver
+//     copies what it keeps in flight.
 //   - Charges: the Peer books what no encoding changes — a publication, a
 //     delivery, the filter count. The driver books every send
 //     (Ledger.AddSend, with the size it alone knows) before Adapt, whose

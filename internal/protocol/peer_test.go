@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"fairgossip/internal/fairness"
@@ -396,6 +397,41 @@ func TestLeaveHandsOverFreshestEntries(t *testing.T) {
 	f.Join(0, &out) // nobody to be introduced to, and no view to put the seed in
 	if len(out.Sends) != 0 || f.JoinFailed() {
 		t.Fatalf("a full-sampler peer announced itself: %+v", out.Sends)
+	}
+}
+
+// TestScribblingOnSendEntriesLeavesTheView: a Send's Entries are scratch
+// but never the view's own memory — a driver writing into them after the
+// call leaves View() as it was, for every input that emits membership.
+func TestScribblingOnSendEntriesLeavesTheView(t *testing.T) {
+	par := livelike()
+	p := newPeer(0, &par, newLedger())
+	for id := simnet.NodeID(1); id <= 6; id++ {
+		p.View().Add(id)
+	}
+	var out Out
+	for _, input := range []struct {
+		name string
+		call func()
+	}{
+		{"offer", func() { p.Tick(&out) }},
+		{"reply", func() { p.RecvMembership(KindOffer, 7, offerFrom(7, 8), &out) }},
+		{"bootstrap", func() { p.RecvMembership(KindJoin, 9, nil, &out) }},
+		{"leave", func() { p.Leave(&out) }},
+	} {
+		input.call()
+		if len(out.Sends) == 0 {
+			t.Fatalf("%s: nothing sent", input.name)
+		}
+		want := p.View().Entries()
+		for _, s := range out.Sends {
+			for i := range s.Entries {
+				s.Entries[i] = membership.Entry{ID: 99, Age: 99}
+			}
+		}
+		if got := p.View().Entries(); !slices.Equal(got, want) {
+			t.Fatalf("%s: writing into the sent entries changed the view %v to %v", input.name, want, got)
+		}
 	}
 }
 

@@ -186,7 +186,7 @@ func (u *UDPNet) readLoop(conn *net.UDPConn, h Handler) {
 	defer u.readers.Done()
 	buf := make([]byte, MaxDatagram+1)
 	for {
-		n, _, err := conn.ReadFromUDP(buf)
+		n, err := conn.Read(buf) // ReadFromUDP would allocate the unused source address
 		if n > 0 {
 			u.recvD.Add(1)
 			msg := make([]byte, n)

@@ -149,10 +149,32 @@ type EventRecord struct {
 	Raw []byte
 }
 
-// Decode materialises the record into an event that owns all of its
-// memory — nothing in it aliases Raw. A record DecodeEnvelope produced
-// always decodes: the scan ran the same walker over the same bytes.
-func (rec EventRecord) Decode() (*pubsub.Event, error) { return DecodeEvent(rec.Raw) }
+// TopicTable interns decoded topics: a receiver sees the same few topics
+// over and over, so a novel event shares its topic string with earlier
+// events on that topic instead of allocating its own. It keeps at most
+// maxTopics topics of at most maxTopicLen bytes and decodes any other
+// into a fresh string, so a sender spraying random topics pins no memory.
+// The zero value is ready to use; it is not safe for concurrent use.
+type TopicTable struct{ m map[string]string }
+
+const maxTopics, maxTopicLen = 256, 256
+
+func (t *TopicTable) intern(b []byte) string {
+	if t == nil {
+		return string(b)
+	}
+	if s, ok := t.m[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if len(t.m) < maxTopics && len(s) <= maxTopicLen {
+		if t.m == nil {
+			t.m = make(map[string]string)
+		}
+		t.m[s] = s
+	}
+	return s
+}
 
 // EnvelopeSize returns the exact number of bytes AppendEnvelope will
 // produce for this batch. It equals gossip.MsgWireSize(events), the
@@ -251,7 +273,7 @@ func DecodeEnvelope(data []byte, env *Envelope) error {
 	r := reader{buf: data, off: HeaderSize}
 	for i := 0; i < count; i++ {
 		start := r.off
-		id := walkEvent(&r, nil)
+		id := walkEvent(&r, nil, nil)
 		if r.err != nil {
 			return r.err
 		}
@@ -345,19 +367,20 @@ func AppendEvent(dst []byte, e *pubsub.Event) ([]byte, error) {
 	return dst, nil
 }
 
-// DecodeEvent decodes a single standalone event record, consuming the
-// whole buffer exactly (the framing pubsub.Event.UnmarshalBinary
-// enforces too). The returned event owns all of its memory — nothing
-// aliases data.
-func DecodeEvent(data []byte) (*pubsub.Event, error) {
-	r := reader{buf: data}
+// Decode materialises the record, consuming Raw exactly (the framing
+// pubsub.Event.UnmarshalBinary enforces too), into an event that owns all
+// of its memory — nothing in it aliases Raw — with its topic from topics
+// (nil: a fresh string). A record DecodeEnvelope produced always decodes:
+// the scan ran the same walker over the same bytes.
+func (rec EventRecord) Decode(topics *TopicTable) (*pubsub.Event, error) {
+	r := reader{buf: rec.Raw}
 	e := &pubsub.Event{}
-	walkEvent(&r, e)
+	walkEvent(&r, e, topics)
 	if r.err != nil {
 		return nil, r.err
 	}
-	if r.off != len(data) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(data)-r.off)
+	if r.off != len(rec.Raw) {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(rec.Raw)-r.off)
 	}
 	return e, nil
 }
@@ -366,8 +389,8 @@ func DecodeEvent(data []byte) (*pubsub.Event, error) {
 // the record at its cursor, applying every well-formedness check, and
 // returns the record's id. A nil e makes it a pure scan that allocates
 // nothing; otherwise it also fills e with copies of everything it
-// walks. On malformed input r.err is set (and e is garbage).
-func walkEvent(r *reader, e *pubsub.Event) pubsub.EventID {
+// walks, the topic via topics. Malformed input sets r.err (e is garbage).
+func walkEvent(r *reader, e *pubsub.Event, topics *TopicTable) pubsub.EventID {
 	id := pubsub.EventID{Publisher: r.u32(), Seq: r.u32()}
 	topic := r.take(int(r.u16()))
 	nattrs := int(r.u16())
@@ -376,7 +399,7 @@ func walkEvent(r *reader, e *pubsub.Event) pubsub.EventID {
 	}
 	if e != nil && r.err == nil {
 		e.ID = id
-		e.Topic = string(topic)
+		e.Topic = topics.intern(topic)
 		if nattrs > 0 {
 			e.Attrs = make([]pubsub.Attr, 0, nattrs)
 		}

@@ -74,7 +74,7 @@ func decodeAll(t testing.TB, env *Envelope) []*pubsub.Event {
 	t.Helper()
 	events := make([]*pubsub.Event, len(env.Records))
 	for i, rec := range env.Records {
-		ev, err := rec.Decode()
+		ev, err := rec.Decode(nil)
 		if err != nil {
 			t.Fatalf("record %d: scan accepted what Decode rejects: %v", i, err)
 		}
@@ -108,9 +108,9 @@ func TestEventRecordMatchesPubsubCodec(t *testing.T) {
 		if len(got) != ev.WireSize() {
 			t.Fatalf("event %d: encoded %d bytes, WireSize says %d", i, len(got), ev.WireSize())
 		}
-		back, err := DecodeEvent(got)
+		back, err := EventRecord{Raw: got}.Decode(nil)
 		if err != nil {
-			t.Fatalf("event %d: DecodeEvent: %v", i, err)
+			t.Fatalf("event %d: Decode: %v", i, err)
 		}
 		eventsEqual(t, back, ev)
 		// Cross-decoder check: pubsub's decoder accepts our bytes too.
@@ -215,13 +215,64 @@ func TestRecordDecodeAllocBudget(t *testing.T) {
 		}
 		rec := EventRecord{ID: ev.ID, Raw: raw}
 		avg := testing.AllocsPerRun(100, func() {
-			if _, err := rec.Decode(); err != nil {
+			if _, err := rec.Decode(nil); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if avg > float64(budget) {
 			t.Fatalf("event %d: Decode allocates %.0f times, budget %d", i, avg, budget)
 		}
+	}
+
+	// Through a warm topic table the topic is shared: an event without
+	// attributes costs itself and its payload.
+	ev := sampleEvents()[1]
+	raw, err := AppendEvent(nil, ev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := EventRecord{ID: ev.ID, Raw: raw}
+	var topics TopicTable
+	avg := testing.AllocsPerRun(100, func() {
+		if got, err := rec.Decode(&topics); err != nil || got.Topic != ev.Topic {
+			t.Fatalf("interned decode: topic %q, error %v", got.Topic, err)
+		}
+	})
+	t.Logf("allocs: decoding a novel event through a warm topic table costs %.0f, pin 2", avg)
+	if avg != 2 {
+		t.Fatalf("interned Decode allocates %.0f times, want 2 (event, payload)", avg)
+	}
+}
+
+// TestTopicTableIsBounded: the table keeps at most maxTopics topics of at
+// most maxTopicLen bytes, decodes every other topic all the same, and
+// nothing it hands out aliases the bytes it was decoded from.
+func TestTopicTableIsBounded(t *testing.T) {
+	var topics TopicTable
+	for i := 0; i < maxTopics+10; i++ {
+		topic := fmt.Sprintf("spray.%d", i)
+		raw, err := AppendEvent(nil, &pubsub.Event{Topic: topic})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev, err := EventRecord{Raw: raw}.Decode(&topics)
+		if err != nil || ev.Topic != topic {
+			t.Fatalf("topic %q decoded as %q, error %v", topic, ev.Topic, err)
+		}
+		for j := range raw {
+			raw[j] = 0
+		}
+		if ev.Topic != topic {
+			t.Fatalf("topic %q changed with the receive buffer to %q", topic, ev.Topic)
+		}
+	}
+	long := strings.Repeat("t", maxTopicLen+1)
+	if topics.intern([]byte(long)) != long || len(topics.m) != maxTopics {
+		t.Fatalf("table holds %d topics, want maxTopics = %d", len(topics.m), maxTopics)
+	}
+	topics = TopicTable{}
+	if topics.intern([]byte(long)); len(topics.m) != 0 {
+		t.Fatalf("a topic of %d bytes was kept", len(long))
 	}
 }
 
