@@ -124,10 +124,11 @@ redundancy:
 
 # allocs prints the allocation pins of the paths that run every round:
 # a steady sim-fair round, a Cyclon exchange, a live round with and
-# without a shuffle, and decoding a novel event (see PERFORMANCE.md
-# "Allocation regression tests").
+# without a shuffle, decoding a novel event, and a datagram's Send →
+# handler → Release on each substrate (see PERFORMANCE.md "Allocation
+# regression tests").
 allocs:
-	@out=$$($(GO) test -count=1 -v -run 'TestSimFairRoundAllocs|TestShuffleExchangeZeroAlloc|TestLiveRoundPathAllocs|TestRecordDecodeAllocBudget' ./internal/core ./internal/membership ./internal/live ./internal/wire); status=$$?; \
+	@out=$$($(GO) test -count=1 -v -run 'TestSimFairRoundAllocs|TestShuffleExchangeZeroAlloc|TestLiveRoundPathAllocs|TestRecordDecodeAllocBudget|TestDatagramPathZeroAlloc' ./internal/core ./internal/membership ./internal/live ./internal/wire ./internal/transport); status=$$?; \
 		echo "$$out" | grep -E 'allocs:|^(FAIL|ok)'; exit $$status
 
 clean:

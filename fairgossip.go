@@ -137,9 +137,12 @@ const (
 // together; a TransportFactory is the LiveConfig.Transport knob. Custom
 // substrates plug in by implementing these interfaces.
 type (
-	// Transport is a single peer's sending endpoint.
+	// Transport is a single peer's sending endpoint. Send must not keep
+	// buf or hand it to a Handler after it returns; copy it.
 	Transport = transport.Transport
-	// TransportNet wires the endpoints of one cluster together.
+	// TransportNet wires the endpoints of one cluster together. A custom
+	// Net must implement Release, which takes back a buffer its Handler
+	// was lent; a no-op is a valid Release.
 	TransportNet = transport.Net
 	// TransportHandler consumes one inbound encoded envelope.
 	TransportHandler = transport.Handler

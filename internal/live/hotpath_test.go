@@ -1,12 +1,15 @@
 package live
 
 import (
+	"math"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"fairgossip/internal/protocol"
 	"fairgossip/internal/pubsub"
+	"fairgossip/internal/simnet"
 )
 
 // TestLiveSamplePeersZeroAlloc: SELECTPARTICIPANTS used to build a
@@ -65,20 +68,21 @@ func TestLiveSamplePeersDrawsFromTheView(t *testing.T) {
 }
 
 // TestLiveRoundPathAllocs pins the steady-state allocation budget of
-// the full round path (SELECTEVENTS + encode + fanout sends + tick):
-// exactly the by-design allocations — the envelope buffer shared across
-// the fanout, and in a shuffle round the offer's (the selection runs
-// over SelectInto's reused peer scratch, the offer over Cyclon's). The
-// rounds are driven by hand on an unstarted cluster, so the measurement
-// is deterministic.
+// the full round path (SELECTEVENTS + encode + fanout sends + tick) at
+// zero, with or without a shuffle: the selection runs over SelectInto's
+// reused peer scratch, the offer over Cyclon's, every envelope is
+// encoded into the peer's scratch buffer, and each delivered copy comes
+// from the transport's pool and goes back to it when the full inbox
+// drops it. The rounds are driven by hand on an unstarted cluster, so
+// the measurement is deterministic.
 func TestLiveRoundPathAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name         string
 		shuffleEvery int
 		want         float64
 	}{
-		{"gossip", 1 << 20, 1},
-		{"gossip and shuffle", 1, 2},
+		{"gossip", 1 << 20, 0},
+		{"gossip and shuffle", 1, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := mustCluster(t, Config{
@@ -106,9 +110,30 @@ func TestLiveRoundPathAllocs(t *testing.T) {
 			avg := testing.AllocsPerRun(200, round)
 			t.Logf("allocs: a live round (%s) costs %.0f, pin %.0f", tc.name, avg, tc.want)
 			if avg != tc.want {
-				t.Fatalf("live round path allocates %.2f times per round, want %.0f (the envelope buffers)", avg, tc.want)
+				t.Fatalf("live round path allocates %.2f times per round, want %.0f", avg, tc.want)
 			}
 		})
+	}
+}
+
+// TestFailedEncodeKeepsScratch: an envelope that fails to encode after
+// growing the scratch array is neither sent nor kept — the peer's
+// scratch stays the last array a good encoding left it.
+func TestFailedEncodeKeepsScratch(t *testing.T) {
+	c := mustCluster(t, Config{N: 4, Seed: 26})
+	p := c.peerAt(0)
+	to := []simnet.NodeID{1}
+	p.gossip([]*pubsub.Event{{ID: pubsub.EventID{Publisher: 0, Seq: 1}, Topic: "t"}}, to)
+	good, goodCap := &p.wbuf[0], cap(p.wbuf)
+	sent := c.Traffic().Sent
+	big := &pubsub.Event{ID: pubsub.EventID{Publisher: 0, Seq: 2}, Topic: "t", Payload: make([]byte, 4*goodCap)}
+	bad := &pubsub.Event{ID: pubsub.EventID{Publisher: 0, Seq: 3}, Topic: strings.Repeat("x", math.MaxUint16+1)}
+	p.gossip([]*pubsub.Event{big, bad}, to)
+	if &p.wbuf[0] != good || cap(p.wbuf) != goodCap {
+		t.Fatal("a failed encode replaced the peer's scratch array")
+	}
+	if got := c.Traffic().Sent; got != sent {
+		t.Fatalf("a failed encode sent %d envelopes", got-sent)
 	}
 }
 

@@ -216,20 +216,16 @@ func TestLiveJoinRacesStop(t *testing.T) {
 
 // countingNet wraps a Net and counts the bytes each sender hands to its
 // endpoint — an independent observer of what actually crossed the wire.
-// With scribble set it additionally retains every envelope with a hash
-// taken at observation time, so a later write to a handed-over buffer
-// (by a shaper that held it, or anyone else) is detectable.
+// With scribble set it also hashes every envelope before and after the
+// substrate's Send and counts the ones that changed: Send may not write
+// to the buffer it is given. It keeps no buffer itself — the sender (the
+// shaper, for a held envelope) reuses it once Send returns.
 type countingNet struct {
 	inner    transport.Net
 	scribble bool
 	mu       sync.Mutex
 	bytes    map[int]uint64
-	seen     []observed
-}
-
-type observed struct {
-	buf  []byte
-	hash uint64
+	mutated  int
 }
 
 func hashOf(buf []byte) uint64 {
@@ -246,7 +242,8 @@ func (n *countingNet) Attach(id int, h transport.Handler) (transport.Transport, 
 	return &countingEndpoint{net: n, id: id, inner: tr}, nil
 }
 
-func (n *countingNet) Close() error { return n.inner.Close() }
+func (n *countingNet) Close() error       { return n.inner.Close() }
+func (n *countingNet) Release(buf []byte) { n.inner.Release(buf) }
 
 type countingEndpoint struct {
 	net   *countingNet
@@ -255,14 +252,18 @@ type countingEndpoint struct {
 }
 
 func (e *countingEndpoint) Send(to int, buf []byte) error {
+	var before uint64
+	if e.net.scribble {
+		before = hashOf(buf)
+	}
 	err := e.inner.Send(to, buf)
+	e.net.mu.Lock()
+	defer e.net.mu.Unlock()
+	if e.net.scribble && hashOf(buf) != before {
+		e.net.mutated++
+	}
 	if err == nil {
-		e.net.mu.Lock()
 		e.net.bytes[e.id] += uint64(len(buf))
-		if e.net.scribble {
-			e.net.seen = append(e.net.seen, observed{buf: buf, hash: hashOf(buf)})
-		}
-		e.net.mu.Unlock()
 	}
 	return err
 }

@@ -7,10 +7,11 @@
 // codec and fault switches around it.
 //
 // Messages move as encoded bytes: each round a peer packs its selected
-// events into one wire envelope (internal/wire) and hands the bytes to
-// its transport endpoint (internal/transport); receivers validate the
-// envelope, dedup on the event ids, and decode — into events they own
-// outright — only what they have not seen. The default ChanTransport
+// events into one wire envelope (internal/wire) in its reused scratch and
+// hands the bytes to its transport endpoint (internal/transport), which
+// keeps nothing past Send; receivers validate the envelope, dedup on the
+// event ids, decode — into events they own outright — only what they have
+// not seen, then release the lent buffer. The default ChanTransport
 // delivers the bytes in-process; Config.Transport swaps in real loopback
 // UDP sockets (transport.UDP()) with no protocol change. The encodings
 // are sized exactly like the accounting formulas the ledger has always
@@ -263,6 +264,7 @@ type peer struct {
 
 	env    wire.Envelope      // scan scratch: backing arrays are reused; Records alias the buffer in receive
 	topics wire.TopicTable    // the topics of decoded events, shared between them
+	wbuf   []byte             // encode scratch for every envelope this peer sends
 	entOut []wire.ViewEntry   // membership encode scratch
 	entIn  []membership.Entry // membership decode conversion scratch
 }
@@ -763,6 +765,7 @@ func (p *peer) ingress(buf []byte) {
 		p.c.traffic.recv.Add(1)
 	default:
 		p.c.traffic.inboxDrops.Add(1)
+		p.c.net.Release(buf)
 	}
 }
 
@@ -785,6 +788,7 @@ func (p *peer) loop() {
 			cmd()
 		case buf := <-p.inbox:
 			p.receive(buf)
+			p.c.net.Release(buf) // decoded events own their memory: nothing aliases buf now
 		case <-timer.C:
 			p.round()
 			next = nextTick(next, time.Now(), period)
@@ -807,8 +811,8 @@ func nextTick(due, now time.Time, period time.Duration) time.Time {
 }
 
 // round runs one timer expiry: the machine decides, this sends.
-// TestLiveRoundPathAllocs pins the steady state at exactly one allocation
-// (gossip's envelope buffer), and a shuffle round at two (the offer's).
+// TestLiveRoundPathAllocs pins a steady round, with or without a
+// shuffle, at zero allocations.
 func (p *peer) round() {
 	if p.down.Load() {
 		return // crashed: no protocol activity at all
@@ -820,21 +824,19 @@ func (p *peer) round() {
 	p.m.Adapt() // after the sends: the window reads what they were charged
 }
 
-// gossip sends one round's push: encode once, share the immutable bytes
-// with every partner.
+// gossip sends one round's push: encode once into the peer's scratch,
+// send the same bytes to every partner.
 func (p *peer) gossip(events []*pubsub.Event, targets []simnet.NodeID) {
 	if len(events) == 0 || len(targets) == 0 {
 		return
 	}
-	// The envelope buffer must be fresh each round — receivers hold it
-	// asynchronously, so it cannot be pooled — and it is the round
-	// path's one allocation (TestLiveRoundPathAllocs pins exactly that).
-	buf, err := wire.AppendEnvelope(make([]byte, 0, wire.EnvelopeSize(events)), uint32(p.id), events)
+	buf, err := wire.AppendEnvelope(p.wbuf[:0], uint32(p.id), events)
 	if err != nil {
 		// Unencodable events (a topic beyond the u16 framing, say)
 		// cannot be gossiped; skip the fanout without charging anyone.
 		return
 	}
+	p.wbuf = buf
 	for _, q := range targets {
 		p.send(int(q), buf, fairness.ClassApp)
 	}
@@ -856,9 +858,8 @@ func (p *peer) flushMembership() {
 	}
 }
 
-// sendMembership encodes and sends one membership envelope. The buffer
-// is fresh per send — the receiver owns it asynchronously — while the
-// entry conversion runs over reused scratch.
+// sendMembership encodes and sends one membership envelope; the entry
+// conversion and the encoding both run over the peer's reused scratch.
 func (p *peer) sendMembership(kind byte, to int, entries []membership.Entry) {
 	p.entOut = p.entOut[:0]
 	for _, e := range entries {
@@ -866,10 +867,11 @@ func (p *peer) sendMembership(kind byte, to int, entries []membership.Entry) {
 			p.entOut = append(p.entOut, wire.ViewEntry{ID: uint32(e.ID), Age: uint16(min(e.Age, math.MaxUint16))})
 		}
 	}
-	buf, err := wire.AppendMembership(make([]byte, 0, wire.MembershipSize(len(p.entOut))), kind, uint32(p.id), p.entOut)
+	buf, err := wire.AppendMembership(p.wbuf[:0], kind, uint32(p.id), p.entOut)
 	if err != nil {
 		return
 	}
+	p.wbuf = buf
 	p.send(to, buf, fairness.ClassInfra)
 }
 
@@ -939,8 +941,8 @@ func (p scanned) Event(i int) *pubsub.Event {
 	ev, err := p.env.Records[i].Decode(&p.topics)
 	if err != nil {
 		// The scan accepted these bytes with the same walker, so the
-		// shared read-only buffer changed under us — a contract breach
-		// elsewhere, counted rather than acted on.
+		// lent buffer changed under us — a contract breach elsewhere,
+		// counted rather than acted on.
 		p.c.traffic.malformed.Add(1)
 		return nil
 	}

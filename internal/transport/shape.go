@@ -54,13 +54,13 @@ type Rebinder interface {
 // time-ordered queue and deliver it through the substrate later, from a
 // single dispatcher goroutine.
 //
-// The buffer-ownership contract survives shaping untouched: a held
-// envelope is the same immutable byte slice the sender passed in — the
-// shaper never copies, mutates, or recycles it, and delivers it to the
-// substrate exactly once or counts it dropped. Close flushes every held
-// envelope through the substrate before closing it, so conservation
-// audits after Close see a settled network: every envelope the shaper
-// accepted is either delivered or in Drops().
+// Send keeps no buffer under shaping either: a held envelope is a pooled
+// copy, delivered to the substrate exactly once or counted dropped, then
+// released; the inert and zero-delay paths pass the sender's buffer
+// through without a copy. Close flushes every held envelope through the
+// substrate before closing it, so conservation audits after Close see a
+// settled network: every envelope the shaper accepted is either
+// delivered or in Drops().
 func Shape(inner Net, p Profile) *ShapedNet {
 	s := &ShapedNet{
 		inner: inner,
@@ -93,8 +93,8 @@ type ShapedNet struct {
 	closeOnce sync.Once
 }
 
-// deferred is one held envelope: the same slice the sender passed in,
-// due for delivery through the sender's substrate endpoint.
+// deferred is one held envelope: the shaper's pooled copy, due for
+// delivery through the sender's substrate endpoint.
 type deferred struct {
 	due time.Time
 	seq uint64 // FIFO tiebreak: equal due times deliver in send order
@@ -212,6 +212,9 @@ func (s *ShapedNet) Close() error {
 	return s.inner.Close()
 }
 
+// Release implements Net: handlers are lent the substrate's buffers.
+func (s *ShapedNet) Release(buf []byte) { s.inner.Release(buf) }
+
 // holdLocked queues one envelope for deferred delivery and makes sure
 // the dispatcher is awake. Callers hold s.mu.
 func (s *ShapedNet) holdLocked(d deferred) {
@@ -276,13 +279,14 @@ func (s *ShapedNet) dispatch() {
 	}
 }
 
-// deliver completes one deferred envelope. The sender was told nil at
-// Send time, so a substrate refusal here must be counted by the shaper
-// or the envelope would vanish from the books.
+// deliver completes one deferred envelope and releases the held copy.
+// The sender was told nil at Send time, so a substrate refusal here must
+// be counted by the shaper or the envelope would vanish from the books.
 func (s *ShapedNet) deliver(d deferred) {
 	if err := d.ep.Send(d.to, d.buf); err != nil {
 		s.drops.Add(1)
 	}
+	put(d.buf)
 }
 
 type shapedEndpoint struct {
@@ -325,7 +329,7 @@ func (e *shapedEndpoint) Send(to int, buf []byte) error {
 		s.mu.Unlock()
 		return e.inner.Send(to, buf)
 	}
-	s.holdLocked(deferred{due: time.Now().Add(d), ep: e.inner, to: to, buf: buf})
+	s.holdLocked(deferred{due: time.Now().Add(d), ep: e.inner, to: to, buf: clone(buf)})
 	s.mu.Unlock()
 	return nil
 }

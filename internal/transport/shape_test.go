@@ -11,9 +11,8 @@ import (
 )
 
 // shapeHarness attaches n counting endpoints through a ShapedNet over a
-// ChanNet substrate. Each receiver records the envelopes it got (the
-// exact slices — chan delivery shares the backing array, so any shaper
-// mutation would be visible here).
+// ChanNet substrate. Each receiver records the envelopes it got (it
+// never releases them, so they stay as delivered).
 type shapeHarness struct {
 	s   *ShapedNet
 	eps []Transport
@@ -66,80 +65,87 @@ func mark(from, seq, size int) []byte {
 	return buf
 }
 
-// TestShapeConservation is the tentpole's books-balance property: under
-// delay, jitter, reorder AND loss, every envelope the shaper accepted is
-// either delivered or counted in Drops() once the net is closed — and
-// every delivered envelope is byte-identical to what its sender passed
-// in (the shaper held the same immutable slice, it never copied,
-// scribbled, or recycled one).
+// TestShapeConservation is the books-balance property: under delay,
+// jitter, reorder AND loss, every envelope the shaper accepted is either
+// delivered or counted in Drops() once the net is closed. It is also the
+// ownership property, on every substrate with and without the shaper:
+// each sender reuses one buffer, checks Send left it untouched (a fanout
+// sends one encoding to every target) and scribbles over it the moment
+// Send returns, each receiver releases what it was lent, and still every
+// delivered envelope is byte-identical to what its sender passed in —
+// Send kept no reference, and no pooled buffer was handed out twice.
 func TestShapeConservation(t *testing.T) {
 	const n, perSender = 6, 200
-	h := newShapeHarness(t, n, Profile{
+	prof := Profile{
 		Seed:    42,
 		Delay:   200 * time.Microsecond,
 		Jitter:  400 * time.Microsecond,
 		Reorder: 0.2,
 		Loss:    0.1,
-	})
-	type sent struct {
-		live     []byte // the slice handed to Send (shaper must not touch it)
-		pristine []byte // private copy taken before Send
 	}
-	var mu sync.Mutex
-	var all []sent
-	var wg sync.WaitGroup
-	var sends atomic.Uint64
-	for from := 0; from < n; from++ {
-		from := from
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for seq := 0; seq < perSender; seq++ {
-				buf := mark(from, seq, 16+seq%64)
-				pristine := append([]byte(nil), buf...)
-				mu.Lock()
-				all = append(all, sent{live: buf, pristine: pristine})
-				mu.Unlock()
-				if err := h.eps[from].Send((from+1+seq)%n, buf); err != nil {
-					t.Errorf("send: %v", err)
+	for _, nc := range netCases {
+		t.Run(nc.name, func(t *testing.T) {
+			nw, shaped := nc.open(t, n, prof)
+			var got, corrupt, touched atomic.Uint64
+			eps := make([]Transport, n)
+			for i := range eps {
+				ep, err := nw.Attach(i, func(buf []byte) {
+					from := int(binary.LittleEndian.Uint32(buf))
+					seq := int(binary.LittleEndian.Uint32(buf[4:]))
+					if !bytes.Equal(buf, mark(from, seq, len(buf))) {
+						corrupt.Add(1)
+					}
+					got.Add(1)
+					nw.Release(buf)
+				})
+				if err != nil {
+					t.Fatal(err)
 				}
-				sends.Add(1)
+				eps[i] = ep
 			}
-		}()
-	}
-	wg.Wait()
-	if err := h.s.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	if held := h.s.Held(); held != 0 {
-		t.Fatalf("%d envelopes still held after Close", held)
-	}
-	total := sends.Load()
-	got := uint64(h.delivered())
-	drops := h.s.Drops()
-	if got+drops != total {
-		t.Fatalf("conservation: sent %d != delivered %d + dropped %d", total, got, drops)
-	}
-	if drops == 0 {
-		t.Fatal("10% loss over 1200 sends dropped nothing; the loss path is dead")
-	}
-	// Ownership: the slice each sender handed over is untouched.
-	for i, s := range all {
-		if !bytes.Equal(s.live, s.pristine) {
-			t.Fatalf("sent buffer %d was mutated in flight", i)
-		}
-	}
-	// Delivery integrity: every received slice decodes to a marker that
-	// regenerates it exactly — contents were neither mutated nor cross-
-	// aliased with another envelope.
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for _, buf := range h.got {
-		from := int(binary.LittleEndian.Uint32(buf))
-		seq := int(binary.LittleEndian.Uint32(buf[4:]))
-		if want := mark(from, seq, len(buf)); !bytes.Equal(buf, want) {
-			t.Fatalf("delivered envelope (from=%d seq=%d) corrupted", from, seq)
-		}
+			var wg sync.WaitGroup
+			for from := 0; from < n; from++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					var buf []byte
+					for seq := 0; seq < perSender; seq++ {
+						buf = append(buf[:0], mark(from, seq, 16+seq%64)...)
+						if err := eps[from].Send((from+1+seq)%n, buf); err != nil {
+							t.Errorf("send: %v", err)
+						}
+						if !bytes.Equal(buf, mark(from, seq, len(buf))) {
+							touched.Add(1)
+						}
+						for i := range buf {
+							buf[i] = 0xEE
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			if err := nw.Close(); err != nil {
+				t.Fatalf("close: %v", err)
+			}
+			var drops uint64
+			if shaped != nil {
+				if held := shaped.Held(); held != 0 {
+					t.Fatalf("%d envelopes still held after Close", held)
+				}
+				if drops = shaped.Drops(); drops == 0 {
+					t.Fatal("10% loss over 1200 sends dropped nothing; the loss path is dead")
+				}
+			}
+			if total := uint64(n * perSender); got.Load()+drops != total {
+				t.Fatalf("conservation: sent %d != delivered %d + dropped %d", total, got.Load(), drops)
+			}
+			if c := touched.Load(); c != 0 {
+				t.Fatalf("%d Sends wrote to the buffer their sender passed in", c)
+			}
+			if c := corrupt.Load(); c != 0 {
+				t.Fatalf("%d delivered envelopes differ from what their sender passed to Send", c)
+			}
+		})
 	}
 }
 
@@ -362,8 +368,8 @@ func BenchmarkShapedSend(b *testing.B) {
 		inner, _ := NewChanNet(2)
 		s := Shape(inner, p)
 		defer s.Close()
-		_, _ = s.Attach(1, func([]byte) {})
-		ep, _ := s.Attach(0, func([]byte) {})
+		_, _ = s.Attach(1, s.Release)
+		ep, _ := s.Attach(0, s.Release)
 		buf := mark(0, 0, 512)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -379,8 +385,8 @@ func BenchmarkShapedSend(b *testing.B) {
 	b.Run("unshaped-baseline", func(b *testing.B) {
 		inner, _ := NewChanNet(2)
 		defer inner.Close()
-		_, _ = inner.Attach(1, func([]byte) {})
-		ep, _ := inner.Attach(0, func([]byte) {})
+		_, _ = inner.Attach(1, inner.Release)
+		ep, _ := inner.Attach(0, inner.Release)
 		buf := mark(0, 0, 512)
 		b.ReportAllocs()
 		b.ResetTimer()

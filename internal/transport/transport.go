@@ -6,8 +6,8 @@
 // plus inbound delivery through its Handler callback. Two
 // implementations ship:
 //
-//   - ChanNet — in-process delivery: Send hands the byte slice to the
-//     destination's handler synchronously on the caller's goroutine.
+//   - ChanNet — in-process delivery: Send hands a copy of the bytes to
+//     the destination's handler synchronously on the caller's goroutine.
 //     This preserves the pre-transport live-runtime semantics (no
 //     sockets, no kernel, deterministic drop accounting) and is the
 //     default.
@@ -18,15 +18,14 @@
 //     bounded, for datagrams the kernel has accepted to reach their
 //     reader — so post-shutdown traffic audits see a settled network.
 //
-// Ownership contract: a buffer passed to Send is immutable from that
-// moment on, by everyone — in-process transports hand the same backing
-// array to the receiver (and a fanout shares one encoding across all
-// destinations), so neither sender nor receiver may write to it again.
-// Buffers given to a Handler are owned by the receiving side and are
-// never reused by the transport. Handlers must not block: the live
-// runtime's handler does a non-blocking inbox push and counts overflow
-// as a drop, which is exactly how a saturated socket buffer behaves —
-// except the loss is accounted.
+// Ownership contract, a datagram socket's: Send never keeps buf after it
+// returns (write(2) semantics), so the sender may overwrite it at once.
+// A buffer passed to a Handler is lent: the receiver may pass it back
+// once through Net.Release and must not touch it after that (not
+// releasing it is legal; the GC collects it). Handlers must not block:
+// the live runtime's handler does a non-blocking inbox push and counts
+// overflow as a drop, which is exactly how a saturated socket buffer
+// behaves — except the loss is accounted.
 package transport
 
 import (
@@ -45,7 +44,8 @@ type Transport interface {
 	// receiver and returns an error only for hard failures (unknown
 	// destination, oversized datagram, closed endpoint); silent loss in
 	// transit is the receiving side's counted problem, like a real
-	// datagram socket.
+	// datagram socket. Send must not keep buf or hand it to a Handler
+	// after it returns: copy it, the sender may overwrite it at once.
 	Send(to int, buf []byte) error
 	// LocalAddr renders the endpoint's address ("chan://3",
 	// "127.0.0.1:51324").
@@ -70,6 +70,9 @@ type Net interface {
 	// to be delivered, so conservation checks after Close see a settled
 	// network.
 	Close() error
+	// Release takes back a buffer a Handler was lent, for reuse; a Net
+	// with nothing to recycle may make it a no-op.
+	Release(buf []byte)
 }
 
 // Factory builds the Net for an n-peer cluster — the value of the
@@ -87,11 +90,11 @@ func Chan() Factory {
 	return func(n int) (Net, error) { return NewChanNet(n) }
 }
 
-// ChanNet delivers envelopes in-process: Send invokes the
-// destination's handler synchronously on the sender's goroutine. The
-// handler's own inbox push is the only queueing, so drop accounting is
-// exact and synchronous — the property the scenario engine's tightened
-// drop-conservation invariant leans on.
+// ChanNet delivers envelopes in-process: Send copies the bytes into a
+// pooled buffer (the kernel's copy) and calls the destination's handler
+// on the sender's goroutine. The handler's own inbox push is the only
+// queueing, so drop accounting is exact and synchronous — the property
+// the scenario engine's tightened drop-conservation invariant leans on.
 //
 // The handler table lives behind an atomic pointer and grows
 // copy-on-write, so a joining peer's Attach never blocks (or races)
@@ -138,6 +141,9 @@ func (c *ChanNet) Attach(id int, h Handler) (Transport, error) {
 // Close implements Net. In-process delivery holds no resources.
 func (c *ChanNet) Close() error { return nil }
 
+// Release implements Net.
+func (c *ChanNet) Release(buf []byte) { put(buf) }
+
 type chanEndpoint struct {
 	net    *ChanNet
 	id     int
@@ -158,7 +164,7 @@ func (e *chanEndpoint) Send(to int, buf []byte) error {
 		// loss, and every loss must land in some bucket.
 		return fmt.Errorf("transport: peer %d not attached", to)
 	}
-	h(buf)
+	h(clone(buf))
 	return nil
 }
 

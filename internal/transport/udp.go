@@ -27,7 +27,7 @@ func UDP() Factory {
 
 // UDPNet binds one loopback UDP socket per peer. Sends go straight to
 // the kernel with WriteToUDP; a reader goroutine per attached peer
-// hands each datagram (copied, owned by the receiver) to the peer's
+// copies each datagram into a pooled buffer and lends it to the peer's
 // handler.
 //
 // The socket table lives behind an atomic pointer and grows
@@ -189,9 +189,7 @@ func (u *UDPNet) readLoop(conn *net.UDPConn, h Handler) {
 		n, err := conn.Read(buf) // ReadFromUDP would allocate the unused source address
 		if n > 0 {
 			u.recvD.Add(1)
-			msg := make([]byte, n)
-			copy(msg, buf[:n])
-			h(msg)
+			h(clone(buf[:n]))
 		}
 		if err != nil {
 			return // socket closed (or unrecoverable): reader exits
@@ -224,6 +222,9 @@ func (u *UDPNet) Close() error {
 	})
 	return nil
 }
+
+// Release implements Net.
+func (u *UDPNet) Release(buf []byte) { put(buf) }
 
 type udpEndpoint struct {
 	net    *UDPNet

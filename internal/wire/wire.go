@@ -33,8 +33,8 @@
 //     exactly the bytes a shuffle envelope occupies on the wire.
 //
 // Encoding is allocation-conscious: Append* functions append into a
-// caller-provided buffer (encode a fanout's envelope once, reuse
-// nothing, share the immutable bytes with every destination).
+// caller-provided buffer, so a sender can encode a fanout's envelope
+// once into reused scratch and send the same bytes to every destination.
 //
 // Decoding is two steps, because push gossip delivers most events many
 // times over and a receiver throws every copy but the first away.
@@ -127,10 +127,10 @@ var (
 // the membership kinds (the other slice is always empty).
 // DecodeEnvelope reuses the Records and Entries backing arrays across
 // calls. Records alias the buffer DecodeEnvelope was given: they are
-// valid only while that buffer is, must be treated as read-only (other
-// receivers may hold the same bytes), and must not outlive the call
-// that received the buffer. Events produced by EventRecord.Decode never
-// alias it.
+// valid only while that buffer is, must be treated as read-only, and
+// must not outlive the call that received the buffer (a receiver may
+// release it for reuse right after). Events produced by
+// EventRecord.Decode never alias it.
 type Envelope struct {
 	Kind    byte
 	Sender  uint32
