@@ -40,12 +40,16 @@ race:
 # uncached and under the race detector, five times in a row. go test
 # runs the packages concurrently, and on a small box that contention
 # *is* the load — wake-ups arrive late, inboxes back up, commands and
-# envelopes interleave in orders a quiet run never sees. The budget is
-# zero failures: one red pass fails the target.
+# envelopes interleave in orders a quiet run never sees. The passes
+# alternate two cores and one (-cpu sets the test binaries' GOMAXPROCS,
+# not go test's package parallelism): on one core every wake-up waits
+# for the goroutine ahead of it. The budget is zero failures: one red
+# pass fails the target.
 soak:
 	@for pass in 1 2 3 4 5; do \
-		echo "soak pass $$pass/5"; \
-		$(GO) test -count=1 -race ./internal/live ./internal/scenario ./internal/transport || exit 1; \
+		procs=$$((2 - (pass + 1) % 2)); \
+		echo "soak pass $$pass/5 (GOMAXPROCS=$$procs)"; \
+		$(GO) test -count=1 -race -cpu $$procs ./internal/live ./internal/scenario ./internal/transport || exit 1; \
 	done
 
 # bench runs the Go benchmarks (one per experiment). Performance
@@ -124,7 +128,8 @@ redundancy:
 
 # allocs prints the allocation pins of the paths that run every round:
 # a steady sim-fair round, a Cyclon exchange, a live round with and
-# without a shuffle, decoding a novel event, and a datagram's Send →
+# without a shuffle, decoding 64 novel events through a warm decoder's
+# slabs, and a datagram's Send →
 # handler → Release on each substrate (see PERFORMANCE.md "Allocation
 # regression tests").
 allocs:

@@ -11,7 +11,10 @@
 // hands the bytes to its transport endpoint (internal/transport), which
 // keeps nothing past Send; receivers validate the envelope, dedup on the
 // event ids, decode — into events they own outright — only what they have
-// not seen, then release the lent buffer. The default ChanTransport
+// not seen, then release the lent buffer. A peer carves the events it
+// decodes from slabs of its wire.Decoder, so a delivered event that
+// outlives the peer's use of it keeps its slab reachable: at most eight
+// events' structs and payload bytes. The default ChanTransport
 // delivers the bytes in-process; Config.Transport swaps in real loopback
 // UDP sockets (transport.UDP()) with no protocol change. The encodings
 // are sized exactly like the accounting formulas the ledger has always
@@ -263,7 +266,7 @@ type peer struct {
 	group atomic.Int32
 
 	env    wire.Envelope      // scan scratch: backing arrays are reused; Records alias the buffer in receive
-	topics wire.TopicTable    // the topics of decoded events, shared between them
+	dec    wire.Decoder       // interned topics and the slabs decoded events are carved from
 	wbuf   []byte             // encode scratch for every envelope this peer sends
 	entOut []wire.ViewEntry   // membership encode scratch
 	entIn  []membership.Entry // membership decode conversion scratch
@@ -535,7 +538,8 @@ func (c *Cluster) Unsubscribe(id int, sub pubsub.SubID) bool {
 // shared with another peer's goroutine (each receiver decodes its own
 // copy off the wire), but it IS the copy this peer keeps buffered for
 // forwarding — treat it as read-only, or the peer forwards the
-// mutation.
+// mutation. An observer that retains the event keeps its decode slab
+// reachable with it: at most eight events' structs and payload bytes.
 func (c *Cluster) OnDeliver(id int, fn func(*pubsub.Event)) bool {
 	return c.do(id, func() { c.peerAt(id).m.OnDeliver = fn })
 }
@@ -927,7 +931,7 @@ func (p *peer) receive(buf []byte) {
 // scanned is the peer's validated envelope as the machine's
 // protocol.Batch: the machine dedups on the record ids and only a record
 // whose id is new is materialised into an event (one this peer owns
-// outright, its topic from the peer's table).
+// outright, carved from the peer's decoder).
 type scanned struct{ *peer }
 
 func (p scanned) Len() int { return len(p.env.Records) }
@@ -938,7 +942,7 @@ func (p scanned) Head(i int) (pubsub.EventID, int) {
 }
 
 func (p scanned) Event(i int) *pubsub.Event {
-	ev, err := p.env.Records[i].Decode(&p.topics)
+	ev, err := p.env.Records[i].Decode(&p.dec)
 	if err != nil {
 		// The scan accepted these bytes with the same walker, so the
 		// lent buffer changed under us — a contract breach elsewhere,

@@ -42,7 +42,8 @@
 // allocates nothing, leaving each event as an EventRecord — its ID plus
 // the record's bytes, still inside the input buffer. EventRecord.Decode
 // materialises one record into an event that owns all its memory, and
-// a receiver calls it only for the IDs it has not seen. Scan and
+// a receiver calls it only for the IDs it has not seen, through its own
+// Decoder, whose slabs make that cost a fraction of an allocation. Scan and
 // materialise are one walker (walkEvent), so they cannot disagree about
 // what is well-formed.
 package wire
@@ -149,31 +150,90 @@ type EventRecord struct {
 	Raw []byte
 }
 
-// TopicTable interns decoded topics: a receiver sees the same few topics
-// over and over, so a novel event shares its topic string with earlier
-// events on that topic instead of allocating its own. It keeps at most
-// maxTopics topics of at most maxTopicLen bytes and decodes any other
-// into a fresh string, so a sender spraying random topics pins no memory.
+// Decoder is one receiver's memory for the events it materialises.
+//
+// It interns topics: a receiver sees the same few topics over and over,
+// so a novel event shares its topic string with earlier events on that
+// topic. It keeps at most maxTopics topics of at most maxTopicLen bytes
+// and decodes any other into a fresh string, so a sender spraying random
+// topics pins no memory.
+//
+// It carves decoded events and their payloads out of two slabs, one of
+// slabEvents events and one of bytes for slabEvents payloads of the
+// current size, so a novel event costs a fraction of an allocation. Every
+// carve is capacity-capped and no slab is handed out twice, so a decoded
+// event still owns its memory: appending to its payload reallocates, and
+// nothing another event, a later decode or a released receive buffer
+// writes can reach it. A retained event keeps its slabs reachable: at
+// most slabEvents events' structs and payload bytes.
+//
 // The zero value is ready to use; it is not safe for concurrent use.
-type TopicTable struct{ m map[string]string }
+type Decoder struct {
+	topics map[string]string
+	events []pubsub.Event // the current event slab's unused tail
+	bytes  []byte         // the current payload slab's unused tail
+}
 
-const maxTopics, maxTopicLen = 256, 256
+const (
+	maxTopics, maxTopicLen = 256, 256
+	// slabEvents is how many events share a slab. A slab stays reachable
+	// until the last of its events is dropped, so a larger one saves
+	// allocations and holds more memory: on live-udp-wan, 16 and 32 saved
+	// a further 0.44 and 0.70 allocations per delivery and added 4 % and
+	// 11 % to peak RSS over 8 (PERFORMANCE.md, "Decoding into peer-owned
+	// slabs").
+	slabEvents = 8
+	// maxSlabPayload bounds the payloads that share a slab: a larger one
+	// keeps its own allocation, so one retained event pins at most
+	// slabEvents × 8 KiB of payload bytes.
+	maxSlabPayload = 8 << 10
+)
 
-func (t *TopicTable) intern(b []byte) string {
-	if t == nil {
+func (d *Decoder) intern(b []byte) string {
+	if d == nil {
 		return string(b)
 	}
-	if s, ok := t.m[string(b)]; ok {
+	if s, ok := d.topics[string(b)]; ok {
 		return s
 	}
 	s := string(b)
-	if len(t.m) < maxTopics && len(s) <= maxTopicLen {
-		if t.m == nil {
-			t.m = make(map[string]string)
+	if len(d.topics) < maxTopics && len(s) <= maxTopicLen {
+		if d.topics == nil {
+			d.topics = make(map[string]string)
 		}
-		t.m[s] = s
+		d.topics[s] = s
 	}
 	return s
+}
+
+// event returns a zero event of its own: the next slot of the event slab
+// (nil d: a fresh allocation).
+func (d *Decoder) event() *pubsub.Event {
+	if d == nil {
+		return new(pubsub.Event)
+	}
+	if len(d.events) == 0 {
+		d.events = make([]pubsub.Event, slabEvents)
+	}
+	e := &d.events[0]
+	d.events = d.events[1:]
+	return e
+}
+
+// payload returns a copy of b with capacity len(b): carved from the
+// payload slab, or a fresh allocation for a nil d or a payload above
+// maxSlabPayload.
+func (d *Decoder) payload(b []byte) []byte {
+	if d == nil || len(b) > maxSlabPayload {
+		return append([]byte(nil), b...)
+	}
+	if len(d.bytes) < len(b) {
+		d.bytes = make([]byte, slabEvents*len(b))
+	}
+	p := d.bytes[:len(b):len(b)]
+	d.bytes = d.bytes[len(b):]
+	copy(p, b)
+	return p
 }
 
 // EnvelopeSize returns the exact number of bytes AppendEnvelope will
@@ -369,19 +429,22 @@ func AppendEvent(dst []byte, e *pubsub.Event) ([]byte, error) {
 
 // Decode materialises the record, consuming Raw exactly (the framing
 // pubsub.Event.UnmarshalBinary enforces too), into an event that owns all
-// of its memory — nothing in it aliases Raw — with its topic from topics
-// (nil: a fresh string). A record DecodeEnvelope produced always decodes:
-// the scan ran the same walker over the same bytes.
-func (rec EventRecord) Decode(topics *TopicTable) (*pubsub.Event, error) {
+// of its memory — nothing in it aliases Raw — with its topic, struct and
+// payload from d (nil: fresh allocations). A record DecodeEnvelope
+// produced always decodes: the scan ran the same walker over the same
+// bytes.
+func (rec EventRecord) Decode(d *Decoder) (*pubsub.Event, error) {
 	r := reader{buf: rec.Raw}
-	e := &pubsub.Event{}
-	walkEvent(&r, e, topics)
+	var ev pubsub.Event
+	walkEvent(&r, &ev, d)
 	if r.err != nil {
 		return nil, r.err
 	}
 	if r.off != len(rec.Raw) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(rec.Raw)-r.off)
 	}
+	e := d.event()
+	*e = ev
 	return e, nil
 }
 
@@ -389,8 +452,9 @@ func (rec EventRecord) Decode(topics *TopicTable) (*pubsub.Event, error) {
 // the record at its cursor, applying every well-formedness check, and
 // returns the record's id. A nil e makes it a pure scan that allocates
 // nothing; otherwise it also fills e with copies of everything it
-// walks, the topic via topics. Malformed input sets r.err (e is garbage).
-func walkEvent(r *reader, e *pubsub.Event, topics *TopicTable) pubsub.EventID {
+// walks, the topic and payload via d. Malformed input sets r.err (e is
+// garbage).
+func walkEvent(r *reader, e *pubsub.Event, d *Decoder) pubsub.EventID {
 	id := pubsub.EventID{Publisher: r.u32(), Seq: r.u32()}
 	topic := r.take(int(r.u16()))
 	nattrs := int(r.u16())
@@ -399,7 +463,7 @@ func walkEvent(r *reader, e *pubsub.Event, topics *TopicTable) pubsub.EventID {
 	}
 	if e != nil && r.err == nil {
 		e.ID = id
-		e.Topic = topics.intern(topic)
+		e.Topic = d.intern(topic)
 		if nattrs > 0 {
 			e.Attrs = make([]pubsub.Attr, 0, nattrs)
 		}
@@ -438,7 +502,7 @@ func walkEvent(r *reader, e *pubsub.Event, topics *TopicTable) pubsub.EventID {
 	}
 	payload := r.take(plen)
 	if e != nil && len(payload) > 0 {
-		e.Payload = append([]byte(nil), payload...)
+		e.Payload = d.payload(payload)
 	}
 	return id
 }

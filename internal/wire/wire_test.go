@@ -66,15 +66,15 @@ func eventsEqual(t *testing.T, got, want *pubsub.Event) {
 	}
 }
 
-// decodeAll materialises every record of a scanned envelope, checking
-// the record contract on the way: the id read by the scan is the
-// event's, Raw is exactly the event's WireSize bytes and cannot be
+// decodeAll materialises every record of a scanned envelope through d,
+// checking the record contract on the way: the id read by the scan is
+// the event's, Raw is exactly the event's WireSize bytes and cannot be
 // appended into its neighbour.
-func decodeAll(t testing.TB, env *Envelope) []*pubsub.Event {
+func decodeAll(t testing.TB, env *Envelope, d *Decoder) []*pubsub.Event {
 	t.Helper()
 	events := make([]*pubsub.Event, len(env.Records))
 	for i, rec := range env.Records {
-		ev, err := rec.Decode(nil)
+		ev, err := rec.Decode(d)
 		if err != nil {
 			t.Fatalf("record %d: scan accepted what Decode rejects: %v", i, err)
 		}
@@ -148,7 +148,7 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 		if len(env.Records) != n {
 			t.Fatalf("n=%d: scanned %d records", n, len(env.Records))
 		}
-		got := decodeAll(t, &env)
+		got := decodeAll(t, &env, nil)
 		for i := range batch {
 			eventsEqual(t, got[i], batch[i])
 		}
@@ -224,31 +224,42 @@ func TestRecordDecodeAllocBudget(t *testing.T) {
 		}
 	}
 
-	// Through a warm topic table the topic is shared: an event without
-	// attributes costs itself and its payload.
-	ev := sampleEvents()[1]
-	raw, err := AppendEvent(nil, ev)
-	if err != nil {
-		t.Fatal(err)
+	// Through a warm decoder the topic is shared and events and payloads
+	// are carved from slabs: 64 novel 1 KB records without attributes
+	// cost one event slab and one payload slab per slabEvents records.
+	const n, pin = 64, 16
+	recs := make([]EventRecord, n)
+	for i := range recs {
+		ev := &pubsub.Event{ID: pubsub.EventID{Publisher: 3, Seq: uint32(i)}, Topic: "news.eu", Payload: make([]byte, 1024)}
+		raw, err := AppendEvent(nil, ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs[i] = EventRecord{ID: ev.ID, Raw: raw}
 	}
-	rec := EventRecord{ID: ev.ID, Raw: raw}
-	var topics TopicTable
+	var dec Decoder
 	avg := testing.AllocsPerRun(100, func() {
-		if got, err := rec.Decode(&topics); err != nil || got.Topic != ev.Topic {
-			t.Fatalf("interned decode: topic %q, error %v", got.Topic, err)
+		for _, rec := range recs {
+			got, err := rec.Decode(&dec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Topic != "news.eu" || len(got.Payload) != 1024 {
+				t.Fatalf("slab decode: topic %q, %d payload bytes", got.Topic, len(got.Payload))
+			}
 		}
 	})
-	t.Logf("allocs: decoding a novel event through a warm topic table costs %.0f, pin 2", avg)
-	if avg != 2 {
-		t.Fatalf("interned Decode allocates %.0f times, want 2 (event, payload)", avg)
+	t.Logf("allocs: decoding %d novel 1 KB events through a warm decoder costs %.0f, pin %d", n, avg, pin)
+	if avg > pin {
+		t.Fatalf("%d slab Decodes allocate %.0f times, want ≤ %d (two slabs per %d events)", n, avg, pin, slabEvents)
 	}
 }
 
-// TestTopicTableIsBounded: the table keeps at most maxTopics topics of at
+// TestTopicTableIsBounded: a Decoder keeps at most maxTopics topics of at
 // most maxTopicLen bytes, decodes every other topic all the same, and
 // nothing it hands out aliases the bytes it was decoded from.
 func TestTopicTableIsBounded(t *testing.T) {
-	var topics TopicTable
+	var topics Decoder
 	for i := 0; i < maxTopics+10; i++ {
 		topic := fmt.Sprintf("spray.%d", i)
 		raw, err := AppendEvent(nil, &pubsub.Event{Topic: topic})
@@ -267,11 +278,11 @@ func TestTopicTableIsBounded(t *testing.T) {
 		}
 	}
 	long := strings.Repeat("t", maxTopicLen+1)
-	if topics.intern([]byte(long)) != long || len(topics.m) != maxTopics {
-		t.Fatalf("table holds %d topics, want maxTopics = %d", len(topics.m), maxTopics)
+	if topics.intern([]byte(long)) != long || len(topics.topics) != maxTopics {
+		t.Fatalf("table holds %d topics, want maxTopics = %d", len(topics.topics), maxTopics)
 	}
-	topics = TopicTable{}
-	if topics.intern([]byte(long)); len(topics.m) != 0 {
+	topics = Decoder{}
+	if topics.intern([]byte(long)); len(topics.topics) != 0 {
 		t.Fatalf("a topic of %d bytes was kept", len(long))
 	}
 }
@@ -383,7 +394,7 @@ func mutate(b []byte, at int, v byte) []byte {
 // TestDecodedEventsDoNotAliasInput: receivers hand decoded events to
 // their buffers while the input buffer may be shared with other
 // receivers — records point into it, but nothing in an event that
-// Decode returned may.
+// Decode returned may, slab-carved or not.
 func TestDecodedEventsDoNotAliasInput(t *testing.T) {
 	src := &pubsub.Event{
 		ID: pubsub.EventID{Publisher: 1, Seq: 1}, Topic: "t",
@@ -398,7 +409,7 @@ func TestDecodedEventsDoNotAliasInput(t *testing.T) {
 	if err := DecodeEnvelope(buf, &env); err != nil {
 		t.Fatal(err)
 	}
-	got := decodeAll(t, &env)[0]
+	got := decodeAll(t, &env, &Decoder{})[0]
 	for i := range buf {
 		buf[i] = 0xff // scribble over the wire bytes
 	}
@@ -407,6 +418,57 @@ func TestDecodedEventsDoNotAliasInput(t *testing.T) {
 	}
 	if got.Attrs[0].Key != "k" || got.Attrs[0].Val.Str() != "v" {
 		t.Fatal("decoded attribute aliases the input buffer")
+	}
+}
+
+// TestSlabCarvesAreIndependent: events carved from one Decoder's slabs
+// each own their memory. More than three slabs' worth of records, with
+// payloads of assorted sizes (none, slab-shared, one above
+// maxSlabPayload), are decoded before any is touched. Then the source
+// buffers are zeroed and, event by event, each payload is appended to and
+// every byte of it overwritten: every other event must still equal its
+// source.
+func TestSlabCarvesAreIndependent(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var dec Decoder
+	n := 3*slabEvents + 3
+	want := make([]*pubsub.Event, n)
+	got := make([]*pubsub.Event, n)
+	raws := make([][]byte, n)
+	for i := range want {
+		size := 1 + rng.Intn(2048)
+		switch i % 9 {
+		case 4:
+			size = 0
+		case 7:
+			size = maxSlabPayload + 1
+		}
+		want[i] = &pubsub.Event{ID: pubsub.EventID{Publisher: 1, Seq: uint32(i)}, Topic: "t", Payload: make([]byte, size)}
+		rng.Read(want[i].Payload)
+		raw, err := AppendEvent(nil, want[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[i], err = (EventRecord{ID: want[i].ID, Raw: raw}).Decode(&dec); err != nil {
+			t.Fatal(err)
+		}
+		raws[i] = raw
+	}
+	for _, raw := range raws {
+		clear(raw)
+	}
+	for i, ev := range got {
+		grown := append(ev.Payload, make([]byte, 16)...)
+		for k := range grown {
+			grown[k] = 0xEE
+		}
+		ev.Payload = grown
+		want[i].Payload = bytes.Clone(grown)
+		for j := range got {
+			if got[j].ID != want[j].ID || !bytes.Equal(got[j].Payload, want[j].Payload) {
+				t.Fatalf("writing event %d's payload changed event %d", i, j)
+			}
+		}
 	}
 }
 
@@ -564,9 +626,10 @@ func TestKindSwitchClearsPayloads(t *testing.T) {
 }
 
 // TestRandomisedRoundTrip: property check over a few hundred randomly
-// generated envelopes.
+// generated envelopes, decoded through one receiver's Decoder.
 func TestRandomisedRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
+	var dec Decoder
 	letters := "abcdefghij.2"
 	randStr := func(max int) string {
 		n := rng.Intn(max + 1)
@@ -613,7 +676,7 @@ func TestRandomisedRoundTrip(t *testing.T) {
 		if env.Sender != sender || len(env.Records) != len(batch) {
 			t.Fatalf("trial %d: envelope header mangled", trial)
 		}
-		got := decodeAll(t, &env)
+		got := decodeAll(t, &env, &dec)
 		for i := range batch {
 			eventsEqual(t, got[i], batch[i])
 		}
