@@ -127,13 +127,15 @@ redundancy:
 		echo "$$out" | grep -E 'redundancy|never delivered|^(FAIL|ok)'; exit $$status
 
 # allocs prints the allocation pins of the paths that run every round:
-# a steady sim-fair round, a Cyclon exchange, a live round with and
-# without a shuffle, decoding 64 novel events through a warm decoder's
-# slabs, and a datagram's Send →
+# the simulation kernel's closure, message and ticker events and a
+# simulated message's Send → delivery (a closure rides in the kernel
+# record's interface payload), a steady sim-fair round, a Cyclon
+# exchange, a live round with and without a shuffle, decoding 64 novel
+# events through a warm decoder's slabs, and a datagram's Send →
 # handler → Release on each substrate (see PERFORMANCE.md "Allocation
 # regression tests").
 allocs:
-	@out=$$($(GO) test -count=1 -v -run 'TestSimFairRoundAllocs|TestShuffleExchangeZeroAlloc|TestLiveRoundPathAllocs|TestRecordDecodeAllocBudget|TestDatagramPathZeroAlloc' ./internal/core ./internal/membership ./internal/live ./internal/wire ./internal/transport); status=$$?; \
+	@out=$$($(GO) test -count=1 -v -run 'TestAfterStepZeroAlloc|TestScheduleMsgStepZeroAlloc|TestTickerSteadyStateZeroAlloc|TestSendDeliverZeroAlloc|TestSimFairRoundAllocs|TestShuffleExchangeZeroAlloc|TestLiveRoundPathAllocs|TestRecordDecodeAllocBudget|TestDatagramPathZeroAlloc' ./internal/eventsim ./internal/simnet ./internal/core ./internal/membership ./internal/live ./internal/wire ./internal/transport); status=$$?; \
 		echo "$$out" | grep -E 'allocs:|^(FAIL|ok)'; exit $$status
 
 clean:

@@ -28,22 +28,27 @@ type Node struct {
 	sh  *shard
 	cfg *Config // the cluster's, shared and read-only
 
-	groups     map[string]*topicGroup // topic-mode groups this node is in; nil until the first join
-	groupOrder []string               // sorted group topics (deterministic rounds)
-
 	active bool
 
 	// Cheat makes this node pad every outgoing gossip message with
 	// junkPadding bytes of worthless data (EXP-A6).
 	Cheat bool
 
+	ext *nodeExt // nil unless the cluster runs topic groups, semantic bias or push-pull
+}
+
+// nodeExt is the state only topic groups, semantic bias and push-pull
+// keep. Sim-huge runs none of them, and at N = 100 000 each byte of Node
+// is a tenth of a megabyte.
+type nodeExt struct {
+	groups     map[string]*topicGroup // topic-mode groups this node is in; nil until the first join
+	groupOrder []string               // sorted group topics (deterministic rounds)
+
 	archive *gossip.Buffer // push-pull's store (pushpull.go); nil unless Config.AntiEntropy
 
 	// walkRelays counts subscription/publication walks this node relayed
-	// for others — §5.1's maintenance burden; 32 bits keep Node at 352 B.
-	walkRelays uint32
-	// walksSent counts walks this node originated.
-	walksSent uint32
+	// for others — §5.1's maintenance burden; walksSent those it originated.
+	walkRelays, walksSent uint64
 
 	// peerFPs remembers other peers' interest fingerprints for semantic
 	// partner bias (semantic.go).
@@ -62,7 +67,28 @@ func (nd *Node) Active() bool { return nd.active }
 
 // WalkRelays returns how many subscription/publication walks this node
 // relayed on behalf of others.
-func (nd *Node) WalkRelays() uint64 { return uint64(nd.walkRelays) }
+func (nd *Node) WalkRelays() uint64 {
+	if nd.ext == nil {
+		return 0
+	}
+	return nd.ext.walkRelays
+}
+
+// group returns this node's slice of the topic's group, or nil.
+func (nd *Node) group(topic string) *topicGroup {
+	if nd.ext == nil {
+		return nil
+	}
+	return nd.ext.groups[topic]
+}
+
+// archive returns the push-pull store, or nil.
+func (nd *Node) archive() *gossip.Buffer {
+	if nd.ext == nil {
+		return nil
+	}
+	return nd.ext.archive
+}
 
 // overlayPeers samples k partners from the overlay substrate into the
 // shard's scratch.
@@ -119,9 +145,9 @@ func (nd *Node) Unsubscribe(id pubsub.SubID) bool {
 		return false
 	}
 	if nd.cfg.Mode == ModeTopics {
-		for _, topic := range nd.groupOrder {
+		for _, topic := range nd.ext.groupOrder {
 			if !nd.Interest().HasTopic(topic) {
-				delete(nd.groups, topic)
+				delete(nd.ext.groups, topic)
 			}
 		}
 		nd.rebuildGroupOrder()
@@ -131,11 +157,12 @@ func (nd *Node) Unsubscribe(id pubsub.SubID) bool {
 
 // rebuildGroupOrder re-derives the sorted topic list from the group map.
 func (nd *Node) rebuildGroupOrder() {
-	nd.groupOrder = nd.groupOrder[:0]
-	for topic := range nd.groups {
-		nd.groupOrder = append(nd.groupOrder, topic)
+	x := nd.ext
+	x.groupOrder = x.groupOrder[:0]
+	for topic := range x.groups {
+		x.groupOrder = append(x.groupOrder, topic)
 	}
-	sort.Strings(nd.groupOrder)
+	sort.Strings(x.groupOrder)
 }
 
 // Publish originates an event on the given topic. In topic mode a
@@ -145,13 +172,13 @@ func (nd *Node) Publish(topic string, attrs []pubsub.Attr, payload []byte) pubsu
 	buf := nd.Buffer()
 	if nd.cfg.Mode == ModeTopics {
 		buf = nil
-		if g, ok := nd.groups[topic]; ok {
+		if g := nd.group(topic); g != nil {
 			buf = g.buffer
 		}
 	}
 	ev := nd.Peer.Publish(buf, topic, attrs, payload)
-	if nd.archive != nil {
-		nd.archive.Insert(ev)
+	if a := nd.archive(); a != nil {
+		a.Insert(ev)
 	}
 	if buf == nil {
 		nd.publishWalk(ev)
@@ -221,8 +248,8 @@ func splitByTopic(events []*pubsub.Event) [][]*pubsub.Event {
 
 func (nd *Node) roundTopics() {
 	const minView = topicViewCap / 4
-	for _, topic := range nd.groupOrder {
-		g := nd.groups[topic]
+	for _, topic := range nd.ext.groupOrder {
+		g := nd.ext.groups[topic]
 		// Keep walking while the group view is undersized: a join that
 		// terminated at another isolated newcomer would otherwise leave
 		// a disconnected clique that never merges with the main group.
@@ -272,15 +299,19 @@ func (nd *Node) groupAds(g *topicGroup) []membership.Entry {
 func (nd *Node) buildGossip(topic string, events []*pubsub.Event, ads []membership.Entry) *wireMsg {
 	m := nd.sh.pool.get()
 	m.Kind = kindGossip
-	m.Topic = topic
 	m.Events = append(m.Events[:0], events...)
-	m.Ads = append(m.Ads[:0], ads...)
+	if topic != "" || len(ads) > 0 {
+		x := m.extend()
+		x.Topic = topic
+		x.Ads = append(x.Ads[:0], ads...)
+	}
 	if nd.Cheat {
 		m.Junk = junkPadding
 	}
 	if nd.cfg.SemanticBias > 0 {
-		m.FP = interestFingerprint(nd.Interest())
-		m.FPAds = nd.fpAds(2)
+		x := m.extend()
+		x.FP = interestFingerprint(nd.Interest())
+		x.FPAds = nd.fpAds(2)
 	}
 	return m
 }
@@ -319,13 +350,13 @@ func (nd *Node) sendGossipAll(peers []simnet.NodeID, topic string, events []*pub
 // --- Topic-group joining (§5.1) ---------------------------------------------
 
 func (nd *Node) joinGroup(topic string) {
-	if _, ok := nd.groups[topic]; ok {
+	if nd.group(topic) != nil {
 		return
 	}
-	if nd.groups == nil {
-		nd.groups = make(map[string]*topicGroup)
+	if nd.ext.groups == nil {
+		nd.ext.groups = make(map[string]*topicGroup)
 	}
-	nd.groups[topic] = &topicGroup{
+	nd.ext.groups[topic] = &topicGroup{
 		view:   membership.NewView(nd.ID(), topicViewCap),
 		buffer: gossip.NewBuffer(nd.cfg.BufferCap, nd.cfg.BufferMaxAge),
 	}
@@ -336,23 +367,26 @@ func (nd *Node) joinGroup(topic string) {
 // subscribeWalk launches a random walk that terminates at some subscriber
 // of the topic, which replies with group-bootstrap entries.
 func (nd *Node) subscribeWalk(topic string) {
-	nd.startWalk(&wireMsg{Kind: kindSubWalk, Topic: topic})
+	nd.startWalk(newExtMsg(kindSubWalk, wireExt{Topic: topic}))
 }
 
 // publishWalk hands an event from a non-subscribed publisher to the
 // topic's group.
 func (nd *Node) publishWalk(ev *pubsub.Event) {
-	nd.startWalk(&wireMsg{Kind: kindPubWalk, Topic: ev.Topic, Events: []*pubsub.Event{ev}})
+	m := newExtMsg(kindPubWalk, wireExt{Topic: ev.Topic})
+	m.Events = []*pubsub.Event{ev}
+	nd.startWalk(m)
 }
 
-// startWalk originates a walk at one overlay contact, if there is one.
+// startWalk originates a walk (a newExtMsg) at one overlay contact, if
+// there is one.
 func (nd *Node) startWalk(m *wireMsg) {
 	contacts := nd.overlayPeers(1)
 	if len(contacts) == 0 {
 		return
 	}
-	nd.walksSent++
-	m.Origin, m.Hops = nd.ID(), walkHopLimit
+	nd.ext.walksSent++
+	m.ext.Origin, m.ext.Hops = nd.ID(), walkHopLimit
 	nd.send(contacts[0], m, fairness.ClassInfra)
 }
 
@@ -360,10 +394,10 @@ func (nd *Node) startWalk(m *wireMsg) {
 // §5.1 maintenance burden — avoiding the peer it came from when a
 // second draw allows. A walk out of hops dies here.
 func (nd *Node) relayWalk(from simnet.NodeID, m *wireMsg) {
-	if m.Hops <= 1 {
+	if m.opt().Hops <= 1 {
 		return
 	}
-	nd.walkRelays++
+	nd.ext.walkRelays++
 	next := nd.overlayPeers(1)
 	if len(next) == 0 || next[0] == from {
 		next = nd.overlayPeers(1)
@@ -371,10 +405,10 @@ func (nd *Node) relayWalk(from simnet.NodeID, m *wireMsg) {
 	if len(next) == 0 {
 		return
 	}
-	fwd := *m
-	fwd.Hops = m.Hops - 1
-	fwd.pool, fwd.refs = nil, 0 // the forwarded copy is plain-allocated
-	nd.send(next[0], &fwd, fairness.ClassInfra)
+	fwd := newExtMsg(m.Kind, *m.opt())
+	fwd.Events = m.Events
+	fwd.ext.Hops--
+	nd.send(next[0], fwd, fairness.ClassInfra)
 }
 
 // --- Churn (§3.2 penalty) ----------------------------------------------------
@@ -397,9 +431,11 @@ func (nd *Node) Rejoin(bootstrap simnet.NodeID) {
 	nd.Peer.Join(bootstrap, &nd.sh.out)
 	nd.sendMembership(&nd.sh.out)
 	// Re-join all topic groups (stale views may point to departed peers).
-	for _, topic := range nd.groupOrder {
-		if nd.groups[topic].view.Len() == 0 {
-			nd.subscribeWalk(topic)
+	if nd.ext != nil {
+		for _, topic := range nd.ext.groupOrder {
+			if nd.ext.groups[topic].view.Len() == 0 {
+				nd.subscribeWalk(topic)
+			}
 		}
 	}
 }
@@ -433,9 +469,10 @@ func (nd *Node) HandleMessage(msg simnet.Message) {
 }
 
 func (nd *Node) handleGossip(from simnet.NodeID, m *wireMsg) {
+	x := m.opt()
 	if nd.cfg.SemanticBias > 0 {
-		nd.rememberFingerprint(from, m.FP)
-		for _, ad := range m.FPAds {
+		nd.rememberFingerprint(from, x.FP)
+		for _, ad := range x.FPAds {
 			nd.rememberFingerprint(ad.ID, ad.FP)
 		}
 	}
@@ -445,9 +482,9 @@ func (nd *Node) handleGossip(from simnet.NodeID, m *wireMsg) {
 	buf := nd.Buffer()
 	if nd.cfg.Mode == ModeTopics {
 		buf = nil
-		if g := nd.groups[m.Topic]; g != nil {
+		if g := nd.group(x.Topic); g != nil {
 			buf = g.buffer
-			for _, ad := range m.Ads {
+			for _, ad := range x.Ads {
 				g.view.AddAged(ad)
 			}
 		}
@@ -459,11 +496,12 @@ func (nd *Node) handleGossip(from simnet.NodeID, m *wireMsg) {
 	// ANOTHER process's account, so it goes through the shard's
 	// auditSink: a remote sender's controller must never race it
 	// mid-window.
-	nd.sh.auditSink(int(from), novel, dup+m.Junk)
+	nd.sh.auditSink(int(from), novel, dup+int(m.Junk))
 }
 
 func (nd *Node) handleSubWalk(from simnet.NodeID, m *wireMsg) {
-	if g, ok := nd.groups[m.Topic]; ok {
+	x := m.opt()
+	if g := nd.group(x.Topic); g != nil {
 		// We are a subscriber: answer with bootstrap entries and adopt
 		// the new member.
 		entries := make([]membership.Entry, 0, protocol.ShuffleLen+1)
@@ -471,16 +509,18 @@ func (nd *Node) handleSubWalk(from simnet.NodeID, m *wireMsg) {
 			entries = append(entries, membership.Entry{ID: id, Age: 1})
 		}
 		entries = append(entries, membership.Entry{ID: nd.ID(), Age: 0})
-		nd.send(m.Origin, &wireMsg{Kind: kindSubAck, Topic: m.Topic, Entries: entries}, fairness.ClassInfra)
-		g.view.Add(m.Origin)
+		ack := newExtMsg(kindSubAck, wireExt{Topic: x.Topic})
+		ack.Entries = entries
+		nd.send(x.Origin, ack, fairness.ClassInfra)
+		g.view.Add(x.Origin)
 		return
 	}
 	nd.relayWalk(from, m) // not interested
 }
 
 func (nd *Node) handleSubAck(m *wireMsg) {
-	g, ok := nd.groups[m.Topic]
-	if !ok {
+	g := nd.group(m.opt().Topic)
+	if g == nil {
 		return // unsubscribed while the walk was in flight
 	}
 	for _, e := range m.Entries {
@@ -489,7 +529,7 @@ func (nd *Node) handleSubAck(m *wireMsg) {
 }
 
 func (nd *Node) handlePubWalk(from simnet.NodeID, m *wireMsg) {
-	if g, ok := nd.groups[m.Topic]; ok {
+	if g := nd.group(m.opt().Topic); g != nil {
 		// The hand-off is the event's first copy here, not gossip to grade:
 		// admitted like any batch, unaudited.
 		nd.archiveNew(m.Events)

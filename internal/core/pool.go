@@ -2,7 +2,6 @@ package core
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"fairgossip/internal/pubsub"
 )
@@ -53,7 +52,7 @@ func (p *msgPool) get() *wireMsg {
 	p.free[n-1] = nil
 	p.free = p.free[:n-1]
 	p.mu.Unlock()
-	atomic.StoreInt32(&m.refs, 1)
+	m.refs.Store(1)
 	return m
 }
 
@@ -76,13 +75,14 @@ func (p *msgPool) refill() {
 
 // put resets and recycles an envelope whose refcount reached zero.
 // Event pointers are cleared so the pool never pins delivered events;
-// the slice capacity itself is the thing being recycled.
+// the slice capacity itself is the thing being recycled, and so is the
+// extension, when the envelope has one.
 func (p *msgPool) put(m *wireMsg) {
-	for i := range m.Events {
-		m.Events[i] = nil
+	clear(m.Events)
+	if x := m.ext; x != nil {
+		*x = wireExt{Ads: x.Ads[:0]}
 	}
-	events, ads, entries := m.Events[:0], m.Ads[:0], m.Entries[:0]
-	*m = wireMsg{pool: m.pool, Events: events, Ads: ads, Entries: entries}
+	*m = wireMsg{pool: m.pool, Events: m.Events[:0], Entries: m.Entries[:0], ext: m.ext}
 	p.mu.Lock()
 	p.free = append(p.free, m)
 	p.mu.Unlock()
@@ -95,7 +95,7 @@ func (m *wireMsg) Retain() {
 	if m.pool == nil {
 		return
 	}
-	atomic.AddInt32(&m.refs, 1)
+	m.refs.Add(1)
 }
 
 // Release drops one reference; the last one recycles the envelope.
@@ -103,7 +103,7 @@ func (m *wireMsg) Release() {
 	if m.pool == nil {
 		return
 	}
-	if atomic.AddInt32(&m.refs, -1) == 0 {
+	if m.refs.Add(-1) == 0 {
 		m.pool.put(m)
 	}
 }

@@ -26,9 +26,13 @@ func newArchive(cfg *Config) *gossip.Buffer {
 
 // archiveNew archives a received batch's unseen events, before admission.
 func (nd *Node) archiveNew(events []*pubsub.Event) {
+	a := nd.archive()
+	if a == nil {
+		return
+	}
 	for _, ev := range events {
-		if nd.archive != nil && !nd.Seen(ev.ID) {
-			nd.archive.Insert(ev)
+		if !nd.Seen(ev.ID) {
+			a.Insert(ev)
 		}
 	}
 }
@@ -36,27 +40,28 @@ func (nd *Node) archiveNew(events []*pubsub.Event) {
 // antiEntropy ages the archive and, every AntiEntropy-th round, sends its
 // ids to one partner. Without an archive it draws nothing from the RNG.
 func (nd *Node) antiEntropy() {
-	if nd.archive == nil {
+	a := nd.archive()
+	if a == nil {
 		return
 	}
-	if nd.archive.Tick(); nd.Rounds()%nd.cfg.AntiEntropy != 0 || nd.archive.Len() == 0 {
+	if a.Tick(); nd.Rounds()%nd.cfg.AntiEntropy != 0 || a.Len() == 0 {
 		return
 	}
 	if to := nd.overlayPeers(1); len(to) > 0 {
-		nd.send(to[0], &wireMsg{Kind: kindDigest, IDs: nd.archive.IDs()}, fairness.ClassInfra)
+		nd.send(to[0], newExtMsg(kindDigest, wireExt{IDs: a.IDs()}), fairness.ClassInfra)
 	}
 }
 
 // handleDigest pulls every advertised event this node has not seen.
 func (nd *Node) handleDigest(from simnet.NodeID, m *wireMsg) {
 	var missing []pubsub.EventID
-	for _, id := range m.IDs {
+	for _, id := range m.opt().IDs {
 		if !nd.Seen(id) {
 			missing = append(missing, id)
 		}
 	}
 	if len(missing) > 0 {
-		nd.send(from, &wireMsg{Kind: kindPull, IDs: missing}, fairness.ClassInfra)
+		nd.send(from, newExtMsg(kindPull, wireExt{IDs: missing}), fairness.ClassInfra)
 	}
 }
 
@@ -64,12 +69,12 @@ func (nd *Node) handleDigest(from simnet.NodeID, m *wireMsg) {
 // its archive, or in its forwarding buffer when it keeps no archive. An id
 // held nowhere gets no reply.
 func (nd *Node) handlePull(from simnet.NodeID, m *wireMsg) {
-	store := nd.archive
+	store := nd.archive()
 	if store == nil {
 		store = nd.Buffer()
 	}
 	var events []*pubsub.Event
-	for _, id := range m.IDs {
+	for _, id := range m.opt().IDs {
 		if ev, ok := store.Get(id); ok {
 			events = append(events, ev)
 		}

@@ -82,21 +82,22 @@ func (nd *Node) rememberFingerprint(from simnet.NodeID, fp uint64) {
 	if fp == 0 || from == nd.ID() {
 		return
 	}
-	if nd.peerFPs == nil {
-		nd.peerFPs = make(map[simnet.NodeID]uint64, 64)
+	if nd.ext.peerFPs == nil {
+		nd.ext.peerFPs = make(map[simnet.NodeID]uint64, 64)
 	}
-	nd.peerFPs[from] = fp
+	nd.ext.peerFPs[from] = fp
 }
 
 // fpAds samples a couple of known (peer, fingerprint) pairs to piggyback,
 // spreading profile knowledge epidemically (deterministic order, random
 // choice from the node's RNG).
 func (nd *Node) fpAds(k int) []fpAd {
-	if len(nd.peerFPs) == 0 || k <= 0 {
+	peerFPs := nd.ext.peerFPs
+	if len(peerFPs) == 0 || k <= 0 {
 		return nil
 	}
-	ids := make([]int, 0, len(nd.peerFPs))
-	for id := range nd.peerFPs {
+	ids := make([]int, 0, len(peerFPs))
+	for id := range peerFPs {
 		ids = append(ids, int(id))
 	}
 	sort.Ints(ids)
@@ -106,7 +107,7 @@ func (nd *Node) fpAds(k int) []fpAd {
 	out := make([]fpAd, 0, k)
 	for _, idx := range nd.Rand().Perm(len(ids))[:k] {
 		id := simnet.NodeID(ids[idx])
-		out = append(out, fpAd{ID: id, FP: nd.peerFPs[id]})
+		out = append(out, fpAd{ID: id, FP: peerFPs[id]})
 	}
 	return out
 }
@@ -118,9 +119,10 @@ func (nd *Node) fpAds(k int) []fpAd {
 // no topical signal.
 func (nd *Node) biasedPeers(k int, targetFP uint64) []simnet.NodeID {
 	bias := nd.cfg.SemanticBias
-	if bias <= 0 || len(nd.peerFPs) == 0 || targetFP == 0 {
+	if bias <= 0 || len(nd.ext.peerFPs) == 0 || targetFP == 0 {
 		return nd.overlayPeers(k)
 	}
+	peerFPs := nd.ext.peerFPs
 	if bias > 1 {
 		bias = 1
 	}
@@ -134,15 +136,15 @@ func (nd *Node) biasedPeers(k int, targetFP uint64) []simnet.NodeID {
 	// with the node's RNG. Random choice within the matching set matters:
 	// always picking the top-k would funnel all traffic to the same few
 	// peers and starve the rest of the interest group.
-	ids := make([]int, 0, len(nd.peerFPs))
-	for id := range nd.peerFPs {
+	ids := make([]int, 0, len(peerFPs))
+	for id := range peerFPs {
 		ids = append(ids, int(id))
 	}
 	sort.Ints(ids)
 	matching := make([]simnet.NodeID, 0, len(ids))
 	for _, idInt := range ids {
 		id := simnet.NodeID(idInt)
-		if id != nd.ID() && fingerprintOverlap(targetFP, nd.peerFPs[id]) > 0 {
+		if id != nd.ID() && fingerprintOverlap(targetFP, peerFPs[id]) > 0 {
 			matching = append(matching, id)
 		}
 	}

@@ -50,14 +50,15 @@ type shard struct {
 // nominal delivery instant on the shared virtual clock. InjectAt coerces
 // instants inside the closed window up to the barrier.
 type pendingMsg struct {
-	msg simnet.Message
+	msg eventsim.Msg
 	at  time.Duration
 }
 
 // deferredAudit is a novelty audit whose target account lives on another
-// shard; it is applied at the barrier in fixed shard order.
+// shard; it is applied at the barrier in fixed shard order. The byte
+// counts are one message's.
 type deferredAudit struct {
-	from, useful, junk int
+	from, useful, junk int32
 }
 
 // shardSpan sizes the per-shard id range: an even split, with interior
@@ -86,7 +87,10 @@ func (c *Cluster) addNode(i, n int) {
 			continue
 		}
 		rng := randutil.NewStream(randutil.NodeSeed(c.seed, i))
-		nd := &Node{Peer: protocol.New(simnet.NodeID(i), n, &c.par, rng, c.Ledger), sh: sh, cfg: &c.cfg, active: true, archive: newArchive(&c.cfg)}
+		nd := &Node{Peer: protocol.New(simnet.NodeID(i), n, &c.par, rng, c.Ledger), sh: sh, cfg: &c.cfg, active: true}
+		if c.cfg.Mode == ModeTopics || c.cfg.SemanticBias > 0 || c.cfg.AntiEntropy > 0 {
+			nd.ext = &nodeExt{archive: newArchive(&c.cfg)}
+		}
 		sh.net.AddNode(nd)
 		c.Nodes = append(c.Nodes, nd)
 	}
@@ -94,9 +98,9 @@ func (c *Cluster) addNode(i, n int) {
 
 // remoteHook parks cross-shard sends in the source shard's outbox.
 func (c *Cluster) remoteHook(sh *shard) simnet.RemoteFunc {
-	return func(msg simnet.Message, delay time.Duration) {
-		d := c.shardOf(int(msg.To))
-		sh.outbox[d] = append(sh.outbox[d], pendingMsg{msg: msg, at: sh.sim.Now() + delay})
+	return func(m eventsim.Msg, delay time.Duration) {
+		d := c.shardOf(int(m.To))
+		sh.outbox[d] = append(sh.outbox[d], pendingMsg{msg: m, at: sh.sim.Now() + delay})
 	}
 }
 
@@ -108,7 +112,7 @@ func (c *Cluster) auditSink(sh *shard) func(from, useful, junk int) {
 			c.Ledger.AddAudit(from, useful, junk)
 			return
 		}
-		sh.audits = append(sh.audits, deferredAudit{from: from, useful: useful, junk: junk})
+		sh.audits = append(sh.audits, deferredAudit{from: int32(from), useful: int32(useful), junk: int32(junk)})
 	}
 }
 
@@ -140,7 +144,7 @@ func (c *Cluster) runWindow(deadline time.Duration) {
 	}
 	for _, sh := range c.shards {
 		for _, a := range sh.audits {
-			c.Ledger.AddAudit(a.from, a.useful, a.junk)
+			c.Ledger.AddAudit(int(a.from), int(a.useful), int(a.junk))
 		}
 		sh.audits = sh.audits[:0]
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync/atomic"
+
 	"fairgossip/internal/gossip"
 	"fairgossip/internal/membership"
 	"fairgossip/internal/protocol"
@@ -36,35 +38,63 @@ type fpAd struct {
 }
 
 // wireMsg is the single multiplexed payload type FairGossip sends over
-// simnet. Only the fields relevant to Kind are set.
+// simnet. Only the fields relevant to Kind are set. Sim-huge keeps a
+// hundred thousand of them in flight, so what only topic groups, walks,
+// semantic bias and push-pull set lives behind ext.
 type wireMsg struct {
 	Kind msgKind
+	Junk int32        // kindGossip: cheater padding bytes (counted, carries nothing)
+	refs atomic.Int32 // a pooled envelope's reference count (pool.go)
 
-	// kindGossip / kindPubWalk
-	Events []*pubsub.Event
-	Topic  string             // topic-mode group tag ("" in content mode)
-	Ads    []membership.Entry // piggybacked group membership ads
-	Junk   int                // cheater padding bytes (counted, carries nothing)
-	FP     uint64             // sender interest fingerprint (semantic bias)
-	FPAds  []fpAd             // piggybacked third-party fingerprints
+	Events  []*pubsub.Event    // kindGossip / kindPubWalk
+	Entries []membership.Entry // kindShuffle / kindShuffleReply / kindJoin / kindLeave / kindSubAck
 
-	// kindShuffle / kindShuffleReply / kindJoin / kindLeave / kindSubAck
-	Entries []membership.Entry
+	ext  *wireExt // nil when none of its fields is set
+	pool *msgPool // nil: a plain allocated message; Retain/Release no-op on it
+}
 
-	// kindSubWalk / kindPubWalk
-	Origin simnet.NodeID
+// wireExt holds a message's less common fields. A pooled envelope keeps
+// its extension (and the Ads array) across reuse.
+type wireExt struct {
+	Topic string             // topic-mode group tag ("" in content mode)
+	Ads   []membership.Entry // kindGossip: piggybacked group membership ads
+	FP    uint64             // kindGossip: sender interest fingerprint (semantic bias)
+	FPAds []fpAd             // kindGossip: piggybacked third-party fingerprints
+
+	Origin simnet.NodeID // kindSubWalk / kindPubWalk
 	Hops   int
 
-	// kindDigest / kindPull
-	IDs []pubsub.EventID
+	IDs []pubsub.EventID // kindDigest / kindPull
+}
 
-	// pool/refs make gossip envelopes reference-counted and recyclable
-	// (pool.go). nil pool = plain allocated message; Retain/Release
-	// no-op on it, and the walk paths' `fwd := *m` forwarding copies
-	// stay plain (refs is an int32 manipulated via sync/atomic rather
-	// than an atomic.Int32 precisely so those value copies stay legal).
-	pool *msgPool
-	refs int32
+// noExt is what a message without an extension reads as. Never written.
+var noExt wireExt
+
+// opt returns the extension for reading: all zero when there is none.
+func (m *wireMsg) opt() *wireExt {
+	if m.ext == nil {
+		return &noExt
+	}
+	return m.ext
+}
+
+// extend returns the extension for writing, allocating it on first use.
+func (m *wireMsg) extend() *wireExt {
+	if m.ext == nil {
+		m.ext = new(wireExt)
+	}
+	return m.ext
+}
+
+// newExtMsg returns a plain-allocated message of the given kind and
+// extension, both in one allocation.
+func newExtMsg(kind msgKind, x wireExt) *wireMsg {
+	both := &struct {
+		m wireMsg
+		x wireExt
+	}{wireMsg{Kind: kind}, x}
+	both.m.ext = &both.x
+	return &both.m
 }
 
 // A gossip message is the machine's protocol.Batch as it stands: the
@@ -87,26 +117,27 @@ const (
 // size computes the accounting size of a wire message.
 func (m *wireMsg) size() int {
 	n := wireHeaderSize
+	x := m.opt()
 	switch m.Kind {
 	case kindGossip, kindPubWalk:
 		n += gossip.MsgWireSize(m.Events) - gossip.MsgHeaderSize
-		n += topicTagSize + len(m.Topic)
-		n += len(m.Ads) * membership.EntryWireSize
-		n += m.Junk
-		if m.FP != 0 {
+		n += topicTagSize + len(x.Topic)
+		n += len(x.Ads) * membership.EntryWireSize
+		n += int(m.Junk)
+		if x.FP != 0 {
 			n += fingerprintWireSize
 		}
-		n += len(m.FPAds) * (4 + fingerprintWireSize)
+		n += len(x.FPAds) * (4 + fingerprintWireSize)
 		if m.Kind == kindPubWalk {
 			n += 6 // origin + hops
 		}
 	case kindShuffle, kindShuffleReply, kindJoin, kindLeave, kindSubAck:
 		n += len(m.Entries) * membership.EntryWireSize
-		n += topicTagSize + len(m.Topic)
+		n += topicTagSize + len(x.Topic)
 	case kindSubWalk:
-		n += topicTagSize + len(m.Topic) + 6
+		n += topicTagSize + len(x.Topic) + 6
 	case kindDigest, kindPull:
-		n += len(m.IDs) * eventIDWireSize
+		n += len(x.IDs) * eventIDWireSize
 	}
 	return n
 }

@@ -13,13 +13,18 @@
 // live in a pooled arena indexed by a manual binary heap, freed slots are
 // recycled through a free list, and the typed-message API (ScheduleMsg)
 // lets the network layer schedule deliveries without allocating a closure.
+// A record is 56 bytes — a closure rides in its message's payload, and a
+// message's handler is a 16-bit index into the kernel's handler table —
+// because a large run keeps hundreds of thousands of them in flight.
 // Once the arena and heap have warmed up to the simulation's peak
 // outstanding-event count, scheduling and firing events performs no heap
 // allocation at all.
 package eventsim
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"time"
 )
 
@@ -35,10 +40,11 @@ type Sim struct {
 	steps  uint64
 	halted bool
 
-	arena   []event // pooled event records; an index into arena is a handle
-	free    []int32 // recycled arena slots
-	heap    []int32 // binary heap of arena indices ordered by (at, seq)
-	stopped int     // stopped-but-still-queued entries (lazy-deletion debt)
+	arena    []event // pooled event records; an index into arena is a handle
+	free     []int32 // recycled arena slots
+	heap     []int32 // binary heap of arena indices ordered by (at, seq)
+	stopped  int     // stopped-but-still-queued entries (lazy-deletion debt)
+	handlers []MsgHandler
 }
 
 // compactMin is the minimum number of stopped entries before threshold
@@ -80,7 +86,9 @@ type Msg struct {
 	Payload  any
 }
 
-// MsgHandler consumes typed message events at their delivery time.
+// MsgHandler consumes typed message events at their delivery time. The
+// kernel tells handlers apart with ==, so a handler's dynamic type must be
+// comparable — a pointer, typically; ScheduleMsg panics on one that is not.
 type MsgHandler interface {
 	HandleSimMsg(m Msg)
 }
@@ -109,9 +117,7 @@ func (t Timer) Stop() bool {
 		return false
 	}
 	ev.stopped = true
-	ev.fn = nil // release the closure eagerly
-	ev.dst = nil
-	ev.msg = Msg{}
+	ev.msg = Msg{} // release the closure or payload eagerly
 	t.s.stopped++
 	t.s.maybeCompact()
 	return true
@@ -121,7 +127,7 @@ func (t Timer) Stop() bool {
 // past (at < Now) coerces to Now: the event fires before any later event,
 // which mirrors "as soon as possible" semantics.
 func (s *Sim) At(at time.Duration, fn func()) Timer {
-	idx := s.schedule(at, fn, nil, Msg{}, evClosure)
+	idx := s.schedule(at, 0, Msg{Payload: fn})
 	return Timer{s: s, idx: idx, gen: s.arena[idx].gen}
 }
 
@@ -145,7 +151,7 @@ func (s *Sim) ScheduleMsg(d time.Duration, h MsgHandler, m Msg) {
 	if d < 0 {
 		d = 0
 	}
-	s.schedule(s.now+d, nil, h, m, evMsg)
+	s.schedule(s.now+d, s.handlerID(h), m)
 }
 
 // ScheduleMsgAt schedules m for delivery to h at absolute virtual time
@@ -156,7 +162,26 @@ func (s *Sim) ScheduleMsg(d time.Duration, h MsgHandler, m Msg) {
 // order assigns the FIFO tie-break sequence, so a fixed merge order
 // yields a fixed firing order.
 func (s *Sim) ScheduleMsgAt(at time.Duration, h MsgHandler, m Msg) {
-	s.schedule(at, nil, h, m, evMsg)
+	s.schedule(at, s.handlerID(h), m)
+}
+
+// handlerID returns h's 1-based index in the kernel's handler table,
+// adding it on first use. A kernel serves one network, so the scan is a
+// compare or two.
+func (s *Sim) handlerID(h MsgHandler) uint16 {
+	for i, known := range s.handlers {
+		if known == h {
+			return uint16(i + 1)
+		}
+	}
+	if !reflect.TypeOf(h).Comparable() {
+		panic("eventsim: MsgHandler of non-comparable type " + reflect.TypeOf(h).String())
+	}
+	if len(s.handlers) == math.MaxUint16 {
+		panic("eventsim: more than 65535 message handlers on one kernel")
+	}
+	s.handlers = append(s.handlers, h)
+	return uint16(len(s.handlers))
 }
 
 // Halt stops Run/RunUntil after the currently firing event returns.
@@ -179,12 +204,12 @@ func (s *Sim) Step() bool {
 		s.steps++
 		// Copy the payload out and recycle the slot before firing, so
 		// events scheduled inside the callback can reuse it.
-		kind, fn, dst, m := ev.kind, ev.fn, ev.dst, ev.msg
+		h, m := ev.h, ev.msg
 		s.release(idx)
-		if kind == evMsg {
-			dst.HandleSimMsg(m)
+		if h == 0 {
+			m.Payload.(func())()
 		} else {
-			fn()
+			s.handlers[h-1].HandleSimMsg(m)
 		}
 		return true
 	}
@@ -225,23 +250,16 @@ func (s *Sim) RunUntil(deadline time.Duration) uint64 {
 
 // --- pooled event arena ------------------------------------------------------
 
-type evKind uint8
-
-const (
-	evClosure evKind = iota + 1 // fn callback
-	evMsg                       // typed message delivered to dst
-)
-
-// event is a pooled queue entry. gen guards Timer handles against slot
-// reuse: every release bumps it, invalidating outstanding handles.
+// event is a pooled queue entry: a message for handler h, or, with h 0, a
+// closure event whose func() is msg.Payload. gen guards Timer handles
+// against slot reuse: every release bumps it, invalidating outstanding
+// handles.
 type event struct {
 	at      time.Duration
 	seq     uint64
-	fn      func()
-	dst     MsgHandler
 	msg     Msg
 	gen     uint32
-	kind    evKind
+	h       uint16 // 1 + index into Sim.handlers; 0 for a closure
 	stopped bool
 }
 
@@ -261,15 +279,13 @@ func (s *Sim) alloc() int32 {
 // the generation advances so stale Timer handles go dead.
 func (s *Sim) release(idx int32) {
 	ev := &s.arena[idx]
-	ev.fn = nil
-	ev.dst = nil
 	ev.msg = Msg{}
 	ev.gen++
 	s.free = append(s.free, idx)
 }
 
 // schedule allocates, fills and enqueues one event record.
-func (s *Sim) schedule(at time.Duration, fn func(), dst MsgHandler, m Msg, kind evKind) int32 {
+func (s *Sim) schedule(at time.Duration, h uint16, m Msg) int32 {
 	if at < s.now {
 		at = s.now
 	}
@@ -277,10 +293,8 @@ func (s *Sim) schedule(at time.Duration, fn func(), dst MsgHandler, m Msg, kind 
 	ev := &s.arena[idx]
 	ev.at = at
 	ev.seq = s.seq
-	ev.fn = fn
-	ev.dst = dst
 	ev.msg = m
-	ev.kind = kind
+	ev.h = h
 	ev.stopped = false
 	s.seq++
 	s.heap = append(s.heap, idx)

@@ -34,11 +34,12 @@ const (
 	PolicyLeastSent
 )
 
-// bufEntry is 24 bytes, and sim-huge holds BufferCap × N of them: the
-// two counters saturate at 16 bits (an entry is sent at most once a round
-// and retires long before either matters) so that dups fits beside sent.
+// bufEntry is 16 bytes, and sim-huge holds BufferCap × N of them: the id
+// is read through ev (in the simulator every holder points at the same
+// event), and the two counters saturate at 16 bits (an entry is sent at
+// most once a round and retires long before either matters) so that dups
+// fits beside sent.
 type bufEntry struct {
-	id   pubsub.EventID
 	ev   *pubsub.Event
 	age  int32  // rounds since insertion
 	sent uint16 // times included in an outgoing gossip message
@@ -98,7 +99,7 @@ func (b *Buffer) Len() int { return len(b.ents) }
 func (b *Buffer) index(id pubsub.EventID) int {
 	ents := b.ents
 	for i := range ents {
-		if ents[i].id == id {
+		if ents[i].ev.ID == id {
 			return i
 		}
 	}
@@ -126,7 +127,7 @@ func (b *Buffer) Insert(ev *pubsub.Event) bool {
 	if b.index(ev.ID) >= 0 {
 		return false
 	}
-	e := bufEntry{id: ev.ID, ev: ev}
+	e := bufEntry{ev: ev}
 	if n := len(b.ents); n >= b.cap {
 		copy(b.ents, b.ents[1:])
 		b.ents[n-1] = e
@@ -240,7 +241,7 @@ func (b *Buffer) sortBySent() {
 func (b *Buffer) IDs() []pubsub.EventID {
 	out := make([]pubsub.EventID, len(b.ents))
 	for i := range b.ents {
-		out[i] = b.ents[i].id
+		out[i] = b.ents[i].ev.ID
 	}
 	return out
 }

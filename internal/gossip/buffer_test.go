@@ -7,7 +7,6 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
-	"unsafe"
 
 	"fairgossip/internal/pubsub"
 )
@@ -553,14 +552,6 @@ func TestRetiredEventStaysOut(t *testing.T) {
 	}
 	if b.Contains(e.ID) {
 		t.Fatal("a later copy re-buffered a retired event whose id is still in the SeenSet")
-	}
-}
-
-// TestBufEntryStays24Bytes: sim-huge holds BufferCap 32 × 100 000 nodes
-// of these; a fourth 32-bit field would make each 32 bytes.
-func TestBufEntryStays24Bytes(t *testing.T) {
-	if size := unsafe.Sizeof(bufEntry{}); size != 24 {
-		t.Fatalf("bufEntry is %d bytes, want 24", size)
 	}
 }
 

@@ -1,30 +1,34 @@
 package gossip
 
-import "fairgossip/internal/pubsub"
+import (
+	"math"
+
+	"fairgossip/internal/pubsub"
+)
 
 // SeenSet remembers recently observed event IDs for duplicate suppression
 // (the `delivered`/`events` union of Fig. 4 outlives the buffer so that
 // expired events are not re-delivered). Eviction is FIFO.
 //
-// The implementation is an open-addressed uint64 hash table (linear
-// probing, backward-shift deletion) over packed (publisher, seq) keys,
-// paired with a circular FIFO ring. Membership tests are the single
-// hottest operation of the whole simulation — every event in every gossip
-// message passes through Add — and the flat table roughly halves their
-// cost versus a Go map while allocating only on (amortised) growth.
+// The ids sit in a circular FIFO ring of packed (publisher, seq) keys, and
+// an open-addressed hash table (linear probing, backward-shift deletion)
+// indexes them by ring position: a slot holds a position + 1, so 0 marks a
+// free slot and every id, the all-ones one included, can be remembered.
+// With the table kept at most half full an id costs 16 bytes — 8 in the
+// ring, two 4-byte slots — where keys in the slots cost 24. Membership
+// tests are the single hottest operation of the whole simulation — every
+// event in every gossip message passes through Add — and the flat table
+// roughly halves their cost versus a Go map while allocating only on
+// (amortised) growth; reading each probed key through the ring is the
+// price of the smaller slots (PERFORMANCE.md "Per-node footprint").
 type SeenSet struct {
-	cap   int      // max remembered ids
-	tab   []uint64 // open-addressed keys; emptySlot marks a free slot
-	mask  uint64
-	ring  []uint64 // circular FIFO of keys, oldest at head
-	head  int
-	count int
+	tab   []uint32 // ring position + 1 of the id hashed here; 0 is free
+	ring  []uint64 // packed ids, oldest at head
+	mask  uint32
+	cap   int32 // max remembered ids
+	head  int32
+	count int32
 }
-
-// emptySlot marks a free table slot. The value corresponds to event id
-// (publisher 2^32-1, seq 2^32-1); publishers are dense small node ids, so
-// the key is unreachable in practice.
-const emptySlot = ^uint64(0)
 
 func packID(id pubsub.EventID) uint64 {
 	return uint64(id.Publisher)<<32 | uint64(id.Seq)
@@ -41,130 +45,104 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// NewSeenSet returns a set remembering at most capacity ids (minimum 1).
+// NewSeenSet returns a set remembering at most capacity ids (clamped to
+// [1, 2³¹−1]).
 func NewSeenSet(capacity int) *SeenSet {
-	if capacity < 1 {
-		capacity = 1
-	}
-	s := &SeenSet{cap: capacity}
+	s := &SeenSet{cap: int32(min(max(capacity, 1), math.MaxInt32))}
 	s.grow(16)
 	return s
+}
+
+// slot returns the table slot holding k or, when k is absent, the free
+// slot that ends its probe chain.
+func (s *SeenSet) slot(k uint64) (uint32, bool) {
+	i := uint32(mix64(k)) & s.mask
+	for {
+		p := s.tab[i]
+		if p == 0 {
+			return i, false
+		}
+		if s.ring[p-1] == k {
+			return i, true
+		}
+		i = (i + 1) & s.mask
+	}
 }
 
 // grow rehashes into a table of n slots (a power of two).
 func (s *SeenSet) grow(n int) {
 	old := s.tab
-	s.tab = make([]uint64, n)
-	for i := range s.tab {
-		s.tab[i] = emptySlot
-	}
-	s.mask = uint64(n - 1)
-	for _, k := range old {
-		if k != emptySlot {
-			s.insert(k)
+	s.tab = make([]uint32, n)
+	s.mask = uint32(n - 1)
+	for _, p := range old {
+		if p != 0 {
+			i, _ := s.slot(s.ring[p-1])
+			s.tab[i] = p
 		}
 	}
 }
 
-// insert places a known-absent key.
-func (s *SeenSet) insert(k uint64) {
-	i := mix64(k) & s.mask
-	for s.tab[i] != emptySlot {
-		i = (i + 1) & s.mask
-	}
-	s.tab[i] = k
-}
-
-// find returns the slot of k, or -1.
-func (s *SeenSet) find(k uint64) int {
-	i := mix64(k) & s.mask
-	for {
-		v := s.tab[i]
-		if v == k {
-			return int(i)
-		}
-		if v == emptySlot {
-			return -1
-		}
-		i = (i + 1) & s.mask
-	}
-}
-
-// remove deletes k using backward-shift deletion, keeping probe chains
-// intact without tombstones.
-func (s *SeenSet) remove(k uint64) {
-	idx := s.find(k)
-	if idx < 0 {
-		return
-	}
-	i := uint64(idx)
+// remove deletes the id at ring position pos from the table using
+// backward-shift deletion, keeping probe chains intact without tombstones.
+func (s *SeenSet) remove(pos int32) {
+	i, _ := s.slot(s.ring[pos])
 	j := i
 	for {
 		j = (j + 1) & s.mask
-		v := s.tab[j]
-		if v == emptySlot {
+		p := s.tab[j]
+		if p == 0 {
 			break
 		}
-		// v may fill the hole at i iff its home slot lies at or before i
+		// p may fill the hole at i iff its home slot lies at or before i
 		// along the probe path ending at j.
-		if home := mix64(v) & s.mask; (j-home)&s.mask >= (j-i)&s.mask {
-			s.tab[i] = v
+		if home := uint32(mix64(s.ring[p-1])) & s.mask; (j-home)&s.mask >= (j-i)&s.mask {
+			s.tab[i] = p
 			i = j
 		}
 	}
-	s.tab[i] = emptySlot
+	s.tab[i] = 0
 }
 
 // Add inserts the id, reporting true if it was new.
 func (s *SeenSet) Add(id pubsub.EventID) bool {
 	k := packID(id)
-	if s.find(k) >= 0 {
+	if _, ok := s.slot(k); ok {
 		return false
 	}
+	pos := s.head
 	if s.count == s.cap {
-		// Evict the oldest remembered id, FIFO.
-		victim := s.ring[s.head]
-		s.remove(victim)
-		s.ring[s.head] = 0
-		s.head++
-		if s.head == len(s.ring) {
+		// Full: the oldest id leaves, FIFO, and the new one takes its ring
+		// position. The ring is cap long by now.
+		s.remove(pos)
+		if s.head++; s.head == s.cap {
 			s.head = 0
 		}
-		s.count--
-	} else if s.count == len(s.ring) {
-		// Ring full but below cap: grow it, linearising head..tail.
-		n := 2 * len(s.ring)
-		if n < 16 {
-			n = 16
+	} else {
+		// Filling: nothing was evicted yet, so head is 0, the ids sit at
+		// positions [0, count) and the ring grows without moving them.
+		pos = s.count
+		if int(pos) == len(s.ring) {
+			ring := make([]uint64, min(max(2*len(s.ring), 16), int(s.cap)))
+			copy(ring, s.ring)
+			s.ring = ring
 		}
-		if n > s.cap {
-			n = s.cap
+		s.count++
+		// Keep the probe load factor at or below 1/2.
+		if 2*int(s.count) > len(s.tab) {
+			s.grow(2 * len(s.tab))
 		}
-		ring := make([]uint64, n)
-		for i := 0; i < s.count; i++ {
-			ring[i] = s.ring[(s.head+i)%len(s.ring)]
-		}
-		s.ring = ring
-		s.head = 0
 	}
-	// Keep the probe load factor at or below 1/2.
-	if 2*(s.count+1) > len(s.tab) {
-		s.grow(2 * len(s.tab))
-	}
-	s.insert(k)
-	tail := s.head + s.count
-	if tail >= len(s.ring) {
-		tail -= len(s.ring)
-	}
-	s.ring[tail] = k
-	s.count++
+	s.ring[pos] = k
+	i, _ := s.slot(k)
+	s.tab[i] = uint32(pos) + 1
 	return true
 }
 
 // Contains reports whether the id is remembered.
 func (s *SeenSet) Contains(id pubsub.EventID) bool {
-	return s.find(packID(id)) >= 0
+	_, ok := s.slot(packID(id))
+	return ok
 }
 
 // Len returns the number of remembered ids.
-func (s *SeenSet) Len() int { return s.count }
+func (s *SeenSet) Len() int { return int(s.count) }

@@ -67,7 +67,9 @@ type Params struct {
 	SeenCap      int // dedup memory
 }
 
-// controller instantiates the peer-local controller for a population of n.
+// controller instantiates the peer-local controller for a population of
+// n, or returns nil for the static one, whose levers stay at Fanout and
+// Batch.
 func (par *Params) controller(n int) adaptive.Controller {
 	limits := par.Limits
 	if limits == (adaptive.Limits{}) {
@@ -81,6 +83,6 @@ func (par *Params) controller(n int) adaptive.Controller {
 	case ControllerProportional:
 		return adaptive.NewProportional(acfg, spec.Lever, par.Fanout, par.Batch)
 	default:
-		return adaptive.Static{F: par.Fanout, N: par.Batch}
+		return nil
 	}
 }

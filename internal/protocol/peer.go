@@ -61,12 +61,11 @@ type Peer struct {
 	ov   *overlay // partial view, detector, join state; nil under the full sampler
 	full membership.FullSampler
 
-	ctrl     adaptive.Controller
-	lastAcct fairness.Account
-	fanout   int
-	batch    int
-	round    int
-	pubSeq   uint32
+	ctl    *control // nil under the static controller
+	fanout int
+	batch  int
+	round  int
+	pubSeq uint32
 
 	// OnDeliver, when set, observes every delivered event.
 	OnDeliver func(*pubsub.Event)
@@ -74,6 +73,13 @@ type Peer struct {
 	// FreeRide makes the peer stop forwarding while it keeps receiving,
 	// delivering and shuffling — the defector fairness exists to expose.
 	FreeRide bool
+}
+
+// control is an adaptive peer's controller and the ledger account its
+// last window closed on. A static peer has none: its levers never move.
+type control struct {
+	ctrl     adaptive.Controller
+	lastAcct fairness.Account
 }
 
 // Out is where a Peer writes what the driver must put on the network: a
@@ -117,9 +123,13 @@ func New(id simnet.NodeID, n int, par *Params, rng *rand.Rand, ledger *fairness.
 		par:    par,
 		seen:   gossip.NewSeenSet(par.SeenCap),
 		buffer: gossip.NewBuffer(par.BufferCap, par.BufferMaxAge),
-		ctrl:   par.controller(n),
+		fanout: par.Fanout,
+		batch:  par.Batch,
 	}
-	p.fanout, p.batch = p.ctrl.Fanout(), p.ctrl.Batch()
+	if c := par.controller(n); c != nil {
+		p.ctl = &control{ctrl: c}
+		p.fanout, p.batch = c.Fanout(), c.Batch()
+	}
 	if par.ViewCap > 0 {
 		p.ov = &overlay{
 			cyclon:   membership.NewCyclon(membership.NewView(id, par.ViewCap), ShuffleLen),
@@ -241,16 +251,17 @@ func (p *Peer) Partners(k int, out *Out) []simnet.NodeID {
 }
 
 // Adapt closes a round: every ControlWindow-th one feeds the window's
-// ledger delta to the controller and takes the levers it returns.
+// ledger delta to the controller and takes the levers it returns. A static
+// peer has nothing to adapt.
 func (p *Peer) Adapt() {
-	if p.round%ControlWindow != 0 {
+	if p.ctl == nil || p.round%ControlWindow != 0 {
 		return
 	}
 	acct := p.ledger.Account(int(p.id))
-	delta := fairness.Delta(acct, p.lastAcct)
-	p.lastAcct = acct
+	delta := fairness.Delta(acct, p.ctl.lastAcct)
+	p.ctl.lastAcct = acct
 	w := p.ledger.Weights()
-	p.fanout, p.batch = p.ctrl.Update(adaptive.Sample{
+	p.fanout, p.batch = p.ctl.ctrl.Update(adaptive.Sample{
 		Benefit:      fairness.Benefit(delta, w),
 		Contribution: fairness.Contribution(delta, w),
 	})

@@ -48,11 +48,12 @@ type Refcounted interface {
 }
 
 // RemoteFunc receives a message whose destination lives on another
-// shard's network, along with the one-way delay already drawn from this
-// shard's RNG. The sharded cluster's implementation appends to a
-// per-(source, destination) mailbox that is merged — in fixed shard
-// order — into the destination network via InjectAt at round barriers.
-type RemoteFunc func(msg Message, delay time.Duration)
+// shard's network, as the kernel record it would have been scheduled in,
+// along with the one-way delay already drawn from this shard's RNG. The
+// sharded cluster's implementation appends to a per-(source, destination)
+// mailbox that is merged — in fixed shard order — into the destination
+// network via InjectAt at round barriers.
+type RemoteFunc func(m eventsim.Msg, delay time.Duration)
 
 // LatencyModel draws the one-way delay for a message.
 type LatencyModel func(rng *rand.Rand, from, to NodeID) time.Duration
@@ -97,7 +98,7 @@ type Network struct {
 	cfg      Config
 	handlers []Handler // nil entries are remote placeholders (sharded runs)
 	up       []bool
-	group    []int // partition group; messages cross groups only when healed
+	group    []uint8 // partition side (0 or 1); messages cross sides only when healed
 	split    bool
 	stats    []Traffic
 	total    Traffic
@@ -156,13 +157,8 @@ func (n *Network) SetRemote(fn RemoteFunc) { n.remote = fn }
 // messages whose nominal delivery time fell inside the closed window).
 // Crash and partition state still apply at delivery time, exactly as
 // they would for a locally-scheduled message.
-func (n *Network) InjectAt(at time.Duration, msg Message) {
-	n.sim.ScheduleMsgAt(at, n, eventsim.Msg{
-		From:    int32(msg.From),
-		To:      int32(msg.To),
-		Size:    int32(msg.Size),
-		Payload: msg.Payload,
-	})
+func (n *Network) InjectAt(at time.Duration, m eventsim.Msg) {
+	n.sim.ScheduleMsgAt(at, n, m)
 }
 
 // Len returns the number of registered nodes.
@@ -256,6 +252,7 @@ func (n *Network) Send(from, to NodeID, payload any, size int) {
 		return
 	}
 	delay := n.cfg.Latency(n.sim.Rand(), from, to)
+	m := eventsim.Msg{From: int32(from), To: int32(to), Size: int32(size), Payload: payload}
 	if n.handlers[to] == nil {
 		// The destination lives on another shard: hand the message (and
 		// the delay already drawn from this shard's stream) to the
@@ -269,7 +266,7 @@ func (n *Network) Send(from, to NodeID, payload any, size int) {
 		if rc, ok := payload.(Refcounted); ok {
 			rc.Retain()
 		}
-		n.remote(Message{From: from, To: to, Payload: payload, Size: size}, delay)
+		n.remote(m, delay)
 		return
 	}
 	if rc, ok := payload.(Refcounted); ok {
@@ -278,12 +275,7 @@ func (n *Network) Send(from, to NodeID, payload any, size int) {
 	// The in-flight message rides inline in a pooled kernel event record:
 	// no per-send event allocation and no delivery closure (the old
 	// `func() { n.deliver(msg) }` capture cost one allocation per message).
-	n.sim.ScheduleMsg(delay, n, eventsim.Msg{
-		From:    int32(from),
-		To:      int32(to),
-		Size:    int32(size),
-		Payload: payload,
-	})
+	n.sim.ScheduleMsg(delay, n, m)
 }
 
 // HandleSimMsg implements eventsim.MsgHandler: in-flight messages come

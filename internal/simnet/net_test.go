@@ -318,6 +318,7 @@ func TestSendDeliverZeroAlloc(t *testing.T) {
 		net.Send(a, b, payload, 64)
 		sim.Step()
 	})
+	t.Logf("allocs: a simulated message's Send → delivery costs %.0f, pin 0", avg)
 	if avg != 0 {
 		t.Fatalf("Send+deliver allocates %.2f times per op, want 0", avg)
 	}
@@ -383,12 +384,12 @@ func TestRemoteHandOff(t *testing.T) {
 	local := n.AddNode(sink)
 	remote := n.AddRemote()
 
-	var handed []Message
+	var handed []eventsim.Msg
 	var delays []time.Duration
-	n.SetRemote(func(m Message, d time.Duration) { handed = append(handed, m); delays = append(delays, d) })
+	n.SetRemote(func(m eventsim.Msg, d time.Duration) { handed = append(handed, m); delays = append(delays, d) })
 
 	n.Send(local, remote, "x", 10)
-	if len(handed) != 1 || handed[0].To != remote || handed[0].Size != 10 {
+	if len(handed) != 1 || NodeID(handed[0].To) != remote || handed[0].Size != 10 {
 		t.Fatalf("remote hook got %+v", handed)
 	}
 	if delays[0] != time.Millisecond {
@@ -422,7 +423,7 @@ func TestInjectAtDeliversWithAccounting(t *testing.T) {
 	dst := n.AddNode(sink)
 	src := n.AddRemote() // the sender lives elsewhere
 
-	n.InjectAt(5*time.Millisecond, Message{From: src, To: dst, Payload: "hello", Size: 7})
+	n.InjectAt(5*time.Millisecond, eventsim.Msg{From: int32(src), To: int32(dst), Payload: "hello", Size: 7})
 	sim.Run()
 	if len(sink.got) != 1 || sink.got[0].Payload != "hello" {
 		t.Fatalf("delivered %+v", sink.got)
@@ -431,7 +432,7 @@ func TestInjectAtDeliversWithAccounting(t *testing.T) {
 		t.Fatalf("recv stats = %+v", st)
 	}
 	// A past timestamp coerces to Now rather than firing out of order.
-	n.InjectAt(-1, Message{From: src, To: dst, Payload: "late", Size: 1})
+	n.InjectAt(-1, eventsim.Msg{From: int32(src), To: int32(dst), Payload: "late", Size: 1})
 	sim.Run()
 	if len(sink.got) != 2 {
 		t.Fatalf("late injection not delivered")
@@ -444,7 +445,7 @@ func TestInjectAtDropsToDownNodeCounted(t *testing.T) {
 	dst := n.AddNode(&recorder{})
 	src := n.AddRemote()
 	n.SetUp(dst, false)
-	n.InjectAt(0, Message{From: src, To: dst, Payload: "x", Size: 1})
+	n.InjectAt(0, eventsim.Msg{From: int32(src), To: int32(dst), Payload: "x", Size: 1})
 	sim.Run()
 	if st := n.Stats(src); st.Dropped != 1 {
 		t.Fatalf("delivery-time drop charged to remote sender: %+v", st)
@@ -494,7 +495,7 @@ func TestRefcountedLifecycle(t *testing.T) {
 	n.SetLoss(0)
 	rem := n.AddRemote()
 	s := &rcPayload{}
-	n.SetRemote(func(m Message, d time.Duration) {
+	n.SetRemote(func(m eventsim.Msg, d time.Duration) {
 		// Mailbox holds the ref across the barrier; merge back here.
 		n2 := New(eventsim.New(2), Config{})
 		n2.AddNode(&recorder{}) // id 0 unused
