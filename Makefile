@@ -111,11 +111,12 @@ loc:
 	@printf 'sim engine (core/cluster.go + core/shard.go): '; cat internal/core/cluster.go internal/core/shard.go | wc -l
 	@printf 'options (fields of the six config structs): '; $(GO) test ./internal/scenario -run TestOptionsCensus -count=1 -v | sed -n 's/.*options census: //p'
 
-# footprint prints what one simulated node costs on the live heap, from
-# the test that holds it to its budget (sim-huge's configuration at
+# footprint prints what one simulated node costs on the live heap, and
+# the garbage its warm-up makes (what sets sim-huge's peak RSS), from the
+# tests that hold each to its budget (sim-huge's configuration at
 # N = 20 000; see PERFORMANCE.md "Per-node footprint").
 footprint:
-	@out=$$($(GO) test ./internal/core -run TestNodeFootprintBudget -count=1 -v); status=$$?; \
+	@out=$$($(GO) test ./internal/core -run 'TestNodeFootprintBudget|TestWarmupGarbageBudget' -count=1 -v); status=$$?; \
 		echo "$$out" | grep -E 'bytes|^(FAIL|ok)'; exit $$status
 
 # redundancy prints what a delivery costs on the wire and how much of

@@ -92,7 +92,7 @@ func NewShardedCluster(n, shards int, cfg Config, opts ClusterOptions) *Cluster 
 			pool:   &msgPool{},
 			lo:     s * c.per,
 			hi:     min((s+1)*c.per, n),
-			outbox: make([][]pendingMsg, shards),
+			outbox: make([]eventsim.Blocks[pendingMsg], shards),
 		}
 		sh.net.SetRemote(c.remoteHook(sh))
 		sh.auditSink = c.auditSink(sh)

@@ -28,13 +28,46 @@ func TestNodeFootprintBudget(t *testing.T) {
 		n      = 20000
 		budget = 1.75 * 1024 // bytes per node
 	)
-	heap := func() uint64 {
-		runtime.GC()
-		var m runtime.MemStats
-		runtime.ReadMemStats(&m)
-		return m.HeapAlloc
+	base := memStats()
+	c := hugeCluster(n, 10)
+	perNode := float64(memStats().HeapAlloc-base.HeapAlloc) / n
+	runtime.KeepAlive(c)
+	t.Logf("footprint: %.0f bytes/node (N = %d, budget %.0f)", perNode, n, float64(budget))
+	if perNode > budget {
+		t.Errorf("a simulated node costs %.0f bytes of live heap, budget %.0f", perNode, float64(budget))
 	}
-	base := heap()
+}
+
+// TestWarmupGarbageBudget owns what set sim-huge's peak RSS: the garbage
+// its warm-up makes while buffers, seen-sets and in-flight traffic grow
+// at once, which the collector's headroom then doubles (PERFORMANCE.md
+// "Per-node footprint"). With the same configuration and population as
+// the footprint test, twelve rounds with a publication each, it pins the
+// bytes allocated less the live heap they left behind, per node. It read
+// 940 B when the kernel arena, mailboxes and audit lists grew by append
+// and copied themselves, and reads about 80 now that each is a block
+// list; the budget sits between the two.
+func TestWarmupGarbageBudget(t *testing.T) {
+	const (
+		n      = 20000
+		budget = 300 // bytes per node
+	)
+	c := hugeCluster(n, 0)
+	base := memStats()
+	publishRounds(c, 12)
+	end := memStats()
+	garbage := (float64(end.TotalAlloc-base.TotalAlloc) - (float64(end.HeapAlloc) - float64(base.HeapAlloc))) / n
+	runtime.KeepAlive(c)
+	t.Logf("warm-up garbage: %.0f bytes/node (N = %d, budget %d)", garbage, n, budget)
+	if garbage > budget {
+		t.Errorf("twelve warm-up rounds leave %.0f bytes of garbage per node, budget %d", garbage, budget)
+	}
+}
+
+// hugeCluster builds bench's sim-huge configuration at n nodes on 2
+// shards, everyone subscribed to everything, and runs its first rounds
+// with a publication each.
+func hugeCluster(n, rounds int) *Cluster {
 	c := NewShardedCluster(n, 2, Config{
 		Mode:        ModeContent,
 		Membership:  MemberFull,
@@ -48,17 +81,26 @@ func TestNodeFootprintBudget(t *testing.T) {
 	for _, nd := range c.Nodes {
 		nd.Subscribe(pubsub.MatchAll())
 	}
+	publishRounds(c, rounds)
+	return c
+}
+
+// publishRounds runs rounds rounds, each after one publication from a
+// node spread across the id space.
+func publishRounds(c *Cluster, rounds int) {
 	payload := make([]byte, 16)
-	for r := 0; r < 10; r++ {
-		c.Node(r*(n/10)).Publish("feed", nil, payload)
+	for r := 0; r < rounds; r++ {
+		c.Node(r*(c.N()/rounds)).Publish("feed", nil, payload)
 		c.RunRounds(1)
 	}
-	perNode := float64(heap()-base) / n
-	runtime.KeepAlive(c)
-	t.Logf("footprint: %.0f bytes/node (N = %d, budget %.0f)", perNode, n, float64(budget))
-	if perNode > budget {
-		t.Errorf("a simulated node costs %.0f bytes of live heap, budget %.0f", perNode, float64(budget))
-	}
+}
+
+// memStats reads the allocator's counters after a full collection.
+func memStats() runtime.MemStats {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m
 }
 
 // TestHotRecordSizes pins the records sim-huge holds by the hundred
@@ -70,23 +112,28 @@ func TestHotRecordSizes(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes are pinned for 64-bit platforms")
 	}
-	// elem is the element size of a slice field of another package's type.
-	elem := func(typ reflect.Type, field string) uintptr {
-		f, ok := typ.FieldByName(field)
+	field := func(typ reflect.Type, name string) reflect.Type {
+		f, ok := typ.FieldByName(name)
 		if !ok {
-			t.Fatalf("%v has no field %s", typ, field)
+			t.Fatalf("%v has no field %s", typ, name)
 		}
-		return f.Type.Elem().Size()
+		return f.Type
 	}
+	// elem is the element size of a slice field of another package's type;
+	// blockElem that of an eventsim.Blocks (its blocks are []*[blockLen]T),
+	// read through the block type the records live in.
+	elem := func(typ reflect.Type, name string) uintptr { return field(typ, name).Elem().Size() }
+	blockElem := func(blocks reflect.Type) uintptr { return field(blocks, "blocks").Elem().Elem().Elem().Size() }
+	sh := reflect.TypeFor[shard]()
 	for _, r := range []struct {
 		name       string
 		size, want uintptr
 	}{
-		{"eventsim.event (a kernel queue entry)", elem(reflect.TypeFor[eventsim.Sim](), "arena"), 56},
+		{"eventsim.event (a kernel queue entry)", blockElem(field(reflect.TypeFor[eventsim.Sim](), "arena")), 56},
 		{"gossip.bufEntry (a buffered event)", elem(reflect.TypeFor[gossip.Buffer](), "ents"), 16},
 		{"core.wireMsg (an envelope)", unsafe.Sizeof(wireMsg{}), 80},
-		{"core.pendingMsg (a message parked for the barrier)", unsafe.Sizeof(pendingMsg{}), 40},
-		{"core.deferredAudit (an audit parked for the barrier)", unsafe.Sizeof(deferredAudit{}), 12},
+		{"core.pendingMsg (a message parked for the barrier)", blockElem(field(sh, "outbox").Elem()), 40},
+		{"core.deferredAudit (an audit parked for the barrier)", blockElem(field(sh, "audits")), 12},
 		{"core.Node", unsafe.Sizeof(Node{}), 192},
 	} {
 		if r.size != r.want {

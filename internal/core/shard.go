@@ -36,10 +36,10 @@ type shard struct {
 	net       *simnet.Network
 	ledger    *fairness.Ledger // the cluster's
 	pool      *msgPool
-	out       protocol.Out   // every Peer call of the shard's nodes writes here; read before the next call
-	lo, hi    int            // owned id range [lo, hi)
-	outbox    [][]pendingMsg // per destination shard, FIFO within a pair
-	audits    []deferredAudit
+	out       protocol.Out                  // every Peer call of the shard's nodes writes here; read before the next call
+	lo, hi    int                           // owned id range [lo, hi)
+	outbox    []eventsim.Blocks[pendingMsg] // per destination shard, FIFO within a pair
+	audits    eventsim.Blocks[deferredAudit]
 	auditSink func(from, useful, junk int) // shared by the shard's nodes
 	tickers   []*eventsim.Ticker
 }
@@ -100,7 +100,7 @@ func (c *Cluster) addNode(i, n int) {
 func (c *Cluster) remoteHook(sh *shard) simnet.RemoteFunc {
 	return func(m eventsim.Msg, delay time.Duration) {
 		d := c.shardOf(int(m.To))
-		sh.outbox[d] = append(sh.outbox[d], pendingMsg{msg: m, at: sh.sim.Now() + delay})
+		sh.outbox[d].Push(pendingMsg{msg: m, at: sh.sim.Now() + delay})
 	}
 }
 
@@ -112,7 +112,7 @@ func (c *Cluster) auditSink(sh *shard) func(from, useful, junk int) {
 			c.Ledger.AddAudit(from, useful, junk)
 			return
 		}
-		sh.audits = append(sh.audits, deferredAudit{from: int32(from), useful: int32(useful), junk: int32(junk)})
+		sh.audits.Push(deferredAudit{from: int32(from), useful: int32(useful), junk: int32(junk)})
 	}
 }
 
@@ -122,7 +122,9 @@ func (c *Cluster) auditSink(sh *shard) func(from, useful, junk int) {
 // destination kernels in fixed (destination, source) order and applies
 // deferred audits in fixed shard order. Fixed merge order means fixed
 // FIFO tie-break sequence numbers, which is what makes the whole
-// execution a pure function of (seed, shardCount).
+// execution a pure function of (seed, shardCount). A drained mailbox
+// keeps its blocks for the next window but zeroes each entry it injects,
+// so it pins no message (nor the events one carries) past its delivery.
 func (c *Cluster) runWindow(deadline time.Duration) {
 	for _, sh := range c.shards[1:] {
 		c.barrier.Add(1)
@@ -135,18 +137,21 @@ func (c *Cluster) runWindow(deadline time.Duration) {
 	c.barrier.Wait()
 	for d, dst := range c.shards {
 		for _, src := range c.shards {
-			box := src.outbox[d]
-			for _, p := range box {
+			box := &src.outbox[d]
+			for i := range box.Len() {
+				p := box.At(i)
 				dst.net.InjectAt(p.at, p.msg)
+				*p = pendingMsg{}
 			}
-			src.outbox[d] = box[:0]
+			box.Reset()
 		}
 	}
 	for _, sh := range c.shards {
-		for _, a := range sh.audits {
+		for i := range sh.audits.Len() {
+			a := sh.audits.At(i)
 			c.Ledger.AddAudit(int(a.from), int(a.useful), int(a.junk))
 		}
-		sh.audits = sh.audits[:0]
+		sh.audits.Reset()
 	}
 }
 
@@ -166,7 +171,7 @@ func (c *Cluster) idle() bool {
 			return false
 		}
 		for _, box := range sh.outbox {
-			if len(box) > 0 {
+			if box.Len() > 0 {
 				return false
 			}
 		}

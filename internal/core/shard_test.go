@@ -2,9 +2,14 @@ package core
 
 import (
 	"fmt"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
+	"weak"
 
+	"fairgossip/internal/eventsim"
 	"fairgossip/internal/fairness"
 	"fairgossip/internal/pubsub"
 	"fairgossip/internal/simnet"
@@ -209,6 +214,69 @@ func TestShardedBatchRoundsDeterministic(t *testing.T) {
 	}
 	if a.DeliveredTotal() < 64 {
 		t.Fatalf("batched sharded run delivered only %d events", a.DeliveredTotal())
+	}
+}
+
+// A drained mailbox must pin nothing: once the barrier has injected a
+// parked message and its window has delivered it, a plain-allocated walk
+// is garbage, not kept alive by the mailbox's reused backing store.
+func TestDrainedMailboxPinsNothing(t *testing.T) {
+	cfg := Config{Mode: ModeTopics, Fanout: 4, Batch: 8}
+	// Find a shard-0 node whose subscription walk crosses to shard 1, so
+	// that walk is the only message in the run.
+	for i := 0; ; i++ {
+		c := NewShardedCluster(64, 2, cfg, ClusterOptions{Seed: 1})
+		if i >= c.per {
+			t.Fatal("no shard-0 node's walk crossed shards")
+		}
+		var walk weak.Pointer[wireMsg]
+		park := c.remoteHook(c.shards[0])
+		c.shards[0].net.SetRemote(func(m eventsim.Msg, delay time.Duration) {
+			if w, ok := m.Payload.(*wireMsg); ok && w.Kind == kindSubWalk {
+				walk = weak.Make(w)
+			}
+			park(m, delay)
+		})
+		c.Node(i).Subscribe(pubsub.Topic("t"))
+		if walk.Value() == nil {
+			continue
+		}
+		c.runWindow(c.now() + c.cfg.RoundPeriod) // the barrier injects the walk
+		c.runWindow(c.now() + c.cfg.RoundPeriod) // shard 1 delivers it
+		runtime.GC()
+		if walk.Value() != nil {
+			t.Fatal("a delivered cross-shard walk is still reachable from its drained mailbox")
+		}
+		runtime.KeepAlive(c) // the cluster, and so its mailboxes, outlive the check
+		return
+	}
+}
+
+// Mailboxes that fill more than one block in a window merge in the same
+// order every time: two runs are byte-identical.
+func TestShardedMailboxesSpanBlocks(t *testing.T) {
+	run := func() (*Cluster, int) {
+		sc := NewShardedCluster(2048, 2, shardTestConfig(), ClusterOptions{Seed: 4})
+		for _, nd := range sc.Nodes {
+			nd.Subscribe(pubsub.MatchAll())
+		}
+		for r := 0; r < 8; r++ {
+			sc.Node(r*255).Publish("t", nil, []byte("payload"))
+			sc.RunRounds(1)
+		}
+		sc.Stop()
+		sc.Drain()
+		// Drained boxes keep their blocks: more than one means a window
+		// parked more than one block's worth.
+		return sc, reflect.ValueOf(sc.shards[0].outbox[1]).FieldByName("blocks").Len()
+	}
+	a, blocks := run()
+	if blocks < 2 {
+		t.Fatalf("the shard 0 → 1 mailbox never outgrew one block (%d)", blocks)
+	}
+	b, _ := run()
+	if fingerprint(a) != fingerprint(b) {
+		t.Fatal("two runs whose mailboxes span blocks diverged")
 	}
 }
 

@@ -95,8 +95,8 @@ func TestArenaReuse(t *testing.T) {
 		s.After(time.Microsecond, fn)
 		s.Step()
 	}
-	if len(s.arena) > 4 {
-		t.Fatalf("arena grew to %d slots for 1 outstanding event", len(s.arena))
+	if s.arena.Len() > 4 || len(s.arena.blocks) != 1 {
+		t.Fatalf("arena grew to %d slots in %d blocks for 1 outstanding event", s.arena.Len(), len(s.arena.blocks))
 	}
 }
 

@@ -10,7 +10,8 @@
 // deterministic.
 //
 // The kernel is built for a zero-allocation steady state: event records
-// live in a pooled arena indexed by a manual binary heap, freed slots are
+// live in a pooled arena of fixed-size blocks (Blocks: growing it copies
+// nothing) indexed by a manual binary heap, freed slots are
 // recycled through a free list, and the typed-message API (ScheduleMsg)
 // lets the network layer schedule deliveries without allocating a closure.
 // A record is 56 bytes — a closure rides in its message's payload, and a
@@ -40,10 +41,10 @@ type Sim struct {
 	steps  uint64
 	halted bool
 
-	arena    []event // pooled event records; an index into arena is a handle
-	free     []int32 // recycled arena slots
-	heap     []int32 // binary heap of arena indices ordered by (at, seq)
-	stopped  int     // stopped-but-still-queued entries (lazy-deletion debt)
+	arena    Blocks[event] // pooled event records; an index into arena is a handle
+	free     []int32       // recycled arena slots
+	heap     []int32       // binary heap of arena indices ordered by (at, seq)
+	stopped  int           // stopped-but-still-queued entries (lazy-deletion debt)
 	handlers []MsgHandler
 }
 
@@ -112,7 +113,7 @@ func (t Timer) Stop() bool {
 	if t.s == nil {
 		return false
 	}
-	ev := &t.s.arena[t.idx]
+	ev := t.s.arena.At(t.idx)
 	if ev.gen != t.gen || ev.stopped {
 		return false
 	}
@@ -128,7 +129,7 @@ func (t Timer) Stop() bool {
 // which mirrors "as soon as possible" semantics.
 func (s *Sim) At(at time.Duration, fn func()) Timer {
 	idx := s.schedule(at, 0, Msg{Payload: fn})
-	return Timer{s: s, idx: idx, gen: s.arena[idx].gen}
+	return Timer{s: s, idx: idx, gen: s.arena.At(idx).gen}
 }
 
 // After schedules fn to run d after the current virtual time. Negative d
@@ -194,7 +195,7 @@ func (s *Sim) Halt() { s.halted = true }
 func (s *Sim) Step() bool {
 	for len(s.heap) > 0 {
 		idx := s.popMin()
-		ev := &s.arena[idx]
+		ev := s.arena.At(idx)
 		if ev.stopped {
 			s.stopped--
 			s.release(idx)
@@ -263,22 +264,22 @@ type event struct {
 	stopped bool
 }
 
-// alloc returns a free arena slot, growing the arena when the free list is
-// dry.
+// alloc returns a free arena slot, growing the arena by a block when the
+// free list is dry: a growing arena copies nothing, and an event stays in
+// its slot for its whole life.
 func (s *Sim) alloc() int32 {
 	if n := len(s.free); n > 0 {
 		idx := s.free[n-1]
 		s.free = s.free[:n-1]
 		return idx
 	}
-	s.arena = append(s.arena, event{})
-	return int32(len(s.arena) - 1)
+	return s.arena.Push(event{})
 }
 
 // release recycles an arena slot: references are dropped for the GC and
 // the generation advances so stale Timer handles go dead.
 func (s *Sim) release(idx int32) {
-	ev := &s.arena[idx]
+	ev := s.arena.At(idx)
 	ev.msg = Msg{}
 	ev.gen++
 	s.free = append(s.free, idx)
@@ -290,7 +291,7 @@ func (s *Sim) schedule(at time.Duration, h uint16, m Msg) int32 {
 		at = s.now
 	}
 	idx := s.alloc()
-	ev := &s.arena[idx]
+	ev := s.arena.At(idx)
 	ev.at = at
 	ev.seq = s.seq
 	ev.msg = m
@@ -311,7 +312,7 @@ func (s *Sim) maybeCompact() {
 	}
 	live := s.heap[:0]
 	for _, idx := range s.heap {
-		if s.arena[idx].stopped {
+		if s.arena.At(idx).stopped {
 			s.release(idx)
 		} else {
 			live = append(live, idx)
@@ -329,7 +330,7 @@ func (s *Sim) maybeCompact() {
 func (s *Sim) peekLive() (time.Duration, bool) {
 	for len(s.heap) > 0 {
 		idx := s.heap[0]
-		ev := &s.arena[idx]
+		ev := s.arena.At(idx)
 		if !ev.stopped {
 			return ev.at, true
 		}
@@ -346,7 +347,7 @@ func (s *Sim) peekLive() (time.Duration, bool) {
 // chasing of []*event and the interface boxing of container/heap.
 
 func (s *Sim) less(a, b int32) bool {
-	ea, eb := &s.arena[a], &s.arena[b]
+	ea, eb := s.arena.At(a), s.arena.At(b)
 	if ea.at != eb.at {
 		return ea.at < eb.at
 	}
