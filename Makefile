@@ -29,9 +29,11 @@ test:
 # codec concurrency is exercised under the detector on every CI run.
 # core rides along since the sharded kernel runs its shards on separate
 # goroutines between round barriers (ledger chunks, mailboxes, the
-# envelope pool freelist are all crossed by those goroutines): core's
-# TestSharded* and scenario's TestShardedSimCalmStorm are the tests that
-# put more than one shard under the detector.
+# envelope pool freelist are all crossed by those goroutines) and builds
+# them on those goroutines too (each shard's network, node slab and range
+# of the node table): core's TestSharded* and scenario's
+# TestShardedSimCalmStorm are the tests that put more than one shard
+# under the detector.
 race:
 	$(GO) test -race -shuffle=on ./internal/core/ ./internal/protocol/ ./internal/fairness/ ./internal/gossip/ ./internal/live/ ./internal/eventsim/ ./internal/simnet/ ./internal/scenario/ ./internal/transport/ ./internal/wire/ ./internal/membership/
 
@@ -111,12 +113,13 @@ loc:
 	@printf 'sim engine (core/cluster.go + core/shard.go): '; cat internal/core/cluster.go internal/core/shard.go | wc -l
 	@printf 'options (fields of the six config structs): '; $(GO) test ./internal/scenario -run TestOptionsCensus -count=1 -v | sed -n 's/.*options census: //p'
 
-# footprint prints what one simulated node costs on the live heap, and
-# the garbage its warm-up makes (what sets sim-huge's peak RSS), from the
-# tests that hold each to its budget (sim-huge's configuration at
-# N = 20 000; see PERFORMANCE.md "Per-node footprint").
+# footprint prints what one simulated node costs on the live heap, the
+# garbage its warm-up makes (what sets sim-huge's peak RSS), and the
+# allocations and garbage building it costs, from the tests that hold
+# each to its budget (sim-huge's configuration at N = 20 000; see
+# PERFORMANCE.md "Per-node footprint" and "The sharded kernel").
 footprint:
-	@out=$$($(GO) test ./internal/core -run 'TestNodeFootprintBudget|TestWarmupGarbageBudget' -count=1 -v); status=$$?; \
+	@out=$$($(GO) test ./internal/core -run 'TestNodeFootprintBudget|TestWarmupGarbageBudget|TestConstructionBudget' -count=1 -v); status=$$?; \
 		echo "$$out" | grep -E 'bytes|^(FAIL|ok)'; exit $$status
 
 # redundancy prints what a delivery costs on the wire and how much of

@@ -45,9 +45,10 @@ type Cluster struct {
 	par    protocol.Params // what cfg comes to for a protocol.Peer; every node points at it
 	seed   int64
 	per    int // ids per shard (shard i owns [i*per, min((i+1)*per, n)))
-	// barrier is runWindow's; a field rather than a local so that a
-	// window allocates nothing (a captured local escapes to the heap).
-	barrier sync.WaitGroup
+	// barrier is onShards's and deadline runWindow's; fields rather than
+	// locals so that a window allocates nothing (a captured local escapes).
+	barrier  sync.WaitGroup
+	deadline time.Duration
 }
 
 // ClusterOptions bundles the environment knobs of a cluster.
@@ -68,19 +69,21 @@ func NewCluster(n int, cfg Config, opts ClusterOptions) *Cluster {
 
 // NewShardedCluster builds a stopped cluster of n nodes split across
 // the given number of shards (clamped to [1, n]). Node RNG streams use
-// the same (seed, id) derivation at every shard count.
+// the same (seed, id) derivation at every shard count, and no build order
+// matters: the shards build their nodes concurrently (fill).
 func NewShardedCluster(n, shards int, cfg Config, opts ClusterOptions) *Cluster {
 	shards = max(1, min(shards, n))
 	cfg = cfg.withDefaults()
 	c := &Cluster{
 		Ledger: fairness.NewLedger(n, opts.Weights),
-		Nodes:  make([]*Node, 0, n),
+		Nodes:  make([]*Node, n),
+		shards: make([]*shard, shards),
 		cfg:    cfg,
 		par:    cfg.params(),
 		seed:   opts.Seed,
 		per:    shardSpan(n, shards),
 	}
-	for s := 0; s < shards; s++ {
+	for s := range c.shards {
 		sim := eventsim.New(randutil.ShardSeed(opts.Seed, s))
 		sh := &shard{
 			sim:    sim,
@@ -96,14 +99,12 @@ func NewShardedCluster(n, shards int, cfg Config, opts ClusterOptions) *Cluster 
 		}
 		sh.net.SetRemote(c.remoteHook(sh))
 		sh.auditSink = c.auditSink(sh)
-		c.shards = append(c.shards, sh)
+		c.shards[s] = sh
 	}
 	if shards == 1 {
 		c.Sim, c.Net = c.shards[0].sim, c.shards[0].net
 	}
-	for i := 0; i < n; i++ {
-		c.addNode(i, n)
-	}
+	c.onShards((*Cluster).fill)
 	if cfg.Membership == MemberCyclon {
 		protocol.Bootstrap(n, cfg.ViewCap, opts.Seed, func(i int) *membership.View { return c.Nodes[i].View() })
 	}
@@ -188,10 +189,13 @@ func (c *Cluster) Join(seed simnet.NodeID) (simnet.NodeID, error) {
 	}
 	n := id + 1
 	c.Ledger.Grow(n)
-	c.addNode(id, n)
+	for _, other := range c.shards[:len(c.shards)-1] {
+		other.net.AddRemote()
+	}
 	sh := c.shards[len(c.shards)-1]
+	nd := c.initNode(new(Node), sh, id, n)
+	c.Nodes = append(c.Nodes, nd)
 	sh.hi = n
-	nd := c.Nodes[id]
 	nd.Peer.Join(seed, &sh.out)
 	nd.sendMembership(&sh.out)
 	if len(sh.tickers) > 0 && !c.cfg.BatchRounds {

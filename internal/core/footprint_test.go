@@ -64,11 +64,47 @@ func TestWarmupGarbageBudget(t *testing.T) {
 	}
 }
 
-// hugeCluster builds bench's sim-huge configuration at n nodes on 2
-// shards, everyone subscribed to everything, and runs its first rounds
-// with a publication each.
-func hugeCluster(n, rounds int) *Cluster {
-	c := NewShardedCluster(n, 2, Config{
+// TestConstructionBudget owns what building the cluster costs: with the
+// same configuration and population as the footprint test,
+// NewShardedCluster's allocations per node, and the garbage it leaves
+// (bytes allocated less the live heap they left behind) per node. It read
+// 6.01 allocations and 449 B when each node was six objects and
+// every shard grew its full-width network tables by append; now a shard
+// sizes its tables once and builds its nodes as one slab, so a node's
+// one allocation of its own is its seen-set's table, which grows.
+func TestConstructionBudget(t *testing.T) {
+	const (
+		n             = 20000
+		allocBudget   = 1.1 // per node
+		garbageBudget = 50  // bytes per node
+	)
+	base := memStats()
+	c := NewShardedCluster(n, 2, hugeConfig(), ClusterOptions{Seed: 1})
+	end := memStats()
+	allocs := float64(end.Mallocs-base.Mallocs) / n
+	garbage := (float64(end.TotalAlloc-base.TotalAlloc) - (float64(end.HeapAlloc) - float64(base.HeapAlloc))) / n
+	runtime.KeepAlive(c)
+	t.Logf("construction: %.2f allocations and %.0f bytes of garbage per node (N = %d, budgets %.1f and %d)", allocs, garbage, n, allocBudget, garbageBudget)
+	if allocs > allocBudget {
+		t.Errorf("building the cluster makes %.2f allocations per node, budget %.1f", allocs, allocBudget)
+	}
+	if garbage > garbageBudget {
+		t.Errorf("building the cluster leaves %.0f bytes of garbage per node, budget %d", garbage, garbageBudget)
+	}
+}
+
+// BenchmarkNewShardedCluster builds bench's sim-huge cluster, at its
+// population, on 2 shards.
+func BenchmarkNewShardedCluster(b *testing.B) {
+	b.ReportAllocs()
+	for b.Loop() {
+		NewShardedCluster(100000, 2, hugeConfig(), ClusterOptions{Seed: 1})
+	}
+}
+
+// hugeConfig is bench's sim-huge configuration.
+func hugeConfig() Config {
+	return Config{
 		Mode:        ModeContent,
 		Membership:  MemberFull,
 		Fanout:      4,
@@ -77,7 +113,14 @@ func hugeCluster(n, rounds int) *Cluster {
 		BufferCap:   32,
 		SeenCap:     64,
 		BatchRounds: true,
-	}, ClusterOptions{Seed: 1})
+	}
+}
+
+// hugeCluster builds bench's sim-huge configuration at n nodes on 2
+// shards, everyone subscribed to everything, and runs its first rounds
+// with a publication each.
+func hugeCluster(n, rounds int) *Cluster {
+	c := NewShardedCluster(n, 2, hugeConfig(), ClusterOptions{Seed: 1})
 	for _, nd := range c.Nodes {
 		nd.Subscribe(pubsub.MatchAll())
 	}
@@ -134,7 +177,7 @@ func TestHotRecordSizes(t *testing.T) {
 		{"core.wireMsg (an envelope)", unsafe.Sizeof(wireMsg{}), 80},
 		{"core.pendingMsg (a message parked for the barrier)", blockElem(field(sh, "outbox").Elem()), 40},
 		{"core.deferredAudit (an audit parked for the barrier)", blockElem(field(sh, "audits")), 12},
-		{"core.Node", unsafe.Sizeof(Node{}), 192},
+		{"core.Node (the peer's stream, seen-set and buffer headers inside)", unsafe.Sizeof(Node{}), 360},
 	} {
 		if r.size != r.want {
 			t.Errorf("%s is %d bytes, pinned at %d", r.name, r.size, r.want)

@@ -76,24 +76,36 @@ func shardSpan(n, shards int) int {
 // shardOf maps a global id to its owner shard.
 func (c *Cluster) shardOf(id int) int { return min(id/c.per, len(c.shards)-1) }
 
-// addNode constructs global node i on its owner shard and reserves a
-// remote placeholder slot on every other shard, keeping NodeID == global
-// id on all networks.
-func (c *Cluster) addNode(i, n int) {
-	owner := c.shardOf(i)
-	for s, sh := range c.shards {
-		if s != owner {
-			sh.net.AddRemote()
-			continue
-		}
-		rng := randutil.NewStream(randutil.NodeSeed(c.seed, i))
-		nd := &Node{Peer: protocol.New(simnet.NodeID(i), n, &c.par, rng, c.Ledger), sh: sh, cfg: &c.cfg, active: true}
-		if c.cfg.Mode == ModeTopics || c.cfg.SemanticBias > 0 || c.cfg.AntiEntropy > 0 {
-			nd.ext = &nodeExt{archive: newArchive(&c.cfg)}
-		}
-		sh.net.AddNode(nd)
-		c.Nodes = append(c.Nodes, nd)
+// fill builds the shard's nodes, ids [lo, hi), as one slab and registers
+// the whole population on its network, in tables sized once: its own
+// nodes as handlers, every other id as a remote placeholder. Shards fill
+// concurrently: each writes only its own network, slab and c.Nodes range.
+func (c *Cluster) fill(sh *shard) {
+	n := len(c.Nodes)
+	sh.net.Grow(n)
+	for range sh.lo {
+		sh.net.AddRemote()
 	}
+	slab := make([]Node, sh.hi-sh.lo)
+	for i := range slab {
+		c.Nodes[sh.lo+i] = c.initNode(&slab[i], sh, sh.lo+i, n)
+	}
+	for range n - sh.hi {
+		sh.net.AddRemote()
+	}
+}
+
+// initNode builds global node id of a population of n in place, on its
+// owner shard sh, as the next id of sh's network, and returns it: the one
+// construction path of founders (fill) and joiners (Join).
+func (c *Cluster) initNode(nd *Node, sh *shard, id, n int) *Node {
+	nd.Peer.Init(simnet.NodeID(id), n, &c.par, randutil.NodeSeed(c.seed, id), c.Ledger)
+	nd.sh, nd.cfg, nd.active = sh, &c.cfg, true
+	if c.cfg.Mode == ModeTopics || c.cfg.SemanticBias > 0 || c.cfg.AntiEntropy > 0 {
+		nd.ext = &nodeExt{archive: newArchive(&c.cfg)}
+	}
+	sh.net.AddNode(nd)
+	return nd
 }
 
 // remoteHook parks cross-shard sends in the source shard's outbox.
@@ -116,25 +128,36 @@ func (c *Cluster) auditSink(sh *shard) func(from, useful, junk int) {
 	}
 }
 
-// runWindow runs every shard's kernel up to deadline — shard 0 on the
-// caller's goroutine, every further shard on one of its own, so a
-// one-shard cluster starts none — then merges mailboxes into
-// destination kernels in fixed (destination, source) order and applies
-// deferred audits in fixed shard order. Fixed merge order means fixed
-// FIFO tie-break sequence numbers, which is what makes the whole
-// execution a pure function of (seed, shardCount). A drained mailbox
-// keeps its blocks for the next window but zeroes each entry it injects,
-// so it pins no message (nor the events one carries) past its delivery.
-func (c *Cluster) runWindow(deadline time.Duration) {
+// onShards runs fn(c, sh) for every shard — shard 0 on the caller's
+// goroutine, every further shard on one of its own, so a one-shard
+// cluster starts none — and returns once all have. fn is a method
+// expression, not a closure, so that a window allocates nothing.
+func (c *Cluster) onShards(fn func(*Cluster, *shard)) {
 	for _, sh := range c.shards[1:] {
 		c.barrier.Add(1)
 		go func() {
 			defer c.barrier.Done()
-			sh.sim.RunUntil(deadline)
+			fn(c, sh)
 		}()
 	}
-	c.shards[0].sim.RunUntil(deadline)
+	fn(c, c.shards[0])
 	c.barrier.Wait()
+}
+
+// runShard runs the shard's kernel to the window's deadline.
+func (c *Cluster) runShard(sh *shard) { sh.sim.RunUntil(c.deadline) }
+
+// runWindow runs every shard's kernel up to deadline (onShards), then
+// merges mailboxes into destination kernels in fixed (destination,
+// source) order and applies deferred audits in fixed shard order. Fixed
+// merge order means fixed FIFO tie-break sequence numbers, which is what
+// makes the whole execution a pure function of (seed, shardCount). A
+// drained mailbox keeps its blocks for the next window but zeroes each
+// entry it injects, so it pins no message (nor the events one carries)
+// past its delivery.
+func (c *Cluster) runWindow(deadline time.Duration) {
+	c.deadline = deadline
+	c.onShards((*Cluster).runShard)
 	for d, dst := range c.shards {
 		for _, src := range c.shards {
 			box := &src.outbox[d]

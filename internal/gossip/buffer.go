@@ -85,11 +85,13 @@ type Buffer struct {
 
 // NewBuffer returns a buffer holding at most capacity events, each for at
 // most maxAge rounds. Minimums of 1 apply.
-func NewBuffer(capacity, maxAge int) *Buffer {
-	return &Buffer{
-		cap:    max(capacity, 1),
-		maxAge: int32(min(max(maxAge, 1), math.MaxInt32)),
-	}
+func NewBuffer(capacity, maxAge int) *Buffer { return new(Buffer).Init(capacity, maxAge) }
+
+// Init empties b in place, for a buffer held by value in its owner's
+// record (the entries, which grow, are an allocation of their own).
+func (b *Buffer) Init(capacity, maxAge int) *Buffer {
+	*b = Buffer{cap: max(capacity, 1), maxAge: int32(min(max(maxAge, 1), math.MaxInt32))}
+	return b
 }
 
 // Len returns the number of buffered events.

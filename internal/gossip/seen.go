@@ -47,8 +47,12 @@ func mix64(x uint64) uint64 {
 
 // NewSeenSet returns a set remembering at most capacity ids (clamped to
 // [1, 2³¹−1]).
-func NewSeenSet(capacity int) *SeenSet {
-	s := &SeenSet{cap: int32(min(max(capacity, 1), math.MaxInt32))}
+func NewSeenSet(capacity int) *SeenSet { return new(SeenSet).Init(capacity) }
+
+// Init empties s in place, for a set held by value in its owner's record
+// (the table and ring, which grow, are allocations of their own).
+func (s *SeenSet) Init(capacity int) *SeenSet {
+	*s = SeenSet{cap: int32(min(max(capacity, 1), math.MaxInt32))}
 	s.grow(16)
 	return s
 }

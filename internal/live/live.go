@@ -43,7 +43,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -54,6 +53,7 @@ import (
 	"fairgossip/internal/membership"
 	"fairgossip/internal/protocol"
 	"fairgossip/internal/pubsub"
+	"fairgossip/internal/randutil"
 	"fairgossip/internal/simnet"
 	"fairgossip/internal/transport"
 	"fairgossip/internal/wire"
@@ -92,7 +92,8 @@ type Config struct {
 	// detection costs no extra message or byte.
 	ViewCap      int
 	ShuffleEvery int
-	// Seed drives per-peer randomness (peer i uses Seed^i).
+	// Seed drives per-peer randomness: peer i's protocol stream starts at
+	// randutil.NodeSeed(Seed, i), its driver's at a split of that seed.
 	Seed int64
 	// Transport selects the message substrate: nil means in-process
 	// channel delivery (transport.Chan(), the historical semantics);
@@ -151,16 +152,16 @@ type faults struct {
 }
 
 // dropLink reports whether a message from -> to should be lost to an
-// injected fault. rng is the sender's own stream (loss draws stay
-// per-goroutine).
-func (f *faults) dropLink(from, to *peer, rng *rand.Rand) bool {
+// injected fault. Loss draws come from the sender's driver stream: they
+// stay per-goroutine and never move a protocol draw.
+func (f *faults) dropLink(from, to *peer) bool {
 	if to.down.Load() {
 		return true
 	}
 	if f.split.Load() && from.group.Load() != to.group.Load() {
 		return true
 	}
-	if p := math.Float64frombits(f.loss.Load()); p > 0 && rng.Float64() < p {
+	if p := math.Float64frombits(f.loss.Load()); p > 0 && from.rng.Float64() < p {
 		return true
 	}
 	return false
@@ -248,11 +249,12 @@ type peer struct {
 	inbox chan []byte
 	cmds  chan func()
 
-	// m is the protocol state and out where it leaves what to send; both
-	// are owned by the peer goroutine. Round jitter and loss draws share
-	// the machine's random stream.
+	// m is the protocol state and out where it leaves what to send; rng is
+	// the driver's stream (round phase, loss, rebind seeds), so a fault
+	// never moves a protocol draw. The peer goroutine owns all three.
 	m   protocol.Peer
 	out protocol.Out
+	rng randutil.Stream
 
 	// joinFailed mirrors m.JoinFailed after every call that can move it,
 	// for JoinErr to read from outside.
@@ -334,17 +336,19 @@ func (c Config) params() protocol.Params {
 	return par
 }
 
-// newPeer builds peer id of a population of n (transport endpoint
-// attached by the caller).
+// newPeer builds peer id of a population of n, both streams inside the
+// one record (transport endpoint attached by the caller).
 func (c *Cluster) newPeer(id, n int) *peer {
-	rng := rand.New(rand.NewSource(c.cfg.Seed ^ int64(id*2654435761+1)))
-	return &peer{
+	p := &peer{
 		id:    id,
 		c:     c,
 		inbox: make(chan []byte, c.cfg.InboxDepth),
 		cmds:  make(chan func(), 64),
-		m:     protocol.New(simnet.NodeID(id), n, &c.par, rng, c.ledger),
 	}
+	seed := randutil.NodeSeed(c.cfg.Seed, id)
+	p.m.Init(simnet.NodeID(id), n, &c.par, seed, c.ledger)
+	p.rng.Seed(randutil.ShardSeed(seed, 1))
+	return p
 }
 
 // peerList returns the current peer table (immutable snapshot).
@@ -741,7 +745,7 @@ func (c *Cluster) Rebind(id int) bool {
 		}
 		seed := simnet.None // an isolated peer re-announces to its old seed
 		if ids := p.m.View().IDs(); len(ids) > 0 {
-			seed = ids[p.m.Rand().Intn(len(ids))]
+			seed = ids[p.rng.Intn(len(ids))]
 		}
 		p.m.Join(seed, &p.out)
 		p.flushMembership()
@@ -780,7 +784,7 @@ func (p *peer) loop() {
 	// a round's work ended would stretch the period by that work and let
 	// every late wake-up pull the timers it covers onto one phase.
 	period := p.c.cfg.RoundPeriod
-	jitter := time.Duration(p.m.Rand().Int63n(int64(period)))
+	jitter := time.Duration(p.rng.Int63n(int64(period)))
 	next := time.Now().Add(period + jitter)
 	timer := time.NewTimer(time.Until(next))
 	defer timer.Stop()
@@ -887,7 +891,7 @@ func (p *peer) sendMembership(kind byte, to int, entries []membership.Entry) {
 func (p *peer) send(to int, buf []byte, class fairness.Class) {
 	p.c.ledger.AddSend(p.id, class, len(buf))
 	p.c.traffic.sent.Add(1)
-	if q := p.c.peerAt(to); q != nil && p.c.faults.dropLink(p, q, p.m.Rand()) {
+	if q := p.c.peerAt(to); q != nil && p.c.faults.dropLink(p, q) {
 		p.c.traffic.faultDrops.Add(1)
 		return
 	}

@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"fairgossip/internal/fairness"
 	"fairgossip/internal/pubsub"
+	"fairgossip/internal/randutil"
 )
 
 func mustCluster(t testing.TB, cfg Config) *Cluster {
@@ -237,5 +239,31 @@ func TestLiveConfigDefaults(t *testing.T) {
 	}
 	if c.cfg.ViewCap != 16 || c.cfg.ShuffleEvery != 2 {
 		t.Fatalf("membership defaults: %+v", c.cfg)
+	}
+}
+
+// TestFaultDrawsLeaveTheProtocolStream: injected loss draws from the
+// driver's stream, never the protocol's, so turning loss on moves no
+// protocol decision — after a thousand lossy sends the peer's protocol
+// stream still stands at its first draw.
+func TestFaultDrawsLeaveTheProtocolStream(t *testing.T) {
+	const seed = 7
+	c := mustCluster(t, Config{N: 2, Seed: seed})
+	defer c.Stop()
+	c.SetLoss(0.5)
+	p, q := c.peerAt(0), c.peerAt(1)
+	for range 1000 {
+		p.send(1, []byte("x"), fairness.ClassApp)
+	}
+	for len(q.inbox) > 0 {
+		c.net.Release(<-q.inbox)
+	}
+	if drops := c.Traffic().FaultDrops; drops == 0 || drops == 1000 {
+		t.Fatalf("%d of 1000 sends lost at loss 0.5: the loss draw did not run", drops)
+	}
+	var fresh randutil.Stream
+	fresh.Seed(randutil.NodeSeed(seed, 0))
+	if got, want := p.m.Rand().Int63(), fresh.Int63(); got != want {
+		t.Fatalf("the protocol stream's next draw is %d, a fresh stream's first is %d: loss drew from it", got, want)
 	}
 }

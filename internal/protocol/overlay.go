@@ -70,7 +70,7 @@ func (p *Peer) shuffle(out *Out) {
 	// current oldest is the entry InitiateShuffle is about to cull, at
 	// one round younger.
 	old, _ := ov.cyclon.View().Oldest()
-	target, offer, ok := ov.cyclon.InitiateShuffle(p.rng)
+	target, offer, ok := ov.cyclon.InitiateShuffle(p.Rand())
 	if !ok {
 		p.announce(out)
 		return
@@ -153,7 +153,7 @@ func (p *Peer) RecvMembership(kind Kind, from simnet.NodeID, entries []membershi
 	v := ov.cyclon.View()
 	switch kind {
 	case KindOffer:
-		out.send(KindReply, from, ov.cyclon.HandleShuffle(p.rng, from, entries))
+		out.send(KindReply, from, ov.cyclon.HandleShuffle(p.Rand(), from, entries))
 	case KindReply:
 		ov.cyclon.HandleReply(from, entries)
 	case KindJoin:
@@ -166,7 +166,7 @@ func (p *Peer) RecvMembership(kind Kind, from simnet.NodeID, entries []membershi
 		}
 		v.Add(from)
 		ents := v.Entries()
-		p.rng.Shuffle(len(ents), func(i, j int) { ents[i], ents[j] = ents[j], ents[i] })
+		p.Rand().Shuffle(len(ents), func(i, j int) { ents[i], ents[j] = ents[j], ents[i] })
 		out.send(KindReply, from, freshest(ents, ov.cyclon.ShuffleLen(), from))
 	case KindLeave:
 		// A graceful departure: forget the leaver, refuse its address from
@@ -242,7 +242,7 @@ func (p *Peer) announce(out *Out) {
 	out.send(KindJoin, ov.joinSeed, nil)
 	ov.joinAttempts++
 	backoff := min(1<<(ov.joinAttempts-1), JoinBackoffCap)
-	ov.joinWait = backoff + p.rng.Intn(backoff)
+	ov.joinWait = backoff + p.Rand().Intn(backoff)
 }
 
 // Leave announces a graceful departure: every view neighbour is handed up

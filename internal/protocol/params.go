@@ -71,18 +71,17 @@ type Params struct {
 // n, or returns nil for the static one, whose levers stay at Fanout and
 // Batch.
 func (par *Params) controller(n int) adaptive.Controller {
+	spec := par.Controller
+	if spec.Kind != ControllerAIMD && spec.Kind != ControllerProportional {
+		return nil // static: no limits to compute (a math.Log per peer built)
+	}
 	limits := par.Limits
 	if limits == (adaptive.Limits{}) {
 		limits = adaptive.DefaultLimits(n)
 	}
-	spec := par.Controller
 	acfg := adaptive.Config{TargetRatio: spec.TargetRatio, Gain: spec.Gain, Beta: spec.Beta, Limits: limits}
-	switch spec.Kind {
-	case ControllerAIMD:
+	if spec.Kind == ControllerAIMD {
 		return adaptive.NewAIMD(acfg, spec.Lever, par.Fanout, par.Batch)
-	case ControllerProportional:
-		return adaptive.NewProportional(acfg, spec.Lever, par.Fanout, par.Batch)
-	default:
-		return nil
 	}
+	return adaptive.NewProportional(acfg, spec.Lever, par.Fanout, par.Batch)
 }

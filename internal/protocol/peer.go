@@ -43,20 +43,22 @@ import (
 	"fairgossip/internal/gossip"
 	"fairgossip/internal/membership"
 	"fairgossip/internal/pubsub"
+	"fairgossip/internal/randutil"
 	"fairgossip/internal/simnet"
 )
 
-// Peer is one FairGossip process's protocol state. Build with New; embed
-// or hold by value.
+// Peer is one FairGossip process's protocol state, stream, seen-set and
+// buffer included. Build it in place with Init, embedded or held by value,
+// and never copy it afterwards: the stream points into the peer.
 type Peer struct {
 	id     simnet.NodeID
-	rng    *rand.Rand
 	ledger *fairness.Ledger
 	par    *Params // the cluster's, shared and read-only
 
 	interest pubsub.Interest
-	seen     *gossip.SeenSet
-	buffer   *gossip.Buffer // the flat overlay's event buffer
+	seen     gossip.SeenSet
+	buffer   gossip.Buffer // the flat overlay's event buffer
+	rng      randutil.Stream
 
 	ov   *overlay // partial view, detector, join state; nil under the full sampler
 	full membership.FullSampler
@@ -113,19 +115,14 @@ type Batch interface {
 	Event(i int) *pubsub.Event
 }
 
-// New builds peer id of a population of n — the population the peer
-// joins, which is what the controller's default limits are computed for.
-func New(id simnet.NodeID, n int, par *Params, rng *rand.Rand, ledger *fairness.Ledger) Peer {
-	p := Peer{
-		id:     id,
-		rng:    rng,
-		ledger: ledger,
-		par:    par,
-		seen:   gossip.NewSeenSet(par.SeenCap),
-		buffer: gossip.NewBuffer(par.BufferCap, par.BufferMaxAge),
-		fanout: par.Fanout,
-		batch:  par.Batch,
-	}
+// Init builds p, a zero Peer, as peer id of a population of n — the
+// population the peer joins, which is what the controller's default
+// limits are computed for — drawing from the randutil.Stream seeded with seed.
+func (p *Peer) Init(id simnet.NodeID, n int, par *Params, seed int64, ledger *fairness.Ledger) {
+	p.id, p.ledger, p.par, p.fanout, p.batch = id, ledger, par, par.Fanout, par.Batch
+	p.rng.Seed(seed)
+	p.seen.Init(par.SeenCap)
+	p.buffer.Init(par.BufferCap, par.BufferMaxAge)
 	if c := par.controller(n); c != nil {
 		p.ctl = &control{ctrl: c}
 		p.fanout, p.batch = c.Fanout(), c.Batch()
@@ -140,7 +137,6 @@ func New(id simnet.NodeID, n int, par *Params, rng *rand.Rand, ledger *fairness.
 	} else {
 		p.full = membership.FullSampler{Self: id, N: n}
 	}
-	return p
 }
 
 func (p *Peer) ID() simnet.NodeID           { return p.id }
@@ -148,8 +144,8 @@ func (p *Peer) Fanout() int                 { return p.fanout } // the lever F_i
 func (p *Peer) Batch() int                  { return p.batch }  // the lever N_i
 func (p *Peer) Rounds() int                 { return p.round }  // gossip periods run so far
 func (p *Peer) Interest() *pubsub.Interest  { return &p.interest }
-func (p *Peer) Buffer() *gossip.Buffer      { return p.buffer }            // the flat overlay's event buffer
-func (p *Peer) Rand() *rand.Rand            { return p.rng }               // for a driver whose own round logic draws from the same stream
+func (p *Peer) Buffer() *gossip.Buffer      { return &p.buffer }           // the flat overlay's event buffer
+func (p *Peer) Rand() *rand.Rand            { return &p.rng.Rand }         // for a driver whose own round logic draws from the same stream
 func (p *Peer) Seen(id pubsub.EventID) bool { return p.seen.Contains(id) } // published or admitted here (within SeenCap)
 
 // View returns the Cyclon partial view, or nil under the full sampler.
@@ -227,7 +223,7 @@ func (p *Peer) Maintain(out *Out) {
 // too, so it does not hoard a backlog to replay on reform.
 func (p *Peer) Push(out *Out) {
 	out.Events, out.Targets = out.Events[:0], out.Targets[:0]
-	if !p.FreeRide && len(p.Select(p.buffer, out)) > 0 {
+	if !p.FreeRide && len(p.Select(&p.buffer, out)) > 0 {
 		p.Partners(p.fanout, out)
 	}
 	p.buffer.Tick()
@@ -236,16 +232,16 @@ func (p *Peer) Push(out *Out) {
 // Select picks this round's batch — at most the batch lever — from buf
 // into out.Events.
 func (p *Peer) Select(buf *gossip.Buffer, out *Out) []*pubsub.Event {
-	return buf.SelectInto(p.rng, &out.Events, p.batch, p.par.Policy)
+	return buf.SelectInto(p.Rand(), &out.Events, p.batch, p.par.Policy)
 }
 
 // Partners draws up to k distinct partners from the membership substrate
 // into out.Targets.
 func (p *Peer) Partners(k int, out *Out) []simnet.NodeID {
 	if p.ov != nil {
-		out.Targets = p.ov.cyclon.View().SampleInto(p.rng, k, out.Targets)
+		out.Targets = p.ov.cyclon.View().SampleInto(p.Rand(), k, out.Targets)
 	} else {
-		out.Targets = p.full.SamplePeersInto(p.rng, k, out.Targets)
+		out.Targets = p.full.SamplePeersInto(p.Rand(), k, out.Targets)
 	}
 	return out.Targets
 }

@@ -1,7 +1,6 @@
 package protocol
 
 import (
-	"math/rand"
 	"slices"
 	"testing"
 
@@ -30,8 +29,9 @@ func livelike() Params {
 }
 
 func newPeer(id simnet.NodeID, par *Params, ledger *fairness.Ledger) *Peer {
-	p := New(id, population, par, rand.New(rand.NewSource(int64(id)+1)), ledger)
-	return &p
+	p := new(Peer)
+	p.Init(id, population, par, int64(id)+1, ledger)
+	return p
 }
 
 func newLedger() *fairness.Ledger {
@@ -320,14 +320,14 @@ func TestJoinerStopsAfterJoinAttempts(t *testing.T) {
 }
 
 // TestJoinerLimitsAreThePopulationItJoins: the controller's default
-// limits come from the population handed to New.
+// limits come from the population handed to Init.
 func TestJoinerLimitsAreThePopulationItJoins(t *testing.T) {
 	par := livelike()
 	par.Fanout = 1
 	par.Controller = ControllerSpec{Kind: ControllerAIMD, TargetRatio: 1000}
-	rng := rand.New(rand.NewSource(1))
-	founder := New(0, 7, &par, rng, newLedger()) // ⌈ln 7⌉ = 2
-	joiner := New(7, 8, &par, rng, newLedger())  // ⌈ln 8⌉ = 3
+	var founder, joiner Peer
+	founder.Init(0, 7, &par, 1, newLedger()) // ⌈ln 7⌉ = 2
+	joiner.Init(7, 8, &par, 1, newLedger())  // ⌈ln 8⌉ = 3
 	if founder.Fanout() != 2 || joiner.Fanout() != 3 {
 		t.Fatalf("fanout floors %d and %d, want 2 and 3", founder.Fanout(), joiner.Fanout())
 	}

@@ -5,22 +5,25 @@ import (
 	randv2 "math/rand/v2"
 )
 
-// NewStream returns a *rand.Rand over a 16-byte generator, for streams
-// that exist once per simulated node: rand.NewSource's additive lagged
-// Fibonacci generator carries 607 words (4.9 KB) of state and spends
-// some 1 900 multiplications seeding them, which at N = 100k was half the
-// simulator's memory and most of its construction time. The generator is
-// math/rand/v2's PCG behind math/rand's Source64, its state words
+// Stream is a rand.Rand over a 16-byte generator, for streams that exist
+// once per simulated node: rand.NewSource's lagged Fibonacci generator
+// carries 4.9 KB of state and some 1 900 multiplications of seeding,
+// which at N = 100k was half the simulator's memory and most of its
+// construction time. The generator is math/rand/v2's PCG, its state words
 // SplitMix64(seed) and SplitMix64 of that, so nearby seeds (node ids)
-// give unrelated streams. The type stays *rand.Rand: PermInto and every
-// sampler take it as they take any other.
-//
-// The stream for a given seed is NOT rand.NewSource's: a fixed-seed run
-// changes when a call site moves from one to the other.
-func NewStream(seed int64) *rand.Rand {
-	s := new(pcgSource)
-	s.Seed(seed)
-	return rand.New(s)
+// give unrelated streams. A Stream lives inside its owner's record (a
+// peer) and its Rand points at its own source: seed it in place, never
+// copy it. The stream for a seed is NOT rand.NewSource's: a fixed-seed
+// run changes when a call site moves from one to the other.
+type Stream struct {
+	rand.Rand
+	src pcgSource
+}
+
+// Seed (re)starts the stream from seed; a zero Stream is seeded first.
+func (s *Stream) Seed(seed int64) {
+	s.src.Seed(seed)
+	s.Rand = *rand.New(&s.src)
 }
 
 // pcgSource adapts randv2.PCG to rand.Source64.

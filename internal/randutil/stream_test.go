@@ -1,9 +1,17 @@
 package randutil
 
 import (
+	"math/rand"
 	"testing"
 	"unsafe"
 )
+
+// NewStream returns a freshly seeded Stream's *rand.Rand.
+func NewStream(seed int64) *rand.Rand {
+	s := new(Stream)
+	s.Seed(seed)
+	return &s.Rand
+}
 
 // The per-node streams of a whole simulated population must be usable
 // as independent generators from their very first draw, which is where
@@ -59,7 +67,7 @@ func TestNewStreamIsAFunctionOfItsSeed(t *testing.T) {
 	}
 }
 
-// The point of NewStream is its size; a generator swap that grows it
+// The point of Stream is its size; a generator swap that grows it
 // again should have to say so here.
 func TestStreamStateIs16Bytes(t *testing.T) {
 	if got := unsafe.Sizeof(pcgSource{}); got != 16 {

@@ -122,6 +122,16 @@ func New(sim *eventsim.Sim, cfg Config) *Network {
 // Sim returns the underlying simulator.
 func (n *Network) Sim() *eventsim.Sim { return n.sim }
 
+// Grow makes room for k more ids, so that registering them (AddNode,
+// AddRemote) sizes the tables once instead of growing them by append.
+func (n *Network) Grow(k int) {
+	size := len(n.handlers) + k
+	n.handlers = append(make([]Handler, 0, size), n.handlers...)
+	n.up = append(make([]bool, 0, size), n.up...)
+	n.group = append(make([]uint8, 0, size), n.group...)
+	n.stats = append(make([]Traffic, 0, size), n.stats...)
+}
+
 // AddNode registers a handler and returns its NodeID. Nodes start up.
 func (n *Network) AddNode(h Handler) NodeID {
 	id := NodeID(len(n.handlers))
