@@ -125,10 +125,12 @@ footprint:
 # redundancy prints what a delivery costs on the wire and how much of
 # what peers receive is news, from the test that holds both to their
 # budgets and checks that no delivery is lost (the sim-fair configuration
-# at N = 200; see PERFORMANCE.md "Redundancy budget").
+# at N = 200; see PERFORMANCE.md "Redundancy budget"), and, per message
+# kind, that the simulator charged each message the length internal/wire
+# encodes it to (TestChargedIsEncoded; PERFORMANCE.md "One byte model").
 redundancy:
-	@out=$$($(GO) test ./internal/core -run TestRedundancyBudget -count=1 -v); status=$$?; \
-		echo "$$out" | grep -E 'redundancy|never delivered|^(FAIL|ok)'; exit $$status
+	@out=$$($(GO) test ./internal/core -run 'TestRedundancyBudget|TestChargedIsEncoded' -count=1 -v); status=$$?; \
+		echo "$$out" | grep -E 'redundancy|never delivered|charged = encoded|^(FAIL|ok)'; exit $$status
 
 # allocs prints the allocation pins of the paths that run every round:
 # the simulation kernel's closure, message and ticker events and a

@@ -133,7 +133,10 @@ func TestFairbenchBadFlag(t *testing.T) {
 // entries: EXP-F4 and EXP-X1, whose classic baseline runs on core.Cluster
 // instead of its own peer, and EXP-T5, whose static variant rejoins node 0
 // through itself — a peer no longer sends itself membership messages
-// (protocol.FuzzPeerInputs found it). If a change moves an entry on
+// (protocol.FuzzPeerInputs found it). The six entries marked "one byte
+// model" moved once when the simulator began charging what internal/wire
+// encodes: the parts only it sends now pay for their length fields
+// (PERFORMANCE.md "One byte model"). If a change moves an entry on
 // purpose, regenerate with:
 //
 //	go run ./cmd/fairbench -seed 1 -small -out '' > /tmp/fb.txt && cd "$(mktemp -d)" && awk '/^##########/{id=$2; next} id{print > id}' /tmp/fb.txt && sha256sum EXP-*
@@ -143,18 +146,18 @@ var goldenStdoutHash = map[string]string{
 	"EXP-A3": "6fbd34957a62b7453099c2a23524115bf9c29b72a59a27b4a9c1314453e8bb09",
 	"EXP-A4": "b44f5aaf83cbd6d29d6deaff1973626aa3887019bb560104ca3d0a3930fba82b",
 	"EXP-A5": "5743c7444ffdca60b1adcd1db537d5dce6d87ef99a44a97dcd0cb089724d6c06",
-	"EXP-A6": "a55bacb9e693cb5e286bcaf55e01fe2aac1a508ecb87d04cc0648266a6f6166d",
+	"EXP-A6": "51fcb441cfae1bc9f7f035dcd5c820ea10b212bd728ba0ccb386be1b56ef570f", // one byte model: padding carries a 4-byte length
 	"EXP-F1": "1b9deac4b746bbb22e0676206f78007302caf8b148ad6d3c877784e4e33b4ec4",
-	"EXP-F2": "acce540d3606d6640cd2de233440b6d899c40e5ce8a139f307d00a6beb4f0c31",
+	"EXP-F2": "7c9b360c00c986e1bbfa902d198ada9004d51138400c54263c13cfa69bdab631", // one byte model: topic gossip: ads count
 	"EXP-F3": "8c87800a6461e308dd6ec3341a39a79bcc569c7f2b3c574d3de6f915c9404384",
 	"EXP-F4": "3b118efbc94327444be86551f05843ac0b94854609ba46121c0927fe6ed6da7f",
-	"EXP-T1": "8f3fb4b3c53aea9538a3f6f64d25808fc8d30cdc08fb6c14f9fc5147fcf43474",
+	"EXP-T1": "1de32684ca2d8c4505814c59701f41970c6df0bcbab5a50ba629cb4130bd27b2", // one byte model: topic gossip and walks
 	"EXP-T2": "e243640362e8e1d96b923a1334a92d5cbd4cd5617bf945c975706c757feab38c",
-	"EXP-T3": "9ca59d885340cbea29fceb40f3826d5cf7e5ce087980c4a875c895ef46b957fd",
+	"EXP-T3": "1ff7ed8aa32f75b113929ee6c8127ed5177f7538df3392882443a692cc9a0253", // one byte model: walks, acks, ads count
 	"EXP-T4": "c3c945459808577cd6f5fa3630ab0177dc6c1f50a950540481be11be115d09d2",
 	"EXP-T5": "b50652e45f5ee1715a457047bb6a87967a9734672e2eb19d969c94df275d20f5",
-	"EXP-X1": "9aa12b61642699683b30c711a5ae7e622aecd2e318b358991aa35c43a58fa3c7",
-	"EXP-X2": "5dc497716e643b6303805883aac59d76f957f4172f2a99e22c32a72327df16aa",
+	"EXP-X1": "11e7c3116cb0b74e01aac933fc095126dbee62094d78721b2d8d5fc8257a3233", // one byte model: digests and pulls: 10-byte header
+	"EXP-X2": "b7ad4571af2fbf0c63810b9ec999697bb8dcab6da226ce4a6428d1c7359bee13", // one byte model: fingerprint ads count
 }
 
 // stdoutByExperiment splits fairbench's stdout into each experiment's

@@ -41,10 +41,10 @@ func runWirekind(pass *analysis.Pass) error {
 func checkKindSwitch(pass *analysis.Pass, sw *ast.SwitchStmt) {
 	info := pass.TypesInfo
 
-	// The family is seeded by the case labels, not the tag type: wire's
-	// kinds are plain byte constants, so the tag type alone (byte) says
-	// nothing. Any case naming a Kind*/kind* constant identifies the
-	// declaring package and the family type.
+	// The family is seeded by the case labels, not the tag type: a tag
+	// may be a plain byte, or an alias declared far from its constants.
+	// Any case naming a Kind*/kind* constant identifies the declaring
+	// package and the family type.
 	covered := make(map[types.Object]bool)
 	var defaultClause *ast.CaseClause
 	var seed *types.Const

@@ -7,6 +7,7 @@ import (
 	"fairgossip/internal/fairness"
 	"fairgossip/internal/pubsub"
 	"fairgossip/internal/simnet"
+	"fairgossip/internal/wire"
 )
 
 func TestLeaveRejoinWithPenalty(t *testing.T) {
@@ -141,7 +142,7 @@ func TestHandleMessageIgnoresGarbage(t *testing.T) {
 	c := NewCluster(2, Config{Mode: ModeContent}, ClusterOptions{Seed: 5})
 	c.Node(0).HandleMessage(simnet.Message{From: 1, To: 0, Payload: 42, Size: 1})
 	// A wireMsg of an unknown kind is also ignored.
-	c.Node(0).HandleMessage(simnet.Message{From: 1, To: 0, Payload: &wireMsg{Kind: msgKind(99)}, Size: 1})
+	c.Node(0).HandleMessage(simnet.Message{From: 1, To: 0, Payload: &wireMsg{Msg: wire.Msg{Kind: 99}}, Size: 1})
 	if c.Ledger.Account(0).Delivered != 0 {
 		t.Fatal("garbage processed")
 	}

@@ -7,7 +7,8 @@
 //   - a membership substrate (Cyclon partial views or an idealised full
 //     sampler), whose traffic is charged as infrastructure contribution,
 //   - fairness accounting per Figs. 1–3 (contribution = bytes published +
-//     forwarded; benefit = deliveries + κ·filters),
+//     forwarded, each message charged the length internal/wire encodes it
+//     to, as on the live runtime; benefit = deliveries + κ·filters),
 //   - optionally, a §5.2 controller that adapts F_i and/or N_i so the
 //     node's contribution/benefit ratio converges to the global target f,
 //   - in topic mode (§5.1), per-topic gossip groups joined through

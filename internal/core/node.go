@@ -9,6 +9,7 @@ import (
 	"fairgossip/internal/protocol"
 	"fairgossip/internal/pubsub"
 	"fairgossip/internal/simnet"
+	"fairgossip/internal/wire"
 )
 
 // Node is one FairGossip process under the simulator: the shared
@@ -105,7 +106,7 @@ func (nd *Node) viewPeers(v *membership.View, k int) []simnet.NodeID {
 // send transmits a wire message and charges the ledger — the byte charge
 // is the driver's, which alone knows the size.
 func (nd *Node) send(to simnet.NodeID, m *wireMsg, class fairness.Class) {
-	size := m.size()
+	size := m.Size()
 	nd.sh.net.Send(nd.ID(), to, m, size)
 	nd.sh.ledger.AddSend(int(nd.ID()), class, size)
 }
@@ -115,7 +116,7 @@ func (nd *Node) send(to simnet.NodeID, m *wireMsg, class fairness.Class) {
 func (nd *Node) sendMembership(out *protocol.Out) {
 	for _, s := range out.Sends {
 		m := nd.sh.pool.get()
-		m.Kind = msgKind(s.Kind)
+		m.Kind = s.Kind
 		m.Entries = append(m.Entries[:0], s.Entries...)
 		nd.send(s.To, m, fairness.ClassInfra)
 		m.Release()
@@ -285,20 +286,20 @@ func (nd *Node) roundTopics() {
 
 // groupAds samples a few known members (plus self) to piggyback, keeping
 // group views alive without a directory service.
-func (nd *Node) groupAds(g *topicGroup) []membership.Entry {
-	ads := make([]membership.Entry, 0, adLen+1)
+func (nd *Node) groupAds(g *topicGroup) []wire.ViewEntry {
+	ads := make([]wire.ViewEntry, 0, adLen+1)
 	for _, id := range nd.viewPeers(g.view, adLen) {
-		ads = append(ads, membership.Entry{ID: id, Age: 1})
+		ads = append(ads, wire.ViewEntry{ID: uint32(id), Age: 1})
 	}
-	return append(ads, membership.Entry{ID: nd.ID(), Age: 0})
+	return append(ads, wire.ViewEntry{ID: uint32(nd.ID()), Age: 0})
 }
 
 // buildGossip assembles one gossip wire message in a pooled envelope,
 // which comes back with one owner reference; the send paths drop it
 // after the fanout.
-func (nd *Node) buildGossip(topic string, events []*pubsub.Event, ads []membership.Entry) *wireMsg {
+func (nd *Node) buildGossip(topic string, events []*pubsub.Event, ads []wire.ViewEntry) *wireMsg {
 	m := nd.sh.pool.get()
-	m.Kind = kindGossip
+	m.Kind = wire.KindEvents
 	m.Events = append(m.Events[:0], events...)
 	if topic != "" || len(ads) > 0 {
 		x := m.extend()
@@ -306,7 +307,7 @@ func (nd *Node) buildGossip(topic string, events []*pubsub.Event, ads []membersh
 		x.Ads = append(x.Ads[:0], ads...)
 	}
 	if nd.Cheat {
-		m.Junk = junkPadding
+		m.extend().Pad = junkPadding
 	}
 	if nd.cfg.SemanticBias > 0 {
 		x := m.extend()
@@ -316,7 +317,7 @@ func (nd *Node) buildGossip(topic string, events []*pubsub.Event, ads []membersh
 	return m
 }
 
-func (nd *Node) sendGossip(to simnet.NodeID, topic string, events []*pubsub.Event, ads []membership.Entry) {
+func (nd *Node) sendGossip(to simnet.NodeID, topic string, events []*pubsub.Event, ads []wire.ViewEntry) {
 	m := nd.buildGossip(topic, events, ads)
 	nd.send(to, m, fairness.ClassApp)
 	m.Release()
@@ -326,7 +327,7 @@ func (nd *Node) sendGossip(to simnet.NodeID, topic string, events []*pubsub.Even
 // payloads by reference and receivers treat them as read-only, so outside
 // semantic mode a single wireMsg (and a single size computation) is
 // shared across the whole fanout instead of allocating one per peer.
-func (nd *Node) sendGossipAll(peers []simnet.NodeID, topic string, events []*pubsub.Event, ads []membership.Entry) {
+func (nd *Node) sendGossipAll(peers []simnet.NodeID, topic string, events []*pubsub.Event, ads []wire.ViewEntry) {
 	if len(peers) == 0 {
 		return
 	}
@@ -339,7 +340,7 @@ func (nd *Node) sendGossipAll(peers []simnet.NodeID, topic string, events []*pub
 		return
 	}
 	m := nd.buildGossip(topic, events, ads)
-	size := m.size()
+	size := m.Size()
 	for _, q := range peers {
 		nd.sh.net.Send(nd.ID(), q, m, size)
 		nd.sh.ledger.AddSend(int(nd.ID()), fairness.ClassApp, size)
@@ -367,13 +368,13 @@ func (nd *Node) joinGroup(topic string) {
 // subscribeWalk launches a random walk that terminates at some subscriber
 // of the topic, which replies with group-bootstrap entries.
 func (nd *Node) subscribeWalk(topic string) {
-	nd.startWalk(newExtMsg(kindSubWalk, wireExt{Topic: topic}))
+	nd.startWalk(newExtMsg(wire.KindSubWalk, wire.Parts{Topic: topic}))
 }
 
 // publishWalk hands an event from a non-subscribed publisher to the
 // topic's group.
 func (nd *Node) publishWalk(ev *pubsub.Event) {
-	m := newExtMsg(kindPubWalk, wireExt{Topic: ev.Topic})
+	m := newExtMsg(wire.KindPubWalk, wire.Parts{Topic: ev.Topic})
 	m.Events = []*pubsub.Event{ev}
 	nd.startWalk(m)
 }
@@ -386,7 +387,7 @@ func (nd *Node) startWalk(m *wireMsg) {
 		return
 	}
 	nd.ext.walksSent++
-	m.ext.Origin, m.ext.Hops = nd.ID(), walkHopLimit
+	m.Parts.Origin, m.Parts.Hops = uint32(nd.ID()), walkHopLimit
 	nd.send(contacts[0], m, fairness.ClassInfra)
 }
 
@@ -394,7 +395,7 @@ func (nd *Node) startWalk(m *wireMsg) {
 // §5.1 maintenance burden — avoiding the peer it came from when a
 // second draw allows. A walk out of hops dies here.
 func (nd *Node) relayWalk(from simnet.NodeID, m *wireMsg) {
-	if m.opt().Hops <= 1 {
+	if m.Opt().Hops <= 1 {
 		return
 	}
 	nd.ext.walkRelays++
@@ -405,9 +406,9 @@ func (nd *Node) relayWalk(from simnet.NodeID, m *wireMsg) {
 	if len(next) == 0 {
 		return
 	}
-	fwd := newExtMsg(m.Kind, *m.opt())
+	fwd := newExtMsg(m.Kind, *m.Opt())
 	fwd.Events = m.Events
-	fwd.ext.Hops--
+	fwd.Parts.Hops--
 	nd.send(next[0], fwd, fairness.ClassInfra)
 }
 
@@ -449,31 +450,31 @@ func (nd *Node) HandleMessage(msg simnet.Message) {
 		return
 	}
 	switch m.Kind {
-	case kindGossip:
+	case wire.KindEvents:
 		nd.handleGossip(msg.From, m)
-	case kindShuffle, kindShuffleReply, kindJoin, kindLeave:
+	case wire.KindOffer, wire.KindReply, wire.KindJoin, wire.KindLeave:
 		out := &nd.sh.out
-		nd.RecvMembership(protocol.Kind(m.Kind), msg.From, m.Entries, out)
+		nd.RecvMembership(m.Kind, msg.From, m.Entries, out)
 		nd.sendMembership(out)
-	case kindSubWalk:
+	case wire.KindSubWalk:
 		nd.handleSubWalk(msg.From, m)
-	case kindSubAck:
+	case wire.KindSubAck:
 		nd.handleSubAck(m)
-	case kindPubWalk:
+	case wire.KindPubWalk:
 		nd.handlePubWalk(msg.From, m)
-	case kindDigest:
+	case wire.KindDigest:
 		nd.handleDigest(msg.From, m)
-	case kindPull:
+	case wire.KindPull:
 		nd.handlePull(msg.From, m)
 	}
 }
 
 func (nd *Node) handleGossip(from simnet.NodeID, m *wireMsg) {
-	x := m.opt()
+	x := m.Opt()
 	if nd.cfg.SemanticBias > 0 {
 		nd.rememberFingerprint(from, x.FP)
 		for _, ad := range x.FPAds {
-			nd.rememberFingerprint(ad.ID, ad.FP)
+			nd.rememberFingerprint(simnet.NodeID(ad.ID), ad.FP)
 		}
 	}
 	// Fair-by-structure: in topic mode only group members re-forward.
@@ -485,7 +486,7 @@ func (nd *Node) handleGossip(from simnet.NodeID, m *wireMsg) {
 		if g := nd.group(x.Topic); g != nil {
 			buf = g.buffer
 			for _, ad := range x.Ads {
-				g.view.AddAged(ad)
+				g.view.AddAged(membership.Entry{ID: simnet.NodeID(ad.ID), Age: int(ad.Age)})
 			}
 		}
 	}
@@ -496,40 +497,40 @@ func (nd *Node) handleGossip(from simnet.NodeID, m *wireMsg) {
 	// ANOTHER process's account, so it goes through the shard's
 	// auditSink: a remote sender's controller must never race it
 	// mid-window.
-	nd.sh.auditSink(int(from), novel, dup+int(m.Junk))
+	nd.sh.auditSink(int(from), novel, dup+x.Pad)
 }
 
 func (nd *Node) handleSubWalk(from simnet.NodeID, m *wireMsg) {
-	x := m.opt()
+	x := m.Opt()
 	if g := nd.group(x.Topic); g != nil {
 		// We are a subscriber: answer with bootstrap entries and adopt
 		// the new member.
-		entries := make([]membership.Entry, 0, protocol.ShuffleLen+1)
+		entries := make([]wire.ViewEntry, 0, protocol.ShuffleLen+1)
 		for _, id := range nd.viewPeers(g.view, protocol.ShuffleLen) {
-			entries = append(entries, membership.Entry{ID: id, Age: 1})
+			entries = append(entries, wire.ViewEntry{ID: uint32(id), Age: 1})
 		}
-		entries = append(entries, membership.Entry{ID: nd.ID(), Age: 0})
-		ack := newExtMsg(kindSubAck, wireExt{Topic: x.Topic})
+		entries = append(entries, wire.ViewEntry{ID: uint32(nd.ID()), Age: 0})
+		ack := newExtMsg(wire.KindSubAck, wire.Parts{Topic: x.Topic})
 		ack.Entries = entries
-		nd.send(x.Origin, ack, fairness.ClassInfra)
-		g.view.Add(x.Origin)
+		nd.send(simnet.NodeID(x.Origin), ack, fairness.ClassInfra)
+		g.view.Add(simnet.NodeID(x.Origin))
 		return
 	}
 	nd.relayWalk(from, m) // not interested
 }
 
 func (nd *Node) handleSubAck(m *wireMsg) {
-	g := nd.group(m.opt().Topic)
+	g := nd.group(m.Opt().Topic)
 	if g == nil {
 		return // unsubscribed while the walk was in flight
 	}
 	for _, e := range m.Entries {
-		g.view.AddAged(e)
+		g.view.AddAged(membership.Entry{ID: simnet.NodeID(e.ID), Age: int(e.Age)})
 	}
 }
 
 func (nd *Node) handlePubWalk(from simnet.NodeID, m *wireMsg) {
-	if g := nd.group(m.opt().Topic); g != nil {
+	if g := nd.group(m.Opt().Topic); g != nil {
 		// The hand-off is the event's first copy here, not gossip to grade:
 		// admitted like any batch, unaudited.
 		nd.archiveNew(m.Events)

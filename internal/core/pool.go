@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"fairgossip/internal/pubsub"
+	"fairgossip/internal/wire"
 )
 
 // msgPool recycles gossip and membership envelopes (wireMsg records and
@@ -75,14 +76,14 @@ func (p *msgPool) refill() {
 
 // put resets and recycles an envelope whose refcount reached zero.
 // Event pointers are cleared so the pool never pins delivered events;
-// the slice capacity itself is the thing being recycled, and so is the
-// extension, when the envelope has one.
+// the slice capacity itself is the thing being recycled, and so are the
+// parts, when the envelope has them.
 func (p *msgPool) put(m *wireMsg) {
 	clear(m.Events)
-	if x := m.ext; x != nil {
-		*x = wireExt{Ads: x.Ads[:0]}
+	if x := m.Parts; x != nil {
+		*x = wire.Parts{Ads: x.Ads[:0]}
 	}
-	*m = wireMsg{pool: m.pool, Events: m.Events[:0], Entries: m.Entries[:0], ext: m.ext}
+	*m = wireMsg{pool: m.pool, Msg: wire.Msg{Events: m.Events[:0], Entries: m.Entries[:0], Parts: m.Parts}}
 	p.mu.Lock()
 	p.free = append(p.free, m)
 	p.mu.Unlock()

@@ -5,6 +5,7 @@ import (
 	"fairgossip/internal/gossip"
 	"fairgossip/internal/pubsub"
 	"fairgossip/internal/simnet"
+	"fairgossip/internal/wire"
 )
 
 // Push-pull anti-entropy (EXP-X1), a driver extension beside topic groups
@@ -12,8 +13,8 @@ import (
 // uninfected peers (§4.2 cites Demers et al.). A node keeps what it
 // publishes or admits in an archive archiveScale times its forwarding
 // buffer's size and lifetime, and every Config.AntiEntropy-th round sends
-// the archive's ids to one partner (kindDigest). The partner pulls those
-// it has not seen (kindPull); the answer is ordinary kindGossip.
+// the archive's ids to one partner (wire.KindDigest). The partner pulls
+// those it has not seen (wire.KindPull); the answer is ordinary gossip.
 const archiveScale = 4
 
 // newArchive returns a node's archive, or nil when push-pull is off.
@@ -48,20 +49,20 @@ func (nd *Node) antiEntropy() {
 		return
 	}
 	if to := nd.overlayPeers(1); len(to) > 0 {
-		nd.send(to[0], newExtMsg(kindDigest, wireExt{IDs: a.IDs()}), fairness.ClassInfra)
+		nd.send(to[0], newExtMsg(wire.KindDigest, wire.Parts{IDs: a.IDs()}), fairness.ClassInfra)
 	}
 }
 
 // handleDigest pulls every advertised event this node has not seen.
 func (nd *Node) handleDigest(from simnet.NodeID, m *wireMsg) {
 	var missing []pubsub.EventID
-	for _, id := range m.opt().IDs {
+	for _, id := range m.Opt().IDs {
 		if !nd.Seen(id) {
 			missing = append(missing, id)
 		}
 	}
 	if len(missing) > 0 {
-		nd.send(from, newExtMsg(kindPull, wireExt{IDs: missing}), fairness.ClassInfra)
+		nd.send(from, newExtMsg(wire.KindPull, wire.Parts{IDs: missing}), fairness.ClassInfra)
 	}
 }
 
@@ -74,7 +75,7 @@ func (nd *Node) handlePull(from simnet.NodeID, m *wireMsg) {
 		store = nd.Buffer()
 	}
 	var events []*pubsub.Event
-	for _, id := range m.opt().IDs {
+	for _, id := range m.Opt().IDs {
 		if ev, ok := store.Get(id); ok {
 			events = append(events, ev)
 		}

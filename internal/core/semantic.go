@@ -6,6 +6,7 @@ import (
 
 	"fairgossip/internal/pubsub"
 	"fairgossip/internal/simnet"
+	"fairgossip/internal/wire"
 )
 
 // Semantic partner bias — the closing idea of §5.2: "In some cases we may
@@ -74,9 +75,6 @@ func batchFingerprint(events []*pubsub.Event) uint64 {
 // interest.
 func fingerprintOverlap(a, b uint64) int { return bits.OnesCount64(a & b) }
 
-// fingerprintWireSize is the piggyback cost per gossip message.
-const fingerprintWireSize = 8
-
 // rememberFingerprint stores a peer's advertised fingerprint.
 func (nd *Node) rememberFingerprint(from simnet.NodeID, fp uint64) {
 	if fp == 0 || from == nd.ID() {
@@ -91,7 +89,7 @@ func (nd *Node) rememberFingerprint(from simnet.NodeID, fp uint64) {
 // fpAds samples a couple of known (peer, fingerprint) pairs to piggyback,
 // spreading profile knowledge epidemically (deterministic order, random
 // choice from the node's RNG).
-func (nd *Node) fpAds(k int) []fpAd {
+func (nd *Node) fpAds(k int) []wire.FPAd {
 	peerFPs := nd.ext.peerFPs
 	if len(peerFPs) == 0 || k <= 0 {
 		return nil
@@ -104,10 +102,10 @@ func (nd *Node) fpAds(k int) []fpAd {
 	if k > len(ids) {
 		k = len(ids)
 	}
-	out := make([]fpAd, 0, k)
+	out := make([]wire.FPAd, 0, k)
 	for _, idx := range nd.Rand().Perm(len(ids))[:k] {
 		id := simnet.NodeID(ids[idx])
-		out = append(out, fpAd{ID: id, FP: peerFPs[id]})
+		out = append(out, wire.FPAd{ID: uint32(id), FP: peerFPs[id]})
 	}
 	return out
 }

@@ -14,6 +14,7 @@ import (
 	"fairgossip/internal/fairness"
 	"fairgossip/internal/pubsub"
 	"fairgossip/internal/simnet"
+	"fairgossip/internal/wire"
 )
 
 func shardTestConfig() Config {
@@ -250,7 +251,7 @@ func TestDrainedMailboxPinsNothing(t *testing.T) {
 		var walk weak.Pointer[wireMsg]
 		park := c.remoteHook(c.shards[0])
 		c.shards[0].net.SetRemote(func(m eventsim.Msg, delay time.Duration) {
-			if w, ok := m.Payload.(*wireMsg); ok && w.Kind == kindSubWalk {
+			if w, ok := m.Payload.(*wireMsg); ok && w.Kind == wire.KindSubWalk {
 				walk = weak.Make(w)
 			}
 			park(m, delay)

@@ -18,6 +18,7 @@ import (
 
 	"fairgossip/internal/pubsub"
 	"fairgossip/internal/randutil"
+	"fairgossip/internal/wire"
 )
 
 // Policy selects which buffered events go into a gossip message — the
@@ -249,14 +250,4 @@ func (b *Buffer) IDs() []pubsub.EventID {
 }
 
 // MsgHeaderSize is the fixed wire overhead of a gossip message.
-const MsgHeaderSize = 16
-
-// MsgWireSize returns the accounting size of a gossip message carrying
-// the given events.
-func MsgWireSize(events []*pubsub.Event) int {
-	n := MsgHeaderSize
-	for _, ev := range events {
-		n += ev.WireSize()
-	}
-	return n
-}
+const MsgHeaderSize = wire.HeaderSize

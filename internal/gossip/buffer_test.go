@@ -158,17 +158,6 @@ func TestSeenSetFIFO(t *testing.T) {
 	}
 }
 
-func TestMsgWireSize(t *testing.T) {
-	events := []*pubsub.Event{ev(1, 1), ev(1, 2)}
-	want := MsgHeaderSize + events[0].WireSize() + events[1].WireSize()
-	if got := MsgWireSize(events); got != want {
-		t.Fatalf("MsgWireSize = %d, want %d", got, want)
-	}
-	if MsgWireSize(nil) != MsgHeaderSize {
-		t.Fatal("empty message size wrong")
-	}
-}
-
 // Property: buffer never exceeds capacity, never holds duplicates, and
 // Select never returns evicted or duplicate events.
 func TestQuickBufferInvariants(t *testing.T) {

@@ -7,9 +7,9 @@ import (
 	"testing"
 	"time"
 
-	"fairgossip/internal/protocol"
 	"fairgossip/internal/pubsub"
 	"fairgossip/internal/simnet"
+	"fairgossip/internal/wire"
 )
 
 // TestLiveSamplePeersZeroAlloc: SELECTPARTICIPANTS used to build a
@@ -101,7 +101,7 @@ func TestLiveRoundPathAllocs(t *testing.T) {
 			round := func() {
 				p.round()
 				if len(p.out.Sends) > 0 {
-					p.m.RecvMembership(protocol.KindReply, p.out.Sends[0].To, nil, &p.out)
+					p.m.RecvMembership(wire.KindReply, p.out.Sends[0].To, nil, &p.out)
 				}
 			}
 			for r := 0; r < 50; r++ {

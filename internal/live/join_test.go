@@ -274,9 +274,10 @@ func (e *countingEndpoint) Close() error      { return e.inner.Close() }
 // TestLiveShuffleBytesChargedByteForByte: on a calm cluster (no faults,
 // so every charged send reaches the transport) the ledger's per-peer
 // app + infra bytes must equal exactly what the transport observed
-// leaving that peer — the EnvelopeSize == MsgWireSize discipline,
-// extended to membership traffic. Every peer must also have paid real
-// infrastructure bytes: shuffles are charged contribution, not free.
+// leaving that peer: gossip and membership alike, a send is charged the
+// one size function, wire.Msg.Size, and that is the length encoded. Every
+// peer must also have paid real infrastructure bytes: shuffles are
+// charged contribution, not free.
 func TestLiveShuffleBytesChargedByteForByte(t *testing.T) {
 	counter := &countingNet{bytes: make(map[int]uint64)}
 	factory := func(n int) (transport.Net, error) {

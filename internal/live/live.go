@@ -16,11 +16,10 @@
 // outlives the peer's use of it keeps its slab reachable: at most eight
 // events' structs and payload bytes. The default ChanTransport
 // delivers the bytes in-process; Config.Transport swaps in real loopback
-// UDP sockets (transport.UDP()) with no protocol change. The encodings
-// are sized exactly like the accounting formulas the ledger has always
-// charged (wire.EnvelopeSize == gossip.MsgWireSize, wire.MembershipSize
-// for Cyclon traffic), so the contribution a peer is billed is literally
-// the number of bytes put on the wire.
+// UDP sockets (transport.UDP()) with no protocol change. A send is
+// charged the length of its encoding — the wire.Msg.Size the simulator
+// charges for the same message — so the contribution a peer is billed is
+// literally the number of bytes put on the wire.
 //
 // Membership is a partial view, not a roster: nothing on the gossip path
 // reads a full membership list, which is what lets clusters grow while
@@ -210,8 +209,9 @@ type Traffic struct {
 	// deferred delivery the substrate refused). Zero unless
 	// Config.Shape installed the shaper.
 	ShaperDrops uint64
-	// Malformed counts received envelopes that failed to decode or
-	// carried an invalid sender (a subset of Recv, not of Dropped).
+	// Malformed counts received envelopes that failed to decode, carried
+	// an invalid sender or a kind only the simulator runs (a subset of
+	// Recv, not of Dropped).
 	Malformed uint64
 	// JoinGiveUps counts joiners that abandoned the handshake after
 	// protocol.JoinAttempts announcements (not part of Dropped: nothing
@@ -267,11 +267,9 @@ type peer struct {
 	free  atomic.Bool
 	group atomic.Int32
 
-	env    wire.Envelope      // scan scratch: backing arrays are reused; Records alias the buffer in receive
-	dec    wire.Decoder       // interned topics and the slabs decoded events are carved from
-	wbuf   []byte             // encode scratch for every envelope this peer sends
-	entOut []wire.ViewEntry   // membership encode scratch
-	entIn  []membership.Entry // membership decode conversion scratch
+	env  wire.Envelope // scan scratch: backing arrays are reused; Records alias the buffer in receive
+	dec  wire.Decoder  // interned topics and the slabs decoded events are carved from
+	wbuf []byte        // encode scratch for every envelope this peer sends
 }
 
 // NewCluster builds a stopped cluster. The only error source is the
@@ -856,7 +854,10 @@ func (p *peer) gossip(events []*pubsub.Event, targets []simnet.NodeID) {
 // and Traffic can see it.
 func (p *peer) flushMembership() {
 	for _, s := range p.out.Sends {
-		p.sendMembership(byte(s.Kind), int(s.To), s.Entries)
+		if buf, err := wire.Append(p.wbuf[:0], uint32(p.id), &wire.Msg{Kind: s.Kind, Entries: s.Entries}); err == nil {
+			p.wbuf = buf
+			p.send(int(s.To), buf, fairness.ClassInfra)
+		}
 	}
 	if failed := p.m.JoinFailed(); failed != p.joinFailed.Load() {
 		p.joinFailed.Store(failed)
@@ -864,23 +865,6 @@ func (p *peer) flushMembership() {
 			p.c.traffic.joinGiveUps.Add(1)
 		}
 	}
-}
-
-// sendMembership encodes and sends one membership envelope; the entry
-// conversion and the encoding both run over the peer's reused scratch.
-func (p *peer) sendMembership(kind byte, to int, entries []membership.Entry) {
-	p.entOut = p.entOut[:0]
-	for _, e := range entries {
-		if e.ID >= 0 {
-			p.entOut = append(p.entOut, wire.ViewEntry{ID: uint32(e.ID), Age: uint16(min(e.Age, math.MaxUint16))})
-		}
-	}
-	buf, err := wire.AppendMembership(p.wbuf[:0], kind, uint32(p.id), p.entOut)
-	if err != nil {
-		return
-	}
-	p.wbuf = buf
-	p.send(to, buf, fairness.ClassInfra)
 }
 
 // send transmits an encoded envelope. The sender pays for the attempt
@@ -917,8 +901,9 @@ func (p *peer) receive(buf []byte) {
 		p.c.traffic.malformed.Add(1)
 		return
 	}
-	// Any valid envelope is proof of life for its sender — the machine's
-	// failure detector never holds evidence against a peer it can hear.
+	// Any envelope the peer acts on is proof of life for its sender — the
+	// machine's failure detector never holds evidence against a peer it
+	// can hear.
 	switch p.env.Kind {
 	case wire.KindEvents:
 		// The envelope was validated whole before this runs, and
@@ -926,9 +911,13 @@ func (p *peer) receive(buf []byte) {
 		// charged exactly what an eager decode would charge.
 		novel, dup := p.m.RecvEvents(simnet.NodeID(from), p.m.Buffer(), scanned{p})
 		p.c.ledger.AddAudit(from, novel, dup)
-	case wire.KindShuffleOffer, wire.KindShuffleReply, wire.KindJoin, wire.KindLeave:
-		p.m.RecvMembership(protocol.Kind(p.env.Kind), simnet.NodeID(from), p.entriesIn(), &p.out)
+	case wire.KindOffer, wire.KindReply, wire.KindJoin, wire.KindLeave:
+		p.m.RecvMembership(p.env.Kind, simnet.NodeID(from), p.env.Entries, &p.out)
 		p.flushMembership()
+	default:
+		// A kind only the simulator runs: well-formed, but nothing a live
+		// peer acts on, so it is counted with what it cannot use.
+		p.c.traffic.malformed.Add(1)
 	}
 }
 
@@ -955,14 +944,4 @@ func (p scanned) Event(i int) *pubsub.Event {
 		return nil
 	}
 	return ev
-}
-
-// entriesIn converts the decoded envelope's entries into membership
-// entries over reused scratch.
-func (p *peer) entriesIn() []membership.Entry {
-	p.entIn = p.entIn[:0]
-	for _, e := range p.env.Entries {
-		p.entIn = append(p.entIn, membership.Entry{ID: simnet.NodeID(e.ID), Age: int(e.Age)})
-	}
-	return p.entIn
 }

@@ -1,11 +1,13 @@
 package live
 
 import (
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"fairgossip/internal/fairness"
 	"fairgossip/internal/pubsub"
 	"fairgossip/internal/transport"
 	"fairgossip/internal/wire"
@@ -123,6 +125,49 @@ func TestLiveMalformedEnvelopeCounted(t *testing.T) {
 	p.receive(buf)
 	if got := c.Traffic().Malformed; got != 2 {
 		t.Fatalf("malformed count %d, want 2", got)
+	}
+}
+
+// TestLiveCountsKindsItDoesNotRun: a well-formed envelope of a kind only
+// the simulator runs reaches the peer, is counted as malformed, and moves
+// nothing — no delivery, no view change — while the books still balance.
+func TestLiveCountsKindsItDoesNotRun(t *testing.T) {
+	c := mustCluster(t, Config{N: 4, Seed: 21})
+	defer c.Stop()
+	c.Subscribe(1, pubsub.MatchAll())
+	var delivered atomic.Int64
+	c.OnDeliver(1, func(*pubsub.Event) { delivered.Add(1) })
+	p, q := c.peerAt(0), c.peerAt(1)
+	view := q.view()
+	ev := &pubsub.Event{ID: pubsub.EventID{Publisher: 0, Seq: 99}, Topic: "t"}
+	walk := &wire.Parts{Origin: 0, Hops: 4, Topic: "t"}
+	for _, m := range []wire.Msg{
+		{Kind: wire.KindSubWalk, Parts: walk},
+		{Kind: wire.KindSubAck, Entries: []wire.ViewEntry{{ID: 2}, {ID: 3, Age: 1}}, Parts: &wire.Parts{Topic: "t"}},
+		{Kind: wire.KindPubWalk, Events: []*pubsub.Event{ev}, Parts: walk},
+		{Kind: wire.KindDigest, Parts: &wire.Parts{IDs: []pubsub.EventID{ev.ID}}},
+		{Kind: wire.KindPull, Parts: &wire.Parts{IDs: []pubsub.EventID{ev.ID}}},
+	} {
+		buf, err := wire.Append(nil, 0, &m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.send(1, buf, fairness.ClassInfra)
+	}
+	for len(q.inbox) > 0 {
+		buf := <-q.inbox
+		q.receive(buf)
+		c.net.Release(buf)
+	}
+	tr := c.Traffic()
+	if tr.Malformed != 5 {
+		t.Fatalf("malformed count %d, want one per sim-only kind (5)", tr.Malformed)
+	}
+	if delivered.Load() != 0 || !slices.Equal(q.view(), view) {
+		t.Fatalf("a sim-only kind moved the peer: %d deliveries, view %v → %v", delivered.Load(), view, q.view())
+	}
+	if tr.Sent != 5 || tr.Sent != tr.Recv+tr.Dropped {
+		t.Fatalf("books do not balance: %+v", tr)
 	}
 }
 

@@ -165,7 +165,3 @@ func (c *Cyclon) merge(received, sent []Entry, from simnet.NodeID) {
 	}
 	c.repls = replaceable[:0] // keep the grown scratch capacity
 }
-
-// EntryWireSize is the accounting size of one view entry on the wire:
-// 4 bytes of node id + 2 bytes of age.
-const EntryWireSize = 6

@@ -8,6 +8,7 @@ import (
 
 	"fairgossip/internal/eventsim"
 	"fairgossip/internal/simnet"
+	"fairgossip/internal/wire"
 )
 
 func TestCyclonPairExchange(t *testing.T) {
@@ -200,7 +201,7 @@ func (n *cyclonSimNode) HandleMessage(msg simnet.Message) {
 		return
 	}
 	reply := n.cy.HandleShuffle(n.rng, msg.From, sm.entries)
-	n.net.Send(n.id, msg.From, shuffleMsg{reply: true, entries: slices.Clone(reply)}, len(reply)*EntryWireSize)
+	n.net.Send(n.id, msg.From, shuffleMsg{reply: true, entries: slices.Clone(reply)}, len(reply)*wire.EntryWireSize)
 }
 
 func (n *cyclonSimNode) shuffle() {
@@ -208,7 +209,7 @@ func (n *cyclonSimNode) shuffle() {
 	if !ok {
 		return
 	}
-	n.net.Send(n.id, target, shuffleMsg{entries: slices.Clone(offer)}, len(offer)*EntryWireSize)
+	n.net.Send(n.id, target, shuffleMsg{entries: slices.Clone(offer)}, len(offer)*wire.EntryWireSize)
 }
 
 // TestCyclonConvergence runs 64 nodes bootstrapped in a ring and checks

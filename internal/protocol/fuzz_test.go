@@ -1,10 +1,12 @@
 package protocol
 
 import (
+	"slices"
 	"testing"
 
 	"fairgossip/internal/membership"
 	"fairgossip/internal/simnet"
+	"fairgossip/internal/wire"
 )
 
 // The fuzz bytes are a script of inputs to one Cyclon peer (id 0 of
@@ -12,14 +14,12 @@ import (
 // its operands; a script that runs out of bytes reads zeros.
 const (
 	opTick       = iota // Tick, then Adapt
-	opMembership        // kind, from, entry count, (id, age)…
+	opMembership        // kind (any of the family), from, entry count, (id, age)…
 	opEvents            // from, event count, (publisher, seq)…
 	opJoin              // seed (population: simnet.None)
 	opLeave
 	opCount
 )
-
-var fuzzKinds = [...]Kind{KindOffer, KindReply, KindJoin, KindLeave}
 
 // script builds seed-corpus inputs.
 type script []byte
@@ -51,39 +51,33 @@ func (s script) join(seed byte) script { return append(s, opJoin, seed) }
 func (s script) leave() script         { return append(s, opLeave) }
 
 // FuzzPeerInputs drives one peer through arbitrary sequences of every input
-// that names another peer — Tick, RecvMembership of every kind from any
-// sender (itself included) with any entries (itself and duplicates
+// that names another peer — Tick, RecvMembership of every wire kind from
+// any sender (itself included) with any entries (itself and duplicates
 // included), RecvEvents, Join and Leave — and checks after each that
 // nothing panicked, that the view holds at most ViewCap distinct entries
-// and never the peer itself, and that nothing the peer sends targets it.
+// and never the peer itself, that nothing the peer sends targets it, and
+// that a kind which is not membership left the view and the sends alone.
 func FuzzPeerInputs(f *testing.F) {
-	k := func(kind Kind) int {
-		for i, c := range fuzzKinds {
-			if c == kind {
-				return i
-			}
-		}
-		panic("unknown kind")
-	}
+	k := func(kind Kind) int { return int(kind) }
 	e := func(id, age int) membership.Entry { return membership.Entry{ID: simnet.NodeID(id), Age: age} }
 	for _, s := range []script{
 		// TestTickEmitsOneBatchToFanoutViewMembers: an idle founder ticks.
-		script{}.membership(k(KindReply), 1, e(2, 0), e(3, 0), e(4, 0), e(5, 0), e(6, 0)).tick(8),
+		script{}.membership(k(wire.KindReply), 1, e(2, 0), e(3, 0), e(4, 0), e(5, 0), e(6, 0)).tick(8),
 		// TestDetector: shuffle targets that answer, one that stays silent.
-		script{}.membership(k(KindReply), 1, e(2, 1), e(3, 1), e(4, 1)).
-			tick(1).membership(k(KindReply), 1).tick(1).membership(k(KindReply), 3).tick(6).
-			membership(k(KindOffer), 3, e(2, 1), e(9, 1)).events(2),
+		script{}.membership(k(wire.KindReply), 1, e(2, 1), e(3, 1), e(4, 1)).
+			tick(1).membership(k(wire.KindReply), 1).tick(1).membership(k(wire.KindReply), 3).tick(6).
+			membership(k(wire.KindOffer), 3, e(2, 1), e(9, 1)).events(2),
 		// TestFirstCopyPlusTwoBatchesOfDuplicatesRetires: one event, many copies.
 		script{}.events(1, 1).events(1, 1).events(1, 1).events(1, 1).events(1, 1, 2).tick(2),
 		// TestJoinerStopsAfterJoinAttempts: a silent seed, then a reply from elsewhere.
-		script{}.join(1).tick(64).membership(k(KindReply), 7, e(8, 1)).tick(1).join(population),
+		script{}.join(1).tick(64).membership(k(wire.KindReply), 7, e(8, 1)).tick(1).join(population),
 		// TestLeaveHandsOverFreshestEntries: a populated peer leaves, a neighbour's leave arrives.
-		script{}.membership(k(KindReply), 1, e(2, 2), e(3, 3), e(4, 4), e(5, 5), e(6, 6)).leave().
-			membership(k(KindLeave), 3, e(0, 0), e(7, 1), e(7, 1)).membership(k(KindOffer), 1, e(3, 0)),
+		script{}.membership(k(wire.KindReply), 1, e(2, 2), e(3, 3), e(4, 4), e(5, 5), e(6, 6)).leave().
+			membership(k(wire.KindLeave), 3, e(0, 0), e(7, 1), e(7, 1)).membership(k(wire.KindOffer), 1, e(3, 0)),
 		// TestJoinBootstrapsTheJoiner: a joiner announces itself to this seed.
-		script{}.membership(k(KindReply), 1, e(2, 0), e(3, 0)).membership(k(KindJoin), 9).tick(1),
+		script{}.membership(k(wire.KindReply), 1, e(2, 0), e(3, 0)).membership(k(wire.KindJoin), 9).tick(1),
 		// Self as sender and entry, duplicate entries, self as seed.
-		script{}.membership(k(KindOffer), 0, e(0, 0), e(1, 0), e(1, 0)).events(0, 1),
+		script{}.membership(k(wire.KindOffer), 0, e(0, 0), e(1, 0), e(1, 0)).events(0, 1),
 		script{}.join(0).tick(4),
 	} {
 		f.Add([]byte(s))
@@ -107,12 +101,17 @@ func FuzzPeerInputs(f *testing.F) {
 				p.Tick(&out)
 				p.Adapt()
 			case opMembership:
-				kind, from := fuzzKinds[next()%len(fuzzKinds)], id()
-				entries := make([]membership.Entry, next()%(ShuffleLen+3))
+				kind, from := Kind(next()%int(wire.NumKinds)), id()
+				entries := make([]wire.ViewEntry, next()%(ShuffleLen+3))
 				for i := range entries {
-					entries[i] = membership.Entry{ID: id(), Age: next() % 8}
+					entries[i] = wire.ViewEntry{ID: uint32(id()), Age: uint16(next() % 8)}
 				}
+				before := p.View().Entries()
 				p.RecvMembership(kind, from, entries, &out)
+				if kind != wire.KindOffer && kind != wire.KindReply && kind != wire.KindJoin && kind != wire.KindLeave &&
+					(len(out.Sends) > 0 || !slices.Equal(p.View().Entries(), before)) {
+					t.Fatalf("step %d: kind %d is not membership but moved the peer: sends %+v", step, kind, out.Sends)
+				}
 			case opEvents:
 				from, b := id(), &events{}
 				for n := next() % 5; n > 0; n-- {

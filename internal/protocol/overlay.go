@@ -9,17 +9,9 @@ import (
 	"fairgossip/internal/wire"
 )
 
-// Kind names a membership message. The values are the wire codec's, so
-// the live driver converts with a cast; the simulator maps them onto its
-// own message kinds.
-type Kind uint8
-
-const (
-	KindOffer = Kind(wire.KindShuffleOffer) // Cyclon offer
-	KindReply = Kind(wire.KindShuffleReply) // Cyclon answer, and a seed's bootstrap for a joiner
-	KindJoin  = Kind(wire.KindJoin)         // a joiner's announcement to its seed
-	KindLeave = Kind(wire.KindLeave)        // graceful departure + hand-off entries
-)
+// Kind is the wire's message kind, the one family both drivers speak. A
+// peer sends and handles the membership kinds; the driver owns the rest.
+type Kind = wire.Kind
 
 // overlay is what a peer keeps because its membership is a partial view
 // rather than the full roster: the Cyclon state, the failure detector
@@ -36,7 +28,7 @@ type overlay struct {
 	joinWait     int // membership rounds to sit out before re-announcing
 	joinFailed   bool
 
-	in []membership.Entry // admit's scratch
+	in []membership.Entry // admit's scratch: received entries in the view's terms
 }
 
 // Bootstrap seeds the n founders' views with random contacts (a join
@@ -80,7 +72,7 @@ func (p *Peer) shuffle(out *Out) {
 	ov.joinAttempts, ov.joinWait, ov.joinFailed = 0, 0, false
 	ov.probe = target
 	ov.probeEntry = membership.Entry{ID: target, Age: old.Age + 1}
-	out.send(KindOffer, target, offer)
+	out.send(wire.KindOffer, target, offer)
 }
 
 // resolveProbe settles the verdict on the previous membership round's
@@ -123,55 +115,53 @@ func (p *Peer) heard(from simnet.NodeID) {
 	ov.cyclon.View().ClearSuspect(from)
 }
 
-// admit drops quarantined addresses from received entries — the half of
-// eviction that keeps third-party gossip from recirculating a dead peer
-// into the view it was just probed out of. The simulator shares the input
-// with other receivers, so a filtered copy goes to scratch.
-func (ov *overlay) admit(entries []membership.Entry, round int) []membership.Entry {
-	if len(ov.det.dead) == 0 {
-		return entries
-	}
+// admit hears from and converts what it sent into view entries in scratch,
+// dropping quarantined addresses — the half of eviction that keeps
+// third-party gossip from recirculating a dead peer into the view.
+func (p *Peer) admit(from simnet.NodeID, entries []wire.ViewEntry) []membership.Entry {
+	p.heard(from)
+	ov := p.ov
 	ov.in = ov.in[:0]
 	for _, e := range entries {
-		if !ov.det.buried(e.ID, round) {
-			ov.in = append(ov.in, e)
+		if id := simnet.NodeID(e.ID); !ov.det.buried(id, p.round) {
+			ov.in = append(ov.in, membership.Entry{ID: id, Age: int(e.Age)})
 		}
 	}
 	return ov.in
 }
 
 // RecvMembership handles one membership message from another peer, from;
-// replies go to out.Sends. Without a partial view it ignores them all.
-func (p *Peer) RecvMembership(kind Kind, from simnet.NodeID, entries []membership.Entry, out *Out) {
-	out.Sends = out.Sends[:0]
+// replies go to out.Sends. Without a partial view it ignores them all, and
+// a kind that is not membership leaves the peer untouched.
+func (p *Peer) RecvMembership(kind Kind, from simnet.NodeID, entries []wire.ViewEntry, out *Out) {
+	out.reset()
 	ov := p.ov
 	if ov == nil || from == p.id {
 		return
 	}
-	p.heard(from)
-	entries = ov.admit(entries, p.round)
 	v := ov.cyclon.View()
 	switch kind {
-	case KindOffer:
-		out.send(KindReply, from, ov.cyclon.HandleShuffle(p.Rand(), from, entries))
-	case KindReply:
-		ov.cyclon.HandleReply(from, entries)
-	case KindJoin:
+	case wire.KindOffer:
+		out.send(wire.KindReply, from, ov.cyclon.HandleShuffle(p.Rand(), from, p.admit(from, entries)))
+	case wire.KindReply:
+		ov.cyclon.HandleReply(from, p.admit(from, entries))
+	case wire.KindJoin:
 		// Admit a joining peer: merge whatever view it announced, remember
 		// its address, and bootstrap it with a sample of our own view sent
 		// back as a shuffle reply (the joiner merges it conservatively,
 		// learning our address too, and has no use for its own).
-		for _, e := range entries {
+		for _, e := range p.admit(from, entries) {
 			v.AddAged(e)
 		}
 		v.Add(from)
 		ents := v.Entries()
 		p.Rand().Shuffle(len(ents), func(i, j int) { ents[i], ents[j] = ents[j], ents[i] })
-		out.send(KindReply, from, freshest(ents, ov.cyclon.ShuffleLen(), from))
-	case KindLeave:
+		out.send(wire.KindReply, from, freshest(ents, ov.cyclon.ShuffleLen(), from))
+	case wire.KindLeave:
 		// A graceful departure: forget the leaver, refuse its address from
 		// future offers, and adopt the replacement contacts it handed over.
 		// (heard already settled a pending probe of it.)
+		entries := p.admit(from, entries)
 		v.Remove(from)
 		ov.det.bury(from, p.round)
 		for _, e := range entries {
@@ -179,6 +169,8 @@ func (p *Peer) RecvMembership(kind Kind, from simnet.NodeID, entries []membershi
 				v.AddAged(e)
 			}
 		}
+	default:
+		return // not a membership kind: nothing here is the peer's to act on
 	}
 }
 
@@ -205,7 +197,7 @@ func freshest(ents []membership.Entry, k int, skip simnet.NodeID) []membership.E
 // that moved to a new address makes the overlay re-learn it promptly. A
 // peer without a partial view has nobody to be introduced to.
 func (p *Peer) Join(seed simnet.NodeID, out *Out) {
-	out.Sends = out.Sends[:0]
+	out.reset()
 	ov := p.ov
 	if ov == nil {
 		return
@@ -239,7 +231,7 @@ func (p *Peer) announce(out *Out) {
 		ov.joinFailed = true
 		return
 	}
-	out.send(KindJoin, ov.joinSeed, nil)
+	out.send(wire.KindJoin, ov.joinSeed, nil)
 	ov.joinAttempts++
 	backoff := min(1<<(ov.joinAttempts-1), JoinBackoffCap)
 	ov.joinWait = backoff + p.Rand().Intn(backoff)
@@ -251,13 +243,13 @@ func (p *Peer) announce(out *Out) {
 // degree. Under the full sampler there are no views to repair. Going
 // silent afterwards is the driver's business.
 func (p *Peer) Leave(out *Out) {
-	out.Sends = out.Sends[:0]
+	out.reset()
 	if p.ov == nil {
 		return
 	}
 	ents := p.ov.cyclon.View().Entries()
 	sort.SliceStable(ents, func(i, j int) bool { return ents[i].Age < ents[j].Age })
 	for _, to := range ents {
-		out.send(KindLeave, to.ID, freshest(ents, p.ov.cyclon.ShuffleLen(), to.ID))
+		out.send(wire.KindLeave, to.ID, freshest(ents, p.ov.cyclon.ShuffleLen(), to.ID))
 	}
 }

@@ -36,6 +36,7 @@
 package protocol
 
 import (
+	"math"
 	"math/rand"
 
 	"fairgossip/internal/adaptive"
@@ -45,6 +46,7 @@ import (
 	"fairgossip/internal/pubsub"
 	"fairgossip/internal/randutil"
 	"fairgossip/internal/simnet"
+	"fairgossip/internal/wire"
 )
 
 // Peer is one FairGossip process's protocol state, stream, seen-set and
@@ -90,17 +92,27 @@ type Out struct {
 	Events  []*pubsub.Event // the round's batch
 	Targets []simnet.NodeID // the partners it goes to
 	Sends   []Send          // membership messages, in sending order
+
+	ents []wire.ViewEntry // the Sends' entries, back to back
 }
 
-// Send is one membership message.
+// Send is one membership message, its entries already the wire's.
 type Send struct {
 	Kind    Kind
 	To      simnet.NodeID
-	Entries []membership.Entry
+	Entries []wire.ViewEntry
 }
 
+func (o *Out) reset() { o.Sends, o.ents = o.Sends[:0], o.ents[:0] }
+
+// send queues a membership message, converting its entries into the
+// wire's (ages saturate at 65535) in o's scratch.
 func (o *Out) send(kind Kind, to simnet.NodeID, entries []membership.Entry) {
-	o.Sends = append(o.Sends, Send{Kind: kind, To: to, Entries: entries})
+	start := len(o.ents)
+	for _, e := range entries {
+		o.ents = append(o.ents, wire.ViewEntry{ID: uint32(e.ID), Age: uint16(min(e.Age, math.MaxUint16))})
+	}
+	o.Sends = append(o.Sends, Send{Kind: kind, To: to, Entries: o.ents[start:len(o.ents):len(o.ents)]})
 }
 
 // Batch is a received gossip message as its driver holds it — decoded
@@ -210,7 +222,7 @@ func (p *Peer) Tick(out *Out) {
 // Maintain opens a round: every ShuffleEvery-th one initiates a Cyclon
 // shuffle (free-riders too), leaving the offer in out.Sends.
 func (p *Peer) Maintain(out *Out) {
-	out.Sends = out.Sends[:0]
+	out.reset()
 	p.round++
 	if p.ov != nil && p.round%p.par.ShuffleEvery == 0 {
 		p.shuffle(out)

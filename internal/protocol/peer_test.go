@@ -9,6 +9,7 @@ import (
 	"fairgossip/internal/membership"
 	"fairgossip/internal/pubsub"
 	"fairgossip/internal/simnet"
+	"fairgossip/internal/wire"
 )
 
 // These tests drive one or two machines by hand: no simulator, no
@@ -154,10 +155,10 @@ func TestFirstCopyPlusTwoBatchesOfDuplicatesRetires(t *testing.T) {
 }
 
 // offerFrom returns what peer q would offer p in a shuffle.
-func offerFrom(q simnet.NodeID, ids ...simnet.NodeID) []membership.Entry {
-	ents := []membership.Entry{{ID: q}}
+func offerFrom(q simnet.NodeID, ids ...simnet.NodeID) []wire.ViewEntry {
+	ents := []wire.ViewEntry{{ID: uint32(q)}}
 	for _, id := range ids {
-		ents = append(ents, membership.Entry{ID: id, Age: 1})
+		ents = append(ents, wire.ViewEntry{ID: uint32(id), Age: 1})
 	}
 	return ents
 }
@@ -174,11 +175,11 @@ func TestDetector(t *testing.T) {
 	step := func(t *testing.T, p *Peer, silent simnet.NodeID) {
 		t.Helper()
 		p.Tick(&out)
-		if len(out.Sends) != 1 || out.Sends[0].Kind != KindOffer {
+		if len(out.Sends) != 1 || out.Sends[0].Kind != wire.KindOffer {
 			t.Fatalf("a founder's membership round sent %+v, want one offer", out.Sends)
 		}
 		if to := out.Sends[0].To; to != silent {
-			p.RecvMembership(KindReply, to, offerFrom(to), &out)
+			p.RecvMembership(wire.KindReply, to, offerFrom(to), &out)
 		}
 	}
 	// probe steps until the verdict on one more unanswered offer to the
@@ -228,14 +229,14 @@ func TestDetector(t *testing.T) {
 		}
 		// A third party re-offers the dead address: refused. A stranger in
 		// the same offer is admitted.
-		p.RecvMembership(KindOffer, 3, offerFrom(3, 2, 9), &out)
+		p.RecvMembership(wire.KindOffer, 3, offerFrom(3, 2, 9), &out)
 		if p.View().Contains(2) {
 			t.Fatal("a quarantined address came back through an offer")
 		}
 		if !p.View().Contains(9) {
 			t.Fatal("the quarantine filter dropped an innocent entry")
 		}
-		if len(out.Sends) != 1 || out.Sends[0].Kind != KindReply || out.Sends[0].To != 3 {
+		if len(out.Sends) != 1 || out.Sends[0].Kind != wire.KindReply || out.Sends[0].To != 3 {
 			t.Fatalf("offer not answered: %+v", out.Sends)
 		}
 		// The verdict expires: QuarantineRounds later the address gets the
@@ -247,7 +248,7 @@ func TestDetector(t *testing.T) {
 		p.ov.det.bury(2, buried)
 		// Direct contact lifts the quarantine.
 		p.RecvEvents(2, p.Buffer(), &events{})
-		p.RecvMembership(KindOffer, 3, offerFrom(3, 2), &out)
+		p.RecvMembership(wire.KindOffer, 3, offerFrom(3, 2), &out)
 		if !p.View().Contains(2) {
 			t.Fatal("address still refused after it spoke for itself")
 		}
@@ -277,7 +278,7 @@ func TestJoinerStopsAfterJoinAttempts(t *testing.T) {
 	joins := 0
 	count := func() {
 		for _, s := range out.Sends {
-			if s.Kind == KindJoin {
+			if s.Kind == wire.KindJoin {
 				if s.To != 0 || len(s.Entries) != 0 {
 					t.Fatalf("announcement %+v, want an empty one to the seed", s)
 				}
@@ -305,7 +306,7 @@ func TestJoinerStopsAfterJoinAttempts(t *testing.T) {
 		t.Fatal("JoinFailed not set after the budget ran out")
 	}
 	// A bootstrap reply from anywhere integrates the peer after all.
-	p.RecvMembership(KindReply, 7, offerFrom(7, 8), &out)
+	p.RecvMembership(wire.KindReply, 7, offerFrom(7, 8), &out)
 	p.Tick(&out)
 	if p.JoinFailed() {
 		t.Fatal("JoinFailed survived a populated view")
@@ -351,7 +352,7 @@ func TestLeaveHandsOverFreshestEntries(t *testing.T) {
 	}
 	told := map[simnet.NodeID]bool{}
 	for _, s := range out.Sends {
-		if s.Kind != KindLeave || told[s.To] {
+		if s.Kind != wire.KindLeave || told[s.To] {
 			t.Fatalf("bad or repeated leave message %+v", s)
 		}
 		told[s.To] = true
@@ -363,7 +364,7 @@ func TestLeaveHandsOverFreshestEntries(t *testing.T) {
 			if next == s.To {
 				next++
 			}
-			if e.ID != next {
+			if simnet.NodeID(e.ID) != next {
 				t.Fatalf("neighbour %d handed %v, want the freshest in order without itself", s.To, s.Entries)
 			}
 			next++
@@ -375,14 +376,14 @@ func TestLeaveHandsOverFreshestEntries(t *testing.T) {
 	var qout Out
 	for _, s := range out.Sends {
 		if s.To == 3 {
-			q.RecvMembership(KindLeave, 0, s.Entries, &qout)
+			q.RecvMembership(wire.KindLeave, 0, s.Entries, &qout)
 		}
 	}
 	got := viewIDs(q)
 	if got[0] || got[3] || len(got) != ShuffleLen {
 		t.Fatalf("after the hand-off the view is %v", q.View().IDs())
 	}
-	q.RecvMembership(KindOffer, 1, offerFrom(1, 0), &qout)
+	q.RecvMembership(wire.KindOffer, 1, offerFrom(1, 0), &qout)
 	if q.View().Contains(0) {
 		t.Fatal("the leaver's address came back through an offer")
 	}
@@ -415,8 +416,8 @@ func TestScribblingOnSendEntriesLeavesTheView(t *testing.T) {
 		call func()
 	}{
 		{"offer", func() { p.Tick(&out) }},
-		{"reply", func() { p.RecvMembership(KindOffer, 7, offerFrom(7, 8), &out) }},
-		{"bootstrap", func() { p.RecvMembership(KindJoin, 9, nil, &out) }},
+		{"reply", func() { p.RecvMembership(wire.KindOffer, 7, offerFrom(7, 8), &out) }},
+		{"bootstrap", func() { p.RecvMembership(wire.KindJoin, 9, nil, &out) }},
 		{"leave", func() { p.Leave(&out) }},
 	} {
 		input.call()
@@ -426,7 +427,7 @@ func TestScribblingOnSendEntriesLeavesTheView(t *testing.T) {
 		want := p.View().Entries()
 		for _, s := range out.Sends {
 			for i := range s.Entries {
-				s.Entries[i] = membership.Entry{ID: 99, Age: 99}
+				s.Entries[i] = wire.ViewEntry{ID: 99, Age: 99}
 			}
 		}
 		if got := p.View().Entries(); !slices.Equal(got, want) {
@@ -445,11 +446,11 @@ func TestJoinBootstrapsTheJoiner(t *testing.T) {
 		p.View().Add(id)
 	}
 	var out Out
-	p.RecvMembership(KindJoin, 9, nil, &out)
+	p.RecvMembership(wire.KindJoin, 9, nil, &out)
 	if !p.View().Contains(9) {
 		t.Fatal("the seed did not remember the joiner")
 	}
-	if len(out.Sends) != 1 || out.Sends[0].Kind != KindReply || out.Sends[0].To != 9 {
+	if len(out.Sends) != 1 || out.Sends[0].Kind != wire.KindReply || out.Sends[0].To != 9 {
 		t.Fatalf("no bootstrap reply: %+v", out.Sends)
 	}
 	if n := len(out.Sends[0].Entries); n != 5 {

@@ -54,12 +54,13 @@ func benchEntries() []ViewEntry {
 // a reused buffer — the per-shuffle sender cost.
 func BenchmarkWireEncodeShuffle(b *testing.B) {
 	entries := benchEntries()
-	buf := make([]byte, 0, MembershipSize(len(entries)))
+	m := Msg{Kind: KindOffer, Entries: entries}
+	buf := make([]byte, 0, m.Size())
 	b.ReportAllocs()
-	b.SetBytes(int64(MembershipSize(len(entries))))
+	b.SetBytes(int64(m.Size()))
 	for i := 0; i < b.N; i++ {
 		var err error
-		buf, err = AppendMembership(buf[:0], KindShuffleOffer, 1, entries)
+		buf, err = Append(buf[:0], 1, &m)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -69,7 +70,7 @@ func BenchmarkWireEncodeShuffle(b *testing.B) {
 // BenchmarkWireDecodeShuffle measures membership-envelope decoding with
 // a reused Envelope — the per-shuffle receiver cost.
 func BenchmarkWireDecodeShuffle(b *testing.B) {
-	buf, err := AppendMembership(nil, KindShuffleOffer, 1, benchEntries())
+	buf, err := Append(nil, 1, &Msg{Kind: KindOffer, Entries: benchEntries()})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -7,8 +7,9 @@ import (
 	"fairgossip/internal/pubsub"
 )
 
-// FuzzWireDecode hardens the decoder against arbitrary input. Three
-// properties, from a corpus seeded with real encoded envelopes:
+// FuzzWireDecode hardens the decoder against arbitrary input. Four
+// properties, from a corpus seeded with real encoded envelopes of every
+// kind and every optional part:
 //
 //  1. DecodeEnvelope never panics and never over-reads, whatever the
 //     bytes (the fuzz engine explores truncations, bit flips, and
@@ -16,11 +17,13 @@ import (
 //  2. The scan is the only gate a receiver has, so what it accepts must
 //     be materialisable: every record's Decode succeeds, the id the
 //     scan read is the event's, Raw is exactly the event's WireSize
-//     bytes, and the records back to back are exactly the body.
+//     bytes, and the records back to back are exactly the bytes they
+//     were read from.
 //  3. The format is canonical: when the scan succeeds, re-encoding the
-//     decoded envelope reproduces the input byte for byte. Every field
-//     is either fixed, exactly validated, or round-tripped at the bit
-//     level (floats), so there is exactly one encoding per message.
+//     decoded envelope reproduces the input byte for byte, and Size
+//     says so. Every field is either fixed, exactly validated, or
+//     round-tripped at the bit level (floats), so there is exactly one
+//     encoding per message.
 //  4. Slabs change nothing: every record decoded through one Decoder the
 //     whole envelope shares equals the same record decoded fresh, checked
 //     once the last record has been carved.
@@ -58,9 +61,9 @@ func FuzzWireDecode(f *testing.F) {
 	// Membership vocabulary: offers, replies, joins and leaves, empty
 	// and full.
 	entries := []ViewEntry{{ID: 4, Age: 0}, {ID: 90, Age: 3}, {ID: 0xffffffff, Age: 0xffff}}
-	for _, kind := range []byte{KindShuffleOffer, KindShuffleReply, KindJoin, KindLeave} {
+	for _, kind := range []Kind{KindOffer, KindReply, KindJoin, KindLeave} {
 		for _, n := range []int{0, len(entries)} {
-			m, err := AppendMembership(nil, kind, 17, entries[:n])
+			m, err := Append(nil, 17, &Msg{Kind: kind, Entries: entries[:n]})
 			if err != nil {
 				f.Fatal(err)
 			}
@@ -81,37 +84,43 @@ func FuzzWireDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(slabs)
+	// Every kind only the simulator sends, and every optional part.
+	for _, m := range sampleMsgs() {
+		b, err := Append(nil, 6, &m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var env Envelope
 		if err := DecodeEnvelope(data, &env); err != nil {
 			return // rejected: fine, as long as it did not panic
 		}
-		var back []byte
-		var err error
-		if env.Kind == KindEvents {
-			var body []byte
-			for _, rec := range env.Records {
-				body = append(body, rec.Raw...)
-			}
-			if !bytes.Equal(body, data[HeaderSize:]) {
-				t.Fatalf("records do not tile the body:\n in  %x\n got %x", data[HeaderSize:], body)
-			}
-			var dec Decoder
-			slabbed := decodeAll(t, &env, &dec)
-			fresh := decodeAll(t, &env, nil)
-			for i := range fresh {
-				eventsEqual(t, slabbed[i], fresh[i])
-			}
-			back, err = AppendEnvelope(nil, env.Sender, fresh)
-		} else {
-			back, err = AppendMembership(nil, env.Kind, env.Sender, env.Entries)
+		var body []byte
+		for _, rec := range env.Records {
+			body = append(body, rec.Raw...)
 		}
+		at := HeaderSize
+		if _, walk, _ := env.Kind.layout(); walk {
+			at += walkSize
+		}
+		if !bytes.Equal(body, data[at:at+len(body)]) {
+			t.Fatalf("records do not tile the bytes they came from:\n in  %x\n got %x", data[at:], body)
+		}
+		var dec Decoder
+		slabbed := decodeAll(t, &env, &dec)
+		m := msgOf(t, &env, nil)
+		for i := range m.Events {
+			eventsEqual(t, slabbed[i], m.Events[i])
+		}
+		back, err := Append(nil, env.Sender, &m)
 		if err != nil {
 			t.Fatalf("decoded envelope does not re-encode: %v", err)
 		}
-		if !bytes.Equal(back, data) {
-			t.Fatalf("non-canonical encoding accepted:\n in  %x\n out %x", data, back)
+		if !bytes.Equal(back, data) || m.Size() != len(data) {
+			t.Fatalf("non-canonical encoding accepted (Size %d):\n in  %x\n out %x", m.Size(), data, back)
 		}
 	})
 }

@@ -1,51 +1,29 @@
-// Package wire is the binary codec for the live runtime's message
-// vocabulary: events (with typed attributes and payload), event IDs,
-// membership view entries, and the envelope that frames each protocol
-// message with its kind and sender — event gossip (KindEvents) and the
-// membership traffic (KindShuffleOffer, KindShuffleReply, KindJoin,
-// KindLeave).
+// Package wire is the one message format of both drivers: the kinds a
+// peer sends (Kind), a message as its sender holds it (Msg), its size
+// (Msg.Size), its encoding (Append) and the validating scan that reads it
+// back (DecodeEnvelope). The live runtime puts these bytes on a transport;
+// the simulator passes Msgs by reference and charges their Size. Tests
+// hold Size equal to the encoder's output, so on both drivers the bytes
+// the fairness ledger charges are the bytes on the wire.
 //
-// The format is compact, big-endian, and length-prefixed at every
-// variable-size field. An envelope is a fixed 16-byte header followed by
-// the kind's records back to back: event records are self-delimiting
-// (topic, attribute keys, string values and payload all carry explicit
-// lengths), membership entries are fixed 6-byte cells, and in both cases
-// the decoder walks the body with a bounds-checked cursor and must land
-// exactly on the last byte. Decoding is hardened against truncated and
-// hostile input: it never panics, never reads past the buffer, validates
-// every kind/flag byte, and cross-checks the header's count and
-// body-length fields against what it actually consumed (FuzzWireDecode
-// keeps it that way).
+// The format is compact, big-endian and length-prefixed at every variable
+// field: a 10-byte header, then the kind's body — a walk's origin and
+// hops, the count records the kind carries (event records, which are
+// byte-for-byte pubsub's layout, 6-byte view entries or 8-byte event ids)
+// and the optional parts the header announces, each costing bytes only
+// when present. Nothing says how long the body is: the decoder walks it
+// with a bounds-checked cursor and must land exactly on the last byte. It
+// never panics or over-reads, validates every kind, part and value byte,
+// and accepts exactly one encoding per message (FuzzWireDecode).
 //
-// Two deliberate invariants tie the codec to the rest of the system:
-//
-//   - An event record's layout is byte-for-byte the pubsub
-//     MarshalBinary layout, so pubsub.Event.WireSize is the exact
-//     encoded size of a record.
-//   - EnvelopeSize(events) == gossip.MsgWireSize(events): the 16-byte
-//     envelope header matches gossip.MsgHeaderSize. Fairness accounting
-//     has always charged MsgWireSize; with this codec the number of
-//     bytes charged and the number of bytes on the wire are the same
-//     number, which keeps ChanTransport ledgers byte-identical to the
-//     pre-codec live runtime. The same discipline extends to membership
-//     traffic: EntryWireSize == membership.EntryWireSize, so the shuffle
-//     bytes the ledger charges as infrastructure contribution are
-//     exactly the bytes a shuffle envelope occupies on the wire.
-//
-// Encoding is allocation-conscious: Append* functions append into a
-// caller-provided buffer, so a sender can encode a fanout's envelope
-// once into reused scratch and send the same bytes to every destination.
-//
-// Decoding is two steps, because push gossip delivers most events many
-// times over and a receiver throws every copy but the first away.
-// DecodeEnvelope is a validating scan: it checks the whole envelope and
-// allocates nothing, leaving each event as an EventRecord — its ID plus
-// the record's bytes, still inside the input buffer. EventRecord.Decode
-// materialises one record into an event that owns all its memory, and
-// a receiver calls it only for the IDs it has not seen, through its own
-// Decoder, whose slabs make that cost a fraction of an allocation. Scan and
-// materialise are one walker (walkEvent), so they cannot disagree about
-// what is well-formed.
+// Append appends into a caller's buffer, so a sender encodes a fanout's
+// envelope once into reused scratch. Decoding is two steps, because push
+// gossip delivers most events many times over: DecodeEnvelope scans the
+// whole envelope without allocating, leaving each event as an EventRecord
+// (its ID and its bytes, still in the input buffer), and a receiver calls
+// EventRecord.Decode only for the IDs it has not seen, through a Decoder
+// whose slabs make that a fraction of an allocation. Scan and materialise
+// are one walker (walkEvent), so they cannot disagree on what is valid.
 package wire
 
 import (
@@ -53,55 +31,84 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"fairgossip/internal/pubsub"
 )
 
-// Wire constants.
 const (
 	// Magic identifies a fairgossip envelope (first two header bytes).
 	Magic uint16 = 0xFA15
-	// Version is the only envelope version this codec speaks.
-	Version byte = 1
-	// HeaderSize is the fixed envelope header:
-	// magic(2) version(1) kind(1) sender(4) count(2) reserved(2) body(4).
-	// It deliberately equals gossip.MsgHeaderSize so encoded bytes equal
-	// accounted bytes.
-	HeaderSize = 16
-	// EntryWireSize is the encoded size of one membership view entry:
-	// id(4) + age(2). It equals membership.EntryWireSize, the accounting
-	// size the simulated runtime has always charged per entry.
+	// Version is the only envelope version this codec speaks. Version 1's
+	// 16-byte header also carried reserved(2) and body(4) fields.
+	Version byte = 2
+	// HeaderSize is the envelope header: magic(2) version(1) kind(1)
+	// sender(4) count(2). The kind byte holds the Kind in its low four bits
+	// and one bit per optional part present in its high four.
+	HeaderSize = 10
+	// EntryWireSize is the encoded size of one view entry: id(4) + age(2).
 	EntryWireSize = 6
-	// eventMinSize is the smallest possible event record: id(8) +
-	// topicLen(2) + attrCount(2) + payloadLen(4), all lengths zero.
-	eventMinSize = 16
-	// attrMinSize is the smallest possible attribute: keyLen(2) + empty
-	// key + kind(1) + bool payload(1).
-	attrMinSize = 4
+	idSize        = 8  // an event id: publisher(4) + seq(4)
+	walkSize      = 6  // a walk's origin(4) + hops(2)
+	fpAdSize      = 12 // a fingerprint ad: id(4) + fingerprint(8)
+	eventMinSize  = 16 // the smallest event record: id(8) topicLen(2) attrCount(2) payloadLen(4)
+	attrMinSize   = 4  // the smallest attribute: keyLen(2) kind(1) bool(1)
 )
 
-// Message kinds (header byte 3). KindEvents is 0, which makes every
-// pre-kind envelope (the byte was "flags, must be zero") decode
-// unchanged as an event batch.
-const (
-	// KindEvents frames a batch of event records — gossip dissemination.
-	KindEvents byte = 0
-	// KindShuffleOffer carries the initiator's half of a Cyclon view
-	// shuffle: a batch of membership entries.
-	KindShuffleOffer byte = 1
-	// KindShuffleReply answers an offer (or a join) with entries from
-	// the responder's view.
-	KindShuffleReply byte = 2
-	// KindJoin announces a booting peer to its seed. The sender field
-	// identifies the joiner; the body carries its (usually empty) view.
-	KindJoin byte = 3
-	// KindLeave announces a graceful departure: the sender is leaving
-	// and hands the receiver its freshest view entries as replacement
-	// contacts, so the overlay loses an address without losing degree.
-	KindLeave byte = 4
+// Kind names a message: the one kind family both drivers speak. The live
+// runtime sends events and the four membership kinds; the rest only the
+// simulator runs, and a live peer counts them as malformed.
+type Kind uint8
 
-	// maxKind is the highest kind this codec speaks.
-	maxKind = KindLeave
+const (
+	KindEvents  Kind = iota // a batch of event records: gossip
+	KindOffer               // the initiator's half of a Cyclon shuffle
+	KindReply               // entries answering an offer, or a join
+	KindJoin                // a booting peer's announcement to its seed (its view, usually empty)
+	KindLeave               // a graceful departure, handing over the freshest entries
+	KindSubWalk             // a topic-mode subscription walk: topic, origin, hops, no records
+	KindSubAck              // group-bootstrap entries answering a subscription walk
+	KindPubWalk             // a walk handing a publication's events to the topic's group
+	KindDigest              // the ids of a push-pull archive
+	KindPull                // the ids of a digest its receiver has not seen
+	NumKinds                // bounds the family: every kind is below it
+)
+
+// record is what a kind's count field counts.
+type record uint8
+
+const (
+	recNone record = iota
+	recEvent
+	recEntry
+	recID
+)
+
+// layout is the shape of kind k's body: the record its count counts, and
+// whether a walk's origin and hops precede them. ok is false outside the family.
+func (k Kind) layout() (rec record, walk, ok bool) {
+	switch k {
+	case KindEvents:
+		return recEvent, false, true
+	case KindOffer, KindReply, KindJoin, KindLeave, KindSubAck:
+		return recEntry, false, true
+	case KindSubWalk:
+		return recNone, true, true
+	case KindPubWalk:
+		return recEvent, true, true
+	case KindDigest, KindPull:
+		return recID, false, true
+	}
+	return recNone, false, false
+}
+
+// The optional parts, in encoding order, one bit each in the kind byte.
+const (
+	partTopic byte = 1 << (4 + iota) // len(2) + topic bytes
+	partAds                          // count(2) + view entries
+	partFP                           // fingerprint(8) + count(2) + fingerprint ads
+	partPad                          // len(4) + that many zero bytes
+	kindMask  = 0x0f
 )
 
 // ViewEntry is one membership view slot on the wire: a peer id and the
@@ -111,6 +118,80 @@ const (
 type ViewEntry struct {
 	ID  uint32
 	Age uint16
+}
+
+// FPAd is a third-party interest-fingerprint advertisement.
+type FPAd struct {
+	ID uint32
+	FP uint64
+}
+
+// Msg is one message as its sender holds it. Only the records its kind
+// counts are encoded: Events, Entries or Parts.IDs (Kind.layout).
+type Msg struct {
+	Kind    Kind
+	Events  []*pubsub.Event
+	Entries []ViewEntry
+	Parts   *Parts // nil: none of its fields is set
+}
+
+// Parts are what only the simulator's topic groups, walks, semantic bias,
+// push-pull and cheaters set. Origin, Hops and IDs are encoded on the
+// kinds that carry them; any other part on any kind, and only when set.
+type Parts struct {
+	Origin uint32           // walk kinds: the walk's originator
+	Hops   uint16           // walk kinds: hops left
+	IDs    []pubsub.EventID // KindDigest, KindPull
+	Topic  string           // topic-mode group tag
+	Ads    []ViewEntry      // piggybacked group membership ads
+	FP     uint64           // the sender's interest fingerprint
+	FPAds  []FPAd           // piggybacked third-party fingerprints
+	Pad    int              // cheat padding: counted bytes that carry nothing
+}
+
+// noParts is what a Msg without parts reads as. Never written.
+var noParts Parts
+
+// Opt returns m's parts for reading: all zero when it has none.
+func (m *Msg) Opt() *Parts {
+	if m.Parts == nil {
+		return &noParts
+	}
+	return m.Parts
+}
+
+// Size returns the exact number of bytes Append encodes m to — the one
+// size a sender is charged on either driver.
+func (m *Msg) Size() int {
+	rec, walk, _ := m.Kind.layout()
+	p := m.Opt()
+	n := HeaderSize
+	if walk {
+		n += walkSize
+	}
+	switch rec {
+	case recEvent:
+		for _, ev := range m.Events {
+			n += ev.WireSize()
+		}
+	case recEntry:
+		n += len(m.Entries) * EntryWireSize
+	case recID:
+		n += len(p.IDs) * idSize
+	}
+	if p.Topic != "" {
+		n += 2 + len(p.Topic)
+	}
+	if len(p.Ads) > 0 {
+		n += 2 + len(p.Ads)*EntryWireSize
+	}
+	if p.FP != 0 || len(p.FPAds) > 0 {
+		n += 8 + 2 + len(p.FPAds)*fpAdSize
+	}
+	if p.Pad > 0 {
+		n += 4 + p.Pad
+	}
+	return n
 }
 
 // Decode errors. Errors wrap one of these sentinels; decode never
@@ -123,20 +204,19 @@ var (
 	ErrTooLarge  = errors.New("wire: message exceeds encodable limits")
 )
 
-// Envelope is one scanned protocol message: its kind, the sending
-// peer, and the kind's payload — Records for KindEvents, Entries for
-// the membership kinds (the other slice is always empty).
-// DecodeEnvelope reuses the Records and Entries backing arrays across
-// calls. Records alias the buffer DecodeEnvelope was given: they are
-// valid only while that buffer is, must be treated as read-only, and
-// must not outlive the call that received the buffer (a receiver may
-// release it for reuse right after). Events produced by
-// EventRecord.Decode never alias it.
+// Envelope is one scanned message: its kind, sender, records (Records,
+// Entries or Parts.IDs, as the kind says) and parts. DecodeEnvelope reuses
+// its backing arrays; only a topic part costs an allocation. Records alias
+// the buffer DecodeEnvelope was given: they are valid only while that
+// buffer is, must be treated as read-only, and must not outlive the call
+// that received the buffer (a receiver may release it for reuse right
+// after). Events produced by EventRecord.Decode never alias it.
 type Envelope struct {
-	Kind    byte
+	Kind    Kind
 	Sender  uint32
 	Records []EventRecord
 	Entries []ViewEntry
+	Parts   Parts
 }
 
 // EventRecord is one validated event record of a scanned envelope.
@@ -237,57 +317,112 @@ func (d *Decoder) payload(b []byte) []byte {
 }
 
 // EnvelopeSize returns the exact number of bytes AppendEnvelope will
-// produce for this batch. It equals gossip.MsgWireSize(events), the
-// size fairness accounting has always charged.
+// produce for this batch.
 func EnvelopeSize(events []*pubsub.Event) int {
-	n := HeaderSize
-	for _, ev := range events {
-		n += ev.WireSize()
-	}
-	return n
+	return (&Msg{Kind: KindEvents, Events: events}).Size()
 }
 
-// AppendEnvelope appends the encoded envelope to dst and returns the
-// extended slice. On error the returned slice may hold a partial
-// encoding and must be discarded.
+// AppendEnvelope appends a KindEvents envelope carrying events to dst:
+// Append for the one kind the live runtime gossips.
 func AppendEnvelope(dst []byte, sender uint32, events []*pubsub.Event) ([]byte, error) {
-	if len(events) > math.MaxUint16 {
-		return dst, fmt.Errorf("%w: %d events in one envelope", ErrTooLarge, len(events))
+	return Append(dst, sender, &Msg{Kind: KindEvents, Events: events})
+}
+
+// Append appends m, sent by sender, to dst: exactly m.Size() bytes. On
+// error the returned slice may hold a partial encoding; discard it.
+func Append(dst []byte, sender uint32, m *Msg) ([]byte, error) {
+	rec, walk, ok := m.Kind.layout()
+	if !ok {
+		return dst, fmt.Errorf("%w: unknown message kind %d", ErrCorrupt, m.Kind)
 	}
-	start := len(dst)
+	p := m.Opt()
+	count := [...]int{recEvent: len(m.Events), recEntry: len(m.Entries), recID: len(p.IDs)}[rec]
+	if max(count, len(p.Topic), len(p.Ads), len(p.FPAds)) > math.MaxUint16 || uint64(p.Pad) > math.MaxUint32 {
+		return dst, fmt.Errorf("%w: %d records, or a part beyond its length field", ErrTooLarge, count)
+	}
+	kind := byte(m.Kind) | p.bits()
 	dst = binary.BigEndian.AppendUint16(dst, Magic)
-	dst = append(dst, Version, KindEvents)
+	dst = append(dst, Version, kind)
 	dst = binary.BigEndian.AppendUint32(dst, sender)
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(events)))
-	dst = binary.BigEndian.AppendUint16(dst, 0) // reserved (must be zero)
-	dst = binary.BigEndian.AppendUint32(dst, 0) // body length, patched below
-	var err error
-	for _, ev := range events {
-		if dst, err = AppendEvent(dst, ev); err != nil {
-			return dst, err
+	dst = binary.BigEndian.AppendUint16(dst, uint16(count))
+	if walk {
+		dst = binary.BigEndian.AppendUint32(dst, p.Origin)
+		dst = binary.BigEndian.AppendUint16(dst, p.Hops)
+	}
+	switch rec {
+	case recEvent:
+		var err error
+		for _, ev := range m.Events {
+			if dst, err = AppendEvent(dst, ev); err != nil {
+				return dst, err
+			}
+		}
+	case recEntry:
+		dst = appendEntries(dst, m.Entries)
+	case recID:
+		for _, id := range p.IDs {
+			dst = binary.BigEndian.AppendUint32(dst, id.Publisher)
+			dst = binary.BigEndian.AppendUint32(dst, id.Seq)
 		}
 	}
-	// The body length is measured off what was actually appended — the
-	// hot path already walked every event once for EnvelopeSize; no need
-	// to do it again here.
-	body := len(dst) - start - HeaderSize
-	if uint64(body) > math.MaxUint32 {
-		return dst, fmt.Errorf("%w: %d body bytes", ErrTooLarge, body)
+	if kind&partTopic != 0 {
+		dst = binary.BigEndian.AppendUint16(dst, uint16(len(p.Topic)))
+		dst = append(dst, p.Topic...)
 	}
-	binary.BigEndian.PutUint32(dst[start+12:start+16], uint32(body))
+	if kind&partAds != 0 {
+		dst = binary.BigEndian.AppendUint16(dst, uint16(len(p.Ads)))
+		dst = appendEntries(dst, p.Ads)
+	}
+	if kind&partFP != 0 {
+		dst = binary.BigEndian.AppendUint64(dst, p.FP)
+		dst = binary.BigEndian.AppendUint16(dst, uint16(len(p.FPAds)))
+		for _, ad := range p.FPAds {
+			dst = binary.BigEndian.AppendUint32(dst, ad.ID)
+			dst = binary.BigEndian.AppendUint64(dst, ad.FP)
+		}
+	}
+	if kind&partPad != 0 {
+		dst = binary.BigEndian.AppendUint32(dst, uint32(p.Pad))
+		dst = append(dst, make([]byte, p.Pad)...)
+	}
 	return dst, nil
 }
 
-// DecodeEnvelope scans data into env without allocating (once env's
-// backing arrays have grown). The whole buffer must be consumed exactly:
-// short input, trailing bytes, a count/body-length mismatch, or any
-// malformed record anywhere is an error, and on error env holds no
-// records — an envelope is accepted whole or not at all.
+// bits returns the kind-byte bits of the parts p sets: a part is sent
+// only when it holds something.
+func (p *Parts) bits() (b byte) {
+	if p.Topic != "" {
+		b |= partTopic
+	}
+	if len(p.Ads) > 0 {
+		b |= partAds
+	}
+	if p.FP != 0 || len(p.FPAds) > 0 {
+		b |= partFP
+	}
+	if p.Pad > 0 {
+		b |= partPad
+	}
+	return b
+}
+
+func appendEntries(dst []byte, entries []ViewEntry) []byte {
+	for _, e := range entries {
+		dst = binary.BigEndian.AppendUint32(dst, e.ID)
+		dst = binary.BigEndian.AppendUint16(dst, e.Age)
+	}
+	return dst
+}
+
+// DecodeEnvelope scans data into env. The whole buffer must be consumed
+// exactly: short input, trailing bytes, a count the body does not hold,
+// an empty announced part, nonzero padding or any malformed record is an
+// error, and on error env holds no records, entries or parts — an
+// envelope is accepted whole or not at all.
 func DecodeEnvelope(data []byte, env *Envelope) error {
-	env.Kind = KindEvents
-	env.Sender = 0
-	env.Records = env.Records[:0]
-	env.Entries = env.Entries[:0]
+	x := Parts{IDs: env.Parts.IDs[:0], Ads: env.Parts.Ads[:0], FPAds: env.Parts.FPAds[:0]}
+	recs, ents := env.Records[:0], env.Entries[:0]
+	*env = Envelope{Records: recs, Entries: ents, Parts: x}
 	if len(data) < HeaderSize {
 		return fmt.Errorf("%w: %d header bytes of %d", ErrTruncated, len(data), HeaderSize)
 	}
@@ -297,84 +432,72 @@ func DecodeEnvelope(data []byte, env *Envelope) error {
 	if data[2] != Version {
 		return fmt.Errorf("%w: %d", ErrVersion, data[2])
 	}
-	if data[3] > maxKind {
-		return fmt.Errorf("%w: unknown message kind %#02x", ErrCorrupt, data[3])
+	kind, parts := Kind(data[3]&kindMask), data[3]&^kindMask
+	rec, walk, ok := kind.layout()
+	if !ok {
+		return fmt.Errorf("%w: unknown message kind %#02x", ErrCorrupt, kind)
 	}
-	env.Kind = data[3]
-	env.Sender = binary.BigEndian.Uint32(data[4:8])
+	env.Kind, env.Sender = kind, binary.BigEndian.Uint32(data[4:8])
 	count := int(binary.BigEndian.Uint16(data[8:10]))
-	if rsv := binary.BigEndian.Uint16(data[10:12]); rsv != 0 {
-		return fmt.Errorf("%w: nonzero reserved field %#04x", ErrCorrupt, rsv)
-	}
-	body := int(binary.BigEndian.Uint32(data[12:16]))
-	if body != len(data)-HeaderSize {
-		return fmt.Errorf("%w: header claims %d body bytes, have %d", ErrCorrupt, body, len(data)-HeaderSize)
-	}
-	if env.Kind != KindEvents {
-		// Membership kinds: the body is exactly count fixed-size cells.
-		if body != count*EntryWireSize {
-			return fmt.Errorf("%w: %d entries need %d body bytes, have %d",
-				ErrCorrupt, count, count*EntryWireSize, body)
-		}
-		for off := HeaderSize; off < len(data); off += EntryWireSize {
-			env.Entries = append(env.Entries, ViewEntry{
-				ID:  binary.BigEndian.Uint32(data[off : off+4]),
-				Age: binary.BigEndian.Uint16(data[off+4 : off+6]),
-			})
-		}
-		return nil
-	}
-	// Cheap hostile-count guard before the Records array grows.
-	if count*eventMinSize > body {
-		return fmt.Errorf("%w: %d events cannot fit in %d body bytes", ErrCorrupt, count, body)
-	}
-	// Records reach env only once the last byte has checked out.
-	recs := env.Records
+	// Everything reaches env only once the last byte has checked out.
 	r := reader{buf: data, off: HeaderSize}
-	for i := 0; i < count; i++ {
-		start := r.off
-		id := walkEvent(&r, nil, nil)
-		if r.err != nil {
-			return r.err
+	if walk {
+		x.Origin, x.Hops = r.u32(), r.u16()
+	}
+	switch rec {
+	case recNone:
+		if count != 0 {
+			r.fail(fmt.Errorf("%w: %d records on a kind that carries none", ErrCorrupt, count))
 		}
-		recs = append(recs, EventRecord{ID: id, Raw: data[start:r.off:r.off]})
+	case recEvent:
+		r.fits(count, eventMinSize)
+		for i := 0; i < count && r.err == nil; i++ {
+			start := r.off
+			if id := walkEvent(&r, nil, nil); r.err == nil {
+				recs = append(recs, EventRecord{ID: id, Raw: data[start:r.off:r.off]})
+			}
+		}
+	case recEntry:
+		ents = r.entries(ents, count)
+	case recID:
+		r.fits(count, idSize)
+		for i := 0; i < count && r.err == nil; i++ {
+			x.IDs = append(x.IDs, pubsub.EventID{Publisher: r.u32(), Seq: r.u32()})
+		}
+	}
+	if parts&partTopic != 0 {
+		x.Topic = string(r.take(int(r.u16())))
+	}
+	if parts&partAds != 0 {
+		x.Ads = r.entries(x.Ads, int(r.u16()))
+	}
+	if parts&partFP != 0 {
+		x.FP = r.u64()
+		n := int(r.u16())
+		r.fits(n, fpAdSize)
+		for i := 0; i < n && r.err == nil; i++ {
+			x.FPAds = append(x.FPAds, FPAd{ID: r.u32(), FP: r.u64()})
+		}
+	}
+	if parts&partPad != 0 {
+		pad := r.take(int(r.u32()))
+		if slices.ContainsFunc(pad, func(b byte) bool { return b != 0 }) {
+			r.fail(fmt.Errorf("%w: nonzero padding", ErrCorrupt))
+		}
+		x.Pad = len(pad)
+	}
+	// A part announced but empty would be a second encoding of a message.
+	if r.err == nil && x.bits() != parts {
+		r.fail(fmt.Errorf("%w: an announced part is empty", ErrCorrupt))
+	}
+	if r.err != nil {
+		return r.err
 	}
 	if r.off != len(data) {
-		return fmt.Errorf("%w: %d trailing bytes after %d events", ErrCorrupt, len(data)-r.off, count)
+		return fmt.Errorf("%w: %d trailing bytes after %d records", ErrCorrupt, len(data)-r.off, count)
 	}
-	env.Records = recs
+	env.Records, env.Entries, env.Parts = recs, ents, x
 	return nil
-}
-
-// MembershipSize returns the exact number of bytes AppendMembership
-// will produce for n entries — HeaderSize + n·EntryWireSize, the same
-// formula the simulated runtime's accounting charges for shuffle
-// traffic, so ledger bytes and wire bytes are one number here too.
-func MembershipSize(n int) int { return HeaderSize + n*EntryWireSize }
-
-// AppendMembership appends an encoded membership envelope (a shuffle
-// offer, shuffle reply, join, or leave) to dst and returns the extended
-// slice.
-func AppendMembership(dst []byte, kind byte, sender uint32, entries []ViewEntry) ([]byte, error) {
-	switch kind {
-	case KindShuffleOffer, KindShuffleReply, KindJoin, KindLeave:
-	default:
-		return dst, fmt.Errorf("%w: %#02x is not a membership kind", ErrCorrupt, kind)
-	}
-	if len(entries) > math.MaxUint16 {
-		return dst, fmt.Errorf("%w: %d entries in one envelope", ErrTooLarge, len(entries))
-	}
-	dst = binary.BigEndian.AppendUint16(dst, Magic)
-	dst = append(dst, Version, kind)
-	dst = binary.BigEndian.AppendUint32(dst, sender)
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(entries)))
-	dst = binary.BigEndian.AppendUint16(dst, 0) // reserved (must be zero)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(entries)*EntryWireSize))
-	for _, e := range entries {
-		dst = binary.BigEndian.AppendUint32(dst, e.ID)
-		dst = binary.BigEndian.AppendUint16(dst, e.Age)
-	}
-	return dst, nil
 }
 
 // AppendEvent appends one event record to dst — the exact pubsub
@@ -524,6 +647,22 @@ func (r *reader) fail(err error) {
 	}
 }
 
+// fits is the hostile-count guard: n cells of size bytes must fit.
+func (r *reader) fits(n, size int) {
+	if r.err == nil && n*size > r.rem() {
+		r.fail(fmt.Errorf("%w: %d cells of %d bytes with %d remaining", ErrTruncated, n, size, r.rem()))
+	}
+}
+
+// entries appends n view entries read off the cursor to dst.
+func (r *reader) entries(dst []ViewEntry, n int) []ViewEntry {
+	r.fits(n, EntryWireSize)
+	for i := 0; i < n && r.err == nil; i++ {
+		dst = append(dst, ViewEntry{ID: r.u32(), Age: r.u16()})
+	}
+	return dst
+}
+
 func (r *reader) take(n int) []byte {
 	if r.err != nil {
 		return nil
@@ -537,34 +676,17 @@ func (r *reader) take(n int) []byte {
 	return b
 }
 
-func (r *reader) u8() byte {
-	b := r.take(1)
-	if b == nil {
-		return 0
+// fixed takes n ≤ 8 bytes, or reads zeros once the reader has failed.
+func (r *reader) fixed(n int) []byte {
+	if b := r.take(n); b != nil {
+		return b
 	}
-	return b[0]
+	return zeros[:n]
 }
 
-func (r *reader) u16() uint16 {
-	b := r.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint16(b)
-}
+var zeros [8]byte
 
-func (r *reader) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(b)
-}
-
-func (r *reader) u64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(b)
-}
+func (r *reader) u8() byte    { return r.fixed(1)[0] }
+func (r *reader) u16() uint16 { return binary.BigEndian.Uint16(r.fixed(2)) }
+func (r *reader) u32() uint32 { return binary.BigEndian.Uint32(r.fixed(4)) }
+func (r *reader) u64() uint64 { return binary.BigEndian.Uint64(r.fixed(8)) }

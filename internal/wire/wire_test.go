@@ -2,15 +2,13 @@ package wire
 
 import (
 	"bytes"
-	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
 
-	"fairgossip/internal/gossip"
-	"fairgossip/internal/membership"
 	"fairgossip/internal/pubsub"
 )
 
@@ -37,6 +35,42 @@ func sampleEvents() []*pubsub.Event {
 		},
 		{ID: pubsub.EventID{Publisher: 7, Seq: 2}, Topic: strings.Repeat("t", 300)},
 	}
+}
+
+// sampleMsgs covers the family: every kind with the records it carries,
+// the walk kinds with origin and hops, every optional part alone, and
+// every part at once.
+func sampleMsgs() []Msg {
+	evs := sampleEvents()[:2]
+	ents := []ViewEntry{{ID: 1, Age: 0}, {ID: math.MaxUint32, Age: math.MaxUint16}}
+	ads := []FPAd{{ID: 4, FP: 5}, {ID: math.MaxUint32, FP: math.MaxUint64}}
+	walk := &Parts{Origin: 9, Hops: 16, Topic: "news"}
+	all := &Parts{Origin: 3, Hops: 1, Topic: "news", Ads: ents, FP: 0xfeed, FPAds: ads, Pad: 512}
+	return []Msg{
+		{Kind: KindEvents, Events: evs},
+		{Kind: KindOffer, Entries: ents},
+		{Kind: KindReply, Entries: ents},
+		{Kind: KindJoin},
+		{Kind: KindLeave, Entries: ents},
+		{Kind: KindSubWalk, Parts: walk},
+		{Kind: KindSubAck, Entries: ents, Parts: &Parts{Topic: "news"}},
+		{Kind: KindPubWalk, Events: evs[:1], Parts: walk},
+		{Kind: KindDigest, Parts: &Parts{IDs: []pubsub.EventID{{Publisher: 1, Seq: 2}, {Publisher: 3, Seq: 4}}}},
+		{Kind: KindPull, Parts: &Parts{IDs: []pubsub.EventID{{Publisher: math.MaxUint32, Seq: 1}}}},
+		{Kind: KindEvents, Events: evs, Parts: &Parts{Topic: "news"}},
+		{Kind: KindEvents, Events: evs, Parts: &Parts{Ads: ents}},
+		{Kind: KindEvents, Events: evs, Parts: &Parts{FP: 0xfeed}},
+		{Kind: KindEvents, Events: evs, Parts: &Parts{FPAds: ads}},
+		{Kind: KindEvents, Events: evs, Parts: &Parts{Pad: 512}},
+		{Kind: KindPubWalk, Events: evs, Parts: all},
+		{Kind: KindSubAck, Entries: ents, Parts: all},
+	}
+}
+
+// msgOf is the Msg a scanned envelope holds, its events materialised
+// through d.
+func msgOf(t testing.TB, env *Envelope, d *Decoder) Msg {
+	return Msg{Kind: env.Kind, Events: decodeAll(t, env, d), Entries: env.Entries, Parts: &env.Parts}
 }
 
 func eventsEqual(t *testing.T, got, want *pubsub.Event) {
@@ -121,9 +155,8 @@ func TestEventRecordMatchesPubsubCodec(t *testing.T) {
 	}
 }
 
-// TestEnvelopeRoundTrip: multi-event envelopes round-trip exactly, the
-// size matches EnvelopeSize, and EnvelopeSize matches the accounting
-// size gossip.MsgWireSize (header parity with gossip.MsgHeaderSize).
+// TestEnvelopeRoundTrip: multi-event envelopes round-trip exactly and
+// the size matches EnvelopeSize.
 func TestEnvelopeRoundTrip(t *testing.T) {
 	events := sampleEvents()
 	for n := 0; n <= len(events); n++ {
@@ -134,9 +167,6 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 		}
 		if len(buf) != EnvelopeSize(batch) {
 			t.Fatalf("n=%d: encoded %d bytes, EnvelopeSize says %d", n, len(buf), EnvelopeSize(batch))
-		}
-		if len(buf) != gossip.MsgWireSize(batch) {
-			t.Fatalf("n=%d: encoded %d bytes, accounting charges %d — the ledgers would drift", n, len(buf), gossip.MsgWireSize(batch))
 		}
 		var env Envelope
 		if err := DecodeEnvelope(buf, &env); err != nil {
@@ -168,6 +198,41 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 		if !bytes.Equal(back, buf) {
 			t.Fatalf("n=%d: decode→encode is not the identity", n)
 		}
+	}
+}
+
+// TestSizeIsEncoded: for every kind and every optional part, the size a
+// sender is charged is the length Append encodes, the scan accepts the
+// bytes, and re-encoding what it read reproduces them — the one byte
+// model both drivers charge by.
+func TestSizeIsEncoded(t *testing.T) {
+	seen := make(map[Kind]bool)
+	for i, m := range sampleMsgs() {
+		buf, err := Append(nil, 5, &m)
+		if err != nil {
+			t.Fatalf("msg %d (kind %d): %v", i, m.Kind, err)
+		}
+		if len(buf) != m.Size() {
+			t.Fatalf("msg %d (kind %d): encoded %d bytes, Size says %d", i, m.Kind, len(buf), m.Size())
+		}
+		var env Envelope
+		if err := DecodeEnvelope(buf, &env); err != nil {
+			t.Fatalf("msg %d (kind %d): scan rejects its encoding: %v", i, m.Kind, err)
+		}
+		rebuilt := msgOf(t, &env, nil)
+		back, err := Append(nil, env.Sender, &rebuilt)
+		if err != nil || !bytes.Equal(back, buf) || env.Kind != m.Kind {
+			t.Fatalf("msg %d (kind %d): decode→encode is not the identity (%v)", i, m.Kind, err)
+		}
+		seen[m.Kind] = true
+	}
+	for k := Kind(0); k < NumKinds; k++ {
+		if !seen[k] {
+			t.Errorf("kind %d has no sample message", k)
+		}
+	}
+	if _, err := Append(nil, 1, &Msg{Kind: NumKinds}); err == nil {
+		t.Fatal("Append encoded a kind outside the family")
 	}
 }
 
@@ -299,29 +364,59 @@ func TestDecodeRejectsHostileInput(t *testing.T) {
 		"short header": good[:HeaderSize-1],
 		"bad magic":    append([]byte{0xde, 0xad}, good[2:]...),
 		"bad version":  mutate(good, 2, 99),
-		"unknown kind": mutate(good, 3, maxKind+1),
-		"kind flipped": mutate(good, 3, KindShuffleOffer), // event body is no entry grid
-		"reserved set": mutate(good, 10, 1),
-		"body too big": mutate(good, 15, good[15]+1),
+		"unknown kind": mutate(good, 3, byte(NumKinds)),
+		"kind flipped": mutate(good, 3, byte(KindOffer)), // event body is no entry grid
 		"truncated":    good[:len(good)-3],
 	}
-	// Truncation sweep: every prefix must fail cleanly. (The body-length
-	// field makes all of them header-level mismatches, but the event
-	// cursor is exercised by the fuzz target's mutations too.)
-	for i := 0; i < len(good); i++ {
-		cases["prefix"] = good[:i]
-		for name, data := range cases {
-			var env Envelope
-			if err := DecodeEnvelope(data, &env); err == nil {
-				t.Fatalf("%s (prefix %d): decode accepted malformed input", name, i)
+	// A part its bit announces must be there, non-empty, and padding must
+	// be zeros: anything else would be a second encoding of a message.
+	join, err := Append(nil, 7, &Msg{Kind: KindJoin})
+	if err != nil {
+		t.Fatal(err)
+	}
+	announce := func(part byte, body ...byte) []byte {
+		b := append(append([]byte(nil), join...), body...)
+		b[3] |= part
+		return b
+	}
+	cases["empty topic"] = announce(partTopic, 0, 0)
+	cases["empty ads"] = announce(partAds, 0, 0)
+	cases["empty fingerprint"] = announce(partFP, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+	cases["empty padding"] = announce(partPad, 0, 0, 0, 0)
+	cases["nonzero padding"] = announce(partPad, 0, 0, 0, 1, 7)
+	cases["missing part"] = announce(partAds)
+	walk, err := Append(nil, 7, &Msg{Kind: KindSubWalk, Parts: &Parts{Topic: "t"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases["records on a sub-walk"] = mutate(walk, 9, 1)
+	// Truncation sweep: every prefix must fail cleanly — of a plain
+	// envelope and of one carrying every optional part, since nothing but
+	// the walk through the body says where it ends.
+	all := sampleMsgs()
+	parts, err := Append(nil, 7, &all[len(all)-2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, whole := range [][]byte{good, parts} {
+		for i := 0; i < len(whole); i++ {
+			cases["prefix"] = whole[:i]
+			for name, data := range cases {
+				var env Envelope
+				if err := DecodeEnvelope(data, &env); err == nil {
+					t.Fatalf("%s (prefix %d): decode accepted malformed input", name, i)
+				}
 			}
 		}
-		delete(cases, "prefix")
+	}
+	// A version-1 envelope is refused as such.
+	var env Envelope
+	if err := DecodeEnvelope(mutate(good, 2, 1), &env); !errors.Is(err, ErrVersion) {
+		t.Fatalf("version 1 envelope: %v, want ErrVersion", err)
 	}
 	// A count that cannot fit the body is rejected before allocation.
 	huge := append([]byte(nil), good...)
 	huge[8], huge[9] = 0xff, 0xff
-	var env Envelope
 	if err := DecodeEnvelope(huge, &env); err == nil {
 		t.Fatal("hostile event count accepted")
 	}
@@ -352,11 +447,6 @@ func TestScanRejectsWholeEnvelope(t *testing.T) {
 	numKindAt := lastAt + 8 + 2 + 4 + 2 + 2 + 1
 	boolAt := numKindAt + 1 + 8 + 2 + 1 + 1
 	plenAt := boolAt + 1
-	// fix patches the header's body-length field after a resize.
-	fix := func(b []byte) []byte {
-		binary.BigEndian.PutUint32(b[12:16], uint32(len(b)-HeaderSize))
-		return b
-	}
 	cases := map[string][]byte{
 		"bad kind byte":        mutate(good, numKindAt, 9),
 		"bad bool byte":        mutate(good, boolAt, 2),
@@ -364,12 +454,12 @@ func TestScanRejectsWholeEnvelope(t *testing.T) {
 		"payload underruns":    mutate(good, plenAt+3, 3), // one trailing byte
 		"under-count":          mutate(good, 9, good[9]-1),
 		"over-count":           mutate(good, 9, good[9]+1),
-		"ragged tail":          fix(append(append([]byte(nil), good...), 0xab)),
-		"last record cut":      fix(append([]byte(nil), good[:len(good)-2]...)),
+		"ragged tail":          append(append([]byte(nil), good...), 0xab),
+		"last record cut":      good[:len(good)-2],
 		"attr count overflows": mutate(good, lastAt+8+2+4, 0xff),
 	}
 	for i := lastAt; i < len(good); i++ {
-		cases[fmt.Sprintf("body cut at %d", i)] = fix(append([]byte(nil), good[:i]...))
+		cases[fmt.Sprintf("body cut at %d", i)] = good[:i]
 	}
 	var env Envelope
 	for name, data := range cases {
@@ -490,29 +580,23 @@ func TestEncodeLimits(t *testing.T) {
 }
 
 // TestMembershipRoundTrip: decode→encode is the identity for every
-// membership kind, the encoded size matches MembershipSize, and the
-// per-entry cost matches the accounting constant the simulated runtime
-// charges (membership.EntryWireSize) — shuffle bytes charged to the
-// fairness ledger are exactly the bytes on the wire.
+// membership kind, and the encoded size is the header plus EntryWireSize
+// per entry — shuffle bytes charged to the fairness ledger are exactly
+// the bytes on the wire.
 func TestMembershipRoundTrip(t *testing.T) {
-	if EntryWireSize != membership.EntryWireSize {
-		t.Fatalf("wire entry is %d bytes, accounting charges %d — shuffle ledgers would drift",
-			EntryWireSize, membership.EntryWireSize)
-	}
 	entries := []ViewEntry{
 		{ID: 0, Age: 0},
 		{ID: 7, Age: 1},
 		{ID: math.MaxUint32, Age: math.MaxUint16},
 	}
-	for _, kind := range []byte{KindShuffleOffer, KindShuffleReply, KindJoin, KindLeave} {
+	for _, kind := range []Kind{KindOffer, KindReply, KindJoin, KindLeave} {
 		for n := 0; n <= len(entries); n++ {
-			buf, err := AppendMembership(nil, kind, 9, entries[:n])
+			buf, err := Append(nil, 9, &Msg{Kind: kind, Entries: entries[:n]})
 			if err != nil {
 				t.Fatalf("kind %d n=%d: %v", kind, n, err)
 			}
-			if len(buf) != MembershipSize(n) {
-				t.Fatalf("kind %d n=%d: encoded %d bytes, MembershipSize says %d",
-					kind, n, len(buf), MembershipSize(n))
+			if len(buf) != HeaderSize+n*EntryWireSize {
+				t.Fatalf("kind %d n=%d: encoded %d bytes, want %d", kind, n, len(buf), HeaderSize+n*EntryWireSize)
 			}
 			var env Envelope
 			if err := DecodeEnvelope(buf, &env); err != nil {
@@ -530,7 +614,7 @@ func TestMembershipRoundTrip(t *testing.T) {
 					t.Fatalf("kind %d entry %d: got %+v, want %+v", kind, i, env.Entries[i], entries[i])
 				}
 			}
-			back, err := AppendMembership(nil, env.Kind, env.Sender, env.Entries)
+			back, err := Append(nil, env.Sender, &Msg{Kind: env.Kind, Entries: env.Entries})
 			if err != nil {
 				t.Fatalf("kind %d n=%d: re-encode: %v", kind, n, err)
 			}
@@ -543,9 +627,10 @@ func TestMembershipRoundTrip(t *testing.T) {
 
 // TestMembershipRejectsMalformed: hostile membership envelopes — a body
 // that is not a whole number of entry cells, a count disagreeing with
-// the body, and non-membership kinds at the encoder — all fail cleanly.
+// the body, and a kind outside the family at the encoder — all fail
+// cleanly.
 func TestMembershipRejectsMalformed(t *testing.T) {
-	good, err := AppendMembership(nil, KindShuffleOffer, 3, []ViewEntry{{ID: 1, Age: 2}, {ID: 4, Age: 0}})
+	good, err := Append(nil, 3, &Msg{Kind: KindOffer, Entries: []ViewEntry{{ID: 1, Age: 2}, {ID: 4, Age: 0}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -561,22 +646,18 @@ func TestMembershipRejectsMalformed(t *testing.T) {
 		t.Fatal("count/body mismatch accepted")
 	}
 	ragged := append(append([]byte(nil), good...), 0xab) // body not a multiple of EntryWireSize
-	ragged[15] += 1
 	if err := DecodeEnvelope(ragged, &env); err == nil {
 		t.Fatal("ragged entry grid accepted")
 	}
-	if _, err := AppendMembership(nil, KindEvents, 1, nil); err == nil {
-		t.Fatal("AppendMembership accepted the events kind")
-	}
-	if _, err := AppendMembership(nil, maxKind+1, 1, nil); err == nil {
-		t.Fatal("AppendMembership accepted an unknown kind")
+	if _, err := Append(nil, 1, &Msg{Kind: NumKinds}); err == nil {
+		t.Fatal("Append accepted an unknown kind")
 	}
 }
 
 // TestMembershipDecodeReusesEntriesSlice: like the Records slice, the
 // Entries backing array is recycled across decodes.
 func TestMembershipDecodeReusesEntriesSlice(t *testing.T) {
-	buf, err := AppendMembership(nil, KindShuffleReply, 1, []ViewEntry{{ID: 1}, {ID: 2}, {ID: 3}})
+	buf, err := Append(nil, 1, &Msg{Kind: KindReply, Entries: []ViewEntry{{ID: 1}, {ID: 2}, {ID: 3}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -603,7 +684,7 @@ func TestKindSwitchClearsPayloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	memBuf, err := AppendMembership(nil, KindJoin, 2, []ViewEntry{{ID: 5, Age: 1}})
+	memBuf, err := Append(nil, 2, &Msg{Kind: KindJoin, Entries: []ViewEntry{{ID: 5, Age: 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
