@@ -18,7 +18,7 @@ func TestListCatalogue(t *testing.T) {
 			names = append(names, line)
 		}
 	}
-	if got, want := strings.Join(names, ","), "determinism,dropacct,wirekind,directive"; got != want {
+	if got, want := strings.Join(names, ","), "determinism,dropacct,directive"; got != want {
 		t.Errorf("catalogue rules = %s, want %s", got, want)
 	}
 }
@@ -32,12 +32,12 @@ func TestSelfClean(t *testing.T) {
 }
 
 // TestFindingsExitOne pins exit code 1 on a package with unsuppressed
-// findings, using the wirekind fixture (two seeded violations).
+// findings, using the dropacct fixture (its seeded violations).
 func TestFindingsExitOne(t *testing.T) {
 	t.Chdir("../../internal/analysis/rules/testdata")
 	var out, errb strings.Builder
-	if code := run([]string{"./wirekind"}, &out, &errb); code != 1 {
-		t.Fatalf("fairvet over the wirekind fixture = %d, want 1\nstdout: %s\nstderr: %s", code, out.String(), errb.String())
+	if code := run([]string{"./dropacct"}, &out, &errb); code != 1 {
+		t.Fatalf("fairvet over the dropacct fixture = %d, want 1\nstdout: %s\nstderr: %s", code, out.String(), errb.String())
 	}
 	if !strings.Contains(errb.String(), "finding(s)") {
 		t.Errorf("stderr = %q, want the finding count", errb.String())

@@ -20,7 +20,7 @@ import (
 //	                                friends); same verification.
 //
 // One comment may carry several directives back to back —
-// `//fair:ignore dropacct reason //fair:ignore wirekind reason` — for
+// `//fair:ignore dropacct reason //fair:ignore determinism reason` — for
 // lines where two rules fire at once. Files with CRLF line endings
 // parse identically: stray carriage returns are whitespace to the
 // field splitter.

@@ -57,7 +57,7 @@ func TestParseDirectivesMultiPerComment(t *testing.T) {
 	src := `package p
 
 func f() {
-	_ = 1 //fair:ignore dropacct reason one //fair:ignore wirekind reason two
+	_ = 1 //fair:ignore dropacct reason one //fair:ignore determinism reason two
 }
 `
 	_, f := parseSrc(t, src)
@@ -68,7 +68,7 @@ func f() {
 	if ds[0].Rule != "dropacct" || ds[0].Reason != "reason one" {
 		t.Errorf("first segment parsed as %+v", ds[0])
 	}
-	if ds[1].Rule != "wirekind" || ds[1].Reason != "reason two" {
+	if ds[1].Rule != "determinism" || ds[1].Reason != "reason two" {
 		t.Errorf("second segment parsed as %+v", ds[1])
 	}
 }

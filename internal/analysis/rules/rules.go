@@ -1,7 +1,6 @@
-// Package rules holds fairvet's project-law analyzers: the three
-// invariants (fixed-seed determinism, exact drop conservation, wire-kind
-// switch exhaustiveness) whose only enforcer is a review-time
-// diagnostic. Invariants a dynamic test already pins (allocation-free
+// Package rules holds fairvet's project-law analyzers: the two
+// invariants (fixed-seed determinism, exact drop conservation) whose only
+// enforcer is a review-time diagnostic. Invariants a dynamic test already pins (allocation-free
 // hot paths, goroutine shutdown, lock discipline, buffer ownership,
 // copy-on-write publication) are deliberately not here; LINTING.md
 // records the trial behind that split.
@@ -19,7 +18,6 @@ func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		Determinism,
 		DropAcct,
-		Wirekind,
 	}
 }
 

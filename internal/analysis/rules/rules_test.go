@@ -27,10 +27,6 @@ func TestDropAcctFixture(t *testing.T) {
 	analysis.RunFixture(t, "testdata", "dropacct", []*analysis.Analyzer{rules.DropAcct})
 }
 
-func TestWirekindFixture(t *testing.T) {
-	analysis.RunFixture(t, "testdata", "wirekind", []*analysis.Analyzer{rules.Wirekind})
-}
-
 // TestIgnoreAuditFixture runs the full suite so every suppression audit
 // path fires: unknown directives, unknown rules, missing
 // justifications, stale ignores, and the one legal justified hatch.

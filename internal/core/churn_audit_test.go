@@ -64,7 +64,7 @@ func TestRejoinWithoutPenaltyConfigured(t *testing.T) {
 
 func TestCheaterAuditExposure(t *testing.T) {
 	// EXP-A6 in miniature: a cheater pads every gossip message with
-	// junkPadding bytes. Raw contribution rewards it; the novelty audit
+	// protocol.JunkPadding bytes. Raw contribution rewards it; the novelty audit
 	// does not.
 	c := NewCluster(32, Config{
 		Mode:   ModeContent,
@@ -152,8 +152,8 @@ func TestSubscribeContentModeNoWalk(t *testing.T) {
 	// Content mode must not launch topic walks even for topic filters.
 	c := NewCluster(8, Config{Mode: ModeContent}, ClusterOptions{Seed: 6})
 	c.Node(0).Subscribe(pubsub.Topic("t"))
-	if c.Node(0).ext != nil {
-		t.Fatal("content mode keeps topic-group and walk state")
+	if c.Node(0).GroupView("t") != nil {
+		t.Fatal("content mode keeps topic-group state")
 	}
 	if c.TotalTraffic().MsgsSent != 0 {
 		t.Fatal("content mode launched a subscription walk")

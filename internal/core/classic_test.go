@@ -141,7 +141,7 @@ func TestClassicConfiguration(t *testing.T) {
 				c := classicCluster(10, 2, Config{AntiEntropy: every}, 0)
 				c.Node(1).Subscribe(pubsub.MatchAll())
 				pull := func(id pubsub.EventID) {
-					c.Node(0).HandleMessage(simnet.Message{From: 1, To: 0, Payload: newExtMsg(wire.KindPull, wire.Parts{IDs: []pubsub.EventID{id}})})
+					c.Node(0).HandleMessage(simnet.Message{From: 1, To: 0, Payload: &wireMsg{Msg: wire.Msg{Kind: wire.KindPull, Parts: &wire.Parts{IDs: []pubsub.EventID{id}}}}})
 					c.Drain()
 				}
 				pull(pubsub.EventID{Publisher: 5, Seq: 5})

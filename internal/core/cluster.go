@@ -174,7 +174,7 @@ func (c *Cluster) now() time.Duration { return c.shards[0].sim.Now() }
 
 // Join boots a new node into the cluster mid-run and returns its id. The
 // joiner starts with only seed in its view and announces itself in a
-// charged kindJoin message (protocol.Peer.Join — what a rejoining node
+// charged wire.KindJoin message (protocol.Peer.Join — what a rejoining node
 // and live.Cluster.Join do too). The idealised full sampler draws from a
 // fixed population, so only a MemberCyclon cluster grows. The id extends
 // the tail shard's range, so existing ranges never move, and the joiner's
@@ -196,8 +196,8 @@ func (c *Cluster) Join(seed simnet.NodeID) (simnet.NodeID, error) {
 	nd := c.initNode(new(Node), sh, id, n)
 	c.Nodes = append(c.Nodes, nd)
 	sh.hi = n
-	nd.Peer.Join(seed, &sh.out)
-	nd.sendMembership(&sh.out)
+	nd.Join(seed, &sh.out)
+	nd.flush()
 	if len(sh.tickers) > 0 && !c.cfg.BatchRounds {
 		// The batched ticker re-slices c.Nodes and already covers the
 		// joiner; only the per-node schedule needs a new ticker.
@@ -209,7 +209,7 @@ func (c *Cluster) Join(seed simnet.NodeID) (simnet.NodeID, error) {
 // Leave departs node id gracefully — the sim mirror of
 // live.Cluster.Leave. Under Cyclon membership the leaver hands up to
 // ShuffleLen of its freshest view entries to every view neighbour in a
-// charged kindLeave message before going offline (protocol.Peer.Leave),
+// charged wire.KindLeave message before going offline (protocol.Peer.Leave),
 // so the overlay loses an address without losing degree; under the
 // idealised full sampler it simply goes offline.
 func (c *Cluster) Leave(id simnet.NodeID) {
@@ -218,7 +218,7 @@ func (c *Cluster) Leave(id simnet.NodeID) {
 	}
 	nd := c.Nodes[id]
 	nd.Peer.Leave(&nd.sh.out)
-	nd.sendMembership(&nd.sh.out)
+	nd.flush()
 	nd.Leave()
 }
 

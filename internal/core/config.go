@@ -94,7 +94,7 @@ type Config struct {
 	BufferMaxAge  int     // rounds an event stays forwardable at most (default 8; gossip.Buffer.Duplicate retires it sooner)
 	SeenCap       int     // dedup memory (default 8192)
 	RepairPenalty float64 // churn penalty charged per rejoin (default 0: off)
-	AntiEntropy   int     // rounds between push-pull digests (EXP-X1, pushpull.go; default 0: off)
+	AntiEntropy   int     // rounds between push-pull digests (EXP-X1, protocol/pushpull.go; default 0: off)
 
 	// SemanticBias ∈ (0,1] biases that fraction of content-mode gossip
 	// partners toward peers with overlapping interest fingerprints
@@ -111,14 +111,6 @@ type Config struct {
 	// fixed-seed output differs from the legacy schedule.
 	BatchRounds bool
 }
-
-// Constants of the topic-mode (§5.1) groups and of cheat padding.
-const (
-	topicViewCap = 12  // per-topic group view capacity
-	adLen        = 2   // membership ads piggybacked on topic gossip
-	walkHopLimit = 16  // subscription walk TTL
-	junkPadding  = 512 // bytes of junk a Cheat node pads every gossip message with (EXP-A6)
-)
 
 // defaultBatch is Config.Batch's default, and the room for events a
 // pooled envelope starts with (pool.go).
@@ -172,6 +164,10 @@ func (c Config) params() protocol.Params {
 		Controller: c.Controller, Limits: c.Limits,
 		ShuffleEvery: c.ShuffleEvery,
 		BufferCap:    c.BufferCap, BufferMaxAge: c.BufferMaxAge, SeenCap: c.SeenCap,
+		// Every extension the configuration asks for; a simulated node
+		// answers digests and pulls whatever its own AntiEntropy.
+		Topics: c.Mode == ModeTopics, SemanticBias: c.SemanticBias,
+		PushPull: true, AntiEntropy: c.AntiEntropy,
 	}
 	if c.Membership == MemberCyclon {
 		par.ViewCap = c.ViewCap

@@ -146,7 +146,7 @@ func TestEveryKindIsHandled(t *testing.T) {
 			t.Fatalf("kind %d: decode→encode is not the identity (%v)", k, err)
 		}
 		state := func() string {
-			return fmt.Sprint(c.Ledger.Account(0), c.TotalTraffic().MsgsSent, nd.View().IDs(), nd.group("t").view.IDs())
+			return fmt.Sprint(c.Ledger.Account(0), c.TotalTraffic().MsgsSent, nd.View().IDs(), nd.GroupView("t").IDs())
 		}
 		before := state()
 		nd.HandleMessage(simnet.Message{From: from, To: 0, Payload: m, Size: m.Size()})

@@ -7,8 +7,8 @@ import (
 	"fairgossip/internal/wire"
 )
 
-// msgPool recycles gossip and membership envelopes (wireMsg records and
-// their Events/Ads/Entries arrays). Profiling showed per-round wireMsg
+// msgPool recycles the envelopes of every kind (wireMsg records, their
+// parts and the arrays they hold). Profiling showed per-round wireMsg
 // allocation as the dominant steady-state allocation source once the
 // kernel arena and the buffer slabs warmed up (PERFORMANCE.md): a node
 // sends an envelope every round and an offer or a reply every shuffle,
@@ -74,6 +74,25 @@ func (p *msgPool) refill() {
 	}
 }
 
+// envelope returns a pooled envelope holding a copy of o — its events,
+// entries and parts in the envelope's own arrays — with one owner
+// reference.
+func (p *msgPool) envelope(o *wire.Msg) *wireMsg {
+	m := p.get()
+	m.Kind = o.Kind
+	m.Events = append(m.Events[:0], o.Events...)
+	m.Entries = append(m.Entries[:0], o.Entries...)
+	if o.Parts != nil {
+		x := m.extend()
+		ads, ids, fpAds := x.Ads, x.IDs, x.FPAds
+		*x = *o.Parts
+		x.Ads = append(ads, o.Parts.Ads...)
+		x.IDs = append(ids, o.Parts.IDs...)
+		x.FPAds = append(fpAds, o.Parts.FPAds...)
+	}
+	return m
+}
+
 // put resets and recycles an envelope whose refcount reached zero.
 // Event pointers are cleared so the pool never pins delivered events;
 // the slice capacity itself is the thing being recycled, and so are the
@@ -81,7 +100,7 @@ func (p *msgPool) refill() {
 func (p *msgPool) put(m *wireMsg) {
 	clear(m.Events)
 	if x := m.Parts; x != nil {
-		*x = wire.Parts{Ads: x.Ads[:0]}
+		*x = wire.Parts{Ads: x.Ads[:0], IDs: x.IDs[:0], FPAds: x.FPAds[:0]}
 	}
 	*m = wireMsg{pool: m.pool, Msg: wire.Msg{Events: m.Events[:0], Entries: m.Entries[:0], Parts: m.Parts}}
 	p.mu.Lock()
@@ -89,9 +108,9 @@ func (p *msgPool) put(m *wireMsg) {
 	p.mu.Unlock()
 }
 
-// Retain adds an in-flight reference (simnet.Refcounted). Walks, their
-// acks and forwarded copies, digests and pulls are plain garbage-collected
-// envelopes: both methods no-op on them.
+// Retain adds an in-flight reference (simnet.Refcounted). A plain
+// allocated message (a test's) is garbage-collected: both methods no-op
+// on it.
 func (m *wireMsg) Retain() {
 	if m.pool == nil {
 		return

@@ -101,9 +101,6 @@ func (c *Cluster) fill(sh *shard) {
 func (c *Cluster) initNode(nd *Node, sh *shard, id, n int) *Node {
 	nd.Peer.Init(simnet.NodeID(id), n, &c.par, randutil.NodeSeed(c.seed, id), c.Ledger)
 	nd.sh, nd.cfg, nd.active = sh, &c.cfg, true
-	if c.cfg.Mode == ModeTopics || c.cfg.SemanticBias > 0 || c.cfg.AntiEntropy > 0 {
-		nd.ext = &nodeExt{archive: newArchive(&c.cfg)}
-	}
 	sh.net.AddNode(nd)
 	return nd
 }

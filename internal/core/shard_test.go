@@ -7,10 +7,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 	"weak"
 
-	"fairgossip/internal/eventsim"
 	"fairgossip/internal/fairness"
 	"fairgossip/internal/pubsub"
 	"fairgossip/internal/simnet"
@@ -237,38 +235,24 @@ func TestShardedBatchRoundsDeterministic(t *testing.T) {
 }
 
 // A drained mailbox must pin nothing: once the barrier has injected a
-// parked message and its window has delivered it, a plain-allocated walk
-// is garbage, not kept alive by the mailbox's reused backing store.
+// parked message and its window has delivered it, a plain-allocated
+// message is garbage, not kept alive by the mailbox's reused backing store.
 func TestDrainedMailboxPinsNothing(t *testing.T) {
-	cfg := Config{Mode: ModeTopics, Fanout: 4, Batch: 8}
-	// Find a shard-0 node whose subscription walk crosses to shard 1, so
-	// that walk is the only message in the run.
-	for i := 0; ; i++ {
-		c := NewShardedCluster(64, 2, cfg, ClusterOptions{Seed: 1})
-		if i >= c.per {
-			t.Fatal("no shard-0 node's walk crossed shards")
-		}
-		var walk weak.Pointer[wireMsg]
-		park := c.remoteHook(c.shards[0])
-		c.shards[0].net.SetRemote(func(m eventsim.Msg, delay time.Duration) {
-			if w, ok := m.Payload.(*wireMsg); ok && w.Kind == wire.KindSubWalk {
-				walk = weak.Make(w)
-			}
-			park(m, delay)
-		})
-		c.Node(i).Subscribe(pubsub.Topic("t"))
-		if walk.Value() == nil {
-			continue
-		}
-		c.runWindow(c.now() + c.cfg.RoundPeriod) // the barrier injects the walk
-		c.runWindow(c.now() + c.cfg.RoundPeriod) // shard 1 delivers it
-		runtime.GC()
-		if walk.Value() != nil {
-			t.Fatal("a delivered cross-shard walk is still reachable from its drained mailbox")
-		}
-		runtime.KeepAlive(c) // the cluster, and so its mailboxes, outlive the check
-		return
+	c := NewShardedCluster(64, 2, Config{Mode: ModeTopics, Fanout: 4, Batch: 8}, ClusterOptions{Seed: 1})
+	m := &wireMsg{Msg: wire.Msg{Kind: wire.KindSubWalk, Parts: &wire.Parts{Topic: "t", Hops: 1}}} // a walk that dies where it lands
+	walk := weak.Make(m)
+	c.shards[0].net.Send(0, simnet.NodeID(c.N()-1), m, m.Size())
+	m = nil
+	if c.shards[0].outbox[1].Len() != 1 {
+		t.Fatal("the walk did not cross to shard 1's mailbox")
 	}
+	c.runWindow(c.now() + c.cfg.RoundPeriod) // the barrier injects the walk
+	c.runWindow(c.now() + c.cfg.RoundPeriod) // shard 1 delivers it
+	runtime.GC()
+	if walk.Value() != nil {
+		t.Fatal("a delivered cross-shard walk is still reachable from its drained mailbox")
+	}
+	runtime.KeepAlive(c) // the cluster, and so its mailboxes, outlive the check
 }
 
 // Mailboxes that fill more than one block in a window merge in the same

@@ -155,7 +155,7 @@ func TestUnsubscribeLeavesGroup(t *testing.T) {
 	if !c.Node(5).Unsubscribe(subID) {
 		t.Fatal("unsubscribe failed")
 	}
-	if len(c.Node(5).ext.groups) != 0 {
+	if c.Node(5).GroupView("t") != nil {
 		t.Fatal("group not dropped on unsubscribe")
 	}
 	c.Node(0).Publish("t", nil, nil)
@@ -173,7 +173,7 @@ func TestTopicViewsPopulate(t *testing.T) {
 	c.RunRounds(25)
 	populated := 0
 	for i := 0; i < 12; i++ {
-		if g := c.Node(i).group("x"); g != nil && g.view.Len() > 0 {
+		if v := c.Node(i).GroupView("x"); v != nil && v.Len() > 0 {
 			populated++
 		}
 	}

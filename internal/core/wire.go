@@ -25,17 +25,6 @@ func (m *wireMsg) extend() *wire.Parts {
 	return m.Parts
 }
 
-// newExtMsg returns a plain-allocated message of the given kind and
-// parts, both in one allocation.
-func newExtMsg(kind wire.Kind, x wire.Parts) *wireMsg {
-	both := &struct {
-		m wireMsg
-		x wire.Parts
-	}{wireMsg{Msg: wire.Msg{Kind: kind}}, x}
-	both.m.Parts = &both.x
-	return &both.m
-}
-
 // A gossip message is the machine's protocol.Batch, events materialised.
 
 func (m *wireMsg) Len() int { return len(m.Events) }

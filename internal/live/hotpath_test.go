@@ -7,63 +7,72 @@ import (
 	"testing"
 	"time"
 
+	"fairgossip/internal/fairness"
+	"fairgossip/internal/protocol"
 	"fairgossip/internal/pubsub"
 	"fairgossip/internal/simnet"
 	"fairgossip/internal/wire"
 )
 
+// pushed runs one of p's ticks and returns the partners its push went to.
+func pushed(p *peer) []simnet.NodeID {
+	p.m.Tick(&p.out)
+	for _, m := range p.out.Msgs {
+		if m.Kind == wire.KindEvents {
+			return m.To
+		}
+	}
+	return nil
+}
+
 // TestLiveSamplePeersZeroAlloc: SELECTPARTICIPANTS used to build a
-// map[int]struct{} plus a fresh slice on every round of every peer; the
-// view-sampling port must allocate nothing once its scratch buffers are
-// warm.
+// map[int]struct{} plus a fresh slice on every round of every peer; a
+// tick's partner draw, and the push it feeds, must allocate nothing once
+// the scratch buffers are warm.
 func TestLiveSamplePeersZeroAlloc(t *testing.T) {
-	c := mustCluster(t, Config{N: 32, Fanout: 5, Seed: 21})
+	c := mustCluster(t, Config{N: 32, Fanout: 5, BufferMaxAge: 1 << 20, ShuffleEvery: 1 << 20, Seed: 21})
+	c.Publish(0, "t", nil, []byte("x"))
 	p := c.peerAt(0)
-	p.m.Partners(5, &p.out) // warm the scratch buffers
-	if avg := testing.AllocsPerRun(200, func() { p.m.Partners(5, &p.out) }); avg != 0 {
-		t.Fatalf("Partners allocates %.2f times per call, want 0", avg)
+	if got := pushed(p); len(got) != 5 { // and warm the scratch buffers
+		t.Fatalf("pushed to %v, want 5 partners", got)
+	}
+	if avg := testing.AllocsPerRun(200, func() { pushed(p) }); avg != 0 {
+		t.Fatalf("a tick's partner draw allocates %.2f times, want 0", avg)
 	}
 }
 
 // TestLiveSamplePeersDrawsFromTheView: partner selection reads the
 // peer's partial view only — distinct partners, never self, every one
-// a current view member, and an oversized k is capped at the view size
-// (not the population: nothing on this path may know the population).
+// a current view member, and an oversized fanout is capped at the view
+// size (not the population: nothing on this path may know the population).
 func TestLiveSamplePeersDrawsFromTheView(t *testing.T) {
-	c := mustCluster(t, Config{N: 40, ViewCap: 8, Seed: 22})
-	p := c.peerAt(3)
-	inView := func() map[int]bool {
-		m := map[int]bool{}
+	for _, fanout := range []int{4, 99} {
+		c := mustCluster(t, Config{N: 40, ViewCap: 8, Fanout: fanout, BufferMaxAge: 1 << 20, ShuffleEvery: 1 << 20, Seed: 22})
+		c.Publish(3, "t", nil, nil)
+		p := c.peerAt(3)
+		view := map[int]bool{}
 		for _, q := range p.m.View().IDs() {
-			m[int(q)] = true
+			view[int(q)] = true
 		}
-		return m
-	}
-	for trial := 0; trial < 200; trial++ {
-		view := inView()
-		got := p.m.Partners(4, &p.out)
-		if want := min(4, len(view)); len(got) != want {
-			t.Fatalf("sampled %d peers, want %d", len(got), want)
+		for trial := 0; trial < 200; trial++ {
+			got := pushed(p)
+			if want := min(fanout, len(view)); len(got) != want {
+				t.Fatalf("fanout %d: sampled %d peers, want %d", fanout, len(got), want)
+			}
+			seen := map[int]bool{}
+			for _, q := range got {
+				if q == 3 {
+					t.Fatal("sampled self")
+				}
+				if !view[int(q)] {
+					t.Fatalf("peer %d is not in the view %v", q, view)
+				}
+				if seen[int(q)] {
+					t.Fatalf("duplicate peer %d", q)
+				}
+				seen[int(q)] = true
+			}
 		}
-		seen := map[int]bool{}
-		for _, q := range got {
-			if q == 3 {
-				t.Fatal("sampled self")
-			}
-			if !view[int(q)] {
-				t.Fatalf("peer %d is not in the view %v", q, view)
-			}
-			if seen[int(q)] {
-				t.Fatalf("duplicate peer %d", q)
-			}
-			seen[int(q)] = true
-		}
-	}
-	if got := p.m.Partners(99, &p.out); len(got) != p.m.View().Len() {
-		t.Fatalf("oversized k: %d peers, want the whole view (%d)", len(got), p.m.View().Len())
-	}
-	if got := p.m.Partners(0, &p.out); len(got) != 0 {
-		t.Fatalf("k=0 sampled %v", got)
 	}
 }
 
@@ -100,8 +109,8 @@ func TestLiveRoundPathAllocs(t *testing.T) {
 			// the detector evicts nobody and the view keeps its size.
 			round := func() {
 				p.round()
-				if len(p.out.Sends) > 0 {
-					p.m.RecvMembership(wire.KindReply, p.out.Sends[0].To, nil, &p.out)
+				if m := p.out.Msgs; len(m) > 0 && m[0].Kind == wire.KindOffer {
+					p.m.Recv(m[0].To[0], protocol.In{Kind: wire.KindReply}, &p.out)
 				}
 			}
 			for r := 0; r < 50; r++ {
@@ -122,13 +131,17 @@ func TestLiveRoundPathAllocs(t *testing.T) {
 func TestFailedEncodeKeepsScratch(t *testing.T) {
 	c := mustCluster(t, Config{N: 4, Seed: 26})
 	p := c.peerAt(0)
-	to := []simnet.NodeID{1}
-	p.gossip([]*pubsub.Event{{ID: pubsub.EventID{Publisher: 0, Seq: 1}, Topic: "t"}}, to)
+	gossip := func(events ...*pubsub.Event) {
+		m := wire.Msg{Kind: wire.KindEvents, Events: events}
+		p.out = protocol.Out{Msgs: []protocol.Outgoing{{Msg: m, To: []simnet.NodeID{1}, Class: fairness.ClassApp}}}
+		p.flush()
+	}
+	gossip(&pubsub.Event{ID: pubsub.EventID{Publisher: 0, Seq: 1}, Topic: "t"})
 	good, goodCap := &p.wbuf[0], cap(p.wbuf)
 	sent := c.Traffic().Sent
 	big := &pubsub.Event{ID: pubsub.EventID{Publisher: 0, Seq: 2}, Topic: "t", Payload: make([]byte, 4*goodCap)}
 	bad := &pubsub.Event{ID: pubsub.EventID{Publisher: 0, Seq: 3}, Topic: strings.Repeat("x", math.MaxUint16+1)}
-	p.gossip([]*pubsub.Event{big, bad}, to)
+	gossip(big, bad)
 	if &p.wbuf[0] != good || cap(p.wbuf) != goodCap {
 		t.Fatal("a failed encode replaced the peer's scratch array")
 	}

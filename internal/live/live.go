@@ -320,8 +320,9 @@ func NewCluster(cfg Config) (*Cluster, error) {
 }
 
 // params translates the (defaulted) configuration into what a
-// protocol.Peer reads: AIMD on both levers when TargetRatio is set, and
-// a Cyclon view.
+// protocol.Peer reads: AIMD on both levers when TargetRatio is set, a
+// Cyclon view, and none of the simulator's extensions (topic groups,
+// semantic bias, push-pull), whose kinds a live peer counts malformed.
 func (c Config) params() protocol.Params {
 	par := protocol.Params{
 		Fanout: c.Fanout, Batch: c.Batch, Policy: c.Policy,
@@ -456,7 +457,7 @@ func (c *Cluster) Join(seed int) (int, error) {
 	// replies with bootstrap entries. This is attempt #1 of the machine's
 	// bounded, backed-off hand-shake.
 	p.m.Join(simnet.NodeID(seed), &p.out)
-	p.flushMembership()
+	p.flush()
 	if c.started {
 		c.wg.Add(1)
 		go func() {
@@ -523,7 +524,9 @@ func (c *Cluster) do(id int, fn func()) bool {
 func (c *Cluster) Subscribe(id int, f pubsub.Filter) (pubsub.SubID, bool) {
 	var sub pubsub.SubID
 	ok := c.do(id, func() {
-		sub = c.peerAt(id).m.Subscribe(f)
+		p := c.peerAt(id)
+		sub = p.m.Subscribe(f, &p.out)
+		p.flush()
 	})
 	return sub, ok
 }
@@ -646,7 +649,7 @@ func (c *Cluster) Leave(id int) bool {
 			return // already offline: nothing to announce
 		}
 		p.m.Leave(&p.out)
-		p.flushMembership()
+		p.flush()
 		p.down.Store(true)
 	})
 }
@@ -746,15 +749,16 @@ func (c *Cluster) Rebind(id int) bool {
 			seed = ids[p.rng.Intn(len(ids))]
 		}
 		p.m.Join(seed, &p.out)
-		p.flushMembership()
+		p.flush()
 	})
 }
 
 // Publish originates an event at the given peer.
 func (c *Cluster) Publish(id int, topic string, attrs []pubsub.Attr, payload []byte) bool {
 	return c.do(id, func() {
-		m := &c.peerAt(id).m
-		m.Publish(m.Buffer(), topic, attrs, payload)
+		p := c.peerAt(id)
+		p.m.Publish(topic, attrs, payload, &p.out)
+		p.flush()
 	})
 }
 
@@ -825,38 +829,27 @@ func (p *peer) round() {
 	}
 	p.m.FreeRide = p.free.Load()
 	p.m.Tick(&p.out)
-	p.flushMembership()
-	p.gossip(p.out.Events, p.out.Targets)
+	p.flush()
 	p.m.Adapt() // after the sends: the window reads what they were charged
 }
 
-// gossip sends one round's push: encode once into the peer's scratch,
-// send the same bytes to every partner.
-func (p *peer) gossip(events []*pubsub.Event, targets []simnet.NodeID) {
-	if len(events) == 0 || len(targets) == 0 {
-		return
-	}
-	buf, err := wire.AppendEnvelope(p.wbuf[:0], uint32(p.id), events)
-	if err != nil {
-		// Unencodable events (a topic beyond the u16 framing, say)
-		// cannot be gossiped; skip the fanout without charging anyone.
-		return
-	}
-	p.wbuf = buf
-	for _, q := range targets {
-		p.send(int(q), buf, fairness.ClassApp)
-	}
-}
-
-// flushMembership sends what the machine's last input left in out.Sends
-// (real, charged infrastructure traffic — a joiner pays for its own
-// introduction) and mirrors the join hand-shake's verdict where JoinErr
-// and Traffic can see it.
-func (p *peer) flushMembership() {
-	for _, s := range p.out.Sends {
-		if buf, err := wire.Append(p.wbuf[:0], uint32(p.id), &wire.Msg{Kind: s.Kind, Entries: s.Entries}); err == nil {
-			p.wbuf = buf
-			p.send(int(s.To), buf, fairness.ClassInfra)
+// flush sends what the machine's last input left in out — real, charged
+// traffic; a joiner pays for its own introduction — each message encoded
+// once into the peer's scratch and the same bytes sent to every target,
+// then mirrors the join hand-shake's verdict where JoinErr and Traffic can
+// see it.
+func (p *peer) flush() {
+	for i := range p.out.Msgs {
+		o := &p.out.Msgs[i]
+		buf, err := wire.Append(p.wbuf[:0], uint32(p.id), &o.Msg)
+		if err != nil {
+			// An unencodable message (a topic beyond the u16 framing, say)
+			// cannot be sent; skip it without charging anyone.
+			continue
+		}
+		p.wbuf = buf
+		for _, q := range o.To {
+			p.send(int(q), buf, o.Class)
 		}
 	}
 	if failed := p.m.JoinFailed(); failed != p.joinFailed.Load() {
@@ -901,24 +894,21 @@ func (p *peer) receive(buf []byte) {
 		p.c.traffic.malformed.Add(1)
 		return
 	}
-	// Any envelope the peer acts on is proof of life for its sender — the
-	// machine's failure detector never holds evidence against a peer it
-	// can hear.
-	switch p.env.Kind {
-	case wire.KindEvents:
-		// The envelope was validated whole before this runs, and
-		// len(rec.Raw) is the event's WireSize, so the novelty audit is
-		// charged exactly what an eager decode would charge.
-		novel, dup := p.m.RecvEvents(simnet.NodeID(from), p.m.Buffer(), scanned{p})
-		p.c.ledger.AddAudit(from, novel, dup)
-	case wire.KindOffer, wire.KindReply, wire.KindJoin, wire.KindLeave:
-		p.m.RecvMembership(p.env.Kind, simnet.NodeID(from), p.env.Entries, &p.out)
-		p.flushMembership()
-	default:
-		// A kind only the simulator runs: well-formed, but nothing a live
-		// peer acts on, so it is counted with what it cannot use.
+	// The envelope was validated whole before this runs, and len(rec.Raw)
+	// is an event's WireSize, so the novelty audit is charged exactly what
+	// an eager decode would charge. A kind only the simulator runs is
+	// well-formed, but nothing a live peer acts on, so it is counted with
+	// what it cannot use.
+	in := protocol.In{Kind: p.env.Kind, Entries: p.env.Entries, Parts: &p.env.Parts, Events: scanned{p}}
+	novel, junk, ok := p.m.Recv(simnet.NodeID(from), in, &p.out)
+	if !ok {
 		p.c.traffic.malformed.Add(1)
+		return
 	}
+	if novel+junk > 0 {
+		p.c.ledger.AddAudit(from, novel, junk)
+	}
+	p.flush()
 }
 
 // scanned is the peer's validated envelope as the machine's

@@ -1,6 +1,8 @@
 package live
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -8,7 +10,6 @@ import (
 
 	"fairgossip/internal/fairness"
 	"fairgossip/internal/pubsub"
-	"fairgossip/internal/randutil"
 )
 
 func mustCluster(t testing.TB, cfg Config) *Cluster {
@@ -244,12 +245,14 @@ func TestLiveConfigDefaults(t *testing.T) {
 
 // TestFaultDrawsLeaveTheProtocolStream: injected loss draws from the
 // driver's stream, never the protocol's, so turning loss on moves no
-// protocol decision — after a thousand lossy sends the peer's protocol
-// stream still stands at its first draw.
+// protocol decision — after a thousand lossy sends the peer's next ticks
+// are those of its twin, the same peer of a cluster built from the same
+// seed that sent nothing.
 func TestFaultDrawsLeaveTheProtocolStream(t *testing.T) {
-	const seed = 7
-	c := mustCluster(t, Config{N: 2, Seed: seed})
+	cfg := Config{N: 8, Seed: 7, BufferMaxAge: 1 << 20}
+	c, twin := mustCluster(t, cfg), mustCluster(t, cfg)
 	defer c.Stop()
+	defer twin.Stop()
 	c.SetLoss(0.5)
 	p, q := c.peerAt(0), c.peerAt(1)
 	for range 1000 {
@@ -261,9 +264,26 @@ func TestFaultDrawsLeaveTheProtocolStream(t *testing.T) {
 	if drops := c.Traffic().FaultDrops; drops == 0 || drops == 1000 {
 		t.Fatalf("%d of 1000 sends lost at loss 0.5: the loss draw did not run", drops)
 	}
-	var fresh randutil.Stream
-	fresh.Seed(randutil.NodeSeed(seed, 0))
-	if got, want := p.m.Rand().Int63(), fresh.Int63(); got != want {
-		t.Fatalf("the protocol stream's next draw is %d, a fresh stream's first is %d: loss drew from it", got, want)
+	// ticks publishes four events at peer 0 and returns what its next eight
+	// ticks send: selection, partners and shuffles all draw from its stream.
+	ticks := func(c *Cluster) string {
+		p := c.peerAt(0)
+		for k := range 4 {
+			p.m.Publish("t", nil, []byte{byte(k)}, &p.out)
+		}
+		var sent strings.Builder
+		for range 8 {
+			p.m.Tick(&p.out)
+			for _, m := range p.out.Msgs {
+				fmt.Fprint(&sent, m.Kind, m.To, m.Entries)
+				for _, ev := range m.Events {
+					fmt.Fprint(&sent, ev.ID)
+				}
+			}
+		}
+		return sent.String()
+	}
+	if got, want := ticks(c), ticks(twin); got != want {
+		t.Fatalf("after lossy sends the peer ticks\n%s\nand its twin\n%s\n: loss drew from the protocol stream", got, want)
 	}
 }

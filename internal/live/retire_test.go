@@ -63,7 +63,7 @@ func liveRetiresOn(t *testing.T, batch int) int {
 // protocol.TestFirstCopyPlusTwoBatchesOfDuplicatesRetires pins on the
 // machine: a simulated node fed through simnet and a live peer fed
 // encoded envelopes both reach the one admission loop
-// (protocol.Peer.RecvEvents) and must retire on the same copy, the first
+// (protocol.Peer.Recv) and must retire on the same copy, the first
 // plus 2 × batch duplicates.
 func TestRetirementParity(t *testing.T) {
 	for _, batch := range []int{1, 4, 8} {

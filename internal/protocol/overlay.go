@@ -9,8 +9,7 @@ import (
 	"fairgossip/internal/wire"
 )
 
-// Kind is the wire's message kind, the one family both drivers speak. A
-// peer sends and handles the membership kinds; the driver owns the rest.
+// Kind is the wire's message kind, the one family both drivers speak.
 type Kind = wire.Kind
 
 // overlay is what a peer keeps because its membership is a partial view
@@ -62,7 +61,7 @@ func (p *Peer) shuffle(out *Out) {
 	// current oldest is the entry InitiateShuffle is about to cull, at
 	// one round younger.
 	old, _ := ov.cyclon.View().Oldest()
-	target, offer, ok := ov.cyclon.InitiateShuffle(p.Rand())
+	target, offer, ok := ov.cyclon.InitiateShuffle(p.rand())
 	if !ok {
 		p.announce(out)
 		return
@@ -130,47 +129,33 @@ func (p *Peer) admit(from simnet.NodeID, entries []wire.ViewEntry) []membership.
 	return ov.in
 }
 
-// RecvMembership handles one membership message from another peer, from;
-// replies go to out.Sends. Without a partial view it ignores them all, and
-// a kind that is not membership leaves the peer untouched.
-func (p *Peer) RecvMembership(kind Kind, from simnet.NodeID, entries []wire.ViewEntry, out *Out) {
-	out.reset()
-	ov := p.ov
-	if ov == nil || from == p.id {
-		return
+// bootstrap admits a joining peer: merge whatever view it announced,
+// remember its address, and bootstrap it with a sample of our own view
+// sent back as a shuffle reply (the joiner merges it conservatively,
+// learning our address too, and has no use for its own).
+func (p *Peer) bootstrap(from simnet.NodeID, entries []wire.ViewEntry, out *Out) {
+	v := p.ov.cyclon.View()
+	for _, e := range p.admit(from, entries) {
+		v.AddAged(e)
 	}
-	v := ov.cyclon.View()
-	switch kind {
-	case wire.KindOffer:
-		out.send(wire.KindReply, from, ov.cyclon.HandleShuffle(p.Rand(), from, p.admit(from, entries)))
-	case wire.KindReply:
-		ov.cyclon.HandleReply(from, p.admit(from, entries))
-	case wire.KindJoin:
-		// Admit a joining peer: merge whatever view it announced, remember
-		// its address, and bootstrap it with a sample of our own view sent
-		// back as a shuffle reply (the joiner merges it conservatively,
-		// learning our address too, and has no use for its own).
-		for _, e := range p.admit(from, entries) {
+	v.Add(from)
+	ents := v.Entries()
+	p.rand().Shuffle(len(ents), func(i, j int) { ents[i], ents[j] = ents[j], ents[i] })
+	out.send(wire.KindReply, from, freshest(ents, p.ov.cyclon.ShuffleLen(), from))
+}
+
+// forget handles a graceful departure: forget the leaver, refuse its
+// address from future offers, and adopt the replacement contacts it handed
+// over. (admit's hearing from it already settled a pending probe of it.)
+func (p *Peer) forget(from simnet.NodeID, entries []wire.ViewEntry) {
+	v := p.ov.cyclon.View()
+	in := p.admit(from, entries)
+	v.Remove(from)
+	p.ov.det.bury(from, p.round)
+	for _, e := range in {
+		if e.ID != from {
 			v.AddAged(e)
 		}
-		v.Add(from)
-		ents := v.Entries()
-		p.Rand().Shuffle(len(ents), func(i, j int) { ents[i], ents[j] = ents[j], ents[i] })
-		out.send(wire.KindReply, from, freshest(ents, ov.cyclon.ShuffleLen(), from))
-	case wire.KindLeave:
-		// A graceful departure: forget the leaver, refuse its address from
-		// future offers, and adopt the replacement contacts it handed over.
-		// (heard already settled a pending probe of it.)
-		entries := p.admit(from, entries)
-		v.Remove(from)
-		ov.det.bury(from, p.round)
-		for _, e := range entries {
-			if e.ID != from {
-				v.AddAged(e)
-			}
-		}
-	default:
-		return // not a membership kind: nothing here is the peer's to act on
 	}
 }
 
@@ -195,19 +180,20 @@ func freshest(ents []membership.Entry, k int, skip simnet.NodeID) []membership.E
 // round finds the view empty. The seed replies with bootstrap entries.
 // With simnet.None or its own id the previous seed is kept — how a peer
 // that moved to a new address makes the overlay re-learn it promptly. A
-// peer without a partial view has nobody to be introduced to.
+// peer without a partial view has nobody to be introduced to. Either way
+// a peer back from an outage walks again into every topic group whose view
+// it lost.
 func (p *Peer) Join(seed simnet.NodeID, out *Out) {
 	out.reset()
-	ov := p.ov
-	if ov == nil {
-		return
+	if ov := p.ov; ov != nil {
+		if seed != simnet.None && seed != p.id {
+			ov.joinSeed = seed
+			ov.cyclon.View().Add(seed)
+		}
+		ov.joinAttempts, ov.joinWait, ov.joinFailed = 0, 0, false
+		p.announce(out)
 	}
-	if seed != simnet.None && seed != p.id {
-		ov.joinSeed = seed
-		ov.cyclon.View().Add(seed)
-	}
-	ov.joinAttempts, ov.joinWait, ov.joinFailed = 0, 0, false
-	p.announce(out)
+	p.rejoinGroups(out)
 }
 
 // JoinFailed reports whether the peer has given up announcing itself:
@@ -234,7 +220,7 @@ func (p *Peer) announce(out *Out) {
 	out.send(wire.KindJoin, ov.joinSeed, nil)
 	ov.joinAttempts++
 	backoff := min(1<<(ov.joinAttempts-1), JoinBackoffCap)
-	ov.joinWait = backoff + p.Rand().Intn(backoff)
+	ov.joinWait = backoff + p.rand().Intn(backoff)
 }
 
 // Leave announces a graceful departure: every view neighbour is handed up

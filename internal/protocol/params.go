@@ -65,6 +65,19 @@ type Params struct {
 	BufferCap    int // event buffer capacity
 	BufferMaxAge int // rounds an event stays forwardable at most
 	SeenCap      int // dedup memory
+
+	// The extensions only the simulator runs (core.Config sets them, live
+	// leaves them zero); Recv reports the kinds of one that is off as
+	// unhandled. Topics runs §5.1's per-topic gossip groups, joined by
+	// random walks (topics.go). SemanticBias ∈ (0, 1] biases that share of
+	// the partners towards peers of overlapping interest (semantic.go).
+	// PushPull answers digests and pulls, and AntiEntropy > 0 makes the
+	// peer keep an archive and send a digest every that many rounds
+	// (pushpull.go).
+	Topics       bool
+	SemanticBias float64
+	PushPull     bool
+	AntiEntropy  int
 }
 
 // controller instantiates the peer-local controller for a population of

@@ -1,35 +1,35 @@
 // Package protocol is the FairGossip peer, written once: Fig. 4's push
 // round steered by §5.2's two levers, the Cyclon exchange that feeds it
-// partners, and the failure detector and join back-off that ride on that
-// exchange. A Peer is a single-threaded state machine with no clock,
-// goroutine, socket or lock in it; internal/core drives it under the
-// discrete-event simulator, internal/live on a goroutine behind a real
-// transport.
+// partners, the failure detector and join back-off that ride on that
+// exchange, and the simulator's extensions — §5.1's topic groups, §5.2's
+// semantic partner bias, push-pull anti-entropy and cheat padding. A Peer
+// is a single-threaded state machine with no clock, goroutine, socket or
+// lock in it; internal/core drives it under the discrete-event simulator,
+// internal/live on a goroutine behind a real transport.
 //
 // # Driver contract
 //
 // The driver owns time, the network and the encoding; the Peer owns every
-// protocol decision and is not synchronised: one caller at a time.
+// protocol decision and every random draw, and is not synchronised: one
+// caller at a time. There is one mode:
 //
 //   - Calls: Tick once a gossip period, then Adapt; every other input
-//     (Subscribe, Unsubscribe, Publish, RecvEvents, RecvMembership, Join,
-//     Leave) at any time between Ticks. A driver with a push step of its
-//     own (core's topic groups and semantic bias) calls Maintain, runs
-//     Select and Partners over its own buffers, then Adapt — it never
-//     re-implements selection or admission: Publish, Select and
-//     RecvEvents take the buffer the events are kept in for forwarding,
-//     be it Buffer(), a topic group's, or nil to deliver only.
-//   - Buffers: an input that takes an *Out overwrites the part it
-//     produces, and the driver sends out.Sends in order, then out.Events
-//     to each of out.Targets, before its next call. Events, Targets and
-//     a Send's Entries are scratch that dies at that call: a driver
-//     copies what it keeps in flight.
+//     (Subscribe, Unsubscribe, Publish, Recv, Join, Leave) at any time
+//     between Ticks. What Params enables runs inside those calls.
+//   - Buffers: an input that takes an *Out overwrites it, and the driver
+//     sends each of out.Msgs, in order, to each of its To before its next
+//     call — one flush loop. A message's slices and its To are scratch that
+//     dies at that call: a driver copies what it keeps in flight.
 //   - Charges: the Peer books what no encoding changes — a publication, a
 //     delivery, the filter count. The driver books every send
-//     (Ledger.AddSend, with the size it alone knows) before Adapt, whose
-//     window reads the account, and books the novelty audit RecvEvents
-//     returns against the sender: the one write aimed at another peer's
-//     account, which the sharded simulator defers to a barrier.
+//     (Ledger.AddSend under the message's Class, with the size it alone
+//     knows) before Adapt, whose window reads the account, and books the
+//     novelty audit Recv returns against the sender: the one write aimed at
+//     another peer's account, which the sharded simulator defers to a
+//     barrier.
+//   - Recv is the one switch over the wire kinds. A kind the peer's Params
+//     do not run comes back unhandled and leaves the peer untouched; the
+//     live runtime counts it as malformed.
 //   - The failure detector runs wherever there is a partial view
 //     (Params.ViewCap > 0) and draws no random number; the join hand-shake
 //     runs iff Join was called. Neither has a switch.
@@ -64,6 +64,7 @@ type Peer struct {
 
 	ov   *overlay // partial view, detector, join state; nil under the full sampler
 	full membership.FullSampler
+	x    *ext // nil unless Params run topic groups, semantic bias or anti-entropy
 
 	ctl    *control // nil under the static controller
 	fanout int
@@ -77,6 +78,23 @@ type Peer struct {
 	// FreeRide makes the peer stop forwarding while it keeps receiving,
 	// delivering and shuffling — the defector fairness exists to expose.
 	FreeRide bool
+
+	// Cheat pads every gossip message the peer sends with JunkPadding bytes
+	// of worthless data (EXP-A6): raw contribution the audit sees through.
+	Cheat bool
+}
+
+// ext is the state only the simulator's extensions keep. Sim-huge runs
+// none of them, and at N = 100 000 each byte of a peer is a tenth of a
+// megabyte.
+type ext struct {
+	groups     map[string]*topicGroup // topic groups this peer is in; nil until the first join
+	groupOrder []string               // their topics, sorted (deterministic rounds)
+	walkRelays uint64                 // walks relayed for others: §5.1's maintenance burden
+
+	peerFPs map[simnet.NodeID]uint64 // other peers' interest fingerprints (semantic.go)
+
+	archive *gossip.Buffer // anti-entropy's store (pushpull.go); nil unless Params.AntiEntropy
 }
 
 // control is an adaptive peer's controller and the ledger account its
@@ -89,42 +107,81 @@ type control struct {
 // Out is where a Peer writes what the driver must put on the network: a
 // peer's own, or one shared by all the peers a single thread drives.
 type Out struct {
-	Events  []*pubsub.Event // the round's batch
-	Targets []simnet.NodeID // the partners it goes to
-	Sends   []Send          // membership messages, in sending order
+	Msgs []Outgoing // in sending order
 
-	ents []wire.ViewEntry // the Sends' entries, back to back
+	// The messages' events, targets, entries and parts, back to back.
+	evs   []*pubsub.Event
+	to    []simnet.NodeID
+	ents  []wire.ViewEntry
+	parts []wire.Parts
+
+	sel []*pubsub.Event // SELECTEVENTS' scratch
+	ids []simnet.NodeID // partner draws' scratch
 }
 
-// Send is one membership message, its entries already the wire's.
-type Send struct {
+// Outgoing is one message, the peers it goes to, and the ledger class its
+// bytes are charged under.
+type Outgoing struct {
+	wire.Msg
+	To    []simnet.NodeID
+	Class fairness.Class
+}
+
+// In is a received message as its driver holds it: the kind, entries and
+// parts the wire carried (Parts nil: none), and its events as a Batch,
+// which is read for the kinds that carry events.
+type In struct {
 	Kind    Kind
-	To      simnet.NodeID
 	Entries []wire.ViewEntry
+	Parts   *wire.Parts
+	Events  Batch
 }
 
-func (o *Out) reset() { o.Sends, o.ents = o.Sends[:0], o.ents[:0] }
+// Batch is a received message's events as its driver holds them — decoded
+// events in the simulator, validated records over the receive buffer in
+// the live runtime. Head returns the i-th event's id and encoded size;
+// Event materialises it into one the peer may keep (nil: skip it), and is
+// asked at most once: for an id that passed the seen-set, or to relay a
+// walk on — so a driver that receives bytes decodes an event once per
+// peer, not per copy.
+type Batch interface {
+	Len() int
+	Head(i int) (pubsub.EventID, int)
+	Event(i int) *pubsub.Event
+}
+
+func (o *Out) reset() {
+	o.Msgs, o.evs, o.to, o.ents = o.Msgs[:0], o.evs[:0], o.to[:0], o.ents[:0]
+	clear(o.parts) // walks' and digests' own slices
+	o.parts = o.parts[:0]
+}
+
+// emit queues m to the peers to, its events and targets copied into o's
+// stores, and its parts too when x is not nil.
+func (o *Out) emit(m wire.Msg, x *wire.Parts, class fairness.Class, to ...simnet.NodeID) {
+	m.Events = cut(&o.evs, m.Events)
+	if x != nil {
+		o.parts = append(o.parts, *x)
+		m.Parts = &o.parts[len(o.parts)-1]
+	}
+	o.Msgs = append(o.Msgs, Outgoing{Msg: m, To: cut(&o.to, to), Class: class})
+}
 
 // send queues a membership message, converting its entries into the
-// wire's (ages saturate at 65535) in o's scratch.
+// wire's (ages saturate at 65535) in o's store.
 func (o *Out) send(kind Kind, to simnet.NodeID, entries []membership.Entry) {
 	start := len(o.ents)
 	for _, e := range entries {
 		o.ents = append(o.ents, wire.ViewEntry{ID: uint32(e.ID), Age: uint16(min(e.Age, math.MaxUint16))})
 	}
-	o.Sends = append(o.Sends, Send{Kind: kind, To: to, Entries: o.ents[start:len(o.ents):len(o.ents)]})
+	o.emit(wire.Msg{Kind: kind, Entries: o.ents[start:len(o.ents):len(o.ents)]}, nil, fairness.ClassInfra, to)
 }
 
-// Batch is a received gossip message as its driver holds it — decoded
-// events in the simulator, validated records over the receive buffer in
-// the live runtime. Head returns the i-th event's id and encoded size;
-// Event materialises it into one the peer may keep (nil: skip it), and is
-// asked at most once, only for an id that passed the seen-set — so a
-// driver that receives bytes decodes an event once per peer, not per copy.
-type Batch interface {
-	Len() int
-	Head(i int) (pubsub.EventID, int)
-	Event(i int) *pubsub.Event
+// cut appends s to a store and returns the copy, capacity-capped.
+func cut[T any](store *[]T, s []T) []T {
+	start := len(*store)
+	*store = append(*store, s...)
+	return (*store)[start:len(*store):len(*store)]
 }
 
 // Init builds p, a zero Peer, as peer id of a population of n — the
@@ -149,6 +206,9 @@ func (p *Peer) Init(id simnet.NodeID, n int, par *Params, seed int64, ledger *fa
 	} else {
 		p.full = membership.FullSampler{Self: id, N: n}
 	}
+	if par.Topics || par.SemanticBias > 0 || par.AntiEntropy > 0 {
+		p.x = &ext{archive: newArchive(par)}
+	}
 }
 
 func (p *Peer) ID() simnet.NodeID           { return p.id }
@@ -157,8 +217,8 @@ func (p *Peer) Batch() int                  { return p.batch }  // the lever N_i
 func (p *Peer) Rounds() int                 { return p.round }  // gossip periods run so far
 func (p *Peer) Interest() *pubsub.Interest  { return &p.interest }
 func (p *Peer) Buffer() *gossip.Buffer      { return &p.buffer }           // the flat overlay's event buffer
-func (p *Peer) Rand() *rand.Rand            { return &p.rng.Rand }         // for a driver whose own round logic draws from the same stream
 func (p *Peer) Seen(id pubsub.EventID) bool { return p.seen.Contains(id) } // published or admitted here (within SeenCap)
+func (p *Peer) rand() *rand.Rand            { return &p.rng.Rand }
 
 // View returns the Cyclon partial view, or nil under the full sampler.
 func (p *Peer) View() *membership.View {
@@ -168,24 +228,46 @@ func (p *Peer) View() *membership.View {
 	return p.ov.cyclon.View()
 }
 
-// Subscribe registers a filter and returns its subscription ID.
-func (p *Peer) Subscribe(f pubsub.Filter) pubsub.SubID {
+// Subscribe registers a filter and returns its subscription ID. Under
+// topic groups a plain topic filter also joins the topic's group through a
+// subscription walk (§5.1).
+func (p *Peer) Subscribe(f pubsub.Filter, out *Out) pubsub.SubID {
+	out.reset()
 	id := p.interest.Subscribe(f)
 	p.ledger.SetFilters(int(p.id), p.interest.Count())
+	if p.par.Topics {
+		if topic, ok := pubsub.TopicOf(f); ok {
+			p.joinGroup(topic, out)
+		}
+	}
 	return id
 }
 
-// Unsubscribe removes a subscription.
+// Unsubscribe removes a subscription. Under topic groups the peer drops
+// out of the groups no remaining filter selects; its stale entries age out
+// of the other members' views.
 func (p *Peer) Unsubscribe(id pubsub.SubID) bool {
 	ok := p.interest.Unsubscribe(id)
 	p.ledger.SetFilters(int(p.id), p.interest.Count())
+	if ok && p.par.Topics {
+		p.leaveGroups()
+	}
 	return ok
 }
 
 // Publish originates an event: charged, marked seen, delivered locally if
-// it matches, and kept in buf for forwarding (nil: the driver forwards it
-// some other way).
-func (p *Peer) Publish(buf *gossip.Buffer, topic string, attrs []pubsub.Attr, payload []byte) *pubsub.Event {
+// it matches, and kept for forwarding — in the flat buffer, or the topic's
+// group; a publisher outside the group hands it to a member by a
+// publication walk instead.
+func (p *Peer) Publish(topic string, attrs []pubsub.Attr, payload []byte, out *Out) *pubsub.Event {
+	out.reset()
+	buf := &p.buffer
+	if p.par.Topics {
+		buf = nil
+		if g := p.group(topic); g != nil {
+			buf = g.buffer
+		}
+	}
 	p.pubSeq++
 	ev := &pubsub.Event{
 		ID:      pubsub.EventID{Publisher: uint32(p.id), Seq: p.pubSeq},
@@ -198,6 +280,12 @@ func (p *Peer) Publish(buf *gossip.Buffer, topic string, attrs []pubsub.Attr, pa
 	p.deliver(ev)
 	if buf != nil {
 		buf.Insert(ev)
+	}
+	if a := p.archive(); a != nil {
+		a.Insert(ev)
+	}
+	if buf == nil {
+		p.startWalk(wire.KindPubWalk, topic, []*pubsub.Event{ev}, out)
 	}
 	return ev
 }
@@ -212,50 +300,84 @@ func (p *Peer) deliver(ev *pubsub.Event) {
 	}
 }
 
-// Tick runs one gossip period up to the sends: membership maintenance,
-// then the push step.
+// Tick runs one gossip period up to the sends: every ShuffleEvery-th round
+// a Cyclon shuffle (free-riders too), then the push step — Fig. 4's round
+// over the flat overlay, over each topic group, or semantic bias's
+// per-topic batches — then, every AntiEntropy-th round, a digest.
 func (p *Peer) Tick(out *Out) {
-	p.Maintain(out)
-	p.Push(out)
-}
-
-// Maintain opens a round: every ShuffleEvery-th one initiates a Cyclon
-// shuffle (free-riders too), leaving the offer in out.Sends.
-func (p *Peer) Maintain(out *Out) {
 	out.reset()
 	p.round++
 	if p.ov != nil && p.round%p.par.ShuffleEvery == 0 {
 		p.shuffle(out)
 	}
+	switch {
+	case p.par.Topics:
+		p.pushTopics(out)
+	case p.par.SemanticBias > 0:
+		p.pushSemantic(out)
+	default:
+		p.push(out)
+	}
+	p.antiEntropy(out)
 }
 
-// Push is Fig. 4's round over the flat overlay: SELECTEVENTS into
-// out.Events, SELECTPARTICIPANTS into out.Targets (empty when there is
-// nothing to send), and the buffer ages by one round — a free-rider's
-// too, so it does not hoard a backlog to replay on reform.
-func (p *Peer) Push(out *Out) {
-	out.Events, out.Targets = out.Events[:0], out.Targets[:0]
-	if !p.FreeRide && len(p.Select(&p.buffer, out)) > 0 {
-		p.Partners(p.fanout, out)
+// push is Fig. 4's round over the flat overlay: SELECTEVENTS, then
+// SELECTPARTICIPANTS when there is something to send, and the buffer ages
+// by one round — a free-rider's too, so it does not hoard a backlog to
+// replay on reform.
+func (p *Peer) push(out *Out) {
+	if !p.FreeRide {
+		if events := p.selectFrom(&p.buffer, out); len(events) > 0 {
+			p.gossip(out, p.partners(p.fanout, out), "", events, nil)
+		}
 	}
 	p.buffer.Tick()
 }
 
-// Select picks this round's batch — at most the batch lever — from buf
-// into out.Events.
-func (p *Peer) Select(buf *gossip.Buffer, out *Out) []*pubsub.Event {
-	return buf.SelectInto(p.Rand(), &out.Events, p.batch, p.par.Policy)
+// selectFrom picks this round's batch — at most the batch lever — from buf.
+func (p *Peer) selectFrom(buf *gossip.Buffer, out *Out) []*pubsub.Event {
+	return buf.SelectInto(p.rand(), &out.sel, p.batch, p.par.Policy)
 }
 
-// Partners draws up to k distinct partners from the membership substrate
-// into out.Targets.
-func (p *Peer) Partners(k int, out *Out) []simnet.NodeID {
+// partners draws up to k distinct partners from the membership substrate.
+func (p *Peer) partners(k int, out *Out) []simnet.NodeID {
 	if p.ov != nil {
-		out.Targets = p.ov.cyclon.View().SampleInto(p.Rand(), k, out.Targets)
-	} else {
-		out.Targets = p.full.SamplePeersInto(p.Rand(), k, out.Targets)
+		return p.viewSample(p.ov.cyclon.View(), k, out)
 	}
-	return out.Targets
+	out.ids = p.full.SamplePeersInto(p.rand(), k, out.ids)
+	return out.ids
+}
+
+// viewSample draws up to k distinct members of a view.
+func (p *Peer) viewSample(v *membership.View, k int, out *Out) []simnet.NodeID {
+	out.ids = v.SampleInto(p.rand(), k, out.ids)
+	return out.ids
+}
+
+// gossip sends a batch — in a topic group tagged, with membership ads — to
+// the peers to: one message to all of them, or, under semantic bias, one
+// each, every one with its own draw of fingerprint ads.
+func (p *Peer) gossip(out *Out, to []simnet.NodeID, topic string, events []*pubsub.Event, ads []wire.ViewEntry) {
+	m, x := wire.Msg{Kind: wire.KindEvents, Events: events}, wire.Parts{Topic: topic, Ads: ads}
+	if p.Cheat {
+		x.Pad = JunkPadding
+	}
+	if p.par.SemanticBias <= 0 {
+		if len(to) == 0 {
+			return
+		}
+		var px *wire.Parts
+		if topic != "" || len(ads) > 0 || p.Cheat {
+			px = &x
+		}
+		out.emit(m, px, fairness.ClassApp, to...)
+		return
+	}
+	x.FP = interestFingerprint(&p.interest)
+	for _, q := range to {
+		x.FPAds = p.fpAds(2)
+		out.emit(m, &x, fairness.ClassApp, q)
+	}
 }
 
 // Adapt closes a round: every ControlWindow-th one feeds the window's
@@ -275,13 +397,104 @@ func (p *Peer) Adapt() {
 	})
 }
 
-// RecvEvents admits a gossip batch from peer from, keeping what is new in
-// buf (nil: deliver only), and returns the novelty audit (§5.2 bias
-// resistance): the bytes that were news and the bytes that were not. A
-// duplicate — most of what push gossip delivers — costs a seen-set probe
-// and a count towards retiring the peer's own copy (Buffer.Duplicate).
-func (p *Peer) RecvEvents(from simnet.NodeID, buf *gossip.Buffer, b Batch) (novel, dup int) {
+var noParts wire.Parts
+
+// Recv handles one message from peer from: the one switch over the wire
+// kinds. It returns a gossip message's novelty audit (§5.2 bias
+// resistance) — the bytes that were news and those that were not, cheat
+// padding included — for the driver to book against from. ok is false for
+// a kind the peer's Params do not run, which leaves the peer untouched.
+func (p *Peer) Recv(from simnet.NodeID, m In, out *Out) (novel, junk int, ok bool) {
+	out.reset()
+	x := m.Parts
+	if x == nil {
+		x = &noParts
+	}
+	// A message naming the peer itself as its sender is an echo; a
+	// membership message or a push-pull request is dropped then, and so
+	// is a membership message without a view.
+	echo := from == p.id
+	view := p.ov != nil && !echo
+	ok = true
+	switch m.Kind {
+	case wire.KindEvents:
+		novel, junk = p.recvGossip(from, x, m.Events)
+	case wire.KindOffer:
+		if view {
+			out.send(wire.KindReply, from, p.ov.cyclon.HandleShuffle(p.rand(), from, p.admit(from, m.Entries)))
+		}
+	case wire.KindReply:
+		if view {
+			p.ov.cyclon.HandleReply(from, p.admit(from, m.Entries))
+		}
+	case wire.KindJoin:
+		if view {
+			p.bootstrap(from, m.Entries, out)
+		}
+	case wire.KindLeave:
+		if view {
+			p.forget(from, m.Entries)
+		}
+	case wire.KindSubWalk:
+		if ok = p.par.Topics; ok {
+			p.recvSubWalk(from, x, m.Events, out)
+		}
+	case wire.KindSubAck:
+		if ok = p.par.Topics; ok {
+			p.recvSubAck(x, m.Entries)
+		}
+	case wire.KindPubWalk:
+		if ok = p.par.Topics; ok {
+			p.recvPubWalk(from, x, m.Events, out)
+		}
+	case wire.KindDigest:
+		if ok = p.par.PushPull; ok && !echo {
+			p.recvDigest(from, x, out)
+		}
+	case wire.KindPull:
+		if ok = p.par.PushPull; ok && !echo {
+			p.recvPull(from, x, out)
+		}
+	default:
+		ok = false
+	}
+	return novel, junk, ok
+}
+
+// recvGossip admits a gossip message. Semantic bias learns the
+// fingerprints it carries and a topic group its ads; under topic groups
+// only a member keeps a topic's events for forwarding — anyone else
+// delivers them, if interesting, and never buffers them (fair by
+// structure).
+func (p *Peer) recvGossip(from simnet.NodeID, x *wire.Parts, b Batch) (novel, junk int) {
+	if p.par.SemanticBias > 0 {
+		p.rememberFingerprint(from, x.FP)
+		for _, ad := range x.FPAds {
+			p.rememberFingerprint(simnet.NodeID(ad.ID), ad.FP)
+		}
+	}
+	buf := &p.buffer
+	if p.par.Topics {
+		buf = nil
+		if g := p.group(x.Topic); g != nil {
+			buf = g.buffer
+			for _, ad := range x.Ads {
+				g.view.AddAged(membership.Entry{ID: simnet.NodeID(ad.ID), Age: int(ad.Age)})
+			}
+		}
+	}
+	novel, dup := p.admitEvents(from, buf, b)
+	return novel, dup + x.Pad
+}
+
+// admitEvents admits a batch from peer from, keeping what is new in buf
+// (nil: deliver only) and in the archive, and returns the bytes that were
+// news and the bytes that were not. A duplicate — most of what push gossip
+// delivers — costs a seen-set probe and a count towards retiring the
+// peer's own copy (Buffer.Duplicate).
+func (p *Peer) admitEvents(from simnet.NodeID, buf *gossip.Buffer, b Batch) (novel, dup int) {
 	p.heard(from)
+	a := p.archive()
 	for i, n := 0, b.Len(); i < n; i++ {
 		id, size := b.Head(i)
 		if !p.seen.Add(id) {
@@ -296,6 +509,9 @@ func (p *Peer) RecvEvents(from simnet.NodeID, buf *gossip.Buffer, b Batch) (nove
 			continue
 		}
 		novel += size
+		if a != nil {
+			a.Insert(ev)
+		}
 		if buf != nil {
 			buf.Insert(ev)
 		}

@@ -56,6 +56,29 @@ func event(pub, seq uint32) *pubsub.Event {
 	return &pubsub.Event{ID: pubsub.EventID{Publisher: pub, Seq: seq}, Topic: "t", Payload: []byte("x")}
 }
 
+// recv hands p a membership message from peer from.
+func recv(p *Peer, kind Kind, from simnet.NodeID, entries []wire.ViewEntry, out *Out) {
+	p.Recv(from, In{Kind: kind, Entries: entries}, out)
+}
+
+// recvEvents hands p a gossip message from peer from and returns its audit.
+func recvEvents(p *Peer, from simnet.NodeID, b Batch) (novel, junk int) {
+	var out Out
+	novel, junk, _ = p.Recv(from, In{Kind: wire.KindEvents, Events: b}, &out)
+	return novel, junk
+}
+
+// pushed returns the gossip message in out — its events and targets — or
+// nothing.
+func pushed(out *Out) ([]*pubsub.Event, []simnet.NodeID) {
+	for _, m := range out.Msgs {
+		if m.Kind == wire.KindEvents {
+			return m.Events, m.To
+		}
+	}
+	return nil, nil
+}
+
 func viewIDs(p *Peer) map[simnet.NodeID]bool {
 	m := map[simnet.NodeID]bool{}
 	for _, id := range p.View().IDs() {
@@ -84,24 +107,25 @@ func TestTickEmitsOneBatchToFanoutViewMembers(t *testing.T) {
 			}
 			var out Out
 			p.Tick(&out)
-			if len(out.Events) != 0 || len(out.Targets) != 0 || len(out.Sends) != 0 {
-				t.Fatalf("an idle peer emitted %d events to %d targets, %d sends", len(out.Events), len(out.Targets), len(out.Sends))
+			if len(out.Msgs) != 0 {
+				t.Fatalf("an idle peer emitted %+v", out.Msgs)
 			}
 			for k := 0; k < 6; k++ {
-				p.Publish(p.Buffer(), "t", nil, []byte("x"))
+				p.Publish("t", nil, []byte("x"), &out)
 			}
 			for round := 0; round < 50; round++ {
 				p.Tick(&out)
-				if len(out.Events) != par.Batch {
-					t.Fatalf("round %d: batch of %d, want the lever %d", round, len(out.Events), par.Batch)
+				events, targets := pushed(&out)
+				if len(events) != par.Batch {
+					t.Fatalf("round %d: batch of %d, want the lever %d", round, len(events), par.Batch)
 				}
-				if len(out.Targets) != par.Fanout {
-					t.Fatalf("round %d: %d targets, want fanout %d", round, len(out.Targets), par.Fanout)
+				if len(targets) != par.Fanout {
+					t.Fatalf("round %d: %d targets, want fanout %d", round, len(targets), par.Fanout)
 				}
 				seen := map[simnet.NodeID]bool{}
-				for _, q := range out.Targets {
+				for _, q := range targets {
 					if q == p.ID() || seen[q] || q < 0 || int(q) >= population {
-						t.Fatalf("round %d: bad target set %v", round, out.Targets)
+						t.Fatalf("round %d: bad target set %v", round, targets)
 					}
 					if v := p.View(); v != nil && !v.Contains(q) {
 						t.Fatalf("round %d: target %d is not in the view %v", round, q, v.IDs())
@@ -111,8 +135,8 @@ func TestTickEmitsOneBatchToFanoutViewMembers(t *testing.T) {
 			}
 			p.FreeRide = true
 			p.Tick(&out)
-			if len(out.Events) != 0 || len(out.Targets) != 0 {
-				t.Fatalf("a free-rider pushed %d events to %d targets", len(out.Events), len(out.Targets))
+			if events, targets := pushed(&out); len(events) != 0 || len(targets) != 0 {
+				t.Fatalf("a free-rider pushed %d events to %d targets", len(events), len(targets))
 			}
 		})
 	}
@@ -129,12 +153,12 @@ func TestFirstCopyPlusTwoBatchesOfDuplicatesRetires(t *testing.T) {
 		par.Batch = batch
 		ledger := newLedger()
 		p := newPeer(1, &par, ledger)
-		p.Subscribe(pubsub.Topic("t"))
+		p.Subscribe(pubsub.Topic("t"), &Out{})
 		ev := event(0, 1)
 		b := &events{evs: []*pubsub.Event{ev}}
 		retiredOn := 0
 		for k := 1; k <= 4*batch+2 && retiredOn == 0; k++ {
-			novel, dup := p.RecvEvents(0, p.Buffer(), b)
+			novel, dup := recvEvents(p, 0, b)
 			if wantNovel := k == 1; (novel == ev.WireSize()) != wantNovel || (dup == ev.WireSize()) == wantNovel {
 				t.Fatalf("batch %d copy %d: audit novel %d dup %d", batch, k, novel, dup)
 			}
@@ -175,11 +199,11 @@ func TestDetector(t *testing.T) {
 	step := func(t *testing.T, p *Peer, silent simnet.NodeID) {
 		t.Helper()
 		p.Tick(&out)
-		if len(out.Sends) != 1 || out.Sends[0].Kind != wire.KindOffer {
-			t.Fatalf("a founder's membership round sent %+v, want one offer", out.Sends)
+		if len(out.Msgs) != 1 || out.Msgs[0].Kind != wire.KindOffer {
+			t.Fatalf("a founder's membership round sent %+v, want one offer", out.Msgs)
 		}
-		if to := out.Sends[0].To; to != silent {
-			p.RecvMembership(wire.KindReply, to, offerFrom(to), &out)
+		if to := out.Msgs[0].To[0]; to != silent {
+			recv(p, wire.KindReply, to, offerFrom(to), &out)
 		}
 	}
 	// probe steps until the verdict on one more unanswered offer to the
@@ -229,15 +253,15 @@ func TestDetector(t *testing.T) {
 		}
 		// A third party re-offers the dead address: refused. A stranger in
 		// the same offer is admitted.
-		p.RecvMembership(wire.KindOffer, 3, offerFrom(3, 2, 9), &out)
+		recv(p, wire.KindOffer, 3, offerFrom(3, 2, 9), &out)
 		if p.View().Contains(2) {
 			t.Fatal("a quarantined address came back through an offer")
 		}
 		if !p.View().Contains(9) {
 			t.Fatal("the quarantine filter dropped an innocent entry")
 		}
-		if len(out.Sends) != 1 || out.Sends[0].Kind != wire.KindReply || out.Sends[0].To != 3 {
-			t.Fatalf("offer not answered: %+v", out.Sends)
+		if len(out.Msgs) != 1 || out.Msgs[0].Kind != wire.KindReply || out.Msgs[0].To[0] != 3 {
+			t.Fatalf("offer not answered: %+v", out.Msgs)
 		}
 		// The verdict expires: QuarantineRounds later the address gets the
 		// benefit of the doubt again, and not a round sooner.
@@ -247,8 +271,8 @@ func TestDetector(t *testing.T) {
 		}
 		p.ov.det.bury(2, buried)
 		// Direct contact lifts the quarantine.
-		p.RecvEvents(2, p.Buffer(), &events{})
-		p.RecvMembership(wire.KindOffer, 3, offerFrom(3, 2), &out)
+		recvEvents(p, 2, &events{})
+		recv(p, wire.KindOffer, 3, offerFrom(3, 2), &out)
 		if !p.View().Contains(2) {
 			t.Fatal("address still refused after it spoke for itself")
 		}
@@ -258,7 +282,7 @@ func TestDetector(t *testing.T) {
 		p := founder()
 		probe(t, p, 2)
 		held(t, p, 2, 1)
-		p.RecvEvents(2, p.Buffer(), &events{}) // any message at all
+		recvEvents(p, 2, &events{}) // any message at all
 		if p.View().SuspectOf(2) != 0 || p.ov.det.strikes[2] != 0 || p.ov.probe == 2 {
 			t.Fatal("evidence survived direct contact")
 		}
@@ -277,9 +301,9 @@ func TestJoinerStopsAfterJoinAttempts(t *testing.T) {
 	var out Out
 	joins := 0
 	count := func() {
-		for _, s := range out.Sends {
+		for _, s := range out.Msgs {
 			if s.Kind == wire.KindJoin {
-				if s.To != 0 || len(s.Entries) != 0 {
+				if len(s.To) != 1 || s.To[0] != 0 || len(s.Entries) != 0 {
 					t.Fatalf("announcement %+v, want an empty one to the seed", s)
 				}
 				joins++
@@ -306,7 +330,7 @@ func TestJoinerStopsAfterJoinAttempts(t *testing.T) {
 		t.Fatal("JoinFailed not set after the budget ran out")
 	}
 	// A bootstrap reply from anywhere integrates the peer after all.
-	p.RecvMembership(wire.KindReply, 7, offerFrom(7, 8), &out)
+	recv(p, wire.KindReply, 7, offerFrom(7, 8), &out)
 	p.Tick(&out)
 	if p.JoinFailed() {
 		t.Fatal("JoinFailed survived a populated view")
@@ -347,25 +371,26 @@ func TestLeaveHandsOverFreshestEntries(t *testing.T) {
 	}
 	var out Out
 	p.Leave(&out)
-	if len(out.Sends) != 12 {
-		t.Fatalf("%d leave messages for 12 neighbours", len(out.Sends))
+	if len(out.Msgs) != 12 {
+		t.Fatalf("%d leave messages for 12 neighbours", len(out.Msgs))
 	}
 	told := map[simnet.NodeID]bool{}
-	for _, s := range out.Sends {
-		if s.Kind != wire.KindLeave || told[s.To] {
+	for _, s := range out.Msgs {
+		if s.Kind != wire.KindLeave || len(s.To) != 1 || told[s.To[0]] {
 			t.Fatalf("bad or repeated leave message %+v", s)
 		}
-		told[s.To] = true
+		to := s.To[0]
+		told[to] = true
 		if len(s.Entries) != ShuffleLen {
-			t.Fatalf("neighbour %d handed %d entries, want ShuffleLen", s.To, len(s.Entries))
+			t.Fatalf("neighbour %d handed %d entries, want ShuffleLen", to, len(s.Entries))
 		}
 		next := simnet.NodeID(1)
 		for _, e := range s.Entries {
-			if next == s.To {
+			if next == to {
 				next++
 			}
 			if simnet.NodeID(e.ID) != next {
-				t.Fatalf("neighbour %d handed %v, want the freshest in order without itself", s.To, s.Entries)
+				t.Fatalf("neighbour %d handed %v, want the freshest in order without itself", to, s.Entries)
 			}
 			next++
 		}
@@ -374,16 +399,16 @@ func TestLeaveHandsOverFreshestEntries(t *testing.T) {
 	q := newPeer(3, &par, ledger)
 	q.View().Add(0)
 	var qout Out
-	for _, s := range out.Sends {
-		if s.To == 3 {
-			q.RecvMembership(wire.KindLeave, 0, s.Entries, &qout)
+	for _, s := range out.Msgs {
+		if s.To[0] == 3 {
+			recv(q, wire.KindLeave, 0, s.Entries, &qout)
 		}
 	}
 	got := viewIDs(q)
 	if got[0] || got[3] || len(got) != ShuffleLen {
 		t.Fatalf("after the hand-off the view is %v", q.View().IDs())
 	}
-	q.RecvMembership(wire.KindOffer, 1, offerFrom(1, 0), &qout)
+	recv(q, wire.KindOffer, 1, offerFrom(1, 0), &qout)
 	if q.View().Contains(0) {
 		t.Fatal("the leaver's address came back through an offer")
 	}
@@ -392,12 +417,12 @@ func TestLeaveHandsOverFreshestEntries(t *testing.T) {
 	full.ViewCap = 0
 	f := newPeer(1, &full, ledger)
 	f.Leave(&out)
-	if len(out.Sends) != 0 {
-		t.Fatalf("a full-sampler peer sent %d leave messages", len(out.Sends))
+	if len(out.Msgs) != 0 {
+		t.Fatalf("a full-sampler peer sent %d leave messages", len(out.Msgs))
 	}
 	f.Join(0, &out) // nobody to be introduced to, and no view to put the seed in
-	if len(out.Sends) != 0 || f.JoinFailed() {
-		t.Fatalf("a full-sampler peer announced itself: %+v", out.Sends)
+	if len(out.Msgs) != 0 || f.JoinFailed() {
+		t.Fatalf("a full-sampler peer announced itself: %+v", out.Msgs)
 	}
 }
 
@@ -416,16 +441,16 @@ func TestScribblingOnSendEntriesLeavesTheView(t *testing.T) {
 		call func()
 	}{
 		{"offer", func() { p.Tick(&out) }},
-		{"reply", func() { p.RecvMembership(wire.KindOffer, 7, offerFrom(7, 8), &out) }},
-		{"bootstrap", func() { p.RecvMembership(wire.KindJoin, 9, nil, &out) }},
+		{"reply", func() { recv(p, wire.KindOffer, 7, offerFrom(7, 8), &out) }},
+		{"bootstrap", func() { recv(p, wire.KindJoin, 9, nil, &out) }},
 		{"leave", func() { p.Leave(&out) }},
 	} {
 		input.call()
-		if len(out.Sends) == 0 {
+		if len(out.Msgs) == 0 {
 			t.Fatalf("%s: nothing sent", input.name)
 		}
 		want := p.View().Entries()
-		for _, s := range out.Sends {
+		for _, s := range out.Msgs {
 			for i := range s.Entries {
 				s.Entries[i] = wire.ViewEntry{ID: 99, Age: 99}
 			}
@@ -446,17 +471,17 @@ func TestJoinBootstrapsTheJoiner(t *testing.T) {
 		p.View().Add(id)
 	}
 	var out Out
-	p.RecvMembership(wire.KindJoin, 9, nil, &out)
+	recv(p, wire.KindJoin, 9, nil, &out)
 	if !p.View().Contains(9) {
 		t.Fatal("the seed did not remember the joiner")
 	}
-	if len(out.Sends) != 1 || out.Sends[0].Kind != wire.KindReply || out.Sends[0].To != 9 {
-		t.Fatalf("no bootstrap reply: %+v", out.Sends)
+	if len(out.Msgs) != 1 || out.Msgs[0].Kind != wire.KindReply || out.Msgs[0].To[0] != 9 {
+		t.Fatalf("no bootstrap reply: %+v", out.Msgs)
 	}
-	if n := len(out.Sends[0].Entries); n != 5 {
+	if n := len(out.Msgs[0].Entries); n != 5 {
 		t.Fatalf("bootstrap of %d entries, want the 5 others", n)
 	}
-	for _, e := range out.Sends[0].Entries {
+	for _, e := range out.Msgs[0].Entries {
 		if e.ID == 9 {
 			t.Fatal("the joiner was sent its own address")
 		}

@@ -1,4 +1,4 @@
-package core
+package protocol
 
 import (
 	"math/bits"
@@ -11,20 +11,51 @@ import (
 
 // Semantic partner bias — the closing idea of §5.2: "In some cases we may
 // also rely on semantic knowledge to bias the participation … and provide
-// grouping according to this semantic knowledge."
+// grouping according to this semantic knowledge." (Params.SemanticBias)
 //
-// In content mode, every peer summarises its interest as a 64-bit Bloom
-// fingerprint of its subscription sources and piggybacks it on gossip
-// messages (8 bytes). Receivers remember senders' fingerprints. When
-// SemanticBias ∈ (0, 1] is configured, that fraction of each round's
+// Every peer summarises its interest as a 64-bit Bloom fingerprint of its
+// subscription sources and piggybacks it on gossip messages (8 bytes).
+// Receivers remember senders' fingerprints. That share of each round's
 // partners is chosen among the known peers whose interest fingerprint
-// overlaps the fingerprint of the batch *being sent* — events flow
-// toward peers likely to deliver them. The remaining partners stay
-// uniform, preserving the connectivity gossip's reliability depends on.
+// overlaps the fingerprint of the batch *being sent* — events flow toward
+// peers likely to deliver them. The remaining partners stay uniform,
+// preserving the connectivity gossip's reliability depends on. A mixed
+// batch has a blurred fingerprint that matches everyone, so the push step
+// sends topic-coherent sub-batches.
 //
 // Topic subscriptions fingerprint exactly (an event's topic hashes to
 // the same bits as a `topic == "t"` subscription); arbitrary content
 // filters fall back to unbiased gossip for matching purposes.
+
+// pushSemantic is the push step under semantic bias: one batch, split by
+// topic, each part to its own biased partners.
+func (p *Peer) pushSemantic(out *Out) {
+	if !p.FreeRide {
+		for _, group := range splitByTopic(p.selectFrom(&p.buffer, out)) {
+			p.gossip(out, p.biasedPeers(p.fanout, batchFingerprint(group), out), "", group, nil)
+		}
+	}
+	p.buffer.Tick()
+}
+
+// splitByTopic partitions a batch into per-topic groups, in sorted topic
+// order for determinism.
+func splitByTopic(events []*pubsub.Event) [][]*pubsub.Event {
+	byTopic := make(map[string][]*pubsub.Event)
+	topics := make([]string, 0, 4)
+	for _, ev := range events {
+		if _, ok := byTopic[ev.Topic]; !ok {
+			topics = append(topics, ev.Topic)
+		}
+		byTopic[ev.Topic] = append(byTopic[ev.Topic], ev)
+	}
+	sort.Strings(topics)
+	out := make([][]*pubsub.Event, 0, len(topics))
+	for _, t := range topics {
+		out = append(out, byTopic[t])
+	}
+	return out
+}
 
 // interestFingerprint hashes each subscription source into a 64-bit Bloom
 // filter (2 probes per subscription).
@@ -76,21 +107,21 @@ func batchFingerprint(events []*pubsub.Event) uint64 {
 func fingerprintOverlap(a, b uint64) int { return bits.OnesCount64(a & b) }
 
 // rememberFingerprint stores a peer's advertised fingerprint.
-func (nd *Node) rememberFingerprint(from simnet.NodeID, fp uint64) {
-	if fp == 0 || from == nd.ID() {
+func (p *Peer) rememberFingerprint(from simnet.NodeID, fp uint64) {
+	if fp == 0 || from == p.id {
 		return
 	}
-	if nd.ext.peerFPs == nil {
-		nd.ext.peerFPs = make(map[simnet.NodeID]uint64, 64)
+	if p.x.peerFPs == nil {
+		p.x.peerFPs = make(map[simnet.NodeID]uint64, 64)
 	}
-	nd.ext.peerFPs[from] = fp
+	p.x.peerFPs[from] = fp
 }
 
 // fpAds samples a couple of known (peer, fingerprint) pairs to piggyback,
 // spreading profile knowledge epidemically (deterministic order, random
-// choice from the node's RNG).
-func (nd *Node) fpAds(k int) []wire.FPAd {
-	peerFPs := nd.ext.peerFPs
+// choice from the peer's stream).
+func (p *Peer) fpAds(k int) []wire.FPAd {
+	peerFPs := p.x.peerFPs
 	if len(peerFPs) == 0 || k <= 0 {
 		return nil
 	}
@@ -103,7 +134,7 @@ func (nd *Node) fpAds(k int) []wire.FPAd {
 		k = len(ids)
 	}
 	out := make([]wire.FPAd, 0, k)
-	for _, idx := range nd.Rand().Perm(len(ids))[:k] {
+	for _, idx := range p.rand().Perm(len(ids))[:k] {
 		id := simnet.NodeID(ids[idx])
 		out = append(out, wire.FPAd{ID: uint32(id), FP: peerFPs[id]})
 	}
@@ -115,12 +146,12 @@ func (nd *Node) fpAds(k int) []wire.FPAd {
 // interest overlap with the batch, the rest uniform. Falls back to
 // uniform sampling while no fingerprints are known or the batch carries
 // no topical signal.
-func (nd *Node) biasedPeers(k int, targetFP uint64) []simnet.NodeID {
-	bias := nd.cfg.SemanticBias
-	if bias <= 0 || len(nd.ext.peerFPs) == 0 || targetFP == 0 {
-		return nd.overlayPeers(k)
+func (p *Peer) biasedPeers(k int, targetFP uint64, out *Out) []simnet.NodeID {
+	bias := p.par.SemanticBias
+	if bias <= 0 || len(p.x.peerFPs) == 0 || targetFP == 0 {
+		return p.partners(k, out)
 	}
-	peerFPs := nd.ext.peerFPs
+	peerFPs := p.x.peerFPs
 	if bias > 1 {
 		bias = 1
 	}
@@ -131,9 +162,9 @@ func (nd *Node) biasedPeers(k int, targetFP uint64) []simnet.NodeID {
 
 	// Collect all known peers whose interest overlaps the batch, in
 	// deterministic (sorted) order, then sample `want` of them uniformly
-	// with the node's RNG. Random choice within the matching set matters:
-	// always picking the top-k would funnel all traffic to the same few
-	// peers and starve the rest of the interest group.
+	// with the peer's stream. Random choice within the matching set
+	// matters: always picking the top-k would funnel all traffic to the
+	// same few peers and starve the rest of the interest group.
 	ids := make([]int, 0, len(peerFPs))
 	for id := range peerFPs {
 		ids = append(ids, int(id))
@@ -142,29 +173,29 @@ func (nd *Node) biasedPeers(k int, targetFP uint64) []simnet.NodeID {
 	matching := make([]simnet.NodeID, 0, len(ids))
 	for _, idInt := range ids {
 		id := simnet.NodeID(idInt)
-		if id != nd.ID() && fingerprintOverlap(targetFP, peerFPs[id]) > 0 {
+		if id != p.id && fingerprintOverlap(targetFP, peerFPs[id]) > 0 {
 			matching = append(matching, id)
 		}
 	}
 	if want > len(matching) {
 		want = len(matching)
 	}
-	out := make([]simnet.NodeID, 0, k)
+	picked := make([]simnet.NodeID, 0, k)
 	used := make(map[simnet.NodeID]struct{}, k)
-	for _, idx := range nd.Rand().Perm(len(matching))[:want] {
-		out = append(out, matching[idx])
+	for _, idx := range p.rand().Perm(len(matching))[:want] {
+		picked = append(picked, matching[idx])
 		used[matching[idx]] = struct{}{}
 	}
 	// Fill the remainder uniformly, skipping duplicates.
-	for _, id := range nd.overlayPeers(k) {
-		if len(out) >= k {
+	for _, id := range p.partners(k, out) {
+		if len(picked) >= k {
 			break
 		}
 		if _, dup := used[id]; dup {
 			continue
 		}
 		used[id] = struct{}{}
-		out = append(out, id)
+		picked = append(picked, id)
 	}
-	return out
+	return picked
 }

@@ -94,7 +94,7 @@ func TestSimColumnHasAnOverlay(t *testing.T) {
 // the sim column became the live columns' configuration — Cyclon views at
 // Scenario.ViewCap shuffled every Scenario.ShuffleEvery rounds, the
 // failure detector on, joiners and rejoiners introduced by
-// protocol.Peer.Join over kindJoin — and Result began to print the
+// protocol.Peer.Join over wire.KindJoin — and Result began to print the
 // recovery and hygiene measurements (PERFORMANCE.md "Determinism
 // contract").
 const simColumnGolden = "6455a26d10f5b5b8d3b564385bde4c0c858ec187683b35c815acfde7a6a847e3"

@@ -51,8 +51,9 @@ type Rebinder interface {
 // Shape wraps any Net in the shaping middleware. Outbound envelopes are
 // intercepted at Send time: the loss verdict is immediate (and counted
 // in Drops()); delay, jitter and reorder hold the envelope in a
-// time-ordered queue and deliver it through the substrate later, from a
-// single dispatcher goroutine.
+// time-ordered queue and deliver it through the substrate later — by
+// whichever goroutine next finds it due: a dispatcher goroutine, or any
+// shaped Send (deliverDue).
 //
 // Send keeps no buffer under shaping either: a held envelope is a pooled
 // copy, delivered to the substrate exactly once or counted dropped, then
@@ -80,12 +81,13 @@ type ShapedNet struct {
 	prof  atomic.Pointer[Profile]
 	drops atomic.Uint64
 
-	mu      sync.Mutex    // guards rng, queue, seq, closed, running
-	rng     *rand.Rand    // guarded by mu
-	queue   deferredQueue // guarded by mu
-	seq     uint64        // guarded by mu
-	closed  bool          // guarded by mu
-	running bool          // guarded by mu -- dispatcher goroutine started (lazily, on first hold)
+	mu         sync.Mutex    // guards rng, queue, seq, closed, running, delivering
+	rng        *rand.Rand    // guarded by mu
+	queue      deferredQueue // guarded by mu
+	seq        uint64        // guarded by mu
+	closed     bool          // guarded by mu
+	running    bool          // guarded by mu -- dispatcher goroutine started (lazily, on first hold)
+	delivering bool          // guarded by mu -- a goroutine is delivering what is due (deliverDue)
 
 	wake      chan struct{}
 	halt      chan struct{}
@@ -231,9 +233,10 @@ func (s *ShapedNet) holdLocked(d deferred) {
 	}
 }
 
-// dispatch is the single dispatcher goroutine: it sleeps until the
-// earliest held envelope is due, delivers it through the substrate, and
-// on Close drains everything left immediately.
+// dispatch is the dispatcher goroutine: it sleeps until the earliest held
+// envelope is due and delivers what is due — unless a sender already is,
+// which wakes it when done — and on Close drains everything left
+// immediately.
 func (s *ShapedNet) dispatch() {
 	defer close(s.done)
 	// One timer, re-armed for every wait (since go 1.23 Reset needs no
@@ -253,7 +256,7 @@ func (s *ShapedNet) dispatch() {
 			}
 			return
 		}
-		if len(s.queue) == 0 {
+		if len(s.queue) == 0 || s.delivering {
 			s.mu.Unlock()
 			select {
 			case <-s.wake:
@@ -261,11 +264,10 @@ func (s *ShapedNet) dispatch() {
 			}
 			continue
 		}
-		now := time.Now()
-		next := s.queue[0].due
-		if next.After(now) {
-			s.mu.Unlock()
-			timer.Reset(next.Sub(now))
+		wait := time.Until(s.queue[0].due)
+		s.mu.Unlock()
+		if wait > 0 {
+			timer.Reset(wait)
 			select {
 			case <-timer.C:
 			case <-s.wake:
@@ -273,9 +275,36 @@ func (s *ShapedNet) dispatch() {
 			}
 			continue
 		}
+		s.deliverDue()
+	}
+}
+
+// deliverDue delivers every held envelope that is due, in (due, seq)
+// order, unless another goroutine already is. Every shaped Send calls it,
+// not only the dispatcher: when the processors are busy (a loaded box, the
+// race detector) one goroutine's share of them cannot carry the whole
+// net's deliveries, and a backlog only it drains grows without bound —
+// thousands of envelopes, tens of rounds overdue. Sharing the work makes
+// the senders pay for delivery as they send, so the backlog stays bounded
+// by what is due.
+func (s *ShapedNet) deliverDue() {
+	s.mu.Lock()
+	if s.delivering {
+		s.mu.Unlock()
+		return
+	}
+	s.delivering = true
+	for len(s.queue) > 0 && !s.queue[0].due.After(time.Now()) {
 		d := s.queue.pop()
 		s.mu.Unlock()
 		s.deliver(d)
+		s.mu.Lock()
+	}
+	s.delivering = false
+	s.mu.Unlock()
+	select { // the dispatcher may have parked while this goroutine delivered
+	case s.wake <- struct{}{}:
+	default:
 	}
 }
 
@@ -304,6 +333,7 @@ func (e *shapedEndpoint) Send(to int, buf []byte) error {
 	if p.inert() {
 		return e.inner.Send(to, buf)
 	}
+	defer s.deliverDue()
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()

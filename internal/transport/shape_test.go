@@ -238,6 +238,37 @@ func TestShapeInertFastPath(t *testing.T) {
 	}
 }
 
+// TestSendDeliversWhatIsDue: a shaped Send delivers, in due order, every
+// held envelope already due before it returns, whatever the dispatcher is
+// doing — delivery follows the senders, so a dispatcher starved of the
+// processor cannot let a backlog of overdue envelopes grow.
+func TestSendDeliversWhatIsDue(t *testing.T) {
+	h := newShapeHarness(t, 2, Profile{Seed: 3, Loss: 1e-9}) // shaped, but holds nothing: no dispatcher starts
+	const k = 5
+	h.s.mu.Lock()
+	for seq := range k {
+		ep := h.eps[0].(*shapedEndpoint).inner
+		h.s.queue.push(deferred{due: time.Now().Add(-time.Millisecond), seq: uint64(seq), ep: ep, to: 1, buf: clone(mark(0, seq, 16))})
+	}
+	h.s.mu.Unlock()
+	if err := h.eps[1].Send(0, mark(1, 0, 16)); err != nil {
+		t.Fatal(err)
+	}
+	if got, held := h.delivered(), h.s.Held(); got != k+1 || held != 0 {
+		t.Fatalf("after one Send: %d delivered, %d held; want %d and 0", got, held, k+1)
+	}
+	h.mu.Lock()
+	for i, buf := range h.got[1:] { // the Send's own envelope went first
+		if seq := int(binary.LittleEndian.Uint32(buf[4:])); seq != i {
+			t.Fatalf("overdue envelope %d delivered as seq %d: not in due order", i, seq)
+		}
+	}
+	h.mu.Unlock()
+	if err := h.s.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestShapeCloseFlushesHeld: envelopes still in flight when Close lands
 // are delivered (not leaked), keeping the books balanced at teardown.
 func TestShapeCloseFlushesHeld(t *testing.T) {
