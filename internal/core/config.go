@@ -164,10 +164,9 @@ func (c Config) params() protocol.Params {
 		Controller: c.Controller, Limits: c.Limits,
 		ShuffleEvery: c.ShuffleEvery,
 		BufferCap:    c.BufferCap, BufferMaxAge: c.BufferMaxAge, SeenCap: c.SeenCap,
-		// Every extension the configuration asks for; a simulated node
-		// answers digests and pulls whatever its own AntiEntropy.
+		// Every extension the configuration asks for.
 		Topics: c.Mode == ModeTopics, SemanticBias: c.SemanticBias,
-		PushPull: true, AntiEntropy: c.AntiEntropy,
+		AntiEntropy: c.AntiEntropy,
 	}
 	if c.Membership == MemberCyclon {
 		par.ViewCap = c.ViewCap

@@ -118,7 +118,7 @@ func TestExtensionsThroughOut(t *testing.T) {
 
 	t.Run("push-pull", func(t *testing.T) {
 		par := livelike()
-		par.PushPull, par.AntiEntropy = true, 1
+		par.AntiEntropy = 1
 		w := newWiring(2, par)
 		a, b := w.peers[0], w.peers[1]
 		b.Subscribe(pubsub.MatchAll(), &w.out)

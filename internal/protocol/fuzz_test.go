@@ -27,9 +27,9 @@ const (
 
 // The extension bits of the first byte.
 const (
-	extTopics   = 1 << iota // Params.Topics
-	extSemantic             // Params.SemanticBias 0.5
-	extPushPull             // Params.PushPull, AntiEntropy 2
+	extTopics      = 1 << iota // Params.Topics
+	extSemantic                // Params.SemanticBias 0.5
+	extAntiEntropy             // Params.AntiEntropy 2
 )
 
 // The parts bits of an opRecv, each with the operands that follow, in
@@ -135,7 +135,7 @@ func FuzzPeerInputs(f *testing.F) {
 			recv(k(wire.KindEvents), 2, nil, []byte{3}, partTopic|partAds, 2, 7, 0, 0, 0).tick(8),
 		// TestExtensionsThroughOut's push-pull, and semantic bias: a
 		// digest, a pull, fingerprints.
-		peer(extSemantic|extPushPull).membership(k(wire.KindReply), 1, e(2, 0), e(3, 0)).subscribe(0).publish(0).
+		peer(extSemantic|extAntiEntropy).membership(k(wire.KindReply), 1, e(2, 0), e(3, 0)).subscribe(0).publish(0).
 			recv(k(wire.KindEvents), 2, nil, []byte{1}, partFP|partPad, 0xff).tick(2).
 			recv(k(wire.KindDigest), 3, nil, nil, partIDs, 2, 3, 1, 0, 1).
 			recv(k(wire.KindPull), 3, nil, nil, partIDs, 1, 0, 1).tick(4),
@@ -158,8 +158,8 @@ func FuzzPeerInputs(f *testing.F) {
 		if exts&extSemantic != 0 {
 			par.SemanticBias = 0.5
 		}
-		if exts&extPushPull != 0 {
-			par.PushPull, par.AntiEntropy = true, 2
+		if exts&extAntiEntropy != 0 {
+			par.AntiEntropy = 2
 		}
 		ledger := newLedger()
 		p := newPeer(0, &par, ledger)
@@ -216,7 +216,7 @@ func FuzzPeerInputs(f *testing.F) {
 				_, _, ok := p.Recv(from, m, &out)
 				runs := kind == wire.KindEvents || (kind >= wire.KindOffer && kind <= wire.KindLeave) ||
 					(par.Topics && kind >= wire.KindSubWalk && kind <= wire.KindPubWalk) ||
-					(par.PushPull && (kind == wire.KindDigest || kind == wire.KindPull))
+					(par.AntiEntropy > 0 && (kind == wire.KindDigest || kind == wire.KindPull))
 				if ok != runs {
 					t.Fatalf("step %d: Recv of kind %d reported handled %v under %+v", step, kind, ok, par)
 				}

@@ -71,12 +71,10 @@ type Params struct {
 	// unhandled. Topics runs §5.1's per-topic gossip groups, joined by
 	// random walks (topics.go). SemanticBias ∈ (0, 1] biases that share of
 	// the partners towards peers of overlapping interest (semantic.go).
-	// PushPull answers digests and pulls, and AntiEntropy > 0 makes the
-	// peer keep an archive and send a digest every that many rounds
-	// (pushpull.go).
+	// AntiEntropy > 0 makes the peer keep an archive, send a digest every
+	// that many rounds and answer digests and pulls (pushpull.go).
 	Topics       bool
 	SemanticBias float64
-	PushPull     bool
 	AntiEntropy  int
 }
 

@@ -448,11 +448,11 @@ func (p *Peer) Recv(from simnet.NodeID, m In, out *Out) (novel, junk int, ok boo
 			p.recvPubWalk(from, x, m.Events, out)
 		}
 	case wire.KindDigest:
-		if ok = p.par.PushPull; ok && !echo {
+		if ok = p.par.AntiEntropy > 0; ok && !echo {
 			p.recvDigest(from, x, out)
 		}
 	case wire.KindPull:
-		if ok = p.par.PushPull; ok && !echo {
+		if ok = p.par.AntiEntropy > 0; ok && !echo {
 			p.recvPull(from, x, out)
 		}
 	default:

@@ -13,8 +13,8 @@ import (
 // with Params.AntiEntropy keeps what it publishes or admits in an archive
 // archiveScale times its forwarding buffer's size and lifetime, and every
 // AntiEntropy-th round sends the archive's ids to one partner
-// (wire.KindDigest). A peer with Params.PushPull pulls those it has not
-// seen (wire.KindPull); the answer is ordinary gossip.
+// (wire.KindDigest). Its receiver pulls those it has not seen
+// (wire.KindPull); the answer is ordinary gossip.
 const archiveScale = 4
 
 // newArchive returns a peer's archive, or nil without anti-entropy.
@@ -61,17 +61,12 @@ func (p *Peer) recvDigest(from simnet.NodeID, x *wire.Parts, out *Out) {
 	}
 }
 
-// recvPull answers with the requested events this peer still holds: in
-// its archive, or in its forwarding buffer when it keeps no archive. An id
-// held nowhere gets no reply.
+// recvPull answers with the requested events this peer's archive still
+// holds. An id it no longer holds gets no reply.
 func (p *Peer) recvPull(from simnet.NodeID, x *wire.Parts, out *Out) {
-	store := p.archive()
-	if store == nil {
-		store = &p.buffer
-	}
 	var events []*pubsub.Event
 	for _, id := range x.IDs {
-		if ev, ok := store.Get(id); ok {
+		if ev, ok := p.archive().Get(id); ok {
 			events = append(events, ev)
 		}
 	}

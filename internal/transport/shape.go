@@ -70,6 +70,7 @@ func Shape(inner Net, p Profile) *ShapedNet {
 		halt:  make(chan struct{}),
 		done:  make(chan struct{}),
 	}
+	s.idle.L = &s.mu
 	prof := p
 	s.prof.Store(&prof)
 	return s
@@ -88,6 +89,7 @@ type ShapedNet struct {
 	closed     bool          // guarded by mu
 	running    bool          // guarded by mu -- dispatcher goroutine started (lazily, on first hold)
 	delivering bool          // guarded by mu -- a goroutine is delivering what is due (deliverDue)
+	idle       sync.Cond     // on mu: broadcast when delivering turns false (Close waits on it)
 
 	wake      chan struct{}
 	halt      chan struct{}
@@ -197,13 +199,17 @@ func (s *ShapedNet) Rebind(id int) (string, error) {
 	return "", fmt.Errorf("transport: substrate cannot rebind peer %d", id)
 }
 
-// Close stops accepting sends, flushes every held envelope through the
+// Close stops accepting sends, waits for a sender that is handing a held
+// envelope to the substrate, flushes every other held envelope through the
 // substrate immediately (refusals are counted drops), then closes the
 // substrate.
 func (s *ShapedNet) Close() error {
 	s.closeOnce.Do(func() {
 		s.mu.Lock()
 		s.closed = true
+		for s.delivering { // deliverDue pops nothing more once closed is set
+			s.idle.Wait()
+		}
 		running := s.running
 		s.mu.Unlock()
 		if running {
@@ -286,7 +292,9 @@ func (s *ShapedNet) dispatch() {
 // net's deliveries, and a backlog only it drains grows without bound —
 // thousands of envelopes, tens of rounds overdue. Sharing the work makes
 // the senders pay for delivery as they send, so the backlog stays bounded
-// by what is due.
+// by what is due. Once the net is closed it pops nothing more: the
+// dispatcher's drain delivers the rest, after Close has waited out the
+// envelope in hand.
 func (s *ShapedNet) deliverDue() {
 	s.mu.Lock()
 	if s.delivering {
@@ -294,13 +302,14 @@ func (s *ShapedNet) deliverDue() {
 		return
 	}
 	s.delivering = true
-	for len(s.queue) > 0 && !s.queue[0].due.After(time.Now()) {
+	for !s.closed && len(s.queue) > 0 && !s.queue[0].due.After(time.Now()) {
 		d := s.queue.pop()
 		s.mu.Unlock()
 		s.deliver(d)
 		s.mu.Lock()
 	}
 	s.delivering = false
+	s.idle.Broadcast()
 	s.mu.Unlock()
 	select { // the dispatcher may have parked while this goroutine delivered
 	case s.wake <- struct{}{}:

@@ -290,6 +290,51 @@ func TestShapeCloseFlushesHeld(t *testing.T) {
 	}
 }
 
+// gatedEndpoint is a substrate endpoint whose Send announces itself on
+// entered and blocks until open is closed.
+type gatedEndpoint struct {
+	Transport
+	entered, open chan struct{}
+}
+
+func (g *gatedEndpoint) Send(to int, buf []byte) error {
+	close(g.entered)
+	<-g.open
+	return g.Transport.Send(to, buf)
+}
+
+// TestCloseWaitsForASendersDelivery: Close does not close the substrate
+// under a sender that took a held envelope off the queue and is still
+// handing it over; that envelope is delivered, not dropped.
+func TestCloseWaitsForASendersDelivery(t *testing.T) {
+	h := newShapeHarness(t, 2, Profile{Seed: 3, Loss: 1e-9}) // shaped, but holds nothing: no dispatcher starts
+	g := &gatedEndpoint{Transport: h.eps[0].(*shapedEndpoint).inner, entered: make(chan struct{}), open: make(chan struct{})}
+	h.s.mu.Lock()
+	h.s.queue.push(deferred{due: time.Now().Add(-time.Millisecond), ep: g, to: 1, buf: clone(mark(0, 0, 16))})
+	h.s.mu.Unlock()
+	sent := make(chan error, 1)
+	go func() { sent <- h.eps[1].Send(0, mark(1, 0, 16)) }() // delivers the overdue envelope before it returns
+	<-g.entered
+	closed := make(chan error, 1)
+	go func() { closed <- h.s.Close() }()
+	select {
+	case err := <-closed:
+		close(g.open)
+		t.Fatalf("Close returned (%v) while a sender was still delivering a held envelope", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(g.open)
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	if got, drops := h.delivered(), h.s.Drops(); got != 2 || drops != 0 {
+		t.Fatalf("%d delivered and %d dropped, want both envelopes delivered", got, drops)
+	}
+}
+
 // TestShapeRebindDelegation: Shape over a rebindable substrate rebinds;
 // over ChanNet it reports the substrate cannot.
 func TestShapeRebindDelegation(t *testing.T) {
