@@ -7,7 +7,7 @@ PKGS    := ./...
 BENCH   ?= .
 OUT     ?= results
 
-.PHONY: all build test race soak bench bench-smoke microbench vet fmt-check fairvet staticcheck lint ci fairbench loc footprint redundancy allocs clean
+.PHONY: all build test race soak bench bench-smoke microbench vet fmt-check fairvet staticcheck lint ci fairbench loc footprint redundancy allocs conservation clean
 
 # staticcheck is version-pinned: a drifting linter turns every upgrade
 # into a triage session. Bump deliberately, re-triage, update
@@ -74,10 +74,9 @@ vet:
 fmt-check:
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi
 
-# fairvet is the project's own vet: the analyzers in internal/analysis
-# enforce the invariants no dynamic test owns (fixed-seed determinism,
-# drop conservation). Zero unsuppressed
-# findings, every escape hatch verified.
+# fairvet is the project's own vet: the analyzer in internal/analysis
+# enforces the invariant no dynamic test owns (fixed-seed determinism).
+# Zero unsuppressed findings, every escape hatch verified.
 fairvet:
 	$(GO) run ./cmd/fairvet $(PKGS)
 
@@ -144,6 +143,17 @@ redundancy:
 allocs:
 	@out=$$($(GO) test -count=1 -v -run 'TestAfterStepZeroAlloc|TestScheduleMsgStepZeroAlloc|TestTickerSteadyStateZeroAlloc|TestSendDeliverZeroAlloc|TestSimFairRoundAllocs|TestShuffleExchangeZeroAlloc|TestLiveRoundPathAllocs|TestRecordDecodeAllocBudget|TestDatagramPathZeroAlloc' ./internal/eventsim ./internal/simnet ./internal/core ./internal/membership ./internal/live ./internal/wire ./internal/transport); status=$$?; \
 		echo "$$out" | grep -E 'allocs:|^(FAIL|ok)'; exit $$status
+
+# conservation prints sent = recv + dropped at each of the live runtime's
+# four transport send sites, over a substrate that refuses every fifth
+# send (TestRefusedSendsConserved), and runs the two tests that own the
+# rest of drop conservation: a full inbox (TestLiveInboxOverflowCounted)
+# and the shaper under loss and delay (TestShapeConservation). These
+# tests, not a lint rule, hold sent == recv + dropped (LINTING.md "The
+# dropacct trial").
+conservation:
+	@out=$$($(GO) test -count=1 -v -run 'TestRefusedSendsConserved|TestLiveInboxOverflowCounted|TestShapeConservation' ./internal/live ./internal/transport); status=$$?; \
+		echo "$$out" | grep -E '_test\.go:[0-9]+:|^--- FAIL|^(FAIL|ok)'; exit $$status
 
 clean:
 	rm -rf $(OUT)

@@ -1,9 +1,9 @@
 // Command fairvet is the project's vet: a multichecker running the
-// fairgossip-specific analyzers for the invariants no dynamic test
-// owns — fixed-seed determinism, exact drop conservation, and wire-kind
-// switch exhaustiveness. `make lint` runs it over the whole tree; a
-// clean run means zero unsuppressed findings and a verified
-// justification on every //fair:ignore escape hatch.
+// fairgossip-specific analyzer for the invariant no dynamic test owns,
+// fixed-seed determinism, and the audit of its //fair: escape hatches.
+// `make lint` runs it over the whole tree; a clean run means zero
+// unsuppressed findings and a verified justification on every
+// //fair:ignore escape hatch.
 //
 // Usage:
 //

@@ -43,7 +43,7 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 	// Path is the package's import path (fixtures get their fixture
-	// module path, e.g. "fixtures/dropacct").
+	// module path, e.g. "fixtures/determinism").
 	Path string
 
 	diags *[]Diagnostic

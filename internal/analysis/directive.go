@@ -20,8 +20,8 @@ import (
 //	                                friends); same verification.
 //
 // One comment may carry several directives back to back —
-// `//fair:ignore dropacct reason //fair:ignore determinism reason` — for
-// lines where two rules fire at once. Files with CRLF line endings
+// `//fair:wallclock reason //fair:ignore determinism reason` — for
+// lines where two findings fire at once. Files with CRLF line endings
 // parse identically: stray carriage returns are whitespace to the
 // field splitter.
 const (

@@ -15,16 +15,12 @@ func init() {
 	rules.DeterministicPackages["fixtures/ignore"] = true
 }
 
-// Each fixture package seeds the violations one analyzer must catch
+// Each fixture package seeds the violations the analyzer must catch
 // (and the clean patterns it must not); the `// want` comments are the
 // exact expectations, checked both ways.
 
 func TestDeterminismFixture(t *testing.T) {
 	analysis.RunFixture(t, "testdata", "determinism", []*analysis.Analyzer{rules.Determinism})
-}
-
-func TestDropAcctFixture(t *testing.T) {
-	analysis.RunFixture(t, "testdata", "dropacct", []*analysis.Analyzer{rules.DropAcct})
 }
 
 // TestIgnoreAuditFixture runs the full suite so every suppression audit

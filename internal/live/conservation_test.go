@@ -1,0 +1,115 @@
+package live
+
+import (
+	"errors"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"fairgossip/internal/pubsub"
+	"fairgossip/internal/transport"
+)
+
+// refusingNet is a substrate that refuses: every k-th Send through any
+// of its endpoints fails with errRefused and delivers nothing. A real
+// network refuses rarely, so a send site whose failure path loses the
+// envelope uncounted passes most runs; over this net the failure path
+// runs dozens of times in every run.
+type refusingNet struct {
+	transport.Net
+	every   uint64
+	sends   atomic.Uint64
+	refused atomic.Uint64
+}
+
+var errRefused = errors.New("refusingNet: send refused")
+
+func (n *refusingNet) Attach(id int, h transport.Handler) (transport.Transport, error) {
+	tr, err := n.Net.Attach(id, h)
+	if err != nil {
+		return nil, err
+	}
+	return refusingEndpoint{Transport: tr, n: n}, nil
+}
+
+type refusingEndpoint struct {
+	transport.Transport
+	n *refusingNet
+}
+
+func (e refusingEndpoint) Send(to int, buf []byte) error {
+	if e.n.sends.Add(1)%e.n.every == 0 {
+		e.n.refused.Add(1)
+		return errRefused
+	}
+	return e.Transport.Send(to, buf)
+}
+
+// TestRefusedSendsConserved pins drop conservation at every place a
+// transport Send can fail: a cluster runs over a refusingNet, once per
+// send site, and after Stop every charged envelope must be received or
+// dropped — Sent == Recv + Dropped exactly — with each refusal counted
+// once, in the bucket the site owns. The sites:
+//
+//   - unshaped: peer.send's own Send, counted in TransportDrops;
+//   - inert: shapedEndpoint.Send's pass-through of an inert profile,
+//     whose error peer.send counts in TransportDrops;
+//   - lossy: shapedEndpoint.Send's pass-through of a zero-delay profile,
+//     the same; the profile's loss adds ShaperDrops of its own;
+//   - delayed: ShapedNet.deliver, which told the sender nil at Send time
+//     and so counts the refusal itself, in ShaperDrops.
+//
+// TestLiveInboxOverflowCounted owns the ingress side (a full inbox).
+func TestRefusedSendsConserved(t *testing.T) {
+	const n, every, enough = 8, 5, 20
+	for _, tc := range []struct {
+		name, site string
+		shape      *transport.Profile
+		deferred   bool // refusals are the shaper's to count
+	}{
+		{"unshaped", "peer.send", nil, false},
+		{"inert", "shapedEndpoint.Send, inert", &transport.Profile{}, false},
+		{"lossy", "shapedEndpoint.Send, zero delay", &transport.Profile{Loss: 0.2}, false},
+		{"delayed", "ShapedNet.deliver", &transport.Profile{Delay: time.Millisecond, Jitter: time.Millisecond}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var rn *refusingNet
+			c := mustCluster(t, Config{
+				N: n, Fanout: 3, RoundPeriod: 2 * time.Millisecond, Seed: 31,
+				Transport: func(size int) (transport.Net, error) {
+					inner, err := transport.NewChanNet(size)
+					rn = &refusingNet{Net: inner, every: every}
+					return rn, err
+				},
+				Shape: tc.shape,
+			})
+			for i := 0; i < n; i++ {
+				c.Subscribe(i, pubsub.MatchAll())
+			}
+			c.Start()
+			for k := 0; k < 2*n; k++ {
+				c.Publish(k%n, "t", nil, make([]byte, 32))
+			}
+			if !eventually(t, 10*time.Second, func() bool { return rn.refused.Load() >= enough }) {
+				c.Stop()
+				t.Fatalf("%d refusals after %d sends, want %d", rn.refused.Load(), rn.sends.Load(), enough)
+			}
+			c.Stop()
+
+			tr, refused := c.Traffic(), rn.refused.Load()
+			bucket, name := tr.TransportDrops, "TransportDrops"
+			if tc.deferred {
+				bucket, name = tr.ShaperDrops, "ShaperDrops"
+			}
+			t.Logf("%s: sent %d = recv %d + dropped %d; refused %d, %s %d",
+				tc.site, tr.Sent, tr.Recv, tr.Dropped, refused, name, bucket)
+			if tr.Sent != tr.Recv+tr.Dropped {
+				t.Errorf("sent %d != recv %d + dropped %d (leak %d): %+v",
+					tr.Sent, tr.Recv, tr.Dropped, int64(tr.Sent)-int64(tr.Recv)-int64(tr.Dropped), tr)
+			}
+			if bucket == 0 || bucket != refused {
+				t.Errorf("%s = %d, want the %d refusals: %+v", name, bucket, refused, tr)
+			}
+		})
+	}
+}

@@ -29,13 +29,13 @@ type View struct {
 	self    simnet.NodeID
 	cap     int
 	entries []Entry
-	// suspect is parallel to entries: the number of consecutive failed
-	// probes the owner has recorded against each entry (0 = trusted).
+	// suspect is parallel to entries: whether the owner's failure
+	// detector holds evidence against the entry (it counts the strikes).
 	// While an entry is suspect its age is frozen — a third-party
 	// re-offer must not make a possibly-dead address look fresh again,
 	// or the failure detector's evidence silently resets every time the
 	// address recirculates.
-	suspect []uint8
+	suspect []bool
 	nSusp   int   // count of suspect entries, so the hot path can skip scans
 	perm    []int // scratch for Sample permutations
 }
@@ -50,7 +50,7 @@ func NewView(self simnet.NodeID, capacity int) *View {
 		self:    self,
 		cap:     capacity,
 		entries: make([]Entry, 0, capacity),
-		suspect: make([]uint8, 0, capacity),
+		suspect: make([]bool, 0, capacity),
 	}
 }
 
@@ -89,7 +89,7 @@ func (v *View) AddAged(e Entry) bool {
 		return false
 	}
 	if i := v.indexOf(e.ID); i >= 0 {
-		if v.suspect[i] > 0 {
+		if v.suspect[i] {
 			return false // suspicion freezes the recorded age
 		}
 		if e.Age < v.entries[i].Age {
@@ -100,7 +100,7 @@ func (v *View) AddAged(e Entry) bool {
 	}
 	if len(v.entries) < v.cap {
 		v.entries = append(v.entries, e)
-		v.suspect = append(v.suspect, 0)
+		v.suspect = append(v.suspect, false)
 		return true
 	}
 	// Evict the oldest to make room; ties broken by slot order.
@@ -130,21 +130,13 @@ func (v *View) Remove(id simnet.NodeID) bool {
 	return true
 }
 
-// MarkSuspect records one more failed probe against id and returns the
-// new consecutive-failure count (0 when id is not in the view). The
-// entry's age is frozen until ClearSuspect or eviction.
-func (v *View) MarkSuspect(id simnet.NodeID) int {
-	i := v.indexOf(id)
-	if i < 0 {
-		return 0
-	}
-	if v.suspect[i] == 0 {
+// MarkSuspect freezes id's age until ClearSuspect or eviction (a no-op
+// when id is not in the view).
+func (v *View) MarkSuspect(id simnet.NodeID) {
+	if i := v.indexOf(id); i >= 0 && !v.suspect[i] {
+		v.suspect[i] = true
 		v.nSusp++
 	}
-	if v.suspect[i] < ^uint8(0) {
-		v.suspect[i]++
-	}
-	return int(v.suspect[i])
 }
 
 // ClearSuspect erases any suspicion against id — direct contact proved
@@ -158,21 +150,18 @@ func (v *View) ClearSuspect(id simnet.NodeID) {
 	}
 }
 
-// SuspectOf returns the consecutive failed-probe count recorded against
-// id (0 for trusted or absent entries).
-func (v *View) SuspectOf(id simnet.NodeID) int {
+// Suspect reports whether id is in the view with its age frozen.
+func (v *View) Suspect(id simnet.NodeID) bool {
 	if v.nSusp == 0 {
-		return 0
+		return false
 	}
-	if i := v.indexOf(id); i >= 0 {
-		return int(v.suspect[i])
-	}
-	return 0
+	i := v.indexOf(id)
+	return i >= 0 && v.suspect[i]
 }
 
 func (v *View) clearSuspectSlot(i int) {
-	if v.suspect[i] > 0 {
-		v.suspect[i] = 0
+	if v.suspect[i] {
+		v.suspect[i] = false
 		v.nSusp--
 	}
 }

@@ -134,3 +134,31 @@ func TestExtensionsThroughOut(t *testing.T) {
 		}
 	})
 }
+
+// TestSubWalkBackAtOriginEnds: a subscription walk that wanders back to
+// the peer that started it ends there. The originator is a member
+// already; acking itself would be a charged message to itself, and
+// adopting itself is no news.
+func TestSubWalkBackAtOriginEnds(t *testing.T) {
+	par := livelike()
+	par.Topics = true
+	w := newWiring(3, par)
+	p := w.peers[1]
+	p.Subscribe(pubsub.Topic("t"), &w.out)
+	w.out.reset()
+	view := p.GroupView("t").IDs()
+	before := p.ledger.Account(1).BytesSent
+	walk := &wire.Parts{Topic: "t", Origin: 1, Hops: 3}
+	if _, _, ok := p.Recv(2, In{Kind: wire.KindSubWalk, Parts: walk, Events: &events{}}, &w.out); !ok {
+		t.Fatal("a subscription walk went unhandled")
+	}
+	if len(w.out.Msgs) != 0 {
+		t.Fatalf("the walk's originator answered its own walk with %+v", w.out.Msgs)
+	}
+	if got := p.ledger.Account(1).BytesSent; got != before {
+		t.Fatalf("the originator was charged %v for its own walk, want %v", got, before)
+	}
+	if got := p.GroupView("t").IDs(); !slices.Equal(got, view) {
+		t.Fatalf("the group view went %v -> %v", view, got)
+	}
+}

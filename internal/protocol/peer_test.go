@@ -221,16 +221,16 @@ func TestDetector(t *testing.T) {
 			}
 		}
 	}
-	// held checks that id is still the peer's — in the view under that
-	// much suspicion, or culled from it only as the probe now pending —
-	// with that many strikes against it and no quarantine.
+	// held checks that id is still the peer's — in the view under
+	// suspicion, or culled from it only as the probe now pending — with
+	// that many strikes against it and no quarantine.
 	held := func(t *testing.T, p *Peer, id simnet.NodeID, strikes int) {
 		t.Helper()
 		_, dead := p.ov.det.dead[id]
-		inView := p.View().Contains(id) && p.View().SuspectOf(id) == strikes
+		inView := p.View().Suspect(id)
 		if dead || p.ov.det.strikes[id] != strikes || !(inView || p.ov.probe == id) {
-			t.Fatalf("peer %d: quarantined %v, %d strikes, in view %v (suspicion %d), probe pending %v; want held with %d strikes",
-				id, dead, p.ov.det.strikes[id], p.View().Contains(id), p.View().SuspectOf(id), p.ov.probe == id, strikes)
+			t.Fatalf("peer %d: quarantined %v, %d strikes, in view %v (suspect %v), probe pending %v; want held with %d strikes",
+				id, dead, p.ov.det.strikes[id], p.View().Contains(id), p.View().Suspect(id), p.ov.probe == id, strikes)
 		}
 	}
 	founder := func() *Peer {
@@ -283,7 +283,7 @@ func TestDetector(t *testing.T) {
 		probe(t, p, 2)
 		held(t, p, 2, 1)
 		recvEvents(p, 2, &events{}) // any message at all
-		if p.View().SuspectOf(2) != 0 || p.ov.det.strikes[2] != 0 || p.ov.probe == 2 {
+		if p.View().Suspect(2) || p.ov.det.strikes[2] != 0 || p.ov.probe == 2 {
 			t.Fatal("evidence survived direct contact")
 		}
 		// The strike count restarted too: one more silence is not eviction.

@@ -195,11 +195,16 @@ func (p *Peer) relayWalk(from simnet.NodeID, kind Kind, x *wire.Parts, b Batch, 
 }
 
 // recvSubWalk ends a subscription walk at a member — which answers with
-// bootstrap entries and adopts the newcomer — or relays it.
+// bootstrap entries and adopts the newcomer — or relays it. A walk back
+// at its originator ends there: the originator is a member already, and
+// has nothing to bootstrap itself with.
 func (p *Peer) recvSubWalk(from simnet.NodeID, x *wire.Parts, b Batch, out *Out) {
 	g := p.group(x.Topic)
 	if g == nil {
 		p.relayWalk(from, wire.KindSubWalk, x, b, out)
+		return
+	}
+	if simnet.NodeID(x.Origin) == p.id {
 		return
 	}
 	ack := wire.Msg{Kind: wire.KindSubAck, Entries: p.groupSample(g, ShuffleLen, out)}

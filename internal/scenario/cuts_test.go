@@ -57,7 +57,7 @@ func TestRegionalOutageCountsFaultDrops(t *testing.T) {
 	}
 	// The schedule has no shaper loss, no fault loss and no crash: every
 	// fault drop is the boundary's.
-	if tr := rt.C.Traffic(); tr.FaultDrops == 0 {
+	if tr := rt.Cluster.Traffic(); tr.FaultDrops == 0 {
 		t.Fatalf("outage boundary dropped nothing into the fault bucket: %+v", tr)
 	}
 }

@@ -322,9 +322,11 @@ const LiveRoundPeriod = 5 * time.Millisecond
 // LiveRuntime adapts live.Cluster (one goroutine per peer, wall clock),
 // over either transport: "live" is the in-process chan substrate,
 // "live-udp" runs the same protocol over one real loopback datagram
-// socket per peer — the third differential column.
+// socket per peer — the third differential column. The cluster's own
+// methods serve every Runtime method whose signature and meaning match;
+// what follows adapts the rest.
 type LiveRuntime struct {
-	C      *live.Cluster
+	*live.Cluster
 	period time.Duration
 	name   string
 }
@@ -371,50 +373,19 @@ func newLiveRuntime(sc Scenario, seed int64, tf transport.Factory, name string) 
 	if err != nil {
 		return nil, err
 	}
-	return &LiveRuntime{C: c, period: LiveRoundPeriod, name: name}, nil
+	return &LiveRuntime{Cluster: c, period: LiveRoundPeriod, name: name}, nil
 }
 
 func (l *LiveRuntime) Name() string { return l.name }
-func (l *LiveRuntime) N() int       { return l.C.Ledger().Len() }
-func (l *LiveRuntime) Start()       { l.C.Start() }
-
-func (l *LiveRuntime) Subscribe(id int, f pubsub.Filter) (pubsub.SubID, bool) {
-	return l.C.Subscribe(id, f)
-}
-
-func (l *LiveRuntime) Unsubscribe(id int, sub pubsub.SubID) bool {
-	return l.C.Unsubscribe(id, sub)
-}
-
-func (l *LiveRuntime) Publish(id int, topic string, attrs []pubsub.Attr, payload []byte) bool {
-	return l.C.Publish(id, topic, attrs, payload)
-}
-
-func (l *LiveRuntime) OnDeliver(id int, fn func(*pubsub.Event)) bool {
-	return l.C.OnDeliver(id, fn)
-}
-
-func (l *LiveRuntime) Crash(id int) bool                 { return l.C.Crash(id) }
-func (l *LiveRuntime) Leave(id int) bool                 { return l.C.Leave(id) }
-func (l *LiveRuntime) Rejoin(id int) bool                { return l.C.Rejoin(id) }
-func (l *LiveRuntime) SetFreeRider(id int, on bool) bool { return l.C.SetFreeRider(id, on) }
-func (l *LiveRuntime) Partition(side []int)              { l.C.Partition(side) }
-func (l *LiveRuntime) Heal()                             { l.C.Heal() }
-func (l *LiveRuntime) SetLoss(p float64)                 { l.C.SetLoss(p) }
 
 // SetShape swaps the middleware profile (always installed — see
 // newLiveRuntime), converted to this column's wall-clock round.
 func (l *LiveRuntime) SetShape(sp ShapeSpec) {
-	l.C.SetShape(liveProfile(&sp, l.period))
+	l.Cluster.SetShape(liveProfile(&sp, l.period))
 }
 
-// Rebind moves the peer to a fresh transport endpoint (a real socket
-// swap on live-udp, a no-op on the in-process chan substrate) and
-// re-announces it through the join handshake.
-func (l *LiveRuntime) Rebind(id int) bool { return l.C.Rebind(id) }
-
 func (l *LiveRuntime) Join(seed int) (int, bool) {
-	id, err := l.C.Join(seed)
+	id, err := l.Cluster.Join(seed)
 	return id, err == nil
 }
 
@@ -448,20 +419,14 @@ func (l *LiveRuntime) Drain(rounds int, progress func() uint64) {
 	})
 }
 
-func (l *LiveRuntime) Ledger() *fairness.Ledger { return l.C.Ledger() }
-
-// Views snapshots every peer's partial view; works while running and
-// after Close (live.Cluster reads directly once the goroutines exit).
-func (l *LiveRuntime) Views() [][]int { return l.C.Views() }
-
 // Traffic returns the live runtime's envelope-level counters. Since
 // the transport refactor every loss the runtime can cause is counted
 // (injected faults, full inboxes, refused sends), so the tightened
 // drop-conservation invariant applies to live runs too: a storm can no
 // longer pass while losing messages invisibly.
 func (l *LiveRuntime) Traffic() (sent, recv, dropped uint64) {
-	t := l.C.Traffic()
+	t := l.Cluster.Traffic()
 	return t.Sent, t.Recv, t.Dropped
 }
 
-func (l *LiveRuntime) Close() { l.C.Stop() }
+func (l *LiveRuntime) Close() { l.Stop() }

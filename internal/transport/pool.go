@@ -65,7 +65,7 @@ func put(b []byte) {
 	if c, size := class(cap(b)); c >= 0 && size == cap(b) {
 		select {
 		case pool[c] <- b:
-		default: //fair:ignore dropacct a full class leaves a spare buffer, not an envelope, to the GC
+		default: // a full class leaves a spare buffer, not an envelope, to the GC
 		}
 	}
 }
