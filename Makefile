@@ -7,7 +7,7 @@ PKGS    := ./...
 BENCH   ?= .
 OUT     ?= results
 
-.PHONY: all build test race soak bench bench-smoke microbench vet fmt-check fairvet staticcheck lint ci fairbench loc footprint redundancy allocs conservation clean
+.PHONY: all build test race soak bench bench-smoke microbench vet fmt-check determinism staticcheck lint ci fairbench loc footprint redundancy allocs conservation clean
 
 # staticcheck is version-pinned: a drifting linter turns every upgrade
 # into a triage session. Bump deliberately, re-triage, update
@@ -74,11 +74,12 @@ vet:
 fmt-check:
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi
 
-# fairvet is the project's own vet: the analyzer in internal/analysis
-# enforces the invariant no dynamic test owns (fixed-seed determinism).
-# Zero unsuppressed findings, every escape hatch verified.
-fairvet:
-	$(GO) run ./cmd/fairvet $(PKGS)
+# determinism is the project's own check: internal/analysis's
+# TestTreeIsDeterministic runs the determinism rule over every package
+# (no finding allowed, no escape hatch), beside the rule's fixture test.
+# go test ./... runs the same tests; this target is the lint gate.
+determinism:
+	$(GO) test ./internal/analysis -count=1
 
 # staticcheck runs only when the pinned binary is available (the tool
 # is an external module; offline or hermetic builds skip it with a
@@ -95,7 +96,7 @@ staticcheck:
 		echo "staticcheck $(STATICCHECK_VERSION) not installed; skipping (see LINTING.md)"; \
 	fi
 
-lint: fmt-check vet fairvet staticcheck
+lint: fmt-check vet determinism staticcheck
 
 ci: lint build test race bench-smoke
 

@@ -1,11 +1,10 @@
-package rules
+package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-
-	"fairgossip/internal/analysis"
 )
 
 // DeterministicPackages is the one list of sim-deterministic import
@@ -37,8 +36,9 @@ var DeterministicPackages = map[string]bool{
 
 // wallclockFuncs are the package time entry points that read or wait on
 // the machine clock. Virtual time (eventsim.Sim.Now, round counters) is
-// the only clock deterministic code may consult; the audited escape
-// hatch is a //fair:wallclock <reason> comment.
+// the only clock deterministic code may consult; code that paces real
+// goroutines lives outside the deterministic packages (live.Cluster's
+// RunRounds and Settle pace the scenario engine's live columns).
 var wallclockFuncs = map[string]bool{
 	"Now": true, "Since": true, "Until": true, "Sleep": true,
 	"After": true, "AfterFunc": true, "Tick": true,
@@ -60,21 +60,20 @@ var globalRandFuncs = map[string]bool{
 	"Uint": true, "UintN": true, "Uint32N": true, "Uint64N": true, "N": true,
 }
 
-// Determinism enforces the fixed-seed contract in sim-deterministic
-// packages: no wall clocks, no process-global RNG, no package-level RNG
-// streams, no map-iteration order feeding ordering-sensitive logic.
-var Determinism = &analysis.Analyzer{
-	Name: "determinism",
-	Doc:  "In the sim-deterministic packages (rules.DeterministicPackages: everything a fixed-seed run flows through) forbid time.Now/Since/Sleep and friends (//fair:wallclock <reason> to override), the global math/rand top-level draws (pass a seeded *rand.Rand), package-level *rand.Rand/rand.Source variables (a stream shared across shards consumes in goroutine-interleaving order), and map-range loops whose bodies feed ordering-sensitive logic (calls, appends, sends).",
-	Run:  runDeterminism,
-}
-
-func runDeterminism(pass *analysis.Pass) error {
-	if !DeterministicPackages[pass.Path] {
+// Determinism enforces the fixed-seed contract on one loaded package,
+// if it is on DeterministicPackages: no time.Now/Since/Sleep and
+// friends, no global math/rand top-level draws (pass a seeded
+// *rand.Rand), no package-level *rand.Rand/rand.Source variables (a
+// stream shared across shards is consumed in goroutine-interleaving
+// order), and no map-range loop whose body feeds ordering-sensitive
+// logic (calls, appends, sends).
+func Determinism(pkg *Package) []Finding {
+	if !DeterministicPackages[pkg.Path] {
 		return nil
 	}
-	for _, f := range pass.Files {
-		checkSharedRNGVars(pass, f)
+	c := &checker{pkg: pkg}
+	for _, f := range pkg.Syntax {
+		c.checkSharedRNGVars(f)
 		// Track the enclosing function body so the map-range check can
 		// recognize the sanctioned collect-then-sort repair downstream
 		// of the loop.
@@ -91,26 +90,36 @@ func runDeterminism(pass *analysis.Pass) error {
 				encl = saved
 				return false
 			case *ast.CallExpr:
-				checkForbiddenCall(pass, n)
+				c.checkForbiddenCall(n)
 			case *ast.RangeStmt:
-				checkMapRange(pass, n, encl)
+				c.checkMapRange(n, encl)
 			}
 			return true
 		}
 		ast.Inspect(f, walk)
 	}
-	return nil
+	return c.findings
+}
+
+// checker collects one package's findings.
+type checker struct {
+	pkg      *Package
+	findings []Finding
+}
+
+func (c *checker) reportf(pos token.Pos, format string, args ...any) {
+	c.findings = append(c.findings, Finding{Position: c.pkg.Fset.Position(pos), Message: fmt.Sprintf(format, args...)})
 }
 
 // checkForbiddenCall flags wall-clock reads and global-RNG draws by
 // resolving the callee to its defining package, so a local identifier
 // coincidentally named Now is never confused with time.Now.
-func checkForbiddenCall(pass *analysis.Pass, call *ast.CallExpr) {
+func (c *checker) checkForbiddenCall(call *ast.CallExpr) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return
 	}
-	obj := pass.TypesInfo.Uses[sel.Sel]
+	obj := c.pkg.Info.Uses[sel.Sel]
 	if obj == nil || obj.Pkg() == nil {
 		return
 	}
@@ -121,12 +130,12 @@ func checkForbiddenCall(pass *analysis.Pass, call *ast.CallExpr) {
 	switch obj.Pkg().Path() {
 	case "time":
 		if wallclockFuncs[fn.Name()] {
-			pass.Reportf(call.Pos(), "wallclock",
-				"time.%s in a sim-deterministic package: use the virtual clock (eventsim.Sim.Now / round counters); //fair:wallclock <reason> is the audited escape hatch", fn.Name())
+			c.reportf(call.Pos(),
+				"time.%s in a sim-deterministic package: use the virtual clock (eventsim.Sim.Now / round counters), or move the wall-clock code out of the package", fn.Name())
 		}
 	case "math/rand", "math/rand/v2":
 		if globalRandFuncs[fn.Name()] {
-			pass.Reportf(call.Pos(), "globalrand",
+			c.reportf(call.Pos(),
 				"rand.%s draws from the process-global RNG and breaks the fixed-seed contract: pass a seeded *rand.Rand instead", fn.Name())
 		}
 	}
@@ -140,7 +149,7 @@ func checkForbiddenCall(pass *analysis.Pass, call *ast.CallExpr) {
 // package-level stream couples otherwise-independent clusters through
 // hidden state. Every RNG must hang off a node, shard, or cluster,
 // seeded from (seed, shardID) — see randutil.ShardSeed.
-func checkSharedRNGVars(pass *analysis.Pass, f *ast.File) {
+func (c *checker) checkSharedRNGVars(f *ast.File) {
 	for _, decl := range f.Decls {
 		gd, ok := decl.(*ast.GenDecl)
 		if !ok || gd.Tok != token.VAR {
@@ -152,12 +161,12 @@ func checkSharedRNGVars(pass *analysis.Pass, f *ast.File) {
 				continue
 			}
 			for _, name := range vs.Names {
-				obj := pass.TypesInfo.Defs[name]
+				obj := c.pkg.Info.Defs[name]
 				if obj == nil {
 					continue
 				}
 				if rngTypeName(obj.Type()) != "" {
-					pass.Reportf(name.Pos(), "sharedrng",
+					c.reportf(name.Pos(),
 						"package-level %s %s is an RNG stream shared across every caller (and every shard): draws consume it in goroutine-interleaving order, breaking the fixed-seed contract — store the stream on the node/shard/cluster and seed it from (seed, shardID)",
 						rngTypeName(obj.Type()), name.Name)
 				}
@@ -208,15 +217,15 @@ func rngTypeName(t types.Type) string {
 // appending, calling out, sending — makes two fixed-seed runs diverge.
 // Pure commutative bodies (counting, summing, delete, writes into
 // another map) pass.
-func checkMapRange(pass *analysis.Pass, rs *ast.RangeStmt, encl *ast.BlockStmt) {
-	t := pass.TypesInfo.TypeOf(rs.X)
+func (c *checker) checkMapRange(rs *ast.RangeStmt, encl *ast.BlockStmt) {
+	t := c.pkg.Info.TypeOf(rs.X)
 	if t == nil {
 		return
 	}
 	if _, ok := t.Underlying().(*types.Map); !ok {
 		return
 	}
-	why, appendTargets := orderSensitive(pass.TypesInfo, rs.Body)
+	why, appendTargets := orderSensitive(c.pkg.Info, rs.Body)
 	if why == "" {
 		return
 	}
@@ -227,7 +236,7 @@ func checkMapRange(pass *analysis.Pass, rs *ast.RangeStmt, encl *ast.BlockStmt) 
 	if appendTargets != nil {
 		allSorted := true
 		for _, obj := range appendTargets {
-			if obj == nil || !sortedAfter(pass.TypesInfo, encl, obj, rs.End()) {
+			if obj == nil || !sortedAfter(c.pkg.Info, encl, obj, rs.End()) {
 				allSorted = false
 				break
 			}
@@ -236,7 +245,7 @@ func checkMapRange(pass *analysis.Pass, rs *ast.RangeStmt, encl *ast.BlockStmt) 
 			return
 		}
 	}
-	pass.Reportf(rs.Pos(), "maprange",
+	c.reportf(rs.Pos(),
 		"map iteration order feeds ordering-sensitive logic (%s): collect and sort the keys, or keep a stable side order", why)
 }
 
@@ -353,4 +362,17 @@ func orderSensitive(info *types.Info, body *ast.BlockStmt) (string, []types.Obje
 		return why, nil
 	}
 	return why, appends
+}
+
+// builtinName returns the builtin's name when call invokes a Go
+// builtin (append, make, copy, delete, ...), else "".
+func builtinName(info *types.Info, call *ast.CallExpr) string {
+	id, ok := call.Fun.(*ast.Ident)
+	if !ok {
+		return ""
+	}
+	if b, ok := info.Uses[id].(*types.Builtin); ok {
+		return b.Name()
+	}
+	return ""
 }

@@ -10,8 +10,7 @@ import (
 
 // wantRE extracts the expectation list from a fixture comment:
 // `// want "regex"` with one or more quoted (or backquoted) regexes,
-// mirroring x/tools analysistest. The marker may trail a //fair:
-// directive inside the same comment.
+// mirroring x/tools analysistest.
 var wantRE = regexp.MustCompile(`// want((?:\s+(?:"(?:[^"\\]|\\.)*"|` + "`[^`]*`" + `))+)`)
 
 var wantArgRE = regexp.MustCompile(`"(?:[^"\\]|\\.)*"|` + "`[^`]*`")
@@ -23,23 +22,21 @@ type want struct {
 	matched bool
 }
 
-// RunFixture loads one fixture package from a testdata module, runs the
-// analyzers over it, and asserts the findings match the `// want`
-// expectations exactly: every finding needs a matching want on its
-// line, and every want must be satisfied by some finding.
-func RunFixture(t testing.TB, moduleDir, pkgPattern string, analyzers []*Analyzer) {
+// runFixture loads one fixture package from a testdata module, runs
+// the determinism rule over it, and asserts the findings match the
+// `// want` expectations exactly: every finding needs a matching want
+// on its line, and every want must be satisfied by some finding.
+func runFixture(t testing.TB, moduleDir, pkgPattern string) {
 	t.Helper()
 	pkgs, err := Load(moduleDir, "./"+pkgPattern)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", pkgPattern, err)
 	}
-	findings, err := Run(pkgs, analyzers)
-	if err != nil {
-		t.Fatalf("running analyzers on %s: %v", pkgPattern, err)
-	}
 
+	var findings []Finding
 	var wants []*want
 	for _, pkg := range pkgs {
+		findings = append(findings, Determinism(pkg)...)
 		for _, f := range pkg.Syntax {
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {

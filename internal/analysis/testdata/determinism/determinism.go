@@ -1,6 +1,6 @@
 // Package determinism seeds every violation class the determinism rule
-// catches. The fixture path is not on rules.DeterministicPackages; the
-// fixture suite adds it for the test run.
+// catches. The fixture path is not on analysis.DeterministicPackages;
+// the fixture suite adds it for the test run.
 package determinism
 
 import (
@@ -28,8 +28,8 @@ func sleepy() {
 	time.Sleep(time.Millisecond) // want `time\.Sleep in a sim-deterministic package`
 }
 
-func escapeHatch() time.Time {
-	return time.Now() //fair:wallclock fixture demonstrates the audited escape hatch
+func noEscapeHatch() time.Time {
+	return time.Now() // want `time\.Now in a sim-deterministic package`
 }
 
 func globalDraw() int {

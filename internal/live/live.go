@@ -487,6 +487,43 @@ func (c *Cluster) Stop() {
 	_ = c.net.Close()
 }
 
+// RunRounds lets k round periods of wall time pass, the live
+// counterpart of core.Cluster.RunRounds: the peers run their own
+// rounds meanwhile.
+func (c *Cluster) RunRounds(k int) {
+	time.Sleep(time.Duration(k) * c.cfg.RoundPeriod)
+}
+
+// settleQuiet is how many consecutive round periods the ledger's
+// delivery total must hold still before Settle returns.
+const settleQuiet = 10
+
+// Settle runs k more rounds, then waits until the ledger's delivery
+// total has not moved for settleQuiet round periods. The wait goes
+// through Eventually, so its ~10s bound is race-scaled like every
+// other live deadline, and a wedged cluster returns unsettled instead
+// of hanging its caller.
+func (c *Cluster) Settle(k int) {
+	c.RunRounds(k)
+	delivered := func() (n uint64) {
+		for i := 0; i < c.ledger.Len(); i++ {
+			n += c.ledger.Account(i).Delivered
+		}
+		return n
+	}
+	last, quiet := delivered(), 0
+	Eventually(10*time.Second, c.cfg.RoundPeriod, func() bool {
+		if cur := delivered(); cur != last {
+			last, quiet = cur, 0
+			return false
+		}
+		// Eventually checks once before its first sleep, so settleQuiet+1
+		// quiet checks span settleQuiet full periods.
+		quiet++
+		return quiet > settleQuiet
+	})
+}
+
 // do runs fn with exclusive access to peer id's state and waits for it to
 // complete: inline before Start (setup is single-threaded), through the
 // peer's command channel afterwards. It returns false if the cluster is

@@ -126,7 +126,7 @@ func Execute(rt Runtime, sc Scenario, seed int64) *Result {
 	}
 	r.setup()
 	rt.Start()
-	rt.Step(warmupRounds)
+	rt.RunRounds(warmupRounds)
 
 	for round := 0; round < sc.Rounds; round++ {
 		r.Round = round
@@ -144,12 +144,12 @@ func Execute(rt Runtime, sc Scenario, seed int64) *Result {
 		for k := 0; k < sc.PerRound; k++ {
 			r.PublishRandom()
 		}
-		rt.Step(1)
+		rt.RunRounds(1)
 	}
 	if sc.CheckRecovery || sc.CheckViewHygiene {
 		r.settle()
 	}
-	rt.Drain(drainRounds, r.deliveries.Load)
+	rt.Settle(drainRounds)
 	// Close before judging: on the live runtime a straggler delivery
 	// could otherwise land between two reads of an invariant check.
 	// Everything the checks need (ledger, traffic counters) outlives the
@@ -705,7 +705,7 @@ func (r *Run) settle() {
 			}
 			return
 		}
-		r.rt.Step(1)
+		r.rt.RunRounds(1)
 	}
 }
 

@@ -66,13 +66,13 @@ type Runtime interface {
 	// its introduction with charged membership traffic.
 	Join(seed int) (int, bool)
 
-	// Step advances time by whole gossip rounds (virtual time on sim,
-	// wall-clock sleeps on live).
-	Step(rounds int)
-	// Drain settles in-flight work after the schedule ends: at least
-	// `rounds` further rounds, then (live) until the monotone progress
-	// counter stops moving.
-	Drain(rounds int, progress func() uint64)
+	// RunRounds advances time by whole gossip rounds (virtual time on
+	// sim, wall time on live).
+	RunRounds(rounds int)
+	// Settle quiesces the runtime after the schedule ends: at least
+	// `rounds` further rounds, then (sim) until no message is in flight,
+	// (live) until the delivery total stops moving.
+	Settle(rounds int)
 
 	// Ledger exposes the shared fairness ledger.
 	Ledger() *fairness.Ledger
@@ -293,12 +293,12 @@ func (s *SimRuntime) SetShape(sp ShapeSpec) {
 // id, so an address change is invisible to it.
 func (s *SimRuntime) Rebind(id int) bool { return s.valid(id) }
 
-func (s *SimRuntime) Step(rounds int) { s.C.RunRounds(rounds) }
+func (s *SimRuntime) RunRounds(rounds int) { s.C.RunRounds(rounds) }
 
-// Drain runs the tail rounds, then stops the round tickers and lets the
-// event queue empty, so no message is in flight when conservation is
-// checked.
-func (s *SimRuntime) Drain(rounds int, progress func() uint64) {
+// Settle runs the tail rounds, then stops the round tickers and lets
+// the event queue empty, so no message is in flight when conservation
+// is checked.
+func (s *SimRuntime) Settle(rounds int) {
 	s.C.RunRounds(rounds)
 	s.C.Stop()
 	s.C.Drain()
@@ -323,12 +323,12 @@ const LiveRoundPeriod = 5 * time.Millisecond
 // over either transport: "live" is the in-process chan substrate,
 // "live-udp" runs the same protocol over one real loopback datagram
 // socket per peer — the third differential column. The cluster's own
-// methods serve every Runtime method whose signature and meaning match;
-// what follows adapts the rest.
+// methods serve every Runtime method whose signature and meaning match
+// (RunRounds and Settle pace the column in wall time); what follows
+// adapts the rest.
 type LiveRuntime struct {
 	*live.Cluster
-	period time.Duration
-	name   string
+	name string
 }
 
 // NewLiveRuntime builds a live cluster configured for a scenario, on
@@ -373,7 +373,7 @@ func newLiveRuntime(sc Scenario, seed int64, tf transport.Factory, name string) 
 	if err != nil {
 		return nil, err
 	}
-	return &LiveRuntime{Cluster: c, period: LiveRoundPeriod, name: name}, nil
+	return &LiveRuntime{Cluster: c, name: name}, nil
 }
 
 func (l *LiveRuntime) Name() string { return l.name }
@@ -381,42 +381,12 @@ func (l *LiveRuntime) Name() string { return l.name }
 // SetShape swaps the middleware profile (always installed — see
 // newLiveRuntime), converted to this column's wall-clock round.
 func (l *LiveRuntime) SetShape(sp ShapeSpec) {
-	l.Cluster.SetShape(liveProfile(&sp, l.period))
+	l.Cluster.SetShape(liveProfile(&sp, LiveRoundPeriod))
 }
 
 func (l *LiveRuntime) Join(seed int) (int, bool) {
 	id, err := l.Cluster.Join(seed)
 	return id, err == nil
-}
-
-func (l *LiveRuntime) Step(rounds int) {
-	time.Sleep(time.Duration(rounds) * l.period) //fair:wallclock the live column paces real goroutine rounds in wall time; the sim column never enters this file's LiveRuntime
-}
-
-// Drain sleeps the tail rounds, then waits until the delivery counter
-// has been stable for several consecutive round periods. The settle
-// loop runs through live.Eventually, so the ~10s bound is race-scaled
-// exactly like the live package's own deadlines and a wedged cluster
-// fails invariants instead of hanging the test.
-func (l *LiveRuntime) Drain(rounds int, progress func() uint64) {
-	time.Sleep(time.Duration(rounds) * l.period) //fair:wallclock the live column's tail rounds elapse in wall time; the sim column drains virtually
-	if progress == nil {
-		return
-	}
-	const stableNeed = 10
-	last, stable := progress(), 0
-	live.Eventually(10*time.Second, l.period, func() bool {
-		cur := progress()
-		if cur != last {
-			stable, last = 0, cur
-			return false
-		}
-		// Eventually polls once immediately, so require stableNeed+1
-		// quiet checks: that is stableNeed full periods of silence,
-		// the same margin the old hand-rolled loop gave.
-		stable++
-		return stable > stableNeed
-	})
 }
 
 // Traffic returns the live runtime's envelope-level counters. Since

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -689,9 +690,9 @@ type peerSub struct {
 	sub  pubsub.SubID
 }
 
-func (g *gapRecorder) Step(rounds int) {
+func (g *gapRecorder) RunRounds(rounds int) {
 	g.now += rounds
-	g.SimRuntime.Step(rounds)
+	g.SimRuntime.RunRounds(rounds)
 }
 
 func (g *gapRecorder) Subscribe(id int, f pubsub.Filter) (pubsub.SubID, bool) {
@@ -741,5 +742,77 @@ func TestResubscribeMakesBeforeItBreaks(t *testing.T) {
 	}
 	if g.overlaps == 0 {
 		t.Fatal("no redrawn set kept a topic: the schedule does not exercise the window")
+	}
+}
+
+// falseDeliverer is a sim Runtime that, besides the real deliveries,
+// hands the engine's own delivery observer two false ones when the
+// schedule ends: an event the engine never published, and a real event
+// at a peer that never held a filter matching it.
+type falseDeliverer struct {
+	*SimRuntime
+	observers map[int]func(*pubsub.Event)
+	filters   map[int][]pubsub.Filter // every filter each peer ever held
+	real      *pubsub.Event           // a copy of the first real delivery
+	unknown   pubsub.EventID
+	stranger  int // the peer the real event was replayed at; -1 = none
+}
+
+func (d *falseDeliverer) OnDeliver(id int, fn func(*pubsub.Event)) bool {
+	d.observers[id] = fn
+	return d.SimRuntime.OnDeliver(id, func(ev *pubsub.Event) {
+		if d.real == nil {
+			cp := *ev
+			d.real = &cp
+		}
+		fn(ev)
+	})
+}
+
+func (d *falseDeliverer) Subscribe(id int, f pubsub.Filter) (pubsub.SubID, bool) {
+	d.filters[id] = append(d.filters[id], f)
+	return d.SimRuntime.Subscribe(id, f)
+}
+
+func (d *falseDeliverer) Settle(rounds int) {
+	d.observers[0](&pubsub.Event{ID: d.unknown, Topic: "nowhere"})
+	for id := 0; id < d.N(); id++ {
+		if !slices.ContainsFunc(d.filters[id], func(f pubsub.Filter) bool { return f.Match(d.real) }) {
+			d.observers[id](d.real)
+			d.stranger = id
+			break
+		}
+	}
+	d.SimRuntime.Settle(rounds)
+}
+
+// TestFalseDeliveryDetected: the delivery observer's false-delivery
+// detector, and the no-false-delivery invariant that reports it, turn
+// red on both kinds of false delivery.
+func TestFalseDeliveryDetected(t *testing.T) {
+	sc, _ := ByName("calm")
+	d := &falseDeliverer{
+		SimRuntime: NewSimRuntime(sc, 1),
+		observers:  map[int]func(*pubsub.Event){},
+		filters:    map[int][]pubsub.Filter{},
+		unknown:    pubsub.EventID{Publisher: 1 << 30, Seq: 7},
+		stranger:   -1,
+	}
+	res := Execute(d, sc, 1)
+	if d.real == nil || d.stranger < 0 {
+		t.Fatal("no real delivery to replay at a peer without a matching filter")
+	}
+	var got []string
+	for _, v := range res.Violations {
+		if strings.HasPrefix(v, "no-false-delivery: ") {
+			got = append(got, v)
+		}
+	}
+	if len(got) != 1 {
+		t.Fatalf("want one no-false-delivery violation, got %q", got)
+	}
+	want := fmt.Sprintf("2 false deliveries (first: node 0 delivered unknown event %v)", d.unknown)
+	if !strings.HasSuffix(got[0], want) {
+		t.Fatalf("violation %q, want it to end %q", got[0], want)
 	}
 }

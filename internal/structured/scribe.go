@@ -1,7 +1,7 @@
 package structured
 
-// The package is sim-deterministic (listed in fairvet's
-// rules.DeterministicPackages): ROADMAP item 3 wires it into the live
+// The package is sim-deterministic (listed in
+// analysis.DeterministicPackages): ROADMAP item 3 wires it into the live
 // runtime as a pluggable Disseminator, so it is held to the same
 // fixed-seed reproducibility bar as the sim packages now, before the
 // refactor lands.

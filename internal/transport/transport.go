@@ -101,7 +101,8 @@ func Chan() Factory {
 // the cluster's in-flight Sends.
 type ChanNet struct {
 	handlers atomic.Pointer[[]Handler]
-	mu       sync.Mutex // serialises Attach
+	mu       sync.Mutex  // serialises Attach
+	closed   atomic.Bool // set by Close: every endpoint refuses from then on
 }
 
 // NewChanNet builds an in-process substrate for n peers.
@@ -138,8 +139,12 @@ func (c *ChanNet) Attach(id int, h Handler) (Transport, error) {
 	return &chanEndpoint{net: c, id: id}, nil
 }
 
-// Close implements Net. In-process delivery holds no resources.
-func (c *ChanNet) Close() error { return nil }
+// Close implements Net. In-process delivery holds no resources; every
+// endpoint's later Send returns ErrClosed.
+func (c *ChanNet) Close() error {
+	c.closed.Store(true)
+	return nil
+}
 
 // Release implements Net.
 func (c *ChanNet) Release(buf []byte) { put(buf) }
@@ -151,7 +156,7 @@ type chanEndpoint struct {
 }
 
 func (e *chanEndpoint) Send(to int, buf []byte) error {
-	if e.closed.Load() {
+	if e.closed.Load() || e.net.closed.Load() {
 		return ErrClosed
 	}
 	hs := *e.net.handlers.Load()

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -109,6 +110,54 @@ func netUnderTest(t *testing.T, build Factory, wantAddr string) {
 
 func TestChanNet(t *testing.T) { netUnderTest(t, Chan(), "chan://1") }
 func TestUDPNet(t *testing.T)  { netUnderTest(t, UDP(), "127.0.0.1:") }
+
+// TestSendAfterNetCloseFails holds every substrate to the Net contract:
+// Close tears down every endpoint, so a later Send returns an error and
+// no handler runs — with and without the shaper in front, on its
+// pass-through and its delayed path alike.
+func TestSendAfterNetCloseFails(t *testing.T) {
+	shaped := func(p Profile) Factory {
+		return func(n int) (Net, error) {
+			inner, err := NewChanNet(n)
+			if err != nil {
+				return nil, err
+			}
+			return Shape(inner, p), nil
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		build Factory
+	}{
+		{"chan", Chan()},
+		{"udp", UDP()},
+		{"shaped-inert", shaped(Profile{})},
+		{"shaped-delayed", shaped(Profile{Delay: 5 * time.Millisecond})},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nw, err := tc.build(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var handled atomic.Int64
+			eps := make([]Transport, 2)
+			for i := range eps {
+				if eps[i], err = nw.Attach(i, func(buf []byte) { handled.Add(1); nw.Release(buf) }); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := nw.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := eps[0].Send(1, []byte("after close")); err == nil {
+				t.Error("Send after Net.Close returned nil")
+			}
+			if n := handled.Load(); n != 0 {
+				t.Errorf("a handler ran %d times after Net.Close", n)
+			}
+		})
+	}
+}
 
 // TestUDPOversizeRefused: datagram-size enforcement happens at Send,
 // with a typed error the live runtime counts as a transport drop.
