@@ -33,7 +33,10 @@
 // engine (RunScenario): seeded schedules of churn, partitions, loss,
 // flash crowds, subscription churn and free-riders, with machine-checked
 // invariants. SCENARIOS.md at the repository root documents the scenario
-// vocabulary, the built-in table, and each invariant.
+// vocabulary, the built-in table, and each invariant. Scenario has no
+// CheckFairness, ViewCap, Payload or Regions field: fairness is checked
+// iff TargetRatio > 0, view capacity (24) and payload (64 B) are
+// constants, and a regional outage names its region count in its step.
 //
 // The live runtime moves messages through a pluggable transport: the
 // default delivers encoded envelopes in-process; TransportUDP runs one

@@ -13,12 +13,11 @@ import "testing"
 // columns at every seed here, 1 on sim.
 func TestCutsComposeLikeTheModel(t *testing.T) {
 	sc := Scenario{
-		Name:    "cuts-compose",
-		Regions: 2,
+		Name: "cuts-compose",
 		Steps: []Step{
 			{Round: 4, Action: SplitRandomHalf()},
-			{Round: 8, Action: RegionalOutage(0)},
-			{Round: 12, Action: RegionalHeal()},
+			{Round: 8, Action: RegionalOutage(0, 2)},
+			{Round: 12, Action: HealAll()},
 		},
 	}
 	columns := []struct {

@@ -22,6 +22,15 @@ type subRec struct {
 	to   int // -1 while active
 }
 
+// peerRec is the engine's model of one peer.
+type peerRec struct {
+	up, everDown, free bool
+	group              int      // partition side while split (0 or 1)
+	joinedAt           int      // publishing round it joined; founderJoined for founders
+	subs               []subRec // every subscription it ever held
+	pubSeq             uint32   // Seq of the last event it published
+}
+
 // evRec tracks one published event: who must eventually deliver it
 // (eligibility shrinks as faults strike) and who actually did.
 type evRec struct {
@@ -58,23 +67,18 @@ type Run struct {
 	subsOf map[string][]int // topic -> subscribed node IDs (engine view)
 
 	mu         sync.Mutex
-	up         []bool
-	everDown   []bool
-	free       []bool
-	group      []int
-	joinedAt   []int // publishing round a peer joined; founderJoined for founders
+	peers      []peerRec // indexed by peer id; grows with JoinNode
 	split      bool
-	subs       [][]subRec
 	events     map[pubsub.EventID]*evRec
 	evOrder    []pubsub.EventID
-	pubSeq     []uint32
 	published  uint64
 	falseTotal uint64   // every false delivery
 	falseDel   []string // descriptions of the first few
-	lastFault  int      // publishing round of the most recent fault action
 
-	// Written by settle() and read by the recovery/hygiene invariants —
-	// engine-goroutine only, after the runtime has quiesced.
+	// Engine-goroutine only, so unguarded: lastFault is written by the
+	// actions, recoveredAt, hygieneAt and hygieneNote by settle(); the
+	// recovery/hygiene invariants read them after the runtime quiesced.
+	lastFault   int    // publishing round of the most recent fault action
 	recoveredAt int    // round delivery first met the floor; -1 = never
 	hygieneAt   int    // round views were first clean; -1 = never
 	hygieneNote string // example offender when the hygiene budget ran out
@@ -101,28 +105,21 @@ func Execute(rt Runtime, sc Scenario, seed int64) *Result {
 	sc = sc.withDefaults()
 	n := rt.N()
 	r := &Run{
-		sc:       sc,
-		rt:       rt,
-		seed:     seed,
-		Rng:      rand.New(rand.NewSource(seed ^ 0x5ce0a91)),
-		Round:    -1,
-		topics:   workload.NewTopics(sc.Topics, 1.01),
-		subsOf:   make(map[string][]int, sc.Topics),
-		up:       make([]bool, n),
-		everDown: make([]bool, n),
-		free:     make([]bool, n),
-		group:    make([]int, n),
-		joinedAt: make([]int, n),
-		subs:     make([][]subRec, n),
-		events:   make(map[pubsub.EventID]*evRec, sc.Rounds*sc.PerRound),
-		pubSeq:   make([]uint32, n),
+		sc:     sc,
+		rt:     rt,
+		seed:   seed,
+		Rng:    rand.New(rand.NewSource(seed ^ 0x5ce0a91)),
+		Round:  -1,
+		topics: workload.NewTopics(sc.Topics, 1.01),
+		subsOf: make(map[string][]int, sc.Topics),
+		peers:  make([]peerRec, n),
+		events: make(map[pubsub.EventID]*evRec, sc.Rounds*sc.PerRound),
 
 		recoveredAt: -1,
 		hygieneAt:   -1,
 	}
-	for i := range r.up {
-		r.up[i] = true
-		r.joinedAt[i] = founderJoined
+	for i := range r.peers {
+		r.peers[i] = peerRec{up: true, joinedAt: founderJoined}
 	}
 	r.setup()
 	rt.Start()
@@ -132,7 +129,7 @@ func Execute(rt Runtime, sc Scenario, seed int64) *Result {
 		r.Round = round
 		for _, st := range sc.Steps {
 			if st.Round == round {
-				st.Action.Do(r)
+				st.Action(r)
 			}
 		}
 		if sc.EveryRound != nil {
@@ -158,8 +155,8 @@ func Execute(rt Runtime, sc Scenario, seed int64) *Result {
 	r.snapEnd = rt.Ledger().Snapshot()
 
 	for _, inv := range r.invariants() {
-		if err := inv.Check(r); err != nil {
-			r.violations = append(r.violations, inv.Name+": "+err.Error())
+		if err := inv.check(); err != nil {
+			r.violations = append(r.violations, inv.name+": "+err.Error())
 		}
 	}
 	if testInspect != nil {
@@ -194,21 +191,21 @@ func (r *Run) setup() {
 func (r *Run) subscribe(id int, topic string, fromRound int) {
 	f := pubsub.Topic(topic)
 	r.mu.Lock()
-	r.subs[id] = append(r.subs[id], subRec{f: f, from: fromRound, to: -1})
-	idx := len(r.subs[id]) - 1
+	r.peers[id].subs = append(r.peers[id].subs, subRec{f: f, from: fromRound, to: -1})
+	idx := len(r.peers[id].subs) - 1
 	r.subsOf[topic] = append(r.subsOf[topic], id)
 	r.mu.Unlock()
 	sub, ok := r.rt.Subscribe(id, f)
 	r.mu.Lock()
-	if ok {
-		r.subs[id][idx].sub = sub
+	if p := &r.peers[id]; ok {
+		p.subs[idx].sub = sub
 	} else {
 		// Never took effect (invalid id): retract the record.
-		r.subs[id] = append(r.subs[id][:idx], r.subs[id][idx+1:]...)
-		peers := r.subsOf[topic]
-		for k, p := range peers {
-			if p == id {
-				r.subsOf[topic] = append(peers[:k], peers[k+1:]...)
+		p.subs = append(p.subs[:idx], p.subs[idx+1:]...)
+		subs := r.subsOf[topic]
+		for k, q := range subs {
+			if q == id {
+				r.subsOf[topic] = append(subs[:k], subs[k+1:]...)
 				break
 			}
 		}
@@ -224,55 +221,45 @@ func (r *Run) N() int { return r.rt.N() }
 // Ledger exposes the runtime's fairness ledger (read-only use).
 func (r *Run) Ledger() *fairness.Ledger { return r.rt.Ledger() }
 
-// NodeUp reports whether a node is currently up in the engine's model.
+// peerLocked returns id's record, or nil for an id outside the
+// population. Callers hold r.mu.
+func (r *Run) peerLocked(id int) *peerRec {
+	if id < 0 || id >= len(r.peers) {
+		return nil
+	}
+	return &r.peers[id]
+}
+
+// NodeUp reports whether a node is currently up in the engine's model
+// (false for an id outside the population).
 func (r *Run) NodeUp(id int) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.up[id]
+	p := r.peerLocked(id)
+	return p != nil && p.up
 }
 
-// NodeFree reports whether a node is currently free-riding.
+// NodeFree reports whether a node is currently free-riding (false for
+// an id outside the population).
 func (r *Run) NodeFree(id int) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.free[id]
+	p := r.peerLocked(id)
+	return p != nil && p.free
 }
 
-// noteFaultLocked records the current publishing round as the most
-// recent fault action. The settle phase and the bounded-recovery /
-// view-hygiene invariants measure their budgets from this round.
-// Callers hold r.mu. Warmup-time faults count as round 0.
-func (r *Run) noteFaultLocked() {
-	round := r.Round
-	if round < 0 {
-		round = 0
-	}
-	if round > r.lastFault {
-		r.lastFault = round
-	}
-}
-
-// LastFault returns the publishing round of the most recent fault
-// action (0 when the schedule injected none).
-func (r *Run) LastFault() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.lastFault
-}
+// noteFault records the current publishing round as the most recent
+// fault action. The settle phase and the bounded-recovery / view-hygiene
+// invariants measure their budgets from this round. Warmup-time faults
+// count as round 0.
+func (r *Run) noteFault() { r.lastFault = max(r.lastFault, r.Round) }
 
 // Crash takes a node down and releases it from every pending event's
 // eligibility (it can no longer be required to deliver). Events the
 // victim itself published and had not yet spread are released too: on
 // the live runtime a peer may be silenced before its next round tick,
 // so the engine cannot require copies nobody else holds to arrive.
-func (r *Run) Crash(id int) {
-	if !r.rt.Crash(id) {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.downLocked(id)
-}
+func (r *Run) Crash(id int) { r.down(id, r.rt.Crash) }
 
 // Leave departs a node gracefully: the runtime hands the leaver's view
 // entries to its neighbours (live/Cyclon) before silencing it. For the
@@ -280,24 +267,22 @@ func (r *Run) Crash(id int) {
 // pending eligibility — but for the view-hygiene invariant it is the
 // best case: its neighbours were told to drop it, rather than having to
 // detect the departure by probe timeouts.
-func (r *Run) Leave(id int) {
-	if !r.rt.Leave(id) {
+func (r *Run) Leave(id int) { r.down(id, r.rt.Leave) }
+
+// down takes a peer offline through the runtime's crash or graceful
+// leave and, if the runtime did, applies the shared model updates: its
+// own pending pairs are released, and so are those of every event it
+// published — a silenced publisher's copies may exist nowhere else.
+// Other holders may well still spread such an event; the engine just
+// stops requiring it.
+func (r *Run) down(id int, depart func(int) bool) {
+	if !depart(id) {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.downLocked(id)
-}
-
-// downLocked applies the shared model updates for a peer going offline
-// (crash or graceful leave): its own pending pairs are released, and so
-// are those of every event it published — a silenced publisher's copies
-// may exist nowhere else. Other holders may well still spread such an
-// event; the engine just stops requiring it. Callers hold r.mu.
-func (r *Run) downLocked(id int) {
-	r.noteFaultLocked()
-	r.up[id] = false
-	r.everDown[id] = true
+	r.noteFault()
+	r.peers[id].up, r.peers[id].everDown = false, true
 	r.releaseLocked(func(rec *evRec, peer int) bool { return peer == id || rec.publisher == id })
 }
 
@@ -326,8 +311,8 @@ func (r *Run) Rejoin(id int) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.noteFaultLocked()
-	r.up[id] = true
+	r.noteFault()
+	r.peers[id].up = true
 }
 
 // JoinNode boots one new peer into the running cluster through a
@@ -341,9 +326,9 @@ func (r *Run) Rejoin(id int) {
 // Returns the new id, or -1 when no usable seed is available.
 func (r *Run) JoinNode() int {
 	r.mu.Lock()
-	seeds := make([]int, 0, len(r.up))
-	for id := range r.up {
-		if r.up[id] && !r.free[id] && (!r.split || r.group[id] == 0) {
+	seeds := make([]int, 0, len(r.peers))
+	for id := range r.peers {
+		if p := &r.peers[id]; p.up && !p.free && (!r.split || p.group == 0) {
 			seeds = append(seeds, id)
 		}
 	}
@@ -358,14 +343,8 @@ func (r *Run) JoinNode() int {
 	}
 	r.mu.Lock()
 	// Runtime ids are dense; grow the model to cover the new peer.
-	for len(r.up) <= id {
-		r.up = append(r.up, true)
-		r.everDown = append(r.everDown, false)
-		r.free = append(r.free, false)
-		r.group = append(r.group, 0)
-		r.joinedAt = append(r.joinedAt, r.Round)
-		r.subs = append(r.subs, nil)
-		r.pubSeq = append(r.pubSeq, 0)
+	for len(r.peers) <= id {
+		r.peers = append(r.peers, peerRec{up: true, joinedAt: r.Round})
 	}
 	r.mu.Unlock()
 	// Observer before subscriptions: the first delivery a joiner can
@@ -380,16 +359,16 @@ func (r *Run) JoinNode() int {
 
 // SetFreeRider toggles free-riding. A free-rider still receives, so its
 // own eligibility is untouched, but events it published and had not yet
-// spread are released, as for a publisher going down (see downLocked).
+// spread are released, as for a publisher going down (see down).
 func (r *Run) SetFreeRider(id int, on bool) {
 	if !r.rt.SetFreeRider(id, on) {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.free[id] = on
+	r.peers[id].free = on
 	if on {
-		r.noteFaultLocked()
+		r.noteFault()
 		r.releaseLocked(func(rec *evRec, _ int) bool { return rec.publisher == id })
 	}
 }
@@ -403,17 +382,17 @@ func (r *Run) Partition(side []int) {
 	r.rt.Partition(side)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.noteFaultLocked()
-	for i := range r.group {
-		r.group[i] = 0
+	r.noteFault()
+	for i := range r.peers {
+		r.peers[i].group = 0
 	}
 	for _, id := range side {
-		if id >= 0 && id < len(r.group) {
-			r.group[id] = 1
+		if p := r.peerLocked(id); p != nil {
+			p.group = 1
 		}
 	}
 	r.split = true
-	r.releaseLocked(func(rec *evRec, peer int) bool { return r.group[peer] != r.group[rec.publisher] })
+	r.releaseLocked(func(rec *evRec, peer int) bool { return r.peers[peer].group != r.peers[rec.publisher].group })
 }
 
 // Heal removes the partition; events published from now on reach the
@@ -422,7 +401,7 @@ func (r *Run) Heal() {
 	r.rt.Heal()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.noteFaultLocked()
+	r.noteFault()
 	r.split = false
 }
 
@@ -433,9 +412,7 @@ func (r *Run) Heal() {
 // moment the schedule last touched the network.
 func (r *Run) SetLoss(p float64) {
 	r.rt.SetLoss(p)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.noteFaultLocked()
+	r.noteFault()
 }
 
 // ShapeTo swaps the WAN shaping profile on the runtime. Like SetLoss it
@@ -444,28 +421,7 @@ func (r *Run) SetLoss(p float64) {
 // hygiene clocks.
 func (r *Run) ShapeTo(sp ShapeSpec) {
 	r.rt.SetShape(sp)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.noteFaultLocked()
-}
-
-// RegionalOutage cuts region (id mod Scenario.Regions) off from the
-// rest of the population. It is a Partition whose side the scenario
-// names by address region: one cut in the model, one in the runtime,
-// and like any Partition it replaces a cut already in force. No-op
-// unless the scenario declares Regions > 0.
-func (r *Run) RegionalOutage(region int) {
-	if r.sc.Regions <= 0 {
-		return
-	}
-	region %= r.sc.Regions
-	members := make([]int, 0, r.N()/r.sc.Regions+1)
-	for id := 0; id < r.N(); id++ {
-		if id%r.sc.Regions == region {
-			members = append(members, id)
-		}
-	}
-	r.Partition(members)
+	r.noteFault()
 }
 
 // RebindPeer moves one peer to a fresh transport address and
@@ -473,12 +429,9 @@ func (r *Run) RegionalOutage(region int) {
 // obligation — the make-before-break rebind must lose nothing — but the
 // action still counts for the recovery clock.
 func (r *Run) RebindPeer(id int) {
-	if !r.rt.Rebind(id) {
-		return
+	if r.rt.Rebind(id) {
+		r.noteFault()
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.noteFaultLocked()
 }
 
 // Resubscribe drops all of a node's subscriptions and draws a fresh
@@ -489,13 +442,18 @@ func (r *Run) Resubscribe(id int) {
 	// racing the unsubscribe is legitimised by the >= comparison in
 	// onDeliver, never by a stale model.
 	r.mu.Lock()
-	active := make([]subRec, 0, len(r.subs[id]))
-	for k := range r.subs[id] {
-		if r.subs[id][k].to != -1 {
+	p := r.peerLocked(id)
+	if p == nil {
+		r.mu.Unlock()
+		return
+	}
+	active := make([]subRec, 0, len(p.subs))
+	for k := range p.subs {
+		if p.subs[k].to != -1 {
 			continue
 		}
-		r.subs[id][k].to = r.Round
-		rec := r.subs[id][k]
+		p.subs[k].to = r.Round
+		rec := p.subs[k]
 		active = append(active, rec)
 		topic, _ := pubsub.TopicOf(rec.f)
 		peers := r.subsOf[topic]
@@ -545,7 +503,7 @@ func (r *Run) PublishRandom() {
 func (r *Run) pickPublisher(topic string) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	able := func(id int) bool { return r.up[id] && !r.free[id] }
+	able := func(id int) bool { return r.peers[id].up && !r.peers[id].free }
 	subs := make([]int, 0, 8)
 	for _, id := range r.subsOf[topic] {
 		if able(id) {
@@ -555,8 +513,8 @@ func (r *Run) pickPublisher(topic string) int {
 	if len(subs) > 0 {
 		return subs[r.Rng.Intn(len(subs))]
 	}
-	all := make([]int, 0, len(r.up))
-	for id := range r.up {
+	all := make([]int, 0, len(r.peers))
+	for id := range r.peers {
 		if able(id) {
 			all = append(all, id)
 		}
@@ -572,22 +530,22 @@ func (r *Run) pickPublisher(topic string) int {
 // side must eventually deliver it.
 func (r *Run) publish(pub int, topic string) {
 	r.mu.Lock()
-	r.pubSeq[pub]++
+	r.peers[pub].pubSeq++
 	ev := &pubsub.Event{
-		ID:      pubsub.EventID{Publisher: uint32(pub), Seq: r.pubSeq[pub]},
+		ID:      pubsub.EventID{Publisher: uint32(pub), Seq: r.peers[pub].pubSeq},
 		Topic:   topic,
-		Payload: make([]byte, r.sc.Payload),
+		Payload: make([]byte, payloadBytes),
 	}
 	rec := &evRec{
 		ev:        ev,
 		round:     r.Round,
 		publisher: pub,
-		eligible:  make([]bool, len(r.up)),
-		delivered: make([]bool, len(r.up)),
+		eligible:  make([]bool, len(r.peers)),
+		delivered: make([]bool, len(r.peers)),
 	}
-	for i := range r.up {
-		if r.up[i] && r.Round >= r.joinedAt[i]+r.sc.JoinGrace &&
-			(!r.split || r.group[i] == r.group[pub]) && r.matchNowLocked(i, ev) {
+	for i := range r.peers {
+		if p := &r.peers[i]; p.up && r.Round >= p.joinedAt+r.sc.JoinGrace &&
+			(!r.split || p.group == r.peers[pub].group) && r.matchNowLocked(i, ev) {
 			rec.eligible[i] = true
 			rec.nEligible++
 		}
@@ -605,7 +563,7 @@ func (r *Run) publish(pub int, topic string) {
 // matchNowLocked reports whether node id's currently-active filters
 // match ev. Callers hold r.mu.
 func (r *Run) matchNowLocked(id int, ev *pubsub.Event) bool {
-	for _, rec := range r.subs[id] {
+	for _, rec := range r.peers[id].subs {
 		if rec.to == -1 && rec.f.Match(ev) {
 			return true
 		}
@@ -631,7 +589,7 @@ func (r *Run) onDeliver(id int, ev *pubsub.Event) {
 	// in flight (or mid-callback) while the engine unsubscribes, so the
 	// comparison is >=, not >.
 	matched := false
-	for _, sr := range r.subs[id] {
+	for _, sr := range r.peers[id].subs {
 		if (sr.to == -1 || sr.to >= rec.round) && sr.f.Match(ev) {
 			matched = true
 			break
@@ -688,7 +646,7 @@ func (r *Run) pairTotalsLocked() (eligible, delivered int, firstMiss string) {
 // runtime and reads model state, so on the deterministic runtime the
 // settle phase is part of the reproducible schedule.
 func (r *Run) settle() {
-	lastFault := r.LastFault()
+	lastFault := r.lastFault
 	recovered, clean := !r.sc.CheckRecovery, !r.sc.CheckViewHygiene
 	recDeadline, hygDeadline := lastFault+r.recoveryBudget(), lastFault+r.hygieneBudget()
 	// round counts rounds elapsed: the publishing phase just ended.
@@ -734,11 +692,11 @@ func (r *Run) hygieneOffender() string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for id, view := range views {
-		if id >= len(r.up) || !r.up[id] {
+		if id >= len(r.peers) || !r.peers[id].up {
 			continue
 		}
 		for _, q := range view {
-			if q >= 0 && q < len(r.up) && !r.up[q] {
+			if p := r.peerLocked(q); p != nil && !p.up {
 				return fmt.Sprintf("live peer %d still holds dead address %d", id, q)
 			}
 		}
@@ -834,7 +792,7 @@ func (r *Run) result() *Result {
 		res.DeliveryRatio = 1
 	}
 	res.Sent, res.Recv, res.Dropped = r.rt.Traffic()
-	if r.sc.CheckFairness && r.sc.TargetRatio > 0 {
+	if r.sc.TargetRatio > 0 {
 		res.JainEarly, res.JainLate = r.fairnessWindowsLocked()
 		res.HasFairness = true
 	}
@@ -851,9 +809,9 @@ func (r *Run) result() *Result {
 // never-crashed, never-free-riding peers for the first and second half
 // of the publishing phase.
 func (r *Run) fairnessWindowsLocked() (early, late float64) {
-	stable := make([]int, 0, len(r.up))
-	for i := range r.up {
-		if !r.everDown[i] && !r.free[i] {
+	stable := make([]int, 0, len(r.peers))
+	for i, p := range r.peers {
+		if !p.everDown && !p.free {
 			stable = append(stable, i)
 		}
 	}

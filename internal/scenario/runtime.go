@@ -120,7 +120,7 @@ func NewSimRuntime(sc Scenario, seed int64) *SimRuntime {
 	cfg := core.Config{
 		Mode:          core.ModeContent,
 		Membership:    core.MemberCyclon,
-		ViewCap:       sc.ViewCap,
+		ViewCap:       viewCap,
 		ShuffleEvery:  sc.ShuffleEvery,
 		Fanout:        sc.Fanout,
 		Batch:         sc.Batch,
@@ -364,7 +364,7 @@ func newLiveRuntime(sc Scenario, seed int64, tf transport.Factory, name string) 
 		TargetRatio:  sc.TargetRatio,
 		BufferMaxAge: sc.BufferMaxAge,
 		Policy:       gossip.PolicyLeastSent, // see NewSimRuntime
-		ViewCap:      sc.ViewCap,
+		ViewCap:      viewCap,
 		ShuffleEvery: sc.ShuffleEvery,
 		Seed:         seed,
 		Transport:    tf,

@@ -21,7 +21,6 @@
 package scenario
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 
@@ -29,11 +28,8 @@ import (
 	"fairgossip/internal/workload"
 )
 
-// Action is one named fault operation applied to a running scenario.
-type Action struct {
-	Name string
-	Do   func(*Run)
-}
+// Action is one fault operation applied to a running scenario.
+type Action func(*Run)
 
 // Step schedules an Action at a publishing round (0-based).
 type Step struct {
@@ -49,11 +45,13 @@ type Scenario struct {
 	Note string
 
 	// Population and protocol knobs (shared by both runtimes).
-	N            int     // peers (default 32)
-	Fanout       int     // gossip fanout (default 5)
-	Batch        int     // events per gossip message (default 8)
-	BufferMaxAge int     // rounds an event stays forwardable (default 10)
-	TargetRatio  float64 // >0 enables the AIMD fairness controller
+	N            int // peers (default 32)
+	Fanout       int // gossip fanout (default 5)
+	Batch        int // events per gossip message (default 8)
+	BufferMaxAge int // rounds an event stays forwardable (default 10)
+	// TargetRatio > 0 runs the AIMD fairness controller and checks the
+	// fairness-convergence invariant.
+	TargetRatio float64
 	// RepairPenalty is the §3.2 instability charge per rejoin (sim only;
 	// the live ledger has no churn-penalty hook wired yet).
 	RepairPenalty float64
@@ -65,12 +63,8 @@ type Scenario struct {
 	// barriers. Live columns ignore it.
 	Shards int
 
-	// Membership knobs of every column: partial-view capacity (default
-	// 24 — large enough that a 32-peer scenario's views mix well, small
-	// enough that they stay genuinely partial and join-wave joiners must
-	// propagate) and rounds between a peer's shuffle initiations
-	// (default 2).
-	ViewCap      int
+	// ShuffleEvery is the rounds between a peer's Cyclon shuffle
+	// initiations on every column (default 2).
 	ShuffleEvery int
 	// JoinGrace is the joiner eligibility rule: a peer added by
 	// JoinNodes is only required to deliver events published at least
@@ -84,7 +78,6 @@ type Scenario struct {
 	Topics   int // topic count (default 16)
 	MaxSubs  int // max subscriptions per peer (default 4)
 	PerRound int // events published per round (default 2)
-	Payload  int // event payload bytes (default 64)
 
 	// Rounds is the publishing phase (default 30), between warmupRounds
 	// before it and drainRounds after.
@@ -102,18 +95,11 @@ type Scenario struct {
 	// is nil — so the Shape action can swap profiles mid-run on every
 	// runtime.
 	Shape *ShapeSpec
-	// Regions partitions the id space into address regions (id mod
-	// Regions) for the RegionalOutage action. 0 = no regional structure.
-	Regions int
 
 	// MinDelivery is the eventual-delivery invariant floor: the fraction
 	// of (eligible peer, event) pairs that must deliver (default 1).
 	// Lossy schedules leave slack for stochastic tails.
 	MinDelivery float64
-	// CheckFairness enables the fairness-ratio convergence invariant
-	// (requires TargetRatio > 0): the late-window Jain index must reach
-	// fairnessFloor.
-	CheckFairness bool
 
 	// CheckRecovery enables the bounded-recovery invariant: delivery
 	// must reach the MinDelivery floor within recoveryC·N rounds of the
@@ -137,6 +123,11 @@ const (
 	drainRounds   = 12  // rounds after publishing stops
 	fairnessFloor = 0.5 // fairness-convergence: late-window Jain floor
 	recoveryC     = 2   // bounded-recovery: budget is recoveryC·N rounds
+	// viewCap is every column's partial-view capacity: large enough that
+	// a 32-peer scenario's views mix well, small enough that they stay
+	// genuinely partial and join-wave joiners must propagate.
+	viewCap      = 24
+	payloadBytes = 64 // every published event's payload
 )
 
 func (sc Scenario) withDefaults() Scenario {
@@ -155,9 +146,6 @@ func (sc Scenario) withDefaults() Scenario {
 	if sc.Shards <= 0 {
 		sc.Shards = 1
 	}
-	if sc.ViewCap <= 0 {
-		sc.ViewCap = 24
-	}
 	if sc.ShuffleEvery <= 0 {
 		sc.ShuffleEvery = 2
 	}
@@ -172,11 +160,6 @@ func (sc Scenario) withDefaults() Scenario {
 	}
 	if sc.PerRound <= 0 {
 		sc.PerRound = 2
-	}
-	if sc.Payload < 0 {
-		sc.Payload = 0
-	} else if sc.Payload == 0 {
-		sc.Payload = 64
 	}
 	if sc.Rounds <= 0 {
 		sc.Rounds = 30
@@ -228,98 +211,103 @@ func SampleDistinct(rng *rand.Rand, n, k int, skip func(int) bool) []int {
 	return out
 }
 
-// CrashFrac crashes ⌈frac·N⌉ random up peers.
-func CrashFrac(frac float64) Action {
-	return Action{
-		Name: fmt.Sprintf("crash %.0f%%", frac*100),
-		Do: func(r *Run) {
-			k := int(frac*float64(r.N()) + 0.5)
-			for _, id := range SampleDistinct(r.Rng, r.N(), k, func(id int) bool { return !r.NodeUp(id) }) {
-				r.Crash(id)
-			}
-		},
+// upFrac is the ⌈frac·N⌉ action: one SampleDistinct draw of that many
+// distinct random up peers (honest: up and not free-riding), then do on
+// each in draw order.
+func upFrac(frac float64, honest bool, do func(r *Run, id int)) Action {
+	return func(r *Run) {
+		k := int(frac*float64(r.N()) + 0.5)
+		skip := func(id int) bool { return !r.NodeUp(id) || honest && r.NodeFree(id) }
+		for _, id := range SampleDistinct(r.Rng, r.N(), k, skip) {
+			do(r, id)
+		}
 	}
 }
+
+// CrashFrac crashes ⌈frac·N⌉ random up peers.
+func CrashFrac(frac float64) Action { return upFrac(frac, false, (*Run).Crash) }
 
 // LeaveFrac departs ⌈frac·N⌉ random up peers gracefully: each hands its
 // freshest view entries to its neighbours before going silent (see
 // Run.Leave). For delivery eligibility a leaver counts like a crash.
-func LeaveFrac(frac float64) Action {
-	return Action{
-		Name: fmt.Sprintf("leave %.0f%%", frac*100),
-		Do: func(r *Run) {
-			k := int(frac*float64(r.N()) + 0.5)
-			for _, id := range SampleDistinct(r.Rng, r.N(), k, func(id int) bool { return !r.NodeUp(id) }) {
-				r.Leave(id)
-			}
-		},
-	}
+func LeaveFrac(frac float64) Action { return upFrac(frac, false, (*Run).Leave) }
+
+// FreeRiderFrac turns ⌈frac·N⌉ random up, honest peers into free-riders:
+// they keep receiving and delivering but stop forwarding.
+func FreeRiderFrac(frac float64) Action {
+	return upFrac(frac, true, func(r *Run, id int) { r.SetFreeRider(id, true) })
 }
+
+// ResubscribeFrac makes ⌈frac·N⌉ random up peers drop all their
+// subscriptions and draw a fresh interest set — subscription churn.
+func ResubscribeFrac(frac float64) Action { return upFrac(frac, false, (*Run).Resubscribe) }
+
+// RebindFrac makes ⌈frac·N⌉ random up peers change their transport
+// address mid-run (a mobile client switching networks) and re-announce
+// through the join path. Peers stay up throughout, so their delivery
+// eligibility is unchanged — a rebind must lose nothing.
+func RebindFrac(frac float64) Action { return upFrac(frac, false, (*Run).RebindPeer) }
 
 // RejoinAll brings every crashed peer back.
 func RejoinAll() Action {
-	return Action{
-		Name: "rejoin all",
-		Do: func(r *Run) {
-			for id := 0; id < r.N(); id++ {
-				if !r.NodeUp(id) {
-					r.Rejoin(id)
-				}
+	return func(r *Run) {
+		for id := 0; id < r.N(); id++ {
+			if !r.NodeUp(id) {
+				r.Rejoin(id)
 			}
-		},
+		}
 	}
 }
 
 // SplitRandomHalf partitions a random half of the population away from
 // the rest until a Heal.
 func SplitRandomHalf() Action {
-	return Action{
-		Name: "partition half",
-		Do: func(r *Run) {
-			side := SampleDistinct(r.Rng, r.N(), r.N()/2, nil)
-			sort.Ints(side)
-			r.Partition(side)
-		},
+	return func(r *Run) {
+		side := SampleDistinct(r.Rng, r.N(), r.N()/2, nil)
+		sort.Ints(side)
+		r.Partition(side)
+	}
+}
+
+// RegionalOutage cuts region (peers with id ≡ region mod regions) off
+// from the rest of the population: intra-region traffic still flows. It
+// is a Partition whose side is named by address region — one cut in the
+// model, one in the runtime — and like any Partition it replaces a cut
+// already in force; HealAll ends it. No-op unless regions > 0.
+func RegionalOutage(region, regions int) Action {
+	return func(r *Run) {
+		if regions <= 0 {
+			return
+		}
+		var members []int
+		for id := 0; id < r.N(); id++ {
+			if id%regions == region%regions {
+				members = append(members, id)
+			}
+		}
+		r.Partition(members)
 	}
 }
 
 // HealAll removes any partition.
-func HealAll() Action {
-	return Action{Name: "heal", Do: func(r *Run) { r.Heal() }}
-}
+func HealAll() Action { return (*Run).Heal }
 
 // Loss sets the i.i.d. link-loss probability.
-func Loss(p float64) Action {
-	return Action{
-		Name: fmt.Sprintf("loss %.0f%%", p*100),
-		Do:   func(r *Run) { r.SetLoss(p) },
-	}
-}
+func Loss(p float64) Action { return func(r *Run) { r.SetLoss(p) } }
+
+// Shape swaps the shaping profile mid-run on every column;
+// Shape(ShapeSpec{}) clears it. Like Loss, it does not change delivery
+// eligibility — the MinDelivery floor carries the stochastic slack — but
+// it counts as a fault action for the recovery clock.
+func Shape(sp ShapeSpec) Action { return func(r *Run) { r.ShapeTo(sp) } }
 
 // Burst publishes k extra popularity-sampled events this round — a flash
 // crowd on top of the steady workload.
 func Burst(k int) Action {
-	return Action{
-		Name: fmt.Sprintf("burst %d", k),
-		Do: func(r *Run) {
-			for i := 0; i < k; i++ {
-				r.PublishRandom()
-			}
-		},
-	}
-}
-
-// FreeRiderFrac turns ⌈frac·N⌉ random up, honest peers into free-riders:
-// they keep receiving and delivering but stop forwarding.
-func FreeRiderFrac(frac float64) Action {
-	return Action{
-		Name: fmt.Sprintf("free-riders %.0f%%", frac*100),
-		Do: func(r *Run) {
-			k := int(frac*float64(r.N()) + 0.5)
-			for _, id := range SampleDistinct(r.Rng, r.N(), k, func(id int) bool { return !r.NodeUp(id) || r.NodeFree(id) }) {
-				r.SetFreeRider(id, true)
-			}
-		},
+	return func(r *Run) {
+		for i := 0; i < k; i++ {
+			r.PublishRandom()
+		}
 	}
 }
 
@@ -329,27 +317,10 @@ func FreeRiderFrac(frac float64) Action {
 // views need a few shuffles to integrate — the fault-aware eligibility
 // rule for joiners).
 func JoinNodes(k int) Action {
-	return Action{
-		Name: fmt.Sprintf("join %d", k),
-		Do: func(r *Run) {
-			for i := 0; i < k; i++ {
-				r.JoinNode()
-			}
-		},
-	}
-}
-
-// ResubscribeFrac makes ⌈frac·N⌉ random up peers drop all their
-// subscriptions and draw a fresh interest set — subscription churn.
-func ResubscribeFrac(frac float64) Action {
-	return Action{
-		Name: fmt.Sprintf("resubscribe %.0f%%", frac*100),
-		Do: func(r *Run) {
-			k := int(frac*float64(r.N()) + 0.5)
-			for _, id := range SampleDistinct(r.Rng, r.N(), k, func(id int) bool { return !r.NodeUp(id) }) {
-				r.Resubscribe(id)
-			}
-		},
+	return func(r *Run) {
+		for i := 0; i < k; i++ {
+			r.JoinNode()
+		}
 	}
 }
 
@@ -546,15 +517,14 @@ func Builtins() []Scenario {
 		{
 			Name:             "regional-outage",
 			Note:             "one of four address regions drops off the map mid-run, keeps gossiping internally, then reconnects; the boundary's losses land in the counted fault bucket",
-			Regions:          4,
 			Shape:            &ShapeSpec{DelayRounds: 0.1, JitterRounds: 0.15},
 			BufferMaxAge:     14,
 			MinDelivery:      0.97,
 			CheckRecovery:    true,
 			CheckViewHygiene: true,
 			Steps: []Step{
-				{Round: 8, Action: RegionalOutage(1)},
-				{Round: 18, Action: RegionalHeal()},
+				{Round: 8, Action: RegionalOutage(1, 4)},
+				{Round: 18, Action: HealAll()},
 			},
 		},
 		{
@@ -579,23 +549,22 @@ func Builtins() []Scenario {
 			CheckRecovery: true,
 			Steps: []Step{
 				{Round: 4, Action: Shape(ShapeSpec{Loss: 0.5})},
-				{Round: 8, Action: ClearShape()},
+				{Round: 8, Action: Shape(ShapeSpec{})},
 				{Round: 12, Action: Shape(ShapeSpec{Loss: 0.5})},
-				{Round: 16, Action: ClearShape()},
+				{Round: 16, Action: Shape(ShapeSpec{})},
 				{Round: 20, Action: Shape(ShapeSpec{Loss: 0.5})},
-				{Round: 24, Action: ClearShape()},
+				{Round: 24, Action: Shape(ShapeSpec{})},
 			},
 		},
 		rageQuitScenario(),
 		{
-			Name:          "aimd-fair",
-			Note:          "calm run under the AIMD controller; the fairness ratios must converge",
-			TargetRatio:   2500,
-			Rounds:        40,
-			PerRound:      1,
-			BufferMaxAge:  14,
-			MinDelivery:   0.97, // AIMD may shed batch to its floor while converging
-			CheckFairness: true,
+			Name:         "aimd-fair",
+			Note:         "calm run under the AIMD controller; the fairness ratios must converge",
+			TargetRatio:  2500,
+			Rounds:       40,
+			PerRound:     1,
+			BufferMaxAge: 14,
+			MinDelivery:  0.97, // AIMD may shed batch to its floor while converging
 		},
 	}
 }

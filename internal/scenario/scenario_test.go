@@ -34,7 +34,7 @@ func TestBuiltinsOnSim(t *testing.T) {
 
 // TestSimColumnHasAnOverlay: view-hygiene binds on the sim column. On the
 // two builtins that take peers down for good, every up peer's view is
-// inspectable, non-empty and within ViewCap; some up peer still holds a
+// inspectable, non-empty and within viewCap; some up peer still holds a
 // dead address right after the last departure (so there is something to
 // scrub); and none does from the round the settle phase recorded.
 func TestSimColumnHasAnOverlay(t *testing.T) {
@@ -43,7 +43,6 @@ func TestSimColumnHasAnOverlay(t *testing.T) {
 		if !ok {
 			t.Fatalf("missing builtin %q", name)
 		}
-		viewCap := sc.withDefaults().ViewCap
 		shapes := func(r *Run, when string) {
 			views := r.rt.Views()
 			if len(views) != r.N() {
@@ -55,12 +54,12 @@ func TestSimColumnHasAnOverlay(t *testing.T) {
 				}
 			}
 		}
-		sc.Steps = append(sc.Steps, Step{Round: lastDeparture, Action: Action{Name: "inspect", Do: func(r *Run) {
+		sc.Steps = append(sc.Steps, Step{Round: lastDeparture, Action: func(r *Run) {
 			shapes(r, "right after the last departure")
 			if r.hygieneOffender() == "" {
 				t.Errorf("%s: no up peer holds a dead address right after round %d's departures", name, lastDeparture)
 			}
-		}}})
+		}})
 		testInspect = func(r *Run) {
 			shapes(r, "after the run")
 			if off := r.hygieneOffender(); r.hygieneAt < 0 || off != "" {
@@ -92,8 +91,8 @@ func TestSimColumnHasAnOverlay(t *testing.T) {
 // 2 × batch copies of it came back (gossip.Buffer.Duplicate): message
 // counts fall in every builtin, every invariant still holds
 // (PERFORMANCE.md "Redundancy budget"). And once from d2de404d…, when
-// the sim column became the live columns' configuration — Cyclon views at
-// Scenario.ViewCap shuffled every Scenario.ShuffleEvery rounds, the
+// the sim column became the live columns' configuration — Cyclon views of
+// viewCap entries shuffled every Scenario.ShuffleEvery rounds, the
 // failure detector on, joiners and rejoiners introduced by
 // protocol.Peer.Join over wire.KindJoin — and Result began to print the
 // recovery and hygiene measurements (PERFORMANCE.md "Determinism
@@ -253,8 +252,8 @@ func TestJoinWaveGrowsPopulation(t *testing.T) {
 	var joined int
 	var joinerDelivered bool
 	testInspect = func(r *Run) {
-		joined = len(r.up) - sc.N
-		for id := sc.N; id < len(r.up); id++ {
+		joined = len(r.peers) - sc.N
+		for id := sc.N; id < len(r.peers); id++ {
 			for _, evID := range r.evOrder {
 				rec := r.events[evID]
 				if id < len(rec.delivered) && rec.delivered[id] {
@@ -477,8 +476,8 @@ func TestGracefulDrainScrubsViews(t *testing.T) {
 	var left int
 	var recoveredAt, hygieneAt, lastFault int
 	testInspect = func(r *Run) {
-		for _, d := range r.everDown {
-			if d {
+		for _, p := range r.peers {
+			if p.everDown {
 				left++
 			}
 		}
@@ -578,13 +577,12 @@ func TestShapedColumnCountsShaperDrops(t *testing.T) {
 // correlated loss must be counted. Verified on the deterministic column.
 func TestRegionalOutageReleasesEligibility(t *testing.T) {
 	sc := Scenario{
-		Name:    "outage-release",
-		N:       16,
-		Regions: 4,
-		Rounds:  16,
+		Name:   "outage-release",
+		N:      16,
+		Rounds: 16,
 		Steps: []Step{
-			{Round: 4, Action: RegionalOutage(2)},
-			{Round: 10, Action: RegionalHeal()},
+			{Round: 4, Action: RegionalOutage(2, 4)},
+			{Round: 10, Action: HealAll()},
 		},
 	}
 	testInspect = func(r *Run) {
@@ -758,6 +756,16 @@ type falseDeliverer struct {
 	stranger  int // the peer the real event was replayed at; -1 = none
 }
 
+func newFalseDeliverer(s *SimRuntime) *falseDeliverer {
+	return &falseDeliverer{
+		SimRuntime: s,
+		observers:  map[int]func(*pubsub.Event){},
+		filters:    map[int][]pubsub.Filter{},
+		unknown:    pubsub.EventID{Publisher: 1 << 30, Seq: 7},
+		stranger:   -1,
+	}
+}
+
 func (d *falseDeliverer) OnDeliver(id int, fn func(*pubsub.Event)) bool {
 	d.observers[id] = fn
 	return d.SimRuntime.OnDeliver(id, func(ev *pubsub.Event) {
@@ -791,13 +799,7 @@ func (d *falseDeliverer) Settle(rounds int) {
 // red on both kinds of false delivery.
 func TestFalseDeliveryDetected(t *testing.T) {
 	sc, _ := ByName("calm")
-	d := &falseDeliverer{
-		SimRuntime: NewSimRuntime(sc, 1),
-		observers:  map[int]func(*pubsub.Event){},
-		filters:    map[int][]pubsub.Filter{},
-		unknown:    pubsub.EventID{Publisher: 1 << 30, Seq: 7},
-		stranger:   -1,
-	}
+	d := newFalseDeliverer(NewSimRuntime(sc, 1))
 	res := Execute(d, sc, 1)
 	if d.real == nil || d.stranger < 0 {
 		t.Fatal("no real delivery to replay at a peer without a matching filter")

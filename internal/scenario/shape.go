@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"fmt"
 	"time"
 
 	"fairgossip/internal/transport"
@@ -64,55 +63,3 @@ func ShapePreset(name string) (*ShapeSpec, bool) {
 
 // ShapePresetNames lists the ShapePreset vocabulary.
 func ShapePresetNames() []string { return []string{"none", "wan", "lossy-wan", "mobile"} }
-
-// --- Actions -----------------------------------------------------------------
-
-// Shape swaps the shaping profile mid-run on every column. Like Loss, it
-// does not change delivery eligibility — the MinDelivery floor carries
-// the stochastic slack — but it counts as a fault action for the
-// recovery clock.
-func Shape(sp ShapeSpec) Action {
-	return Action{
-		Name: fmt.Sprintf("shape delay=%.2fr jitter=%.2fr reorder=%.0f%% loss=%.0f%%",
-			sp.DelayRounds, sp.JitterRounds, sp.Reorder*100, sp.Loss*100),
-		Do: func(r *Run) { r.ShapeTo(sp) },
-	}
-}
-
-// ClearShape removes all shaping (an inert profile).
-func ClearShape() Action {
-	return Action{Name: "shape clear", Do: func(r *Run) { r.ShapeTo(ShapeSpec{}) }}
-}
-
-// RegionalOutage cuts one region (peers with id ≡ region mod
-// Scenario.Regions) off from the rest of the population: intra-region
-// traffic still flows, cross-boundary traffic is dropped by the
-// runtime's partition (see Run.RegionalOutage). Requires Regions > 0.
-func RegionalOutage(region int) Action {
-	return Action{
-		Name: fmt.Sprintf("regional outage %d", region),
-		Do:   func(r *Run) { r.RegionalOutage(region) },
-	}
-}
-
-// RegionalHeal reconnects all regions: the outage is a partition, so
-// this is Heal under the scenario author's name for it.
-func RegionalHeal() Action {
-	return Action{Name: "regional heal", Do: func(r *Run) { r.Heal() }}
-}
-
-// RebindFrac makes ⌈frac·N⌉ random up peers change their transport
-// address mid-run (a mobile client switching networks) and re-announce
-// through the join path. Peers stay up throughout, so their delivery
-// eligibility is unchanged — a rebind must lose nothing.
-func RebindFrac(frac float64) Action {
-	return Action{
-		Name: fmt.Sprintf("rebind %.0f%%", frac*100),
-		Do: func(r *Run) {
-			k := int(frac*float64(r.N()) + 0.5)
-			for _, id := range SampleDistinct(r.Rng, r.N(), k, func(id int) bool { return !r.NodeUp(id) }) {
-				r.RebindPeer(id)
-			}
-		},
-	}
-}

@@ -16,7 +16,6 @@ type Histogram struct {
 	under   uint64
 	over    uint64
 	count   uint64
-	sum     float64
 }
 
 // NewHistogram returns a histogram covering [lo, hi) with n equal-width
@@ -40,7 +39,6 @@ func NewHistogram(lo, hi float64, n int) *Histogram {
 // Add records one observation.
 func (h *Histogram) Add(x float64) {
 	h.count++
-	h.sum += x
 	switch {
 	case x < h.lo:
 		h.under++
@@ -57,14 +55,6 @@ func (h *Histogram) Add(x float64) {
 
 // Count returns the number of observations, including out-of-range ones.
 func (h *Histogram) Count() uint64 { return h.count }
-
-// Mean returns the mean of all observations (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / float64(h.count)
-}
 
 // Quantile returns an approximation of the q-quantile assuming uniform
 // mass within each bucket. Underflow mass is treated as sitting at lo,

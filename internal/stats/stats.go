@@ -1,5 +1,5 @@
 // Package stats provides the statistical machinery behind fairness
-// reports: streaming moments, quantiles, and the inequality indices the
+// reports: moments, quantiles, and the inequality indices the
 // literature uses to quantify (un)fairness — Jain's fairness index, the
 // Gini coefficient, the coefficient of variation, and Lorenz curves.
 package stats
@@ -8,67 +8,6 @@ import (
 	"math"
 	"sort"
 )
-
-// Welford accumulates streaming mean and variance using Welford's
-// algorithm. The zero value is an empty accumulator ready for use.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Add incorporates x into the accumulator.
-func (w *Welford) Add(x float64) {
-	if w.n == 0 {
-		w.min, w.max = x, x
-	} else {
-		if x < w.min {
-			w.min = x
-		}
-		if x > w.max {
-			w.max = x
-		}
-	}
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the number of observations.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the sample mean (0 for an empty accumulator).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Min returns the smallest observation (0 when empty).
-func (w *Welford) Min() float64 { return w.min }
-
-// Max returns the largest observation (0 when empty).
-func (w *Welford) Max() float64 { return w.max }
-
-// Variance returns the population variance (0 with fewer than two
-// observations).
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n)
-}
-
-// Std returns the population standard deviation.
-func (w *Welford) Std() float64 { return math.Sqrt(w.Variance()) }
-
-// CoV returns the coefficient of variation (std/mean), or 0 when the mean
-// is 0 (by convention: an all-zero sample is perfectly even).
-func (w *Welford) CoV() float64 {
-	if w.mean == 0 {
-		return 0
-	}
-	return w.Std() / math.Abs(w.mean)
-}
 
 // Sum returns the sum of xs.
 func Sum(xs []float64) float64 {
@@ -88,13 +27,20 @@ func Mean(xs []float64) float64 {
 }
 
 // CoV returns the coefficient of variation of xs (population std / mean),
-// with the same zero-mean convention as Welford.CoV.
+// or 0 when the mean is 0 (by convention: an all-zero sample is perfectly
+// even) or xs has fewer than two values. Mean and variance accumulate in
+// one pass by Welford's recurrence.
 func CoV(xs []float64) float64 {
-	var w Welford
-	for _, x := range xs {
-		w.Add(x)
+	var mean, m2 float64
+	for i, x := range xs {
+		d := x - mean
+		mean += d / float64(i+1)
+		m2 += d * (x - mean)
 	}
-	return w.CoV()
+	if mean == 0 || len(xs) < 2 {
+		return 0
+	}
+	return math.Sqrt(m2/float64(len(xs))) / math.Abs(mean)
 }
 
 // JainIndex computes Jain's fairness index (Σx)² / (n·Σx²) over a sample

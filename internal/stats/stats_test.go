@@ -9,40 +9,14 @@ import (
 
 func almostEq(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
 
-func TestWelfordMatchesDirect(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	var w Welford
-	for _, x := range xs {
-		w.Add(x)
+func TestCoVKnownValues(t *testing.T) {
+	if got := CoV([]float64{2, 4, 4, 4, 5, 5, 7, 9}); !almostEq(got, 0.4, 1e-12) {
+		t.Errorf("cov = %v, want 0.4 (std 2 over mean 5)", got)
 	}
-	if w.N() != len(xs) {
-		t.Fatalf("N = %d", w.N())
-	}
-	if !almostEq(w.Mean(), 5, 1e-12) {
-		t.Errorf("mean = %v, want 5", w.Mean())
-	}
-	if !almostEq(w.Variance(), 4, 1e-12) {
-		t.Errorf("variance = %v, want 4", w.Variance())
-	}
-	if !almostEq(w.Std(), 2, 1e-12) {
-		t.Errorf("std = %v, want 2", w.Std())
-	}
-	if !almostEq(w.CoV(), 0.4, 1e-12) {
-		t.Errorf("cov = %v, want 0.4", w.CoV())
-	}
-	if w.Min() != 2 || w.Max() != 9 {
-		t.Errorf("min/max = %v/%v", w.Min(), w.Max())
-	}
-}
-
-func TestWelfordEmptyAndSingle(t *testing.T) {
-	var w Welford
-	if w.Mean() != 0 || w.Variance() != 0 || w.CoV() != 0 {
-		t.Fatal("empty accumulator must read as zeros")
-	}
-	w.Add(3)
-	if w.Mean() != 3 || w.Variance() != 0 {
-		t.Fatal("single observation: mean 3, variance 0")
+	for _, xs := range [][]float64{nil, {3}, {0, 0, 0}} {
+		if got := CoV(xs); got != 0 {
+			t.Errorf("CoV(%v) = %v, want 0", xs, got)
+		}
 	}
 }
 

@@ -162,25 +162,6 @@ func (s *Stocks) FilterWithSelectivity(sel float64) pubsub.Filter {
 	return pubsub.MustParse(fmt.Sprintf("price >= %g", threshold))
 }
 
-// --- Churn ------------------------------------------------------------------
-
-// Churn is a memoryless on/off process: each round an up node goes down
-// with probability PLeave and a down node comes back with probability
-// PJoin.
-type Churn struct {
-	PLeave float64
-	PJoin  float64
-}
-
-// Step returns the state transition for one node-round: (leave, join)
-// where at most one is true given the current state.
-func (c Churn) Step(rng *rand.Rand, up bool) (leave, join bool) {
-	if up {
-		return rng.Float64() < c.PLeave, false
-	}
-	return false, rng.Float64() < c.PJoin
-}
-
 // RageQuit is the unfairness-triggered churn policy of EXP-T5 (§1/§6):
 // a node whose contribution/benefit ratio exceeds Threshold times the
 // population median for Patience consecutive checks disconnects.

@@ -127,29 +127,6 @@ func TestStocksAttrsComplete(t *testing.T) {
 	}
 }
 
-func TestChurnStep(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	c := Churn{PLeave: 0.3, PJoin: 0.8}
-	leaves, joins := 0, 0
-	for i := 0; i < 10000; i++ {
-		if l, j := c.Step(rng, true); l {
-			leaves++
-			if j {
-				t.Fatal("up node cannot join")
-			}
-		}
-		if _, j := c.Step(rng, false); j {
-			joins++
-		}
-	}
-	if leaves < 2700 || leaves > 3300 {
-		t.Fatalf("leave rate %d/10000, want ≈3000", leaves)
-	}
-	if joins < 7700 || joins > 8300 {
-		t.Fatalf("join rate %d/10000, want ≈8000", joins)
-	}
-}
-
 func TestRageQuitPatience(t *testing.T) {
 	rq := NewRageQuit(2, 3)
 	ratios := []float64{10, 1, 1, 1} // node 0 is 10× the median 1
