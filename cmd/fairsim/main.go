@@ -7,8 +7,8 @@
 //
 //	fairsim -n 256 -mode topics -controller aimd -target 2000 -rounds 300
 //	fairsim scenario -list
-//	fairsim scenario -name storm -runtime both -seed 7
-//	fairsim scenario -name storm -runtime live -transport udp
+//	fairsim scenario -name storm -runtime sim,live -seed 7
+//	fairsim scenario -name storm -runtime live-udp
 package main
 
 import (
@@ -18,6 +18,8 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"fairgossip"
@@ -46,12 +48,11 @@ func runScenario(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("fairsim scenario", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		name      = fs.String("name", "", "built-in scenario to run (see -list)")
-		runtime   = fs.String("runtime", "sim", "runtime: sim | live | both | all")
-		transport = fs.String("transport", "chan", "live-runtime transport: chan (in-process) | udp (real loopback sockets)")
-		seed      = fs.Int64("seed", 1, "schedule seed (sim: same seed = identical result)")
-		shape     = fs.String("shape", "", "WAN shaping preset applied on top of the scenario: none | wan | lossy-wan | mobile")
-		list      = fs.Bool("list", false, "list the built-in scenario table and exit")
+		name    = fs.String("name", "", "built-in scenario to run (see -list)")
+		runtime = fs.String("runtime", "sim", "comma-separated columns: sim, live (in-process channels), live-udp (real loopback sockets); or all")
+		seed    = fs.Int64("seed", 1, "schedule seed (sim: same seed = identical result)")
+		shape   = fs.String("shape", "", "WAN shaping preset applied on top of the scenario: none | wan | lossy-wan | mobile")
+		list    = fs.Bool("list", false, "list the built-in scenario table and exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -70,38 +71,16 @@ func runScenario(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "fairsim scenario: -name required (or -list)")
 		return 2
 	}
-	// -transport picks the substrate for live entries: "live" + udp is
-	// the RunScenario runtime "live-udp".
-	liveRT := "live"
-	switch *transport {
-	case "", "chan":
-	case "udp":
-		liveRT = "live-udp"
-	default:
-		fmt.Fprintf(stderr, "fairsim scenario: unknown transport %q (want chan or udp)\n", *transport)
-		return 2
+	columns := []string{"sim", "live", "live-udp"}
+	runtimes := columns
+	if *runtime != "all" {
+		runtimes = strings.Split(*runtime, ",")
 	}
-	var runtimes []string
-	switch *runtime {
-	case "both":
-		runtimes = []string{"sim", liveRT}
-	case "all":
-		// Both live columns run regardless; -transport is subsumed.
-		runtimes = []string{"sim", "live", "live-udp"}
-	case "live":
-		runtimes = []string{liveRT}
-	case "live-udp":
-		// Already transport-pinned; -transport udp is redundant but
-		// consistent.
-		runtimes = []string{"live-udp"}
-	default:
-		// The simulator (and any verbatim runtime name) has no transport
-		// axis: refuse a -transport that would be silently ignored.
-		if liveRT != "live" {
-			fmt.Fprintf(stderr, "fairsim scenario: -transport %s only applies to -runtime live/both\n", *transport)
+	for _, rt := range runtimes {
+		if !slices.Contains(columns, rt) {
+			fmt.Fprintf(stderr, "fairsim scenario: unknown column %q (want a comma-separated list of %v, or all)\n", rt, columns)
 			return 2
 		}
-		runtimes = []string{*runtime}
 	}
 	sc, ok := fairgossip.ScenarioByName(*name)
 	if !ok {

@@ -71,12 +71,12 @@ func TestFairsimScenarioRun(t *testing.T) {
 	}
 }
 
-// TestFairsimScenarioUDPTransport: -transport udp maps the live
-// runtime onto real loopback sockets; the run must pass its invariants
+// TestFairsimScenarioUDPTransport: the live-udp column runs the live
+// runtime over real loopback sockets; the run must pass its invariants
 // and identify itself as live-udp.
 func TestFairsimScenarioUDPTransport(t *testing.T) {
 	var out, errb bytes.Buffer
-	code := run([]string{"scenario", "-name", "calm", "-runtime", "live", "-transport", "udp", "-seed", "3"}, &out, &errb)
+	code := run([]string{"scenario", "-name", "calm", "-runtime", "live-udp", "-seed", "3"}, &out, &errb)
 	if code != 0 {
 		t.Fatalf("exit %d: %s\n%s", code, errb.String(), out.String())
 	}
@@ -89,27 +89,25 @@ func TestFairsimScenarioUDPTransport(t *testing.T) {
 	if !strings.Contains(out.String(), "msgs sent") {
 		t.Fatalf("live traffic counters missing from output:\n%s", out.String())
 	}
-	// The self-consistent pair -runtime live-udp -transport udp is
-	// accepted, not rejected as a flag conflict.
-	out.Reset()
-	errb.Reset()
-	if code := run([]string{"scenario", "-name", "calm", "-runtime", "live-udp", "-transport", "udp", "-seed", "3"}, &out, &errb); code != 0 {
-		t.Fatalf("live-udp + -transport udp: exit %d: %s", code, errb.String())
-	}
 }
 
-// TestFairsimScenarioErrors: unknown names and runtimes are usage
+// TestFairsimScenarioErrors: unknown names and columns are usage
 // errors.
 func TestFairsimScenarioErrors(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{"scenario", "-name", "nope"}, &out, &errb); code != 2 {
 		t.Fatalf("unknown scenario: exit %d, want 2", code)
 	}
-	if code := run([]string{"scenario", "-name", "calm", "-runtime", "warp"}, &out, &errb); code != 2 {
-		t.Fatalf("unknown runtime: exit %d, want 2", code)
-	}
-	if code := run([]string{"scenario", "-name", "calm", "-transport", "tcp"}, &out, &errb); code != 2 {
-		t.Fatalf("unknown transport: exit %d, want 2", code)
+	// One unknown column in the -runtime list is refused before any
+	// column runs.
+	for _, cols := range []string{"warp", "sim,warp", "both", "sim,,live", "all,sim"} {
+		out.Reset()
+		if code := run([]string{"scenario", "-name", "calm", "-runtime", cols}, &out, &errb); code != 2 {
+			t.Fatalf("-runtime %s: exit %d, want 2", cols, code)
+		}
+		if out.Len() != 0 {
+			t.Fatalf("-runtime %s ran a column before refusing:\n%s", cols, out.String())
+		}
 	}
 	if code := run([]string{"scenario"}, &out, &errb); code != 2 {
 		t.Fatalf("missing -name: exit %d, want 2", code)

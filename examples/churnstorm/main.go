@@ -3,8 +3,8 @@
 // do as much work as everyone else, perceive unfairness, and rage-quit —
 // degrading reliability for all. The adaptive protocol defuses the loop.
 //
-// The phase loop runs on the scenario engine's rage-quit driver
-// (internal/scenario.RageQuitLoop) — the same machinery EXP-T5 uses.
+// The phase loop judges fairness with workload.RageQuit, the same
+// policy EXP-T5 and the rage-quit scenario use.
 //
 // Run with: go run ./examples/churnstorm
 package main
@@ -16,7 +16,6 @@ import (
 
 	"fairgossip"
 	"fairgossip/internal/fairness"
-	"fairgossip/internal/scenario"
 	"fairgossip/internal/simnet"
 	"fairgossip/internal/workload"
 )
@@ -70,39 +69,36 @@ func run(spec fairgossip.ControllerSpec) (quits int, downtimePct float64) {
 	lightDownChecks := 0
 	prev := cluster.Ledger.Snapshot()
 
-	loop := &scenario.RageQuitLoop{
-		Phases: phases,
-		Quit:   workload.NewRageQuit(2.5, 2),
-		Publish: func(int) {
-			for r := 0; r < 10; r++ {
-				cluster.Node(rng.Intn(peers)).Publish("ticks", stocks.Event(rng), nil)
-				cluster.RunRounds(1)
+	rq := workload.NewRageQuit(2.5, 2, 3)
+	for phase := 0; phase < phases; phase++ {
+		for r := 0; r < 10; r++ {
+			cluster.Node(rng.Intn(peers)).Publish("ticks", stocks.Event(rng), nil)
+			cluster.RunRounds(1)
+		}
+		for _, id := range light {
+			if !cluster.Node(id).Active() {
+				lightDownChecks++
 			}
-		},
-		AfterPublish: func(int) {
-			for _, id := range light {
-				if !cluster.Node(id).Active() {
-					lightDownChecks++
-				}
-			}
-		},
-		Ratios: func(int) []float64 {
-			cur := cluster.Ledger.Snapshot()
-			ratios := make([]float64, peers)
-			for i := range ratios {
-				ratios[i] = fairness.Ratio(fairness.Delta(cur[i], prev[i]), cluster.Ledger.Weights())
-			}
-			prev = cur
-			return ratios
-		},
-		Active: func(i int) bool { return cluster.Node(i).Active() },
-		Leave: func(phase, id int, ratio, med float64) {
+		}
+		for _, id := range rq.Rejoins(phase) {
+			cluster.Node(id).Rejoin(0)
+		}
+		cur := cluster.Ledger.Snapshot()
+		ratios := make([]float64, peers)
+		for i := range ratios {
+			ratios[i] = fairness.Ratio(fairness.Delta(cur[i], prev[i]), cluster.Ledger.Weights())
+		}
+		prev = cur
+		if phase < 3 {
+			continue // warm-up before anyone judges fairness
+		}
+		quit, med := rq.Check(phase, ratios, func(i int) bool { return cluster.Node(i).Active() })
+		for _, id := range quit {
 			fmt.Printf("  phase %2d: peer %2d rage-quits (window ratio %.0f vs median %.0f)\n",
-				phase, id, ratio, med)
+				phase, id, ratios[id], med)
 			cluster.Node(id).Leave()
-		},
-		Rejoin: func(id int) { cluster.Node(id).Rejoin(0) },
+		}
+		quits += len(quit)
 	}
-	quits = loop.Run()
 	return quits, 100 * float64(lightDownChecks) / float64(len(light)*phases)
 }

@@ -34,9 +34,11 @@
 // flash crowds, subscription churn and free-riders, with machine-checked
 // invariants. SCENARIOS.md at the repository root documents the scenario
 // vocabulary, the built-in table, and each invariant. Scenario has no
-// CheckFairness, ViewCap, Payload or Regions field: fairness is checked
-// iff TargetRatio > 0, view capacity (24) and payload (64 B) are
-// constants, and a regional outage names its region count in its step.
+// CheckFairness, ViewCap, Payload, Regions, Fanout, Batch, Topics,
+// MaxSubs or JoinGrace field: fairness is checked iff TargetRatio > 0;
+// view capacity (24), payload (64 B), fanout (5), batch (8), topic count
+// (16), subscriptions per peer (1–4) and the joiner grace (3 rounds) are
+// constants; and a regional outage names its region count in its step.
 //
 // The live runtime moves messages through a pluggable transport: the
 // default delivers encoded envelopes in-process; TransportUDP runs one

@@ -9,7 +9,6 @@ import (
 	"fairgossip/internal/fairness"
 	"fairgossip/internal/gossip"
 	"fairgossip/internal/pubsub"
-	"fairgossip/internal/scenario"
 	"fairgossip/internal/stats"
 	"fairgossip/internal/workload"
 )
@@ -313,7 +312,7 @@ func ExpA5(opts Options) []Table {
 		// rejection-sampling draw sequence, so the fixed-seed table is
 		// unchanged.
 		rng := rand.New(rand.NewSource(opts.Seed + 403))
-		for _, id := range scenario.SampleDistinct(rng, n, n/5, nil) {
+		for _, id := range workload.SampleDistinct(rng, n, n/5, nil) {
 			c.Node(id).Leave()
 		}
 		c.SetLoss(0.10)

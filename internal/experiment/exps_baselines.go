@@ -9,7 +9,6 @@ import (
 	"fairgossip/internal/dam"
 	"fairgossip/internal/fairness"
 	"fairgossip/internal/pubsub"
-	"fairgossip/internal/scenario"
 	"fairgossip/internal/stats"
 	"fairgossip/internal/structured"
 	"fairgossip/internal/workload"
@@ -428,45 +427,42 @@ func ExpT5(opts Options) []Table {
 		lightMatches := 0
 		prev := c.Ledger.Snapshot()
 		var lastCoV float64
-		// The phase loop is the scenario engine's rage-quit driver; the
-		// callbacks preserve this experiment's historical RNG draw order,
-		// so its fixed-seed tables are unchanged.
-		loop := &scenario.RageQuitLoop{
-			Phases: phases,
-			Quit:   workload.NewRageQuit(2.5, 2),
-			Publish: func(int) {
-				for r := 0; r < 10; r++ {
-					attrs := stocks.Event(rng)
-					ev := pubsub.Event{Topic: "ticks", Attrs: attrs}
-					if lightFilter.Match(&ev) {
-						lightMatches++
-					}
-					c.Node(rng.Intn(n)).Publish("ticks", attrs, nil)
-					c.RunRounds(1)
+		rq := workload.NewRageQuit(2.5, 2, 3)
+		quits := 0
+		for phase := 0; phase < phases; phase++ {
+			for r := 0; r < 10; r++ {
+				attrs := stocks.Event(rng)
+				ev := pubsub.Event{Topic: "ticks", Attrs: attrs}
+				if lightFilter.Match(&ev) {
+					lightMatches++
 				}
-			},
-			AfterPublish: func(int) {
-				for _, id := range light {
-					if !c.Node(id).Active() {
-						lightDown++
-					}
+				c.Node(rng.Intn(n)).Publish("ticks", attrs, nil)
+				c.RunRounds(1)
+			}
+			for _, id := range light {
+				if !c.Node(id).Active() {
+					lightDown++
 				}
-			},
-			Ratios: func(int) []float64 {
-				cur := c.Ledger.Snapshot()
-				ratios := make([]float64, n)
-				for i := range ratios {
-					ratios[i] = fairness.Ratio(fairness.Delta(cur[i], prev[i]), c.Ledger.Weights())
-				}
-				prev = cur
-				lastCoV = stats.CoV(ratios)
-				return ratios
-			},
-			Active: func(i int) bool { return c.Node(i).Active() },
-			Leave:  func(_, id int, _, _ float64) { c.Node(id).Leave() },
-			Rejoin: func(id int) { c.Node(id).Rejoin(0) },
+			}
+			for _, id := range rq.Rejoins(phase) {
+				c.Node(id).Rejoin(0)
+			}
+			cur := c.Ledger.Snapshot()
+			ratios := make([]float64, n)
+			for i := range ratios {
+				ratios[i] = fairness.Ratio(fairness.Delta(cur[i], prev[i]), c.Ledger.Weights())
+			}
+			prev = cur
+			lastCoV = stats.CoV(ratios)
+			if phase < 3 {
+				continue // warm-up before anyone judges fairness
+			}
+			quit, _ := rq.Check(phase, ratios, func(i int) bool { return c.Node(i).Active() })
+			for _, id := range quit {
+				c.Node(id).Leave()
+			}
+			quits += len(quit)
 		}
-		quits := loop.Run()
 		// Light nodes' delivery across the whole run: every quit window
 		// loses them matching events for good.
 		var lightDelivered uint64

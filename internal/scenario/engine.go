@@ -90,7 +90,7 @@ type Run struct {
 }
 
 // founderJoined is the joinedAt sentinel for founding peers: they are
-// eligible from the first round, whatever the scenario's JoinGrace.
+// eligible from the first round, whatever joinGrace says.
 const founderJoined = -1 << 30
 
 // testInspect, when set by a test, observes the finished Run before the
@@ -110,8 +110,8 @@ func Execute(rt Runtime, sc Scenario, seed int64) *Result {
 		seed:   seed,
 		Rng:    rand.New(rand.NewSource(seed ^ 0x5ce0a91)),
 		Round:  -1,
-		topics: workload.NewTopics(sc.Topics, 1.01),
-		subsOf: make(map[string][]int, sc.Topics),
+		topics: workload.NewTopics(topics, 1.01),
+		subsOf: make(map[string][]int, topics),
 		peers:  make([]peerRec, n),
 		events: make(map[pubsub.EventID]*evRec, sc.Rounds*sc.PerRound),
 
@@ -170,7 +170,7 @@ func Execute(rt Runtime, sc Scenario, seed int64) *Result {
 func (r *Run) setup() {
 	n := r.rt.N()
 	for i := 0; i < n; i++ {
-		count := workload.SubCount(r.Rng, 1, r.sc.MaxSubs)
+		count := workload.SubCount(r.Rng, 1, maxSubs)
 		for _, topic := range r.topics.SampleSet(r.Rng, count) {
 			r.subscribe(i, topic, -1)
 		}
@@ -318,7 +318,7 @@ func (r *Run) Rejoin(id int) {
 // JoinNode boots one new peer into the running cluster through a
 // random up, honest seed, draws it an interest set, and registers it in
 // the model. The joiner is not eligible for events already published,
-// nor for events published before its JoinGrace expires (its partial
+// nor for events published before joinGrace expires (its partial
 // view needs a few shuffles before partner selection can reach it); a
 // joiner landing during a partition starts on the zero side on both
 // runtimes, so its seed must be drawn from that side too — a cross-side
@@ -350,7 +350,7 @@ func (r *Run) JoinNode() int {
 	// Observer before subscriptions: the first delivery a joiner can
 	// legally receive is gated on a filter existing.
 	r.rt.OnDeliver(id, func(ev *pubsub.Event) { r.onDeliver(id, ev) })
-	count := workload.SubCount(r.Rng, 1, r.sc.MaxSubs)
+	count := workload.SubCount(r.Rng, 1, maxSubs)
 	for _, topic := range r.topics.SampleSet(r.Rng, count) {
 		r.subscribe(id, topic, r.Round)
 	}
@@ -465,7 +465,7 @@ func (r *Run) Resubscribe(id int) {
 		}
 	}
 	r.mu.Unlock()
-	count := workload.SubCount(r.Rng, 1, r.sc.MaxSubs)
+	count := workload.SubCount(r.Rng, 1, maxSubs)
 	for _, topic := range r.topics.SampleSet(r.Rng, count) {
 		r.subscribe(id, topic, r.Round)
 	}
@@ -544,7 +544,7 @@ func (r *Run) publish(pub int, topic string) {
 		delivered: make([]bool, len(r.peers)),
 	}
 	for i := range r.peers {
-		if p := &r.peers[i]; p.up && r.Round >= p.joinedAt+r.sc.JoinGrace &&
+		if p := &r.peers[i]; p.up && r.Round >= p.joinedAt+joinGrace &&
 			(!r.split || p.group == r.peers[pub].group) && r.matchNowLocked(i, ev) {
 			rec.eligible[i] = true
 			rec.nEligible++

@@ -122,8 +122,8 @@ func NewSimRuntime(sc Scenario, seed int64) *SimRuntime {
 		Membership:    core.MemberCyclon,
 		ViewCap:       viewCap,
 		ShuffleEvery:  sc.ShuffleEvery,
-		Fanout:        sc.Fanout,
-		Batch:         sc.Batch,
+		Fanout:        fanout,
+		Batch:         batch,
 		BufferMaxAge:  sc.BufferMaxAge,
 		RepairPenalty: sc.RepairPenalty,
 		// Least-sent selection guarantees every fresh event wins send
@@ -358,8 +358,8 @@ func newLiveRuntime(sc Scenario, seed int64, tf transport.Factory, name string) 
 	prof := liveProfile(sc.Shape, LiveRoundPeriod)
 	c, err := live.NewCluster(live.Config{
 		N:            sc.N,
-		Fanout:       sc.Fanout,
-		Batch:        sc.Batch,
+		Fanout:       fanout,
+		Batch:        batch,
 		RoundPeriod:  LiveRoundPeriod,
 		TargetRatio:  sc.TargetRatio,
 		BufferMaxAge: sc.BufferMaxAge,

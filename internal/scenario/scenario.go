@@ -21,7 +21,6 @@
 package scenario
 
 import (
-	"math/rand"
 	"sort"
 
 	"fairgossip/internal/fairness"
@@ -46,8 +45,6 @@ type Scenario struct {
 
 	// Population and protocol knobs (shared by both runtimes).
 	N            int // peers (default 32)
-	Fanout       int // gossip fanout (default 5)
-	Batch        int // events per gossip message (default 8)
 	BufferMaxAge int // rounds an event stays forwardable (default 10)
 	// TargetRatio > 0 runs the AIMD fairness controller and checks the
 	// fairness-convergence invariant.
@@ -66,17 +63,10 @@ type Scenario struct {
 	// ShuffleEvery is the rounds between a peer's Cyclon shuffle
 	// initiations on every column (default 2).
 	ShuffleEvery int
-	// JoinGrace is the joiner eligibility rule: a peer added by
-	// JoinNodes is only required to deliver events published at least
-	// JoinGrace rounds after it joined (default 3) — its view needs a
-	// few shuffles to integrate before partner selection can find it.
-	JoinGrace int
 
-	// Workload: a Zipf topic set with heterogeneous subscriptions, then
+	// Workload: a Zipf topic set (topics, up to maxSubs per peer), then
 	// PerRound popularity-sampled publications per round for Rounds
 	// rounds.
-	Topics   int // topic count (default 16)
-	MaxSubs  int // max subscriptions per peer (default 4)
 	PerRound int // events published per round (default 2)
 
 	// Rounds is the publishing phase (default 30), between warmupRounds
@@ -128,17 +118,20 @@ const (
 	// genuinely partial and join-wave joiners must propagate.
 	viewCap      = 24
 	payloadBytes = 64 // every published event's payload
+	fanout       = 5  // gossip fanout
+	batch        = 8  // events per gossip message
+	topics       = 16 // Zipf topic count
+	maxSubs      = 4  // subscriptions per peer: 1..maxSubs
+	// joinGrace is the joiner eligibility rule: a peer added by
+	// JoinNodes is only required to deliver events published at least
+	// joinGrace rounds after it joined — its view needs a few shuffles
+	// to integrate before partner selection can find it.
+	joinGrace = 3
 )
 
 func (sc Scenario) withDefaults() Scenario {
 	if sc.N <= 0 {
 		sc.N = 32
-	}
-	if sc.Fanout <= 0 {
-		sc.Fanout = 5
-	}
-	if sc.Batch <= 0 {
-		sc.Batch = 8
 	}
 	if sc.BufferMaxAge <= 0 {
 		sc.BufferMaxAge = 10
@@ -148,15 +141,6 @@ func (sc Scenario) withDefaults() Scenario {
 	}
 	if sc.ShuffleEvery <= 0 {
 		sc.ShuffleEvery = 2
-	}
-	if sc.JoinGrace <= 0 {
-		sc.JoinGrace = 3
-	}
-	if sc.Topics <= 0 {
-		sc.Topics = 16
-	}
-	if sc.MaxSubs <= 0 {
-		sc.MaxSubs = 4
 	}
 	if sc.PerRound <= 0 {
 		sc.PerRound = 2
@@ -172,77 +156,39 @@ func (sc Scenario) withDefaults() Scenario {
 
 // --- Action vocabulary -------------------------------------------------------
 
-// SampleDistinct draws k distinct values from [0, n) using rng, skipping
-// values for which skip returns true. k is capped at the number of
-// drawable candidates, so over-asking (a second CrashFrac(0.6) when 60%
-// are already down) returns what exists instead of rejection-sampling
-// forever. The draws themselves happen exactly the way the experiments
-// historically did — rejection sampling with rng.Intn — so refactored
-// experiments keep their RNG streams (and fixed-seed outputs)
-// bit-identical.
-func SampleDistinct(rng *rand.Rand, n, k int, skip func(int) bool) []int {
-	if k > n {
-		k = n
-	}
-	if skip != nil {
-		candidates := 0
-		for id := 0; id < n; id++ {
-			if !skip(id) {
-				candidates++
-			}
-		}
-		if k > candidates {
-			k = candidates
-		}
-	}
-	if k <= 0 {
-		return nil
-	}
-	picked := make(map[int]bool, k)
-	out := make([]int, 0, k)
-	for len(out) < k {
-		id := rng.Intn(n)
-		if picked[id] || (skip != nil && skip(id)) {
-			continue
-		}
-		picked[id] = true
-		out = append(out, id)
-	}
-	return out
-}
-
-// upFrac is the ⌈frac·N⌉ action: one SampleDistinct draw of that many
+// upFrac is the round(frac·N) action — frac·N rounded to nearest, half
+// up, so 0.2 of 32 peers is 6 — one SampleDistinct draw of that many
 // distinct random up peers (honest: up and not free-riding), then do on
 // each in draw order.
 func upFrac(frac float64, honest bool, do func(r *Run, id int)) Action {
 	return func(r *Run) {
 		k := int(frac*float64(r.N()) + 0.5)
 		skip := func(id int) bool { return !r.NodeUp(id) || honest && r.NodeFree(id) }
-		for _, id := range SampleDistinct(r.Rng, r.N(), k, skip) {
+		for _, id := range workload.SampleDistinct(r.Rng, r.N(), k, skip) {
 			do(r, id)
 		}
 	}
 }
 
-// CrashFrac crashes ⌈frac·N⌉ random up peers.
+// CrashFrac crashes round(frac·N) random up peers.
 func CrashFrac(frac float64) Action { return upFrac(frac, false, (*Run).Crash) }
 
-// LeaveFrac departs ⌈frac·N⌉ random up peers gracefully: each hands its
-// freshest view entries to its neighbours before going silent (see
-// Run.Leave). For delivery eligibility a leaver counts like a crash.
+// LeaveFrac departs round(frac·N) random up peers gracefully: each
+// hands its freshest view entries to its neighbours before going silent
+// (see Run.Leave). For delivery eligibility a leaver counts like a crash.
 func LeaveFrac(frac float64) Action { return upFrac(frac, false, (*Run).Leave) }
 
-// FreeRiderFrac turns ⌈frac·N⌉ random up, honest peers into free-riders:
-// they keep receiving and delivering but stop forwarding.
+// FreeRiderFrac turns round(frac·N) random up, honest peers into
+// free-riders: they keep receiving and delivering but stop forwarding.
 func FreeRiderFrac(frac float64) Action {
 	return upFrac(frac, true, func(r *Run, id int) { r.SetFreeRider(id, true) })
 }
 
-// ResubscribeFrac makes ⌈frac·N⌉ random up peers drop all their
+// ResubscribeFrac makes round(frac·N) random up peers drop all their
 // subscriptions and draw a fresh interest set — subscription churn.
 func ResubscribeFrac(frac float64) Action { return upFrac(frac, false, (*Run).Resubscribe) }
 
-// RebindFrac makes ⌈frac·N⌉ random up peers change their transport
+// RebindFrac makes round(frac·N) random up peers change their transport
 // address mid-run (a mobile client switching networks) and re-announce
 // through the join path. Peers stay up throughout, so their delivery
 // eligibility is unchanged — a rebind must lose nothing.
@@ -263,7 +209,7 @@ func RejoinAll() Action {
 // the rest until a Heal.
 func SplitRandomHalf() Action {
 	return func(r *Run) {
-		side := SampleDistinct(r.Rng, r.N(), r.N()/2, nil)
+		side := workload.SampleDistinct(r.Rng, r.N(), r.N()/2, nil)
 		sort.Ints(side)
 		r.Partition(side)
 	}
@@ -313,9 +259,8 @@ func Burst(k int) Action {
 
 // JoinNodes boots k new peers mid-run, each bootstrapped through a
 // random up, honest seed. Joiners draw a fresh interest set and become
-// eligible for delivery once the scenario's JoinGrace expires (their
-// views need a few shuffles to integrate — the fault-aware eligibility
-// rule for joiners).
+// eligible for delivery once joinGrace expires (their views need a few
+// shuffles to integrate — the fault-aware eligibility rule for joiners).
 func JoinNodes(k int) Action {
 	return func(r *Run) {
 		for i := 0; i < k; i++ {
@@ -332,9 +277,8 @@ func JoinNodes(k int) Action {
 // what the EveryRound hook exists for.
 func rageQuitScenario() Scenario {
 	type rqState struct {
-		rq        *workload.RageQuit
-		prev      []fairness.Account
-		downUntil map[int]int
+		rq   *workload.RageQuit
+		prev []fairness.Account
 	}
 	return Scenario{
 		Name:          "rage-quit",
@@ -344,23 +288,11 @@ func rageQuitScenario() Scenario {
 		EveryRound: func(r *Run) {
 			st, _ := r.Scratch.(*rqState)
 			if st == nil {
-				st = &rqState{
-					rq:        workload.NewRageQuit(2.5, 2),
-					prev:      r.Ledger().Snapshot(),
-					downUntil: make(map[int]int),
-				}
+				st = &rqState{rq: workload.NewRageQuit(2.5, 2, 4), prev: r.Ledger().Snapshot()}
 				r.Scratch = st
 			}
-			var ready []int
-			for id, until := range st.downUntil {
-				if r.Round >= until {
-					ready = append(ready, id)
-				}
-			}
-			sort.Ints(ready) // rejoin in id order, not map order, so runs replay identically
-			for _, id := range ready {
+			for _, id := range st.rq.Rejoins(r.Round) {
 				r.Rejoin(id)
-				delete(st.downUntil, id)
 			}
 			if r.Round%5 != 0 || r.Round == 0 {
 				return
@@ -375,10 +307,9 @@ func rageQuitScenario() Scenario {
 			if r.Round < 10 {
 				return // warm-up before anyone judges fairness
 			}
-			med := Median(ratios)
-			for _, id := range st.rq.Check(ratios, med, r.NodeUp) {
+			quit, _ := st.rq.Check(r.Round, ratios, r.NodeUp)
+			for _, id := range quit {
 				r.Crash(id)
-				st.downUntil[id] = r.Round + 4
 			}
 		},
 	}

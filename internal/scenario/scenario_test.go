@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -276,34 +275,43 @@ func TestJoinWaveGrowsPopulation(t *testing.T) {
 }
 
 // TestJoinerEligibilityGrace: events published before a joiner's grace
-// expires never require it, events published after do — the fault-aware
-// eligibility rule for joiners.
+// expires never require it; after it, a joiner is required exactly when
+// the event matches its filters — the fault-aware eligibility rule for
+// joiners.
 func TestJoinerEligibilityGrace(t *testing.T) {
 	sc := Scenario{
-		Name:      "join-grace",
-		N:         16,
-		Rounds:    20,
-		JoinGrace: 4,
-		Topics:    1, // every peer subscribes the one topic: eligibility is total
-		MaxSubs:   1,
+		Name:   "join-grace",
+		N:      16,
+		Rounds: 20,
 		Steps: []Step{
 			{Round: 6, Action: JoinNodes(2)},
 		},
 	}
-	checked := false
+	matched, unmatched := 0, 0
 	testInspect = func(r *Run) {
+		r.mu.Lock()
+		defer r.mu.Unlock()
 		for _, evID := range r.evOrder {
 			rec := r.events[evID]
 			for id := 16; id < 18; id++ {
 				covered := id < len(rec.eligible) && rec.eligible[id]
-				if rec.round < 6+4 && covered {
-					t.Errorf("joiner %d eligible for round-%d event inside its grace", id, rec.round)
+				if rec.round < 6+joinGrace {
+					if covered {
+						t.Errorf("joiner %d eligible for round-%d event inside its grace", id, rec.round)
+					}
+					continue
 				}
-				if rec.round >= 6+4 && !covered {
-					t.Errorf("joiner %d not eligible for round-%d event after its grace", id, rec.round)
+				// Nothing downs, partitions or resubscribes a joiner
+				// here, so its filters are the ones it joined with.
+				want := r.matchNowLocked(id, rec.ev)
+				if covered != want {
+					t.Errorf("joiner %d, round-%d event on %q: eligible %v, matches its filters %v",
+						id, rec.round, rec.ev.Topic, covered, want)
 				}
-				if rec.round >= 6+4 {
-					checked = true
+				if want {
+					matched++
+				} else {
+					unmatched++
 				}
 			}
 		}
@@ -313,8 +321,8 @@ func TestJoinerEligibilityGrace(t *testing.T) {
 	if !res.Ok() {
 		t.Fatalf("violations:\n%s", res.String())
 	}
-	if !checked {
-		t.Fatal("no post-grace event was published — the test checked nothing")
+	if matched == 0 || unmatched == 0 {
+		t.Fatalf("post-grace events: %d matched a joiner, %d did not — the test needs both", matched, unmatched)
 	}
 }
 
@@ -395,23 +403,39 @@ func TestDropConservationSeesPartitionDrops(t *testing.T) {
 	}
 }
 
-// TestSampleDistinctCapsAtCandidates: over-asking returns what exists
-// instead of rejection-sampling forever, so a repeated CrashFrac cannot
-// hang a run.
-func TestSampleDistinctCapsAtCandidates(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	down := map[int]bool{0: true, 1: true, 2: true}
-	got := SampleDistinct(rng, 5, 5, func(id int) bool { return down[id] })
-	if len(got) != 2 {
-		t.Fatalf("got %v, want the 2 drawable candidates", got)
+// TestCrashFracRoundsToNearest pins the count a frac action takes:
+// frac·N rounded to nearest, so CrashFrac(0.2) on 32 up peers downs 6
+// (6.4 rounds down), not ⌈6.4⌉ = 7.
+func TestCrashFracRoundsToNearest(t *testing.T) {
+	countDown := func(r *Run) int {
+		down := 0
+		for id := 0; id < r.N(); id++ {
+			if !r.NodeUp(id) {
+				down++
+			}
+		}
+		return down
 	}
-	if out := SampleDistinct(rng, 4, 9, nil); len(out) != 4 {
-		t.Fatalf("k>n returned %v, want all 4", out)
+	before, after := -1, -1
+	sc := Scenario{
+		Name:   "crash-count",
+		Rounds: 4,
+		Steps: []Step{
+			{Round: 2, Action: func(r *Run) { before = countDown(r) }},
+			{Round: 2, Action: CrashFrac(0.2)},
+			{Round: 2, Action: func(r *Run) { after = countDown(r) }},
+		},
 	}
-	if out := SampleDistinct(rng, 3, 2, func(int) bool { return true }); out != nil {
-		t.Fatalf("all-skipped returned %v, want nil", out)
+	Execute(NewSimRuntime(sc, 5), sc, 5)
+	if before != 0 || after != 6 {
+		t.Fatalf("CrashFrac(0.2) on 32 peers: %d down before, %d after; want 0 and 6", before, after)
 	}
-	// Back-to-back over-crashing terminates and keeps invariants sound.
+}
+
+// TestRepeatedCrashFracTerminates: back-to-back over-crashing (the
+// second CrashFrac(0.6) asks for more peers than are up) terminates and
+// keeps the invariants sound.
+func TestRepeatedCrashFracTerminates(t *testing.T) {
 	sc := Scenario{
 		Name:   "over-crash",
 		N:      16,

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 
 	"fairgossip/internal/pubsub"
 )
@@ -162,48 +163,117 @@ func (s *Stocks) FilterWithSelectivity(sel float64) pubsub.Filter {
 	return pubsub.MustParse(fmt.Sprintf("price >= %g", threshold))
 }
 
-// RageQuit is the unfairness-triggered churn policy of EXP-T5 (§1/§6):
-// a node whose contribution/benefit ratio exceeds Threshold times the
-// population median for Patience consecutive checks disconnects.
+// SampleDistinct draws k distinct values from [0, n) using rng, skipping
+// values for which skip returns true. k is capped at the number of
+// drawable candidates, so over-asking (a second scenario.CrashFrac(0.6)
+// when 60% are already down) returns what exists instead of
+// rejection-sampling forever. The draws themselves happen exactly the way the experiments
+// historically did — rejection sampling with rng.Intn — so refactored
+// experiments keep their RNG streams (and fixed-seed outputs)
+// bit-identical.
+func SampleDistinct(rng *rand.Rand, n, k int, skip func(int) bool) []int {
+	if k > n {
+		k = n
+	}
+	if skip != nil {
+		candidates := 0
+		for id := 0; id < n; id++ {
+			if !skip(id) {
+				candidates++
+			}
+		}
+		if k > candidates {
+			k = candidates
+		}
+	}
+	if k <= 0 {
+		return nil
+	}
+	picked := make(map[int]bool, k)
+	out := make([]int, 0, k)
+	for len(out) < k {
+		id := rng.Intn(n)
+		if picked[id] || (skip != nil && skip(id)) {
+			continue
+		}
+		picked[id] = true
+		out = append(out, id)
+	}
+	return out
+}
+
+// RageQuit is the paper's §1/§6 unfairness-churn feedback loop (EXP-T5,
+// examples/churnstorm, the rage-quit scenario): a node whose
+// contribution/benefit ratio exceeds Threshold times the population's
+// upper median for Patience consecutive checks quits, and is due back
+// Down ticks later. Callers own the clock and the order of their
+// workload; RageQuit only keeps the strikes and the quitters' due ticks.
 type RageQuit struct {
 	Threshold float64 // e.g. 3: leave when 3× the median ratio
 	Patience  int     // consecutive over-threshold checks before quitting
+	Down      int     // ticks a quitter stays away
 
 	strikes map[int]int
+	due     map[int]int // quitter -> tick it rejoins
 }
 
 // NewRageQuit builds the policy with sane minimums.
-func NewRageQuit(threshold float64, patience int) *RageQuit {
+func NewRageQuit(threshold float64, patience, down int) *RageQuit {
 	if threshold < 1 {
 		threshold = 1
 	}
 	if patience < 1 {
 		patience = 1
 	}
-	return &RageQuit{Threshold: threshold, Patience: patience, strikes: make(map[int]int)}
+	return &RageQuit{Threshold: threshold, Patience: patience, Down: down,
+		strikes: make(map[int]int), due: make(map[int]int)}
 }
 
-// Check feeds the current per-node ratios (indexed by node ID, with
-// median med) and returns the IDs that quit this round.
-func (r *RageQuit) Check(ratios []float64, med float64, active func(int) bool) []int {
-	if med <= 0 {
-		med = 1
+// Rejoins returns the quitters due back by now, in id order (not map
+// order, so runs replay identically), and forgets them.
+func (r *RageQuit) Rejoins(now int) []int {
+	var ready []int
+	for id, at := range r.due {
+		if now >= at {
+			ready = append(ready, id)
+		}
 	}
-	var quitters []int
+	sort.Ints(ready)
+	for _, id := range ready {
+		delete(r.due, id)
+	}
+	return ready
+}
+
+// Check judges the per-node ratios (indexed by node ID) against their
+// upper median and returns the IDs that quit at tick now, each due back
+// at now+Down, together with that median. A median ≤ 0 judges against
+// Threshold×1. Inactive nodes (active may be nil) lose their strikes.
+func (r *RageQuit) Check(now int, ratios []float64, active func(int) bool) (quit []int, med float64) {
+	if len(ratios) > 0 {
+		sorted := append([]float64(nil), ratios...)
+		sort.Float64s(sorted)
+		med = sorted[len(sorted)/2]
+	}
+	limit := r.Threshold * med
+	if med <= 0 {
+		limit = r.Threshold
+	}
 	for id, ratio := range ratios {
 		if active != nil && !active(id) {
 			r.strikes[id] = 0
 			continue
 		}
-		if ratio > r.Threshold*med {
+		if ratio > limit {
 			r.strikes[id]++
 			if r.strikes[id] >= r.Patience {
-				quitters = append(quitters, id)
+				quit = append(quit, id)
 				r.strikes[id] = 0
+				r.due[id] = now + r.Down
 			}
 		} else {
 			r.strikes[id] = 0
 		}
 	}
-	return quitters
+	return quit, med
 }

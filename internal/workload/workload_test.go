@@ -3,6 +3,7 @@ package workload
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"fairgossip/internal/pubsub"
@@ -128,47 +129,141 @@ func TestStocksAttrsComplete(t *testing.T) {
 }
 
 func TestRageQuitPatience(t *testing.T) {
-	rq := NewRageQuit(2, 3)
+	rq := NewRageQuit(2, 3, 1)
 	ratios := []float64{10, 1, 1, 1} // node 0 is 10× the median 1
 	for round := 1; round <= 2; round++ {
-		if q := rq.Check(ratios, 1, nil); len(q) != 0 {
+		if q, _ := rq.Check(round, ratios, nil); len(q) != 0 {
 			t.Fatalf("quit before patience exhausted (round %d): %v", round, q)
 		}
 	}
-	q := rq.Check(ratios, 1, nil)
+	q, _ := rq.Check(3, ratios, nil)
 	if len(q) != 1 || q[0] != 0 {
 		t.Fatalf("quitters = %v, want [0]", q)
 	}
 	// Strikes reset after quitting.
-	if q := rq.Check(ratios, 1, nil); len(q) != 0 {
+	if q, _ := rq.Check(4, ratios, nil); len(q) != 0 {
 		t.Fatal("strike counter did not reset")
 	}
 }
 
 func TestRageQuitRecoveryResetsStrikes(t *testing.T) {
-	rq := NewRageQuit(2, 2)
+	rq := NewRageQuit(2, 2, 1)
 	hot := []float64{10, 1, 1}
 	cool := []float64{1, 1, 1}
-	rq.Check(hot, 1, nil)
-	rq.Check(cool, 1, nil) // recovers
-	if q := rq.Check(hot, 1, nil); len(q) != 0 {
+	rq.Check(1, hot, nil)
+	rq.Check(2, cool, nil) // recovers
+	if q, _ := rq.Check(3, hot, nil); len(q) != 0 {
 		t.Fatal("strikes must reset after a calm check")
 	}
 }
 
 func TestRageQuitSkipsInactive(t *testing.T) {
-	rq := NewRageQuit(2, 1)
-	ratios := []float64{10, 10}
-	active := func(id int) bool { return id == 1 }
-	q := rq.Check(ratios, 1, active)
+	rq := NewRageQuit(2, 1, 1)
+	ratios := []float64{10, 10, 1, 1, 1}
+	active := func(id int) bool { return id != 0 }
+	q, _ := rq.Check(1, ratios, active)
 	if len(q) != 1 || q[0] != 1 {
 		t.Fatalf("quitters = %v, want [1]", q)
 	}
 }
 
 func TestRageQuitZeroMedian(t *testing.T) {
-	rq := NewRageQuit(2, 1)
-	if q := rq.Check([]float64{5, 0}, 0, nil); len(q) != 1 {
+	rq := NewRageQuit(2, 1, 1)
+	// The median is 0, so node 0 is judged against Threshold×1 = 2.
+	q, med := rq.Check(1, []float64{5, 0, 0}, nil)
+	if len(q) != 1 || q[0] != 0 {
 		t.Fatalf("zero median mishandled: %v", q)
+	}
+	if med != 0 {
+		t.Fatalf("median = %v, want it returned unchanged as 0", med)
+	}
+	if q, _ := rq.Check(2, []float64{1.5, 0, 0}, nil); len(q) != 0 {
+		t.Fatalf("1.5 is under Threshold×1 = 2, yet %v quit", q)
+	}
+}
+
+// TestRageQuitChecksUpperMedian: the ratios are judged against their
+// upper median (index len/2 of the sorted copy), which Check returns,
+// and the caller's slice is left unsorted.
+func TestRageQuitChecksUpperMedian(t *testing.T) {
+	rq := NewRageQuit(2, 1, 1)
+	ratios := []float64{10, 1, 1, 1}
+	q, med := rq.Check(0, ratios, nil)
+	if med != 1 {
+		t.Fatalf("median = %v, want 1", med)
+	}
+	if len(q) != 1 || q[0] != 0 {
+		t.Fatalf("quitters = %v, want [0]", q)
+	}
+	if ratios[0] != 10 {
+		t.Fatalf("Check reordered the caller's ratios: %v", ratios)
+	}
+	// {1, 2, 3, 4}: the upper median is 3, so 6.5 > 2×3 quits and 6 does not.
+	if _, med := rq.Check(1, []float64{4, 3, 2, 1}, nil); med != 3 {
+		t.Fatalf("median of {4,3,2,1} = %v, want the upper median 3", med)
+	}
+	if q, _ := rq.Check(2, []float64{6.5, 3, 2, 1}, nil); len(q) != 1 || q[0] != 0 {
+		t.Fatalf("quitters = %v, want [0]", q)
+	}
+	if q, _ := rq.Check(3, []float64{6, 3, 2, 1}, nil); len(q) != 0 {
+		t.Fatalf("6 is not above 2×3, yet %v quit", q)
+	}
+}
+
+// TestRageQuitRejoins: a quitter is due back exactly Down ticks after it
+// quit — not earlier — and Rejoins hands each due id back once, in id
+// order.
+func TestRageQuitRejoins(t *testing.T) {
+	rq := NewRageQuit(2, 1, 3)
+	hot := func(ids ...int) []float64 {
+		ratios := make([]float64, 16)
+		for i := range ratios {
+			ratios[i] = 1
+		}
+		for _, id := range ids {
+			ratios[id] = 9
+		}
+		return ratios
+	}
+	if q, _ := rq.Check(5, hot(6, 5, 4, 3, 2, 1), nil); len(q) != 6 {
+		t.Fatalf("quitters = %v, want [1 2 3 4 5 6]", q)
+	}
+	if q, _ := rq.Check(6, hot(0), nil); len(q) != 1 {
+		t.Fatalf("quitters = %v, want [0]", q)
+	}
+	for now := 5; now < 8; now++ {
+		if got := rq.Rejoins(now); len(got) != 0 {
+			t.Fatalf("Rejoins(%d) = %v before anyone is due", now, got)
+		}
+	}
+	if got := rq.Rejoins(8); !slices.Equal(got, []int{1, 2, 3, 4, 5, 6}) {
+		t.Fatalf("Rejoins(8) = %v, want [1 2 3 4 5 6]", got)
+	}
+	if got := rq.Rejoins(8); len(got) != 0 {
+		t.Fatalf("Rejoins(8) returned %v again", got)
+	}
+	if got := rq.Rejoins(100); !slices.Equal(got, []int{0}) {
+		t.Fatalf("Rejoins(100) = %v, want [0]", got)
+	}
+	if got := rq.Rejoins(100); len(got) != 0 {
+		t.Fatalf("Rejoins(100) returned %v again", got)
+	}
+}
+
+// TestSampleDistinctCapsAtCandidates: over-asking returns what exists
+// instead of rejection-sampling forever, so a repeated CrashFrac cannot
+// hang a run.
+func TestSampleDistinctCapsAtCandidates(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	down := map[int]bool{0: true, 1: true, 2: true}
+	got := SampleDistinct(rng, 5, 5, func(id int) bool { return down[id] })
+	if len(got) != 2 {
+		t.Fatalf("got %v, want the 2 drawable candidates", got)
+	}
+	if out := SampleDistinct(rng, 4, 9, nil); len(out) != 4 {
+		t.Fatalf("k>n returned %v, want all 4", out)
+	}
+	if out := SampleDistinct(rng, 3, 2, func(int) bool { return true }); out != nil {
+		t.Fatalf("all-skipped returned %v, want nil", out)
 	}
 }
