@@ -128,19 +128,22 @@ footprint:
 # redundancy prints what a delivery costs on the wire and how much of
 # what peers receive is news, from the test that holds both to their
 # budgets and checks that no delivery is lost (the sim-fair configuration
-# at N = 200; see PERFORMANCE.md "Redundancy budget"), and, per message
-# kind, that the simulator charged each message the length internal/wire
-# encodes it to (TestChargedIsEncoded; PERFORMANCE.md "One byte model").
+# at N = 200; see PERFORMANCE.md "Redundancy budget"), per message kind,
+# that the simulator charged each message the length internal/wire
+# encodes it to (TestChargedIsEncoded; PERFORMANCE.md "One byte model"),
+# and what a delivery costs 16 live peers whose 1 KB events go lazy and
+# are pulled back under 30 % loss (TestLazyPushRepairsLoss).
 redundancy:
-	@out=$$($(GO) test ./internal/core -run 'TestRedundancyBudget|TestChargedIsEncoded' -count=1 -v); status=$$?; \
+	@out=$$($(GO) test ./internal/core ./internal/live -run 'TestRedundancyBudget|TestChargedIsEncoded|TestLazyPushRepairsLoss' -count=1 -v); status=$$?; \
 		echo "$$out" | grep -E 'redundancy|never delivered|charged = encoded|^(FAIL|ok)'; exit $$status
 
 # allocs prints the allocation pins of the paths that run every round:
 # the simulation kernel's closure, message and ticker events and a
 # simulated message's Send → delivery (a closure rides in the kernel
 # record's interface payload), a steady sim-fair round, a Cyclon
-# exchange, a live round with and without a shuffle, decoding 64 novel
-# events through a warm decoder's slabs, and a datagram's Send →
+# exchange, a live round with and without a shuffle and one that sends
+# lazy ids, a live receive that pulls and one that serves a pull, decoding
+# 64 novel events through a warm decoder's slabs, and a datagram's Send →
 # handler → Release on each substrate (see PERFORMANCE.md "Allocation
 # regression tests").
 allocs:
@@ -149,7 +152,8 @@ allocs:
 
 # conservation prints sent = recv + dropped at each of the live runtime's
 # four transport send sites, over a substrate that refuses every fifth
-# send (TestRefusedSendsConserved), and runs the two tests that own the
+# send, and once more with lazy pushes and pulls among the refused sends
+# (TestRefusedSendsConserved), and runs the two tests that own the
 # rest of drop conservation: a full inbox (TestLiveInboxOverflowCounted)
 # and the shaper under loss and delay (TestShapeConservation). These
 # tests, not a lint rule, hold sent == recv + dropped (LINTING.md "The

@@ -18,9 +18,10 @@ import (
 )
 
 // TestChargedIsEncoded: the simulator charges every message the length
-// internal/wire encodes it to. Two clusters send all ten kinds and every
-// optional part between them — topic groups with push-pull, a cheat, and a
-// graceful leave and rejoin under Cyclon; semantic bias in content mode.
+// internal/wire encodes it to. Three clusters send all eleven kinds and
+// every optional part between them — topic groups with push-pull, a cheat,
+// and a graceful leave and rejoin under Cyclon; semantic bias in content
+// mode; 1 KB events, which go lazy once saturated and are pulled.
 // Each node is a shard of its own, so every message but a node's message
 // to itself crosses a mailbox, where it is encoded, scanned and held to
 // the size its sender was charged.
@@ -97,7 +98,23 @@ func TestChargedIsEncoded(t *testing.T) {
 			c.RunRounds(1)
 		}
 	})
-	names := [...]string{"events", "offer", "reply", "join", "leave", "sub-walk", "sub-ack", "pub-walk", "digest", "pull"}
+	before := map[wire.Kind]int{wire.KindLazy: kinds[wire.KindLazy], wire.KindPull: kinds[wire.KindPull]}
+	run("1 KB", 16, Config{Mode: ModeContent}, func(c *Cluster) {
+		for _, nd := range c.Nodes {
+			nd.Subscribe(pubsub.MatchAll())
+		}
+		for r := 0; r < 12; r++ {
+			c.Node(r%16).Publish("t", nil, make([]byte, 1024))
+			c.RunRounds(1)
+		}
+		c.RunRounds(8)
+	})
+	lazy, pulls := kinds[wire.KindLazy]-before[wire.KindLazy], kinds[wire.KindPull]-before[wire.KindPull]
+	t.Logf("charged = encoded: 1 KB phase: %d lazy pushes, %d pulls", lazy, pulls)
+	if lazy == 0 || pulls == 0 {
+		t.Errorf("1 KB phase: %d lazy pushes and %d pulls, want some of each", lazy, pulls)
+	}
+	names := [...]string{"events", "offer", "reply", "join", "leave", "sub-walk", "sub-ack", "pub-walk", "digest", "pull", "lazy"}
 	for k := wire.Kind(0); k < wire.NumKinds; k++ {
 		if kinds[k] == 0 {
 			t.Errorf("no message of kind %d was sent", k)
@@ -115,11 +132,12 @@ func TestChargedIsEncoded(t *testing.T) {
 // TestEveryKindIsHandled runs over the whole wire.Kind family. Each kind
 // encodes, scans and re-encodes to the same bytes; a simulated node acts
 // on each — something it sends, delivers or keeps in a view moves; and a
-// live peer acts on events and the membership kinds and counts every
-// other kind as malformed. A kind without a handler on either driver, or
+// live peer acts on events, lazy pushes, pulls and the membership kinds
+// and counts every other kind as malformed. A kind without a handler on either driver, or
 // a handler arm deleted, fails here by name.
 func TestEveryKindIsHandled(t *testing.T) {
-	liveKinds := map[wire.Kind]bool{wire.KindEvents: true, wire.KindOffer: true, wire.KindReply: true, wire.KindJoin: true, wire.KindLeave: true}
+	liveKinds := map[wire.Kind]bool{wire.KindEvents: true, wire.KindOffer: true, wire.KindReply: true, wire.KindJoin: true, wire.KindLeave: true,
+		wire.KindPull: true, wire.KindLazy: true}
 	for k := wire.Kind(0); k < wire.NumKinds; k++ {
 		c := NewCluster(24, Config{Mode: ModeTopics, Membership: MemberCyclon, AntiEntropy: 1}, ClusterOptions{Seed: 5})
 		nd := c.Node(0)
@@ -168,6 +186,7 @@ func TestEveryKindIsHandled(t *testing.T) {
 	}
 	var delivered atomic.Int64
 	lc.Subscribe(0, pubsub.MatchAll())
+	lc.Publish(0, "t", nil, []byte("held")) // event 0/1, for a pull to find
 	lc.OnDeliver(0, func(*pubsub.Event) { delivered.Add(1) })
 	ep, err := nw.Attach(3, nw.Release)
 	if err != nil {
@@ -223,6 +242,8 @@ func kindProbeMsg(k wire.Kind) wire.Msg {
 		return wire.Msg{Kind: k, Parts: &wire.Parts{IDs: []pubsub.EventID{ev.ID}}}
 	case wire.KindPull:
 		return wire.Msg{Kind: k, Parts: &wire.Parts{IDs: []pubsub.EventID{{Publisher: 0, Seq: 1}}}}
+	case wire.KindLazy:
+		return wire.Msg{Kind: k, Parts: &wire.Parts{IDs: []pubsub.EventID{{Publisher: 3, Seq: 2}}}}
 	}
 	return wire.Msg{Kind: k}
 }

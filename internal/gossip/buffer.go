@@ -113,8 +113,8 @@ func (b *Buffer) index(id pubsub.EventID) int {
 func (b *Buffer) Contains(id pubsub.EventID) bool { return b.index(id) >= 0 }
 
 // Get returns the buffered event with the given id, if present. Serving
-// an event through Get (anti-entropy pulls) counts as a send for the
-// least-sent selection policy.
+// an event through Get (a pull) counts as a send for the least-sent
+// selection policy.
 func (b *Buffer) Get(id pubsub.EventID) (*pubsub.Event, bool) {
 	i := b.index(id)
 	if i < 0 {
@@ -159,7 +159,8 @@ const retireCopies = 2
 // throttled peer (small batch) stops sooner. An id the buffer does not
 // hold is a no-op; the caller's SeenSet keeps a retired event from being
 // buffered again. This is the one definition of the rule: the simulated
-// node and the live peer both call it from their duplicate branch.
+// node and the live peer both call it from their duplicate branch, for a
+// full copy and for a lazy push's id alike.
 func (b *Buffer) Duplicate(id pubsub.EventID, batch int) {
 	i := b.index(id)
 	if i < 0 {
@@ -194,35 +195,79 @@ func (b *Buffer) Tick() {
 // that outlives the scratch's next reuse; the pooled gossip envelope path
 // copies out of it before the next round.
 func (b *Buffer) SelectInto(rng *rand.Rand, scratch *[]*pubsub.Event, n int, policy Policy) []*pubsub.Event {
-	out := (*scratch)[:0]
-	*scratch = out
+	full, _ := b.SelectSplit(rng, scratch, nil, n, policy)
+	return full
+}
+
+// Lazy push: once lazyCopies copies of an event have come back
+// (Duplicate), its holder's pushes of it are rarely news, and for an
+// event whose record is at least lazyMinSize bytes its 8-byte id is sent
+// instead (wire.KindLazy); a receiver that lacks the event pulls it. On
+// live-udp-wan's 1 KB events, pushes made after four copies had returned
+// carried 70 % of the gossip bytes and 1 % of the first admissions
+// (PERFORMANCE.md "The lazy tier"). Every simulated workload's events are
+// below the floor, so none of them goes lazy.
+const (
+	lazyCopies  = 4
+	lazyMinSize = 256
+)
+
+// saturated reports whether e's event goes lazy.
+func (e *bufEntry) saturated() bool {
+	return e.dups >= lazyCopies && e.ev.WireSize() >= lazyMinSize
+}
+
+// SelectSplit is SelectInto with the batch split as it is picked: a
+// saturated event's id goes to *lazy (reset to length zero first) instead
+// of its event to *full. A nil lazy splits nothing. Both draw the same
+// random numbers and mark the same entries sent.
+func (b *Buffer) SelectSplit(rng *rand.Rand, full *[]*pubsub.Event, lazy *[]pubsub.EventID, n int, policy Policy) ([]*pubsub.Event, []pubsub.EventID) {
+	out := (*full)[:0]
+	*full = out
+	var ids []pubsub.EventID
+	if lazy != nil {
+		ids = (*lazy)[:0]
+		*lazy = ids
+	}
 	room := min(n, b.cap)
 	n = min(n, len(b.ents))
 	if n <= 0 {
-		return out
+		return out, ids
 	}
 	if cap(out) < n {
 		out = make([]*pubsub.Event, 0, room)
 	}
-	var picked []bufEntry
-	switch policy {
-	case PolicyNewest:
-		picked = b.ents[len(b.ents)-n:]
-	case PolicyLeastSent:
-		b.sortBySent()
-		picked = b.ents[:n]
-	default: // PolicyRandom
-		for _, i := range randutil.PermInto(rng, &b.perm, len(b.ents))[:n] {
-			bump(&b.ents[i].sent)
-			out = append(out, b.ents[i].ev)
+	if lazy != nil && cap(ids) < n {
+		ids = make([]pubsub.EventID, 0, room)
+	}
+	take := func(e *bufEntry) {
+		bump(&e.sent)
+		if lazy != nil && e.saturated() {
+			ids = append(ids, e.ev.ID)
+		} else {
+			out = append(out, e.ev)
 		}
 	}
-	for i := range picked {
-		bump(&picked[i].sent)
-		out = append(out, picked[i].ev)
+	switch policy {
+	case PolicyNewest:
+		for i := len(b.ents) - n; i < len(b.ents); i++ {
+			take(&b.ents[i])
+		}
+	case PolicyLeastSent:
+		b.sortBySent()
+		for i := range n {
+			take(&b.ents[i])
+		}
+	default: // PolicyRandom
+		for _, i := range randutil.PermInto(rng, &b.perm, len(b.ents))[:n] {
+			take(&b.ents[i])
+		}
 	}
-	*scratch = out
-	return out
+	*full = out
+	if lazy != nil {
+		*lazy = ids
+	}
+	return out, ids
 }
 
 // sortBySent is a stable insertion sort of the entries by ascending send

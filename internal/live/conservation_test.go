@@ -8,6 +8,7 @@ import (
 
 	"fairgossip/internal/pubsub"
 	"fairgossip/internal/transport"
+	"fairgossip/internal/wire"
 )
 
 // refusingNet is a substrate that refuses: every k-th Send through any
@@ -20,6 +21,8 @@ type refusingNet struct {
 	every   uint64
 	sends   atomic.Uint64
 	refused atomic.Uint64
+	lazy    atomic.Uint64 // KindLazy envelopes offered to Send
+	pulls   atomic.Uint64 // KindPull envelopes offered to Send
 }
 
 var errRefused = errors.New("refusingNet: send refused")
@@ -38,6 +41,12 @@ type refusingEndpoint struct {
 }
 
 func (e refusingEndpoint) Send(to int, buf []byte) error {
+	switch wire.Kind(buf[3] & 0x0f) {
+	case wire.KindLazy:
+		e.n.lazy.Add(1)
+	case wire.KindPull:
+		e.n.pulls.Add(1)
+	}
 	if e.n.sends.Add(1)%e.n.every == 0 {
 		e.n.refused.Add(1)
 		return errRefused
@@ -57,7 +66,11 @@ func (e refusingEndpoint) Send(to int, buf []byte) error {
 //   - lossy: shapedEndpoint.Send's pass-through of a zero-delay profile,
 //     the same; the profile's loss adds ShaperDrops of its own;
 //   - delayed: ShapedNet.deliver, which told the sender nil at Send time
-//     and so counts the refusal itself, in ShaperDrops.
+//     and so counts the refusal itself, in ShaperDrops;
+//   - 1 KB: peer.send again, with events big enough to go lazy, 30 %
+//     link loss and one more event a round until a peer has pulled one
+//     it missed, so that lazy pushes, pulls and the pulls' answers are
+//     among the sends refused (the loss adds FaultDrops of its own).
 //
 // TestLiveInboxOverflowCounted owns the ingress side (a full inbox).
 func TestRefusedSendsConserved(t *testing.T) {
@@ -66,14 +79,20 @@ func TestRefusedSendsConserved(t *testing.T) {
 		name, site string
 		shape      *transport.Profile
 		deferred   bool // refusals are the shaper's to count
+		lazy       bool // 1 KB events under loss, published until one is pulled
 	}{
-		{"unshaped", "peer.send", nil, false},
-		{"inert", "shapedEndpoint.Send, inert", &transport.Profile{}, false},
-		{"lossy", "shapedEndpoint.Send, zero delay", &transport.Profile{Loss: 0.2}, false},
-		{"delayed", "ShapedNet.deliver", &transport.Profile{Delay: time.Millisecond, Jitter: time.Millisecond}, true},
+		{"unshaped", "peer.send", nil, false, false},
+		{"inert", "shapedEndpoint.Send, inert", &transport.Profile{}, false, false},
+		{"lossy", "shapedEndpoint.Send, zero delay", &transport.Profile{Loss: 0.2}, false, false},
+		{"delayed", "ShapedNet.deliver", &transport.Profile{Delay: time.Millisecond, Jitter: time.Millisecond}, true, false},
+		{"1 KB", "peer.send, lazy pushes and pulls", nil, false, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var rn *refusingNet
+			payload := 32
+			if tc.lazy {
+				payload = 1024
+			}
 			c := mustCluster(t, Config{
 				N: n, Fanout: 3, RoundPeriod: 2 * time.Millisecond, Seed: 31,
 				Transport: func(size int) (transport.Net, error) {
@@ -86,13 +105,21 @@ func TestRefusedSendsConserved(t *testing.T) {
 			for i := 0; i < n; i++ {
 				c.Subscribe(i, pubsub.MatchAll())
 			}
+			if tc.lazy {
+				c.SetLoss(0.3)
+			}
 			c.Start()
 			for k := 0; k < 2*n; k++ {
-				c.Publish(k%n, "t", nil, make([]byte, 32))
+				c.Publish(k%n, "t", nil, make([]byte, payload))
 			}
-			if !eventually(t, 10*time.Second, func() bool { return rn.refused.Load() >= enough }) {
+			for k, deadline := 0, time.Now().Add(10*time.Second); tc.lazy && rn.pulls.Load() == 0 && time.Now().Before(deadline); k++ {
+				c.Publish(k%n, "t", nil, make([]byte, payload))
+				c.RunRounds(1)
+			}
+			pulled := func() bool { return !tc.lazy || rn.pulls.Load() > 0 }
+			if !eventually(t, 10*time.Second, func() bool { return rn.refused.Load() >= enough && pulled() }) {
 				c.Stop()
-				t.Fatalf("%d refusals after %d sends, want %d", rn.refused.Load(), rn.sends.Load(), enough)
+				t.Fatalf("%d refusals and %d pulls after %d sends, want %d refusals and a pull", rn.refused.Load(), rn.pulls.Load(), rn.sends.Load(), enough)
 			}
 			c.Stop()
 
@@ -101,8 +128,8 @@ func TestRefusedSendsConserved(t *testing.T) {
 			if tc.deferred {
 				bucket, name = tr.ShaperDrops, "ShaperDrops"
 			}
-			t.Logf("%s: sent %d = recv %d + dropped %d; refused %d, %s %d",
-				tc.site, tr.Sent, tr.Recv, tr.Dropped, refused, name, bucket)
+			t.Logf("%s: sent %d = recv %d + dropped %d; refused %d, %s %d; %d lazy pushes, %d pulls",
+				tc.site, tr.Sent, tr.Recv, tr.Dropped, refused, name, bucket, rn.lazy.Load(), rn.pulls.Load())
 			if tr.Sent != tr.Recv+tr.Dropped {
 				t.Errorf("sent %d != recv %d + dropped %d (leak %d): %+v",
 					tr.Sent, tr.Recv, tr.Dropped, int64(tr.Sent)-int64(tr.Recv)-int64(tr.Dropped), tr)

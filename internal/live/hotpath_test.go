@@ -2,6 +2,7 @@ package live
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -78,20 +79,42 @@ func TestLiveSamplePeersDrawsFromTheView(t *testing.T) {
 
 // TestLiveRoundPathAllocs pins the steady-state allocation budget of
 // the full round path (SELECTEVENTS + encode + fanout sends + tick) at
-// zero, with or without a shuffle: the selection runs over SelectInto's
-// reused peer scratch, the offer over Cyclon's, every envelope is
-// encoded into the peer's scratch buffer, and each delivered copy comes
-// from the transport's pool and goes back to it when the full inbox
-// drops it. The rounds are driven by hand on an unstarted cluster, so
-// the measurement is deterministic.
+// zero, with or without a shuffle and when saturated events go lazy: the
+// selection runs over SelectSplit's reused peer scratch, the offer over
+// Cyclon's, every envelope is encoded into the peer's scratch buffer, and
+// each delivered copy comes from the transport's pool and goes back to it
+// when the full inbox drops it. The lazy push's two repair steps are
+// pinned at zero too: a receive that pulls unseen ids, and one that
+// serves a pull — their ids and events go through the peer's Out
+// scratch. The rounds are driven by hand on an unstarted cluster, so the
+// measurement is deterministic.
 func TestLiveRoundPathAllocs(t *testing.T) {
+	ids := make([]pubsub.EventID, 8)
+	for k := range ids {
+		ids[k] = pubsub.EventID{Publisher: 0, Seq: uint32(k + 1)}
+	}
+	envelope := func(m wire.Msg) []byte {
+		buf, err := wire.Append(nil, 1, &m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf
+	}
+	unseen := []pubsub.EventID{{Publisher: 1, Seq: 1 << 20}, {Publisher: 2, Seq: 1 << 20}}
+	lazy := envelope(wire.Msg{Kind: wire.KindLazy, Parts: &wire.Parts{IDs: unseen}})
+	pull := envelope(wire.Msg{Kind: wire.KindPull, Parts: &wire.Parts{IDs: ids}})
 	for _, tc := range []struct {
 		name         string
 		shuffleEvery int
-		want         float64
+		payload      int
+		op           func(p *peer) // one step, after the round's setup
+		kind         wire.Kind     // the kind the step sends first
 	}{
-		{"gossip", 1 << 20, 0},
-		{"gossip and shuffle", 1, 0},
+		{"gossip", 1 << 20, 8, (*peer).round, wire.KindEvents},
+		{"gossip and shuffle", 1, 8, (*peer).round, wire.KindEvents},
+		{"lazy gossip", 1 << 20, 1024, (*peer).round, wire.KindLazy},
+		{"receive that pulls", 1 << 20, 8, func(p *peer) { p.receive(lazy) }, wire.KindPull},
+		{"receive that serves a pull", 1 << 20, 1024, func(p *peer) { p.receive(pull) }, wire.KindEvents},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := mustCluster(t, Config{
@@ -102,24 +125,36 @@ func TestLiveRoundPathAllocs(t *testing.T) {
 				Seed:         23,
 			})
 			for k := 0; k < 8; k++ {
-				c.Publish(0, "topic", []pubsub.Attr{{Key: "k", Val: pubsub.Num(float64(k))}}, []byte("steady"))
+				c.Publish(0, "topic", []pubsub.Attr{{Key: "k", Val: pubsub.Num(float64(k))}}, make([]byte, tc.payload))
 			}
 			p := c.peerAt(0)
+			if tc.kind == wire.KindLazy {
+				for _, id := range ids { // saturate the events: their copies came back
+					for range 4 {
+						p.m.Buffer().Duplicate(id, p.m.Batch())
+					}
+				}
+			}
 			// Every shuffle target answers at once, with nothing new, so
 			// the detector evicts nobody and the view keeps its size.
-			round := func() {
-				p.round()
+			sent := false
+			step := func() {
+				tc.op(p)
+				sent = slices.ContainsFunc(p.out.Msgs, func(m protocol.Outgoing) bool { return m.Kind == tc.kind })
 				if m := p.out.Msgs; len(m) > 0 && m[0].Kind == wire.KindOffer {
 					p.m.Recv(m[0].To[0], protocol.In{Kind: wire.KindReply}, &p.out)
 				}
 			}
 			for r := 0; r < 50; r++ {
-				round() // warm scratch buffers, fill inboxes, settle the ledger
+				step() // warm scratch buffers, fill inboxes, settle the ledger
 			}
-			avg := testing.AllocsPerRun(200, round)
-			t.Logf("allocs: a live round (%s) costs %.0f, pin %.0f", tc.name, avg, tc.want)
-			if avg != tc.want {
-				t.Fatalf("live round path allocates %.2f times per round, want %.0f", avg, tc.want)
+			if !sent {
+				t.Fatalf("the step sent no message of kind %d", tc.kind)
+			}
+			avg := testing.AllocsPerRun(200, step)
+			t.Logf("allocs: a live step (%s) costs %.0f, pin 0", tc.name, avg)
+			if avg != 0 {
+				t.Fatalf("%s allocates %.2f times per step, want 0", tc.name, avg)
 			}
 		})
 	}

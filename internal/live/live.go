@@ -11,10 +11,13 @@
 // hands the bytes to its transport endpoint (internal/transport), which
 // keeps nothing past Send; receivers validate the envelope, dedup on the
 // event ids, decode — into events they own outright — only what they have
-// not seen, then release the lent buffer. A peer carves the events it
-// decodes from slabs of its wire.Decoder, so a delivered event that
-// outlives the peer's use of it keeps its slab reachable: at most eight
-// events' structs and payload bytes. The default ChanTransport
+// not seen, then release the lent buffer. A saturated event of 256 B or
+// more goes by its id in a lazy push (wire.KindLazy), and a receiver that
+// lacks it pulls it from the sender (wire.KindPull), which answers from
+// its buffer: both kinds run here. A peer carves the events it decodes
+// from slabs of its wire.Decoder, so a delivered event that outlives the
+// peer's use of it keeps its slab reachable: at most eight events'
+// structs and payload bytes. The default ChanTransport
 // delivers the bytes in-process; Config.Transport swaps in real loopback
 // UDP sockets (transport.UDP()) with no protocol change. A send is
 // charged the length of its encoding — the wire.Msg.Size the simulator
@@ -322,7 +325,8 @@ func NewCluster(cfg Config) (*Cluster, error) {
 // params translates the (defaulted) configuration into what a
 // protocol.Peer reads: AIMD on both levers when TargetRatio is set, a
 // Cyclon view, and none of the simulator's extensions (topic groups,
-// semantic bias, push-pull), whose kinds a live peer counts malformed.
+// semantic bias, push-pull's digests), whose kinds a live peer counts
+// malformed.
 func (c Config) params() protocol.Params {
 	par := protocol.Params{
 		Fanout: c.Fanout, Batch: c.Batch, Policy: c.Policy,

@@ -131,6 +131,7 @@ func TestLiveMalformedEnvelopeCounted(t *testing.T) {
 // TestLiveCountsKindsItDoesNotRun: a well-formed envelope of a kind only
 // the simulator runs reaches the peer, is counted as malformed, and moves
 // nothing — no delivery, no view change — while the books still balance.
+// A pull is not one of them: a live peer answers it (a lazy push's repair).
 func TestLiveCountsKindsItDoesNotRun(t *testing.T) {
 	c := mustCluster(t, Config{N: 4, Seed: 21})
 	defer c.Stop()
@@ -146,7 +147,6 @@ func TestLiveCountsKindsItDoesNotRun(t *testing.T) {
 		{Kind: wire.KindSubAck, Entries: []wire.ViewEntry{{ID: 2}, {ID: 3, Age: 1}}, Parts: &wire.Parts{Topic: "t"}},
 		{Kind: wire.KindPubWalk, Events: []*pubsub.Event{ev}, Parts: walk},
 		{Kind: wire.KindDigest, Parts: &wire.Parts{IDs: []pubsub.EventID{ev.ID}}},
-		{Kind: wire.KindPull, Parts: &wire.Parts{IDs: []pubsub.EventID{ev.ID}}},
 	} {
 		buf, err := wire.Append(nil, 0, &m)
 		if err != nil {
@@ -160,13 +160,13 @@ func TestLiveCountsKindsItDoesNotRun(t *testing.T) {
 		c.net.Release(buf)
 	}
 	tr := c.Traffic()
-	if tr.Malformed != 5 {
-		t.Fatalf("malformed count %d, want one per sim-only kind (5)", tr.Malformed)
+	if tr.Malformed != 4 {
+		t.Fatalf("malformed count %d, want one per sim-only kind (4)", tr.Malformed)
 	}
 	if delivered.Load() != 0 || !slices.Equal(q.view(), view) {
 		t.Fatalf("a sim-only kind moved the peer: %d deliveries, view %v → %v", delivered.Load(), view, q.view())
 	}
-	if tr.Sent != 5 || tr.Sent != tr.Recv+tr.Dropped {
+	if tr.Sent != 4 || tr.Sent != tr.Recv+tr.Dropped {
 		t.Fatalf("books do not balance: %+v", tr)
 	}
 }

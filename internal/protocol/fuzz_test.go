@@ -94,8 +94,8 @@ func (s script) publish(topic byte) script   { return append(s, opPublish, topic
 // holds at most ViewCap distinct entries and never the peer itself, that
 // nothing the peer sends targets it (but the ack of its own subscription
 // walk come back to it), and that a kind which is neither membership nor
-// events nor run by the peer's Params comes back unhandled and leaves the
-// peer as it was.
+// events nor the lazy push and its pull nor run by the peer's Params comes
+// back unhandled and leaves the peer as it was.
 func FuzzPeerInputs(f *testing.F) {
 	k := func(kind Kind) int { return int(kind) }
 	e := func(id, age int) membership.Entry { return membership.Entry{ID: simnet.NodeID(id), Age: age} }
@@ -139,6 +139,12 @@ func FuzzPeerInputs(f *testing.F) {
 			recv(k(wire.KindEvents), 2, nil, []byte{1}, partFP|partPad, 0xff).tick(2).
 			recv(k(wire.KindDigest), 3, nil, nil, partIDs, 2, 3, 1, 0, 1).
 			recv(k(wire.KindPull), 3, nil, nil, partIDs, 1, 0, 1).tick(4),
+		// Lazy push: a seen id and an unseen one (a pull), the same from
+		// the peer itself (no pull), and a pull the flat buffer answers.
+		peer(0).membership(k(wire.KindReply), 1, e(2, 0)).publish(0).
+			recv(k(wire.KindLazy), 2, nil, []byte{3}, partIDs, 2, 0, 1, 2, 5).
+			recv(k(wire.KindLazy), 0, nil, nil, partIDs|partPad, 1, 2, 6).
+			recv(k(wire.KindPull), 2, nil, nil, partIDs, 2, 0, 1, 0, 7).tick(2),
 	} {
 		f.Add([]byte(s))
 	}
@@ -214,9 +220,10 @@ func FuzzPeerInputs(f *testing.F) {
 				}
 				before := state()
 				_, _, ok := p.Recv(from, m, &out)
-				runs := kind == wire.KindEvents || (kind >= wire.KindOffer && kind <= wire.KindLeave) ||
+				runs := kind == wire.KindEvents || kind == wire.KindLazy || kind == wire.KindPull ||
+					(kind >= wire.KindOffer && kind <= wire.KindLeave) ||
 					(par.Topics && kind >= wire.KindSubWalk && kind <= wire.KindPubWalk) ||
-					(par.AntiEntropy > 0 && (kind == wire.KindDigest || kind == wire.KindPull))
+					(par.AntiEntropy > 0 && kind == wire.KindDigest)
 				if ok != runs {
 					t.Fatalf("step %d: Recv of kind %d reported handled %v under %+v", step, kind, ok, par)
 				}

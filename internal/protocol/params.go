@@ -72,7 +72,8 @@ type Params struct {
 	// random walks (topics.go). SemanticBias ∈ (0, 1] biases that share of
 	// the partners towards peers of overlapping interest (semantic.go).
 	// AntiEntropy > 0 makes the peer keep an archive, send a digest every
-	// that many rounds and answer digests and pulls (pushpull.go).
+	// that many rounds and answer digests, and serve pulls — which every
+	// peer answers — from the archive (pushpull.go).
 	Topics       bool
 	SemanticBias float64
 	AntiEntropy  int

@@ -115,8 +115,9 @@ type Out struct {
 	ents  []wire.ViewEntry
 	parts []wire.Parts
 
-	sel []*pubsub.Event // SELECTEVENTS' scratch
-	ids []simnet.NodeID // partner draws' scratch
+	sel  []*pubsub.Event  // SELECTEVENTS' scratch, or the events a pull is answered with
+	lazy []pubsub.EventID // the ids SELECTEVENTS sends lazily, or those a pull asks for
+	ids  []simnet.NodeID  // partner draws' scratch
 }
 
 // Outgoing is one message, the peers it goes to, and the ledger class its
@@ -324,11 +325,13 @@ func (p *Peer) Tick(out *Out) {
 // push is Fig. 4's round over the flat overlay: SELECTEVENTS, then
 // SELECTPARTICIPANTS when there is something to send, and the buffer ages
 // by one round — a free-rider's too, so it does not hoard a backlog to
-// replay on reform.
+// replay on reform. A saturated event goes by its id (lazy push, see
+// gossip.Buffer.SelectSplit); a receiver that lacks it pulls it.
 func (p *Peer) push(out *Out) {
 	if !p.FreeRide {
-		if events := p.selectFrom(&p.buffer, out); len(events) > 0 {
-			p.gossip(out, p.partners(p.fanout, out), "", events, nil)
+		events, lazy := p.buffer.SelectSplit(p.rand(), &out.sel, &out.lazy, p.batch, p.par.Policy)
+		if len(events)+len(lazy) > 0 {
+			p.gossip(out, p.partners(p.fanout, out), "", events, lazy, nil)
 		}
 	}
 	p.buffer.Tick()
@@ -354,11 +357,15 @@ func (p *Peer) viewSample(v *membership.View, k int, out *Out) []simnet.NodeID {
 	return out.ids
 }
 
-// gossip sends a batch — in a topic group tagged, with membership ads — to
-// the peers to: one message to all of them, or, under semantic bias, one
-// each, every one with its own draw of fingerprint ads.
-func (p *Peer) gossip(out *Out, to []simnet.NodeID, topic string, events []*pubsub.Event, ads []wire.ViewEntry) {
-	m, x := wire.Msg{Kind: wire.KindEvents, Events: events}, wire.Parts{Topic: topic, Ads: ads}
+// gossip sends a batch — with lazy ids a wire.KindLazy, in a topic group
+// tagged, with membership ads — to the peers to: one message to all of
+// them, or, under semantic bias, one each, every one with its own draw of
+// fingerprint ads.
+func (p *Peer) gossip(out *Out, to []simnet.NodeID, topic string, events []*pubsub.Event, lazy []pubsub.EventID, ads []wire.ViewEntry) {
+	m, x := wire.Msg{Kind: wire.KindEvents, Events: events}, wire.Parts{IDs: lazy, Topic: topic, Ads: ads}
+	if len(lazy) > 0 {
+		m.Kind = wire.KindLazy
+	}
 	if p.Cheat {
 		x.Pad = JunkPadding
 	}
@@ -367,7 +374,7 @@ func (p *Peer) gossip(out *Out, to []simnet.NodeID, topic string, events []*pubs
 			return
 		}
 		var px *wire.Parts
-		if topic != "" || len(ads) > 0 || p.Cheat {
+		if len(lazy) > 0 || topic != "" || len(ads) > 0 || p.Cheat {
 			px = &x
 		}
 		out.emit(m, px, fairness.ClassApp, to...)
@@ -411,14 +418,17 @@ func (p *Peer) Recv(from simnet.NodeID, m In, out *Out) (novel, junk int, ok boo
 		x = &noParts
 	}
 	// A message naming the peer itself as its sender is an echo; a
-	// membership message or a push-pull request is dropped then, and so
-	// is a membership message without a view.
+	// membership message or a pull request is dropped then, and so is a
+	// membership message without a view.
 	echo := from == p.id
 	view := p.ov != nil && !echo
 	ok = true
 	switch m.Kind {
 	case wire.KindEvents:
 		novel, junk = p.recvGossip(from, x, m.Events)
+	case wire.KindLazy:
+		novel, junk = p.recvGossip(from, x, m.Events)
+		junk += p.recvLazy(from, x.IDs, out)
 	case wire.KindOffer:
 		if view {
 			out.send(wire.KindReply, from, p.ov.cyclon.HandleShuffle(p.rand(), from, p.admit(from, m.Entries)))
@@ -452,7 +462,7 @@ func (p *Peer) Recv(from simnet.NodeID, m In, out *Out) (novel, junk int, ok boo
 			p.recvDigest(from, x, out)
 		}
 	case wire.KindPull:
-		if ok = p.par.AntiEntropy > 0; ok && !echo {
+		if !echo {
 			p.recvPull(from, x, out)
 		}
 	default:

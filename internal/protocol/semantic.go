@@ -32,7 +32,7 @@ import (
 func (p *Peer) pushSemantic(out *Out) {
 	if !p.FreeRide {
 		for _, group := range splitByTopic(p.selectFrom(&p.buffer, out)) {
-			p.gossip(out, p.biasedPeers(p.fanout, batchFingerprint(group), out), "", group, nil)
+			p.gossip(out, p.biasedPeers(p.fanout, batchFingerprint(group), out), "", group, nil, nil)
 		}
 	}
 	p.buffer.Tick()

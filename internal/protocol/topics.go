@@ -143,7 +143,7 @@ func (p *Peer) pushTopics(out *Out) {
 			continue
 		}
 		ads := p.groupSample(g, adLen, out)
-		p.gossip(out, p.viewSample(g.view, p.fanout, out), topic, events, ads)
+		p.gossip(out, p.viewSample(g.view, p.fanout, out), topic, events, nil, ads)
 		g.buffer.Tick()
 	}
 }

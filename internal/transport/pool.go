@@ -4,25 +4,36 @@ import "math/bits"
 
 // The datagram pool: one process-wide free list in size classes of
 // 512 B, then four per octave up to 64 KiB (≤ 25 % waste; two-fold
-// classes missed more at this cap and held more RSS at twice it, see
-// PERFORMANCE.md "Lent datagram buffers"), each keeping at most poolCap
-// buffers. Every copy a Net delivers or holds comes from it and
-// Net.Release hands buffers back; sharing one pool lets a held copy the
-// shaper releases carry the next datagram a reader copies.
+// classes missed more and held more RSS, see PERFORMANCE.md "Lent
+// datagram buffers"), each keeping at most poolClassBytes of buffers —
+// many small ones, few large ones, since small datagrams (lazy pushes,
+// pulls, membership) are most of what is in flight. Every copy a Net
+// delivers or holds comes from it and Net.Release hands buffers back;
+// sharing one pool lets a held copy the shaper releases carry the next
+// datagram a reader copies.
 const (
-	poolMinShift = 9 // 512 B
-	poolMaxShift = 16
-	poolCap      = 32
-	poolClasses  = 1 + 4*(poolMaxShift-poolMinShift)
-	releasedByte = 0xDE // what put fills a released buffer with under -race
+	poolMinShift   = 9 // 512 B
+	poolMaxShift   = 16
+	poolClassBytes = 256 << 10
+	poolClasses    = 1 + 4*(poolMaxShift-poolMinShift)
+	releasedByte   = 0xDE // what put fills a released buffer with under -race
 )
 
 var pool = func() (p [poolClasses]chan []byte) {
 	for c := range p {
-		p[c] = make(chan []byte, poolCap)
+		p[c] = make(chan []byte, max(1, poolClassBytes/classSize(c)))
 	}
 	return p
 }()
+
+// classSize is the capacity of class c's buffers.
+func classSize(c int) int {
+	if c == 0 {
+		return 1 << poolMinShift
+	}
+	shift := poolMinShift + (c-1)/4
+	return 1<<shift + ((c-1)%4+1)*(1<<shift>>2)
+}
 
 // class returns the smallest class that holds n bytes and the capacity
 // of its buffers, or c = -1 when n exceeds the largest class.

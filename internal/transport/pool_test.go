@@ -97,9 +97,10 @@ func retained(c int) [][]byte {
 	return held
 }
 
-// TestPoolBounded: the pool never retains more than poolCap buffers of
-// a class, only buffers whose capacity is exactly a class size, and
-// clone(b) always returns b's bytes, with at most 25 % waste.
+// TestPoolBounded: the pool never retains more than poolClassBytes of
+// buffers in a class (one buffer, in a class larger than that), only
+// buffers whose capacity is exactly a class size, and clone(b) always
+// returns b's bytes, with at most 25 % waste.
 func TestPoolBounded(t *testing.T) {
 	// Classes are numbered densely in size order, and a class's size
 	// maps back to it.
@@ -112,8 +113,8 @@ func TestPoolBounded(t *testing.T) {
 		if size < n || !(same || next) {
 			t.Fatalf("class(%d) = %d, %d B after class %d, %d B", n, c, size, prevC, prevSize)
 		}
-		if got, _ := class(size); got != c {
-			t.Fatalf("class %d (%d B) maps back to class %d", c, size, got)
+		if got, _ := class(size); got != c || classSize(c) != size {
+			t.Fatalf("class %d (%d B) maps back to class %d, classSize says %d B", c, size, got, classSize(c))
 		}
 		prevC, prevSize, sizes[c] = c, size, size
 	}
@@ -164,13 +165,18 @@ func TestPoolBounded(t *testing.T) {
 				}
 				bytes += cap(b)
 			}
-			if bytes > poolCap*sizes[c] {
-				t.Fatalf("class %d retains %d B, bound %d × %d B", c, bytes, poolCap, sizes[c])
+			if bytes > max(poolClassBytes, sizes[c]) {
+				t.Fatalf("class %d (%d B) retains %d B, bound %d B", c, sizes[c], bytes, poolClassBytes)
 			}
 		}
 	}
-	if n := len(retained(0)); n != poolCap {
-		t.Fatalf("the smallest class retains %d buffers after thousands of releases, want %d", n, poolCap)
+	// The smallest class fills to its byte cap and no further.
+	want := poolClassBytes >> poolMinShift
+	for i := 0; i < 2*want; i++ {
+		put(make([]byte, 0, 1<<poolMinShift))
+	}
+	if n := len(retained(0)); n != want {
+		t.Fatalf("the smallest class retains %d buffers after %d releases, want %d", n, 2*want, want)
 	}
 	drainPool()
 }

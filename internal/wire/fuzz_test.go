@@ -103,7 +103,7 @@ func FuzzWireDecode(f *testing.F) {
 			body = append(body, rec.Raw...)
 		}
 		at := HeaderSize
-		if _, walk, _ := env.Kind.layout(); walk {
+		if _, walk, _, _ := env.Kind.layout(); walk {
 			at += walkSize
 		}
 		if !bytes.Equal(body, data[at:at+len(body)]) {

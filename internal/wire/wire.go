@@ -9,12 +9,13 @@
 // The format is compact, big-endian and length-prefixed at every variable
 // field: a 10-byte header, then the kind's body — a walk's origin and
 // hops, the count records the kind carries (event records, which are
-// byte-for-byte pubsub's layout, 6-byte view entries or 8-byte event ids)
-// and the optional parts the header announces, each costing bytes only
-// when present. Nothing says how long the body is: the decoder walks it
-// with a bounds-checked cursor and must land exactly on the last byte. It
-// never panics or over-reads, validates every kind, part and value byte,
-// and accepts exactly one encoding per message (FuzzWireDecode).
+// byte-for-byte pubsub's layout, 6-byte view entries or 8-byte event ids),
+// a lazy push's count(2) and ids, and the optional parts the header
+// announces, each costing bytes only when present. Nothing says how long
+// the body is: the decoder walks it with a bounds-checked cursor and must
+// land exactly on the last byte. It never panics or over-reads, validates
+// every kind, part and value byte, and accepts exactly one encoding per
+// message (FuzzWireDecode).
 //
 // Append appends into a caller's buffer, so a sender encodes a fanout's
 // envelope once into reused scratch. Decoding is two steps, because push
@@ -48,16 +49,18 @@ const (
 	HeaderSize = 10
 	// EntryWireSize is the encoded size of one view entry: id(4) + age(2).
 	EntryWireSize = 6
-	idSize        = 8  // an event id: publisher(4) + seq(4)
-	walkSize      = 6  // a walk's origin(4) + hops(2)
-	fpAdSize      = 12 // a fingerprint ad: id(4) + fingerprint(8)
-	eventMinSize  = 16 // the smallest event record: id(8) topicLen(2) attrCount(2) payloadLen(4)
-	attrMinSize   = 4  // the smallest attribute: keyLen(2) kind(1) bool(1)
+	// IDWireSize is the encoded size of one event id: publisher(4) + seq(4).
+	IDWireSize   = 8
+	walkSize     = 6  // a walk's origin(4) + hops(2)
+	fpAdSize     = 12 // a fingerprint ad: id(4) + fingerprint(8)
+	eventMinSize = 16 // the smallest event record: id(8) topicLen(2) attrCount(2) payloadLen(4)
+	attrMinSize  = 4  // the smallest attribute: keyLen(2) kind(1) bool(1)
 )
 
 // Kind names a message: the one kind family both drivers speak. The live
-// runtime sends events and the four membership kinds; the rest only the
-// simulator runs, and a live peer counts them as malformed.
+// runtime runs events, lazy pushes and the pulls that repair them, and the
+// four membership kinds; the rest only the simulator runs, and a live peer
+// counts them as malformed.
 type Kind uint8
 
 const (
@@ -70,7 +73,8 @@ const (
 	KindSubAck              // group-bootstrap entries answering a subscription walk
 	KindPubWalk             // a walk handing a publication's events to the topic's group
 	KindDigest              // the ids of a push-pull archive
-	KindPull                // the ids of a digest its receiver has not seen
+	KindPull                // the ids of a digest or lazy push its receiver has not seen
+	KindLazy                // KindEvents' records, then the ids of saturated events: a lazy push
 	NumKinds                // bounds the family: every kind is below it
 )
 
@@ -84,22 +88,26 @@ const (
 	recID
 )
 
-// layout is the shape of kind k's body: the record its count counts, and
-// whether a walk's origin and hops precede them. ok is false outside the family.
-func (k Kind) layout() (rec record, walk, ok bool) {
+// layout is the shape of kind k's body: the record its count counts,
+// whether a walk's origin and hops precede them, and whether a lazy
+// push's count(2) and ids (at least one) follow them. ok is false outside
+// the family.
+func (k Kind) layout() (rec record, walk, lazy, ok bool) {
 	switch k {
 	case KindEvents:
-		return recEvent, false, true
+		return recEvent, false, false, true
 	case KindOffer, KindReply, KindJoin, KindLeave, KindSubAck:
-		return recEntry, false, true
+		return recEntry, false, false, true
 	case KindSubWalk:
-		return recNone, true, true
+		return recNone, true, false, true
 	case KindPubWalk:
-		return recEvent, true, true
+		return recEvent, true, false, true
 	case KindDigest, KindPull:
-		return recID, false, true
+		return recID, false, false, true
+	case KindLazy:
+		return recEvent, false, true, true
 	}
-	return recNone, false, false
+	return recNone, false, false, false
 }
 
 // The optional parts, in encoding order, one bit each in the kind byte.
@@ -127,7 +135,8 @@ type FPAd struct {
 }
 
 // Msg is one message as its sender holds it. Only the records its kind
-// counts are encoded: Events, Entries or Parts.IDs (Kind.layout).
+// counts are encoded: Events, Entries or Parts.IDs, and a lazy push's
+// Events and Parts.IDs (Kind.layout).
 type Msg struct {
 	Kind    Kind
 	Events  []*pubsub.Event
@@ -141,7 +150,7 @@ type Msg struct {
 type Parts struct {
 	Origin uint32           // walk kinds: the walk's originator
 	Hops   uint16           // walk kinds: hops left
-	IDs    []pubsub.EventID // KindDigest, KindPull
+	IDs    []pubsub.EventID // KindDigest, KindPull, KindLazy
 	Topic  string           // topic-mode group tag
 	Ads    []ViewEntry      // piggybacked group membership ads
 	FP     uint64           // the sender's interest fingerprint
@@ -163,7 +172,7 @@ func (m *Msg) Opt() *Parts {
 // Size returns the exact number of bytes Append encodes m to — the one
 // size a sender is charged on either driver.
 func (m *Msg) Size() int {
-	rec, walk, _ := m.Kind.layout()
+	rec, walk, lazy, _ := m.Kind.layout()
 	p := m.Opt()
 	n := HeaderSize
 	if walk {
@@ -177,7 +186,10 @@ func (m *Msg) Size() int {
 	case recEntry:
 		n += len(m.Entries) * EntryWireSize
 	case recID:
-		n += len(p.IDs) * idSize
+		n += len(p.IDs) * IDWireSize
+	}
+	if lazy {
+		n += 2 + len(p.IDs)*IDWireSize
 	}
 	if p.Topic != "" {
 		n += 2 + len(p.Topic)
@@ -331,13 +343,16 @@ func AppendEnvelope(dst []byte, sender uint32, events []*pubsub.Event) ([]byte, 
 // Append appends m, sent by sender, to dst: exactly m.Size() bytes. On
 // error the returned slice may hold a partial encoding; discard it.
 func Append(dst []byte, sender uint32, m *Msg) ([]byte, error) {
-	rec, walk, ok := m.Kind.layout()
+	rec, walk, lazy, ok := m.Kind.layout()
 	if !ok {
 		return dst, fmt.Errorf("%w: unknown message kind %d", ErrCorrupt, m.Kind)
 	}
 	p := m.Opt()
+	if lazy && len(p.IDs) == 0 {
+		return dst, fmt.Errorf("%w: a lazy push without ids", ErrCorrupt)
+	}
 	count := [...]int{recEvent: len(m.Events), recEntry: len(m.Entries), recID: len(p.IDs)}[rec]
-	if max(count, len(p.Topic), len(p.Ads), len(p.FPAds)) > math.MaxUint16 || uint64(p.Pad) > math.MaxUint32 {
+	if max(count, len(p.IDs), len(p.Topic), len(p.Ads), len(p.FPAds)) > math.MaxUint16 || uint64(p.Pad) > math.MaxUint32 {
 		return dst, fmt.Errorf("%w: %d records, or a part beyond its length field", ErrTooLarge, count)
 	}
 	kind := byte(m.Kind) | p.bits()
@@ -360,10 +375,11 @@ func Append(dst []byte, sender uint32, m *Msg) ([]byte, error) {
 	case recEntry:
 		dst = appendEntries(dst, m.Entries)
 	case recID:
-		for _, id := range p.IDs {
-			dst = binary.BigEndian.AppendUint32(dst, id.Publisher)
-			dst = binary.BigEndian.AppendUint32(dst, id.Seq)
-		}
+		dst = appendIDs(dst, p.IDs)
+	}
+	if lazy {
+		dst = binary.BigEndian.AppendUint16(dst, uint16(len(p.IDs)))
+		dst = appendIDs(dst, p.IDs)
 	}
 	if kind&partTopic != 0 {
 		dst = binary.BigEndian.AppendUint16(dst, uint16(len(p.Topic)))
@@ -406,6 +422,14 @@ func (p *Parts) bits() (b byte) {
 	return b
 }
 
+func appendIDs(dst []byte, ids []pubsub.EventID) []byte {
+	for _, id := range ids {
+		dst = binary.BigEndian.AppendUint32(dst, id.Publisher)
+		dst = binary.BigEndian.AppendUint32(dst, id.Seq)
+	}
+	return dst
+}
+
 func appendEntries(dst []byte, entries []ViewEntry) []byte {
 	for _, e := range entries {
 		dst = binary.BigEndian.AppendUint32(dst, e.ID)
@@ -417,7 +441,8 @@ func appendEntries(dst []byte, entries []ViewEntry) []byte {
 // DecodeEnvelope scans data into env. The whole buffer must be consumed
 // exactly: short input, trailing bytes, a count the body does not hold,
 // an empty announced part, nonzero padding or any malformed record is an
-// error, and on error env holds no records, entries or parts — an
+// error, and so is a lazy push without ids (it would be a second encoding
+// of KindEvents); on error env holds no records, entries or parts — an
 // envelope is accepted whole or not at all.
 func DecodeEnvelope(data []byte, env *Envelope) error {
 	x := Parts{IDs: env.Parts.IDs[:0], Ads: env.Parts.Ads[:0], FPAds: env.Parts.FPAds[:0]}
@@ -433,7 +458,7 @@ func DecodeEnvelope(data []byte, env *Envelope) error {
 		return fmt.Errorf("%w: %d", ErrVersion, data[2])
 	}
 	kind, parts := Kind(data[3]&kindMask), data[3]&^kindMask
-	rec, walk, ok := kind.layout()
+	rec, walk, lazy, ok := kind.layout()
 	if !ok {
 		return fmt.Errorf("%w: unknown message kind %#02x", ErrCorrupt, kind)
 	}
@@ -460,10 +485,14 @@ func DecodeEnvelope(data []byte, env *Envelope) error {
 	case recEntry:
 		ents = r.entries(ents, count)
 	case recID:
-		r.fits(count, idSize)
-		for i := 0; i < count && r.err == nil; i++ {
-			x.IDs = append(x.IDs, pubsub.EventID{Publisher: r.u32(), Seq: r.u32()})
+		x.IDs = r.ids(x.IDs, count)
+	}
+	if lazy {
+		n := int(r.u16())
+		if n == 0 && r.err == nil {
+			r.fail(fmt.Errorf("%w: a lazy push without ids", ErrCorrupt))
 		}
+		x.IDs = r.ids(x.IDs, n)
 	}
 	if parts&partTopic != 0 {
 		x.Topic = string(r.take(int(r.u16())))
@@ -652,6 +681,15 @@ func (r *reader) fits(n, size int) {
 	if r.err == nil && n*size > r.rem() {
 		r.fail(fmt.Errorf("%w: %d cells of %d bytes with %d remaining", ErrTruncated, n, size, r.rem()))
 	}
+}
+
+// ids appends n event ids read off the cursor to dst.
+func (r *reader) ids(dst []pubsub.EventID, n int) []pubsub.EventID {
+	r.fits(n, IDWireSize)
+	for i := 0; i < n && r.err == nil; i++ {
+		dst = append(dst, pubsub.EventID{Publisher: r.u32(), Seq: r.u32()})
+	}
+	return dst
 }
 
 // entries appends n view entries read off the cursor to dst.

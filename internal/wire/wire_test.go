@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -57,6 +58,8 @@ func sampleMsgs() []Msg {
 		{Kind: KindPubWalk, Events: evs[:1], Parts: walk},
 		{Kind: KindDigest, Parts: &Parts{IDs: []pubsub.EventID{{Publisher: 1, Seq: 2}, {Publisher: 3, Seq: 4}}}},
 		{Kind: KindPull, Parts: &Parts{IDs: []pubsub.EventID{{Publisher: math.MaxUint32, Seq: 1}}}},
+		{Kind: KindLazy, Events: evs, Parts: &Parts{IDs: []pubsub.EventID{{Publisher: 1, Seq: 2}, {Publisher: 3, Seq: 4}}}},
+		{Kind: KindLazy, Parts: &Parts{IDs: []pubsub.EventID{{Publisher: math.MaxUint32, Seq: 1}}, Pad: 512}},
 		{Kind: KindEvents, Events: evs, Parts: &Parts{Topic: "news"}},
 		{Kind: KindEvents, Events: evs, Parts: &Parts{Ads: ents}},
 		{Kind: KindEvents, Events: evs, Parts: &Parts{FP: 0xfeed}},
@@ -197,6 +200,37 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 		}
 		if !bytes.Equal(back, buf) {
 			t.Fatalf("n=%d: decode→encode is not the identity", n)
+		}
+	}
+}
+
+// TestLazyPushIsEventsThenIDs: a lazy push is the KindEvents envelope of
+// the same events, its kind byte changed, followed by count(2) and the
+// ids — and it scans back to those records and ids.
+func TestLazyPushIsEventsThenIDs(t *testing.T) {
+	events := sampleEvents()
+	ids := []pubsub.EventID{{Publisher: 1, Seq: 2}, {Publisher: math.MaxUint32, Seq: 0}, {Publisher: 0, Seq: 9}}
+	for n := 0; n <= len(events); n++ {
+		plain, err := AppendEnvelope(nil, 42, events[:n])
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := Msg{Kind: KindLazy, Events: events[:n], Parts: &Parts{IDs: ids}}
+		buf, err := Append(nil, 42, &m)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		want := append(mutate(plain, 3, byte(KindLazy)), 0, byte(len(ids)))
+		want = appendIDs(want, ids)
+		if !bytes.Equal(buf, want) || m.Size() != len(plain)+2+len(ids)*IDWireSize {
+			t.Fatalf("n=%d: lazy push encodes to\n %x\nwant\n %x (Size %d)", n, buf, want, m.Size())
+		}
+		var env Envelope
+		if err := DecodeEnvelope(buf, &env); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if env.Kind != KindLazy || len(env.Records) != n || !slices.Equal(env.Parts.IDs, ids) {
+			t.Fatalf("n=%d: scanned kind %d, %d records, ids %v", n, env.Kind, len(env.Records), env.Parts.IDs)
 		}
 	}
 }
@@ -390,6 +424,12 @@ func TestDecodeRejectsHostileInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases["records on a sub-walk"] = mutate(walk, 9, 1)
+	// A lazy push names at least one id: with none it would be a second
+	// encoding of KindEvents.
+	cases["lazy push without ids"] = append(mutate(good, 3, byte(KindLazy)), 0, 0)
+	if _, err := Append(nil, 7, &Msg{Kind: KindLazy, Events: sampleEvents()}); err == nil {
+		t.Fatal("Append encoded a lazy push without ids")
+	}
 	// Truncation sweep: every prefix must fail cleanly — of a plain
 	// envelope and of one carrying every optional part, since nothing but
 	// the walk through the body says where it ends.
