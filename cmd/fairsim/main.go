@@ -138,6 +138,10 @@ func runSingle(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
+	if *n < 1 || *payload < 0 || *top < 0 {
+		fmt.Fprintf(stderr, "fairsim: -n must be at least 1, -payload and -top at least 0 (got %d, %d, %d)\n", *n, *payload, *top)
+		return 2
+	}
 
 	cfg := core.Config{
 		Fanout: *fanout,

@@ -112,8 +112,15 @@ func TestFairsimScenarioErrors(t *testing.T) {
 	if code := run([]string{"scenario"}, &out, &errb); code != 2 {
 		t.Fatalf("missing -name: exit %d, want 2", code)
 	}
-	if code := run([]string{"-mode", "warp"}, &out, &errb); code != 2 {
-		t.Fatalf("unknown mode: exit %d, want 2", code)
+	// A bad flag value is refused with exit 2 and nothing on stdout.
+	for _, args := range [][]string{{"-mode", "warp"}, {"-n", "0"}, {"-n", "-3"}, {"-payload", "-1"}, {"-top", "-1"}} {
+		out.Reset()
+		if code := run(args, &out, &errb); code != 2 {
+			t.Fatalf("%v: exit %d, want 2", args, code)
+		}
+		if out.Len() != 0 {
+			t.Fatalf("%v wrote to stdout before refusing:\n%s", args, out.String())
+		}
 	}
 }
 

@@ -148,8 +148,9 @@ func (c *Cluster) Start() {
 	}
 }
 
-// Stop halts the round tickers; in-flight messages can still be settled
-// with Drain.
+// Stop halts the round tickers. Each leaves its one queued tick in its
+// kernel, where it fires as a no-op; in-flight messages and those ticks
+// are settled with Drain.
 func (c *Cluster) Stop() {
 	for _, sh := range c.shards {
 		for _, t := range sh.tickers {

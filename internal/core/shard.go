@@ -176,9 +176,10 @@ func (c *Cluster) runWindow(deadline time.Duration) {
 }
 
 // Drain settles all in-flight traffic after Stop: windows keep running
-// until every kernel is idle and every mailbox is empty. With tickers
-// stopped each cross-shard hop costs at most one extra window, so this
-// terminates.
+// until every kernel is idle and every mailbox is empty, which includes
+// the no-op tick each stopped ticker left queued (at most a round
+// period and its jitter away). With tickers stopped each cross-shard hop costs at most
+// one extra window, so this terminates.
 func (c *Cluster) Drain() {
 	for !c.idle() {
 		c.runWindow(c.now() + c.cfg.RoundPeriod)

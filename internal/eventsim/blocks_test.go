@@ -25,52 +25,6 @@ func TestBlocksGrowWithoutMoving(t *testing.T) {
 	}
 }
 
-// A Timer whose slot lies in a later block stops exactly its own event.
-func TestStopTimerInLaterBlock(t *testing.T) {
-	s := New(1)
-	fired := make([]bool, 2*blockLen+3)
-	timers := make([]Timer, len(fired))
-	for i := range fired {
-		timers[i] = s.After(time.Duration(i)*time.Microsecond, func() { fired[i] = true })
-	}
-	victim := blockLen + blockLen/2
-	if timers[victim].idx>>blockShift == 0 {
-		t.Fatalf("victim slot %d is in the first block", timers[victim].idx)
-	}
-	if !timers[victim].Stop() {
-		t.Fatal("Stop on a live timer in a later block reported false")
-	}
-	s.Run()
-	for i, f := range fired {
-		if f == (i == victim) {
-			t.Fatalf("event %d fired = %v (victim %d)", i, f, victim)
-		}
-	}
-}
-
-// A stale handle stays inert after the arena adds a block: the slot it
-// named is reused by a new event, and stopping the old handle must not
-// touch it.
-func TestStaleHandleInertAfterNewBlock(t *testing.T) {
-	s := New(1)
-	stale := s.After(time.Millisecond, func() {})
-	s.Run() // fires; its slot returns to the free list
-	fired := 0
-	for i := 0; i < blockLen+1; i++ { // the first reuses the slot, the last needs a second block
-		s.After(time.Millisecond, func() { fired++ })
-	}
-	if len(s.arena.blocks) < 2 {
-		t.Fatalf("arena has %d blocks, want a second one", len(s.arena.blocks))
-	}
-	if stale.Stop() {
-		t.Fatal("stale handle reported a successful stop")
-	}
-	s.Run()
-	if fired != blockLen+1 {
-		t.Fatalf("stale Stop killed a live event: %d of %d fired", fired, blockLen+1)
-	}
-}
-
 // More than one block of same-instant events fires in scheduling order.
 func TestSameInstantFIFOAcrossBlocks(t *testing.T) {
 	s := New(1)

@@ -100,103 +100,6 @@ func TestArenaReuse(t *testing.T) {
 	}
 }
 
-// A Timer handle must go stale once its slot is recycled: stopping it
-// later must not kill the unrelated event now occupying the slot.
-func TestStaleTimerHandleIsInert(t *testing.T) {
-	s := New(1)
-	fired := 0
-	tm := s.After(time.Millisecond, func() {})
-	s.Run() // fires; slot returns to the free list
-	// The next event reuses the slot.
-	s.After(time.Millisecond, func() { fired++ })
-	if tm.Stop() {
-		t.Fatal("stale handle reported a successful stop")
-	}
-	s.Run()
-	if fired != 1 {
-		t.Fatalf("stale Stop killed a live event: fired=%d", fired)
-	}
-}
-
-func TestZeroTimerStop(t *testing.T) {
-	var tm Timer
-	if tm.Stop() {
-		t.Fatal("zero Timer stopped something")
-	}
-}
-
-// Pending counts live events only: stopped timers disappear from the
-// count immediately, not when their queue slot happens to drain.
-func TestPendingExcludesStopped(t *testing.T) {
-	s := New(1)
-	fn := func() {}
-	timers := make([]Timer, 10)
-	for i := range timers {
-		timers[i] = s.After(time.Duration(i+1)*time.Millisecond, fn)
-	}
-	for i := 0; i < 5; i++ {
-		timers[i].Stop()
-	}
-	if got := s.Pending(); got != 5 {
-		t.Fatalf("Pending = %d after stopping 5 of 10, want 5", got)
-	}
-	s.Run()
-	if got := s.Pending(); got != 0 {
-		t.Fatalf("Pending = %d after drain, want 0", got)
-	}
-}
-
-// Stopping more than half the queue triggers eager compaction, physically
-// shrinking the heap instead of leaving dead entries to surface lazily.
-func TestStopCompactsPastThreshold(t *testing.T) {
-	s := New(1)
-	fn := func() {}
-	const n = 4 * compactMin
-	timers := make([]Timer, n)
-	for i := range timers {
-		timers[i] = s.After(time.Duration(i+1)*time.Millisecond, fn)
-	}
-	// Stop ~3/4 of the queue; compaction must have fired along the way.
-	for i := 0; i < 3*n/4; i++ {
-		timers[i].Stop()
-	}
-	if live := n - 3*n/4; len(s.heap) >= n || s.Pending() != live {
-		t.Fatalf("heap len %d (stopped debt %d), want compaction near %d live", len(s.heap), s.stopped, live)
-	}
-	// The survivors still fire, in order, exactly once.
-	fired := s.Run()
-	if want := uint64(n - 3*n/4); fired != want {
-		t.Fatalf("fired %d, want %d", fired, want)
-	}
-}
-
-// Compacted runs stay semantically identical: a churn-heavy schedule with
-// interleaved stops fires the same events at the same times as the naive
-// execution order predicts.
-func TestCompactionPreservesOrder(t *testing.T) {
-	s := New(1)
-	var fired []int
-	const n = 8 * compactMin
-	timers := make([]Timer, n)
-	for i := range timers {
-		i := i
-		timers[i] = s.After(time.Duration(i)*time.Millisecond, func() { fired = append(fired, i) })
-	}
-	// Stop every odd timer (half the queue → crosses the threshold).
-	for i := 1; i < n; i += 2 {
-		timers[i].Stop()
-	}
-	s.Run()
-	if len(fired) != n/2 {
-		t.Fatalf("fired %d, want %d", len(fired), n/2)
-	}
-	for j, id := range fired {
-		if id != 2*j {
-			t.Fatalf("fired[%d] = %d, want %d (order broken by compaction)", j, id, 2*j)
-		}
-	}
-}
-
 // --- allocation regression ---------------------------------------------------
 
 // The schedule→fire cycle must be allocation-free in steady state; this is
@@ -264,21 +167,4 @@ func BenchmarkScheduleMsgAndStep(b *testing.B) {
 		s.Step()
 		k.got = k.got[:0]
 	}
-}
-
-func BenchmarkStopHeavyChurn(b *testing.B) {
-	s := New(1)
-	fn := func() {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tm := s.After(time.Duration(i%97)*time.Microsecond, fn)
-		if i%2 == 0 {
-			tm.Stop()
-		}
-		if i%1024 == 1023 {
-			s.Run()
-		}
-	}
-	s.Run()
 }

@@ -9,6 +9,13 @@
 // order they were scheduled (FIFO tie-breaking), which keeps runs
 // deterministic.
 //
+// The kernel schedules and fires; it never cancels. Scheduling returns no
+// handle, every queued event fires exactly once, and the queue holds no
+// dead entries to discard or compact, so its whole contract is (time, seq)
+// FIFO. A stopped Ticker leaves its one already-queued tick behind: that
+// tick fires as a no-op (no callback, no random draw), and Pending counts
+// it until it has.
+//
 // The kernel is built for a zero-allocation steady state: event records
 // live in a pooled arena of fixed-size blocks (Blocks: growing it copies
 // nothing) indexed by a manual binary heap, freed slots are
@@ -35,23 +42,16 @@ import (
 // single-threaded by design (determinism), and all callbacks run on the
 // caller's goroutine inside Run/Step.
 type Sim struct {
-	now    time.Duration
-	seq    uint64
-	rng    *rand.Rand
-	steps  uint64
-	halted bool
+	now   time.Duration
+	seq   uint64
+	rng   *rand.Rand
+	steps uint64
 
-	arena    Blocks[event] // pooled event records; an index into arena is a handle
+	arena    Blocks[event] // pooled event records, named by index
 	free     []int32       // recycled arena slots
 	heap     []int32       // binary heap of arena indices ordered by (at, seq)
-	stopped  int           // stopped-but-still-queued entries (lazy-deletion debt)
 	handlers []MsgHandler
 }
-
-// compactMin is the minimum number of stopped entries before threshold
-// compaction kicks in; below it the lazy pop-time discard is cheaper than
-// re-heapifying.
-const compactMin = 32
 
 // New returns a simulator whose random stream is derived from seed.
 // The same seed always yields the same execution.
@@ -72,10 +72,8 @@ func (s *Sim) Rand() *rand.Rand { return s.rng }
 // Steps reports how many events have fired so far.
 func (s *Sim) Steps() uint64 { return s.steps }
 
-// Pending reports how many live scheduled events are waiting. Stopped
-// timers do not count, whether or not their queue slot has been reclaimed
-// yet.
-func (s *Sim) Pending() int { return len(s.heap) - s.stopped }
+// Pending reports how many scheduled events are waiting to fire.
+func (s *Sim) Pending() int { return len(s.heap) }
 
 // Msg is a typed message event: a payload plus routing metadata stored
 // inline in the pooled event record, so scheduling a delivery allocates
@@ -94,51 +92,20 @@ type MsgHandler interface {
 	HandleSimMsg(m Msg)
 }
 
-// Timer is a handle to a scheduled event. A Timer can be stopped before it
-// fires; stopping a fired or already-stopped timer is a no-op. The zero
-// Timer is valid and never stops anything.
-type Timer struct {
-	s   *Sim
-	idx int32
-	gen uint32
-}
-
-// Stop cancels the timer. It reports whether the call prevented the event
-// from firing (false if it already fired or was already stopped).
-//
-// Stopping is O(1): the queue entry is marked dead and discarded lazily,
-// and the whole queue is compacted eagerly once dead entries outnumber
-// live ones (see compact).
-func (t Timer) Stop() bool {
-	if t.s == nil {
-		return false
-	}
-	ev := t.s.arena.At(t.idx)
-	if ev.gen != t.gen || ev.stopped {
-		return false
-	}
-	ev.stopped = true
-	ev.msg = Msg{} // release the closure or payload eagerly
-	t.s.stopped++
-	t.s.maybeCompact()
-	return true
-}
-
 // At schedules fn to run at absolute virtual time at. Scheduling in the
 // past (at < Now) coerces to Now: the event fires before any later event,
 // which mirrors "as soon as possible" semantics.
-func (s *Sim) At(at time.Duration, fn func()) Timer {
-	idx := s.schedule(at, 0, Msg{Payload: fn})
-	return Timer{s: s, idx: idx, gen: s.arena.At(idx).gen}
+func (s *Sim) At(at time.Duration, fn func()) {
+	s.schedule(at, 0, Msg{Payload: fn})
 }
 
 // After schedules fn to run d after the current virtual time. Negative d
 // coerces to zero.
-func (s *Sim) After(d time.Duration, fn func()) Timer {
+func (s *Sim) After(d time.Duration, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	return s.At(s.now+d, fn)
+	s.At(s.now+d, fn)
 }
 
 // ScheduleMsg schedules m for delivery to h at d after the current virtual
@@ -146,8 +113,7 @@ func (s *Sim) After(d time.Duration, fn func()) Timer {
 // pooled event arena: unlike After with a capturing closure, this path
 // performs no per-call allocation, which is what makes the simulated
 // network's send hot path allocation-free (pinned by
-// TestScheduleMsgStepZeroAlloc). Message events cannot be stopped; they
-// always fire.
+// TestScheduleMsgStepZeroAlloc).
 func (s *Sim) ScheduleMsg(d time.Duration, h MsgHandler, m Msg) {
 	if d < 0 {
 		d = 0
@@ -185,44 +151,34 @@ func (s *Sim) handlerID(h MsgHandler) uint16 {
 	return uint16(len(s.handlers))
 }
 
-// Halt stops Run/RunUntil after the currently firing event returns.
-// It is intended to be called from inside an event callback (for example
-// when an experiment has reached its stopping condition).
-func (s *Sim) Halt() { s.halted = true }
-
 // Step fires the single next event, advancing the clock to its timestamp.
 // It reports whether an event fired (false when the queue is empty).
 func (s *Sim) Step() bool {
-	for len(s.heap) > 0 {
-		idx := s.popMin()
-		ev := s.arena.At(idx)
-		if ev.stopped {
-			s.stopped--
-			s.release(idx)
-			continue
-		}
-		s.now = ev.at
-		s.steps++
-		// Copy the payload out and recycle the slot before firing, so
-		// events scheduled inside the callback can reuse it.
-		h, m := ev.h, ev.msg
-		s.release(idx)
-		if h == 0 {
-			m.Payload.(func())()
-		} else {
-			s.handlers[h-1].HandleSimMsg(m)
-		}
-		return true
+	if len(s.heap) == 0 {
+		return false
 	}
-	return false
+	idx := s.popMin()
+	ev := s.arena.At(idx)
+	s.now = ev.at
+	s.steps++
+	// Copy the payload out and recycle the slot before firing, so
+	// events scheduled inside the callback can reuse it.
+	h, m := ev.h, ev.msg
+	ev.msg = Msg{} // drop the references for the GC
+	s.free = append(s.free, idx)
+	if h == 0 {
+		m.Payload.(func())()
+	} else {
+		s.handlers[h-1].HandleSimMsg(m)
+	}
+	return true
 }
 
-// Run fires events until the queue is empty or Halt is called.
-// It returns the number of events fired during this call.
+// Run fires events until the queue is empty. It returns the number of
+// events fired during this call.
 func (s *Sim) Run() uint64 {
-	s.halted = false
 	var fired uint64
-	for !s.halted && s.Step() {
+	for s.Step() {
 		fired++
 	}
 	return fired
@@ -233,17 +189,12 @@ func (s *Sim) Run() uint64 {
 // Events scheduled after deadline remain queued. It returns the number of
 // events fired during this call.
 func (s *Sim) RunUntil(deadline time.Duration) uint64 {
-	s.halted = false
 	var fired uint64
-	for !s.halted {
-		at, ok := s.peekLive()
-		if !ok || at > deadline {
-			break
-		}
+	for len(s.heap) > 0 && s.arena.At(s.heap[0]).at <= deadline {
 		s.Step()
 		fired++
 	}
-	if !s.halted && s.now < deadline {
+	if s.now < deadline {
 		s.now = deadline
 	}
 	return fired
@@ -252,16 +203,12 @@ func (s *Sim) RunUntil(deadline time.Duration) uint64 {
 // --- pooled event arena ------------------------------------------------------
 
 // event is a pooled queue entry: a message for handler h, or, with h 0, a
-// closure event whose func() is msg.Payload. gen guards Timer handles
-// against slot reuse: every release bumps it, invalidating outstanding
-// handles.
+// closure event whose func() is msg.Payload.
 type event struct {
-	at      time.Duration
-	seq     uint64
-	msg     Msg
-	gen     uint32
-	h       uint16 // 1 + index into Sim.handlers; 0 for a closure
-	stopped bool
+	at  time.Duration
+	seq uint64
+	msg Msg
+	h   uint16 // 1 + index into Sim.handlers; 0 for a closure
 }
 
 // alloc returns a free arena slot, growing the arena by a block when the
@@ -276,17 +223,8 @@ func (s *Sim) alloc() int32 {
 	return s.arena.Push(event{})
 }
 
-// release recycles an arena slot: references are dropped for the GC and
-// the generation advances so stale Timer handles go dead.
-func (s *Sim) release(idx int32) {
-	ev := s.arena.At(idx)
-	ev.msg = Msg{}
-	ev.gen++
-	s.free = append(s.free, idx)
-}
-
 // schedule allocates, fills and enqueues one event record.
-func (s *Sim) schedule(at time.Duration, h uint16, m Msg) int32 {
+func (s *Sim) schedule(at time.Duration, h uint16, m Msg) {
 	if at < s.now {
 		at = s.now
 	}
@@ -296,49 +234,9 @@ func (s *Sim) schedule(at time.Duration, h uint16, m Msg) int32 {
 	ev.seq = s.seq
 	ev.msg = m
 	ev.h = h
-	ev.stopped = false
 	s.seq++
 	s.heap = append(s.heap, idx)
 	s.siftUp(len(s.heap) - 1)
-	return idx
-}
-
-// maybeCompact reclaims stopped entries once they exceed half the queue:
-// long churn runs would otherwise hold dead records (and their arena
-// slots) until they surfaced at the heap top.
-func (s *Sim) maybeCompact() {
-	if s.stopped < compactMin || s.stopped*2 <= len(s.heap) {
-		return
-	}
-	live := s.heap[:0]
-	for _, idx := range s.heap {
-		if s.arena.At(idx).stopped {
-			s.release(idx)
-		} else {
-			live = append(live, idx)
-		}
-	}
-	s.heap = live
-	for i := len(s.heap)/2 - 1; i >= 0; i-- {
-		s.siftDown(i)
-	}
-	s.stopped = 0
-}
-
-// peekLive returns the timestamp of the earliest non-stopped event,
-// discarding stopped entries from the heap top along the way.
-func (s *Sim) peekLive() (time.Duration, bool) {
-	for len(s.heap) > 0 {
-		idx := s.heap[0]
-		ev := s.arena.At(idx)
-		if !ev.stopped {
-			return ev.at, true
-		}
-		s.popMin()
-		s.stopped--
-		s.release(idx)
-	}
-	return 0, false
 }
 
 // --- manual index heap -------------------------------------------------------

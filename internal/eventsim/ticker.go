@@ -11,9 +11,7 @@ type Ticker struct {
 	jitter   time.Duration
 	fn       func()
 	fire     func() // built once; rescheduling allocates no new closure
-	timer    Timer
 	stopped  bool
-	ticks    uint64
 }
 
 // Every schedules fn to run every interval, starting one interval from
@@ -30,7 +28,6 @@ func (s *Sim) Every(interval, jitter time.Duration, fn func()) *Ticker {
 		if t.stopped {
 			return
 		}
-		t.ticks++
 		t.fn()
 		if !t.stopped {
 			t.schedule()
@@ -45,18 +42,10 @@ func (t *Ticker) schedule() {
 	if t.jitter > 0 {
 		d += time.Duration(t.sim.rng.Int63n(int64(t.jitter)))
 	}
-	t.timer = t.sim.After(d, t.fire)
+	t.sim.After(d, t.fire)
 }
-
-// Ticks reports how many times the ticker has fired.
-func (t *Ticker) Ticks() uint64 { return t.ticks }
 
 // Stop halts the ticker. It is safe to call from inside the callback and
-// is idempotent.
-func (t *Ticker) Stop() {
-	if t.stopped {
-		return
-	}
-	t.stopped = true
-	t.timer.Stop()
-}
+// is idempotent. The tick already queued stays queued and fires as a
+// no-op: it calls no callback and draws no random number.
+func (t *Ticker) Stop() { t.stopped = true }

@@ -258,34 +258,15 @@ func (s *SimRuntime) applyLoss() {
 }
 
 // SetShape maps a round-relative spec onto the simulator: Loss composes
-// with fault loss, Delay/Jitter/Reorder become a latency model drawn
-// from the sim's own seeded RNG (so shaped runs stay bit-deterministic).
-// The reorder draw mirrors the live shaper: with probability Reorder a
-// message takes a large extra delay, up to 3×(delay+jitter), and
-// overtakes traffic sent after it.
+// with fault loss, and each message's latency adds the hold the live
+// shaper would draw (transport.Profile.Hold), drawn from the sim's own
+// seeded RNG so shaped runs stay bit-deterministic.
 func (s *SimRuntime) SetShape(sp ShapeSpec) {
 	s.shapeLoss = sp.Loss
 	s.applyLoss()
-	delay := time.Duration(sp.DelayRounds * float64(simRound))
-	jitter := time.Duration(sp.JitterRounds * float64(simRound))
-	if delay <= 0 && jitter <= 0 && sp.Reorder <= 0 {
-		s.C.SetLatency(simnet.ConstantLatency(simBaseLatency))
-		return
-	}
-	reorder := sp.Reorder
-	span := 3 * (delay + jitter)
-	if span <= 0 {
-		span = time.Millisecond
-	}
+	prof := shapeProfile(&sp, simRound)
 	s.C.SetLatency(func(rng *rand.Rand, _, _ simnet.NodeID) time.Duration {
-		d := simBaseLatency + delay
-		if jitter > 0 {
-			d += time.Duration(rng.Int63n(int64(jitter)))
-		}
-		if reorder > 0 && rng.Float64() < reorder {
-			d += time.Duration(rng.Int63n(int64(span)))
-		}
-		return d
+		return simBaseLatency + prof.Hold(rng)
 	})
 }
 
@@ -355,7 +336,7 @@ func newLiveRuntime(sc Scenario, seed int64, tf transport.Factory, name string) 
 	// Always install the shaping middleware — inert when the scenario
 	// declares no profile (one atomic load per send), shaped otherwise —
 	// so the Shape action works mid-run on every live column.
-	prof := liveProfile(sc.Shape, LiveRoundPeriod)
+	prof := shapeProfile(sc.Shape, LiveRoundPeriod)
 	c, err := live.NewCluster(live.Config{
 		N:            sc.N,
 		Fanout:       fanout,
@@ -381,7 +362,7 @@ func (l *LiveRuntime) Name() string { return l.name }
 // SetShape swaps the middleware profile (always installed — see
 // newLiveRuntime), converted to this column's wall-clock round.
 func (l *LiveRuntime) SetShape(sp ShapeSpec) {
-	l.Cluster.SetShape(liveProfile(&sp, LiveRoundPeriod))
+	l.Cluster.SetShape(shapeProfile(&sp, LiveRoundPeriod))
 }
 
 func (l *LiveRuntime) Join(seed int) (int, bool) {

@@ -27,9 +27,10 @@ type ShapeSpec struct {
 	Loss float64
 }
 
-// liveProfile converts a round-relative spec to the wall-clock
-// transport.Profile for a live column running at the given round period.
-func liveProfile(sp *ShapeSpec, round time.Duration) transport.Profile {
+// shapeProfile converts a round-relative spec to the transport.Profile
+// of a column whose round lasts round: wall clock on a live column,
+// virtual time on the sim column.
+func shapeProfile(sp *ShapeSpec, round time.Duration) transport.Profile {
 	if sp == nil {
 		return transport.Profile{}
 	}

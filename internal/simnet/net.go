@@ -119,9 +119,6 @@ func New(sim *eventsim.Sim, cfg Config) *Network {
 	return &Network{sim: sim, cfg: cfg}
 }
 
-// Sim returns the underlying simulator.
-func (n *Network) Sim() *eventsim.Sim { return n.sim }
-
 // Grow makes room for k more ids, so that registering them (AddNode,
 // AddRemote) sizes the tables once instead of growing them by append.
 func (n *Network) Grow(k int) {
@@ -170,9 +167,6 @@ func (n *Network) SetRemote(fn RemoteFunc) { n.remote = fn }
 func (n *Network) InjectAt(at time.Duration, m eventsim.Msg) {
 	n.sim.ScheduleMsgAt(at, n, m)
 }
-
-// Len returns the number of registered nodes.
-func (n *Network) Len() int { return len(n.handlers) }
 
 // Up reports whether the node is currently up.
 func (n *Network) Up(id NodeID) bool {

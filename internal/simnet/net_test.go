@@ -210,7 +210,7 @@ func TestSelfSend(t *testing.T) {
 // checkConservation asserts the network-wide counter invariant: every
 // accounted send is eventually delivered or charged to its sender as a
 // drop, and per-node counters sum to the totals.
-func checkConservation(t *testing.T, net *Network) {
+func checkConservation(t *testing.T, net *Network, nodes int) {
 	t.Helper()
 	tot := net.TotalTraffic()
 	if tot.MsgsSent != tot.MsgsRecv+tot.Dropped {
@@ -218,7 +218,7 @@ func checkConservation(t *testing.T, net *Network) {
 			tot.MsgsSent, tot.MsgsRecv, tot.Dropped)
 	}
 	var sent, recv, dropped, bytesSent, bytesRecv uint64
-	for id := 0; id < net.Len(); id++ {
+	for id := 0; id < nodes; id++ {
 		s := net.Stats(NodeID(id))
 		sent += s.MsgsSent
 		recv += s.MsgsRecv
@@ -242,7 +242,7 @@ func TestDropConservationUnderLoss(t *testing.T) {
 		net.Send(NodeID(i%4), NodeID((i+1)%4), nil, 8)
 	}
 	sim.Run()
-	checkConservation(t, net)
+	checkConservation(t, net, 4)
 	if net.TotalTraffic().Dropped == 0 {
 		t.Fatal("25% loss produced zero drops")
 	}
@@ -255,7 +255,7 @@ func TestDropConservationUnderPartition(t *testing.T) {
 		net.Send(NodeID(i%6), NodeID((i+3)%6), nil, 8) // all cross-partition
 	}
 	sim.Run()
-	checkConservation(t, net)
+	checkConservation(t, net, 6)
 	// Cross-partition sends are charged to the sender at delivery time.
 	if d := net.TotalTraffic().Dropped; d != 600 {
 		t.Fatalf("dropped %d of 600 cross-partition sends", d)
@@ -268,7 +268,7 @@ func TestDropConservationUnderPartition(t *testing.T) {
 	net.Heal()
 	net.Send(0, 3, nil, 8)
 	sim.Run()
-	checkConservation(t, net)
+	checkConservation(t, net, 6)
 }
 
 func TestDropConservationUnderCrash(t *testing.T) {
@@ -280,7 +280,7 @@ func TestDropConservationUnderCrash(t *testing.T) {
 	}
 	net.SetUp(2, false)
 	sim.Run()
-	checkConservation(t, net)
+	checkConservation(t, net, 3)
 	if len(recs[2].got) != 0 {
 		t.Fatal("crashed node received messages")
 	}
@@ -290,7 +290,7 @@ func TestDropConservationUnderCrash(t *testing.T) {
 	// A down sender is never accounted at all, so the invariant still holds.
 	net.Send(2, 0, nil, 8)
 	sim.Run()
-	checkConservation(t, net)
+	checkConservation(t, net, 3)
 	// Restart and mix loss + crash in one run.
 	net.SetUp(2, true)
 	net.SetLoss(0.5)
@@ -298,7 +298,7 @@ func TestDropConservationUnderCrash(t *testing.T) {
 		net.Send(0, 2, nil, 8)
 	}
 	sim.Run()
-	checkConservation(t, net)
+	checkConservation(t, net, 3)
 }
 
 // The send→deliver cycle must be allocation-free in steady state: message
@@ -497,13 +497,13 @@ func TestRefcountedLifecycle(t *testing.T) {
 	s := &rcPayload{}
 	n.SetRemote(func(m eventsim.Msg, d time.Duration) {
 		// Mailbox holds the ref across the barrier; merge back here.
-		n2 := New(eventsim.New(2), Config{})
-		n2.AddNode(&recorder{}) // id 0 unused
-		for n2.Len() <= int(m.To) {
+		sim2 := eventsim.New(2)
+		n2 := New(sim2, Config{})
+		for range m.To + 1 { // every id up to the destination's
 			n2.AddNode(&recorder{})
 		}
 		n2.InjectAt(0, m)
-		n2.Sim().Run()
+		sim2.Run()
 	})
 	n.Send(a, rem, s, 1)
 	if s.refs != 0 || s.released != 1 {

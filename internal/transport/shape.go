@@ -33,6 +33,28 @@ type Profile struct {
 	Loss float64
 }
 
+// Hold draws how long the shaper holds one envelope: Delay, plus a
+// uniform jitter in [0, Jitter), plus, with probability Reorder, an
+// extra hold of up to 3·(Delay+Jitter) that lets it overtake later
+// traffic. It draws the jitter, the reorder coin and the reorder span
+// from rng in that order, each only when its field is set, so a zero
+// profile draws nothing and holds nothing. The simulator's shaped
+// latency model draws through it too.
+func (p Profile) Hold(rng *rand.Rand) time.Duration {
+	d := p.Delay
+	if p.Jitter > 0 {
+		d += time.Duration(rng.Int63n(int64(p.Jitter)))
+	}
+	if p.Reorder > 0 && rng.Float64() < p.Reorder {
+		span := 3 * (p.Delay + p.Jitter)
+		if span <= 0 {
+			span = time.Millisecond
+		}
+		d += time.Duration(rng.Int63n(int64(span)))
+	}
+	return d
+}
+
 // inert reports whether the profile shapes nothing.
 func (p Profile) inert() bool {
 	return p.Delay == 0 && p.Jitter == 0 && p.Reorder == 0 && p.Loss == 0
@@ -353,17 +375,7 @@ func (e *shapedEndpoint) Send(to int, buf []byte) error {
 		s.mu.Unlock()
 		return nil
 	}
-	d := p.Delay
-	if p.Jitter > 0 {
-		d += time.Duration(s.rng.Int63n(int64(p.Jitter)))
-	}
-	if p.Reorder > 0 && s.rng.Float64() < p.Reorder {
-		span := 3 * (p.Delay + p.Jitter)
-		if span <= 0 {
-			span = time.Millisecond
-		}
-		d += time.Duration(s.rng.Int63n(int64(span)))
-	}
+	d := p.Hold(s.rng)
 	if d <= 0 {
 		s.mu.Unlock()
 		return e.inner.Send(to, buf)
