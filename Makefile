@@ -7,7 +7,7 @@ PKGS    := ./...
 BENCH   ?= .
 OUT     ?= results
 
-.PHONY: all build test race soak bench bench-smoke microbench vet fmt-check determinism staticcheck lint ci fairbench loc footprint redundancy allocs conservation clean
+.PHONY: all build test race soak bench bench-smoke microbench vet fmt-check determinism staticcheck lint ci fairbench loc footprint redundancy latency allocs conservation clean
 
 # staticcheck is version-pinned: a drifting linter turns every upgrade
 # into a triage session. Bump deliberately, re-triage, update
@@ -138,12 +138,21 @@ redundancy:
 	@out=$$($(GO) test ./internal/core ./internal/live -run 'TestRedundancyBudget|TestChargedIsEncoded|TestLazyPushRepairsLoss' -count=1 -v); status=$$?; \
 		echo "$$out" | grep -E 'redundancy|never delivered|charged = encoded|^(FAIL|ok)'; exit $$status
 
+# latency prints publish → deliver p50 and p99 in simulated time on the
+# sim-fair configuration at N = 200, from the test that holds both to
+# their budgets (TestDeliveryLatencyBudget; see PERFORMANCE.md "The first
+# two hops").
+latency:
+	@out=$$($(GO) test ./internal/core -run 'TestDeliveryLatencyBudget' -count=1 -v); status=$$?; \
+		echo "$$out" | grep -E 'latency:|^(FAIL|ok)'; exit $$status
+
 # allocs prints the allocation pins of the paths that run every round:
 # the simulation kernel's closure, message and ticker events and a
 # simulated message's Send → delivery (a closure rides in the kernel
 # record's interface payload), a steady sim-fair round, a Cyclon
 # exchange, a live round with and without a shuffle and one that sends
-# lazy ids, a live receive that pulls and one that serves a pull, decoding
+# lazy ids, a live receive that pulls, one that serves a pull and one that
+# relays a new event at once, a publish that pushes, decoding
 # 64 novel events through a warm decoder's slabs, and a datagram's Send →
 # handler → Release on each substrate (see PERFORMANCE.md "Allocation
 # regression tests").

@@ -139,28 +139,32 @@ func TestFairbenchBadFlag(t *testing.T) {
 // (PERFORMANCE.md "One byte model"). The two marked "no self-ack" moved
 // once more when a subscription walk that wanders back to its originator
 // began to end there, instead of the originator acking itself (a charged
-// self-send) with entries drawn from its own stream. If a change moves an
-// entry on purpose, regenerate with:
+// self-send) with entries drawn from its own stream. Every entry marked
+// "first two hops" moved once when an event's first two hops began to
+// leave at once — the publisher's push on Publish, its receivers' relay
+// on receipt — which moves every partner draw after the first
+// publication (PERFORMANCE.md "The first two hops"). If a change moves
+// an entry on purpose, regenerate with:
 //
 //	go run ./cmd/fairbench -seed 1 -small -out '' > /tmp/fb.txt && cd "$(mktemp -d)" && awk '/^##########/{id=$2; next} id{print > id}' /tmp/fb.txt && sha256sum EXP-*
 var goldenStdoutHash = map[string]string{
-	"EXP-A1": "09273147e93cdca01aea567d615f134d373051082e8f3e28be25fefa8a5a8e25",
-	"EXP-A2": "4388175ec2b8fc3cf21e605d62679d317131b4f31c3a912ba93fffd139adbff6",
-	"EXP-A3": "6fbd34957a62b7453099c2a23524115bf9c29b72a59a27b4a9c1314453e8bb09",
-	"EXP-A4": "b44f5aaf83cbd6d29d6deaff1973626aa3887019bb560104ca3d0a3930fba82b",
-	"EXP-A5": "5743c7444ffdca60b1adcd1db537d5dce6d87ef99a44a97dcd0cb089724d6c06",
-	"EXP-A6": "51fcb441cfae1bc9f7f035dcd5c820ea10b212bd728ba0ccb386be1b56ef570f", // one byte model: padding carries a 4-byte length
-	"EXP-F1": "1b9deac4b746bbb22e0676206f78007302caf8b148ad6d3c877784e4e33b4ec4",
-	"EXP-F2": "46153c7f7b2eb131368dd157ebcbb0e3da34ac518dbdbf2792a8a92f5e6ac2d5", // one byte model: topic gossip: ads count; no self-ack
-	"EXP-F3": "8c87800a6461e308dd6ec3341a39a79bcc569c7f2b3c574d3de6f915c9404384",
-	"EXP-F4": "3b118efbc94327444be86551f05843ac0b94854609ba46121c0927fe6ed6da7f",
-	"EXP-T1": "f560791d42f6bdb7ea17e84ea35605733d92fc2ff2699c6e0ec3dc0d2655e75a", // one byte model: topic gossip and walks; no self-ack
+	"EXP-A1": "273ac1de1fb74b9677424bef649e8f4958c965daf662a0a4e26f7bef8f283d17", // first two hops
+	"EXP-A2": "1422621e8fb056dc43a69fd87b8221f1d6900c71299dae3e166e58ffc8fb0dad", // first two hops
+	"EXP-A3": "8a40d0a8f12c81c9c87f6ec1211a05081a25acf586575da8e95bba76afc2e5a1", // first two hops
+	"EXP-A4": "1192b84f0cbd6836b80556bc758ac3651ec6376b34e31571a3f565f2e194f089", // first two hops
+	"EXP-A5": "6b1e0b1c68672f61e13deb549f9e7031fee89d99922397e08aa7b1e77251e1c3", // first two hops
+	"EXP-A6": "6d2dd1fe45abc895f118925a26537d743dc01248aa7779361735589c89089664", // one byte model: padding carries a 4-byte length; first two hops
+	"EXP-F1": "0e88eebe6488a9b4435fea6ff1c9d5e14bbbe2be970e6b7efabdc9919c00b5d4", // first two hops
+	"EXP-F2": "ae8adae7805df2c1b8f9a7e5e6f95e138e690db27abc22b9816e080b261f4fae", // one byte model: topic gossip: ads count; no self-ack; first two hops
+	"EXP-F3": "d9169e1c0cc3be96fc1523d3e7820f27396e57866c374df9f216c15ab7f6b31c", // first two hops
+	"EXP-F4": "ba533a236e061cab0fcd2f4dae1ae1667e2b7ca7b97db14ceb6e83857a7668a2", // first two hops
+	"EXP-T1": "6901fc6c5ce7ec4dcbfc75bf244b62ac50b510b507345a863e95b10e0d80af7e", // one byte model: topic gossip and walks; no self-ack; first two hops
 	"EXP-T2": "e243640362e8e1d96b923a1334a92d5cbd4cd5617bf945c975706c757feab38c",
-	"EXP-T3": "1ff7ed8aa32f75b113929ee6c8127ed5177f7538df3392882443a692cc9a0253", // one byte model: walks, acks, ads count
-	"EXP-T4": "c3c945459808577cd6f5fa3630ab0177dc6c1f50a950540481be11be115d09d2",
-	"EXP-T5": "b50652e45f5ee1715a457047bb6a87967a9734672e2eb19d969c94df275d20f5",
-	"EXP-X1": "11e7c3116cb0b74e01aac933fc095126dbee62094d78721b2d8d5fc8257a3233", // one byte model: digests and pulls: 10-byte header
-	"EXP-X2": "b7ad4571af2fbf0c63810b9ec999697bb8dcab6da226ce4a6428d1c7359bee13", // one byte model: fingerprint ads count
+	"EXP-T3": "915ad4d1eba1904a6e8e86d17c881016dd8485332678920f84cb8be77a357cad", // one byte model: walks, acks, ads count; first two hops
+	"EXP-T4": "543deea87e95e13e1891e6f67a8e9de1dc47b6c60081aa6044db65402959e69d", // first two hops
+	"EXP-T5": "7dade2781da7cdcb1320c490f3056617cf37f18e795e6eb5566353b8636761dd", // first two hops
+	"EXP-X1": "5784cae0619bd1f6fa0f4f569a9136671d83f003075b17f5cead309d03db4b16", // one byte model: digests and pulls: 10-byte header; first two hops
+	"EXP-X2": "d038b3943d5ca17a47e5903ef24739f3e3eb522bbf9e98572be7eea42a915f03", // one byte model: fingerprint ads count; first two hops
 }
 
 // stdoutByExperiment splits fairbench's stdout into each experiment's

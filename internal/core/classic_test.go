@@ -56,8 +56,11 @@ func TestClassicConfiguration(t *testing.T) {
 			}
 		}},
 		{"fanout 1 stays partial", func(t *testing.T) {
-			if got := classicCoverage([]int64{2}, 256, 8, Config{Fanout: 1, BufferMaxAge: 9}, 0); got > 0.8 {
-				t.Fatalf("fanout 1 covered %.3f, want ≤ 0.8", got)
+			// Coverage 0.465 when every hop waited for a round, 0.828 once
+			// an event's first two hops leave at once; fanout 2 covers
+			// 1.000 at this size.
+			if got := classicCoverage([]int64{2}, 256, 8, Config{Fanout: 1, BufferMaxAge: 9}, 0); got > 0.9 {
+				t.Fatalf("fanout 1 covered %.3f, want ≤ 0.9", got)
 			}
 		}},
 		{"coverage is monotone in fanout", func(t *testing.T) {
@@ -123,7 +126,10 @@ func TestClassicConfiguration(t *testing.T) {
 		{"a digest waits for its cadence", func(t *testing.T) {
 			c := classicCluster(9, 2, Config{BufferMaxAge: 1, AntiEntropy: 3}, 0)
 			c.Node(1).Subscribe(pubsub.MatchAll())
+			c.Partition([]simnet.NodeID{1}) // the publisher's eager push is lost
 			c.Node(0).Publish("t", nil, nil)
+			c.Drain()
+			c.Heal()
 			c.Node(0).Buffer().Tick() // the push TTL is over: only a digest can move the event
 			for round := 1; round <= 3; round++ {
 				if c.Ledger.Account(1).Delivered != 0 {
@@ -147,8 +153,11 @@ func TestClassicConfiguration(t *testing.T) {
 			if sent := c.Stats(0).MsgsSent; sent != 0 {
 				t.Fatalf("%d replies to a pull for an unknown id", sent)
 			}
-			pull(c.Node(0).Publish("t", nil, nil))
-			if sent, got := c.Stats(0).MsgsSent, c.Ledger.Account(1).Delivered; sent != 1 || got != 1 {
+			id := c.Node(0).Publish("t", nil, nil)
+			c.Drain()
+			pushed := c.Stats(0).MsgsSent // the publisher's eager push
+			pull(id)
+			if sent, got := c.Stats(0).MsgsSent-pushed, c.Ledger.Account(1).Delivered; sent != 1 || got != 1 {
 				t.Fatalf("a pull for a held event got %d replies and %d deliveries, want 1 and 1", sent, got)
 			}
 		}},

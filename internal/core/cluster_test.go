@@ -391,3 +391,26 @@ func TestClusterJoinDeterminism(t *testing.T) {
 		t.Fatalf("join broke determinism: %d vs %d", a, b)
 	}
 }
+
+// TestDownNodeSendsNothing: a node that is down sends nothing, so neither
+// its ledger account nor its traffic counters move when it publishes or
+// subscribes — the topic-group walks and the eager push those calls make
+// on an up node included. The ledger used to be charged for sends the
+// network refused.
+func TestDownNodeSendsNothing(t *testing.T) {
+	for _, mode := range []Mode{ModeContent, ModeTopics} {
+		c := NewCluster(16, Config{Mode: mode, Fanout: 3}, ClusterOptions{Seed: 3})
+		c.RunRounds(4)
+		c.Node(0).Leave()
+		before, traffic := c.Ledger.Account(0), c.Stats(0)
+		c.Node(0).Publish("t", nil, []byte("x"))
+		c.Node(0).Subscribe(pubsub.Topic("u"))
+		after := c.Ledger.Account(0)
+		if after.MsgsSent != before.MsgsSent || after.BytesSent != before.BytesSent {
+			t.Errorf("mode %v: a down node was charged %v messages, was %v", mode, after.MsgsSent, before.MsgsSent)
+		}
+		if got := c.Stats(0); got != traffic {
+			t.Errorf("mode %v: a down node's traffic went %+v -> %+v", mode, traffic, got)
+		}
+	}
+}

@@ -33,8 +33,12 @@ func (nd *Node) Active() bool { return nd.active }
 // flush sends what the peer's last input left in the shard's Out, in
 // order: each message copied once into a pooled envelope, which every one
 // of its targets shares, and charged its Size per target — the length
-// internal/wire encodes it to.
+// internal/wire encodes it to. A node that is down sends nothing and is
+// charged nothing.
 func (nd *Node) flush() {
+	if !nd.active {
+		return
+	}
 	out := &nd.sh.out
 	for i := range out.Msgs {
 		o := &out.Msgs[i]

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"weak"
@@ -69,12 +70,16 @@ func fingerprint(sc *Cluster) string {
 // TestSimColumnGolden pin the one-shard run: two runs of one binary agree
 // even when a change moves sharded output the same way in both. Only a
 // change that means to move an RNG draw, a firing order or a tie-break
-// sequence may re-pin them, and says why.
+// sequence may re-pin them, and says why. All four moved once, from
+// 2a981850…, ed5e7a3b…, 61d39d4b… and 2e1ca319…, when an event's first
+// two hops began to leave at once (the publisher's push on Publish, its
+// receivers' relay on receipt): new partner draws, and publications that
+// send across shards (PERFORMANCE.md "The first two hops").
 var shardedGolden = map[int]string{
-	1: "2a9818500e0ba1d54eebc9b9ed0885601efb3648891fef748584520726b5e923",
-	2: "ed5e7a3bb90bb95108fe567d150343221475aded833a181bc9ce33a9a787db23",
-	4: "61d39d4bf84c675043edf6bee18ea82b1b3f716bdd5abca54853d1ff83aba9f3",
-	8: "2e1ca319d915532ba27a3a19cb5265d255c77e90997c25288d7ee96de37c5144",
+	1: "22af5127b52b2585481f6e92a65a470471751576e62e7ada7a275ac2ec60ff3b",
+	2: "aba007d95a4fc575ee52fa11c0e106a72f46c85a68dddf40599a75c6223d58b2",
+	4: "b55b104cb4cb70c058e6bad9888e4d1e88979a9ff208d5ad4fd4c10add34017d",
+	8: "96f6074b862e3efdf2d3fa177196f37d7d09cfc5337c4481cc912b88d8adae96",
 }
 
 // Fixed seed + fixed shard count must reproduce every counter exactly,
@@ -115,6 +120,40 @@ func TestShardedCrossShardDelivery(t *testing.T) {
 	for i := 0; i < n; i++ {
 		if sc.Ledger.Account(i).Delivered == 0 {
 			t.Fatalf("node %d (shard %d) never delivered the event", i, sc.shardOf(i))
+		}
+	}
+}
+
+// TestShardedPublishPushesAcrossShards: in every push mode, Publish sends
+// the event's first push at once, from the calling goroutine between
+// windows, to partners on any shard, and the event reaches every shard.
+// make race runs it under the detector.
+func TestShardedPublishPushesAcrossShards(t *testing.T) {
+	const n, shards = 64, 4
+	topics, semantic := shardTestConfig(), shardTestConfig()
+	topics.Mode, semantic.SemanticBias = ModeTopics, 0.5
+	for _, cfg := range []Config{shardTestConfig(), topics, semantic} {
+		sc := NewShardedCluster(n, shards, cfg, ClusterOptions{Seed: 3})
+		for _, nd := range sc.Nodes {
+			nd.Subscribe(pubsub.Topic("t"))
+		}
+		sc.RunRounds(10) // topic groups form
+		sent := sc.Stats(0).MsgsSent
+		sc.Node(0).Publish("t", nil, []byte("x")) // lives on shard 0
+		if sc.Stats(0).MsgsSent == sent {
+			t.Fatalf("mode %d, bias %.1f: the publication sent nothing", cfg.Mode, cfg.SemanticBias)
+		}
+		sc.RunRounds(30)
+		sc.Stop()
+		sc.Drain()
+		reached := make([]bool, shards)
+		for i := 0; i < n; i++ {
+			if sc.Ledger.Account(i).Delivered > 0 {
+				reached[sc.shardOf(i)] = true
+			}
+		}
+		if slices.Contains(reached, false) {
+			t.Fatalf("mode %d, bias %.1f: shards reached %v", cfg.Mode, cfg.SemanticBias, reached)
 		}
 	}
 }

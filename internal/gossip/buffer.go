@@ -4,6 +4,15 @@
 // into a gossip message (SELECTEVENTS), and pushes it. Receivers
 // deduplicate, re-buffer, and DELIVER events matching ISINTERESTED.
 //
+// Deviation from the paper: Fig. 4's PUBLISH only buffers the event, so
+// each hop waits for its holder's next round. Here an event's first two
+// hops leave at once: the publisher pushes it to F partners on PUBLISH,
+// and a peer that receives a new event from its publisher relays it to F
+// partners on receipt (Buffer.FirstSend, at most once per peer and
+// event). Rounds carry everything else as in Fig. 4. The eager sends are
+// gossip charged like a round's (fairness.ClassApp), so §5.2's accounting
+// does not change.
+//
 // The package provides the pieces of that round: the event buffer with
 // age-based garbage collection and duplicate retirement, the
 // duplicate-suppression set, the event-selection policies (an ablation
@@ -121,6 +130,19 @@ func (b *Buffer) Get(id pubsub.EventID) (*pubsub.Event, bool) {
 		return nil, false
 	}
 	bump(&b.ents[i].sent)
+	return b.ents[i].ev, true
+}
+
+// FirstSend returns the buffered event with the given id and marks it
+// sent, if it has never been sent — by a round, a pull or an earlier
+// FirstSend. It is how a peer's eager push of an event (the publisher's
+// on Publish, a first-hop relay on receipt) happens at most once.
+func (b *Buffer) FirstSend(id pubsub.EventID) (*pubsub.Event, bool) {
+	i := b.index(id)
+	if i < 0 || b.ents[i].sent != 0 {
+		return nil, false
+	}
+	b.ents[i].sent = 1
 	return b.ents[i].ev, true
 }
 

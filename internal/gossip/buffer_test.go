@@ -116,6 +116,32 @@ func TestSelectEmptyBuffer(t *testing.T) {
 	b.Tick() // must not panic on empty
 }
 
+// TestBufferFirstSend: FirstSend hands out a buffered event once, and
+// only if nothing sent it before — not a selection, not a pull (Get) —
+// and counts as its send for the least-sent policy.
+func TestBufferFirstSend(t *testing.T) {
+	b := NewBuffer(4, 8)
+	fresh, selected, pulled := ev(1, 1), ev(1, 2), ev(1, 3)
+	b.Insert(fresh)
+	if got, ok := b.FirstSend(fresh.ID); !ok || got != fresh {
+		t.Fatal("FirstSend refused a fresh event")
+	}
+	if _, ok := b.FirstSend(fresh.ID); ok {
+		t.Fatal("FirstSend handed the same event out twice")
+	}
+	b.Insert(selected)
+	b.Insert(pulled)
+	b.Get(pulled.ID)
+	if sel := pick(b, rand.New(rand.NewSource(1)), 1, PolicyLeastSent); len(sel) != 1 || sel[0] != selected {
+		t.Fatalf("least-sent picked %v, want the one event never sent", sel)
+	}
+	for _, e := range []*pubsub.Event{selected, pulled, ev(9, 9)} {
+		if _, ok := b.FirstSend(e.ID); ok {
+			t.Fatalf("FirstSend handed out %v, which was sent before or is not buffered", e.ID)
+		}
+	}
+}
+
 func TestBufferGet(t *testing.T) {
 	b := NewBuffer(4, 8)
 	e := ev(1, 1)

@@ -7,9 +7,11 @@
 // codec and fault switches around it.
 //
 // Messages move as encoded bytes: each round a peer packs its selected
-// events into one wire envelope (internal/wire) in its reused scratch and
-// hands the bytes to its transport endpoint (internal/transport), which
-// keeps nothing past Send; receivers validate the envelope, dedup on the
+// events into one wire envelope (internal/wire) in its reused scratch, as
+// a publisher does with its new event and a peer with the new events it
+// hears from their publisher — at once, not at the next round
+// (protocol.Peer's eager first two hops) — and hands the bytes to its
+// transport endpoint (internal/transport), which keeps nothing past Send; receivers validate the envelope, dedup on the
 // event ids, decode — into events they own outright — only what they have
 // not seen, then release the lent buffer. A saturated event of 256 B or
 // more goes by its id in a lazy push (wire.KindLazy), and a receiver that
@@ -878,8 +880,11 @@ func (p *peer) round() {
 // traffic; a joiner pays for its own introduction — each message encoded
 // once into the peer's scratch and the same bytes sent to every target,
 // then mirrors the join hand-shake's verdict where JoinErr and Traffic can
-// see it.
+// see it. A peer that is down sends nothing and is charged nothing.
 func (p *peer) flush() {
+	if p.down.Load() {
+		return
+	}
 	for i := range p.out.Msgs {
 		o := &p.out.Msgs[i]
 		buf, err := wire.Append(p.wbuf[:0], uint32(p.id), &o.Msg)

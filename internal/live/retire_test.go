@@ -5,25 +5,42 @@ import (
 
 	"fairgossip/internal/core"
 	"fairgossip/internal/fairness"
+	"fairgossip/internal/protocol"
 	"fairgossip/internal/pubsub"
+	"fairgossip/internal/simnet"
 	"fairgossip/internal/wire"
 )
 
+// fedEvent is the event both feeders hold: published by peer 2, outside
+// the two-peer clusters, so neither feeder is its publisher and no copy
+// the receiver gets is relayed at once.
+var fedEvent = &pubsub.Event{ID: pubsub.EventID{Publisher: 2, Seq: 1}, Topic: "t", Payload: []byte("x")}
+
+// batchOf is a protocol.Batch of decoded events.
+type batchOf []*pubsub.Event
+
+func (b batchOf) Len() int                         { return len(b) }
+func (b batchOf) Head(i int) (pubsub.EventID, int) { return b[i].ID, b[i].WireSize() }
+func (b batchOf) Event(i int) *pubsub.Event        { return b[i] }
+
 // simRetiresOn feeds a simulated node one copy of one event at a time
 // and returns the copy after which it no longer forwards the event. The
-// feeder is node 0 of a two-node cluster whose tickers never start: each
-// hand-driven Round of node 0 pushes the event to its only partner and
-// the kernel is run dry, so node 1 has received exactly k copies when
-// its own first Round shows — by a charged application message or none —
-// whether the event is still in its buffer. That Round sends node 0 a
-// duplicate, hence a fresh cluster per k.
+// feeder is node 0 of a two-node cluster whose tickers never start,
+// handed fedEvent by its publisher through the machine alone (the relay
+// that answer asks for is discarded): each hand-driven Round of node 0
+// pushes the event to its only partner and the kernel is run dry, so
+// node 1 has received exactly k copies when its own first Round shows —
+// by a charged application message or none — whether the event is still
+// in its buffer. That Round sends node 0 a duplicate, hence a fresh
+// cluster per k.
 func simRetiresOn(t *testing.T, batch int) int {
 	t.Helper()
 	for k := 1; k <= 4*batch+2; k++ {
 		c := core.NewCluster(2, core.Config{
 			Membership: core.MemberFull, Fanout: 1, Batch: batch, BufferMaxAge: 1 << 10,
 		}, core.ClusterOptions{Seed: 1})
-		c.Node(0).Publish("t", nil, []byte("x"))
+		var discard protocol.Out
+		c.Node(0).Recv(simnet.NodeID(fedEvent.ID.Publisher), protocol.In{Kind: wire.KindEvents, Events: batchOf{fedEvent}}, &discard)
 		for copies := 0; copies < k; copies++ {
 			c.Node(0).Round()
 			c.Sim.Run()
@@ -44,7 +61,7 @@ func liveRetiresOn(t *testing.T, batch int) int {
 	t.Helper()
 	c := mustCluster(t, Config{N: 2, Fanout: 1, Batch: batch, Seed: 1})
 	p := c.peerAt(1)
-	ev := &pubsub.Event{ID: pubsub.EventID{Publisher: 0, Seq: 1}, Topic: "t", Payload: []byte("x")}
+	ev := fedEvent
 	env, err := wire.AppendEnvelope(nil, 0, []*pubsub.Event{ev})
 	if err != nil {
 		t.Fatal(err)

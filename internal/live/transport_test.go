@@ -175,8 +175,8 @@ func TestLiveCountsKindsItDoesNotRun(t *testing.T) {
 // conservation still balances (driven by hand for determinism).
 func TestLiveFaultDropsCounted(t *testing.T) {
 	c := mustCluster(t, Config{N: 6, Fanout: 3, Seed: 15, BufferMaxAge: 1 << 20})
+	c.SetLoss(1) // every link drop is a fault drop, the publisher's eager push's too
 	c.Publish(0, "t", nil, []byte("lossy"))
-	c.SetLoss(1) // every link drop is a fault drop
 	p := c.peerAt(0)
 	for r := 0; r < 5; r++ {
 		p.round()
@@ -187,5 +187,29 @@ func TestLiveFaultDropsCounted(t *testing.T) {
 	}
 	if tr.Recv != 0 {
 		t.Fatalf("received %d envelopes under total loss", tr.Recv)
+	}
+}
+
+// TestCrashedPeerSendsNothing: a crashed peer sends nothing, so neither
+// its ledger account nor the traffic counters move when it publishes or
+// subscribes — the eager push a publish makes on an up peer included. The
+// fault layer only checks a link's destination, so a crashed sender's
+// flush used to reach the network.
+func TestCrashedPeerSendsNothing(t *testing.T) {
+	c := mustCluster(t, Config{N: 6, Fanout: 3, Seed: 15})
+	c.Publish(0, "t", nil, []byte("up")) // the eager push: what a crashed peer must not send
+	if c.Traffic().Sent == 0 {
+		t.Fatal("an up peer's publish sent nothing")
+	}
+	c.Crash(0)
+	before, traffic := c.Ledger().Account(0), c.Traffic()
+	c.Publish(0, "t", nil, []byte("down"))
+	c.Subscribe(0, pubsub.Topic("u"))
+	after := c.Ledger().Account(0)
+	if after.MsgsSent != before.MsgsSent || after.BytesSent != before.BytesSent {
+		t.Errorf("a crashed peer was charged %v messages, was %v", after.MsgsSent, before.MsgsSent)
+	}
+	if got := c.Traffic(); got != traffic {
+		t.Errorf("a crashed peer's calls moved the traffic counters %+v -> %+v", traffic, got)
 	}
 }

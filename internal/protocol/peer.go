@@ -16,6 +16,12 @@
 //   - Calls: Tick once a gossip period, then Adapt; every other input
 //     (Subscribe, Unsubscribe, Publish, Recv, Join, Leave) at any time
 //     between Ticks. What Params enables runs inside those calls.
+//   - Gossip: Tick's push is not the only one. Publish pushes the new
+//     event at once to fanout partners, and Recv relays at once the new
+//     events a message's sender published — an event's first two hops,
+//     each at most once per peer (gossip.Buffer.FirstSend). Both are
+//     ClassApp messages in the Out like a round's, so a driver flushes
+//     after every input, not only after Tick.
 //   - Buffers: an input that takes an *Out overwrites it, and the driver
 //     sends each of out.Msgs, in order, to each of its To before its next
 //     call — one flush loop. A message's slices and its To are scratch that
@@ -257,9 +263,10 @@ func (p *Peer) Unsubscribe(id pubsub.SubID) bool {
 }
 
 // Publish originates an event: charged, marked seen, delivered locally if
-// it matches, and kept for forwarding — in the flat buffer, or the topic's
-// group; a publisher outside the group hands it to a member by a
-// publication walk instead.
+// it matches, kept for forwarding — in the flat buffer, or the topic's
+// group — and pushed at once to fanout partners, the event's first hop; a
+// publisher outside the group hands it to a member by a publication walk
+// instead.
 func (p *Peer) Publish(topic string, attrs []pubsub.Attr, payload []byte, out *Out) *pubsub.Event {
 	out.reset()
 	buf := &p.buffer
@@ -279,14 +286,19 @@ func (p *Peer) Publish(topic string, attrs []pubsub.Attr, payload []byte, out *O
 	p.ledger.AddPublish(int(p.id), ev.WireSize())
 	p.seen.Add(ev.ID)
 	p.deliver(ev)
-	if buf != nil {
-		buf.Insert(ev)
-	}
 	if a := p.archive(); a != nil {
 		a.Insert(ev)
 	}
 	if buf == nil {
 		p.startWalk(wire.KindPubWalk, topic, []*pubsub.Event{ev}, out)
+		return ev
+	}
+	buf.Insert(ev)
+	if !p.FreeRide {
+		if e, ok := buf.FirstSend(ev.ID); ok {
+			out.sel = append(out.sel[:0], e)
+			p.spread(out, topic, out.sel, nil)
+		}
 	}
 	return ev
 }
@@ -330,11 +342,32 @@ func (p *Peer) Tick(out *Out) {
 func (p *Peer) push(out *Out) {
 	if !p.FreeRide {
 		events, lazy := p.buffer.SelectSplit(p.rand(), &out.sel, &out.lazy, p.batch, p.par.Policy)
+		p.spread(out, "", events, lazy)
+	}
+	p.buffer.Tick()
+}
+
+// spread sends a batch to fanout partners, drawn as the push mode draws
+// them: from the topic's group view, tagged and with the group's ads
+// (a heartbeat when the batch is empty); per topic, biased towards peers
+// whose interest overlaps, under semantic bias; otherwise from the
+// overlay, and only when there is something to send. A round's push and
+// an event's eager first two hops both send through it.
+func (p *Peer) spread(out *Out, topic string, events []*pubsub.Event, lazy []pubsub.EventID) {
+	switch {
+	case p.par.Topics:
+		g := p.group(topic)
+		ads := p.groupSample(g, adLen, out)
+		p.gossip(out, p.viewSample(g.view, p.fanout, out), topic, events, nil, ads)
+	case p.par.SemanticBias > 0:
+		for _, group := range splitByTopic(events) {
+			p.gossip(out, p.biasedPeers(p.fanout, batchFingerprint(group), out), "", group, nil, nil)
+		}
+	default:
 		if len(events)+len(lazy) > 0 {
 			p.gossip(out, p.partners(p.fanout, out), "", events, lazy, nil)
 		}
 	}
-	p.buffer.Tick()
 }
 
 // selectFrom picks this round's batch — at most the batch lever — from buf.
@@ -425,9 +458,9 @@ func (p *Peer) Recv(from simnet.NodeID, m In, out *Out) (novel, junk int, ok boo
 	ok = true
 	switch m.Kind {
 	case wire.KindEvents:
-		novel, junk = p.recvGossip(from, x, m.Events)
+		novel, junk = p.recvGossip(from, x, m.Events, out)
 	case wire.KindLazy:
-		novel, junk = p.recvGossip(from, x, m.Events)
+		novel, junk = p.recvGossip(from, x, m.Events, out)
 		junk += p.recvLazy(from, x.IDs, out)
 	case wire.KindOffer:
 		if view {
@@ -475,8 +508,9 @@ func (p *Peer) Recv(from simnet.NodeID, m In, out *Out) (novel, junk int, ok boo
 // fingerprints it carries and a topic group its ads; under topic groups
 // only a member keeps a topic's events for forwarding — anyone else
 // delivers them, if interesting, and never buffers them (fair by
-// structure).
-func (p *Peer) recvGossip(from simnet.NodeID, x *wire.Parts, b Batch) (novel, junk int) {
+// structure). The new events the sender published are relayed at once, in
+// one batch: their second hop.
+func (p *Peer) recvGossip(from simnet.NodeID, x *wire.Parts, b Batch, out *Out) (novel, junk int) {
 	if p.par.SemanticBias > 0 {
 		p.rememberFingerprint(from, x.FP)
 		for _, ad := range x.FPAds {
@@ -493,7 +527,15 @@ func (p *Peer) recvGossip(from simnet.NodeID, x *wire.Parts, b Batch) (novel, ju
 			}
 		}
 	}
-	novel, dup := p.admitEvents(from, buf, b)
+	var relay *[]*pubsub.Event
+	if buf != nil && !p.FreeRide {
+		out.sel = out.sel[:0]
+		relay = &out.sel
+	}
+	novel, dup := p.admitEvents(from, buf, b, relay)
+	if relay != nil && len(out.sel) > 0 {
+		p.spread(out, x.Topic, out.sel, nil)
+	}
 	return novel, dup + x.Pad
 }
 
@@ -501,8 +543,10 @@ func (p *Peer) recvGossip(from simnet.NodeID, x *wire.Parts, b Batch) (novel, ju
 // (nil: deliver only) and in the archive, and returns the bytes that were
 // news and the bytes that were not. A duplicate — most of what push gossip
 // delivers — costs a seen-set probe and a count towards retiring the
-// peer's own copy (Buffer.Duplicate).
-func (p *Peer) admitEvents(from simnet.NodeID, buf *gossip.Buffer, b Batch) (novel, dup int) {
+// peer's own copy (Buffer.Duplicate). With relay set, a new event that
+// from published is appended to *relay and marked sent, unless this peer
+// has already sent it (Buffer.FirstSend).
+func (p *Peer) admitEvents(from simnet.NodeID, buf *gossip.Buffer, b Batch, relay *[]*pubsub.Event) (novel, dup int) {
 	p.heard(from)
 	a := p.archive()
 	for i, n := 0, b.Len(); i < n; i++ {
@@ -524,6 +568,11 @@ func (p *Peer) admitEvents(from simnet.NodeID, buf *gossip.Buffer, b Batch) (nov
 		}
 		if buf != nil {
 			buf.Insert(ev)
+			if relay != nil && id.Publisher == uint32(from) {
+				if e, ok := buf.FirstSend(id); ok {
+					*relay = append(*relay, e)
+				}
+			}
 		}
 		p.deliver(ev)
 	}

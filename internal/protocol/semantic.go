@@ -31,9 +31,7 @@ import (
 // topic, each part to its own biased partners.
 func (p *Peer) pushSemantic(out *Out) {
 	if !p.FreeRide {
-		for _, group := range splitByTopic(p.selectFrom(&p.buffer, out)) {
-			p.gossip(out, p.biasedPeers(p.fanout, batchFingerprint(group), out), "", group, nil, nil)
-		}
+		p.spread(out, "", p.selectFrom(&p.buffer, out), nil)
 	}
 	p.buffer.Tick()
 }

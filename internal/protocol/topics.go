@@ -142,8 +142,7 @@ func (p *Peer) pushTopics(out *Out) {
 			g.buffer.Tick()
 			continue
 		}
-		ads := p.groupSample(g, adLen, out)
-		p.gossip(out, p.viewSample(g.view, p.fanout, out), topic, events, nil, ads)
+		p.spread(out, topic, events, nil)
 		g.buffer.Tick()
 	}
 }
@@ -228,7 +227,7 @@ func (p *Peer) recvSubAck(x *wire.Parts, entries []wire.ViewEntry) {
 // like any batch, unaudited.
 func (p *Peer) recvPubWalk(from simnet.NodeID, x *wire.Parts, b Batch, out *Out) {
 	if g := p.group(x.Topic); g != nil {
-		p.admitEvents(from, g.buffer, b)
+		p.admitEvents(from, g.buffer, b, nil)
 		return
 	}
 	p.relayWalk(from, wire.KindPubWalk, x, b, out)

@@ -95,8 +95,11 @@ func TestSimColumnHasAnOverlay(t *testing.T) {
 // failure detector on, joiners and rejoiners introduced by
 // protocol.Peer.Join over wire.KindJoin — and Result began to print the
 // recovery and hygiene measurements (PERFORMANCE.md "Determinism
-// contract").
-const simColumnGolden = "6455a26d10f5b5b8d3b564385bde4c0c858ec187683b35c815acfde7a6a847e3"
+// contract"). And once from 6455a26d…, when an event's first two hops
+// began to leave at once — the publisher's push on Publish, its
+// receivers' relay on receipt — which moves every partner draw after a
+// publication (PERFORMANCE.md "The first two hops").
+const simColumnGolden = "508d1f8be498ad54088f3ef7de1eba1d07b5234df60a7b7d4650564a6983455e"
 
 func TestSimColumnGolden(t *testing.T) {
 	h := sha256.New()
