@@ -129,30 +129,34 @@ footprint:
 # redundancy prints what a delivery costs on the wire and how much of
 # what peers receive is news, from the test that holds both to their
 # budgets and checks that no delivery is lost (the sim-fair configuration
-# at N = 200; see PERFORMANCE.md "Redundancy budget"), per message kind,
+# at N = 200; see PERFORMANCE.md "Redundancy budget"), the same with 1 KB
+# events and static levers (TestBigEventSpreadBudget; "The lazy tier"),
+# per message kind,
 # that the simulator charged each message the length internal/wire
 # encodes it to (TestChargedIsEncoded; PERFORMANCE.md "One byte model"),
 # and what a delivery costs 16 live peers whose 1 KB events go lazy and
 # are pulled back under 30 % loss (TestLazyPushRepairsLoss).
 redundancy:
-	@out=$$($(GO) test ./internal/core ./internal/live -run 'TestRedundancyBudget|TestChargedIsEncoded|TestLazyPushRepairsLoss' -count=1 -v); status=$$?; \
-		echo "$$out" | grep -E 'redundancy|never delivered|charged = encoded|^(FAIL|ok)'; exit $$status
+	@out=$$($(GO) test ./internal/core ./internal/live -run 'TestRedundancyBudget|TestBigEventSpreadBudget|TestChargedIsEncoded|TestLazyPushRepairsLoss' -count=1 -v); status=$$?; \
+		echo "$$out" | grep -E 'redundancy|big events|never delivered|charged = encoded|^(FAIL|ok)'; exit $$status
 
 # latency prints publish → deliver p50 and p99 in simulated time on the
 # sim-fair configuration at N = 200, from the test that holds both to
 # their budgets (TestDeliveryLatencyBudget; see PERFORMANCE.md "The first
-# two hops").
+# two hops"), and the same with 1 KB events and static levers
+# (TestBigEventSpreadBudget; "The lazy tier").
 latency:
-	@out=$$($(GO) test ./internal/core -run 'TestDeliveryLatencyBudget' -count=1 -v); status=$$?; \
-		echo "$$out" | grep -E 'latency:|^(FAIL|ok)'; exit $$status
+	@out=$$($(GO) test ./internal/core -run 'TestDeliveryLatencyBudget|TestBigEventSpreadBudget' -count=1 -v); status=$$?; \
+		echo "$$out" | grep -E 'latency:|big events:|^(FAIL|ok)'; exit $$status
 
 # allocs prints the allocation pins of the paths that run every round:
 # the simulation kernel's closure, message and ticker events and a
 # simulated message's Send → delivery (a closure rides in the kernel
 # record's interface payload), a steady sim-fair round, a Cyclon
 # exchange, a live round with and without a shuffle and one that sends
-# lazy ids, a live receive that pulls, one that serves a pull and one that
-# relays a new event at once, a publish that pushes, decoding
+# lazy ids, a live receive that pulls, one that serves a pull, one that
+# relays a new event at once and one that floods a new big event, a
+# publish that pushes, decoding
 # 64 novel events through a warm decoder's slabs, and a datagram's Send →
 # handler → Release on each substrate (see PERFORMANCE.md "Allocation
 # regression tests").

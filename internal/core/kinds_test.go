@@ -21,7 +21,7 @@ import (
 // internal/wire encodes it to. Three clusters send all eleven kinds and
 // every optional part between them — topic groups with push-pull, a cheat,
 // and a graceful leave and rejoin under Cyclon; semantic bias in content
-// mode; 1 KB events, which go lazy once saturated and are pulled.
+// mode; 1 KB events, whose round pushes carry ids that are pulled.
 // Each node is a shard of its own, so every message but a node's message
 // to itself crosses a mailbox, where it is encoded, scanned and held to
 // the size its sender was charged.

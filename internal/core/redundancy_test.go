@@ -10,14 +10,16 @@ import (
 	"fairgossip/internal/gossip"
 	"fairgossip/internal/pubsub"
 	"fairgossip/internal/simnet"
+	"fairgossip/internal/stats"
 	"fairgossip/internal/workload"
 )
 
-// redundancy is what one redundancyRun measured.
-type redundancy struct {
+// spread is what one spreadRun measured.
+type spread struct {
 	usefulFrac       float64 // audited novel bytes ÷ all audited bytes, in the window
 	bytesPerDelivery float64 // ledger bytes sent (app + Cyclon) ÷ deliveries, in the window
 	expected, missed int     // (event, interested peer) pairs over the whole run
+	p50, p99         float64 // publish → deliver of the window's events, ms of simulated time
 }
 
 // simFair is bench's sim-fair workload at a tenth of its population:
@@ -34,20 +36,30 @@ type simFair struct {
 	payload []byte
 }
 
+const simFairN = 200
+
 func newSimFair(seed int64) *simFair {
-	const n = 200
-	limits := adaptive.DefaultLimits(n)
+	limits := adaptive.DefaultLimits(simFairN)
 	limits.BatchMin = 4
-	c := NewCluster(n, Config{
-		Mode:         ModeContent,
-		Fanout:       limits.FanoutMin + 1,
-		Batch:        8,
-		Policy:       gossip.PolicyLeastSent,
-		BufferMaxAge: 16,
-		ViewCap:      32,
-		Controller:   ControllerSpec{Kind: ControllerAIMD, Lever: adaptive.LeverBoth, TargetRatio: 8000},
-		Limits:       limits,
-	}, ClusterOptions{Seed: seed, NetConfig: simnet.Config{
+	return buildSimFair(seed, Config{
+		Fanout:     limits.FanoutMin + 1,
+		Controller: ControllerSpec{Kind: ControllerAIMD, Lever: adaptive.LeverBoth, TargetRatio: 8000},
+		Limits:     limits,
+	}, 64)
+}
+
+// newBigSimFair is simFair with 1 KB events — big enough to travel by id
+// (gossip.Big) — and static levers: fanout 4, batch 8. AIMD would spend
+// whatever bytes the lazy tier saves on more pushes.
+func newBigSimFair(seed int64) *simFair {
+	return buildSimFair(seed, Config{Fanout: 4, Controller: ControllerSpec{Kind: ControllerStatic}}, 1024)
+}
+
+// buildSimFair builds simFair with levers as cfg sets them (Fanout,
+// Controller, Limits) and events of the given payload size.
+func buildSimFair(seed int64, cfg Config, payload int) *simFair {
+	cfg.Mode, cfg.Batch, cfg.Policy, cfg.BufferMaxAge, cfg.ViewCap = ModeContent, 8, gossip.PolicyLeastSent, 16, 32
+	c := NewCluster(simFairN, cfg, ClusterOptions{Seed: seed, NetConfig: simnet.Config{
 		Latency: simnet.UniformLatency(5*time.Millisecond, 50*time.Millisecond),
 		Loss:    0.02,
 	}})
@@ -57,7 +69,7 @@ func newSimFair(seed int64) *simFair {
 		rng:     rand.New(rand.NewSource(seed)),
 		topics:  workload.NewTopics(64, 1.01),
 		members: make(map[string][]int),
-		payload: make([]byte, 64),
+		payload: make([]byte, payload),
 	}
 	for i, nd := range c.Nodes {
 		for _, topic := range s.topics.SampleSet(s.rng, workload.SubCount(s.rng, 1, 16)) {
@@ -81,14 +93,29 @@ func (s *simFair) round() int {
 	return len(subs)
 }
 
-// redundancyRun runs simFair for 40 warm-up rounds, a 60-round window,
-// then a publish-free drain long enough for every buffer to empty.
-func redundancyRun(seed int64) redundancy {
+// spreadRun runs c for 40 warm-up rounds, a 60-round window, then a
+// publish-free drain long enough for every buffer to empty. Latency is
+// over every other peer's delivery of an event published in the window;
+// simFair's publisher is a subscriber of its topic, so its own delivery,
+// which Publish makes, marks the publication.
+func spreadRun(c *simFair) spread {
 	const warm, window, drain = 40, 60, 24
-	c := newSimFair(seed)
 	delivered := 0
-	for _, nd := range c.Nodes {
-		nd.OnDeliver = func(*pubsub.Event) { delivered++ }
+	published := make(map[pubsub.EventID]time.Duration)
+	var lat []float64
+	inWindow := false
+	for i, nd := range c.Nodes {
+		self := uint32(i)
+		nd.OnDeliver = func(ev *pubsub.Event) {
+			delivered++
+			now := c.now()
+			if inWindow && ev.ID.Publisher == self {
+				published[ev.ID] = now
+			}
+			if at, ok := published[ev.ID]; ok && ev.ID.Publisher != self {
+				lat = append(lat, float64(now-at)/float64(time.Millisecond))
+			}
+		}
 	}
 
 	type totals struct{ sent, useful, junk, delivered float64 }
@@ -103,20 +130,24 @@ func redundancyRun(seed int64) redundancy {
 		return t
 	}
 
-	var res redundancy
+	var res spread
 	var start totals
 	for r := 0; r < warm+window; r++ {
 		if r == warm {
 			start = sum()
 		}
+		inWindow = r >= warm
 		res.expected += c.round()
 	}
+	inWindow = false
 	end := sum()
 	c.RunRounds(drain)
 
 	res.usefulFrac = (end.useful - start.useful) / (end.useful - start.useful + end.junk - start.junk)
 	res.bytesPerDelivery = (end.sent - start.sent) / (end.delivered - start.delivered)
 	res.missed = res.expected - delivered
+	q := stats.Quantiles(lat, 0.5, 0.99)
+	res.p50, res.p99 = q[0], q[1]
 	return res
 }
 
@@ -128,7 +159,7 @@ func redundancyRun(seed int64) redundancy {
 // events early cost not one (event, interested peer) pair. Before
 // gossip.Buffer.Duplicate a holder pushed every event until BufferMaxAge
 // and the same run read 0.0245 useful and 23 162 B per delivery; it
-// reads 0.0296 and 19 352 B now (`make redundancy` prints it). The
+// reads 0.0290 and 19 472 B now (`make redundancy` prints it). The
 // budgets sit between the two. (At this scale the miss check catches a
 // rule that retires far too early — on the first returned copy it loses
 // 0.4 % of the pairs; the one-in-10⁶ margin between 1 × and 2 × batch is
@@ -139,7 +170,7 @@ func TestRedundancyBudget(t *testing.T) {
 		bytesCeiling = 21000
 	)
 	for seed := int64(1); seed <= 10; seed++ {
-		r := redundancyRun(seed)
+		r := spreadRun(newSimFair(seed))
 		if seed == 1 {
 			t.Logf("redundancy: useful-byte fraction %.4f (floor %.3f), %.0f ledger bytes per delivery (ceiling %d)",
 				r.usefulFrac, usefulFloor, r.bytesPerDelivery, bytesCeiling)
@@ -152,6 +183,32 @@ func TestRedundancyBudget(t *testing.T) {
 		}
 		if r.missed != 0 {
 			t.Errorf("seed %d: %d of %d (event, interested peer) pairs never delivered", seed, r.missed, r.expected)
+		}
+	}
+}
+
+// TestBigEventSpreadBudget pins what a big event costs to spread: on
+// newBigSimFair (1 KB events, fanout 4, batch 8) at N = 200, seed 1, the
+// ledger bytes sent per delivery and publish → deliver p99 in simulated
+// time, and over seeds 1–10 not one missed (event, interested peer)
+// pair. While every holder pushed a 1 KB event in full until four copies
+// had come back it read 41 030 B and 153.7/335.9 ms p50/p99; with the
+// payload flooded once per peer on first admission and the rounds sending
+// only its id it reads 28 419 B and 88.6/179.7 ms (`make redundancy` and
+// `make latency` print it). The ceilings sit between the two.
+func TestBigEventSpreadBudget(t *testing.T) {
+	const bytesCeiling, p99Ceiling = 35000, 260
+	for seed := int64(1); seed <= 10; seed++ {
+		r := spreadRun(newBigSimFair(seed))
+		if seed == 1 {
+			t.Logf("big events: %.0f ledger bytes per delivery (ceiling %d), publish → deliver p50 %.1f ms, p99 %.1f ms (ceiling %d), simulated time",
+				r.bytesPerDelivery, bytesCeiling, r.p50, r.p99, p99Ceiling)
+			if r.bytesPerDelivery > bytesCeiling || r.p99 > p99Ceiling {
+				t.Errorf("big events: %.0f bytes per delivery, p99 %.1f ms; ceilings %d, %d", r.bytesPerDelivery, r.p99, bytesCeiling, p99Ceiling)
+			}
+		}
+		if r.missed != 0 {
+			t.Errorf("big events, seed %d: %d of %d (event, interested peer) pairs never delivered", seed, r.missed, r.expected)
 		}
 	}
 }

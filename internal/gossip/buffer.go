@@ -4,7 +4,7 @@
 // into a gossip message (SELECTEVENTS), and pushes it. Receivers
 // deduplicate, re-buffer, and DELIVER events matching ISINTERESTED.
 //
-// Deviation from the paper: Fig. 4's PUBLISH only buffers the event, so
+// Deviations from the paper: Fig. 4's PUBLISH only buffers the event, so
 // each hop waits for its holder's next round. Here an event's first two
 // hops leave at once: the publisher pushes it to F partners on PUBLISH,
 // and a peer that receives a new event from its publisher relays it to F
@@ -12,6 +12,14 @@
 // event). Rounds carry everything else as in Fig. 4. The eager sends are
 // gossip charged like a round's (fairness.ClassApp), so §5.2's accounting
 // does not change.
+//
+// Over the flat overlay a big event (Big: a record of 256 B or more)
+// takes Plumtree's shape instead (Leitão, Pereira and Rodrigues,
+// "Epidemic Broadcast Trees", SRDS 2007): every peer relays it in full to
+// F partners once, when it first admits it from anyone, and Fig. 4's
+// rounds repeat only its 8-byte id (SelectSplit), which a peer that lacks
+// the event answers with a pull. The payload crosses about N × F links
+// instead of once per round push until the event retires.
 //
 // The package provides the pieces of that round: the event buffer with
 // age-based garbage collection and duplicate retirement, the
@@ -221,26 +229,22 @@ func (b *Buffer) SelectInto(rng *rand.Rand, scratch *[]*pubsub.Event, n int, pol
 	return full
 }
 
-// Lazy push: once lazyCopies copies of an event have come back
-// (Duplicate), its holder's pushes of it are rarely news, and for an
-// event whose record is at least lazyMinSize bytes its 8-byte id is sent
-// instead (wire.KindLazy); a receiver that lacks the event pulls it. On
-// live-udp-wan's 1 KB events, pushes made after four copies had returned
-// carried 70 % of the gossip bytes and 1 % of the first admissions
-// (PERFORMANCE.md "The lazy tier"). Every simulated workload's events are
-// below the floor, so none of them goes lazy.
-const (
-	lazyCopies  = 4
-	lazyMinSize = 256
-)
+// Lazy push: a big event — one whose record is at least lazyMinSize
+// bytes — travels in full once per peer, when the peer first admits it
+// (internal/protocol floods it then, through FirstSend), and every round
+// push of it carries its 8-byte id instead (wire.KindLazy); a receiver
+// that lacks the event pulls it. On live-udp-wan's 1 KB events this cut
+// the wire bytes per delivery by 38 % against pushing the event in full
+// until four copies had come back (PERFORMANCE.md "The lazy tier"). Every simulated workload's events are below the floor, so none
+// of them goes lazy.
+const lazyMinSize = 256
 
-// saturated reports whether e's event goes lazy.
-func (e *bufEntry) saturated() bool {
-	return e.dups >= lazyCopies && e.ev.WireSize() >= lazyMinSize
-}
+// Big reports whether ev is big enough to travel by id: a round push
+// sends its id, and a peer floods it in full on first admission.
+func Big(ev *pubsub.Event) bool { return ev.WireSize() >= lazyMinSize }
 
-// SelectSplit is SelectInto with the batch split as it is picked: a
-// saturated event's id goes to *lazy (reset to length zero first) instead
+// SelectSplit is SelectInto with the batch split as it is picked: a big
+// event's id goes to *lazy (reset to length zero first) instead
 // of its event to *full. A nil lazy splits nothing. Both draw the same
 // random numbers and mark the same entries sent.
 func (b *Buffer) SelectSplit(rng *rand.Rand, full *[]*pubsub.Event, lazy *[]pubsub.EventID, n int, policy Policy) ([]*pubsub.Event, []pubsub.EventID) {
@@ -264,7 +268,7 @@ func (b *Buffer) SelectSplit(rng *rand.Rand, full *[]*pubsub.Event, lazy *[]pubs
 	}
 	take := func(e *bufEntry) {
 		bump(&e.sent)
-		if lazy != nil && e.saturated() {
+		if lazy != nil && Big(e.ev) {
 			ids = append(ids, e.ev.ID)
 		} else {
 			out = append(out, e.ev)

@@ -79,43 +79,47 @@ func TestLiveSamplePeersDrawsFromTheView(t *testing.T) {
 
 // TestLiveRoundPathAllocs pins the steady-state allocation budget of
 // the full round path (SELECTEVENTS + encode + fanout sends + tick) at
-// zero, with or without a shuffle and when saturated events go lazy: the
+// zero, with or without a shuffle and when big events go lazy: the
 // selection runs over SelectSplit's reused peer scratch, the offer over
 // Cyclon's, every envelope is encoded into the peer's scratch buffer, and
 // each delivered copy comes from the transport's pool and goes back to it
 // when the full inbox drops it. The lazy push's two repair steps are
 // pinned at zero too: a receive that pulls unseen ids, and one that
 // serves a pull — their ids and events go through the peer's Out
-// scratch. So are an event's two eager hops: a receive that relays a new
-// event from its publisher at once, and a publish that pushes, beyond the
-// one event record Publish allocates by design. (The relaying receive
-// decodes its event into the decoder's slabs, two allocations every eight
-// events — TestRecordDecodeAllocBudget's — which AllocsPerRun's whole-
-// number average rounds away.) The rounds are driven by hand on an
-// unstarted cluster, so the measurement is deterministic.
+// scratch. So are the eager pushes: a receive that relays a new event
+// from its publisher at once, one that floods a new big event from
+// anyone, and a publish that pushes, beyond the one event record Publish
+// allocates by design. (A relaying receive decodes its event into the
+// decoder's slabs, two allocations every eight events —
+// TestRecordDecodeAllocBudget's — which AllocsPerRun's whole-number
+// average rounds away.) The rounds are driven by hand on an unstarted
+// cluster, so the measurement is deterministic.
 func TestLiveRoundPathAllocs(t *testing.T) {
 	ids := make([]pubsub.EventID, 8)
 	for k := range ids {
 		ids[k] = pubsub.EventID{Publisher: 0, Seq: uint32(k + 1)}
 	}
-	envelope := func(m wire.Msg) []byte {
-		buf, err := wire.Append(nil, 1, &m)
+	envelope := func(from uint32, m wire.Msg) []byte {
+		buf, err := wire.Append(nil, from, &m)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return buf
 	}
 	unseen := []pubsub.EventID{{Publisher: 1, Seq: 1 << 20}, {Publisher: 2, Seq: 1 << 20}}
-	lazy := envelope(wire.Msg{Kind: wire.KindLazy, Parts: &wire.Parts{IDs: unseen}})
-	pull := envelope(wire.Msg{Kind: wire.KindPull, Parts: &wire.Parts{IDs: ids}})
-	// Each relaying step receives a new event from its publisher, peer 1.
-	fresh := make([][]byte, 260)
-	for k := range fresh {
-		ev := &pubsub.Event{ID: pubsub.EventID{Publisher: 1, Seq: uint32(k + 1)}, Topic: "topic", Payload: make([]byte, 8)}
-		fresh[k] = envelope(wire.Msg{Kind: wire.KindEvents, Events: []*pubsub.Event{ev}})
+	lazy := envelope(1, wire.Msg{Kind: wire.KindLazy, Parts: &wire.Parts{IDs: unseen}})
+	pull := envelope(1, wire.Msg{Kind: wire.KindPull, Parts: &wire.Parts{IDs: ids}})
+	// Each relaying step receives a new event published by peer 1: a
+	// small one from peer 1 itself, or a big one from peer 2.
+	receiveNew := func(from uint32, payload int) func(p *peer) {
+		fresh := make([][]byte, 260)
+		for k := range fresh {
+			ev := &pubsub.Event{ID: pubsub.EventID{Publisher: 1, Seq: uint32(k + 1)}, Topic: "topic", Payload: make([]byte, payload)}
+			fresh[k] = envelope(from, wire.Msg{Kind: wire.KindEvents, Events: []*pubsub.Event{ev}})
+		}
+		n := 0
+		return func(p *peer) { p.receive(fresh[n]); n++ }
 	}
-	relays := 0
-	relay := func(p *peer) { p.receive(fresh[relays]); relays++ }
 	body := make([]byte, 8)
 	publish := func(p *peer) { p.m.Publish("topic", nil, body, &p.out); p.flush() }
 	for _, tc := range []struct {
@@ -131,7 +135,8 @@ func TestLiveRoundPathAllocs(t *testing.T) {
 		{"lazy gossip", 1 << 20, 1024, (*peer).round, wire.KindLazy, 0},
 		{"receive that pulls", 1 << 20, 8, func(p *peer) { p.receive(lazy) }, wire.KindPull, 0},
 		{"receive that serves a pull", 1 << 20, 1024, func(p *peer) { p.receive(pull) }, wire.KindEvents, 0},
-		{"receive that relays at once", 1 << 20, 8, relay, wire.KindEvents, 0},
+		{"receive that relays at once", 1 << 20, 8, receiveNew(1, 8), wire.KindEvents, 0},
+		{"receive that floods a big event", 1 << 20, 8, receiveNew(2, 1024), wire.KindEvents, 0},
 		{"publish that pushes", 1 << 20, 8, publish, wire.KindEvents, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -146,13 +151,6 @@ func TestLiveRoundPathAllocs(t *testing.T) {
 				c.Publish(0, "topic", []pubsub.Attr{{Key: "k", Val: pubsub.Num(float64(k))}}, make([]byte, tc.payload))
 			}
 			p := c.peerAt(0)
-			if tc.kind == wire.KindLazy {
-				for _, id := range ids { // saturate the events: their copies came back
-					for range 4 {
-						p.m.Buffer().Duplicate(id, p.m.Batch())
-					}
-				}
-			}
 			// Every shuffle target answers at once, with nothing new, so
 			// the detector evicts nobody and the view keeps its size.
 			sent := false

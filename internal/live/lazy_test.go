@@ -11,12 +11,15 @@ import (
 	"fairgossip/internal/transport"
 )
 
-// TestLazyPushRepairsLoss: 1 KB events go lazy once saturated, and under
-// 30 % link loss some peer is still missing one when its holders switch
-// to sending ids. It pulls the event from a holder, so every subscriber
+// TestLazyPushRepairsLoss: a 1 KB event travels in full once per peer —
+// each relays it on first admission — and by id in every round push, so
+// under 30 % link loss some peer misses every full copy of one and hears
+// only its id. It pulls the event from a holder, so every subscriber
 // delivers every event; at least one pull goes out, and no envelope —
 // lazy pushes and pulls included — is counted malformed. It logs what a
-// delivery cost on the wire.
+// delivery cost on the wire: 7.8–8.0 KB and 14–17 pulls while a holder
+// pushed the event in full until four copies came back, 4.6 KB and 74–100
+// pulls since.
 func TestLazyPushRepairsLoss(t *testing.T) {
 	const n, events = 16, 64
 	var kinds *refusingNet // refuses nothing: it counts the lazy pushes and pulls

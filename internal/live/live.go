@@ -9,14 +9,16 @@
 // Messages move as encoded bytes: each round a peer packs its selected
 // events into one wire envelope (internal/wire) in its reused scratch, as
 // a publisher does with its new event and a peer with the new events it
-// hears from their publisher — at once, not at the next round
-// (protocol.Peer's eager first two hops) — and hands the bytes to its
-// transport endpoint (internal/transport), which keeps nothing past Send; receivers validate the envelope, dedup on the
+// hears from their publisher, or any new event of 256 B or more — at
+// once, not at the next round (protocol.Peer's eager pushes) — and hands
+// the bytes to its transport endpoint (internal/transport), which keeps
+// nothing past Send; receivers validate the envelope, dedup on the
 // event ids, decode — into events they own outright — only what they have
-// not seen, then release the lent buffer. A saturated event of 256 B or
-// more goes by its id in a lazy push (wire.KindLazy), and a receiver that
-// lacks it pulls it from the sender (wire.KindPull), which answers from
-// its buffer: both kinds run here. A peer carves the events it decodes
+// not seen, then release the lent buffer. So an event of 256 B or more
+// travels in full once per peer, and a round push carries only its id in
+// a lazy push (wire.KindLazy); a receiver that lacks it pulls it from the
+// sender (wire.KindPull), which answers from its buffer: both kinds run
+// here. A peer carves the events it decodes
 // from slabs of its wire.Decoder, so a delivered event that outlives the
 // peer's use of it keeps its slab reachable: at most eight events'
 // structs and payload bytes. The default ChanTransport

@@ -188,3 +188,68 @@ func TestFirstHopRelaysOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestBigEventsFloodOnce: over the flat overlay a peer relays a new big
+// event at once, in full, whoever sent it — a pull answer included — and
+// at most once, however many copies, lazy ids and answers follow; its
+// rounds then carry only the id. A small event from someone other than
+// its publisher is not relayed, a free-rider relays nothing, and only a
+// cheat pads. Topic groups and semantic bias, whose rounds send no ids,
+// do not flood.
+func TestBigEventsFloodOnce(t *testing.T) {
+	for _, mode := range pushModes {
+		for _, cheat := range []bool{false, true} {
+			p := modePeer(mode)
+			p.Cheat = cheat
+			var out Out
+			hear := func(kind Kind, from simnet.NodeID, ids []pubsub.EventID, evs ...*pubsub.Event) []Outgoing {
+				p.Recv(from, In{Kind: kind, Parts: &wire.Parts{Topic: "t", IDs: ids}, Events: &events{evs: evs}}, &out)
+				return gossipIn(&out)
+			}
+
+			big, small := bigEvent(7, 1), event(7, 2)
+			msgs := hear(wire.KindEvents, 5, nil, big, small)
+			if mode != "flat" {
+				if len(msgs) != 0 {
+					t.Fatalf("%s: a big event from a non-publisher was relayed: %+v", mode, msgs)
+				}
+				continue
+			}
+			checkPush(t, p, mode, msgs, big)
+
+			// Copies, from anyone, and lazy ids of it are not relayed.
+			for _, from := range []simnet.NodeID{5, 7, 6} {
+				if msgs := hear(wire.KindEvents, from, nil, big); len(msgs) != 0 {
+					t.Fatalf("a copy from %d was relayed: %+v", from, msgs)
+				}
+			}
+			if hear(wire.KindLazy, 6, []pubsub.EventID{big.ID}); len(out.Msgs) != 0 {
+				t.Fatalf("a lazy id of a held event sent %+v", out.Msgs)
+			}
+
+			// An event announced by id is pulled; the answer is relayed
+			// once, in full, and a second answer not at all.
+			pulled := bigEvent(8, 1)
+			if msgs := hear(wire.KindLazy, 6, []pubsub.EventID{pulled.ID}); len(msgs) != 0 || len(out.Msgs) != 1 || out.Msgs[0].Kind != wire.KindPull {
+				t.Fatalf("a lazy id of a new event sent %+v, want one pull", out.Msgs)
+			}
+			checkPush(t, p, mode, hear(wire.KindEvents, 6, nil, pulled), pulled)
+			if msgs := hear(wire.KindEvents, 6, nil, pulled); len(msgs) != 0 {
+				t.Fatalf("a second pull answer was relayed: %+v", msgs)
+			}
+
+			// The round carries the big events by id only.
+			p.Tick(&out)
+			if msgs := gossipIn(&out); len(msgs) != 1 || msgs[0].Kind != wire.KindLazy || !slices.Equal(msgs[0].Events, []*pubsub.Event{small}) ||
+				len(msgs[0].Opt().IDs) != 2 || !slices.Contains(msgs[0].Opt().IDs, big.ID) || !slices.Contains(msgs[0].Opt().IDs, pulled.ID) {
+				t.Fatalf("the round pushed %+v, want the small event and the two big ones' ids", msgs)
+			}
+
+			// A free-rider relays nothing.
+			p.FreeRide = true
+			if msgs := hear(wire.KindEvents, 5, nil, bigEvent(7, 3)); len(msgs) != 0 {
+				t.Fatalf("a free-rider relayed %+v", msgs)
+			}
+		}
+	}
+}

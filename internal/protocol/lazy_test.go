@@ -11,16 +11,12 @@ import (
 )
 
 // bigEvent is an event of live-udp-wan's size: a 1 KB payload, above
-// the record size a saturated event goes lazy at.
+// the record size from which an event travels by id.
 func bigEvent(pub, seq uint32) *pubsub.Event {
 	e := event(pub, seq)
 	e.Payload = make([]byte, 1024)
 	return e
 }
-
-// lazyCopies is gossip's: the returned copies after which a big event
-// goes by its id.
-const lazyCopies = 4
 
 // lazyPush hands p a lazy push from peer from — the events in full and
 // the ids — and returns its audit.
@@ -29,31 +25,30 @@ func lazyPush(p *Peer, from simnet.NodeID, evs []*pubsub.Event, ids []pubsub.Eve
 	return novel, junk
 }
 
-// TestSaturatedEventsGoLazy: a push carries a big event in full until
-// lazyCopies copies of it have come back, then its id in a KindLazy
-// beside the events still sent in full; a small event never goes lazy,
-// and a push with no lazy entry is a plain KindEvents without parts. A
-// cheat pads the lazy push too.
-func TestSaturatedEventsGoLazy(t *testing.T) {
+// TestBigEventsGoLazy: a round push carries a big event by its id, in a
+// KindLazy beside the events still sent in full, from its first round
+// on and however many copies of it come back; a small event never goes
+// lazy, and a push with no big event is a plain KindEvents without
+// parts. A cheat pads the lazy push too.
+func TestBigEventsGoLazy(t *testing.T) {
 	par := livelike()
 	par.Batch = 8
 	p := newPeer(1, &par, newLedger())
 	var out Out
 	recv(p, wire.KindReply, 2, offerFrom(2, 3, 4, 5), &out)
 	big, small := bigEvent(0, 1), event(0, 2)
-	recvEvents(p, 0, &events{evs: []*pubsub.Event{big, small}})
-	for copies := 0; copies <= lazyCopies; copies++ {
+	recvEvents(p, 0, &events{evs: []*pubsub.Event{small}})
+	p.Tick(&out)
+	if m := out.Msgs[len(out.Msgs)-1]; m.Kind != wire.KindEvents || m.Parts != nil || !slices.Equal(m.Events, []*pubsub.Event{small}) {
+		t.Fatalf("a push of a small event: kind %d, events %v, parts %+v; want it in a plain KindEvents", m.Kind, m.Events, m.Parts)
+	}
+	recvEvents(p, 0, &events{evs: []*pubsub.Event{big}})
+	for copies := 0; copies <= 4; copies++ {
 		if copies > 0 {
 			recvEvents(p, 0, &events{evs: []*pubsub.Event{big, small}})
 		}
 		p.Tick(&out)
 		m := out.Msgs[len(out.Msgs)-1]
-		if copies < lazyCopies {
-			if m.Kind != wire.KindEvents || m.Parts != nil || len(m.Events) != 2 {
-				t.Fatalf("%d copies back: pushed kind %d, %d events, parts %+v; want both events in a plain KindEvents", copies, m.Kind, len(m.Events), m.Parts)
-			}
-			continue
-		}
 		if m.Kind != wire.KindLazy || !slices.Equal(m.Events, []*pubsub.Event{small}) || !slices.Equal(m.Opt().IDs, []pubsub.EventID{big.ID}) {
 			t.Fatalf("%d copies back: pushed kind %d, events %v, ids %v; want the small event and the big one's id", copies, m.Kind, m.Events, m.Opt().IDs)
 		}

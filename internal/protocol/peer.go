@@ -18,8 +18,10 @@
 //     between Ticks. What Params enables runs inside those calls.
 //   - Gossip: Tick's push is not the only one. Publish pushes the new
 //     event at once to fanout partners, and Recv relays at once the new
-//     events a message's sender published — an event's first two hops,
-//     each at most once per peer (gossip.Buffer.FirstSend). Both are
+//     events a message's sender published — an event's first two hops —
+//     and, over the flat overlay, every new big event (gossip.Big),
+//     whoever sent it, a pull answer included; each at most once per
+//     peer (gossip.Buffer.FirstSend), in full, never by id. All are
 //     ClassApp messages in the Out like a round's, so a driver flushes
 //     after every input, not only after Tick.
 //   - Buffers: an input that takes an *Out overwrites it, and the driver
@@ -324,21 +326,28 @@ func (p *Peer) Tick(out *Out) {
 		p.shuffle(out)
 	}
 	switch {
+	case p.flat():
+		p.push(out)
 	case p.par.Topics:
 		p.pushTopics(out)
-	case p.par.SemanticBias > 0:
-		p.pushSemantic(out)
 	default:
-		p.push(out)
+		p.pushSemantic(out)
 	}
 	p.antiEntropy(out)
 }
 
+// flat reports whether the peer pushes over the flat overlay: the one
+// push mode whose rounds send big events by id (push), and so the one in
+// which a peer floods a new big event on admission (admitEvents). Topic
+// groups and semantic bias send no ids.
+func (p *Peer) flat() bool { return !p.par.Topics && p.par.SemanticBias <= 0 }
+
 // push is Fig. 4's round over the flat overlay: SELECTEVENTS, then
 // SELECTPARTICIPANTS when there is something to send, and the buffer ages
 // by one round — a free-rider's too, so it does not hoard a backlog to
-// replay on reform. A saturated event goes by its id (lazy push, see
-// gossip.Buffer.SelectSplit); a receiver that lacks it pulls it.
+// replay on reform. A big event goes by its id (lazy push, see
+// gossip.Buffer.SelectSplit) — its payload went out when this peer
+// admitted it — and a receiver that lacks it pulls it.
 func (p *Peer) push(out *Out) {
 	if !p.FreeRide {
 		events, lazy := p.buffer.SelectSplit(p.rand(), &out.sel, &out.lazy, p.batch, p.par.Policy)
@@ -509,7 +518,8 @@ func (p *Peer) Recv(from simnet.NodeID, m In, out *Out) (novel, junk int, ok boo
 // only a member keeps a topic's events for forwarding — anyone else
 // delivers them, if interesting, and never buffers them (fair by
 // structure). The new events the sender published are relayed at once, in
-// one batch: their second hop.
+// one batch — their second hop — and so, over the flat overlay, is every
+// new big event.
 func (p *Peer) recvGossip(from simnet.NodeID, x *wire.Parts, b Batch, out *Out) (novel, junk int) {
 	if p.par.SemanticBias > 0 {
 		p.rememberFingerprint(from, x.FP)
@@ -544,11 +554,13 @@ func (p *Peer) recvGossip(from simnet.NodeID, x *wire.Parts, b Batch, out *Out) 
 // news and the bytes that were not. A duplicate — most of what push gossip
 // delivers — costs a seen-set probe and a count towards retiring the
 // peer's own copy (Buffer.Duplicate). With relay set, a new event that
-// from published is appended to *relay and marked sent, unless this peer
-// has already sent it (Buffer.FirstSend).
+// from published — or, over the flat overlay, any new big event — is
+// appended to *relay and marked sent, unless this peer has already sent
+// it (Buffer.FirstSend).
 func (p *Peer) admitEvents(from simnet.NodeID, buf *gossip.Buffer, b Batch, relay *[]*pubsub.Event) (novel, dup int) {
 	p.heard(from)
 	a := p.archive()
+	flood := p.flat()
 	for i, n := 0, b.Len(); i < n; i++ {
 		id, size := b.Head(i)
 		if !p.seen.Add(id) {
@@ -568,7 +580,7 @@ func (p *Peer) admitEvents(from simnet.NodeID, buf *gossip.Buffer, b Batch, rela
 		}
 		if buf != nil {
 			buf.Insert(ev)
-			if relay != nil && id.Publisher == uint32(from) {
+			if relay != nil && (id.Publisher == uint32(from) || flood && gossip.Big(ev)) {
 				if e, ok := buf.FirstSend(id); ok {
 					*relay = append(*relay, e)
 				}

@@ -74,7 +74,7 @@ const (
 	KindPubWalk             // a walk handing a publication's events to the topic's group
 	KindDigest              // the ids of a push-pull archive
 	KindPull                // the ids of a digest or lazy push its receiver has not seen
-	KindLazy                // KindEvents' records, then the ids of saturated events: a lazy push
+	KindLazy                // KindEvents' records, then the ids of big events: a lazy push
 	NumKinds                // bounds the family: every kind is below it
 )
 
