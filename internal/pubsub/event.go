@@ -51,9 +51,11 @@ func (e Event) WithAttr(key string, v Value) Event {
 
 const eventHeaderSize = 4 + 4 + 2 + 2 + 4 // id + topic len + attr count + payload len
 
-// WireSize returns the exact number of bytes MarshalBinary would produce.
-// Fairness accounting is in bytes, so dissemination layers use WireSize to
-// charge contribution without actually serialising in simulation runs.
+// WireSize returns the exact length of the event's record: the bytes
+// AppendBinary appends, and what every message carrying the event pays
+// for it. Fairness accounting is in bytes, so dissemination layers use
+// WireSize to charge contribution without actually serialising in
+// simulation runs.
 func (e *Event) WireSize() int {
 	n := eventHeaderSize + len(e.Topic) + len(e.Payload)
 	for _, a := range e.Attrs {
@@ -62,128 +64,167 @@ func (e *Event) WireSize() int {
 	return n
 }
 
-// Codec errors.
+// Codec errors. Decode errors wrap one of them.
 var (
 	ErrShortBuffer = errors.New("pubsub: short buffer")
 	ErrCorrupt     = errors.New("pubsub: corrupt event encoding")
 )
 
-// MarshalBinary encodes the event with a compact length-prefixed layout.
+// MarshalBinary encodes the event's record into a new slice.
 func (e *Event) MarshalBinary() ([]byte, error) {
-	if len(e.Topic) > math.MaxUint16 {
-		return nil, fmt.Errorf("pubsub: topic too long (%d bytes)", len(e.Topic))
-	}
-	if len(e.Attrs) > math.MaxUint16 {
-		return nil, fmt.Errorf("pubsub: too many attributes (%d)", len(e.Attrs))
-	}
-	buf := make([]byte, 0, e.WireSize())
-	buf = binary.BigEndian.AppendUint32(buf, e.ID.Publisher)
-	buf = binary.BigEndian.AppendUint32(buf, e.ID.Seq)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(e.Topic)))
-	buf = append(buf, e.Topic...)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(e.Attrs)))
-	for _, a := range e.Attrs {
-		if len(a.Key) > math.MaxUint16 {
-			return nil, fmt.Errorf("pubsub: attribute key too long (%d bytes)", len(a.Key))
-		}
-		buf = binary.BigEndian.AppendUint16(buf, uint16(len(a.Key)))
-		buf = append(buf, a.Key...)
-		buf = append(buf, byte(a.Val.kind))
-		switch a.Val.kind {
-		case KindString:
-			if len(a.Val.str) > math.MaxUint16 {
-				return nil, fmt.Errorf("pubsub: attribute value too long (%d bytes)", len(a.Val.str))
-			}
-			buf = binary.BigEndian.AppendUint16(buf, uint16(len(a.Val.str)))
-			buf = append(buf, a.Val.str...)
-		case KindNum:
-			buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(a.Val.num))
-		case KindBool:
-			if a.Val.b {
-				buf = append(buf, 1)
-			} else {
-				buf = append(buf, 0)
-			}
-		default:
-			return nil, fmt.Errorf("pubsub: attribute %q has invalid value", a.Key)
-		}
-	}
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(e.Payload)))
-	buf = append(buf, e.Payload...)
-	return buf, nil
+	return e.AppendBinary(make([]byte, 0, e.WireSize()))
 }
 
-// UnmarshalBinary decodes an event previously produced by MarshalBinary.
-func (e *Event) UnmarshalBinary(data []byte) error {
-	r := reader{buf: data}
-	e.ID.Publisher = r.u32()
-	e.ID.Seq = r.u32()
-	e.Topic = string(r.bytes(int(r.u16())))
-	nattrs := int(r.u16())
-	if r.err == nil && nattrs > len(r.buf) { // each attr needs ≥1 byte; cheap corruption guard
-		return ErrCorrupt
+// AppendBinary appends the event's record to dst: exactly WireSize bytes,
+// compact, big-endian and length-prefixed at every variable field —
+// id(8) topicLen(2) topic attrCount(2), per attribute keyLen(2) key
+// kind(1) and a string's len(2) and bytes, a number's float64 bits(8) or
+// a bool(1), then payloadLen(4) payload. It is the one encoder of a
+// record and ReadRecord its one walker; the wire package frames records
+// and never reads or writes their fields. An event with a field beyond
+// its length prefix or an invalid attribute value is refused, and dst
+// comes back unchanged.
+func (e *Event) AppendBinary(dst []byte) ([]byte, error) {
+	if len(e.Topic) > math.MaxUint16 || len(e.Attrs) > math.MaxUint16 || uint64(len(e.Payload)) > math.MaxUint32 {
+		return dst, fmt.Errorf("pubsub: topic of %d bytes, %d attributes or payload of %d bytes is too large", len(e.Topic), len(e.Attrs), len(e.Payload))
 	}
-	e.Attrs = nil
-	if nattrs > 0 && r.err == nil {
-		e.Attrs = make([]Attr, 0, nattrs)
+	n := len(dst)
+	dst = binary.BigEndian.AppendUint32(dst, e.ID.Publisher)
+	dst = binary.BigEndian.AppendUint32(dst, e.ID.Seq)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(e.Topic)))
+	dst = append(dst, e.Topic...)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(e.Attrs)))
+	for i, a := range e.Attrs {
+		if len(a.Key) > math.MaxUint16 || len(a.Val.str) > math.MaxUint16 {
+			return dst[:n], fmt.Errorf("pubsub: attribute %d: key or value beyond 65535 bytes", i)
+		}
+		dst = binary.BigEndian.AppendUint16(dst, uint16(len(a.Key)))
+		dst = append(dst, a.Key...)
+		dst = append(dst, byte(a.Val.kind))
+		switch a.Val.kind {
+		case KindString:
+			dst = binary.BigEndian.AppendUint16(dst, uint16(len(a.Val.str)))
+			dst = append(dst, a.Val.str...)
+		case KindNum:
+			dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(a.Val.num))
+		case KindBool:
+			if a.Val.b {
+				dst = append(dst, 1)
+			} else {
+				dst = append(dst, 0)
+			}
+		default:
+			return dst[:n], fmt.Errorf("pubsub: attribute %d has an invalid value", i)
+		}
+	}
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(e.Payload)))
+	return append(dst, e.Payload...), nil
+}
+
+// UnmarshalBinary decodes one record, which must be all of data, into e.
+// On error e is left as it was.
+func (e *Event) UnmarshalBinary(data []byte) error {
+	_, _, err := ReadRecord(data, e, nil)
+	return err
+}
+
+// Memory is where a decoded event's topic and payload come from: each
+// method returns a copy of b that nothing else writes to.
+type Memory interface {
+	Topic(b []byte) string
+	Payload(b []byte) []byte
+}
+
+// fresh is the Memory of a nil one: a new allocation per copy.
+type fresh struct{}
+
+func (fresh) Topic(b []byte) string   { return string(b) }
+func (fresh) Payload(b []byte) []byte { return append([]byte(nil), b...) }
+
+// ReadRecord walks the record at the start of buf, applying every
+// well-formedness check, and returns its id and length. It never panics
+// or reads outside buf, and a count its bytes cannot hold is refused
+// before anything is allocated. With a nil e it only scans and allocates
+// nothing; otherwise the record must be all of buf, and only on success
+// is *e set to the event it encodes, which owns all of its memory (the
+// topic and payload from mem, nil for fresh copies) and aliases nothing
+// in buf.
+func ReadRecord(buf []byte, e *Event, mem Memory) (EventID, int, error) {
+	r := reader{buf: buf}
+	id := EventID{Publisher: r.u32(), Seq: r.u32()}
+	topic := r.take(int(r.u16()))
+	nattrs := int(r.u16())
+	// Each attribute is at least keyLen(2) kind(1) bool(1).
+	if rem := len(buf) - r.off; r.err == nil && nattrs*4 > rem {
+		r.fail(fmt.Errorf("%w: %d attributes cannot fit in %d bytes", ErrCorrupt, nattrs, rem))
+	}
+	var attrs []Attr
+	if e != nil && nattrs > 0 && r.err == nil {
+		attrs = make([]Attr, 0, nattrs)
 	}
 	for i := 0; i < nattrs && r.err == nil; i++ {
-		key := string(r.bytes(int(r.u16())))
-		kind := Kind(r.u8())
+		key := r.take(int(r.u16()))
 		var v Value
-		switch kind {
+		switch kind := Kind(r.u8()); kind {
 		case KindString:
-			v = String(string(r.bytes(int(r.u16()))))
+			if s := r.take(int(r.u16())); e != nil {
+				v = String(string(s))
+			}
 		case KindNum:
 			v = Num(math.Float64frombits(r.u64()))
 		case KindBool:
-			switch r.u8() {
-			case 0:
-				v = Bool(false)
-			case 1:
-				v = Bool(true)
-			default:
-				if r.err == nil {
-					r.err = ErrCorrupt
-				}
+			b := r.u8()
+			if b > 1 {
+				r.fail(fmt.Errorf("%w: bool byte %d", ErrCorrupt, b))
 			}
+			v = Bool(b == 1)
 		default:
-			if r.err == nil {
-				r.err = ErrCorrupt
-			}
+			r.fail(fmt.Errorf("%w: attribute kind %d", ErrCorrupt, kind))
 		}
-		e.Attrs = append(e.Attrs, Attr{Key: key, Val: v})
+		if e != nil && r.err == nil {
+			attrs = append(attrs, Attr{Key: string(key), Val: v})
+		}
 	}
-	payloadLen := int(r.u32())
-	if r.err == nil && payloadLen > len(r.buf)-r.off {
-		return ErrShortBuffer
+	payload := r.take(int(r.u32()))
+	switch {
+	case r.err != nil:
+		return id, 0, r.err
+	case e == nil:
+		return id, r.off, nil
+	case r.off != len(buf):
+		return id, 0, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(buf)-r.off)
 	}
-	e.Payload = nil
-	if payloadLen > 0 && r.err == nil {
-		e.Payload = append([]byte(nil), r.bytes(payloadLen)...)
+	if mem == nil {
+		mem = fresh{}
 	}
-	if r.err != nil {
-		return r.err
+	*e = Event{ID: id, Topic: mem.Topic(topic), Attrs: attrs}
+	if len(payload) > 0 {
+		e.Payload = mem.Payload(payload)
 	}
-	if r.off != len(data) {
-		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(data)-r.off)
-	}
-	return nil
+	return id, r.off, nil
 }
 
-// reader is a tiny cursor that records the first error and then no-ops.
+// reader is a bounds-checked cursor that records the first error and
+// then reads zeros, so the walker reads linearly without per-field
+// branching.
 type reader struct {
 	buf []byte
 	off int
 	err error
 }
 
+func (r *reader) fail(err error) {
+	if r.err == nil {
+		r.err = err
+	}
+}
+
 func (r *reader) take(n int) []byte {
 	if r.err != nil {
 		return nil
 	}
-	if n < 0 || r.off+n > len(r.buf) {
-		r.err = ErrShortBuffer
+	if n < 0 || n > len(r.buf)-r.off {
+		r.fail(fmt.Errorf("%w: need %d bytes at offset %d of %d", ErrShortBuffer, n, r.off, len(r.buf)))
 		return nil
 	}
 	b := r.buf[r.off : r.off+n]
@@ -191,36 +232,17 @@ func (r *reader) take(n int) []byte {
 	return b
 }
 
-func (r *reader) bytes(n int) []byte { return r.take(n) }
-
-func (r *reader) u8() byte {
-	b := r.take(1)
-	if b == nil {
-		return 0
+// fixed takes n ≤ 8 bytes, or reads zeros once the reader has failed.
+func (r *reader) fixed(n int) []byte {
+	if b := r.take(n); b != nil {
+		return b
 	}
-	return b[0]
+	return zeros[:n]
 }
 
-func (r *reader) u16() uint16 {
-	b := r.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint16(b)
-}
+var zeros [8]byte
 
-func (r *reader) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(b)
-}
-
-func (r *reader) u64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(b)
-}
+func (r *reader) u8() byte    { return r.fixed(1)[0] }
+func (r *reader) u16() uint16 { return binary.BigEndian.Uint16(r.fixed(2)) }
+func (r *reader) u32() uint32 { return binary.BigEndian.Uint32(r.fixed(4)) }
+func (r *reader) u64() uint64 { return binary.BigEndian.Uint64(r.fixed(8)) }

@@ -2,6 +2,7 @@ package pubsub
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -107,6 +108,23 @@ func TestUnmarshalErrors(t *testing.T) {
 	bad[kindOff] = 0xFF
 	if err := got.UnmarshalBinary(bad); err == nil {
 		t.Fatal("corrupt kind accepted")
+	}
+}
+
+// TestFailedUnmarshalLeavesReceiver: a decode that fails changes nothing
+// in the event it was decoding into.
+func TestFailedUnmarshalLeavesReceiver(t *testing.T) {
+	data, err := (&Event{ID: EventID{Publisher: 7, Seq: 9}, Topic: "new", Payload: []byte("data")}).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Event{ID: EventID{Publisher: 1, Seq: 1}, Topic: "old", Payload: []byte("keep")}
+	got := want
+	if err := got.UnmarshalBinary(data[:len(data)-2]); !errors.Is(err, ErrShortBuffer) {
+		t.Fatalf("truncated record: %v, want ErrShortBuffer", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("failed decode left the receiver as %+v, want %+v", got, want)
 	}
 }
 

@@ -87,10 +87,7 @@ func (p *parser) parseOr() (Filter, error) {
 		}
 		kids = append(kids, right)
 	}
-	if len(kids) == 1 {
-		return kids[0], nil
-	}
-	return orFilter{kids: kids}, nil
+	return Or(kids...), nil
 }
 
 func (p *parser) parseAnd() (Filter, error) {
@@ -109,10 +106,7 @@ func (p *parser) parseAnd() (Filter, error) {
 		}
 		kids = append(kids, right)
 	}
-	if len(kids) == 1 {
-		return kids[0], nil
-	}
-	return andFilter{kids: kids}, nil
+	return And(kids...), nil
 }
 
 func (p *parser) parseUnary() (Filter, error) {
@@ -124,7 +118,7 @@ func (p *parser) parseUnary() (Filter, error) {
 		if err != nil {
 			return nil, err
 		}
-		return notFilter{kid: kid}, nil
+		return Not(kid), nil
 	}
 	return p.parsePrimary()
 }
@@ -149,9 +143,9 @@ func (p *parser) parsePrimary() (Filter, error) {
 			return nil, err
 		}
 		if b {
-			return matchAll{}, nil
+			return MatchAll(), nil
 		}
-		return matchNone{}, nil
+		return MatchNone(), nil
 	case tokIdent:
 		return p.parsePredicate()
 	default:

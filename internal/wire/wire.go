@@ -8,14 +8,16 @@
 //
 // The format is compact, big-endian and length-prefixed at every variable
 // field: a 10-byte header, then the kind's body — a walk's origin and
-// hops, the count records the kind carries (event records, which are
-// byte-for-byte pubsub's layout, 6-byte view entries or 8-byte event ids),
-// a lazy push's count(2) and ids, and the optional parts the header
-// announces, each costing bytes only when present. Nothing says how long
-// the body is: the decoder walks it with a bounds-checked cursor and must
-// land exactly on the last byte. It never panics or over-reads, validates
-// every kind, part and value byte, and accepts exactly one encoding per
-// message (FuzzWireDecode).
+// hops, the count records the kind carries (event records, which pubsub
+// encodes and walks: Event.AppendBinary and ReadRecord; 6-byte view
+// entries or 8-byte event ids), a lazy push's count(2) and ids, and the
+// optional parts the header announces, each costing bytes only when
+// present. This package only frames: nothing in it reads or writes an
+// event record's fields. Nothing says how long the body is: the decoder
+// walks it with a bounds-checked cursor and must land exactly on the last
+// byte. It never panics or over-reads, validates every kind, part and
+// value byte, and accepts exactly one encoding per message
+// (FuzzWireDecode).
 //
 // Append appends into a caller's buffer, so a sender encodes a fanout's
 // envelope once into reused scratch. Decoding is two steps, because push
@@ -24,7 +26,8 @@
 // (its ID and its bytes, still in the input buffer), and a receiver calls
 // EventRecord.Decode only for the IDs it has not seen, through a Decoder
 // whose slabs make that a fraction of an allocation. Scan and materialise
-// are one walker (walkEvent), so they cannot disagree on what is valid.
+// are one walker (pubsub.ReadRecord, the one pubsub.Event.UnmarshalBinary
+// runs too), so they cannot disagree on what is valid.
 package wire
 
 import (
@@ -50,11 +53,9 @@ const (
 	// EntryWireSize is the encoded size of one view entry: id(4) + age(2).
 	EntryWireSize = 6
 	// IDWireSize is the encoded size of one event id: publisher(4) + seq(4).
-	IDWireSize   = 8
-	walkSize     = 6  // a walk's origin(4) + hops(2)
-	fpAdSize     = 12 // a fingerprint ad: id(4) + fingerprint(8)
-	eventMinSize = 16 // the smallest event record: id(8) topicLen(2) attrCount(2) payloadLen(4)
-	attrMinSize  = 4  // the smallest attribute: keyLen(2) kind(1) bool(1)
+	IDWireSize = 8
+	walkSize   = 6  // a walk's origin(4) + hops(2)
+	fpAdSize   = 12 // a fingerprint ad: id(4) + fingerprint(8)
 )
 
 // Kind names a message: the one kind family both drivers speak. The live
@@ -206,7 +207,8 @@ func (m *Msg) Size() int {
 	return n
 }
 
-// Decode errors. Errors wrap one of these sentinels; decode never
+// Decode errors. Errors wrap one of these sentinels, or for a malformed
+// event record pubsub.ErrShortBuffer or pubsub.ErrCorrupt; decode never
 // panics and never reads outside the input buffer.
 var (
 	ErrTruncated = errors.New("wire: truncated message")
@@ -242,7 +244,8 @@ type EventRecord struct {
 	Raw []byte
 }
 
-// Decoder is one receiver's memory for the events it materialises.
+// Decoder is one receiver's memory for the events it materialises: the
+// pubsub.Memory EventRecord.Decode hands the record walker.
 //
 // It interns topics: a receiver sees the same few topics over and over,
 // so a novel event shares its topic string with earlier events on that
@@ -281,7 +284,8 @@ const (
 	maxSlabPayload = 8 << 10
 )
 
-func (d *Decoder) intern(b []byte) string {
+// Topic returns b as a string: the interned one, or a fresh string.
+func (d *Decoder) Topic(b []byte) string {
 	if d == nil {
 		return string(b)
 	}
@@ -312,10 +316,10 @@ func (d *Decoder) event() *pubsub.Event {
 	return e
 }
 
-// payload returns a copy of b with capacity len(b): carved from the
+// Payload returns a copy of b with capacity len(b): carved from the
 // payload slab, or a fresh allocation for a nil d or a payload above
 // maxSlabPayload.
-func (d *Decoder) payload(b []byte) []byte {
+func (d *Decoder) Payload(b []byte) []byte {
 	if d == nil || len(b) > maxSlabPayload {
 		return append([]byte(nil), b...)
 	}
@@ -368,7 +372,7 @@ func Append(dst []byte, sender uint32, m *Msg) ([]byte, error) {
 	case recEvent:
 		var err error
 		for _, ev := range m.Events {
-			if dst, err = AppendEvent(dst, ev); err != nil {
+			if dst, err = ev.AppendBinary(dst); err != nil {
 				return dst, err
 			}
 		}
@@ -475,12 +479,14 @@ func DecodeEnvelope(data []byte, env *Envelope) error {
 			r.fail(fmt.Errorf("%w: %d records on a kind that carries none", ErrCorrupt, count))
 		}
 	case recEvent:
-		r.fits(count, eventMinSize)
 		for i := 0; i < count && r.err == nil; i++ {
-			start := r.off
-			if id := walkEvent(&r, nil, nil); r.err == nil {
-				recs = append(recs, EventRecord{ID: id, Raw: data[start:r.off:r.off]})
+			id, n, err := pubsub.ReadRecord(data[r.off:], nil, nil)
+			if err != nil {
+				r.fail(fmt.Errorf("record %d at offset %d: %w", i, r.off, err))
+				break
 			}
+			recs = append(recs, EventRecord{ID: id, Raw: data[r.off : r.off+n : r.off+n]})
+			r.off += n
 		}
 	case recEntry:
 		ents = r.entries(ents, count)
@@ -529,134 +535,17 @@ func DecodeEnvelope(data []byte, env *Envelope) error {
 	return nil
 }
 
-// AppendEvent appends one event record to dst — the exact pubsub
-// MarshalBinary layout, appended instead of allocated. On error the
-// returned slice may hold a partial encoding and must be discarded.
-func AppendEvent(dst []byte, e *pubsub.Event) ([]byte, error) {
-	if len(e.Topic) > math.MaxUint16 {
-		return dst, fmt.Errorf("%w: topic of %d bytes", ErrTooLarge, len(e.Topic))
-	}
-	if len(e.Attrs) > math.MaxUint16 {
-		return dst, fmt.Errorf("%w: %d attributes", ErrTooLarge, len(e.Attrs))
-	}
-	if uint64(len(e.Payload)) > math.MaxUint32 {
-		return dst, fmt.Errorf("%w: payload of %d bytes", ErrTooLarge, len(e.Payload))
-	}
-	dst = binary.BigEndian.AppendUint32(dst, e.ID.Publisher)
-	dst = binary.BigEndian.AppendUint32(dst, e.ID.Seq)
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(e.Topic)))
-	dst = append(dst, e.Topic...)
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(e.Attrs)))
-	for _, a := range e.Attrs {
-		if len(a.Key) > math.MaxUint16 {
-			return dst, fmt.Errorf("%w: attribute key of %d bytes", ErrTooLarge, len(a.Key))
-		}
-		dst = binary.BigEndian.AppendUint16(dst, uint16(len(a.Key)))
-		dst = append(dst, a.Key...)
-		dst = append(dst, byte(a.Val.Kind()))
-		switch a.Val.Kind() {
-		case pubsub.KindString:
-			s := a.Val.Str()
-			if len(s) > math.MaxUint16 {
-				return dst, fmt.Errorf("%w: attribute value of %d bytes", ErrTooLarge, len(s))
-			}
-			dst = binary.BigEndian.AppendUint16(dst, uint16(len(s)))
-			dst = append(dst, s...)
-		case pubsub.KindNum:
-			dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(a.Val.NumVal()))
-		case pubsub.KindBool:
-			if a.Val.BoolVal() {
-				dst = append(dst, 1)
-			} else {
-				dst = append(dst, 0)
-			}
-		default:
-			return dst, fmt.Errorf("%w: attribute %q has an invalid value", ErrCorrupt, a.Key)
-		}
-	}
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(e.Payload)))
-	dst = append(dst, e.Payload...)
-	return dst, nil
-}
-
-// Decode materialises the record, consuming Raw exactly (the framing
-// pubsub.Event.UnmarshalBinary enforces too), into an event that owns all
-// of its memory — nothing in it aliases Raw — with its topic, struct and
-// payload from d (nil: fresh allocations). A record DecodeEnvelope
-// produced always decodes: the scan ran the same walker over the same
-// bytes.
+// Decode materialises the record, which must be all of Raw, into an
+// event that owns all of its memory — nothing in it aliases Raw — with its topic, struct and payload
+// from d (nil: fresh allocations). A record DecodeEnvelope produced
+// always decodes: the scan ran the same walker (pubsub.ReadRecord) over
+// the same bytes.
 func (rec EventRecord) Decode(d *Decoder) (*pubsub.Event, error) {
-	r := reader{buf: rec.Raw}
-	var ev pubsub.Event
-	walkEvent(&r, &ev, d)
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(rec.Raw) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(rec.Raw)-r.off)
-	}
 	e := d.event()
-	*e = ev
+	if _, _, err := pubsub.ReadRecord(rec.Raw, e, d); err != nil {
+		return nil, err
+	}
 	return e, nil
-}
-
-// walkEvent is the one event-record walker: it advances the reader over
-// the record at its cursor, applying every well-formedness check, and
-// returns the record's id. A nil e makes it a pure scan that allocates
-// nothing; otherwise it also fills e with copies of everything it
-// walks, the topic and payload via d. Malformed input sets r.err (e is
-// garbage).
-func walkEvent(r *reader, e *pubsub.Event, d *Decoder) pubsub.EventID {
-	id := pubsub.EventID{Publisher: r.u32(), Seq: r.u32()}
-	topic := r.take(int(r.u16()))
-	nattrs := int(r.u16())
-	if r.err == nil && nattrs*attrMinSize > r.rem() {
-		r.fail(fmt.Errorf("%w: %d attributes cannot fit in %d bytes", ErrCorrupt, nattrs, r.rem()))
-	}
-	if e != nil && r.err == nil {
-		e.ID = id
-		e.Topic = d.intern(topic)
-		if nattrs > 0 {
-			e.Attrs = make([]pubsub.Attr, 0, nattrs)
-		}
-	}
-	for i := 0; i < nattrs && r.err == nil; i++ {
-		key := r.take(int(r.u16()))
-		kind := pubsub.Kind(r.u8())
-		var v pubsub.Value
-		switch kind {
-		case pubsub.KindString:
-			s := r.take(int(r.u16()))
-			if e != nil {
-				v = pubsub.String(string(s))
-			}
-		case pubsub.KindNum:
-			v = pubsub.Num(math.Float64frombits(r.u64()))
-		case pubsub.KindBool:
-			switch r.u8() {
-			case 0:
-				v = pubsub.Bool(false)
-			case 1:
-				v = pubsub.Bool(true)
-			default:
-				r.fail(fmt.Errorf("%w: invalid bool byte", ErrCorrupt))
-			}
-		default:
-			r.fail(fmt.Errorf("%w: invalid attribute kind %d", ErrCorrupt, kind))
-		}
-		if e != nil && r.err == nil {
-			e.Attrs = append(e.Attrs, pubsub.Attr{Key: string(key), Val: v})
-		}
-	}
-	plen := int(r.u32())
-	if r.err == nil && plen > r.rem() {
-		r.fail(fmt.Errorf("%w: payload of %d bytes with %d remaining", ErrTruncated, plen, r.rem()))
-	}
-	payload := r.take(plen)
-	if e != nil && len(payload) > 0 {
-		e.Payload = d.payload(payload)
-	}
-	return id
 }
 
 // reader is a bounds-checked cursor that records the first error and
@@ -724,7 +613,6 @@ func (r *reader) fixed(n int) []byte {
 
 var zeros [8]byte
 
-func (r *reader) u8() byte    { return r.fixed(1)[0] }
 func (r *reader) u16() uint16 { return binary.BigEndian.Uint16(r.fixed(2)) }
 func (r *reader) u32() uint32 { return binary.BigEndian.Uint32(r.fixed(4)) }
 func (r *reader) u64() uint64 { return binary.BigEndian.Uint64(r.fixed(8)) }

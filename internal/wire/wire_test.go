@@ -2,10 +2,12 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -126,21 +128,53 @@ func decodeAll(t testing.TB, env *Envelope, d *Decoder) []*pubsub.Event {
 	return events
 }
 
-// TestEventRecordMatchesPubsubCodec: AppendEvent must produce exactly
-// the pubsub MarshalBinary bytes (and therefore exactly WireSize bytes)
-// — the invariant that makes encoded size equal accounted size.
+// recordFixture is one event record written out by hand: id 7/9, topic
+// "t", a string, a number and a bool attribute, and a 2-byte payload.
+// It pins the record layout as data, so the codec cannot drift by
+// agreeing with itself.
+const recordFixture = "00000007" + "00000009" + // id
+	"0001" + "74" + // topic "t"
+	"0003" + // three attributes
+	"0001" + "73" + "01" + "0001" + "76" + // s: string "v"
+	"0001" + "6e" + "02" + "3ff8000000000000" + // n: number 1.5
+	"0001" + "62" + "03" + "01" + // b: bool true
+	"00000002" + "6869" // payload "hi"
+
+// TestEventRecordMatchesPubsubCodec: the record the envelope carries is
+// pubsub's one encoding — the hand-written fixture, byte for byte, which
+// both entry points (pubsub.Event.UnmarshalBinary and a scanned
+// envelope's EventRecord.Decode) read back — and every sample event
+// encodes to exactly WireSize bytes that decode to it, the invariant that
+// makes encoded size equal accounted size.
 func TestEventRecordMatchesPubsubCodec(t *testing.T) {
+	fixture := &pubsub.Event{ID: pubsub.EventID{Publisher: 7, Seq: 9}, Topic: "t", Attrs: []pubsub.Attr{
+		{Key: "s", Val: pubsub.String("v")},
+		{Key: "n", Val: pubsub.Num(1.5)},
+		{Key: "b", Val: pubsub.Bool(true)},
+	}, Payload: []byte("hi")}
+	raw, err := fixture.AppendBinary(nil)
+	if err != nil || hex.EncodeToString(raw) != recordFixture {
+		t.Fatalf("AppendBinary: %v\n got %x\nwant %s", err, raw, recordFixture)
+	}
+	env, err := AppendEnvelope(nil, 5, []*pubsub.Event{fixture})
+	if want := "fa15" + "02" + "00" + "00000005" + "0001" + recordFixture; err != nil || hex.EncodeToString(env) != want {
+		t.Fatalf("AppendEnvelope: %v\n got %x\nwant %s", err, env, want)
+	}
+	var scanned Envelope
+	if err := DecodeEnvelope(env, &scanned); err != nil || len(scanned.Records) != 1 {
+		t.Fatalf("DecodeEnvelope: %v, %d records", err, len(scanned.Records))
+	}
+	eventsEqual(t, decodeAll(t, &scanned, nil)[0], fixture)
+	var pb pubsub.Event
+	if err := pb.UnmarshalBinary(raw); err != nil {
+		t.Fatalf("UnmarshalBinary: %v", err)
+	}
+	eventsEqual(t, &pb, fixture)
+
 	for i, ev := range sampleEvents() {
-		want, err := ev.MarshalBinary()
+		got, err := ev.AppendBinary(nil)
 		if err != nil {
-			t.Fatalf("event %d: MarshalBinary: %v", i, err)
-		}
-		got, err := AppendEvent(nil, ev)
-		if err != nil {
-			t.Fatalf("event %d: AppendEvent: %v", i, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("event %d: AppendEvent diverges from MarshalBinary\n got %x\nwant %x", i, got, want)
+			t.Fatalf("event %d: AppendBinary: %v", i, err)
 		}
 		if len(got) != ev.WireSize() {
 			t.Fatalf("event %d: encoded %d bytes, WireSize says %d", i, len(got), ev.WireSize())
@@ -150,10 +184,34 @@ func TestEventRecordMatchesPubsubCodec(t *testing.T) {
 			t.Fatalf("event %d: Decode: %v", i, err)
 		}
 		eventsEqual(t, back, ev)
-		// Cross-decoder check: pubsub's decoder accepts our bytes too.
-		var pb pubsub.Event
 		if err := pb.UnmarshalBinary(got); err != nil {
-			t.Fatalf("event %d: pubsub.UnmarshalBinary rejects wire bytes: %v", i, err)
+			t.Fatalf("event %d: UnmarshalBinary: %v", i, err)
+		}
+		eventsEqual(t, &pb, ev)
+	}
+}
+
+// TestHostileAttributeCountAllocatesNothing: a 65 547-byte record that
+// claims 65 535 attributes cannot hold them (each takes at least 4
+// bytes), so both entry points refuse it before allocating the
+// attributes — 3.5 MiB of them.
+func TestHostileAttributeCountAllocatesNothing(t *testing.T) {
+	rec := make([]byte, 65547)
+	rec[10], rec[11] = 0xff, 0xff // attrCount, after id(8) and an empty topic's len(2)
+	env := append([]byte{0xfa, 0x15, Version, byte(KindEvents), 0, 0, 0, 1, 0, 1}, rec...)
+	for name, decode := range map[string]func() error{
+		"UnmarshalBinary": func() error { return new(pubsub.Event).UnmarshalBinary(rec) },
+		"DecodeEnvelope":  func() error { return DecodeEnvelope(env, new(Envelope)) },
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := decode()
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s accepted 65535 attributes in %d bytes", name, len(rec))
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 64<<10 {
+			t.Fatalf("%s allocated %d bytes refusing a hostile attribute count", name, alloc)
 		}
 	}
 }
@@ -298,7 +356,7 @@ func TestEnvelopeScanZeroAlloc(t *testing.T) {
 // per attribute key and per string value — nothing else.
 func TestRecordDecodeAllocBudget(t *testing.T) {
 	for i, ev := range append(sampleEvents(), benchBatch()[0]) {
-		raw, err := AppendEvent(nil, ev)
+		raw, err := ev.AppendBinary(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -330,7 +388,7 @@ func TestRecordDecodeAllocBudget(t *testing.T) {
 	recs := make([]EventRecord, n)
 	for i := range recs {
 		ev := &pubsub.Event{ID: pubsub.EventID{Publisher: 3, Seq: uint32(i)}, Topic: "news.eu", Payload: make([]byte, 1024)}
-		raw, err := AppendEvent(nil, ev)
+		raw, err := ev.AppendBinary(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -361,7 +419,7 @@ func TestTopicTableIsBounded(t *testing.T) {
 	var topics Decoder
 	for i := 0; i < maxTopics+10; i++ {
 		topic := fmt.Sprintf("spray.%d", i)
-		raw, err := AppendEvent(nil, &pubsub.Event{Topic: topic})
+		raw, err := (&pubsub.Event{Topic: topic}).AppendBinary(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -377,11 +435,11 @@ func TestTopicTableIsBounded(t *testing.T) {
 		}
 	}
 	long := strings.Repeat("t", maxTopicLen+1)
-	if topics.intern([]byte(long)) != long || len(topics.topics) != maxTopics {
+	if topics.Topic([]byte(long)) != long || len(topics.topics) != maxTopics {
 		t.Fatalf("table holds %d topics, want maxTopics = %d", len(topics.topics), maxTopics)
 	}
 	topics = Decoder{}
-	if topics.intern([]byte(long)); len(topics.topics) != 0 {
+	if topics.Topic([]byte(long)); len(topics.topics) != 0 {
 		t.Fatalf("a topic of %d bytes was kept", len(long))
 	}
 }
@@ -575,7 +633,7 @@ func TestSlabCarvesAreIndependent(t *testing.T) {
 		}
 		want[i] = &pubsub.Event{ID: pubsub.EventID{Publisher: 1, Seq: uint32(i)}, Topic: "t", Payload: make([]byte, size)}
 		rng.Read(want[i].Payload)
-		raw, err := AppendEvent(nil, want[i])
+		raw, err := want[i].AppendBinary(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -603,19 +661,22 @@ func TestSlabCarvesAreIndependent(t *testing.T) {
 }
 
 // TestEncodeLimits: unencodable events (oversized fields, invalid
-// values) are refused with ErrTooLarge/ErrCorrupt rather than producing
-// an undecodable envelope.
+// values) are refused rather than producing an undecodable envelope, by
+// both entry points of the one record encoder.
 func TestEncodeLimits(t *testing.T) {
-	if _, err := AppendEvent(nil, &pubsub.Event{Topic: strings.Repeat("x", math.MaxUint16+1)}); err == nil {
-		t.Fatal("oversized topic accepted")
-	}
-	if _, err := AppendEvent(nil, &pubsub.Event{Attrs: []pubsub.Attr{{Key: "z"}}}); err == nil {
-		t.Fatal("invalid (zero) attribute value accepted")
-	}
-	if _, err := AppendEvent(nil, &pubsub.Event{Attrs: []pubsub.Attr{
-		{Key: strings.Repeat("k", math.MaxUint16+1), Val: pubsub.Bool(true)},
-	}}); err == nil {
-		t.Fatal("oversized attribute key accepted")
+	long := strings.Repeat("x", math.MaxUint16+1)
+	for name, ev := range map[string]*pubsub.Event{
+		"oversized topic":         {Topic: long},
+		"invalid (zero) value":    {Attrs: []pubsub.Attr{{Key: "z"}}},
+		"oversized attribute key": {Attrs: []pubsub.Attr{{Key: long, Val: pubsub.Bool(true)}}},
+		"oversized string value":  {Attrs: []pubsub.Attr{{Key: "k", Val: pubsub.String(long)}}},
+	} {
+		if _, err := AppendEnvelope(nil, 1, []*pubsub.Event{ev}); err == nil {
+			t.Fatalf("%s: AppendEnvelope accepted it", name)
+		}
+		if _, err := ev.MarshalBinary(); err == nil {
+			t.Fatalf("%s: MarshalBinary accepted it", name)
+		}
 	}
 }
 
