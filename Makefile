@@ -33,9 +33,11 @@ test:
 # them on those goroutines too (each shard's network, node slab and range
 # of the node table): core's TestSharded* and scenario's
 # TestShardedSimCalmStorm are the tests that put more than one shard
-# under the detector.
+# under the detector. The root package rides along for
+# TestFacadeScenarioLiveUDP, which builds its column through
+# fairgossip.RunScenarioSpec and scenario.NewRuntime.
 race:
-	$(GO) test -race -shuffle=on ./internal/core/ ./internal/protocol/ ./internal/fairness/ ./internal/gossip/ ./internal/live/ ./internal/eventsim/ ./internal/simnet/ ./internal/scenario/ ./internal/transport/ ./internal/wire/ ./internal/membership/
+	$(GO) test -race -shuffle=on . ./internal/core/ ./internal/protocol/ ./internal/fairness/ ./internal/gossip/ ./internal/live/ ./internal/eventsim/ ./internal/simnet/ ./internal/scenario/ ./internal/transport/ ./internal/wire/ ./internal/membership/
 
 # soak is the recipe that reproduced the live sub-churn flake (ROADMAP
 # item 5): the three packages that run real goroutines and sockets,
@@ -106,12 +108,14 @@ fairbench:
 
 # loc prints the numbers ROADMAP items 6 and 8 are judged by, measured
 # the same way every PR: non-test Go lines outside bench/ and those of
-# the scenario harness, the simulated-cluster engine, the event kernel,
+# the scenario harness (and of its column adapters), the
+# simulated-cluster engine, the event kernel,
 # the two drivers of protocol.Peer, and the options census (LINTING.md) from the test that
 # pins it.
 loc:
 	@printf 'non-test Go lines outside bench/: '; find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l
 	@printf 'scenario harness (internal/scenario): '; find internal/scenario -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
+	@printf 'column adapters (scenario/runtime.go): '; wc -l < internal/scenario/runtime.go
 	@printf 'sim engine (core/cluster.go + core/shard.go): '; cat internal/core/cluster.go internal/core/shard.go | wc -l
 	@printf 'event kernel (internal/eventsim): '; find internal/eventsim -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 	@printf 'drivers (core/node.go, live/live.go): %s, %s\n' $$(wc -l < internal/core/node.go) $$(wc -l < internal/live/live.go)

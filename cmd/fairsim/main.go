@@ -26,6 +26,7 @@ import (
 	"fairgossip/internal/core"
 	"fairgossip/internal/fairness"
 	"fairgossip/internal/pubsub"
+	"fairgossip/internal/scenario"
 	"fairgossip/internal/simnet"
 	"fairgossip/internal/workload"
 )
@@ -71,14 +72,13 @@ func runScenario(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "fairsim scenario: -name required (or -list)")
 		return 2
 	}
-	columns := []string{"sim", "live", "live-udp"}
-	runtimes := columns
+	runtimes := scenario.Columns
 	if *runtime != "all" {
 		runtimes = strings.Split(*runtime, ",")
 	}
 	for _, rt := range runtimes {
-		if !slices.Contains(columns, rt) {
-			fmt.Fprintf(stderr, "fairsim scenario: unknown column %q (want a comma-separated list of %v, or all)\n", rt, columns)
+		if !slices.Contains(scenario.Columns, rt) {
+			fmt.Fprintf(stderr, "fairsim scenario: unknown column %q (want a comma-separated list of %v, or all)\n", rt, scenario.Columns)
 			return 2
 		}
 	}

@@ -27,7 +27,11 @@
 // goroutine per peer, suitable for embedding in applications. They are
 // two drivers of one peer: the protocol itself — push round, Cyclon
 // exchange, failure detector, join back-off — is written once, in
-// internal/protocol, with no clock, goroutine or socket in it.
+// internal/protocol, with no clock, goroutine or socket in it. Both
+// answer the same per-peer and fault calls (Crash, Rejoin, Leave, Join,
+// Partition, SetLoss, SetShape, ...) with the same int peer ids; a
+// SimCluster's latency model is fixed when it is built, and SetShape
+// adds a TransportProfile's hold to it.
 //
 // Both runtimes can be driven through the fault-injection scenario
 // engine (RunScenario): seeded schedules of churn, partitions, loss,
@@ -142,8 +146,10 @@ const (
 // together; a TransportFactory is the LiveConfig.Transport knob. Custom
 // substrates plug in by implementing these interfaces.
 type (
-	// Transport is a single peer's sending endpoint. Send must not keep
-	// buf or hand it to a Handler after it returns; copy it.
+	// Transport is a single peer's sending endpoint: Send and
+	// LocalAddr. Send must not keep buf or hand it to a Handler after it
+	// returns; copy it. An endpoint has no Close of its own: closing the
+	// TransportNet ends every endpoint's sends.
 	Transport = transport.Transport
 	// TransportNet wires the endpoints of one cluster together. A custom
 	// Net must implement Release, which takes back a buffer its Handler
@@ -265,20 +271,12 @@ func RunScenario(name, runtime string, seed int64) (*ScenarioResult, error) {
 
 // RunScenarioSpec executes an arbitrary (possibly custom) scenario.
 func RunScenarioSpec(sc Scenario, runtime string, seed int64) (*ScenarioResult, error) {
-	var rt scenario.Runtime
-	switch runtime {
-	case "sim", "":
-		rt = scenario.NewSimRuntime(sc, seed)
-	case "live":
-		rt = scenario.NewLiveRuntime(sc, seed)
-	case "live-udp":
-		udp, err := scenario.NewLiveUDPRuntime(sc, seed)
-		if err != nil {
-			return nil, fmt.Errorf("fairgossip: udp runtime: %w", err)
-		}
-		rt = udp
-	default:
-		return nil, fmt.Errorf("fairgossip: unknown runtime %q (want sim, live or live-udp)", runtime)
+	if runtime == "" {
+		runtime = "sim"
+	}
+	rt, err := scenario.NewRuntime(runtime, sc, seed)
+	if err != nil {
+		return nil, fmt.Errorf("fairgossip: %w", err)
 	}
 	return scenario.Execute(rt, sc, seed), nil
 }

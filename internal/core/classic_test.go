@@ -126,7 +126,7 @@ func TestClassicConfiguration(t *testing.T) {
 		{"a digest waits for its cadence", func(t *testing.T) {
 			c := classicCluster(9, 2, Config{BufferMaxAge: 1, AntiEntropy: 3}, 0)
 			c.Node(1).Subscribe(pubsub.MatchAll())
-			c.Partition([]simnet.NodeID{1}) // the publisher's eager push is lost
+			c.Partition([]int{1}) // the publisher's eager push is lost
 			c.Node(0).Publish("t", nil, nil)
 			c.Drain()
 			c.Heal()

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"time"
 
@@ -10,8 +11,10 @@ import (
 	"fairgossip/internal/fairness"
 	"fairgossip/internal/membership"
 	"fairgossip/internal/protocol"
+	"fairgossip/internal/pubsub"
 	"fairgossip/internal/randutil"
 	"fairgossip/internal/simnet"
+	"fairgossip/internal/transport"
 )
 
 // Cluster wires n FairGossip nodes onto a simulated network with a
@@ -27,8 +30,12 @@ import (
 // with the cluster seed itself (randutil.ShardSeed(seed, 0) is the
 // identity), nothing is remote, and no goroutine is started.
 //
-// All mutating methods (Join, Leave, Partition, Publish via Node, ...)
-// must be called from the goroutine that calls RunRounds, between calls.
+// Its per-peer and fault calls (Subscribe, Unsubscribe, Publish,
+// OnDeliver, Crash, Rejoin, SetFreeRider, Leave, Join, Partition, Heal,
+// SetLoss, SetShape, Views, Settle) are live.Cluster's, with the same
+// signatures and the same refusal of an id out of range, so one fault
+// schedule drives either driver. All of them, and Node's methods, must
+// be called from the goroutine that calls RunRounds, between calls.
 type Cluster struct {
 	// Sim and Net are the sole shard's kernel and network when
 	// Shards() == 1, and nil otherwise: code that reaches through them
@@ -49,6 +56,10 @@ type Cluster struct {
 	// locals so that a window allocates nothing (a captured local escapes).
 	barrier  sync.WaitGroup
 	deadline time.Duration
+	// latency is the configured delay model; faultLoss and shapeLoss are
+	// the two loss layers SetLoss and SetShape set, each clamped alone.
+	latency              simnet.LatencyModel
+	faultLoss, shapeLoss float64
 }
 
 // ClusterOptions bundles the environment knobs of a cluster.
@@ -74,14 +85,19 @@ func NewCluster(n int, cfg Config, opts ClusterOptions) *Cluster {
 func NewShardedCluster(n, shards int, cfg Config, opts ClusterOptions) *Cluster {
 	shards = max(1, min(shards, n))
 	cfg = cfg.withDefaults()
+	if opts.NetConfig.Latency == nil {
+		opts.NetConfig.Latency = simnet.ConstantLatency(time.Millisecond)
+	}
 	c := &Cluster{
-		Ledger: fairness.NewLedger(n, opts.Weights),
-		Nodes:  make([]*Node, n),
-		shards: make([]*shard, shards),
-		cfg:    cfg,
-		par:    cfg.params(),
-		seed:   opts.Seed,
-		per:    shardSpan(n, shards),
+		Ledger:    fairness.NewLedger(n, opts.Weights),
+		Nodes:     make([]*Node, n),
+		shards:    make([]*shard, shards),
+		cfg:       cfg,
+		par:       cfg.params(),
+		seed:      opts.Seed,
+		per:       shardSpan(n, shards),
+		latency:   opts.NetConfig.Latency,
+		faultLoss: clamp01(opts.NetConfig.Loss),
 	}
 	for s := range c.shards {
 		sim := eventsim.New(randutil.ShardSeed(opts.Seed, s))
@@ -122,6 +138,23 @@ func (c *Cluster) Shards() int { return len(c.shards) }
 
 // Node returns the i-th node.
 func (c *Cluster) Node(i int) *Node { return c.Nodes[i] }
+
+// node returns node id, or nil when id is out of range.
+func (c *Cluster) node(id int) *Node {
+	if id < 0 || id >= len(c.Nodes) {
+		return nil
+	}
+	return c.Nodes[id]
+}
+
+// do runs fn on node id and reports whether id is in range.
+func (c *Cluster) do(id int, fn func(*Node)) bool {
+	nd := c.node(id)
+	if nd != nil {
+		fn(nd)
+	}
+	return nd != nil
+}
 
 // Start launches the round tickers on every shard — per-node jittered
 // ones by default, or one batched ticker per shard under
@@ -180,12 +213,12 @@ func (c *Cluster) now() time.Duration { return c.shards[0].sim.Now() }
 // fixed population, so only a MemberCyclon cluster grows. The id extends
 // the tail shard's range, so existing ranges never move, and the joiner's
 // round ticker starts at once when the cluster is running.
-func (c *Cluster) Join(seed simnet.NodeID) (simnet.NodeID, error) {
+func (c *Cluster) Join(seed int) (int, error) {
 	id := len(c.Nodes)
 	if c.cfg.Membership != MemberCyclon {
 		return 0, errors.New("core: Join needs partial views (MemberCyclon); the full sampler's population is fixed")
 	}
-	if seed < 0 || int(seed) >= id {
+	if seed < 0 || seed >= id {
 		return 0, fmt.Errorf("core: seed node %d out of range [0,%d)", seed, id)
 	}
 	n := id + 1
@@ -197,14 +230,14 @@ func (c *Cluster) Join(seed simnet.NodeID) (simnet.NodeID, error) {
 	nd := c.initNode(new(Node), sh, id, n)
 	c.Nodes = append(c.Nodes, nd)
 	sh.hi = n
-	nd.Join(seed, &sh.out)
+	nd.Join(simnet.NodeID(seed), &sh.out)
 	nd.flush()
 	if len(sh.tickers) > 0 && !c.cfg.BatchRounds {
 		// The batched ticker re-slices c.Nodes and already covers the
 		// joiner; only the per-node schedule needs a new ticker.
 		sh.tickers = append(sh.tickers, sh.sim.Every(c.cfg.RoundPeriod, c.cfg.jitter(), nd.Round))
 	}
-	return simnet.NodeID(id), nil
+	return id, nil
 }
 
 // Leave departs node id gracefully — the sim mirror of
@@ -212,31 +245,99 @@ func (c *Cluster) Join(seed simnet.NodeID) (simnet.NodeID, error) {
 // ShuffleLen of its freshest view entries to every view neighbour in a
 // charged wire.KindLeave message before going offline (protocol.Peer.Leave),
 // so the overlay loses an address without losing degree; under the
-// idealised full sampler it simply goes offline.
-func (c *Cluster) Leave(id simnet.NodeID) {
-	if id < 0 || int(id) >= len(c.Nodes) || !c.Nodes[id].active {
-		return
+// idealised full sampler it simply goes offline. A node already down
+// announces nothing. It returns false for an id out of range.
+func (c *Cluster) Leave(id int) bool {
+	return c.do(id, func(nd *Node) {
+		if nd.active {
+			nd.Peer.Leave(&nd.sh.out)
+			nd.flush()
+			nd.Leave()
+		}
+	})
+}
+
+// Crash takes node id offline without notice (Node.Leave).
+func (c *Cluster) Crash(id int) bool { return c.do(id, (*Node).Leave) }
+
+// Rejoin brings a crashed node back through the lowest-numbered other
+// node that is up (Node.Rejoin). A node that is up is left alone, as on
+// the live runtime.
+func (c *Cluster) Rejoin(id int) bool {
+	return c.do(id, func(nd *Node) {
+		if nd.active {
+			return
+		}
+		boot := 0
+		for i := range c.Nodes {
+			if i != id && c.Up(i) {
+				boot = i
+				break
+			}
+		}
+		nd.Rejoin(simnet.NodeID(boot))
+	})
+}
+
+// SetFreeRider makes node id stop forwarding while it still receives.
+func (c *Cluster) SetFreeRider(id int, on bool) bool {
+	return c.do(id, func(nd *Node) { nd.FreeRide = on })
+}
+
+// Subscribe registers a filter on node id (Node.Subscribe).
+func (c *Cluster) Subscribe(id int, f pubsub.Filter) (sub pubsub.SubID, ok bool) {
+	ok = c.do(id, func(nd *Node) { sub = nd.Subscribe(f) })
+	return sub, ok
+}
+
+// Unsubscribe removes a subscription from node id.
+func (c *Cluster) Unsubscribe(id int, sub pubsub.SubID) bool {
+	nd := c.node(id)
+	return nd != nil && nd.Unsubscribe(sub)
+}
+
+// Publish originates an event at node id (Node.Publish).
+func (c *Cluster) Publish(id int, topic string, attrs []pubsub.Attr, payload []byte) bool {
+	return c.do(id, func(nd *Node) { nd.Publish(topic, attrs, payload) })
+}
+
+// OnDeliver installs a delivery observer on node id.
+func (c *Cluster) OnDeliver(id int, fn func(*pubsub.Event)) bool {
+	return c.do(id, func(nd *Node) { nd.OnDeliver = fn })
+}
+
+// Views snapshots every node's partial view, indexed by node id (nil
+// entries under the full sampler, which keeps none).
+func (c *Cluster) Views() [][]int {
+	views := make([][]int, len(c.Nodes))
+	for i, nd := range c.Nodes {
+		if v := nd.View(); v != nil {
+			for _, id := range v.IDs() {
+				views[i] = append(views[i], int(id))
+			}
+		}
 	}
-	nd := c.Nodes[id]
-	nd.Peer.Leave(&nd.sh.out)
-	nd.flush()
-	nd.Leave()
+	return views
 }
 
 // Up reports whether node id is up (checked on its owner network).
-func (c *Cluster) Up(id simnet.NodeID) bool {
-	if id < 0 || int(id) >= len(c.Nodes) {
-		return false
-	}
-	return c.shards[c.shardOf(int(id))].net.Up(id)
+func (c *Cluster) Up(id int) bool {
+	return c.node(id) != nil && c.shards[c.shardOf(id)].net.Up(simnet.NodeID(id))
 }
 
 // Partition splits every shard's network identically: delivery-time
 // checks run on the destination's owner network, which therefore needs
-// the full partition map regardless of where the sender lives.
-func (c *Cluster) Partition(side []simnet.NodeID) {
+// the full partition map regardless of where the sender lives. Ids out
+// of range are ignored; joiners land on the zero side.
+func (c *Cluster) Partition(side []int) {
+	ids := make([]simnet.NodeID, 0, len(side))
+	for _, id := range side {
+		if c.node(id) != nil {
+			ids = append(ids, simnet.NodeID(id))
+		}
+	}
 	for _, sh := range c.shards {
-		sh.net.Partition(side)
+		sh.net.Partition(ids)
 	}
 }
 
@@ -247,18 +348,46 @@ func (c *Cluster) Heal() {
 	}
 }
 
-// SetLoss sets the drop probability on every shard's network.
+// SetLoss sets the fault loss layer, clamped to [0,1]. A message
+// survives only if it passes both layers, this one and SetShape's: the
+// networks drop with probability 1-(1-fault)(1-shape).
 func (c *Cluster) SetLoss(p float64) {
+	c.faultLoss = clamp01(p)
+	c.applyLoss()
+}
+
+// SetShape installs a shaping profile, the sim mirror of
+// live.Cluster.SetShape: p.Loss becomes the shaping loss layer (see
+// SetLoss), and every message's delay is the configured latency model's
+// plus the hold the live shaper would draw (transport.Profile.Hold),
+// drawn from the sending shard's seeded stream.
+func (c *Cluster) SetShape(p transport.Profile) {
+	c.shapeLoss = clamp01(p.Loss)
+	c.applyLoss()
+	base := c.latency
+	model := func(rng *rand.Rand, from, to simnet.NodeID) time.Duration {
+		return base(rng, from, to) + p.Hold(rng)
+	}
+	for _, sh := range c.shards {
+		sh.net.SetLatency(model)
+	}
+}
+
+func (c *Cluster) applyLoss() {
+	p := 1 - (1-c.faultLoss)*(1-c.shapeLoss)
 	for _, sh := range c.shards {
 		sh.net.SetLoss(p)
 	}
 }
 
-// SetLatency swaps the latency model on every shard's network.
-func (c *Cluster) SetLatency(m simnet.LatencyModel) {
-	for _, sh := range c.shards {
-		sh.net.SetLatency(m)
-	}
+func clamp01(p float64) float64 { return min(max(p, 0), 1) }
+
+// Settle runs the tail rounds, then stops the round tickers and drains,
+// so no message is in flight when it returns.
+func (c *Cluster) Settle(rounds int) {
+	c.RunRounds(rounds)
+	c.Stop()
+	c.Drain()
 }
 
 // TotalTraffic sums the per-shard networks' counters. Each event is
@@ -272,8 +401,8 @@ func (c *Cluster) TotalTraffic() simnet.Traffic {
 // Stats sums one node's traffic counters across shards (its owner shard
 // holds almost everything; destination shards hold delivery-time drops
 // charged back to it).
-func (c *Cluster) Stats(id simnet.NodeID) simnet.Traffic {
-	return c.sumTraffic(func(n *simnet.Network) simnet.Traffic { return n.Stats(id) })
+func (c *Cluster) Stats(id int) simnet.Traffic {
+	return c.sumTraffic(func(n *simnet.Network) simnet.Traffic { return n.Stats(simnet.NodeID(id)) })
 }
 
 func (c *Cluster) sumTraffic(of func(*simnet.Network) simnet.Traffic) simnet.Traffic {

@@ -270,7 +270,7 @@ func TestClusterJoinMidRun(t *testing.T) {
 // A full-sampler node's Rejoin announces to nobody.
 func TestClusterJoinRejectsWhatCannotBeIntroduced(t *testing.T) {
 	c := contentCluster(8, 3, ControllerSpec{Kind: ControllerStatic})
-	for _, seed := range []simnet.NodeID{-1, 8} {
+	for _, seed := range []int{-1, 8} {
 		if id, err := c.Join(seed); err == nil {
 			t.Errorf("Join(%d) admitted node %d through a seed that does not exist", seed, id)
 		}
@@ -375,7 +375,7 @@ func TestClusterJoinDeterminism(t *testing.T) {
 			nd.Subscribe(pubsub.MatchAll())
 		}
 		c.RunRounds(5)
-		for _, seed := range []simnet.NodeID{0, 2} {
+		for _, seed := range []int{0, 2} {
 			if _, err := c.Join(seed); err != nil {
 				t.Fatal(err)
 			}

@@ -30,14 +30,15 @@ func TestChargedIsEncoded(t *testing.T) {
 	kinds := make(map[wire.Kind]int)
 	parts := make(map[string]int)
 	run := func(name string, n int, cfg Config, drive func(c *Cluster)) {
-		c := NewShardedCluster(n, n, cfg, ClusterOptions{Seed: 3})
 		var selfSends atomic.Int64
-		c.SetLatency(func(_ *rand.Rand, from, to simnet.NodeID) time.Duration {
-			if from == to {
-				selfSends.Add(1) // delivered on the node's own shard, unseen below
-			}
-			return time.Millisecond
-		})
+		c := NewShardedCluster(n, n, cfg, ClusterOptions{Seed: 3, NetConfig: simnet.Config{
+			Latency: func(_ *rand.Rand, from, to simnet.NodeID) time.Duration {
+				if from == to {
+					selfSends.Add(1) // delivered on the node's own shard, unseen below
+				}
+				return time.Millisecond
+			},
+		}})
 		checked := 0
 		for _, sh := range c.shards {
 			park := c.remoteHook(sh)

@@ -28,9 +28,9 @@ func TestPartitionHealConvergence(t *testing.T) {
 	c.RunRounds(10)
 
 	// Partition nodes 0..23 away from 24..47.
-	side := make([]simnet.NodeID, 24)
+	side := make([]int, 24)
 	for i := range side {
-		side[i] = simnet.NodeID(i)
+		side[i] = i
 	}
 	c.Partition(side)
 

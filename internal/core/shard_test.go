@@ -55,7 +55,7 @@ func fingerprint(sc *Cluster) string {
 	var b strings.Builder
 	for i := 0; i < sc.N(); i++ {
 		a := sc.Ledger.Account(i)
-		t := sc.Stats(simnet.NodeID(i))
+		t := sc.Stats(i)
 		fmt.Fprintf(&b, "%d %v|%v %d %d %d %d %d|%d %d %d %d %d\n",
 			i, a.MsgsSent, a.BytesSent, a.Published, a.Delivered, a.UsefulBytes, a.JunkBytes, a.Filters,
 			t.MsgsSent, t.BytesSent, t.MsgsRecv, t.BytesRecv, t.Dropped)
@@ -183,9 +183,9 @@ func TestShardedPartitionBlocksCrossGroup(t *testing.T) {
 		}
 		// Isolate the first half (spanning shards 0 and 1 of 4) from the
 		// second.
-		side := make([]simnet.NodeID, 0, n/2)
+		side := make([]int, 0, n/2)
 		for i := 0; i < n/2; i++ {
-			side = append(side, simnet.NodeID(i))
+			side = append(side, i)
 		}
 		sc.Partition(side)
 		sc.Node(0).Publish("t", nil, []byte("x"))
@@ -229,13 +229,13 @@ func TestShardedJoin(t *testing.T) {
 		}
 		sc.RunRounds(2)
 		id, err := sc.Join(0)
-		if got, want := int(id), n; got != want || err != nil {
+		if got, want := id, n; got != want || err != nil {
 			t.Fatalf("shards=%d: joiner id = %d (%v), want %d", shards, got, err, want)
 		}
-		if sc.shardOf(int(id)) != shards-1 {
-			t.Fatalf("joiner landed on shard %d, want tail shard %d", sc.shardOf(int(id)), shards-1)
+		if sc.shardOf(id) != shards-1 {
+			t.Fatalf("joiner landed on shard %d, want tail shard %d", sc.shardOf(id), shards-1)
 		}
-		joiner := sc.Node(int(id))
+		joiner := sc.Node(id)
 		joiner.Subscribe(pubsub.MatchAll())
 		sc.Node(0).Publish("t", nil, []byte("x")) // other end of the id space
 		sc.RunRounds(30)

@@ -269,7 +269,6 @@ func (e *countingEndpoint) Send(to int, buf []byte) error {
 }
 
 func (e *countingEndpoint) LocalAddr() string { return e.inner.LocalAddr() }
-func (e *countingEndpoint) Close() error      { return e.inner.Close() }
 
 // TestLiveShuffleBytesChargedByteForByte: on a calm cluster (no faults,
 // so every charged send reaches the transport) the ledger's per-peer

@@ -20,23 +20,15 @@ func TestCutsComposeLikeTheModel(t *testing.T) {
 			{Round: 12, Action: HealAll()},
 		},
 	}
-	columns := []struct {
-		name  string
-		build func(seed int64) (Runtime, error)
-	}{
-		{"sim", func(seed int64) (Runtime, error) { return NewSimRuntime(sc, seed), nil }},
-		{"live", func(seed int64) (Runtime, error) { return NewLiveRuntime(sc, seed), nil }},
-		{"live-udp", func(seed int64) (Runtime, error) { return NewLiveUDPRuntime(sc, seed) }},
-	}
-	for _, col := range columns {
+	for _, col := range Columns {
 		for seed := int64(1); seed <= 3; seed++ {
-			rt, err := col.build(seed)
+			rt, err := NewRuntime(col, sc, seed)
 			if err != nil {
-				t.Fatalf("%s seed %d: %v", col.name, seed, err)
+				t.Fatalf("%s seed %d: %v", col, seed, err)
 			}
 			res := Execute(rt, sc, seed)
 			if !res.Ok() || res.DeliveryRatio != 1 {
-				t.Errorf("%s seed %d: delivery ratio %g\n%s", col.name, seed, res.DeliveryRatio, res.String())
+				t.Errorf("%s seed %d: delivery ratio %g\n%s", col, seed, res.DeliveryRatio, res.String())
 			}
 		}
 	}

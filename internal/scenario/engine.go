@@ -147,11 +147,11 @@ func Execute(rt Runtime, sc Scenario, seed int64) *Result {
 		r.settle()
 	}
 	rt.Settle(drainRounds)
-	// Close before judging: on the live runtime a straggler delivery
+	// Stop before judging: on the live runtime a straggler delivery
 	// could otherwise land between two reads of an invariant check.
 	// Everything the checks need (ledger, traffic counters) outlives the
 	// peer goroutines.
-	rt.Close()
+	rt.Stop()
 	r.snapEnd = rt.Ledger().Snapshot()
 
 	for _, inv := range r.invariants() {
@@ -337,8 +337,8 @@ func (r *Run) JoinNode() int {
 		return -1
 	}
 	seed := seeds[r.Rng.Intn(len(seeds))]
-	id, ok := r.rt.Join(seed)
-	if !ok {
+	id, err := r.rt.Join(seed)
+	if err != nil {
 		return -1
 	}
 	r.mu.Lock()

@@ -75,7 +75,7 @@ func (r *Run) eventualDelivery() error {
 // runtime: the sim drains its event queue before the check, the live
 // runtime counts each send attempt against a drop bucket (injected
 // faults, full inboxes, refused sends) and quiesces its transport on
-// Close — a storm run cannot pass while losing messages invisibly.
+// Stop — a storm run cannot pass while losing messages invisibly.
 func (r *Run) dropConservation() error {
 	sent, recv, dropped := r.rt.Traffic()
 	if sent != recv+dropped {
@@ -130,7 +130,7 @@ func (r *Run) ledgerConservation() error {
 // addresses are the paper's §3.2 instability cost made permanent: a
 // view slot pointing at a dead peer wastes a share of every future
 // shuffle and gossip fanout. The settle phase records when clean views
-// were first observed; after Close the final views are audited again
+// were first observed; after Stop the final views are audited again
 // (authoritative read — no peer goroutine can resurrect an address).
 func (r *Run) viewHygiene() error {
 	if r.hygieneAt < 0 {

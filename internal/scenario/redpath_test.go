@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"fairgossip/internal/pubsub"
-	"fairgossip/internal/simnet"
 )
 
 // mutant is a sim column with one thing broken, named by the mutation;
@@ -23,7 +22,7 @@ const victim = 3
 func (m *mutant) Start() {
 	m.SimRuntime.Start()
 	if m.mutation == "silent-partition" {
-		m.C.Partition([]simnet.NodeID{victim})
+		m.Partition([]int{victim})
 	}
 }
 
@@ -51,11 +50,11 @@ func (m *mutant) Views() [][]int {
 		return views
 	}
 	for dead := range views {
-		if m.C.Up(simnet.NodeID(dead)) {
+		if m.Up(dead) {
 			continue
 		}
 		for live := range views {
-			if m.C.Up(simnet.NodeID(live)) {
+			if m.Up(live) {
 				views[live] = append(views[live], dead)
 				return views
 			}
@@ -68,7 +67,7 @@ func (m *mutant) Views() [][]int {
 // a contribution no delivery balances.
 func (m *mutant) Settle(rounds int) {
 	if m.mutation == "skew-late" {
-		m.C.Ledger.AddChurnPenalty(victim, 1e9)
+		m.Ledger().AddChurnPenalty(victim, 1e9)
 	}
 	m.SimRuntime.Settle(rounds)
 }

@@ -6,11 +6,12 @@
 // interested peers, network drop conservation, ledger conservation,
 // fairness-ratio convergence under the AIMD controller).
 //
-// Scenarios run against the small Runtime interface, implemented by the
-// deterministic simulation (core.Cluster) and the goroutine-per-peer
-// runtime (live.Cluster) on either of its transports — in-process
-// channels ("live") or real loopback UDP sockets ("live-udp"). The same
-// seeded schedule therefore drives every runtime and must satisfy the
+// Scenarios run against the small Runtime interface on one of Columns
+// (NewRuntime): the deterministic simulation (core.Cluster, "sim") and
+// the goroutine-per-peer runtime (live.Cluster) over in-process channels
+// ("live") or real loopback UDP sockets ("live-udp"). Both clusters
+// serve the per-peer and fault calls themselves, with one meaning, so
+// the same seeded schedule drives every runtime and must satisfy the
 // same invariants — differential testing of the implementations of the
 // protocol. On the simulator a scenario is fully deterministic: one
 // seed, one result, bit for bit.

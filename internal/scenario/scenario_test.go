@@ -141,7 +141,7 @@ func TestBuiltinsOnLiveUDP(t *testing.T) {
 	for _, sc := range Builtins() {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
-			rt, err := NewLiveUDPRuntime(sc, 1)
+			rt, err := NewRuntime("live-udp", sc, 1)
 			if err != nil {
 				t.Fatalf("udp runtime: %v", err)
 			}
@@ -595,6 +595,25 @@ func TestShapedColumnCountsShaperDrops(t *testing.T) {
 	}
 	if res.Sent != res.Recv+res.Dropped {
 		t.Fatalf("shaped traffic leak: sent %d != recv %d + dropped %d", res.Sent, res.Recv, res.Dropped)
+	}
+}
+
+// TestShapeLossClampsAlone: the sim column clamps each loss layer to
+// [0,1] on its own before composing them, as the live columns do, so an
+// out-of-range shaping loss means none. When it composed first and
+// clamped after, lossy's 10% fault loss under a shaping loss of -0.5
+// came to 1-(0.9)(1.5) < 0: the sim dropped nothing while live dropped
+// one message in sixteen.
+func TestShapeLossClampsAlone(t *testing.T) {
+	sc, ok := ByName("lossy")
+	if !ok {
+		t.Fatal("lossy builtin missing")
+	}
+	want := Execute(NewSimRuntime(sc, 1), sc, 1)
+	sc.Shape = &ShapeSpec{Loss: -0.5}
+	got := Execute(NewSimRuntime(sc, 1), sc, 1)
+	if want.Dropped == 0 || got.String() != want.String() {
+		t.Fatalf("shaping loss -0.5 changed lossy:\n%s\nunshaped:\n%s", got.String(), want.String())
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 // round is 100ms of virtual time on the simulator and 5ms of wall clock
 // on the live runtimes. Each runtime converts it to its own clock: the
 // live columns install a transport.Profile on the shaping middleware,
-// the sim column swaps the network latency model and folds Loss into
-// the composed drop probability (see SimRuntime.SetShape).
+// the sim column hands the same Profile to core.Cluster.SetShape, which
+// adds its hold to every delay and composes its Loss with fault loss.
 type ShapeSpec struct {
 	// DelayRounds is the fixed one-way delay, as a fraction of a round.
 	DelayRounds float64

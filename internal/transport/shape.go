@@ -386,4 +386,3 @@ func (e *shapedEndpoint) Send(to int, buf []byte) error {
 }
 
 func (e *shapedEndpoint) LocalAddr() string { return e.inner.LocalAddr() }
-func (e *shapedEndpoint) Close() error      { return e.inner.Close() }

@@ -42,7 +42,7 @@ type Handler func(buf []byte)
 type Transport interface {
 	// Send transmits buf to peer `to`. It never blocks on a slow
 	// receiver and returns an error only for hard failures (unknown
-	// destination, oversized datagram, closed endpoint); silent loss in
+	// destination, oversized datagram, closed Net); silent loss in
 	// transit is the receiving side's counted problem, like a real
 	// datagram socket. Send must not keep buf or hand it to a Handler
 	// after it returns: copy it, the sender may overwrite it at once.
@@ -50,8 +50,6 @@ type Transport interface {
 	// LocalAddr renders the endpoint's address ("chan://3",
 	// "127.0.0.1:51324").
 	LocalAddr() string
-	// Close releases the endpoint; subsequent Sends fail.
-	Close() error
 }
 
 // Net wires the N endpoints of one cluster together. Attach must be
@@ -150,13 +148,12 @@ func (c *ChanNet) Close() error {
 func (c *ChanNet) Release(buf []byte) { put(buf) }
 
 type chanEndpoint struct {
-	net    *ChanNet
-	id     int
-	closed atomic.Bool // Close may race an in-flight Send
+	net *ChanNet
+	id  int
 }
 
 func (e *chanEndpoint) Send(to int, buf []byte) error {
-	if e.closed.Load() || e.net.closed.Load() {
+	if e.net.closed.Load() {
 		return ErrClosed
 	}
 	hs := *e.net.handlers.Load()
@@ -174,8 +171,3 @@ func (e *chanEndpoint) Send(to int, buf []byte) error {
 }
 
 func (e *chanEndpoint) LocalAddr() string { return fmt.Sprintf("chan://%d", e.id) }
-
-func (e *chanEndpoint) Close() error {
-	e.closed.Store(true)
-	return nil
-}

@@ -100,12 +100,6 @@ func netUnderTest(t *testing.T, build Factory, wantAddr string) {
 	if err := eps[0].Send(99, []byte("x")); err == nil {
 		t.Fatal("send to unknown peer accepted")
 	}
-	if err := eps[0].Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := eps[0].Send(1, []byte("x")); !errors.Is(err, ErrClosed) {
-		t.Fatalf("send on closed endpoint: %v, want ErrClosed", err)
-	}
 }
 
 func TestChanNet(t *testing.T) { netUnderTest(t, Chan(), "chan://1") }

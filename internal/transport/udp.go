@@ -227,15 +227,11 @@ func (u *UDPNet) Close() error {
 func (u *UDPNet) Release(buf []byte) { put(buf) }
 
 type udpEndpoint struct {
-	net    *UDPNet
-	id     int
-	closed atomic.Bool
+	net *UDPNet
+	id  int
 }
 
 func (e *udpEndpoint) Send(to int, buf []byte) error {
-	if e.closed.Load() {
-		return ErrClosed
-	}
 	tbl := e.net.table.Load()
 	if to < 0 || to >= len(tbl.addrs) || tbl.addrs[to] == nil {
 		return fmt.Errorf("transport: no peer %d", to)
@@ -251,11 +247,3 @@ func (e *udpEndpoint) Send(to int, buf []byte) error {
 }
 
 func (e *udpEndpoint) LocalAddr() string { return e.net.table.Load().addrs[e.id].String() }
-
-// Close marks the endpoint closed for further Sends. The socket itself
-// is shared with the reader and torn down by Net.Close, which owns the
-// quiesce ordering.
-func (e *udpEndpoint) Close() error {
-	e.closed.Store(true)
-	return nil
-}
