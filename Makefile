@@ -7,7 +7,7 @@ PKGS    := ./...
 BENCH   ?= .
 OUT     ?= results
 
-.PHONY: all build test race soak bench bench-smoke microbench vet fmt-check determinism staticcheck lint ci fairbench loc footprint redundancy latency allocs conservation clean
+.PHONY: all build test race soak bench bench-smoke microbench vet cross fmt-check determinism staticcheck lint ci fairbench loc footprint redundancy latency allocs conservation timers clean
 
 # staticcheck is version-pinned: a drifting linter turns every upgrade
 # into a triage session. Bump deliberately, re-triage, update
@@ -35,9 +35,10 @@ test:
 # TestShardedSimCalmStorm are the tests that put more than one shard
 # under the detector. The root package rides along for
 # TestFacadeScenarioLiveUDP, which builds its column through
-# fairgossip.RunScenarioSpec and scenario.NewRuntime.
+# fairgossip.RunScenarioSpec and scenario.NewRuntime. internal/clock's
+# alarms are set from every peer goroutine and fired from the clock's.
 race:
-	$(GO) test -race -shuffle=on . ./internal/core/ ./internal/protocol/ ./internal/fairness/ ./internal/gossip/ ./internal/live/ ./internal/eventsim/ ./internal/simnet/ ./internal/scenario/ ./internal/transport/ ./internal/wire/ ./internal/membership/
+	$(GO) test -race -shuffle=on . ./internal/core/ ./internal/protocol/ ./internal/fairness/ ./internal/gossip/ ./internal/live/ ./internal/eventsim/ ./internal/simnet/ ./internal/scenario/ ./internal/transport/ ./internal/wire/ ./internal/membership/ ./internal/clock/
 
 # soak is the recipe that reproduced the live sub-churn flake (ROADMAP
 # item 5): the three packages that run real goroutines and sockets,
@@ -73,6 +74,14 @@ microbench:
 vet:
 	$(GO) vet $(PKGS)
 
+# cross keeps the other platforms compiling: internal/clock's time.Timer
+# wake source is the only one a non-Linux build has (clock_other.go, the
+# tree's one platform fork), and only a non-Linux build compiles that
+# file.
+cross:
+	GOOS=darwin $(GO) vet $(PKGS)
+	GOOS=windows $(GO) build $(PKGS)
+
 fmt-check:
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi
 
@@ -98,7 +107,7 @@ staticcheck:
 		echo "staticcheck $(STATICCHECK_VERSION) not installed; skipping (see LINTING.md)"; \
 	fi
 
-lint: fmt-check vet determinism staticcheck
+lint: fmt-check vet cross determinism staticcheck
 
 ci: lint build test race bench-smoke
 
@@ -161,11 +170,11 @@ latency:
 # lazy ids, a live receive that pulls, one that serves a pull, one that
 # relays a new event at once and one that floods a new big event, a
 # publish that pushes, decoding
-# 64 novel events through a warm decoder's slabs, and a datagram's Send →
-# handler → Release on each substrate (see PERFORMANCE.md "Allocation
-# regression tests").
+# 64 novel events through a warm decoder's slabs, a datagram's Send →
+# handler → Release on each substrate, and re-arming and firing a live
+# round's alarm (see PERFORMANCE.md "Allocation regression tests").
 allocs:
-	@out=$$($(GO) test -count=1 -v -run 'TestAfterStepZeroAlloc|TestScheduleMsgStepZeroAlloc|TestTickerSteadyStateZeroAlloc|TestSendDeliverZeroAlloc|TestSimFairRoundAllocs|TestShuffleExchangeZeroAlloc|TestLiveRoundPathAllocs|TestRecordDecodeAllocBudget|TestDatagramPathZeroAlloc' ./internal/eventsim ./internal/simnet ./internal/core ./internal/membership ./internal/live ./internal/wire ./internal/transport); status=$$?; \
+	@out=$$($(GO) test -count=1 -v -run 'TestAfterStepZeroAlloc|TestScheduleMsgStepZeroAlloc|TestTickerSteadyStateZeroAlloc|TestSendDeliverZeroAlloc|TestSimFairRoundAllocs|TestShuffleExchangeZeroAlloc|TestLiveRoundPathAllocs|TestRecordDecodeAllocBudget|TestDatagramPathZeroAlloc|TestSteadyRearmZeroAlloc' ./internal/eventsim ./internal/simnet ./internal/core ./internal/membership ./internal/live ./internal/wire ./internal/transport ./internal/clock); status=$$?; \
 		echo "$$out" | grep -E 'allocs:|^(FAIL|ok)'; exit $$status
 
 # conservation prints sent = recv + dropped at each of the live runtime's
@@ -179,6 +188,17 @@ allocs:
 conservation:
 	@out=$$($(GO) test -count=1 -v -run 'TestRefusedSendsConserved|TestLiveInboxOverflowCounted|TestShapeConservation' ./internal/live ./internal/transport); status=$$?; \
 		echo "$$out" | grep -E '_test\.go:[0-9]+:|^--- FAIL|^(FAIL|ok)'; exit $$status
+
+# timers prints how late the live runtime's wake-ups land: a shaped
+# envelope against its hold, held through fractional milliseconds from an
+# idle shaper (TestHeldEnvelopesLandOnTime, which holds the median to
+# internal/clock's Quantum + 100 µs), and 48 round ticks on 10 ms grids,
+# on the timerfd and on the time.Timer fallback (TestAlarmsNeverFireEarly).
+# Both tests fail on a wake before its deadline (see PERFORMANCE.md
+# "Timers that fire when due").
+timers:
+	@out=$$($(GO) test -count=1 -v -run 'TestHeldEnvelopesLandOnTime|TestAlarmsNeverFireEarly' ./internal/transport ./internal/clock); status=$$?; \
+		echo "$$out" | grep -E 'lateness|^(FAIL|ok)'; exit $$status
 
 clean:
 	rm -rf $(OUT)

@@ -73,6 +73,18 @@ func runDemo(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
+	// Refuse what the demo cannot run before NewLive binds a socket.
+	switch {
+	case *leave < 0 || *leave >= *n:
+		fmt.Fprintf(stderr, "fairnode demo: -leave %d out of range [0,%d)\n", *leave, *n)
+		return 2
+	case *topics < 1:
+		fmt.Fprintf(stderr, "fairnode demo: -topics %d, want at least 1\n", *topics)
+		return 2
+	case *payload < 0:
+		fmt.Fprintf(stderr, "fairnode demo: -payload %d, want at least 0\n", *payload)
+		return 2
+	}
 
 	cfg := fairgossip.LiveConfig{
 		N:           *n,
@@ -95,11 +107,6 @@ func runDemo(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	defer cluster.Stop()
-
-	if *leave < 0 || *leave >= *n {
-		fmt.Fprintf(stderr, "fairnode demo: -leave %d out of range [0,%d)\n", *leave, *n)
-		return 2
-	}
 
 	// Interest: peer i watches topic i mod T, so every topic has a known
 	// subscriber set and expected delivery counts are exact. The last

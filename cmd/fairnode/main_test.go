@@ -72,6 +72,16 @@ func TestFairnodeUsageAndErrors(t *testing.T) {
 	if code := run([]string{"demo", "-transport", "tcp"}, &out, &errb); code != 2 {
 		t.Fatalf("unknown transport: exit %d, want 2", code)
 	}
+	for _, bad := range [][]string{
+		{"-topics", "0"},   // was a divide by zero
+		{"-topics", "-2"},  // was an Intn panic
+		{"-payload", "-1"}, // was a makeslice panic
+	} {
+		errb.Reset()
+		if code := run(append([]string{"demo"}, bad...), &out, &errb); code != 2 || errb.Len() == 0 {
+			t.Fatalf("demo %v: exit %d, stderr %q; want 2 and a message", bad, code, errb.String())
+		}
+	}
 	if code := run([]string{"-h"}, &out, &errb); code != 0 {
 		t.Fatalf("-h: exit %d, want 0", code)
 	}

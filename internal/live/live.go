@@ -1,10 +1,14 @@
 // Package live is the real-concurrency runtime: one goroutine per peer,
-// a pluggable transport as the links, and wall-clock tickers for gossip
-// rounds — the form a deployed system (and the runnable examples) would
-// use. The protocol is not written here: every peer is a protocol.Peer,
-// the state machine internal/core runs under the deterministic simulator,
-// and this package is its second driver — the goroutine, inbox, wire
-// codec and fault switches around it.
+// a pluggable transport as the links, and wall-clock rounds — the form a
+// deployed system (and the runnable examples) would use. Each peer's
+// rounds fall on a fixed grid (Config.RoundPeriod), woken by an alarm on
+// the cluster's one internal/clock Clock, which the shaper's holds share:
+// a round lands on its grid point within clock.Quantum (the scheduler's
+// latency aside) and never before it. The protocol is not written here:
+// every peer is a protocol.Peer, the state machine internal/core runs
+// under the deterministic simulator, and this package is its second
+// driver — the goroutine, inbox, wire codec and fault switches around
+// it.
 //
 // Messages move as encoded bytes: each round a peer packs its selected
 // events into one wire envelope (internal/wire) in its reused scratch, as
@@ -54,6 +58,7 @@ import (
 	"time"
 
 	"fairgossip/internal/adaptive"
+	"fairgossip/internal/clock"
 	"fairgossip/internal/fairness"
 	"fairgossip/internal/gossip"
 	"fairgossip/internal/membership"
@@ -237,6 +242,7 @@ type Cluster struct {
 	faults  *faults
 	net     transport.Net
 	shaped  *transport.ShapedNet // non-nil iff Config.Shape installed the middleware
+	clock   *clock.Clock         // the peers' round ticks and the shaper's holds
 	traffic traffic
 
 	stop    chan struct{}
@@ -292,13 +298,14 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
+	clk := clock.New()
 	var shaped *transport.ShapedNet
 	if cfg.Shape != nil {
 		prof := *cfg.Shape
 		if prof.Seed == 0 {
 			prof.Seed = cfg.Seed ^ 0x5ead
 		}
-		shaped = transport.Shape(nw, prof)
+		shaped = transport.ShapeOn(nw, prof, clk)
 		nw = shaped
 	}
 	c := &Cluster{
@@ -308,6 +315,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		faults: &faults{},
 		net:    nw,
 		shaped: shaped,
+		clock:  clk,
 		stop:   make(chan struct{}),
 	}
 	peers := make([]*peer, 0, cfg.N)
@@ -493,6 +501,7 @@ func (c *Cluster) Stop() {
 		c.wg.Wait()
 	}
 	_ = c.net.Close()
+	c.clock.Close() // after the shaper's flush: nothing is armed on it now
 }
 
 // RunRounds lets k round periods of wall time pass, the live
@@ -833,8 +842,9 @@ func (p *peer) loop() {
 	period := p.c.cfg.RoundPeriod
 	jitter := time.Duration(p.rng.Int63n(int64(period)))
 	next := time.Now().Add(period + jitter)
-	timer := time.NewTimer(time.Until(next))
-	defer timer.Stop()
+	tick := p.c.clock.NewAlarm()
+	defer tick.Stop()
+	tick.Set(next)
 	for {
 		select {
 		case <-p.c.stop:
@@ -844,10 +854,10 @@ func (p *peer) loop() {
 		case buf := <-p.inbox:
 			p.receive(buf)
 			p.c.net.Release(buf) // decoded events own their memory: nothing aliases buf now
-		case <-timer.C:
+		case <-tick.C:
 			p.round()
 			next = nextTick(next, time.Now(), period)
-			timer.Reset(time.Until(next))
+			tick.Set(next)
 		}
 	}
 }

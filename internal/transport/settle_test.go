@@ -38,8 +38,9 @@ func goroutineBaseline() int {
 }
 
 // TestCloseSettlesGoroutinesExactly: every goroutine a net spawns — the
-// shaper's lazily started dispatcher, one UDP reader per socket
-// including the retired pre-rebind one — is gone once Close returns.
+// shaper's lazily started dispatcher and its clock's, one UDP reader per
+// socket including the retired pre-rebind one — is gone once Close
+// returns.
 func TestCloseSettlesGoroutinesExactly(t *testing.T) {
 	t.Run("shaped", func(t *testing.T) {
 		base := goroutineBaseline()
@@ -49,16 +50,12 @@ func TestCloseSettlesGoroutinesExactly(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if got := runtime.NumGoroutine(); got != base+1 {
-			t.Fatalf("%d goroutines with envelopes held, want %d (the dispatcher)", got, base+1)
+		if got := runtime.NumGoroutine(); got != base+2 {
+			t.Fatalf("%d goroutines with envelopes held, want %d (the dispatcher and its clock's)", got, base+2)
 		}
-		// Let the dispatcher drain its wake token and park on the
-		// hour-long timer: a Close that forgot to halt it must face a
-		// parked dispatcher, not one that is still awake and notices
-		// s.closed by luck.
-		for len(h.s.wake) > 0 {
-			time.Sleep(time.Millisecond)
-		}
+		// Let both park, the dispatcher on the hour-long alarm: a Close
+		// that forgot to halt it must face a parked dispatcher, not one
+		// that is still awake and notices s.closed by luck.
 		time.Sleep(5 * time.Millisecond)
 		if err := h.s.Close(); err != nil {
 			t.Fatal(err)

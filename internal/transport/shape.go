@@ -6,12 +6,16 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"fairgossip/internal/clock"
 )
 
 // Profile parameterises the shaping middleware: what the network between
 // two endpoints does to an envelope beyond delivering it instantly. The
 // zero value is an inert profile (no delay, no loss) — shaping it costs
-// one atomic load per Send.
+// one atomic load per Send. A ShapedNet honours each Hold to within
+// clock.Quantum (the scheduler's latency aside), and never delivers an
+// envelope before it.
 type Profile struct {
 	// Seed drives every stochastic decision the shaper makes (loss
 	// draws, jitter draws, reorder draws). Shape captures it once at
@@ -74,8 +78,11 @@ type Rebinder interface {
 // intercepted at Send time: the loss verdict is immediate (and counted
 // in Drops()); delay, jitter and reorder hold the envelope in a
 // time-ordered queue and deliver it through the substrate later — by
-// whichever goroutine next finds it due: a dispatcher goroutine, or any
-// shaped Send (deliverDue).
+// whichever goroutine next finds it due: a dispatcher goroutine, woken by
+// an alarm on the shaper's clock.Clock, or any shaped Send (deliverDue).
+// A hold is honoured to within clock.Quantum (plus the scheduler's
+// latency) and never cut short: an envelope reaches the substrate no
+// sooner than the Hold it drew.
 //
 // Send keeps no buffer under shaping either: a held envelope is a pooled
 // copy, delivered to the substrate exactly once or counted dropped, then
@@ -85,10 +92,19 @@ type Rebinder interface {
 // settled network: every envelope the shaper accepted is either
 // delivered or in Drops().
 func Shape(inner Net, p Profile) *ShapedNet {
+	s := ShapeOn(inner, p, clock.New())
+	s.ownClock = true
+	return s
+}
+
+// ShapeOn is Shape with its alarms on clk, a clock the caller shares
+// with its own wake-ups (the live runtime's round ticks) and closes
+// after the ShapedNet.
+func ShapeOn(inner Net, p Profile, clk *clock.Clock) *ShapedNet {
 	s := &ShapedNet{
 		inner: inner,
 		rng:   rand.New(rand.NewSource(p.Seed)),
-		wake:  make(chan struct{}, 1),
+		clk:   clk,
 		halt:  make(chan struct{}),
 		done:  make(chan struct{}),
 	}
@@ -113,7 +129,9 @@ type ShapedNet struct {
 	delivering bool          // guarded by mu -- a goroutine is delivering what is due (deliverDue)
 	idle       sync.Cond     // on mu: broadcast when delivering turns false (Close waits on it)
 
-	wake      chan struct{}
+	clk       *clock.Clock
+	ownClock  bool         // Close closes clk (Shape made it)
+	alarm     *clock.Alarm // set, under mu, for the earliest held envelope; made with the dispatcher
 	halt      chan struct{}
 	done      chan struct{}
 	closeOnce sync.Once
@@ -238,6 +256,9 @@ func (s *ShapedNet) Close() error {
 			close(s.halt)
 			<-s.done // dispatcher flushed the queue on its way out
 		}
+		if s.ownClock {
+			s.clk.Close()
+		}
 	})
 	return s.inner.Close()
 }
@@ -245,35 +266,35 @@ func (s *ShapedNet) Close() error {
 // Release implements Net: handlers are lent the substrate's buffers.
 func (s *ShapedNet) Release(buf []byte) { s.inner.Release(buf) }
 
-// holdLocked queues one envelope for deferred delivery and makes sure
-// the dispatcher is awake. Callers hold s.mu.
+// holdLocked queues one envelope for deferred delivery and sets the
+// alarm when it is the earliest held. Callers hold s.mu.
 func (s *ShapedNet) holdLocked(d deferred) {
 	s.seq++
 	d.seq = s.seq
 	s.queue.push(d)
 	if !s.running {
 		s.running = true
+		s.alarm = s.clk.NewAlarm()
 		go s.dispatch()
 	}
-	select {
-	case s.wake <- struct{}{}:
-	default:
+	if s.queue[0].seq == d.seq {
+		s.alarm.Set(d.due)
 	}
 }
 
-// dispatch is the dispatcher goroutine: it sleeps until the earliest held
-// envelope is due and delivers what is due — unless a sender already is,
-// which wakes it when done — and on Close drains everything left
-// immediately.
+// dispatch is the dispatcher goroutine: the alarm wakes it when the
+// earliest held envelope is due, and it delivers what is due — unless a
+// sender already is, which re-sets the alarm when done. On Close it
+// drains everything left immediately.
 func (s *ShapedNet) dispatch() {
 	defer close(s.done)
-	// One timer, re-armed for every wait (since go 1.23 Reset needs no
-	// drain: a re-armed timer never delivers a stale tick).
-	timer := time.NewTimer(0)
-	defer timer.Stop()
 	for {
-		s.mu.Lock()
-		if s.closed {
+		select {
+		case <-s.alarm.C:
+			s.deliverDue()
+		case <-s.halt:
+			s.alarm.Stop()
+			s.mu.Lock()
 			rest := s.queue
 			s.queue = nil
 			s.mu.Unlock()
@@ -284,26 +305,6 @@ func (s *ShapedNet) dispatch() {
 			}
 			return
 		}
-		if len(s.queue) == 0 || s.delivering {
-			s.mu.Unlock()
-			select {
-			case <-s.wake:
-			case <-s.halt:
-			}
-			continue
-		}
-		wait := time.Until(s.queue[0].due)
-		s.mu.Unlock()
-		if wait > 0 {
-			timer.Reset(wait)
-			select {
-			case <-timer.C:
-			case <-s.wake:
-			case <-s.halt:
-			}
-			continue
-		}
-		s.deliverDue()
 	}
 }
 
@@ -324,19 +325,20 @@ func (s *ShapedNet) deliverDue() {
 		return
 	}
 	s.delivering = true
+	popped := false
 	for !s.closed && len(s.queue) > 0 && !s.queue[0].due.After(time.Now()) {
 		d := s.queue.pop()
+		popped = true
 		s.mu.Unlock()
 		s.deliver(d)
 		s.mu.Lock()
 	}
+	if popped && !s.closed && len(s.queue) > 0 { // the head moved: wake for the new one
+		s.alarm.Set(s.queue[0].due)
+	}
 	s.delivering = false
 	s.idle.Broadcast()
 	s.mu.Unlock()
-	select { // the dispatcher may have parked while this goroutine delivered
-	case s.wake <- struct{}{}:
-	default:
-	}
 }
 
 // deliver completes one deferred envelope and releases the held copy.

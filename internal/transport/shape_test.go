@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"fairgossip/internal/clock"
 )
 
 // shapeHarness attaches n counting endpoints through a ShapedNet over a
@@ -501,5 +504,60 @@ func TestDeferredQueueOrder(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("pop+push on a warm queue allocates %.2f times, want 0", avg)
+	}
+}
+
+// TestHeldEnvelopesLandOnTime: a held envelope reaches the substrate no
+// sooner than its hold, and in the median within clock.Quantum + 100 µs
+// of it. The hold is stepped through fractional milliseconds with
+// SetProfile, because whole-millisecond holds hide what a runtime timer
+// does here: the netpoller rounds its wait up to whole milliseconds,
+// which read 450–600 µs of median lateness before the shaper's alarms
+// moved onto internal/clock. Each envelope is sent once the last one
+// has landed, so every hold is timed from an idle shaper, as a sparse
+// link's are. make timers prints the lateness line.
+func TestHeldEnvelopesLandOnTime(t *testing.T) {
+	const n = 200
+	inner, err := NewChanNet(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := Shape(inner, Profile{Seed: 1})
+	defer s.Close()
+	landed := make(chan time.Time, 1)
+	ep, err := s.Attach(0, func([]byte) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Attach(1, func(buf []byte) {
+		landed <- time.Now()
+		s.Release(buf)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	late := make([]time.Duration, 0, n)
+	for i := range n {
+		hold := time.Millisecond + time.Duration(i*137%1000)*time.Microsecond
+		s.SetProfile(Profile{Delay: hold})
+		sent := time.Now()
+		if err := ep.Send(1, mark(0, i, 16)); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case at := <-landed:
+			if d := at.Sub(sent) - hold; d < 0 {
+				t.Fatalf("envelope %d held %v landed %v early", i, hold, -d)
+			} else {
+				late = append(late, d)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("envelope %d held %v never landed", i, hold)
+		}
+	}
+	slices.Sort(late)
+	p := func(q float64) time.Duration { return late[int(q*float64(n-1))].Round(time.Microsecond) }
+	t.Logf("hold lateness: p50 %v  p90 %v  p99 %v  (n = %d, quantum %v)", p(0.5), p(0.9), p(0.99), n, clock.Quantum)
+	if bound := (clock.Quantum + 100*time.Microsecond) * raceTimingScale; p(0.5) > bound {
+		t.Fatalf("median hold lateness %v, want ≤ %v", p(0.5), bound)
 	}
 }
