@@ -36,7 +36,8 @@ test:
 # under the detector. The root package rides along for
 # TestFacadeScenarioLiveUDP, which builds its column through
 # fairgossip.RunScenarioSpec and scenario.NewRuntime. internal/clock's
-# alarms are set from every peer goroutine and fired from the clock's.
+# entries are scheduled from every peer goroutine and run from the
+# clock's goroutine or any shaped sender's, one at a time.
 race:
 	$(GO) test -race -shuffle=on . ./internal/core/ ./internal/protocol/ ./internal/fairness/ ./internal/gossip/ ./internal/live/ ./internal/eventsim/ ./internal/simnet/ ./internal/scenario/ ./internal/transport/ ./internal/wire/ ./internal/membership/ ./internal/clock/
 
@@ -118,7 +119,8 @@ fairbench:
 # loc prints the numbers ROADMAP items 6 and 8 are judged by, measured
 # the same way every PR: non-test Go lines outside bench/ and those of
 # the scenario harness (and of its column adapters), the
-# simulated-cluster engine, the event kernel,
+# simulated-cluster engine, the event kernel, the live runtime's timing
+# (its one timed queue and the shaper on it),
 # the two drivers of protocol.Peer, and the options census (LINTING.md) from the test that
 # pins it.
 loc:
@@ -127,6 +129,7 @@ loc:
 	@printf 'column adapters (scenario/runtime.go): '; wc -l < internal/scenario/runtime.go
 	@printf 'sim engine (core/cluster.go + core/shard.go): '; cat internal/core/cluster.go internal/core/shard.go | wc -l
 	@printf 'event kernel (internal/eventsim): '; find internal/eventsim -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
+	@printf 'live timing (internal/clock + transport/shape.go): '; cat $$(find internal/clock -name '*.go' ! -name '*_test.go') internal/transport/shape.go | wc -l
 	@printf 'drivers (core/node.go, live/live.go): %s, %s\n' $$(wc -l < internal/core/node.go) $$(wc -l < internal/live/live.go)
 	@printf 'options (fields of the six config structs): '; $(GO) test ./internal/scenario -run TestOptionsCensus -count=1 -v | sed -n 's/.*options census: //p'
 
@@ -171,8 +174,8 @@ latency:
 # relays a new event at once and one that floods a new big event, a
 # publish that pushes, decoding
 # 64 novel events through a warm decoder's slabs, a datagram's Send →
-# handler → Release on each substrate, and re-arming and firing a live
-# round's alarm (see PERFORMANCE.md "Allocation regression tests").
+# handler → Release on each substrate, and scheduling and running a live
+# round's clock entry (see PERFORMANCE.md "Allocation regression tests").
 allocs:
 	@out=$$($(GO) test -count=1 -v -run 'TestAfterStepZeroAlloc|TestScheduleMsgStepZeroAlloc|TestTickerSteadyStateZeroAlloc|TestSendDeliverZeroAlloc|TestSimFairRoundAllocs|TestShuffleExchangeZeroAlloc|TestLiveRoundPathAllocs|TestRecordDecodeAllocBudget|TestDatagramPathZeroAlloc|TestSteadyRearmZeroAlloc' ./internal/eventsim ./internal/simnet ./internal/core ./internal/membership ./internal/live ./internal/wire ./internal/transport ./internal/clock); status=$$?; \
 		echo "$$out" | grep -E 'allocs:|^(FAIL|ok)'; exit $$status
@@ -193,11 +196,13 @@ conservation:
 # envelope against its hold, held through fractional milliseconds from an
 # idle shaper (TestHeldEnvelopesLandOnTime, which holds the median to
 # internal/clock's Quantum + 100 µs), and 48 round ticks on 10 ms grids,
-# on the timerfd and on the time.Timer fallback (TestAlarmsNeverFireEarly).
+# on the timerfd and on the time.Timer fallback (TestEntriesNeverRunEarly).
 # Both tests fail on a wake before its deadline (see PERFORMANCE.md
-# "Timers that fire when due").
+# "Timers that fire when due"); TestEqualDueRunsInScheduleOrder rides
+# along, the clock's (due, seq) order that keeps a jitter-free shaped
+# link FIFO.
 timers:
-	@out=$$($(GO) test -count=1 -v -run 'TestHeldEnvelopesLandOnTime|TestAlarmsNeverFireEarly' ./internal/transport ./internal/clock); status=$$?; \
+	@out=$$($(GO) test -count=1 -v -run 'TestHeldEnvelopesLandOnTime|TestEntriesNeverRunEarly|TestEqualDueRunsInScheduleOrder' ./internal/transport ./internal/clock); status=$$?; \
 		echo "$$out" | grep -E 'lateness|^(FAIL|ok)'; exit $$status
 
 clean:

@@ -78,6 +78,9 @@ func runDemo(args []string, stdout, stderr io.Writer) int {
 	case *leave < 0 || *leave >= *n:
 		fmt.Fprintf(stderr, "fairnode demo: -leave %d out of range [0,%d)\n", *leave, *n)
 		return 2
+	case *period <= 0:
+		fmt.Fprintf(stderr, "fairnode demo: -period %v, want a positive round period\n", *period)
+		return 2
 	case *topics < 1:
 		fmt.Fprintf(stderr, "fairnode demo: -topics %d, want at least 1\n", *topics)
 		return 2
@@ -136,7 +139,7 @@ func runDemo(args []string, stdout, stderr io.Writer) int {
 	// the survivors scrub its address without probe timeouts. A short
 	// pause first lets the overlay mix so there are views to hand over.
 	if *leave > 0 {
-		time.Sleep(6 * *period)
+		cluster.RunRounds(6)
 		for i := staying; i < *n; i++ {
 			if !cluster.Leave(i) {
 				fmt.Fprintf(stderr, "fairnode demo: leave of node %d failed\n", i)
@@ -168,7 +171,7 @@ func runDemo(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "node %2d  %-22s joins, watches %s\n", id, cluster.Addr(id), topic)
 	}
 	if *join > 0 {
-		time.Sleep(8 * *period)
+		cluster.RunRounds(8)
 	}
 
 	expected := uint64(0)
@@ -180,7 +183,7 @@ func runDemo(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		expected += uint64(subsOf[topic])
-		time.Sleep(*period) // paced: stay inside batch x buffer-TTL spread capacity
+		cluster.RunRounds(1) // paced: stay inside batch x buffer-TTL spread capacity
 	}
 
 	delivered := func() uint64 {
@@ -192,7 +195,7 @@ func runDemo(args []string, stdout, stderr io.Writer) int {
 	}
 	deadline := time.Now().Add(*timeout)
 	for delivered() < expected && time.Now().Before(deadline) {
-		time.Sleep(*period)
+		cluster.RunRounds(1)
 	}
 	cluster.Stop() // settle the transport so the traffic counters are final
 

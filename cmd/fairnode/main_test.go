@@ -90,6 +90,20 @@ func TestFairnodeUsageAndErrors(t *testing.T) {
 	}
 }
 
+// TestFairnodeDemoRefusesNonPositivePeriod: a round period of zero or
+// less is a usage error. The cluster would run on its 20 ms default
+// while the demo paced publishes and polled delivery on the raw flag —
+// a spin loop that burst every event out at once and could time out.
+func TestFairnodeDemoRefusesNonPositivePeriod(t *testing.T) {
+	for _, period := range []string{"0", "-5ms"} {
+		var out, errb bytes.Buffer
+		code := run([]string{"demo", "-period", period, "-transport", "chan", "-events", "200", "-timeout", "5s"}, &out, &errb)
+		if code != 2 || !strings.Contains(errb.String(), "-period") {
+			t.Fatalf("demo -period %s: exit %d, stderr %q; want 2 and a message naming -period", period, code, errb.String())
+		}
+	}
+}
+
 // TestFairnodeDemoLeavers: -leave makes the last founders depart
 // gracefully once the cluster runs; they owe no deliveries and the demo
 // still reaches full delivery over the survivors.

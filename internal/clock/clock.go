@@ -1,13 +1,17 @@
-// Package clock owns the live runtime's wall-clock wake-ups. A Clock
-// multiplexes any number of Alarms onto one wake source and one
-// goroutine: an alarm never fires before its deadline, and one wake fires
-// every alarm that is due by then.
+// Package clock is the live runtime's one timed queue. A Clock holds
+// one-shot entries — run fn(arg) at due — in a heap on (due, seq) and
+// serves them from one wake source and one goroutine: an entry never
+// runs before its due time, entries due at the same instant run in the
+// order they were scheduled, and one wake runs every entry due by then.
+// Any goroutine may run what is due as well (Fire), but only one runs
+// entries at a time, so entries never run concurrently and their order
+// holds whoever runs them.
 //
 // Wakes fall on a grid of Quantum, laid from the instant the Clock was
-// made: a deadline is served by the first grid point at or after it, so
-// it fires at most Quantum late (plus the kernel's timer slack and the
-// scheduler's latency), alarms due in the same Quantum share one wake,
-// and the clock wakes at most once per Quantum however many alarms it
+// made: a due time is served by the first grid point at or after it, so
+// it runs at most Quantum late (plus the kernel's timer slack and the
+// scheduler's latency), entries due in the same Quantum share one wake,
+// and the clock wakes at most once per Quantum however many entries it
 // serves.
 //
 // On Linux the wake source is a CLOCK_MONOTONIC timerfd read through the
@@ -20,15 +24,14 @@
 package clock
 
 import (
-	"container/heap"
 	"sync"
 	"time"
 )
 
-// Quantum is the grid wakes fall on: the most a deadline fires late
-// beyond the kernel's and the scheduler's own latency. A finer grid
-// wakes the clock more often for little latency; PERFORMANCE.md "Timers
-// that fire when due" has the sweep that chose it.
+// Quantum is the grid wakes fall on: the most an entry runs late beyond
+// the kernel's and the scheduler's own latency. A finer grid wakes the
+// clock more often for little latency; PERFORMANCE.md "Timers that fire
+// when due" has the sweep that chose it.
 const Quantum = 250 * time.Microsecond
 
 // source is a one-shot wake the clock re-arms: the platform fork.
@@ -38,17 +41,21 @@ type source interface {
 	close()              // stop; a blocked or later wait returns false
 }
 
-// Clock serves Alarms from one wake source. The zero value is not
-// usable; call New. Its goroutine and source are made on the first
-// alarm armed, and Close ends both.
+// Clock runs entries from one wake source. The zero value is not usable;
+// call New. Its goroutine and source are made on the first entry
+// scheduled, and Close ends both.
 type Clock struct {
 	newSrc func() source
 	epoch  time.Time // origin of the Quantum grid
 
 	mu     sync.Mutex
-	armed  alarms        // guarded by mu: a min-heap on due
+	queue  queue         // guarded by mu
+	seq    uint64        // guarded by mu
 	wake   time.Time     // guarded by mu: the grid point src is armed for; zero when none
-	src    source        // guarded by mu: nil until the first alarm is armed
+	src    source        // guarded by mu: nil until the first entry is scheduled
+	firing bool          // guarded by mu: a goroutine is running entries
+	batch  []entry       // owned by the goroutine that set firing: the entries it popped and is running
+	idle   sync.Cond     // on mu: broadcast when firing turns false
 	closed bool          // guarded by mu
 	done   chan struct{} // closed when the goroutine exits
 }
@@ -57,28 +64,63 @@ type Clock struct {
 func New() *Clock { return newClock(newSource) }
 
 func newClock(newSrc func() source) *Clock {
-	return &Clock{newSrc: newSrc, epoch: time.Now(), done: make(chan struct{})}
+	c := &Clock{newSrc: newSrc, epoch: time.Now(), done: make(chan struct{})}
+	c.idle.L = &c.mu
+	return c
 }
 
-// NewAlarm returns an unarmed alarm on c.
-func (c *Clock) NewAlarm() *Alarm {
-	ch := make(chan struct{}, 1)
-	return &Alarm{C: ch, c: ch, clk: c, idx: -1}
+// At schedules fn(arg) to run once at due, on the clock's goroutine or
+// on a goroutine that calls Fire, outside the clock's lock. A due time
+// already past runs on the next wake. At reports false, and fn never
+// runs, once the clock is closed.
+func (c *Clock) At(due time.Time, fn func(any), arg any) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return false
+	}
+	c.seq++
+	c.queue.push(entry{due: due, seq: c.seq, fn: fn, arg: arg})
+	c.armLocked(due, time.Now())
+	return true
 }
 
-// Close disarms every alarm and returns once the clock's goroutine has
-// exited. An alarm Set after Close never fires.
+// Fire runs every entry due by now, in (due, seq) order, unless another
+// goroutine already is — which runs what falls due meanwhile too. The
+// clock's goroutine calls it on each wake; a caller that cannot wait for
+// that goroutine (one starved of the processor on a loaded box) calls it
+// to run what is due itself.
+func (c *Clock) Fire() {
+	c.mu.Lock()
+	if !c.firing && !c.closed {
+		c.firing = true
+		c.runLocked(false)
+		if len(c.queue) > 0 {
+			c.armLocked(c.queue[0].due, time.Now())
+		}
+		c.firing = false
+		c.idle.Broadcast()
+	}
+	c.mu.Unlock()
+}
+
+// Close waits for the entries another goroutine is running, runs every
+// entry left at once, in (due, seq) order, and returns once the clock's
+// goroutine has exited.
 func (c *Clock) Close() {
 	c.mu.Lock()
+	for c.firing {
+		c.idle.Wait()
+	}
 	if c.closed {
 		c.mu.Unlock()
 		return
 	}
 	c.closed = true
-	for _, a := range c.armed {
-		a.idx = -1
-	}
-	c.armed = nil
+	c.firing = true
+	c.runLocked(true)
+	c.firing = false
+	c.idle.Broadcast()
 	src := c.src
 	c.mu.Unlock()
 	if src != nil {
@@ -87,31 +129,44 @@ func (c *Clock) Close() {
 	}
 }
 
-// run is the clock's goroutine: it waits for each wake and fires what
-// is due.
-func (c *Clock) run(src source) {
-	defer close(c.done)
-	for src.wait() {
-		c.fire()
+// runLocked runs entries — all of them, or those due by now — a batch at
+// a time: it pops every entry due, runs the batch with c.mu released, so
+// goroutines the entries wake can schedule their next ones without
+// waiting on the runner or making it wait on them, and repeats until
+// none is due. Callers hold c.mu and have set firing.
+func (c *Clock) runLocked(all bool) {
+	for {
+		for len(c.queue) > 0 && (all || !c.queue[0].due.After(time.Now())) {
+			c.batch = append(c.batch, c.queue.pop())
+		}
+		if len(c.batch) == 0 {
+			return
+		}
+		c.mu.Unlock()
+		for i := range c.batch {
+			c.batch[i].fn(c.batch[i].arg)
+			c.batch[i] = entry{}
+		}
+		c.mu.Lock()
+		c.batch = c.batch[:0]
 	}
 }
 
-// fire rings every alarm due by now and arms the source for the rest.
-func (c *Clock) fire() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	now := time.Now()
-	c.wake = time.Time{}
-	for len(c.armed) > 0 && !c.armed[0].due.After(now) {
-		heap.Pop(&c.armed).(*Alarm).ring()
-	}
-	if len(c.armed) > 0 {
-		c.armLocked(c.armed[0].due, now)
+// run is the clock's goroutine: on each wake it forgets the wake it was
+// armed for — whoever runs entries next re-arms for the head — and runs
+// what is due.
+func (c *Clock) run(src source) {
+	defer close(c.done)
+	for src.wait() {
+		c.mu.Lock()
+		c.wake = time.Time{}
+		c.mu.Unlock()
+		c.Fire()
 	}
 }
 
 // armLocked makes sure the source wakes by the grid point that serves
-// due. An earlier wake already armed serves it too: fire re-arms for the
+// due. An earlier wake already armed serves it too: Fire re-arms for the
 // head when that one comes. Callers hold c.mu.
 func (c *Clock) armLocked(due, now time.Time) {
 	w := c.epoch.Add((due.Sub(c.epoch) + Quantum - 1) / Quantum * Quantum)
@@ -123,91 +178,67 @@ func (c *Clock) armLocked(due, now time.Time) {
 		go c.run(c.src)
 	}
 	c.wake = w
-	c.src.arm(w.Sub(now))
+	c.src.arm(max(w.Sub(now), 1)) // a wake already past: at once (0 would disarm)
 }
 
-// Alarm is one deadline on a Clock. It fires by a token on C, which
-// holds at most one; Set and Stop discard a token not yet taken, so
-// what arrives on C after either is for the new deadline. An Alarm's
-// methods may be called from any goroutine.
-type Alarm struct {
-	C   <-chan struct{}
-	c   chan struct{}
-	clk *Clock
-	due time.Time // guarded by clk.mu
-	idx int       // guarded by clk.mu: index in clk.armed, -1 when not armed
+// entry is one scheduled run.
+type entry struct {
+	due time.Time
+	seq uint64 // tiebreak: equal due times run in scheduling order
+	fn  func(any)
+	arg any
 }
 
-// Set arms a to fire at due, replacing the deadline it had. A deadline
-// already past fires at once.
-func (a *Alarm) Set(due time.Time) {
-	c := a.clk
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	a.disarmLocked()
-	if c.closed {
-		return
+// queue is a binary min-heap of entries on (due, seq), hand-rolled:
+// container/heap would box each multi-word entry through an interface
+// on the way in and again on the way out, an allocation apiece.
+type queue []entry
+
+func (q queue) less(i, j int) bool {
+	if !q[i].due.Equal(q[j].due) {
+		return q[i].due.Before(q[j].due)
 	}
-	now := time.Now()
-	if !due.After(now) {
-		a.ring()
-		return
-	}
-	a.due = due
-	heap.Push(&c.armed, a)
-	c.armLocked(due, now)
+	return q[i].seq < q[j].seq
 }
 
-// Stop disarms a and discards a token it has not delivered.
-func (a *Alarm) Stop() {
-	a.clk.mu.Lock()
-	defer a.clk.mu.Unlock()
-	a.disarmLocked()
-}
-
-// disarmLocked takes a off the heap and drains C. Callers hold clk.mu,
-// under which every ring happens, so no stale token lands after it.
-func (a *Alarm) disarmLocked() {
-	if a.idx >= 0 {
-		heap.Remove(&a.clk.armed, a.idx)
-	}
-	select {
-	case <-a.c:
-	default:
+func (q *queue) push(e entry) {
+	h := append(*q, e)
+	*q = h
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !h.less(i, parent) {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
 	}
 }
 
-func (a *Alarm) ring() {
-	select {
-	case a.c <- struct{}{}:
-	default:
+// pop removes and returns the earliest entry.
+func (q *queue) pop() entry {
+	h := *q
+	e := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h[n] = entry{} // drop the slot's hold on fn and arg
+	h = h[:n]
+	*q = h
+	for i := 0; ; {
+		l := 2*i + 1
+		if l >= n {
+			break
+		}
+		small := l
+		if r := l + 1; r < n && h.less(r, l) {
+			small = r
+		}
+		if !h.less(small, i) {
+			break
+		}
+		h[i], h[small] = h[small], h[i]
+		i = small
 	}
-}
-
-// alarms is a container/heap of armed alarms on due; each keeps its
-// index so Set and Stop can remove it.
-type alarms []*Alarm
-
-func (h alarms) Len() int           { return len(h) }
-func (h alarms) Less(i, j int) bool { return h[i].due.Before(h[j].due) }
-func (h alarms) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx, h[j].idx = i, j
-}
-
-func (h *alarms) Push(x any) {
-	a := x.(*Alarm)
-	a.idx = len(*h)
-	*h = append(*h, a)
-}
-
-func (h *alarms) Pop() any {
-	old := *h
-	a := old[len(old)-1]
-	old[len(old)-1] = nil
-	*h = old[:len(old)-1]
-	a.idx = -1
-	return a
+	return e
 }
 
 // timerSource is the portable wake source: a runtime timer, which the

@@ -1,10 +1,11 @@
 // Package live is the real-concurrency runtime: one goroutine per peer,
 // a pluggable transport as the links, and wall-clock rounds — the form a
-// deployed system (and the runnable examples) would use. Each peer's
-// rounds fall on a fixed grid (Config.RoundPeriod), woken by an alarm on
-// the cluster's one internal/clock Clock, which the shaper's holds share:
-// a round lands on its grid point within clock.Quantum (the scheduler's
-// latency aside) and never before it. The protocol is not written here:
+// deployed system (and the runnable examples) would use. Time is one
+// queue, the cluster's internal/clock Clock: each peer's rounds fall on a
+// fixed grid (Config.RoundPeriod), one entry on it per round, and the
+// shaper's holds and RunRounds' waits are entries on it too. A round
+// lands on its grid point within clock.Quantum (the scheduler's latency
+// aside) and never before it. The protocol is not written here:
 // every peer is a protocol.Peer, the state machine internal/core runs
 // under the deterministic simulator, and this package is its second
 // driver — the goroutine, inbox, wire codec and fault switches around
@@ -242,7 +243,7 @@ type Cluster struct {
 	faults  *faults
 	net     transport.Net
 	shaped  *transport.ShapedNet // non-nil iff Config.Shape installed the middleware
-	clock   *clock.Clock         // the peers' round ticks and the shaper's holds
+	clock   *clock.Clock         // the peers' round ticks, the shaper's holds and RunRounds' waits
 	traffic traffic
 
 	stop    chan struct{}
@@ -261,6 +262,7 @@ type peer struct {
 	tr    transport.Transport
 	inbox chan []byte
 	cmds  chan func()
+	tick  chan struct{} // the round's clock entry rings it
 
 	// m is the protocol state and out where it leaves what to send; rng is
 	// the driver's stream (round phase, loss, rebind seeds), so a fault
@@ -359,6 +361,7 @@ func (c *Cluster) newPeer(id, n int) *peer {
 		c:     c,
 		inbox: make(chan []byte, c.cfg.InboxDepth),
 		cmds:  make(chan func(), 64),
+		tick:  make(chan struct{}, 1),
 	}
 	seed := randutil.NodeSeed(c.cfg.Seed, id)
 	p.m.Init(simnet.NodeID(id), n, &c.par, seed, c.ledger)
@@ -500,26 +503,40 @@ func (c *Cluster) Stop() {
 		close(c.stop)
 		c.wg.Wait()
 	}
-	_ = c.net.Close()
-	c.clock.Close() // after the shaper's flush: nothing is armed on it now
+	_ = c.net.Close() // a shaped net closes the clock, delivering what it holds
+	c.clock.Close()   // an unshaped one leaves it: ends the stopped peers' ticks
 }
 
 // RunRounds lets k round periods of wall time pass, the live
 // counterpart of core.Cluster.RunRounds: the peers run their own
-// rounds meanwhile.
+// rounds meanwhile. It waits for an entry on the cluster's clock k
+// periods ahead, so it returns at once on a stopped cluster, and early
+// when Stop closes the clock under it.
 func (c *Cluster) RunRounds(k int) {
-	time.Sleep(time.Duration(k) * c.cfg.RoundPeriod)
+	done := make(chan struct{}, 1)
+	if c.clock.At(time.Now().Add(time.Duration(k)*c.cfg.RoundPeriod), ring, done) {
+		<-done
+	}
+}
+
+// ring is a clock entry's action for a waiter: a token on its channel,
+// which holds one.
+func ring(arg any) {
+	select {
+	case arg.(chan struct{}) <- struct{}{}:
+	default:
+	}
 }
 
 // settleQuiet is how many consecutive round periods the ledger's
 // delivery total must hold still before Settle returns.
 const settleQuiet = 10
 
-// Settle runs k more rounds, then waits until the ledger's delivery
-// total has not moved for settleQuiet round periods. The wait goes
-// through Eventually, so its ~10s bound is race-scaled like every
-// other live deadline, and a wedged cluster returns unsettled instead
-// of hanging its caller.
+// Settle runs k more rounds, then waits, one RunRounds(1) at a time,
+// until the ledger's delivery total has not moved for settleQuiet round
+// periods. The wait is bounded at ~10s, race-scaled like every other
+// live deadline, so a wedged cluster returns unsettled instead of
+// hanging its caller.
 func (c *Cluster) Settle(k int) {
 	c.RunRounds(k)
 	delivered := func() (n uint64) {
@@ -528,17 +545,15 @@ func (c *Cluster) Settle(k int) {
 		}
 		return n
 	}
-	last, quiet := delivered(), 0
-	Eventually(10*time.Second, c.cfg.RoundPeriod, func() bool {
+	deadline := time.Now().Add(10 * time.Second * raceDeadlineScale)
+	for last, quiet := delivered(), 0; quiet < settleQuiet && time.Now().Before(deadline); {
+		c.RunRounds(1)
 		if cur := delivered(); cur != last {
 			last, quiet = cur, 0
-			return false
+		} else {
+			quiet++
 		}
-		// Eventually checks once before its first sleep, so settleQuiet+1
-		// quiet checks span settleQuiet full periods.
-		quiet++
-		return quiet > settleQuiet
-	})
+	}
 }
 
 // do runs fn with exclusive access to peer id's state and waits for it to
@@ -842,9 +857,7 @@ func (p *peer) loop() {
 	period := p.c.cfg.RoundPeriod
 	jitter := time.Duration(p.rng.Int63n(int64(period)))
 	next := time.Now().Add(period + jitter)
-	tick := p.c.clock.NewAlarm()
-	defer tick.Stop()
-	tick.Set(next)
+	p.c.clock.At(next, ring, p.tick)
 	for {
 		select {
 		case <-p.c.stop:
@@ -854,10 +867,10 @@ func (p *peer) loop() {
 		case buf := <-p.inbox:
 			p.receive(buf)
 			p.c.net.Release(buf) // decoded events own their memory: nothing aliases buf now
-		case <-tick.C:
+		case <-p.tick:
 			p.round()
 			next = nextTick(next, time.Now(), period)
-			tick.Set(next)
+			p.c.clock.At(next, ring, p.tick)
 		}
 	}
 }

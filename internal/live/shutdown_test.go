@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"fairgossip/internal/pubsub"
+	"fairgossip/internal/transport"
 )
 
 // waitGoroutinesSettle polls until the goroutine count is back at (or
@@ -132,4 +133,80 @@ func TestLiveStopUnderFaultChurn(t *testing.T) {
 	stopFlood.Store(true)
 	wg.Wait()
 	waitGoroutinesSettle(t, base, 5*time.Second)
+}
+
+// goroutineBaseline samples the goroutine count once it has stopped
+// moving, so a straggler still exiting from an earlier test is not
+// mistaken for part of this test's baseline.
+func goroutineBaseline() int {
+	for {
+		a := runtime.NumGoroutine()
+		time.Sleep(2 * time.Millisecond)
+		if runtime.NumGoroutine() == a {
+			return a
+		}
+	}
+}
+
+// TestShapedClusterGoroutines: a running shaped cluster with envelopes
+// held runs exactly one goroutine per peer and its clock's — the holds
+// are entries on the clock, and the shaper runs no goroutine of its own.
+func TestShapedClusterGoroutines(t *testing.T) {
+	const n = 6
+	base := goroutineBaseline()
+	c := mustCluster(t, Config{N: n, Seed: 3, Shape: &transport.Profile{Delay: time.Hour}})
+	for i := range n {
+		c.Subscribe(i, pubsub.MatchAll())
+	}
+	c.Start()
+	c.Publish(0, "t", nil, []byte("held for an hour"))
+	if held := c.shaped.Held(); held == 0 {
+		t.Fatal("a publish held nothing; the shaper is not in the path")
+	}
+	if got := runtime.NumGoroutine(); got != base+n+1 {
+		t.Fatalf("%d goroutines on a running shaped cluster, want %d (%d peers and the clock's)", got, base+n+1, n)
+	}
+	c.Stop()
+	waitGoroutinesSettle(t, base, 5*time.Second)
+}
+
+// TestRunRoundsAndSettleAreBounded: RunRounds and Settle wait on the
+// cluster's clock, so they return in bounded time on a cluster never
+// started and at once on a stopped one, whose clock is closed, and a
+// RunRounds that is waiting when Stop closes the clock returns with it.
+func TestRunRoundsAndSettleAreBounded(t *testing.T) {
+	within := func(what string, d time.Duration, fn func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() {
+			fn()
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(d * raceDeadlineScale):
+			t.Fatalf("%s did not return within %v", what, d*raceDeadlineScale)
+		}
+	}
+	cfg := Config{N: 3, RoundPeriod: 2 * time.Millisecond, Seed: 1}
+	idle := mustCluster(t, cfg)
+	within("RunRounds(3) on a cluster never started", time.Second, func() { idle.RunRounds(3) })
+	within("Settle(3) on a cluster never started", 2*time.Second, func() { idle.Settle(3) })
+	idle.Stop()
+	within("RunRounds(1000) on a stopped cluster", 100*time.Millisecond, func() { idle.RunRounds(1000) })
+	within("Settle(1000) on a stopped cluster", 100*time.Millisecond, func() { idle.Settle(1000) })
+
+	for _, shape := range []*transport.Profile{nil, {Delay: time.Hour}} {
+		cfg.Shape = shape
+		c := mustCluster(t, cfg)
+		c.Start()
+		waiting := make(chan struct{})
+		go func() {
+			c.RunRounds(1_000_000)
+			close(waiting)
+		}()
+		time.Sleep(5 * time.Millisecond)
+		within("Stop", 5*time.Second, c.Stop)
+		within("RunRounds(1000000) across Stop", time.Second, func() { <-waiting })
+	}
 }

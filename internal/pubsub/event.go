@@ -150,49 +150,49 @@ func (fresh) Payload(b []byte) []byte { return append([]byte(nil), b...) }
 // topic and payload from mem, nil for fresh copies) and aliases nothing
 // in buf.
 func ReadRecord(buf []byte, e *Event, mem Memory) (EventID, int, error) {
-	r := reader{buf: buf}
-	id := EventID{Publisher: r.u32(), Seq: r.u32()}
-	topic := r.take(int(r.u16()))
-	nattrs := int(r.u16())
+	r := Reader{Buf: buf, Short: ErrShortBuffer}
+	id := EventID{Publisher: r.U32(), Seq: r.U32()}
+	topic := r.Take(int(r.U16()))
+	nattrs := int(r.U16())
 	// Each attribute is at least keyLen(2) kind(1) bool(1).
-	if rem := len(buf) - r.off; r.err == nil && nattrs*4 > rem {
-		r.fail(fmt.Errorf("%w: %d attributes cannot fit in %d bytes", ErrCorrupt, nattrs, rem))
+	if rem := len(buf) - r.Off; r.Err == nil && nattrs*4 > rem {
+		r.Fail(fmt.Errorf("%w: %d attributes cannot fit in %d bytes", ErrCorrupt, nattrs, rem))
 	}
 	var attrs []Attr
-	if e != nil && nattrs > 0 && r.err == nil {
+	if e != nil && nattrs > 0 && r.Err == nil {
 		attrs = make([]Attr, 0, nattrs)
 	}
-	for i := 0; i < nattrs && r.err == nil; i++ {
-		key := r.take(int(r.u16()))
+	for i := 0; i < nattrs && r.Err == nil; i++ {
+		key := r.Take(int(r.U16()))
 		var v Value
-		switch kind := Kind(r.u8()); kind {
+		switch kind := Kind(r.U8()); kind {
 		case KindString:
-			if s := r.take(int(r.u16())); e != nil {
+			if s := r.Take(int(r.U16())); e != nil {
 				v = String(string(s))
 			}
 		case KindNum:
-			v = Num(math.Float64frombits(r.u64()))
+			v = Num(math.Float64frombits(r.U64()))
 		case KindBool:
-			b := r.u8()
+			b := r.U8()
 			if b > 1 {
-				r.fail(fmt.Errorf("%w: bool byte %d", ErrCorrupt, b))
+				r.Fail(fmt.Errorf("%w: bool byte %d", ErrCorrupt, b))
 			}
 			v = Bool(b == 1)
 		default:
-			r.fail(fmt.Errorf("%w: attribute kind %d", ErrCorrupt, kind))
+			r.Fail(fmt.Errorf("%w: attribute kind %d", ErrCorrupt, kind))
 		}
-		if e != nil && r.err == nil {
+		if e != nil && r.Err == nil {
 			attrs = append(attrs, Attr{Key: string(key), Val: v})
 		}
 	}
-	payload := r.take(int(r.u32()))
+	payload := r.Take(int(r.U32()))
 	switch {
-	case r.err != nil:
-		return id, 0, r.err
+	case r.Err != nil:
+		return id, 0, r.Err
 	case e == nil:
-		return id, r.off, nil
-	case r.off != len(buf):
-		return id, 0, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(buf)-r.off)
+		return id, r.Off, nil
+	case r.Off != len(buf):
+		return id, 0, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(buf)-r.Off)
 	}
 	if mem == nil {
 		mem = fresh{}
@@ -201,40 +201,45 @@ func ReadRecord(buf []byte, e *Event, mem Memory) (EventID, int, error) {
 	if len(payload) > 0 {
 		e.Payload = mem.Payload(payload)
 	}
-	return id, r.off, nil
+	return id, r.Off, nil
 }
 
-// reader is a bounds-checked cursor that records the first error and
-// then reads zeros, so the walker reads linearly without per-field
-// branching.
-type reader struct {
-	buf []byte
-	off int
-	err error
+// Reader is a bounds-checked cursor over Buf from Off: it records the
+// first error in Err and then reads zeros, so a decoder reads linearly
+// without per-field branching. A read past the end fails with Short
+// wrapped — ErrShortBuffer for a record, the caller's own sentinel for
+// what frames it (internal/wire's envelopes).
+type Reader struct {
+	Buf   []byte
+	Off   int
+	Err   error
+	Short error
 }
 
-func (r *reader) fail(err error) {
-	if r.err == nil {
-		r.err = err
+// Fail records err unless an earlier error is already recorded.
+func (r *Reader) Fail(err error) {
+	if r.Err == nil {
+		r.Err = err
 	}
 }
 
-func (r *reader) take(n int) []byte {
-	if r.err != nil {
+// Take returns the next n bytes, aliasing Buf, or nil once failed.
+func (r *Reader) Take(n int) []byte {
+	if r.Err != nil {
 		return nil
 	}
-	if n < 0 || n > len(r.buf)-r.off {
-		r.fail(fmt.Errorf("%w: need %d bytes at offset %d of %d", ErrShortBuffer, n, r.off, len(r.buf)))
+	if n < 0 || n > len(r.Buf)-r.Off {
+		r.Fail(fmt.Errorf("%w: need %d bytes at offset %d of %d", r.Short, n, r.Off, len(r.Buf)))
 		return nil
 	}
-	b := r.buf[r.off : r.off+n]
-	r.off += n
+	b := r.Buf[r.Off : r.Off+n]
+	r.Off += n
 	return b
 }
 
 // fixed takes n ≤ 8 bytes, or reads zeros once the reader has failed.
-func (r *reader) fixed(n int) []byte {
-	if b := r.take(n); b != nil {
+func (r *Reader) fixed(n int) []byte {
+	if b := r.Take(n); b != nil {
 		return b
 	}
 	return zeros[:n]
@@ -242,7 +247,7 @@ func (r *reader) fixed(n int) []byte {
 
 var zeros [8]byte
 
-func (r *reader) u8() byte    { return r.fixed(1)[0] }
-func (r *reader) u16() uint16 { return binary.BigEndian.Uint16(r.fixed(2)) }
-func (r *reader) u32() uint32 { return binary.BigEndian.Uint32(r.fixed(4)) }
-func (r *reader) u64() uint64 { return binary.BigEndian.Uint64(r.fixed(8)) }
+func (r *Reader) U8() byte    { return r.fixed(1)[0] }
+func (r *Reader) U16() uint16 { return binary.BigEndian.Uint16(r.fixed(2)) }
+func (r *Reader) U32() uint32 { return binary.BigEndian.Uint32(r.fixed(4)) }
+func (r *Reader) U64() uint64 { return binary.BigEndian.Uint64(r.fixed(8)) }

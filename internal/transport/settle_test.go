@@ -8,7 +8,7 @@ import (
 
 // waitGoroutinesExact polls until the goroutine count is back at (or
 // below) base — zero slack, unlike the live package's settle helper,
-// whose slack of four would hide one leaked dispatcher or reader.
+// whose slack of four would hide one leaked clock or reader.
 func waitGoroutinesExact(t *testing.T, base int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -38,9 +38,9 @@ func goroutineBaseline() int {
 }
 
 // TestCloseSettlesGoroutinesExactly: every goroutine a net spawns — the
-// shaper's lazily started dispatcher and its clock's, one UDP reader per
-// socket including the retired pre-rebind one — is gone once Close
-// returns.
+// shaper's clock's, started on the first hold (the shaper starts none
+// of its own), one UDP reader per socket including the retired
+// pre-rebind one — is gone once Close returns.
 func TestCloseSettlesGoroutinesExactly(t *testing.T) {
 	t.Run("shaped", func(t *testing.T) {
 		base := goroutineBaseline()
@@ -50,12 +50,12 @@ func TestCloseSettlesGoroutinesExactly(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if got := runtime.NumGoroutine(); got != base+2 {
-			t.Fatalf("%d goroutines with envelopes held, want %d (the dispatcher and its clock's)", got, base+2)
+		if got := runtime.NumGoroutine(); got != base+1 {
+			t.Fatalf("%d goroutines with envelopes held, want %d (the clock's alone)", got, base+1)
 		}
-		// Let both park, the dispatcher on the hour-long alarm: a Close
-		// that forgot to halt it must face a parked dispatcher, not one
-		// that is still awake and notices s.closed by luck.
+		// Let the clock's goroutine park on the hour-long wake: a Close
+		// that forgot to end it must face a parked goroutine, not one
+		// that is still awake and notices the close by luck.
 		time.Sleep(5 * time.Millisecond)
 		if err := h.s.Close(); err != nil {
 			t.Fatal(err)

@@ -76,13 +76,14 @@ type Rebinder interface {
 
 // Shape wraps any Net in the shaping middleware. Outbound envelopes are
 // intercepted at Send time: the loss verdict is immediate (and counted
-// in Drops()); delay, jitter and reorder hold the envelope in a
-// time-ordered queue and deliver it through the substrate later — by
-// whichever goroutine next finds it due: a dispatcher goroutine, woken by
-// an alarm on the shaper's clock.Clock, or any shaped Send (deliverDue).
-// A hold is honoured to within clock.Quantum (plus the scheduler's
-// latency) and never cut short: an envelope reaches the substrate no
-// sooner than the Hold it drew.
+// in Drops()); delay, jitter and reorder hold the envelope as an entry
+// on a clock.Clock, which delivers it through the substrate later — on
+// the clock's goroutine when its wake comes, or on any shaped Send,
+// which runs what is due on the clock (clock.Clock.Fire) before it
+// returns. A hold is honoured to within clock.Quantum (plus the
+// scheduler's latency) and never cut short: an envelope reaches the
+// substrate no sooner than the Hold it drew, and envelopes due at the
+// same instant reach it in send order.
 //
 // Send keeps no buffer under shaping either: a held envelope is a pooled
 // copy, delivered to the substrate exactly once or counted dropped, then
@@ -91,24 +92,14 @@ type Rebinder interface {
 // substrate before closing it, so conservation audits after Close see a
 // settled network: every envelope the shaper accepted is either
 // delivered or in Drops().
-func Shape(inner Net, p Profile) *ShapedNet {
-	s := ShapeOn(inner, p, clock.New())
-	s.ownClock = true
-	return s
-}
+func Shape(inner Net, p Profile) *ShapedNet { return ShapeOn(inner, p, clock.New()) }
 
-// ShapeOn is Shape with its alarms on clk, a clock the caller shares
-// with its own wake-ups (the live runtime's round ticks) and closes
-// after the ShapedNet.
+// ShapeOn is Shape with its holds on clk, a clock the caller shares with
+// its own entries (the live runtime's round ticks). The ShapedNet's
+// Close closes clk — that is how the holds still on it are delivered —
+// so the caller's own entries end with the net.
 func ShapeOn(inner Net, p Profile, clk *clock.Clock) *ShapedNet {
-	s := &ShapedNet{
-		inner: inner,
-		rng:   rand.New(rand.NewSource(p.Seed)),
-		clk:   clk,
-		halt:  make(chan struct{}),
-		done:  make(chan struct{}),
-	}
-	s.idle.L = &s.mu
+	s := &ShapedNet{inner: inner, clk: clk, rng: rand.New(rand.NewSource(p.Seed))}
 	prof := p
 	s.prof.Store(&prof)
 	return s
@@ -117,87 +108,26 @@ func ShapeOn(inner Net, p Profile, clk *clock.Clock) *ShapedNet {
 // ShapedNet is a Net decorated with a shaping Profile. See Shape.
 type ShapedNet struct {
 	inner Net
+	clk   *clock.Clock
 	prof  atomic.Pointer[Profile]
 	drops atomic.Uint64
 
-	mu         sync.Mutex    // guards rng, queue, seq, closed, running, delivering
-	rng        *rand.Rand    // guarded by mu
-	queue      deferredQueue // guarded by mu
-	seq        uint64        // guarded by mu
-	closed     bool          // guarded by mu
-	running    bool          // guarded by mu -- dispatcher goroutine started (lazily, on first hold)
-	delivering bool          // guarded by mu -- a goroutine is delivering what is due (deliverDue)
-	idle       sync.Cond     // on mu: broadcast when delivering turns false (Close waits on it)
-
-	clk       *clock.Clock
-	ownClock  bool         // Close closes clk (Shape made it)
-	alarm     *clock.Alarm // set, under mu, for the earliest held envelope; made with the dispatcher
-	halt      chan struct{}
-	done      chan struct{}
-	closeOnce sync.Once
+	mu     sync.Mutex  // guards rng, closed, held and spare
+	rng    *rand.Rand  // guarded by mu
+	closed bool        // guarded by mu
+	held   int         // guarded by mu: envelopes on the clock
+	spare  []*deferred // guarded by mu: records of delivered envelopes, for Send to reuse
 }
 
-// deferred is one held envelope: the shaper's pooled copy, due for
-// delivery through the sender's substrate endpoint.
+// deferred is one held envelope — the shaper's pooled copy, due for
+// delivery through the sender's substrate endpoint — and the arg of its
+// clock entry. Records are reused, so holding allocates nothing once
+// the shaper is warm.
 type deferred struct {
-	due time.Time
-	seq uint64 // FIFO tiebreak: equal due times deliver in send order
+	s   *ShapedNet
 	ep  Transport
 	to  int
 	buf []byte
-}
-
-// deferredQueue is a binary min-heap on (due, seq), hand-rolled like
-// eventsim's: container/heap would box each multi-word deferred through
-// an interface on the way in and again on the way out, one allocation
-// apiece on the shaped send path.
-type deferredQueue []deferred
-
-func (q deferredQueue) less(i, j int) bool {
-	if !q[i].due.Equal(q[j].due) {
-		return q[i].due.Before(q[j].due)
-	}
-	return q[i].seq < q[j].seq
-}
-
-func (q *deferredQueue) push(d deferred) {
-	h := append(*q, d)
-	*q = h
-	for i := len(h) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-}
-
-// pop removes and returns the earliest held envelope.
-func (q *deferredQueue) pop() deferred {
-	h := *q
-	d := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = deferred{} // drop the slot's hold on the envelope
-	h = h[:n]
-	*q = h
-	for i := 0; ; {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		small := l
-		if r := l + 1; r < n && h.less(r, l) {
-			small = r
-		}
-		if !h.less(small, i) {
-			break
-		}
-		h[i], h[small] = h[small], h[i]
-		i = small
-	}
-	return d
 }
 
 // Attach implements Net: handlers pass straight through to the
@@ -228,7 +158,7 @@ func (s *ShapedNet) Drops() uint64 { return s.drops.Load() }
 func (s *ShapedNet) Held() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.queue)
+	return s.held
 }
 
 // Rebind implements Rebinder by delegation when the substrate can.
@@ -239,116 +169,37 @@ func (s *ShapedNet) Rebind(id int) (string, error) {
 	return "", fmt.Errorf("transport: substrate cannot rebind peer %d", id)
 }
 
-// Close stops accepting sends, waits for a sender that is handing a held
-// envelope to the substrate, flushes every other held envelope through the
-// substrate immediately (refusals are counted drops), then closes the
-// substrate.
+// Close stops accepting sends, closes the clock — which waits for an
+// envelope another goroutine is handing to the substrate, then delivers
+// every other held envelope at once (refusals are counted drops) — and
+// closes the substrate.
 func (s *ShapedNet) Close() error {
-	s.closeOnce.Do(func() {
-		s.mu.Lock()
-		s.closed = true
-		for s.delivering { // deliverDue pops nothing more once closed is set
-			s.idle.Wait()
-		}
-		running := s.running
-		s.mu.Unlock()
-		if running {
-			close(s.halt)
-			<-s.done // dispatcher flushed the queue on its way out
-		}
-		if s.ownClock {
-			s.clk.Close()
-		}
-	})
+	s.mu.Lock()
+	s.closed = true
+	s.mu.Unlock()
+	s.clk.Close()
 	return s.inner.Close()
 }
 
 // Release implements Net: handlers are lent the substrate's buffers.
 func (s *ShapedNet) Release(buf []byte) { s.inner.Release(buf) }
 
-// holdLocked queues one envelope for deferred delivery and sets the
-// alarm when it is the earliest held. Callers hold s.mu.
-func (s *ShapedNet) holdLocked(d deferred) {
-	s.seq++
-	d.seq = s.seq
-	s.queue.push(d)
-	if !s.running {
-		s.running = true
-		s.alarm = s.clk.NewAlarm()
-		go s.dispatch()
-	}
-	if s.queue[0].seq == d.seq {
-		s.alarm.Set(d.due)
-	}
-}
-
-// dispatch is the dispatcher goroutine: the alarm wakes it when the
-// earliest held envelope is due, and it delivers what is due — unless a
-// sender already is, which re-sets the alarm when done. On Close it
-// drains everything left immediately.
-func (s *ShapedNet) dispatch() {
-	defer close(s.done)
-	for {
-		select {
-		case <-s.alarm.C:
-			s.deliverDue()
-		case <-s.halt:
-			s.alarm.Stop()
-			s.mu.Lock()
-			rest := s.queue
-			s.queue = nil
-			s.mu.Unlock()
-			// Flush in due order (heap order is close enough for a
-			// teardown path, but due order keeps FIFO per link).
-			for len(rest) > 0 {
-				s.deliver(rest.pop())
-			}
-			return
-		}
-	}
-}
-
-// deliverDue delivers every held envelope that is due, in (due, seq)
-// order, unless another goroutine already is. Every shaped Send calls it,
-// not only the dispatcher: when the processors are busy (a loaded box, the
-// race detector) one goroutine's share of them cannot carry the whole
-// net's deliveries, and a backlog only it drains grows without bound —
-// thousands of envelopes, tens of rounds overdue. Sharing the work makes
-// the senders pay for delivery as they send, so the backlog stays bounded
-// by what is due. Once the net is closed it pops nothing more: the
-// dispatcher's drain delivers the rest, after Close has waited out the
-// envelope in hand.
-func (s *ShapedNet) deliverDue() {
-	s.mu.Lock()
-	if s.delivering {
-		s.mu.Unlock()
-		return
-	}
-	s.delivering = true
-	popped := false
-	for !s.closed && len(s.queue) > 0 && !s.queue[0].due.After(time.Now()) {
-		d := s.queue.pop()
-		popped = true
-		s.mu.Unlock()
-		s.deliver(d)
-		s.mu.Lock()
-	}
-	if popped && !s.closed && len(s.queue) > 0 { // the head moved: wake for the new one
-		s.alarm.Set(s.queue[0].due)
-	}
-	s.delivering = false
-	s.idle.Broadcast()
-	s.mu.Unlock()
-}
-
-// deliver completes one deferred envelope and releases the held copy.
-// The sender was told nil at Send time, so a substrate refusal here must
-// be counted by the shaper or the envelope would vanish from the books.
-func (s *ShapedNet) deliver(d deferred) {
+// deliver is a held envelope's clock entry: it completes the envelope,
+// releases the held copy and keeps the record for the next hold. The
+// sender was told nil at Send time, so a substrate refusal here must be
+// counted by the shaper or the envelope would vanish from the books.
+func deliver(arg any) {
+	d := arg.(*deferred)
+	s := d.s
 	if err := d.ep.Send(d.to, d.buf); err != nil {
 		s.drops.Add(1)
 	}
 	put(d.buf)
+	*d = deferred{}
+	s.mu.Lock()
+	s.held--
+	s.spare = append(s.spare, d)
+	s.mu.Unlock()
 }
 
 type shapedEndpoint struct {
@@ -366,7 +217,7 @@ func (e *shapedEndpoint) Send(to int, buf []byte) error {
 	if p.inert() {
 		return e.inner.Send(to, buf)
 	}
-	defer s.deliverDue()
+	defer s.clk.Fire()
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -382,8 +233,21 @@ func (e *shapedEndpoint) Send(to int, buf []byte) error {
 		s.mu.Unlock()
 		return e.inner.Send(to, buf)
 	}
-	s.holdLocked(deferred{due: time.Now().Add(d), ep: e.inner, to: to, buf: clone(buf)})
+	if len(s.spare) == 0 { // refill by the slab: a growing backlog allocates once per 64 holds
+		slab := make([]deferred, 64)
+		for i := range slab {
+			s.spare = append(s.spare, &slab[i])
+		}
+	}
+	h := s.spare[len(s.spare)-1]
+	s.spare = s.spare[:len(s.spare)-1]
+	*h = deferred{s: s, ep: e.inner, to: to, buf: clone(buf)}
+	s.held++
+	ok := s.clk.At(time.Now().Add(d), deliver, h)
 	s.mu.Unlock()
+	if !ok { // the clock was closed under the net: hand it over now
+		deliver(h)
+	}
 	return nil
 }
 

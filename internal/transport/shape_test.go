@@ -3,7 +3,7 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
-	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -153,8 +153,8 @@ func TestShapeConservation(t *testing.T) {
 }
 
 // TestShapeFIFOWithoutJitter: pure delay is a conveyor belt — per-link
-// order is preserved exactly (the deferred queue breaks due-time ties by
-// send order).
+// order is preserved exactly (the clock runs entries due at the same
+// instant in the order they were scheduled).
 func TestShapeFIFOWithoutJitter(t *testing.T) {
 	h := newShapeHarness(t, 2, Profile{Seed: 7, Delay: time.Millisecond})
 	const k = 200
@@ -221,7 +221,7 @@ func TestShapeReorderHappens(t *testing.T) {
 }
 
 // TestShapeInertFastPath: the zero profile delegates synchronously —
-// no dispatcher, no holds, delivery completes inside Send.
+// no holds, delivery completes inside Send.
 func TestShapeInertFastPath(t *testing.T) {
 	h := newShapeHarness(t, 2, Profile{})
 	if err := h.eps[0].Send(1, mark(0, 0, 16)); err != nil {
@@ -241,34 +241,43 @@ func TestShapeInertFastPath(t *testing.T) {
 	}
 }
 
-// TestSendDeliversWhatIsDue: a shaped Send delivers, in due order, every
-// held envelope already due before it returns, whatever the dispatcher is
-// doing — delivery follows the senders, so a dispatcher starved of the
-// processor cannot let a backlog of overdue envelopes grow.
+// TestSendDeliversWhatIsDue: a shaped Send runs what is due on the
+// clock (clock.Clock.Fire) before it returns, whatever the clock's
+// goroutine is doing — delivery follows the senders, so a clock
+// goroutine starved of the processor cannot let a backlog of overdue
+// envelopes grow. A handler that finds itself on a shaped Send's stack
+// shows it: with 50 µs holds on a 250 µs wake grid, a sender that keeps
+// sending finds envelopes due before the clock's goroutine wakes for
+// them.
 func TestSendDeliversWhatIsDue(t *testing.T) {
-	h := newShapeHarness(t, 2, Profile{Seed: 3, Loss: 1e-9}) // shaped, but holds nothing: no dispatcher starts
-	const k = 5
-	h.s.mu.Lock()
-	for seq := range k {
-		ep := h.eps[0].(*shapedEndpoint).inner
-		h.s.queue.push(deferred{due: time.Now().Add(-time.Millisecond), seq: uint64(seq), ep: ep, to: 1, buf: clone(mark(0, seq, 16))})
-	}
-	h.s.mu.Unlock()
-	if err := h.eps[1].Send(0, mark(1, 0, 16)); err != nil {
+	inner, err := NewChanNet(2)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got, held := h.delivered(), h.s.Held(); got != k+1 || held != 0 {
-		t.Fatalf("after one Send: %d delivered, %d held; want %d and 0", got, held, k+1)
+	s := Shape(inner, Profile{Seed: 3, Delay: 50 * time.Microsecond})
+	defer s.Close()
+	var bySender atomic.Int64
+	stack := make([]byte, 16<<10) // deliveries run one at a time
+	ep, err := s.Attach(0, func([]byte) {})
+	if err != nil {
+		t.Fatal(err)
 	}
-	h.mu.Lock()
-	for i, buf := range h.got[1:] { // the Send's own envelope went first
-		if seq := int(binary.LittleEndian.Uint32(buf[4:])); seq != i {
-			t.Fatalf("overdue envelope %d delivered as seq %d: not in due order", i, seq)
+	if _, err := s.Attach(1, func(buf []byte) {
+		if n := runtime.Stack(stack, false); bytes.Contains(stack[:n], []byte("(*shapedEndpoint).Send")) {
+			bySender.Add(1)
+		}
+		s.Release(buf)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	msg := mark(0, 0, 16)
+	for i := 0; i < 20000 && bySender.Load() == 0; i++ {
+		if err := ep.Send(1, msg); err != nil {
+			t.Fatal(err)
 		}
 	}
-	h.mu.Unlock()
-	if err := h.s.Close(); err != nil {
-		t.Fatal(err)
+	if bySender.Load() == 0 {
+		t.Fatal("20 000 shaped Sends delivered no held envelope themselves; only the clock's goroutine delivers")
 	}
 }
 
@@ -306,35 +315,31 @@ func (g *gatedEndpoint) Send(to int, buf []byte) error {
 	return g.Transport.Send(to, buf)
 }
 
-// TestCloseWaitsForASendersDelivery: Close does not close the substrate
-// under a sender that took a held envelope off the queue and is still
+// TestCloseWaitsForADeliveryInHand: Close does not close the substrate
+// under a goroutine that took a held envelope off the clock and is still
 // handing it over; that envelope is delivered, not dropped.
-func TestCloseWaitsForASendersDelivery(t *testing.T) {
-	h := newShapeHarness(t, 2, Profile{Seed: 3, Loss: 1e-9}) // shaped, but holds nothing: no dispatcher starts
+func TestCloseWaitsForADeliveryInHand(t *testing.T) {
+	h := newShapeHarness(t, 2, Profile{Seed: 3, Loss: 1e-9}) // shaped, but holds nothing of its own
 	g := &gatedEndpoint{Transport: h.eps[0].(*shapedEndpoint).inner, entered: make(chan struct{}), open: make(chan struct{})}
 	h.s.mu.Lock()
-	h.s.queue.push(deferred{due: time.Now().Add(-time.Millisecond), ep: g, to: 1, buf: clone(mark(0, 0, 16))})
+	h.s.held++
 	h.s.mu.Unlock()
-	sent := make(chan error, 1)
-	go func() { sent <- h.eps[1].Send(0, mark(1, 0, 16)) }() // delivers the overdue envelope before it returns
-	<-g.entered
+	h.s.clk.At(time.Now().Add(-time.Millisecond), deliver, &deferred{s: h.s, ep: g, to: 1, buf: clone(mark(0, 0, 16))})
+	<-g.entered // the clock's goroutine is delivering it
 	closed := make(chan error, 1)
 	go func() { closed <- h.s.Close() }()
 	select {
 	case err := <-closed:
 		close(g.open)
-		t.Fatalf("Close returned (%v) while a sender was still delivering a held envelope", err)
+		t.Fatalf("Close returned (%v) while a held envelope was still being delivered", err)
 	case <-time.After(20 * time.Millisecond):
 	}
 	close(g.open)
-	if err := <-sent; err != nil {
-		t.Fatal(err)
-	}
 	if err := <-closed; err != nil {
 		t.Fatal(err)
 	}
-	if got, drops := h.delivered(), h.s.Drops(); got != 2 || drops != 0 {
-		t.Fatalf("%d delivered and %d dropped, want both envelopes delivered", got, drops)
+	if got, drops, held := h.delivered(), h.s.Drops(), h.s.Held(); got != 1 || drops != 0 || held != 0 {
+		t.Fatalf("%d delivered, %d dropped, %d held; want the envelope delivered", got, drops, held)
 	}
 }
 
@@ -475,44 +480,12 @@ func BenchmarkShapedSend(b *testing.B) {
 	})
 }
 
-// TestDeferredQueueOrder: the hand-rolled heap pops in (due, seq) order
-// — equal due times in send order, which is what keeps a jitter-free
-// link FIFO — and a warm queue takes a push and a pop without
-// allocating (the reason it is not container/heap).
-func TestDeferredQueueOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	base := time.Unix(100, 0)
-	var q deferredQueue
-	for seq := uint64(1); seq <= 500; seq++ {
-		q.push(deferred{due: base.Add(time.Duration(rng.Intn(40)) * time.Millisecond), seq: seq})
-	}
-	prev := q.pop()
-	for len(q) > 0 {
-		d := q.pop()
-		if d.due.Before(prev.due) || (d.due.Equal(prev.due) && d.seq < prev.seq) {
-			t.Fatalf("popped (%v, %d) after (%v, %d)", d.due, d.seq, prev.due, prev.seq)
-		}
-		prev = d
-	}
-	for seq := uint64(1); seq <= 64; seq++ {
-		q.push(deferred{due: base, seq: seq})
-	}
-	avg := testing.AllocsPerRun(100, func() {
-		d := q.pop()
-		d.due = d.due.Add(time.Millisecond)
-		q.push(d)
-	})
-	if avg != 0 {
-		t.Fatalf("pop+push on a warm queue allocates %.2f times, want 0", avg)
-	}
-}
-
 // TestHeldEnvelopesLandOnTime: a held envelope reaches the substrate no
 // sooner than its hold, and in the median within clock.Quantum + 100 µs
 // of it. The hold is stepped through fractional milliseconds with
 // SetProfile, because whole-millisecond holds hide what a runtime timer
 // does here: the netpoller rounds its wait up to whole milliseconds,
-// which read 450–600 µs of median lateness before the shaper's alarms
+// which read 450–600 µs of median lateness before the shaper's holds
 // moved onto internal/clock. Each envelope is sent once the last one
 // has landed, so every hold is timed from an idle shaper, as a sparse
 // link's are. make timers prints the lateness line.

@@ -469,24 +469,24 @@ func DecodeEnvelope(data []byte, env *Envelope) error {
 	env.Kind, env.Sender = kind, binary.BigEndian.Uint32(data[4:8])
 	count := int(binary.BigEndian.Uint16(data[8:10]))
 	// Everything reaches env only once the last byte has checked out.
-	r := reader{buf: data, off: HeaderSize}
+	r := reader{pubsub.Reader{Buf: data, Off: HeaderSize, Short: ErrTruncated}}
 	if walk {
-		x.Origin, x.Hops = r.u32(), r.u16()
+		x.Origin, x.Hops = r.U32(), r.U16()
 	}
 	switch rec {
 	case recNone:
 		if count != 0 {
-			r.fail(fmt.Errorf("%w: %d records on a kind that carries none", ErrCorrupt, count))
+			r.Fail(fmt.Errorf("%w: %d records on a kind that carries none", ErrCorrupt, count))
 		}
 	case recEvent:
-		for i := 0; i < count && r.err == nil; i++ {
-			id, n, err := pubsub.ReadRecord(data[r.off:], nil, nil)
+		for i := 0; i < count && r.Err == nil; i++ {
+			id, n, err := pubsub.ReadRecord(data[r.Off:], nil, nil)
 			if err != nil {
-				r.fail(fmt.Errorf("record %d at offset %d: %w", i, r.off, err))
+				r.Fail(fmt.Errorf("record %d at offset %d: %w", i, r.Off, err))
 				break
 			}
-			recs = append(recs, EventRecord{ID: id, Raw: data[r.off : r.off+n : r.off+n]})
-			r.off += n
+			recs = append(recs, EventRecord{ID: id, Raw: data[r.Off : r.Off+n : r.Off+n]})
+			r.Off += n
 		}
 	case recEntry:
 		ents = r.entries(ents, count)
@@ -494,42 +494,42 @@ func DecodeEnvelope(data []byte, env *Envelope) error {
 		x.IDs = r.ids(x.IDs, count)
 	}
 	if lazy {
-		n := int(r.u16())
-		if n == 0 && r.err == nil {
-			r.fail(fmt.Errorf("%w: a lazy push without ids", ErrCorrupt))
+		n := int(r.U16())
+		if n == 0 && r.Err == nil {
+			r.Fail(fmt.Errorf("%w: a lazy push without ids", ErrCorrupt))
 		}
 		x.IDs = r.ids(x.IDs, n)
 	}
 	if parts&partTopic != 0 {
-		x.Topic = string(r.take(int(r.u16())))
+		x.Topic = string(r.Take(int(r.U16())))
 	}
 	if parts&partAds != 0 {
-		x.Ads = r.entries(x.Ads, int(r.u16()))
+		x.Ads = r.entries(x.Ads, int(r.U16()))
 	}
 	if parts&partFP != 0 {
-		x.FP = r.u64()
-		n := int(r.u16())
+		x.FP = r.U64()
+		n := int(r.U16())
 		r.fits(n, fpAdSize)
-		for i := 0; i < n && r.err == nil; i++ {
-			x.FPAds = append(x.FPAds, FPAd{ID: r.u32(), FP: r.u64()})
+		for i := 0; i < n && r.Err == nil; i++ {
+			x.FPAds = append(x.FPAds, FPAd{ID: r.U32(), FP: r.U64()})
 		}
 	}
 	if parts&partPad != 0 {
-		pad := r.take(int(r.u32()))
+		pad := r.Take(int(r.U32()))
 		if slices.ContainsFunc(pad, func(b byte) bool { return b != 0 }) {
-			r.fail(fmt.Errorf("%w: nonzero padding", ErrCorrupt))
+			r.Fail(fmt.Errorf("%w: nonzero padding", ErrCorrupt))
 		}
 		x.Pad = len(pad)
 	}
 	// A part announced but empty would be a second encoding of a message.
-	if r.err == nil && x.bits() != parts {
-		r.fail(fmt.Errorf("%w: an announced part is empty", ErrCorrupt))
+	if r.Err == nil && x.bits() != parts {
+		r.Fail(fmt.Errorf("%w: an announced part is empty", ErrCorrupt))
 	}
-	if r.err != nil {
-		return r.err
+	if r.Err != nil {
+		return r.Err
 	}
-	if r.off != len(data) {
-		return fmt.Errorf("%w: %d trailing bytes after %d records", ErrCorrupt, len(data)-r.off, count)
+	if r.Off != len(data) {
+		return fmt.Errorf("%w: %d trailing bytes after %d records", ErrCorrupt, len(data)-r.Off, count)
 	}
 	env.Records, env.Entries, env.Parts = recs, ents, x
 	return nil
@@ -548,35 +548,24 @@ func (rec EventRecord) Decode(d *Decoder) (*pubsub.Event, error) {
 	return e, nil
 }
 
-// reader is a bounds-checked cursor that records the first error and
-// then no-ops, so decode paths read linearly without per-field
-// branching.
-type reader struct {
-	buf []byte
-	off int
-	err error
-}
+// reader is pubsub's bounds-checked cursor, failing short reads with
+// ErrTruncated, plus the counted runs an envelope's body holds.
+type reader struct{ pubsub.Reader }
 
-func (r *reader) rem() int { return len(r.buf) - r.off }
-
-func (r *reader) fail(err error) {
-	if r.err == nil {
-		r.err = err
-	}
-}
+func (r *reader) rem() int { return len(r.Buf) - r.Off }
 
 // fits is the hostile-count guard: n cells of size bytes must fit.
 func (r *reader) fits(n, size int) {
-	if r.err == nil && n*size > r.rem() {
-		r.fail(fmt.Errorf("%w: %d cells of %d bytes with %d remaining", ErrTruncated, n, size, r.rem()))
+	if r.Err == nil && n*size > r.rem() {
+		r.Fail(fmt.Errorf("%w: %d cells of %d bytes with %d remaining", ErrTruncated, n, size, r.rem()))
 	}
 }
 
 // ids appends n event ids read off the cursor to dst.
 func (r *reader) ids(dst []pubsub.EventID, n int) []pubsub.EventID {
 	r.fits(n, IDWireSize)
-	for i := 0; i < n && r.err == nil; i++ {
-		dst = append(dst, pubsub.EventID{Publisher: r.u32(), Seq: r.u32()})
+	for i := 0; i < n && r.Err == nil; i++ {
+		dst = append(dst, pubsub.EventID{Publisher: r.U32(), Seq: r.U32()})
 	}
 	return dst
 }
@@ -584,35 +573,8 @@ func (r *reader) ids(dst []pubsub.EventID, n int) []pubsub.EventID {
 // entries appends n view entries read off the cursor to dst.
 func (r *reader) entries(dst []ViewEntry, n int) []ViewEntry {
 	r.fits(n, EntryWireSize)
-	for i := 0; i < n && r.err == nil; i++ {
-		dst = append(dst, ViewEntry{ID: r.u32(), Age: r.u16()})
+	for i := 0; i < n && r.Err == nil; i++ {
+		dst = append(dst, ViewEntry{ID: r.U32(), Age: r.U16()})
 	}
 	return dst
 }
-
-func (r *reader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || n > len(r.buf)-r.off {
-		r.fail(fmt.Errorf("%w: need %d bytes at offset %d of %d", ErrTruncated, n, r.off, len(r.buf)))
-		return nil
-	}
-	b := r.buf[r.off : r.off+n]
-	r.off += n
-	return b
-}
-
-// fixed takes n ≤ 8 bytes, or reads zeros once the reader has failed.
-func (r *reader) fixed(n int) []byte {
-	if b := r.take(n); b != nil {
-		return b
-	}
-	return zeros[:n]
-}
-
-var zeros [8]byte
-
-func (r *reader) u16() uint16 { return binary.BigEndian.Uint16(r.fixed(2)) }
-func (r *reader) u32() uint32 { return binary.BigEndian.Uint32(r.fixed(4)) }
-func (r *reader) u64() uint64 { return binary.BigEndian.Uint64(r.fixed(8)) }
