@@ -196,13 +196,13 @@ conservation:
 # envelope against its hold, held through fractional milliseconds from an
 # idle shaper (TestHeldEnvelopesLandOnTime, which holds the median to
 # internal/clock's Quantum + 100 µs), and 48 round ticks on 10 ms grids,
-# on the timerfd and on the time.Timer fallback (TestEntriesNeverRunEarly).
+# on the timerfd and on the time.Timer fallback (TestAlarmsNeverFireEarly).
 # Both tests fail on a wake before its deadline (see PERFORMANCE.md
 # "Timers that fire when due"); TestEqualDueRunsInScheduleOrder rides
 # along, the clock's (due, seq) order that keeps a jitter-free shaped
 # link FIFO.
 timers:
-	@out=$$($(GO) test -count=1 -v -run 'TestHeldEnvelopesLandOnTime|TestEntriesNeverRunEarly|TestEqualDueRunsInScheduleOrder' ./internal/transport ./internal/clock); status=$$?; \
+	@out=$$($(GO) test -count=1 -v -run 'TestHeldEnvelopesLandOnTime|TestAlarmsNeverFireEarly|TestEqualDueRunsInScheduleOrder' ./internal/transport ./internal/clock); status=$$?; \
 		echo "$$out" | grep -E 'lateness|^(FAIL|ok)'; exit $$status
 
 clean:

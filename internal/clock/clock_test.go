@@ -52,12 +52,12 @@ func ring(arg any) {
 	}
 }
 
-// TestEntriesNeverRunEarly runs the live runtime's tick pattern — 48
-// waiters, each re-scheduling itself on its own 10 ms grid at a random
-// phase, as live.peer.loop does — and checks that no entry runs before
-// its due time. It logs how late the ticks land (make timers prints the
-// line).
-func TestEntriesNeverRunEarly(t *testing.T) {
+// TestAlarmsNeverFireEarly runs the live runtime's tick pattern — 48
+// waiters, each re-scheduling its alarm (one entry) on its own 10 ms
+// grid at a random phase, as live.peer.loop does — and checks that no
+// entry runs before its due time. It logs how late the ticks land
+// (make timers prints the line).
+func TestAlarmsNeverFireEarly(t *testing.T) {
 	const n, rounds, period = 48, 25, 10 * time.Millisecond
 	for _, src := range sources {
 		t.Run(src.name, func(t *testing.T) {
@@ -98,9 +98,9 @@ func q(sorted []time.Duration, p float64) time.Duration {
 	return sorted[int(p*float64(len(sorted)-1))].Round(time.Microsecond)
 }
 
-// TestDueEntriesShareOneWake: entries whose due times fall in one
-// Quantum of the grid run together, on one wake of the source.
-func TestDueEntriesShareOneWake(t *testing.T) {
+// TestDueAlarmsShareOneWake: alarms — entries — whose due times fall in
+// one Quantum of the grid run together, on one wake of the source.
+func TestDueAlarmsShareOneWake(t *testing.T) {
 	for _, src := range sources {
 		t.Run(src.name, func(t *testing.T) {
 			var wakes atomic.Int64

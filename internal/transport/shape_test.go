@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
+	"math/rand"
 	"runtime"
 	"slices"
 	"sync"
@@ -182,6 +183,59 @@ func TestShapeFIFOWithoutJitter(t *testing.T) {
 	}
 }
 
+// TestDeferredQueueOrder: held envelopes reach the substrate in (due,
+// send) order — the order of the clock's queue, which holds the
+// shaper's deferred envelopes: an earlier due time first, and equal
+// holds in the order they were sent. Each hold is an hour plus a random
+// whole number of 10 ms steps (SetProfile before each Send), so none
+// falls due on its own and Close delivers them all in queue order. An
+// envelope's due time lies in its Send call's span plus its hold, so the
+// test refuses any envelope that arrives before one whose due window
+// lies wholly before its own, and any equal hold out of send order.
+func TestDeferredQueueOrder(t *testing.T) {
+	const k = 500
+	h := newShapeHarness(t, 2, Profile{Seed: 5, Delay: time.Hour})
+	rng := rand.New(rand.NewSource(5))
+	type sent struct {
+		step         int
+		lower, upper time.Time // the envelope's due time lies between
+	}
+	var sends []sent
+	for seq := 0; seq < k; seq++ {
+		step := rng.Intn(40)
+		hold := time.Hour + time.Duration(step)*10*time.Millisecond
+		h.s.SetProfile(Profile{Delay: hold})
+		before := time.Now()
+		if err := h.eps[0].Send(1, mark(0, seq, 16)); err != nil {
+			t.Fatal(err)
+		}
+		sends = append(sends, sent{step, before.Add(hold), time.Now().Add(hold)})
+	}
+	if held := h.s.Held(); held != k {
+		t.Fatalf("held %d of %d", held, k)
+	}
+	if err := h.s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if len(h.got) != k || h.s.Drops() != 0 {
+		t.Fatalf("delivered %d of %d, %d dropped", len(h.got), k, h.s.Drops())
+	}
+	order := make([]int, k)
+	for i, buf := range h.got {
+		order[i] = int(binary.LittleEndian.Uint32(buf[4:]))
+	}
+	for i, a := range order {
+		for _, b := range order[i+1:] {
+			sa, sb := sends[a], sends[b]
+			if sb.upper.Before(sa.lower) || (sa.step == sb.step && b < a) {
+				t.Fatalf("envelope %d (hold step %d) arrived before envelope %d (hold step %d)", a, sa.step, b, sb.step)
+			}
+		}
+	}
+}
+
 // TestShapeReorderHappens: with jitter and reorder configured, later
 // envelopes must sometimes overtake earlier ones — the condition the
 // WAN scenarios exist to create.
@@ -340,6 +394,82 @@ func TestCloseWaitsForADeliveryInHand(t *testing.T) {
 	}
 	if got, drops, held := h.delivered(), h.s.Drops(), h.s.Held(); got != 1 || drops != 0 || held != 0 {
 		t.Fatalf("%d delivered, %d dropped, %d held; want the envelope delivered", got, drops, held)
+	}
+}
+
+// gateOnSender is a substrate endpoint whose first Send made on a shaped
+// Send's stack — a sender that took a held envelope off the clock
+// (clock.Clock.Fire) — announces itself on entered and blocks until
+// open is closed. Sends made on the clock's goroutine pass through.
+type gateOnSender struct {
+	Transport
+	gated         atomic.Bool
+	entered, open chan struct{}
+	stack         []byte // deliveries run one at a time
+}
+
+func (g *gateOnSender) Send(to int, buf []byte) error {
+	if !g.gated.Load() {
+		if n := runtime.Stack(g.stack, false); bytes.Contains(g.stack[:n], []byte("(*shapedEndpoint).Send")) {
+			g.gated.Store(true)
+			close(g.entered)
+			<-g.open
+		}
+	}
+	return g.Transport.Send(to, buf)
+}
+
+// TestCloseWaitsForASendersDelivery: Close does not close the substrate
+// under a sender that took a held envelope off the clock and is still
+// handing it over; that Send returns nil and the envelope is delivered,
+// not dropped. Whether a sender or the clock's goroutine runs a due
+// entry is a race, so the sender keeps sending 50 µs holds until one of
+// its own Sends delivers (as TestSendDeliversWhatIsDue does), and that
+// delivery is held at the gate.
+func TestCloseWaitsForASendersDelivery(t *testing.T) {
+	h := newShapeHarness(t, 2, Profile{Seed: 3, Delay: 50 * time.Microsecond})
+	se := h.eps[0].(*shapedEndpoint)
+	g := &gateOnSender{Transport: se.inner, entered: make(chan struct{}), open: make(chan struct{}), stack: make([]byte, 16<<10)}
+	se.inner = g
+	var n int
+	sent := make(chan error, 1)
+	go func() {
+		msg := mark(0, 0, 16)
+		for ; n < 20000 && !g.gated.Load(); n++ {
+			if err := se.Send(1, msg); err != nil {
+				sent <- err
+				return
+			}
+		}
+		sent <- nil
+	}()
+	select {
+	case <-g.entered:
+	case err := <-sent:
+		t.Fatalf("no shaped Send delivered a held envelope itself (%v)", err)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- h.s.Close() }()
+	select {
+	case err := <-closed:
+		close(g.open)
+		t.Fatalf("Close returned (%v) while a sender was still delivering a held envelope", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(g.open)
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close never returned once the sender's delivery was let through")
+	}
+	if got, drops, held := h.delivered(), h.s.Drops(), h.s.Held(); got != n || drops != 0 || held != 0 {
+		t.Fatalf("%d delivered, %d dropped, %d held of %d sent; want every envelope delivered", got, drops, held, n)
 	}
 }
 
