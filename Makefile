@@ -181,8 +181,9 @@ allocs:
 		echo "$$out" | grep -E 'allocs:|^(FAIL|ok)'; exit $$status
 
 # conservation prints sent = recv + dropped at each of the live runtime's
-# four transport send sites, over a substrate that refuses every fifth
-# send, and once more with lazy pushes and pulls among the refused sends
+# three transport send sites (every cluster sends through the shaper),
+# over a substrate that refuses every fifth send, and once more with lazy
+# pushes and pulls among the refused sends
 # (TestRefusedSendsConserved), and runs the two tests that own the
 # rest of drop conservation: a full inbox (TestLiveInboxOverflowCounted)
 # and the shaper under loss and delay (TestShapeConservation). These

@@ -217,7 +217,7 @@ func runSingle(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "  node %-4d contribution %-12.0f benefit %-8.0f ratio %.1f (F=%d N=%d)\n",
 			id,
 			fairness.Contribution(a, cluster.Ledger.Weights()),
-			fairness.Benefit(a, cluster.Ledger.Weights()),
+			fairness.Benefit(a),
 			fairness.Ratio(a, cluster.Ledger.Weights()),
 			cluster.Node(id).Fanout(), cluster.Node(id).Batch())
 	}

@@ -29,9 +29,10 @@
 // exchange, failure detector, join back-off — is written once, in
 // internal/protocol, with no clock, goroutine or socket in it. Both
 // answer the same per-peer and fault calls (Crash, Rejoin, Leave, Join,
-// Partition, SetLoss, SetShape, ...) with the same int peer ids; a
-// SimCluster's latency model is fixed when it is built, and SetShape
-// adds a TransportProfile's hold to it.
+// Partition, SetShape, ...) with the same int peer ids. SetShape is each
+// runtime's one loss layer: a TransportProfile's Loss is the link loss,
+// and its hold is added to a SimCluster's latency model, which is fixed
+// when the cluster is built.
 //
 // Both runtimes can be driven through the fault-injection scenario
 // engine (RunScenario): seeded schedules of churn, partitions, loss,
@@ -168,8 +169,8 @@ type (
 // custom substrate — with per-link delay, jitter, reorder and i.i.d.
 // loss, all drawn from one seeded RNG. Every shaper-induced loss is
 // counted, so the cluster's sent == received + dropped ledger stays
-// exact. The LiveConfig.Shape knob installs it inside a cluster;
-// scenario shaping (ShapeSpec, the shaped-wan/regional-outage/
+// exact. Every live cluster runs on it, inert unless LiveConfig.Shape
+// or SetShape sets a profile; scenario shaping (ShapeSpec, the shaped-wan/regional-outage/
 // mobile-rebind/intermittent-links builtins) drives it in
 // round-relative units on every differential column.
 type (

@@ -129,7 +129,7 @@ func TestFacadeFilterHelpers(t *testing.T) {
 	if !fairgossip.Bool(true).BoolVal() {
 		t.Fatal("Bool")
 	}
-	if fairgossip.DefaultWeights().Kappa != 1 {
+	if fairgossip.DefaultWeights().Audited {
 		t.Fatal("DefaultWeights")
 	}
 }

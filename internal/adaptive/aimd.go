@@ -52,9 +52,9 @@ func (a *AIMD) Batch() int { return int(math.Round(a.n)) }
 func (a *AIMD) Update(s Sample) (int, int) {
 	err := error01(a.cfg, s)
 	switch {
-	case err > a.cfg.Tolerance: // over-contributing → decrease
+	case err > deadband: // over-contributing → decrease
 		a.decrease()
-	case err < -a.cfg.Tolerance: // under-contributing → increase
+	case err < -deadband: // under-contributing → increase
 		a.increase()
 	}
 	return a.Fanout(), a.Batch()
@@ -129,7 +129,7 @@ func (p *Proportional) Batch() int { return int(math.Round(p.n)) }
 func (p *Proportional) Update(s Sample) (int, int) {
 	desired := p.cfg.TargetRatio * s.Benefit
 	err := error01(p.cfg, s)
-	if err > -p.cfg.Tolerance && err < p.cfg.Tolerance {
+	if err > -deadband && err < deadband {
 		return p.Fanout(), p.Batch() // inside the deadband
 	}
 	var scale float64

@@ -66,13 +66,14 @@ func clamp(x, lo, hi float64) float64 {
 	return x
 }
 
+// deadband is the relative error around the target within which a
+// controller holds its levers still.
+const deadband = 0.1
+
 // Config parameterises a controller.
 type Config struct {
 	// TargetRatio is f: the system-wide contribution-per-benefit target.
 	TargetRatio float64
-	// Tolerance is the relative deadband around the target within which
-	// the controller holds still (default 0.1).
-	Tolerance float64
 	// Gain damps proportional corrections (default 0.5); ignored by AIMD.
 	Gain float64
 	// Beta is AIMD's multiplicative-decrease factor (default 0.7);
@@ -82,9 +83,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Tolerance <= 0 {
-		c.Tolerance = 0.1
-	}
 	if c.Gain <= 0 {
 		c.Gain = 0.5
 	}

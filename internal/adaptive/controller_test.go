@@ -217,7 +217,7 @@ func TestInvalidLeverDefaultsToBoth(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{TargetRatio: 1, Limits: Limits{FanoutMin: 5, FanoutMax: 2, BatchMin: 4, BatchMax: 1}}.withDefaults()
-	if c.Tolerance != 0.1 || c.Gain != 0.5 || c.Beta != 0.7 {
+	if c.Gain != 0.5 || c.Beta != 0.7 {
 		t.Fatalf("defaults: %+v", c)
 	}
 	if c.FanoutMax != 5 || c.BatchMax != 4 {

@@ -120,7 +120,7 @@ func TestCheaterAuditExposure(t *testing.T) {
 
 	// Under audited weights the cheater's contribution collapses toward
 	// what its useful bytes justify.
-	aw := fairness.Weights{Kappa: 1, InfraWeight: 1, Audited: true}
+	aw := fairness.Weights{Audited: true}
 	rawContrib := fairness.Contribution(cheatAcct, fairness.DefaultWeights())
 	auditedContrib := fairness.Contribution(cheatAcct, aw)
 	if auditedContrib >= rawContrib {

@@ -32,7 +32,7 @@ import (
 //
 // Its per-peer and fault calls (Subscribe, Unsubscribe, Publish,
 // OnDeliver, Crash, Rejoin, SetFreeRider, Leave, Join, Partition, Heal,
-// SetLoss, SetShape, Views, Settle) are live.Cluster's, with the same
+// SetShape, Views, Settle) are live.Cluster's, with the same
 // signatures and the same refusal of an id out of range, so one fault
 // schedule drives either driver. All of them, and Node's methods, must
 // be called from the goroutine that calls RunRounds, between calls.
@@ -41,7 +41,7 @@ type Cluster struct {
 	// Shards() == 1, and nil otherwise: code that reaches through them
 	// fails loudly on a sharded cluster instead of silently seeing
 	// shard 0. The cluster's own methods (TotalTraffic, Partition,
-	// SetLoss, ...) work at every shard count.
+	// SetShape, ...) work at every shard count.
 	Sim    *eventsim.Sim
 	Net    *simnet.Network
 	Ledger *fairness.Ledger
@@ -56,10 +56,7 @@ type Cluster struct {
 	// locals so that a window allocates nothing (a captured local escapes).
 	barrier  sync.WaitGroup
 	deadline time.Duration
-	// latency is the configured delay model; faultLoss and shapeLoss are
-	// the two loss layers SetLoss and SetShape set, each clamped alone.
-	latency              simnet.LatencyModel
-	faultLoss, shapeLoss float64
+	latency  simnet.LatencyModel // the configured delay model, which SetShape adds its hold to
 }
 
 // ClusterOptions bundles the environment knobs of a cluster.
@@ -89,15 +86,14 @@ func NewShardedCluster(n, shards int, cfg Config, opts ClusterOptions) *Cluster 
 		opts.NetConfig.Latency = simnet.ConstantLatency(time.Millisecond)
 	}
 	c := &Cluster{
-		Ledger:    fairness.NewLedger(n, opts.Weights),
-		Nodes:     make([]*Node, n),
-		shards:    make([]*shard, shards),
-		cfg:       cfg,
-		par:       cfg.params(),
-		seed:      opts.Seed,
-		per:       shardSpan(n, shards),
-		latency:   opts.NetConfig.Latency,
-		faultLoss: clamp01(opts.NetConfig.Loss),
+		Ledger:  fairness.NewLedger(n, opts.Weights),
+		Nodes:   make([]*Node, n),
+		shards:  make([]*shard, shards),
+		cfg:     cfg,
+		par:     cfg.params(),
+		seed:    opts.Seed,
+		per:     shardSpan(n, shards),
+		latency: opts.NetConfig.Latency,
 	}
 	for s := range c.shards {
 		sim := eventsim.New(randutil.ShardSeed(opts.Seed, s))
@@ -348,39 +344,22 @@ func (c *Cluster) Heal() {
 	}
 }
 
-// SetLoss sets the fault loss layer, clamped to [0,1]. A message
-// survives only if it passes both layers, this one and SetShape's: the
-// networks drop with probability 1-(1-fault)(1-shape).
-func (c *Cluster) SetLoss(p float64) {
-	c.faultLoss = clamp01(p)
-	c.applyLoss()
-}
-
 // SetShape installs a shaping profile, the sim mirror of
-// live.Cluster.SetShape: p.Loss becomes the shaping loss layer (see
-// SetLoss), and every message's delay is the configured latency model's
-// plus the hold the live shaper would draw (transport.Profile.Hold),
-// drawn from the sending shard's seeded stream.
+// live.Cluster.SetShape and the cluster's one loss layer: every shard
+// drops with probability p.Loss (clamped to [0,1]), replacing the
+// NetConfig.Loss it was built with, and every message's delay is the
+// configured latency model's plus the hold the live shaper would draw
+// (transport.Profile.Hold), drawn from the sending shard's seeded stream.
 func (c *Cluster) SetShape(p transport.Profile) {
-	c.shapeLoss = clamp01(p.Loss)
-	c.applyLoss()
 	base := c.latency
 	model := func(rng *rand.Rand, from, to simnet.NodeID) time.Duration {
 		return base(rng, from, to) + p.Hold(rng)
 	}
 	for _, sh := range c.shards {
+		sh.net.SetLoss(p.Loss)
 		sh.net.SetLatency(model)
 	}
 }
-
-func (c *Cluster) applyLoss() {
-	p := 1 - (1-c.faultLoss)*(1-c.shapeLoss)
-	for _, sh := range c.shards {
-		sh.net.SetLoss(p)
-	}
-}
-
-func clamp01(p float64) float64 { return min(max(p, 0), 1) }
 
 // Settle runs the tail rounds, then stops the round tickers and drains,
 // so no message is in flight when it returns.

@@ -10,6 +10,7 @@ import (
 	"fairgossip/internal/gossip"
 	"fairgossip/internal/pubsub"
 	"fairgossip/internal/stats"
+	"fairgossip/internal/transport"
 	"fairgossip/internal/workload"
 )
 
@@ -315,7 +316,7 @@ func ExpA5(opts Options) []Table {
 		for _, id := range workload.SampleDistinct(rng, n, n/5, nil) {
 			c.Node(id).Leave()
 		}
-		c.SetLoss(0.10)
+		c.SetShape(transport.Profile{Loss: 0.10})
 		c.RunRounds(10) // let membership digest the failures
 		post := probe(3)
 
@@ -354,7 +355,7 @@ func ExpA6(opts Options) []Table {
 	}
 	c.RunRounds(10)
 
-	aw := fairness.Weights{Kappa: 1, InfraWeight: 1, Audited: true}
+	aw := fairness.Weights{Audited: true}
 	var honestRaw, honestAudited, honestUseFrac float64
 	honest := 0
 	for i := 0; i < n; i++ {

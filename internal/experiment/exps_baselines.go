@@ -213,7 +213,7 @@ func ExpT2(opts Options) []Table {
 		acct := led.Account(i)
 		a.count++
 		a.contrib += fairness.Contribution(acct, led.Weights())
-		a.benefit += fairness.Benefit(acct, led.Weights())
+		a.benefit += fairness.Benefit(acct)
 	}
 	t := Table{
 		ID:    "EXP-T2",

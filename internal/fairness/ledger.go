@@ -44,38 +44,26 @@ type Account struct {
 	ChurnPenalty float64 // repair work this process imposed on others
 }
 
-// Weights parameterises the contribution/benefit formulas.
+// The weights of the contribution and benefit terms, Fig. 2's.
+const (
+	// kappa weighs active filters inside the benefit term: Fig. 2 counts
+	// "# filters" toward what a process gets out of the system.
+	kappa = 1
+	// infraWeight scales infrastructure bytes relative to application
+	// bytes in the contribution term: they count equally.
+	infraWeight = 1
+)
+
+// Weights selects how contribution is counted. The zero value is the
+// default: Fig. 2's accounting of every byte sent.
 type Weights struct {
-	// Kappa weighs active filters inside the benefit term (Fig. 2 counts
-	// "# filters"; Fig. 3 omits it — use ZeroWeights, or set Explicit,
-	// for the Fig. 3 variant).
-	Kappa float64
-	// InfraWeight scales infrastructure bytes relative to application
-	// bytes in the contribution term (1 = count equally).
-	InfraWeight float64
 	// Audited switches contribution to count only bytes acknowledged as
 	// novel by receivers (the §5.2 anti-bias mechanism, EXP-A6).
 	Audited bool
-	// Explicit marks the weights as intentional: NewLedger applies them
-	// verbatim even when every other field is zero. Without it the zero
-	// Weights value means "use DefaultWeights", which would silently turn
-	// an intentional {Kappa: 0, InfraWeight: 0} (the Fig. 3 variant with
-	// infrastructure ignored) into the Fig. 2 defaults.
-	Explicit bool
 }
 
-// DefaultWeights mirror Fig. 2: filters count toward benefit, and
-// infrastructure traffic counts like application traffic.
-func DefaultWeights() Weights {
-	return Weights{Kappa: 1, InfraWeight: 1}
-}
-
-// ZeroWeights requests true zeros for every weight (the Fig. 3 variant:
-// no filter credit, infrastructure traffic ignored). The Explicit marker
-// stops NewLedger from mistaking it for the zero value.
-func ZeroWeights() Weights {
-	return Weights{Explicit: true}
-}
+// DefaultWeights is Fig. 2's accounting, the zero Weights.
+func DefaultWeights() Weights { return Weights{} }
 
 // account is the padded, atomically-updated storage slot for one process.
 // Counters are per-account rather than guarded by a ledger-wide mutex, so
@@ -153,11 +141,6 @@ type Ledger struct {
 
 // NewLedger returns a ledger for n processes.
 func NewLedger(n int, w Weights) *Ledger {
-	if w == (Weights{}) {
-		// Allow the zero Weights value to mean "defaults"; callers that
-		// really want all-zero weights set Explicit (see ZeroWeights).
-		w = DefaultWeights()
-	}
 	l := &Ledger{w: w}
 	cs := make([]*chunk, (n+chunkMask)>>chunkShift)
 	for i := range cs {
@@ -292,15 +275,15 @@ func Contribution(a Account, w Weights) float64 {
 		c = float64(a.UsefulBytes) + float64(a.PublishedBytes)
 	} else {
 		c = float64(a.BytesSent[ClassApp]) +
-			w.InfraWeight*float64(a.BytesSent[ClassInfra]) +
+			infraWeight*float64(a.BytesSent[ClassInfra]) +
 			float64(a.PublishedBytes)
 	}
 	return c + a.ChurnPenalty
 }
 
-// Benefit computes the benefit term: delivered events + Kappa·filters.
-func Benefit(a Account, w Weights) float64 {
-	return float64(a.Delivered) + w.Kappa*float64(a.Filters)
+// Benefit computes the benefit term: delivered events + κ·filters.
+func Benefit(a Account) float64 {
+	return float64(a.Delivered) + kappa*float64(a.Filters)
 }
 
 // Ratio computes contribution/benefit with the convention that a process
@@ -309,7 +292,7 @@ func Benefit(a Account, w Weights) float64 {
 // (benefit floored at 1): pure unrequited work is maximally visible.
 func Ratio(a Account, w Weights) float64 {
 	c := Contribution(a, w)
-	b := Benefit(a, w)
+	b := Benefit(a)
 	if b < 1 {
 		b = 1
 	}
@@ -320,7 +303,7 @@ func Ratio(a Account, w Weights) float64 {
 func (l *Ledger) Contribution(id int) float64 { return Contribution(l.Account(id), l.w) }
 
 // Benefit returns the ledger's benefit for process id.
-func (l *Ledger) Benefit(id int) float64 { return Benefit(l.Account(id), l.w) }
+func (l *Ledger) Benefit(id int) float64 { return Benefit(l.Account(id)) }
 
 // Ratio returns the ledger's contribution/benefit ratio for process id.
 func (l *Ledger) Ratio(id int) float64 { return Ratio(l.Account(id), l.w) }

@@ -39,23 +39,35 @@ func TestZeroBenefitPositiveWork(t *testing.T) {
 	}
 }
 
+// TestWeightsVariants: the two accountings. Fig. 2's counts
+// infrastructure bytes like application bytes and every active filter
+// toward benefit (κ = 1); the audited one counts only the bytes
+// receivers found novel, with the same benefit.
 func TestWeightsVariants(t *testing.T) {
-	w := Weights{Kappa: 0, InfraWeight: 0.5}
-	l := NewLedger(1, w)
-	l.AddSend(0, ClassApp, 100)
-	l.AddSend(0, ClassInfra, 100)
-	l.SetFilters(0, 10)
-	l.AddDelivery(0)
-	if got := l.Contribution(0); got != 150 {
-		t.Errorf("weighted contribution = %v, want 150", got)
-	}
-	if got := l.Benefit(0); got != 1 {
-		t.Errorf("kappa=0 benefit = %v, want 1 (filters ignored)", got)
+	for _, tc := range []struct {
+		w       Weights
+		contrib float64
+	}{
+		{DefaultWeights(), 200},
+		{Weights{Audited: true}, 30},
+	} {
+		l := NewLedger(1, tc.w)
+		l.AddSend(0, ClassApp, 100)
+		l.AddSend(0, ClassInfra, 100)
+		l.AddAudit(0, 30, 170)
+		l.SetFilters(0, 10)
+		l.AddDelivery(0)
+		if got := l.Contribution(0); got != tc.contrib {
+			t.Errorf("%+v: contribution = %v, want %v", tc.w, got, tc.contrib)
+		}
+		if got := l.Benefit(0); got != 11 {
+			t.Errorf("%+v: benefit = %v, want 11 (1 delivery + 10 filters)", tc.w, got)
+		}
 	}
 }
 
 func TestAuditedContribution(t *testing.T) {
-	w := Weights{Kappa: 1, InfraWeight: 1, Audited: true}
+	w := Weights{Audited: true}
 	l := NewLedger(1, w)
 	l.AddSend(0, ClassApp, 1000) // raw bytes: ignored when audited
 	l.AddAudit(0, 200, 800)
@@ -113,33 +125,13 @@ func TestGrow(t *testing.T) {
 
 func TestZeroWeightsMeansDefaults(t *testing.T) {
 	l := NewLedger(1, Weights{})
-	if l.Weights().Kappa != 1 || l.Weights().InfraWeight != 1 {
-		t.Fatalf("zero weights should default: %+v", l.Weights())
+	if l.Weights() != DefaultWeights() {
+		t.Fatalf("zero weights should be the defaults: %+v", l.Weights())
 	}
-}
-
-// An intentional all-zero weighting (the Fig. 3 variant: no filter
-// credit, infrastructure ignored) must survive NewLedger instead of being
-// mistaken for the zero value and replaced with defaults.
-func TestExplicitZeroWeightsKept(t *testing.T) {
-	l := NewLedger(1, ZeroWeights())
-	if w := l.Weights(); w.Kappa != 0 || w.InfraWeight != 0 {
-		t.Fatalf("explicit zeros were defaulted away: %+v", w)
-	}
-	l.AddSend(0, ClassApp, 100)
-	l.AddSend(0, ClassInfra, 400) // must not count: InfraWeight 0
-	l.SetFilters(0, 7)            // must not count: Kappa 0
-	l.AddDelivery(0)
-	if got := l.Contribution(0); got != 100 {
-		t.Errorf("contribution = %v, want 100 (infra ignored)", got)
-	}
-	if got := l.Benefit(0); got != 1 {
-		t.Errorf("benefit = %v, want 1 (filters ignored)", got)
-	}
-	// The long-hand spelling works too.
-	l2 := NewLedger(1, Weights{Kappa: 0, InfraWeight: 0, Explicit: true})
-	if w := l2.Weights(); w.Kappa != 0 || w.InfraWeight != 0 {
-		t.Fatalf("explicit literal zeros were defaulted away: %+v", w)
+	l.AddSend(0, ClassInfra, 400)
+	l.SetFilters(0, 7)
+	if c, b := l.Contribution(0), l.Benefit(0); c != 400 || b != 7 {
+		t.Fatalf("zero weights: contribution %v, benefit %v, want Fig. 2's 400 and 7", c, b)
 	}
 }
 

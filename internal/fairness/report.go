@@ -59,7 +59,7 @@ func (l *Ledger) ReportFor(ids []int) Report {
 		}
 		a := accounts[id]
 		contribs = append(contribs, Contribution(a, l.w))
-		benefits = append(benefits, Benefit(a, l.w))
+		benefits = append(benefits, Benefit(a))
 		ratios = append(ratios, Ratio(a, l.w))
 	}
 	return buildReport(contribs, benefits, ratios)
@@ -77,7 +77,7 @@ func ReportAccounts(accounts []Account, w Weights) Report {
 	ratios := make([]float64, len(accounts))
 	for i, a := range accounts {
 		contribs[i] = Contribution(a, w)
-		benefits[i] = Benefit(a, w)
+		benefits[i] = Benefit(a)
 		ratios[i] = Ratio(a, w)
 	}
 	return buildReport(contribs, benefits, ratios)

@@ -58,19 +58,22 @@ func (e refusingEndpoint) Send(to int, buf []byte) error {
 // transport Send can fail: a cluster runs over a refusingNet, once per
 // send site, and after Stop every charged envelope must be received or
 // dropped — Sent == Recv + Dropped exactly — with each refusal counted
-// once, in the bucket the site owns. The sites:
+// once, in the bucket the site owns. Every cluster sends through the
+// shaper, so the sites are the shaper's three:
 //
-//   - unshaped: peer.send's own Send, counted in TransportDrops;
-//   - inert: shapedEndpoint.Send's pass-through of an inert profile,
-//     whose error peer.send counts in TransportDrops;
+//   - inert: shapedEndpoint.Send's pass-through of an inert profile
+//     (the cluster was built without Config.Shape), whose error
+//     peer.send counts in TransportDrops;
 //   - lossy: shapedEndpoint.Send's pass-through of a zero-delay profile,
 //     the same; the profile's loss adds ShaperDrops of its own;
 //   - delayed: ShapedNet.deliver, which told the sender nil at Send time
 //     and so counts the refusal itself, in ShaperDrops;
-//   - 1 KB: peer.send again, with events big enough to go lazy, 30 %
-//     link loss and one more event a round until a peer has pulled one
-//     it missed, so that lazy pushes, pulls and the pulls' answers are
-//     among the sends refused (the loss adds FaultDrops of its own).
+//
+// and the zero-delay pass-through once more as 1 KB, with events big
+// enough to go lazy, 30 % link loss and one more event a round until a
+// peer has pulled one it missed, so that lazy pushes, pulls and the
+// pulls' answers are among the sends refused (the loss adds ShaperDrops
+// of its own).
 //
 // TestLiveInboxOverflowCounted owns the ingress side (a full inbox).
 func TestRefusedSendsConserved(t *testing.T) {
@@ -81,11 +84,10 @@ func TestRefusedSendsConserved(t *testing.T) {
 		deferred   bool // refusals are the shaper's to count
 		lazy       bool // 1 KB events under loss, published until one is pulled
 	}{
-		{"unshaped", "peer.send", nil, false, false},
-		{"inert", "shapedEndpoint.Send, inert", &transport.Profile{}, false, false},
+		{"inert", "shapedEndpoint.Send, inert", nil, false, false},
 		{"lossy", "shapedEndpoint.Send, zero delay", &transport.Profile{Loss: 0.2}, false, false},
 		{"delayed", "ShapedNet.deliver", &transport.Profile{Delay: time.Millisecond, Jitter: time.Millisecond}, true, false},
-		{"1 KB", "peer.send, lazy pushes and pulls", nil, false, true},
+		{"1 KB", "shapedEndpoint.Send, zero delay, lazy pushes and pulls", nil, false, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var rn *refusingNet
@@ -106,7 +108,7 @@ func TestRefusedSendsConserved(t *testing.T) {
 				c.Subscribe(i, pubsub.MatchAll())
 			}
 			if tc.lazy {
-				c.SetLoss(0.3)
+				c.SetShape(transport.Profile{Loss: 0.3})
 			}
 			c.Start()
 			for k := 0; k < 2*n; k++ {

@@ -36,7 +36,7 @@ func TestLazyPushRepairsLoss(t *testing.T) {
 		c.Subscribe(i, pubsub.MatchAll())
 		c.OnDeliver(i, func(*pubsub.Event) { delivered.Add(1) })
 	}
-	c.SetLoss(0.3)
+	c.SetShape(transport.Profile{Loss: 0.3})
 	c.Start()
 	for k := 0; k < events; k++ {
 		c.Publish(k%n, "t", nil, make([]byte, 1024))

@@ -9,7 +9,9 @@
 // every peer is a protocol.Peer, the state machine internal/core runs
 // under the deterministic simulator, and this package is its second
 // driver — the goroutine, inbox, wire codec and fault switches around
-// it.
+// it. Every cluster's transport is wrapped in the shaping middleware
+// (transport.Shape), the cluster's one loss layer: an inert profile costs
+// a send one atomic load, and SetShape swaps the profile mid-run.
 //
 // Messages move as encoded bytes: each round a peer packs its selected
 // events into one wire envelope (internal/wire) in its reused scratch, as
@@ -53,7 +55,6 @@ package live
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -112,13 +113,10 @@ type Config struct {
 	// transport.UDP() runs one real loopback datagram socket per peer.
 	// Any custom Factory plugs in the same way.
 	Transport transport.Factory
-	// Shape, when non-nil, wraps the transport in the shaping middleware
-	// (transport.Shape) with this initial profile — per-link delay,
-	// jitter, reorder and loss, all from a seeded RNG. The zero Profile
-	// is inert but still installs the middleware, which is what lets
-	// SetShape act mid-run. A zero Profile.Seed is filled from
-	// Config.Seed. Nil keeps the transport bare (the historical
-	// semantics, byte for byte).
+	// Shape is the shaping middleware's (transport.Shape) initial profile
+	// — per-link delay, jitter, reorder and loss, all from a seeded RNG.
+	// Nil means the inert zero Profile. A zero Profile.Seed is filled
+	// from Config.Seed.
 	Shape *transport.Profile
 }
 
@@ -153,32 +151,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// faults is the cluster-wide fault-injection state (per-peer state —
-// crashed, free-riding, partition group — lives on the peer structs, so
-// it grows with the cluster). Scenario drivers flip it from outside the
-// peer goroutines, so every field is atomic; the zero value injects
-// nothing.
-type faults struct {
-	split atomic.Bool
-	loss  atomic.Uint64 // i.i.d. link-loss probability, stored as float64 bits
-}
-
-// dropLink reports whether a message from -> to should be lost to an
-// injected fault. Loss draws come from the sender's driver stream: they
-// stay per-goroutine and never move a protocol draw.
-func (f *faults) dropLink(from, to *peer) bool {
-	if to.down.Load() {
-		return true
-	}
-	if f.split.Load() && from.group.Load() != to.group.Load() {
-		return true
-	}
-	if p := math.Float64frombits(f.loss.Load()); p > 0 && from.rng.Float64() < p {
-		return true
-	}
-	return false
-}
-
 // traffic is the cluster's envelope-level message accounting, mirroring
 // what simnet counts for the simulator. Everything is atomic: senders,
 // transport readers and observers touch it concurrently.
@@ -206,11 +178,10 @@ type Traffic struct {
 	// Dropped is every counted loss: FaultDrops + InboxDrops +
 	// TransportDrops + ShaperDrops. A message can only land in one
 	// bucket: the fault check runs before the envelope reaches the
-	// shaper — so shaping composed with scenario faults never
-	// double-counts a loss.
+	// shaper, so no loss is counted twice.
 	Dropped uint64
-	// FaultDrops: injected faults ate it (crashed destination,
-	// partition, i.i.d. loss).
+	// FaultDrops: a crashed destination or a partition ate it. Link
+	// loss is the shaper's (ShaperDrops).
 	FaultDrops uint64
 	// InboxDrops: the destination's inbox was full — the bug this
 	// counter exists for used to be silent.
@@ -218,9 +189,9 @@ type Traffic struct {
 	// TransportDrops: the transport refused or failed the send
 	// (oversized datagram, closed socket, an address nobody holds).
 	TransportDrops uint64
-	// ShaperDrops: the shaping middleware ate it (profile loss, or a
-	// deferred delivery the substrate refused). Zero unless
-	// Config.Shape installed the shaper.
+	// ShaperDrops: the shaping middleware ate it (profile loss, a hold
+	// past its backlog cap, or a deferred delivery the substrate
+	// refused).
 	ShaperDrops uint64
 	// Malformed counts received envelopes that failed to decode, carried
 	// an invalid sender or a kind only the simulator runs (a subset of
@@ -240,10 +211,9 @@ type Cluster struct {
 	par     protocol.Params // what cfg comes to for a protocol.Peer; every peer points at it
 	ledger  *fairness.Ledger
 	peers   atomic.Pointer[[]*peer] // copy-on-write: Join appends, peers never move
-	faults  *faults
-	net     transport.Net
-	shaped  *transport.ShapedNet // non-nil iff Config.Shape installed the middleware
-	clock   *clock.Clock         // the peers' round ticks, the shaper's holds and RunRounds' waits
+	split   atomic.Bool             // a partition is up: peers of different groups are cut
+	net     *transport.ShapedNet
+	clock   *clock.Clock // the shaper's: its holds, the peers' round ticks and RunRounds' waits
 	traffic traffic
 
 	stop    chan struct{}
@@ -265,8 +235,8 @@ type peer struct {
 	tick  chan struct{} // the round's clock entry rings it
 
 	// m is the protocol state and out where it leaves what to send; rng is
-	// the driver's stream (round phase, loss, rebind seeds), so a fault
-	// never moves a protocol draw. The peer goroutine owns all three.
+	// the driver's stream (round phase, rebind seeds), so a fault never
+	// moves a protocol draw. The peer goroutine owns all three.
 	m   protocol.Peer
 	out protocol.Out
 	rng randutil.Stream
@@ -296,28 +266,24 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if factory == nil {
 		factory = transport.Chan()
 	}
-	nw, err := factory(cfg.N)
+	inner, err := factory(cfg.N)
 	if err != nil {
 		return nil, err
 	}
-	clk := clock.New()
-	var shaped *transport.ShapedNet
+	var prof transport.Profile
 	if cfg.Shape != nil {
-		prof := *cfg.Shape
-		if prof.Seed == 0 {
-			prof.Seed = cfg.Seed ^ 0x5ead
-		}
-		shaped = transport.ShapeOn(nw, prof, clk)
-		nw = shaped
+		prof = *cfg.Shape
 	}
+	if prof.Seed == 0 {
+		prof.Seed = cfg.Seed ^ 0x5ead
+	}
+	nw := transport.Shape(inner, prof)
 	c := &Cluster{
 		cfg:    cfg,
 		par:    cfg.params(),
 		ledger: fairness.NewLedger(cfg.N, fairness.DefaultWeights()),
-		faults: &faults{},
 		net:    nw,
-		shaped: shaped,
-		clock:  clk,
+		clock:  nw.Clock(),
 		stop:   make(chan struct{}),
 	}
 	peers := make([]*peer, 0, cfg.N)
@@ -398,11 +364,9 @@ func (c *Cluster) Traffic() Traffic {
 		FaultDrops:     c.traffic.faultDrops.Load(),
 		InboxDrops:     c.traffic.inboxDrops.Load(),
 		TransportDrops: c.traffic.transportDrops.Load(),
+		ShaperDrops:    c.net.Drops(),
 		Malformed:      c.traffic.malformed.Load(),
 		JoinGiveUps:    c.traffic.joinGiveUps.Load(),
-	}
-	if c.shaped != nil {
-		t.ShaperDrops = c.shaped.Drops()
 	}
 	t.Dropped = t.FaultDrops + t.InboxDrops + t.TransportDrops + t.ShaperDrops
 	return t
@@ -503,8 +467,7 @@ func (c *Cluster) Stop() {
 		close(c.stop)
 		c.wg.Wait()
 	}
-	_ = c.net.Close() // a shaped net closes the clock, delivering what it holds
-	c.clock.Close()   // an unshaped one leaves it: ends the stopped peers' ticks
+	_ = c.net.Close() // closes the clock: delivers what the shaper holds, ends the stopped peers' ticks
 }
 
 // RunRounds lets k round periods of wall time pass, the live
@@ -688,10 +651,10 @@ func (c *Cluster) JoinErr(id int) error {
 
 // --- Fault injection ---------------------------------------------------------
 //
-// These mirror the simulated network's fault surface (simnet.SetUp,
-// Partition, Heal, SetLoss plus core's Leave/Rejoin and free-riding), so
-// a scenario schedule can drive both runtimes identically. All are safe
-// to call at any time from any goroutine.
+// These mirror core.Cluster's fault surface (Crash, Rejoin, Leave,
+// free-riding, Partition, Heal and SetShape, the one loss layer), so a
+// scenario schedule can drive both runtimes identically. All are safe to
+// call at any time from any goroutine.
 
 // Crash takes a peer offline without notice: it stops gossiping, drops
 // everything in its inbox, and other peers' messages to it are lost —
@@ -766,34 +729,15 @@ func (c *Cluster) Partition(side []int) {
 			peers[id].group.Store(1)
 		}
 	}
-	c.faults.split.Store(true)
+	c.split.Store(true)
 }
 
 // Heal removes any partition.
-func (c *Cluster) Heal() { c.faults.split.Store(false) }
-
-// SetLoss sets the i.i.d. per-message drop probability (clamped to [0,1]).
-func (c *Cluster) SetLoss(p float64) {
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	c.faults.loss.Store(math.Float64bits(p))
-}
+func (c *Cluster) Heal() { c.split.Store(false) }
 
 // SetShape swaps the shaping middleware's profile mid-run (delay,
-// jitter, reorder, loss). Returns false when the cluster was built
-// without Config.Shape — shaping cannot be bolted on after
-// construction, because peers hold their transport endpoints.
-func (c *Cluster) SetShape(p transport.Profile) bool {
-	if c.shaped == nil {
-		return false
-	}
-	c.shaped.SetProfile(p)
-	return true
-}
+// jitter, reorder, loss): the cluster's one loss layer.
+func (c *Cluster) SetShape(p transport.Profile) { c.net.SetProfile(p) }
 
 // Rebind moves an up peer to a fresh transport address — the mobile
 // peer primitive. On substrates that implement transport.Rebinder (UDP,
@@ -810,10 +754,8 @@ func (c *Cluster) Rebind(id int) bool {
 		if p.down.Load() {
 			return
 		}
-		if rb, ok := c.net.(transport.Rebinder); ok {
-			_, _ = rb.Rebind(id) // in-process substrates: nothing to move
-		}
-		seed := simnet.None // an isolated peer re-announces to its old seed
+		_, _ = c.net.Rebind(id) // an in-process substrate has nothing to move
+		seed := simnet.None     // an isolated peer re-announces to its old seed
 		if ids := p.m.View().IDs(); len(ids) > 0 {
 			seed = ids[p.rng.Intn(len(ids))]
 		}
@@ -939,8 +881,8 @@ func (p *peer) flush() {
 func (p *peer) send(to int, buf []byte, class fairness.Class) {
 	p.c.ledger.AddSend(p.id, class, len(buf))
 	p.c.traffic.sent.Add(1)
-	if q := p.c.peerAt(to); q != nil && p.c.faults.dropLink(p, q) {
-		p.c.traffic.faultDrops.Add(1)
+	if q := p.c.peerAt(to); q != nil && (q.down.Load() || p.c.split.Load() && p.group.Load() != q.group.Load()) {
+		p.c.traffic.faultDrops.Add(1) // a crashed destination, or across a partition
 		return
 	}
 	// An address outside the table (a stale or hostile view entry) falls

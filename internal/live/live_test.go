@@ -10,6 +10,7 @@ import (
 
 	"fairgossip/internal/fairness"
 	"fairgossip/internal/pubsub"
+	"fairgossip/internal/transport"
 )
 
 func mustCluster(t testing.TB, cfg Config) *Cluster {
@@ -243,8 +244,8 @@ func TestLiveConfigDefaults(t *testing.T) {
 	}
 }
 
-// TestFaultDrawsLeaveTheProtocolStream: injected loss draws from the
-// driver's stream, never the protocol's, so turning loss on moves no
+// TestFaultDrawsLeaveTheProtocolStream: link loss draws from the
+// shaper's stream, never the protocol's, so turning loss on moves no
 // protocol decision — after a thousand lossy sends the peer's next ticks
 // are those of its twin, the same peer of a cluster built from the same
 // seed that sent nothing.
@@ -253,7 +254,7 @@ func TestFaultDrawsLeaveTheProtocolStream(t *testing.T) {
 	c, twin := mustCluster(t, cfg), mustCluster(t, cfg)
 	defer c.Stop()
 	defer twin.Stop()
-	c.SetLoss(0.5)
+	c.SetShape(transport.Profile{Loss: 0.5})
 	p, q := c.peerAt(0), c.peerAt(1)
 	for range 1000 {
 		p.send(1, []byte("x"), fairness.ClassApp)
@@ -261,7 +262,7 @@ func TestFaultDrawsLeaveTheProtocolStream(t *testing.T) {
 	for len(q.inbox) > 0 {
 		c.net.Release(<-q.inbox)
 	}
-	if drops := c.Traffic().FaultDrops; drops == 0 || drops == 1000 {
+	if drops := c.Traffic().ShaperDrops; drops == 0 || drops == 1000 {
 		t.Fatalf("%d of 1000 sends lost at loss 0.5: the loss draw did not run", drops)
 	}
 	// ticks publishes four events at peer 0 and returns what its next eight

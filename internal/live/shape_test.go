@@ -75,10 +75,9 @@ func TestShapedLedgerBytesExact(t *testing.T) {
 }
 
 // TestShapedDropCompositionExact is the count-once audit: with shaper
-// loss, scenario fault loss, crashed destinations AND a partition all
-// active at once, conservation stays exact — a message dropped by
-// one layer never reaches the next, so no loss is counted twice and
-// none vanishes.
+// loss, crashed destinations AND a partition all active at once,
+// conservation stays exact — a message the fault check drops never
+// reaches the shaper, so no loss is counted twice and none vanishes.
 func TestShapedDropCompositionExact(t *testing.T) {
 	c := mustCluster(t, Config{
 		N:           16,
@@ -90,7 +89,6 @@ func TestShapedDropCompositionExact(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		c.Subscribe(i, pubsub.MatchAll())
 	}
-	c.SetLoss(0.25) // fault-layer loss stacked on shaper loss
 	c.Start()
 	c.Crash(7) // crashed destination: fault layer eats it first
 	c.Partition([]int{2, 3})
@@ -107,31 +105,24 @@ func TestShapedDropCompositionExact(t *testing.T) {
 			tr.Sent, tr.Recv, tr.Dropped, int64(tr.Sent)-int64(tr.Recv)-int64(tr.Dropped))
 	}
 	if tr.FaultDrops == 0 {
-		t.Fatal("fault layer (loss + crashed peer + partition) dropped nothing")
+		t.Fatal("fault layer (crashed peer + partition) dropped nothing")
 	}
 	if tr.ShaperDrops == 0 {
 		t.Fatal("shaper layer (loss) dropped nothing")
 	}
 }
 
-// TestSetShapeRequiresMiddleware: shaping cannot be bolted onto a bare
-// cluster; with the middleware installed, profile swaps take effect.
+// TestSetShapeRequiresMiddleware: every cluster carries the middleware,
+// so one built without Config.Shape takes a profile mid-run, and the
+// swap takes effect.
 func TestSetShapeRequiresMiddleware(t *testing.T) {
-	bare := mustCluster(t, Config{N: 2, Seed: 23})
-	if bare.SetShape(transport.Profile{Loss: 1}) {
-		t.Fatal("SetShape succeeded without Config.Shape")
-	}
-	bare.Stop()
-
-	c := mustCluster(t, Config{N: 4, RoundPeriod: 3 * time.Millisecond, Seed: 24, Shape: &transport.Profile{}})
+	c := mustCluster(t, Config{N: 4, RoundPeriod: 3 * time.Millisecond, Seed: 24})
 	for i := 0; i < 4; i++ {
 		c.Subscribe(i, pubsub.MatchAll())
 	}
 	c.Start()
 	defer c.Stop()
-	if !c.SetShape(transport.Profile{Loss: 1}) {
-		t.Fatal("SetShape refused with the middleware installed")
-	}
+	c.SetShape(transport.Profile{Loss: 1})
 	c.Publish(0, "t", nil, nil)
 	if !eventually(t, 5*time.Second, func() bool { return c.Traffic().ShaperDrops > 0 }) {
 		t.Fatal("total shaper loss never dropped anything")

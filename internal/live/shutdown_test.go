@@ -112,7 +112,7 @@ func TestLiveStopUnderFaultChurn(t *testing.T) {
 		defer wg.Done()
 		for k := 0; !stopFlood.Load(); k++ {
 			c.Crash(k % 16)
-			c.SetLoss(float64(k%10) / 20)
+			c.SetShape(transport.Profile{Loss: float64(k%10) / 20})
 			c.Partition([]int{0, 1, 2, 3})
 			c.Publish((k+4)%16, "t", nil, nil)
 			c.Rejoin(k % 16)
@@ -160,7 +160,7 @@ func TestShapedClusterGoroutines(t *testing.T) {
 	}
 	c.Start()
 	c.Publish(0, "t", nil, []byte("held for an hour"))
-	if held := c.shaped.Held(); held == 0 {
+	if held := c.net.Held(); held == 0 {
 		t.Fatal("a publish held nothing; the shaper is not in the path")
 	}
 	if got := runtime.NumGoroutine(); got != base+n+1 {

@@ -171,19 +171,19 @@ func TestLiveCountsKindsItDoesNotRun(t *testing.T) {
 	}
 }
 
-// TestLiveFaultDropsCounted: injected loss shows up in FaultDrops and
+// TestLiveFaultDropsCounted: link loss shows up in ShaperDrops and
 // conservation still balances (driven by hand for determinism).
 func TestLiveFaultDropsCounted(t *testing.T) {
 	c := mustCluster(t, Config{N: 6, Fanout: 3, Seed: 15, BufferMaxAge: 1 << 20})
-	c.SetLoss(1) // every link drop is a fault drop, the publisher's eager push's too
+	c.SetShape(transport.Profile{Loss: 1}) // every send is a shaper drop, the publisher's eager push's too
 	c.Publish(0, "t", nil, []byte("lossy"))
 	p := c.peerAt(0)
 	for r := 0; r < 5; r++ {
 		p.round()
 	}
 	tr := c.Traffic()
-	if tr.FaultDrops != tr.Sent || tr.Sent == 0 {
-		t.Fatalf("under total loss every send must fault-drop: %+v", tr)
+	if tr.ShaperDrops != tr.Sent || tr.Sent == 0 {
+		t.Fatalf("under total loss every send must shaper-drop: %+v", tr)
 	}
 	if tr.Recv != 0 {
 		t.Fatalf("received %d envelopes under total loss", tr.Recv)

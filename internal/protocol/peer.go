@@ -439,10 +439,9 @@ func (p *Peer) Adapt() {
 	acct := p.ledger.Account(int(p.id))
 	delta := fairness.Delta(acct, p.ctl.lastAcct)
 	p.ctl.lastAcct = acct
-	w := p.ledger.Weights()
 	p.fanout, p.batch = p.ctl.ctrl.Update(adaptive.Sample{
-		Benefit:      fairness.Benefit(delta, w),
-		Contribution: fairness.Contribution(delta, w),
+		Benefit:      fairness.Benefit(delta),
+		Contribution: fairness.Contribution(delta, p.ledger.Weights()),
 	})
 }
 

@@ -9,6 +9,7 @@ import (
 	"fairgossip/internal/fairness"
 	"fairgossip/internal/live"
 	"fairgossip/internal/pubsub"
+	"fairgossip/internal/transport"
 )
 
 // driver is the per-peer and fault surface the two drivers of
@@ -27,6 +28,8 @@ type driver interface {
 	Leave(id int) bool
 	Join(seed int) (int, error)
 	Partition(side []int)
+	Heal()
+	SetShape(p transport.Profile)
 	Views() [][]int
 	Settle(rounds int)
 	Stop()

@@ -83,6 +83,11 @@ type Run struct {
 	hygieneAt   int    // round views were first clean; -1 = never
 	hygieneNote string // example offender when the hygiene budget ran out
 
+	// shape is the schedule's shaping profile and loss its fault loss;
+	// the runtime is handed both as one profile (reshape).
+	shape ShapeSpec
+	loss  float64
+
 	deliveries atomic.Uint64 // every delivery callback, incl. duplicates-by-design
 
 	snapEarly, snapMid, snapEnd []fairness.Account
@@ -120,6 +125,9 @@ func Execute(rt Runtime, sc Scenario, seed int64) *Result {
 	}
 	for i := range r.peers {
 		r.peers[i] = peerRec{up: true, joinedAt: founderJoined}
+	}
+	if sc.Shape != nil {
+		r.shape = *sc.Shape
 	}
 	r.setup()
 	rt.Start()
@@ -405,14 +413,14 @@ func (r *Run) Heal() {
 	r.split = false
 }
 
-// SetLoss sets the link-loss probability. Loss does not change
+// SetLoss sets the fault link-loss probability. Loss does not change
 // eligibility — the delivery invariant's MinDelivery floor carries the
 // stochastic slack instead. Any change (including clearing loss) counts
 // as a fault action for the recovery clock: the budget runs from the
 // moment the schedule last touched the network.
 func (r *Run) SetLoss(p float64) {
-	r.rt.SetLoss(p)
-	r.noteFault()
+	r.loss = p
+	r.reshape()
 }
 
 // ShapeTo swaps the WAN shaping profile on the runtime. Like SetLoss it
@@ -420,6 +428,17 @@ func (r *Run) SetLoss(p float64) {
 // stochastic slack — but counts as a fault action for the recovery and
 // hygiene clocks.
 func (r *Run) ShapeTo(sp ShapeSpec) {
+	r.shape = sp
+	r.reshape()
+}
+
+// reshape hands the runtime the schedule's shaping profile with the
+// fault loss folded into its Loss: a message survives only if it
+// passes both, each clamped to [0,1] on its own, so the column drops
+// with probability 1-(1-fault)(1-shape).
+func (r *Run) reshape() {
+	sp := r.shape
+	sp.Loss = 1 - (1-min(max(r.loss, 0), 1))*(1-min(max(sp.Loss, 0), 1))
 	r.rt.SetShape(sp)
 	r.noteFault()
 }

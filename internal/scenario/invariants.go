@@ -106,7 +106,7 @@ func (r *Run) ledgerConservation() error {
 				i, audited, a.BytesSent[fairness.ClassApp])
 		}
 		contrib += fairness.Contribution(a, w)
-		benefit += fairness.Benefit(a, w)
+		benefit += fairness.Benefit(a)
 	}
 	if observed := r.deliveries.Load(); ledgerDelivered != observed {
 		return fmt.Errorf("ledger counts %d deliveries, observers saw %d", ledgerDelivered, observed)

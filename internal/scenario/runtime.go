@@ -38,23 +38,22 @@ type Runtime interface {
 	// OnDeliver installs a delivery observer (install before Start).
 	OnDeliver(id int, fn func(*pubsub.Event)) bool
 
-	// Crash / Rejoin / SetFreeRider / Partition / Heal / SetLoss inject
-	// the scenario fault vocabulary.
+	// Crash / Rejoin / SetFreeRider / Partition / Heal inject the
+	// scenario fault vocabulary; link loss is SetShape's.
 	Crash(id int) bool
 	Rejoin(id int) bool
 	SetFreeRider(id int, on bool) bool
 	Partition(side []int)
 	Heal()
-	SetLoss(p float64)
 	// Leave departs a peer gracefully: it hands its freshest view
 	// entries to its neighbours before going silent (both runtimes
 	// implement the same KindLeave hand-off protocol).
 	Leave(id int) bool
 
 	// SetShape swaps the WAN shaping profile mid-run (round-relative
-	// units, converted to the runtime's own clock). On every column a
-	// message survives only if both the shaping and the fault loss
-	// (each clamped to [0,1]) pass it.
+	// units, converted to the runtime's own clock). Its Loss is the
+	// column's one loss layer: the engine folds the scenario's fault
+	// loss into it (Run.SetLoss).
 	SetShape(sp ShapeSpec)
 	// Rebind moves a peer to a fresh transport address and re-announces
 	// it through the join path. On substrates without real addresses
@@ -173,7 +172,7 @@ func (s *SimRuntime) Traffic() (sent, recv, dropped uint64) {
 }
 
 // SetShape converts the spec to the sim's virtual round; the cluster
-// composes its loss with fault loss and adds its hold to every delay.
+// drops with its loss and adds its hold to every delay.
 func (s *SimRuntime) SetShape(sp ShapeSpec) { s.Cluster.SetShape(shapeProfile(&sp, simRound)) }
 
 // Rebind is a successful no-op: the simulator addresses nodes by dense
@@ -208,9 +207,6 @@ func NewLiveRuntime(sc Scenario, seed int64) *LiveRuntime {
 
 func newLiveRuntime(sc Scenario, seed int64, tf transport.Factory, name string) (*LiveRuntime, error) {
 	sc = sc.withDefaults()
-	// Always install the shaping middleware — inert when the scenario
-	// declares no profile (one atomic load per send), shaped otherwise —
-	// so the Shape action works mid-run on every live column.
 	prof := shapeProfile(sc.Shape, LiveRoundPeriod)
 	c, err := live.NewCluster(live.Config{
 		N:            sc.N,
@@ -234,8 +230,8 @@ func newLiveRuntime(sc Scenario, seed int64, tf transport.Factory, name string) 
 
 func (l *LiveRuntime) Name() string { return l.name }
 
-// SetShape swaps the middleware profile (always installed — see
-// newLiveRuntime), converted to this column's wall-clock round.
+// SetShape swaps the shaping middleware's profile, converted to this
+// column's wall-clock round.
 func (l *LiveRuntime) SetShape(sp ShapeSpec) {
 	l.Cluster.SetShape(shapeProfile(&sp, LiveRoundPeriod))
 }

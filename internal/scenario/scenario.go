@@ -81,10 +81,8 @@ type Scenario struct {
 	EveryRound func(*Run)
 
 	// Shape, when set, is the WAN shaping profile installed before the
-	// run starts (round-relative units; see ShapeSpec). Live columns
-	// always carry the shaping middleware — an inert profile when Shape
-	// is nil — so the Shape action can swap profiles mid-run on every
-	// runtime.
+	// run starts (round-relative units; see ShapeSpec); the Shape action
+	// swaps it mid-run on every runtime.
 	Shape *ShapeSpec
 
 	// MinDelivery is the eventual-delivery invariant floor: the fraction
@@ -475,7 +473,6 @@ func Builtins() []Scenario {
 		{
 			Name:          "intermittent-links",
 			Note:          "connectivity blinks: repeated 50% shaper-loss blackouts with clear gaps; buffered redundancy rides them out",
-			Shape:         &ShapeSpec{},
 			BufferMaxAge:  16,
 			MinDelivery:   0.95,
 			CheckRecovery: true,

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -614,6 +615,55 @@ func TestShapeLossClampsAlone(t *testing.T) {
 	got := Execute(NewSimRuntime(sc, 1), sc, 1)
 	if want.Dropped == 0 || got.String() != want.String() {
 		t.Fatalf("shaping loss -0.5 changed lossy:\n%s\nunshaped:\n%s", got.String(), want.String())
+	}
+}
+
+// recordingRuntime is a sim column that records every shaping profile
+// the engine hands it.
+type recordingRuntime struct {
+	*SimRuntime
+	got []ShapeSpec
+}
+
+func (r *recordingRuntime) SetShape(sp ShapeSpec) {
+	r.got = append(r.got, sp)
+	r.SimRuntime.SetShape(sp)
+}
+
+// TestEngineFoldsFaultLossIntoShape: a column has one loss layer, its
+// shaping profile, so the engine folds the schedule's fault loss into the
+// profile it hands the runtime — 1-(1-fault)(1-shape), each clamped to
+// [0,1] on its own — and keeps the profile's delay across a Loss step.
+func TestEngineFoldsFaultLossIntoShape(t *testing.T) {
+	delayed := ShapeSpec{DelayRounds: 0.2, Loss: 0.02}
+	sc := Scenario{Name: "fold", N: 8, Rounds: 6, Steps: []Step{
+		{Round: 1, Action: Shape(delayed)},
+		{Round: 2, Action: Loss(0.10)},
+		{Round: 3, Action: Shape(ShapeSpec{})},
+		{Round: 4, Action: Loss(0)},
+		{Round: 5, Action: Loss(1.5)},
+	}}
+	rt := &recordingRuntime{SimRuntime: NewSimRuntime(sc, 1)}
+	Execute(rt, sc, 1)
+	want := []ShapeSpec{
+		{DelayRounds: 0.2, Loss: 0.02},
+		{DelayRounds: 0.2, Loss: 1 - 0.9*0.98},
+		{Loss: 0.10},
+		{},
+		{Loss: 1},
+	}
+	if len(rt.got) != len(want) {
+		t.Fatalf("runtime was handed %d profiles, want %d: %+v", len(rt.got), len(want), rt.got)
+	}
+	for i, got := range rt.got {
+		w := want[i]
+		if math.Abs(got.Loss-w.Loss) > 1e-12 {
+			t.Errorf("step %d: loss %v, want %v", i, got.Loss, w.Loss)
+		}
+		got.Loss, w.Loss = 0, 0
+		if got != w {
+			t.Errorf("step %d: profile %+v, want %+v", i, got, w)
+		}
 	}
 }
 

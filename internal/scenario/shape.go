@@ -12,7 +12,8 @@ import (
 // on the live runtimes. Each runtime converts it to its own clock: the
 // live columns install a transport.Profile on the shaping middleware,
 // the sim column hands the same Profile to core.Cluster.SetShape, which
-// adds its hold to every delay and composes its Loss with fault loss.
+// adds its hold to every delay and drops with its Loss. The engine folds
+// a schedule's fault loss into Loss (Run.SetLoss).
 type ShapeSpec struct {
 	// DelayRounds is the fixed one-way delay, as a fraction of a round.
 	DelayRounds float64

@@ -88,22 +88,23 @@ type Rebinder interface {
 // Send keeps no buffer under shaping either: a held envelope is a pooled
 // copy, delivered to the substrate exactly once or counted dropped, then
 // released; the inert and zero-delay paths pass the sender's buffer
-// through without a copy. Close flushes every held envelope through the
-// substrate before closing it, so conservation audits after Close see a
-// settled network: every envelope the shaper accepted is either
-// delivered or in Drops().
-func Shape(inner Net, p Profile) *ShapedNet { return ShapeOn(inner, p, clock.New()) }
-
-// ShapeOn is Shape with its holds on clk, a clock the caller shares with
-// its own entries (the live runtime's round ticks). The ShapedNet's
-// Close closes clk — that is how the holds still on it are delivered —
-// so the caller's own entries end with the net.
-func ShapeOn(inner Net, p Profile, clk *clock.Clock) *ShapedNet {
-	s := &ShapedNet{inner: inner, clk: clk, rng: rand.New(rand.NewSource(p.Seed))}
+// through without a copy. At most maxHeld envelopes are held at once: a
+// Send that would hold one more is counted in Drops(), like profile
+// loss, so a saturated shaper sheds load as a full inbox does. Close
+// flushes every held envelope through the substrate before closing it,
+// so conservation audits after Close see a settled network: every
+// envelope the shaper accepted is either delivered or in Drops().
+func Shape(inner Net, p Profile) *ShapedNet {
+	s := &ShapedNet{inner: inner, clk: clock.New(), rng: rand.New(rand.NewSource(p.Seed))}
 	prof := p
 	s.prof.Store(&prof)
 	return s
 }
+
+// maxHeld bounds how many envelopes one ShapedNet holds at once. A
+// shaped live run peaks at about a thousand (PERFORMANCE.md "A bounded
+// backlog"), so only a shaper that cannot keep up reaches it.
+const maxHeld = 1 << 14
 
 // ShapedNet is a Net decorated with a shaping Profile. See Shape.
 type ShapedNet struct {
@@ -148,11 +149,17 @@ func (s *ShapedNet) SetProfile(p Profile) {
 	s.prof.Store(&prof)
 }
 
-// Drops returns how many envelopes the shaper has eaten (profile loss
-// and deferred deliveries the substrate refused). Together with the
-// substrate's own accounting this keeps sent == recv + dropped exact
-// under shaping.
+// Drops returns how many envelopes the shaper has eaten (profile loss,
+// holds past maxHeld and deferred deliveries the substrate refused).
+// Together with the substrate's own accounting this keeps sent == recv
+// + dropped exact under shaping.
 func (s *ShapedNet) Drops() uint64 { return s.drops.Load() }
+
+// Clock is the clock the net holds envelopes on. A caller may schedule
+// its own entries there (the live runtime's round ticks); Close closes
+// it — that is how the holds still on it are delivered — so those
+// entries end with the net.
+func (s *ShapedNet) Clock() *clock.Clock { return s.clk }
 
 // Held reports how many envelopes are currently deferred (test hook).
 func (s *ShapedNet) Held() int {
@@ -232,6 +239,11 @@ func (e *shapedEndpoint) Send(to int, buf []byte) error {
 	if d <= 0 {
 		s.mu.Unlock()
 		return e.inner.Send(to, buf)
+	}
+	if s.held >= maxHeld {
+		s.drops.Add(1)
+		s.mu.Unlock()
+		return nil
 	}
 	if len(s.spare) == 0 { // refill by the slab: a growing backlog allocates once per 64 holds
 		slab := make([]deferred, 64)

@@ -356,6 +356,30 @@ func TestShapeCloseFlushesHeld(t *testing.T) {
 	}
 }
 
+// TestHeldBacklogIsBounded: a shaper holds at most maxHeld envelopes.
+// A delayed Send past that is counted in Drops() and returns nil, like
+// profile loss, and Close still settles the books: every envelope sent
+// is delivered or dropped. Without the bound one sender outpacing the
+// clock's runner grew the held backlog without limit.
+func TestHeldBacklogIsBounded(t *testing.T) {
+	h := newShapeHarness(t, 2, Profile{Seed: 9, Delay: time.Hour}) // never due on its own
+	const sent = maxHeld + 100
+	for seq := 0; seq < sent; seq++ {
+		if err := h.eps[0].Send(1, mark(0, seq, 16)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if held, drops := h.s.Held(), h.s.Drops(); held != maxHeld || drops != 100 {
+		t.Fatalf("held %d and dropped %d of %d, want %d and 100", held, drops, sent, maxHeld)
+	}
+	if err := h.s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, drops := uint64(h.delivered()), h.s.Drops(); got+drops != sent {
+		t.Fatalf("after Close: delivered %d + dropped %d != sent %d", got, drops, sent)
+	}
+}
+
 // gatedEndpoint is a substrate endpoint whose Send announces itself on
 // entered and blocks until open is closed.
 type gatedEndpoint struct {
