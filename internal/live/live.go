@@ -740,8 +740,8 @@ func (c *Cluster) Heal() { c.split.Store(false) }
 func (c *Cluster) SetShape(p transport.Profile) { c.net.SetProfile(p) }
 
 // Rebind moves an up peer to a fresh transport address — the mobile
-// peer primitive. On substrates that implement transport.Rebinder (UDP,
-// shaped-UDP) the endpoint really moves, make-before-break; in-process
+// peer primitive. On a substrate that implements transport.Rebinder
+// (UDP) the endpoint really moves, make-before-break; in-process
 // substrates have nothing to rebind and only the protocol part runs.
 // Either way the peer then re-announces itself through the ordinary
 // join path (real, ledger-charged traffic) using a seed drawn from its
