@@ -180,24 +180,36 @@ func (b *Buffer) Insert(ev *pubsub.Event) bool {
 // budget"). If a run ever loses a delivery to this rule the factor goes up.
 const retireCopies = 2
 
+// lazyRetireCopies is retireCopies for a big event (Big), whose round
+// pushes carry its 8-byte id: announcing it longer costs a holder little,
+// and a peer few others push to gets the event only by pulling it from a
+// holder that still has it. At retireCopies a 16-peer live cluster under
+// 30 % link loss lost a delivery in about one run of a hundred
+// (TestLazyPushRepairsLoss: the peer's pulls met holders that had just
+// retired the event); at lazyRetireCopies, in 1 of 2 600 (PERFORMANCE.md
+// "Big events retire later").
+const lazyRetireCopies = 2 * retireCopies
+
 // Duplicate records that a copy of the event came back from the network
 // — some peer already has it, so this holder's pushes of it are that much
 // less likely to be news — and retires the event once retireCopies × batch
-// copies have returned, batch being the holder's batch lever at this
-// call. The duplicate is the ack: no copies return while an event is
-// still spreading, so only the saturated tail of pushes is cut, and a
-// throttled peer (small batch) stops sooner. An id the buffer does not
-// hold is a no-op; the caller's SeenSet keeps a retired event from being
-// buffered again. This is the one definition of the rule: the simulated
-// node and the live peer both call it from their duplicate branch, for a
-// full copy and for a lazy push's id alike.
+// copies (lazyRetireCopies × batch for a big one) have returned, batch
+// being the holder's batch lever at this call. The duplicate is the ack:
+// no copies return while an event is still spreading, so only the
+// saturated tail of pushes is cut, and a throttled peer (small batch)
+// stops sooner. An id the buffer does not hold is a no-op; the caller's
+// SeenSet keeps a retired event from being buffered again. This is the
+// one definition of the rule: the simulated node and the live peer both
+// call it from their duplicate branch, for a full copy and for a lazy
+// push's id alike.
 func (b *Buffer) Duplicate(id pubsub.EventID, batch int) {
 	i := b.index(id)
 	if i < 0 {
 		return
 	}
-	bump(&b.ents[i].dups)
-	if int(b.ents[i].dups) >= retireCopies*batch {
+	e := &b.ents[i]
+	bump(&e.dups)
+	if dups := int(e.dups); dups >= retireCopies*batch && (dups >= lazyRetireCopies*batch || !Big(e.ev)) {
 		b.ents = slices.Delete(b.ents, i, i+1) // keeps buffer order, drops the event's reference
 	}
 }

@@ -61,9 +61,10 @@ func (e refusingEndpoint) Send(to int, buf []byte) error {
 // once, in the bucket the site owns. Every cluster sends through the
 // shaper, so the sites are the shaper's three:
 //
-//   - inert: shapedEndpoint.Send's pass-through of an inert profile
-//     (the cluster was built without Config.Shape), whose error
-//     peer.send counts in TransportDrops;
+//   - unshaped: shapedEndpoint.Send's pass-through of the inert profile
+//     a cluster built without Config.Shape gets, whose error peer.send
+//     counts in TransportDrops;
+//   - inert: the same pass-through of an explicit zero Profile;
 //   - lossy: shapedEndpoint.Send's pass-through of a zero-delay profile,
 //     the same; the profile's loss adds ShaperDrops of its own;
 //   - delayed: ShapedNet.deliver, which told the sender nil at Send time
@@ -84,7 +85,8 @@ func TestRefusedSendsConserved(t *testing.T) {
 		deferred   bool // refusals are the shaper's to count
 		lazy       bool // 1 KB events under loss, published until one is pulled
 	}{
-		{"inert", "shapedEndpoint.Send, inert", nil, false, false},
+		{"unshaped", "shapedEndpoint.Send, no Config.Shape", nil, false, false},
+		{"inert", "shapedEndpoint.Send, inert", &transport.Profile{}, false, false},
 		{"lossy", "shapedEndpoint.Send, zero delay", &transport.Profile{Loss: 0.2}, false, false},
 		{"delayed", "ShapedNet.deliver", &transport.Profile{Delay: time.Millisecond, Jitter: time.Millisecond}, true, false},
 		{"1 KB", "shapedEndpoint.Send, zero delay, lazy pushes and pulls", nil, false, true},

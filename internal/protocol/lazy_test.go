@@ -61,9 +61,9 @@ func TestBigEventsGoLazy(t *testing.T) {
 }
 
 // TestLazyIDsRetireLikeCopies: an id of a seen event is a returned copy —
-// the event retires on its first copy plus 2 × batch of them, exactly as
-// with full copies — its 8 bytes are junk to the audit, and it is never
-// pulled.
+// the event retires on its first copy plus 4 × batch of them, exactly as
+// with full copies of a big event (gossip's lazyRetireCopies) — its 8
+// bytes are junk to the audit, and it is never pulled.
 func TestLazyIDsRetireLikeCopies(t *testing.T) {
 	for _, batch := range []int{1, 4, 8} {
 		par := livelike()
@@ -82,7 +82,7 @@ func TestLazyIDsRetireLikeCopies(t *testing.T) {
 				retiredOn = k
 			}
 		}
-		if want := 1 + 2*batch; retiredOn != want {
+		if want := 1 + 4*batch; retiredOn != want {
 			t.Errorf("batch %d: retired on copy %d, want %d", batch, retiredOn, want)
 		}
 	}
@@ -161,7 +161,7 @@ func TestPullServedFromArchiveFirst(t *testing.T) {
 		if !serves() {
 			t.Fatalf("anti-entropy %d: a buffered event was not served", antiEntropy)
 		}
-		for k := 0; k < 2*par.Batch; k++ {
+		for k := 0; k < 4*par.Batch; k++ { // a big event retires on 4 × batch copies
 			recvEvents(q, 0, &events{evs: []*pubsub.Event{ev}})
 		}
 		if q.Buffer().Contains(ev.ID) {
