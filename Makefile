@@ -159,7 +159,7 @@ redundancy:
 # latency prints publish → deliver p50 and p99 in simulated time on the
 # sim-fair configuration at N = 200, from the test that holds both to
 # their budgets (TestDeliveryLatencyBudget; see PERFORMANCE.md "The first
-# two hops"), and the same with 1 KB events and static levers
+# H hops"), and the same with 1 KB events and static levers
 # (TestBigEventSpreadBudget; "The lazy tier").
 latency:
 	@out=$$($(GO) test ./internal/core -run 'TestDeliveryLatencyBudget|TestBigEventSpreadBudget' -count=1 -v); status=$$?; \
@@ -171,8 +171,8 @@ latency:
 # record's interface payload), a steady sim-fair round, a Cyclon
 # exchange, a live round with and without a shuffle and one that sends
 # lazy ids, a live receive that pulls, one that serves a pull, one that
-# relays a new event at once and one that floods a new big event, a
-# publish that pushes, decoding
+# relays a new event at once, one that relays a third hop and one that
+# floods a new big event, a publish that pushes, decoding
 # 64 novel events through a warm decoder's slabs, a datagram's Send →
 # handler → Release on each substrate, and scheduling and running a live
 # round's clock entry (see PERFORMANCE.md "Allocation regression tests").

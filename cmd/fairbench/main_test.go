@@ -143,28 +143,31 @@ func TestFairbenchBadFlag(t *testing.T) {
 // "first two hops" moved once when an event's first two hops began to
 // leave at once — the publisher's push on Publish, its receivers' relay
 // on receipt — which moves every partner draw after the first
-// publication (PERFORMANCE.md "The first two hops"). If a change moves
-// an entry on purpose, regenerate with:
+// publication, and every entry marked "first H hops" (the same sixteen)
+// once more when the hop went on the wire and the first
+// protocol.EagerHops hops began to leave at once, which adds and moves
+// partner draws at every relay (PERFORMANCE.md "The first H hops"). If
+// a change moves an entry on purpose, regenerate with:
 //
 //	go run ./cmd/fairbench -seed 1 -small -out '' > /tmp/fb.txt && cd "$(mktemp -d)" && awk '/^##########/{id=$2; next} id{print > id}' /tmp/fb.txt && sha256sum EXP-*
 var goldenStdoutHash = map[string]string{
-	"EXP-A1": "273ac1de1fb74b9677424bef649e8f4958c965daf662a0a4e26f7bef8f283d17", // first two hops
-	"EXP-A2": "1422621e8fb056dc43a69fd87b8221f1d6900c71299dae3e166e58ffc8fb0dad", // first two hops
-	"EXP-A3": "8a40d0a8f12c81c9c87f6ec1211a05081a25acf586575da8e95bba76afc2e5a1", // first two hops
-	"EXP-A4": "1192b84f0cbd6836b80556bc758ac3651ec6376b34e31571a3f565f2e194f089", // first two hops
-	"EXP-A5": "6b1e0b1c68672f61e13deb549f9e7031fee89d99922397e08aa7b1e77251e1c3", // first two hops
-	"EXP-A6": "6d2dd1fe45abc895f118925a26537d743dc01248aa7779361735589c89089664", // one byte model: padding carries a 4-byte length; first two hops
-	"EXP-F1": "0e88eebe6488a9b4435fea6ff1c9d5e14bbbe2be970e6b7efabdc9919c00b5d4", // first two hops
-	"EXP-F2": "ae8adae7805df2c1b8f9a7e5e6f95e138e690db27abc22b9816e080b261f4fae", // one byte model: topic gossip: ads count; no self-ack; first two hops
-	"EXP-F3": "d9169e1c0cc3be96fc1523d3e7820f27396e57866c374df9f216c15ab7f6b31c", // first two hops
-	"EXP-F4": "ba533a236e061cab0fcd2f4dae1ae1667e2b7ca7b97db14ceb6e83857a7668a2", // first two hops
-	"EXP-T1": "6901fc6c5ce7ec4dcbfc75bf244b62ac50b510b507345a863e95b10e0d80af7e", // one byte model: topic gossip and walks; no self-ack; first two hops
+	"EXP-A1": "e2420b87f2ffec50ca0c46f5f3c53ea708bd02cc4a0624faac807a900c287146", // first two hops; first H hops
+	"EXP-A2": "0c402c0171c2817e0a5b9aa302e6f9bdba60355145bca3c68746e345b834454c", // first two hops; first H hops
+	"EXP-A3": "140b37f4f78e6a98c8fc2511d9973fdf5092e9f27413438a21df80126e397042", // first two hops; first H hops
+	"EXP-A4": "7ddacef33f68a8602887490e562319a5f135b5e0e60a23d2215a767a78315384", // first two hops; first H hops
+	"EXP-A5": "3a5b10e87d6b9a8ec41f21c9f3ad4272c65fc3acdc7e537915443241791ad58c", // first two hops; first H hops
+	"EXP-A6": "b15b552ee1d0581c7aaab79847a07b75cdfb4b4f12343c90a2a509714071fbe4", // one byte model: padding carries a 4-byte length; first two hops; first H hops
+	"EXP-F1": "a03c07cb118a225e556c2b997a76ceac6c4f47a009c34fd891493404e43e6503", // first two hops; first H hops
+	"EXP-F2": "21dd744fbe6143540e2ca0a181132c7354f19f796c8aceea56dbd72ac24da664", // one byte model: topic gossip: ads count; no self-ack; first two hops; first H hops
+	"EXP-F3": "efb3855e7b057536ff94f6f67bfc1f428f59bd68afbb6909b8d8e4b4745da198", // first two hops; first H hops
+	"EXP-F4": "cdd944d4f4cb3f46d75f9ddb931480526204e982e5363087851b76d28f475fa5", // first two hops; first H hops
+	"EXP-T1": "42ca5f84cc976e6c3989d3698b687d4bfb06583643708a006c230f57d1c79e45", // one byte model: topic gossip and walks; no self-ack; first two hops; first H hops
 	"EXP-T2": "e243640362e8e1d96b923a1334a92d5cbd4cd5617bf945c975706c757feab38c",
-	"EXP-T3": "915ad4d1eba1904a6e8e86d17c881016dd8485332678920f84cb8be77a357cad", // one byte model: walks, acks, ads count; first two hops
-	"EXP-T4": "543deea87e95e13e1891e6f67a8e9de1dc47b6c60081aa6044db65402959e69d", // first two hops
-	"EXP-T5": "7dade2781da7cdcb1320c490f3056617cf37f18e795e6eb5566353b8636761dd", // first two hops
-	"EXP-X1": "5784cae0619bd1f6fa0f4f569a9136671d83f003075b17f5cead309d03db4b16", // one byte model: digests and pulls: 10-byte header; first two hops
-	"EXP-X2": "d038b3943d5ca17a47e5903ef24739f3e3eb522bbf9e98572be7eea42a915f03", // one byte model: fingerprint ads count; first two hops
+	"EXP-T3": "f605e91444e9cd8a8a2cb73a4375c4e7421ec5bce9e04027216fd86c1393fb23", // one byte model: walks, acks, ads count; first two hops; first H hops
+	"EXP-T4": "b38472dbcd6096f880bc9964e367535d8f10bd365251c4e26ac8ff524df0f638", // first two hops; first H hops
+	"EXP-T5": "cd179289d45ea7e8cbada04e3e06e52aa53892cd6ab48fb5296fe56b9437bc55", // first two hops; first H hops
+	"EXP-X1": "f6d5186e7d777eeda07315965e862ef4994966a45d96f42993417ca7d811c61e", // one byte model: digests and pulls: 10-byte header; first two hops; first H hops
+	"EXP-X2": "44edc9c908b9f0f38f272904b2c5d51dcc90ebb8c81910ece7b1fe275f7bd762", // one byte model: fingerprint ads count; first two hops; first H hops
 }
 
 // stdoutByExperiment splits fairbench's stdout into each experiment's

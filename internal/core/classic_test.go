@@ -57,8 +57,8 @@ func TestClassicConfiguration(t *testing.T) {
 		}},
 		{"fanout 1 stays partial", func(t *testing.T) {
 			// Coverage 0.465 when every hop waited for a round, 0.828 once
-			// an event's first two hops leave at once; fanout 2 covers
-			// 1.000 at this size.
+			// an event's first two hops left at once, 0.840 with its first
+			// protocol.EagerHops; fanout 2 covers 1.000 at this size.
 			if got := classicCoverage([]int64{2}, 256, 8, Config{Fanout: 1, BufferMaxAge: 9}, 0); got > 0.9 {
 				t.Fatalf("fanout 1 covered %.3f, want ≤ 0.9", got)
 			}

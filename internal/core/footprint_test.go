@@ -70,8 +70,9 @@ func TestWarmupGarbageBudget(t *testing.T) {
 // (bytes allocated less the live heap they left behind) per node. It read
 // 6.01 allocations and 449 B when each node was six objects and
 // every shard grew its full-width network tables by append; now a shard
-// sizes its tables once and builds its nodes as one slab, so a node's
-// one allocation of its own is its seen-set's table, which grows.
+// sizes its tables once and builds its nodes as one slab, and a node
+// allocates nothing of its own until it sees its first event (it read
+// 1.01 while Init made the seen-set's table).
 func TestConstructionBudget(t *testing.T) {
 	const (
 		n             = 20000

@@ -18,7 +18,7 @@ import (
 )
 
 // TestChargedIsEncoded: the simulator charges every message the length
-// internal/wire encodes it to. Three clusters send all eleven kinds and
+// internal/wire encodes it to. Three clusters send all twelve kinds and
 // every optional part between them — topic groups with push-pull, a cheat,
 // and a graceful leave and rejoin under Cyclon; semantic bias in content
 // mode; 1 KB events, whose round pushes carry ids that are pulled.
@@ -115,7 +115,7 @@ func TestChargedIsEncoded(t *testing.T) {
 	if lazy == 0 || pulls == 0 {
 		t.Errorf("1 KB phase: %d lazy pushes and %d pulls, want some of each", lazy, pulls)
 	}
-	names := [...]string{"events", "offer", "reply", "join", "leave", "sub-walk", "sub-ack", "pub-walk", "digest", "pull", "lazy"}
+	names := [...]string{"events", "offer", "reply", "join", "leave", "sub-walk", "sub-ack", "pub-walk", "digest", "pull", "lazy", "eager"}
 	for k := wire.Kind(0); k < wire.NumKinds; k++ {
 		if kinds[k] == 0 {
 			t.Errorf("no message of kind %d was sent", k)
@@ -133,12 +133,12 @@ func TestChargedIsEncoded(t *testing.T) {
 // TestEveryKindIsHandled runs over the whole wire.Kind family. Each kind
 // encodes, scans and re-encodes to the same bytes; a simulated node acts
 // on each — something it sends, delivers or keeps in a view moves; and a
-// live peer acts on events, lazy pushes, pulls and the membership kinds
-// and counts every other kind as malformed. A kind without a handler on either driver, or
+// live peer acts on events, eager and lazy pushes, pulls and the
+// membership kinds and counts every other kind as malformed. A kind without a handler on either driver, or
 // a handler arm deleted, fails here by name.
 func TestEveryKindIsHandled(t *testing.T) {
 	liveKinds := map[wire.Kind]bool{wire.KindEvents: true, wire.KindOffer: true, wire.KindReply: true, wire.KindJoin: true, wire.KindLeave: true,
-		wire.KindPull: true, wire.KindLazy: true}
+		wire.KindPull: true, wire.KindLazy: true, wire.KindEager: true}
 	for k := wire.Kind(0); k < wire.NumKinds; k++ {
 		c := NewCluster(24, Config{Mode: ModeTopics, Membership: MemberCyclon, AntiEntropy: 1}, ClusterOptions{Seed: 5})
 		nd := c.Node(0)
@@ -153,7 +153,7 @@ func TestEveryKindIsHandled(t *testing.T) {
 		if err := wire.DecodeEnvelope(buf, &env); err != nil || env.Kind != k {
 			t.Fatalf("kind %d: scan: %v, kind %d", k, err, env.Kind)
 		}
-		back := wire.Msg{Kind: env.Kind, Entries: env.Entries, Parts: &env.Parts}
+		back := wire.Msg{Kind: env.Kind, Hop: env.Hop, Entries: env.Entries, Parts: &env.Parts}
 		for _, rec := range env.Records {
 			ev, err := rec.Decode(nil)
 			if err != nil {
@@ -247,6 +247,9 @@ func kindProbeMsg(k wire.Kind) wire.Msg {
 		return wire.Msg{Kind: k, Parts: &wire.Parts{IDs: []pubsub.EventID{{Publisher: 0, Seq: 1}}}}
 	case wire.KindLazy:
 		return wire.Msg{Kind: k, Parts: &wire.Parts{IDs: []pubsub.EventID{{Publisher: 3, Seq: 2}}}}
+	case wire.KindEager:
+		ev.ID.Seq = 3 // not the events probe's event
+		return wire.Msg{Kind: k, Hop: 1, Events: []*pubsub.Event{ev}, Parts: &wire.Parts{Topic: "t"}}
 	}
 	return wire.Msg{Kind: k}
 }

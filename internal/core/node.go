@@ -118,7 +118,7 @@ func (nd *Node) HandleMessage(msg simnet.Message) {
 	if !ok || !nd.active {
 		return
 	}
-	in := protocol.In{Kind: m.Kind, Entries: m.Entries, Parts: m.Parts, Events: m}
+	in := protocol.In{Kind: m.Kind, Hop: m.Hop, Entries: m.Entries, Parts: m.Parts, Events: m}
 	novel, junk, _ := nd.Recv(msg.From, in, &nd.sh.out)
 	nd.flush()
 	if novel+junk > 0 {

@@ -79,7 +79,7 @@ func (p *msgPool) refill() {
 // reference.
 func (p *msgPool) envelope(o *wire.Msg) *wireMsg {
 	m := p.get()
-	m.Kind = o.Kind
+	m.Kind, m.Hop = o.Kind, o.Hop
 	m.Events = append(m.Events[:0], o.Events...)
 	m.Entries = append(m.Entries[:0], o.Entries...)
 	if o.Parts != nil {

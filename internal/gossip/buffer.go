@@ -5,13 +5,14 @@
 // deduplicate, re-buffer, and DELIVER events matching ISINTERESTED.
 //
 // Deviations from the paper: Fig. 4's PUBLISH only buffers the event, so
-// each hop waits for its holder's next round. Here an event's first two
-// hops leave at once: the publisher pushes it to F partners on PUBLISH,
-// and a peer that receives a new event from its publisher relays it to F
-// partners on receipt (Buffer.FirstSend, at most once per peer and
-// event). Rounds carry everything else as in Fig. 4. The eager sends are
-// gossip charged like a round's (fairness.ClassApp), so §5.2's accounting
-// does not change.
+// each hop waits for its holder's next round. Here an event's first H
+// hops leave at once (H is protocol.EagerHops, 4): the publisher pushes it
+// to F partners on PUBLISH as hop 1, and a peer that receives a new event
+// in a hop-h push relays it to F partners on receipt as hop h+1 while
+// h < H (Buffer.FirstSend, at most once per peer and event). The hop
+// travels on the wire (wire.KindEager). Rounds carry everything else as
+// in Fig. 4. The eager sends are gossip charged like a round's
+// (fairness.ClassApp), so §5.2's accounting does not change.
 //
 // Over the flat overlay a big event (Big: a record of 256 B or more)
 // takes Plumtree's shape instead (Leitão, Pereira and Rodrigues,
@@ -144,7 +145,7 @@ func (b *Buffer) Get(id pubsub.EventID) (*pubsub.Event, bool) {
 // FirstSend returns the buffered event with the given id and marks it
 // sent, if it has never been sent — by a round, a pull or an earlier
 // FirstSend. It is how a peer's eager push of an event (the publisher's
-// on Publish, a first-hop relay on receipt) happens at most once.
+// on Publish, a relay on receipt) happens at most once.
 func (b *Buffer) FirstSend(id pubsub.EventID) (*pubsub.Event, bool) {
 	i := b.index(id)
 	if i < 0 || b.ents[i].sent != 0 {

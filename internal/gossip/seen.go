@@ -50,12 +50,19 @@ func mix64(x uint64) uint64 {
 func NewSeenSet(capacity int) *SeenSet { return new(SeenSet).Init(capacity) }
 
 // Init empties s in place, for a set held by value in its owner's record
-// (the table and ring, which grow, are allocations of their own).
+// (the table and ring, which grow, are allocations of their own; the
+// first Add makes both).
 func (s *SeenSet) Init(capacity int) *SeenSet {
 	*s = SeenSet{cap: int32(min(max(capacity, 1), math.MaxInt32))}
-	s.grow(16)
 	return s
 }
+
+// initSlots sizes the first table for the ring's first 16 ids at load
+// 1/2, so no peer pays a rehash at its 9th id: sim-huge's ten-round count
+// window caught that step at every node the spread reached in it. It is
+// made by the first Add, not by Init, so building a peer that has seen
+// nothing costs no table (PERFORMANCE.md "The first H hops").
+const initSlots = 32
 
 // slot returns the table slot holding k or, when k is absent, the free
 // slot that ends its probe chain.
@@ -110,6 +117,9 @@ func (s *SeenSet) remove(pos int32) {
 // Add inserts the id, reporting true if it was new.
 func (s *SeenSet) Add(id pubsub.EventID) bool {
 	k := packID(id)
+	if s.tab == nil {
+		s.grow(initSlots)
+	}
 	if _, ok := s.slot(k); ok {
 		return false
 	}
@@ -144,6 +154,9 @@ func (s *SeenSet) Add(id pubsub.EventID) bool {
 
 // Contains reports whether the id is remembered.
 func (s *SeenSet) Contains(id pubsub.EventID) bool {
+	if s.count == 0 {
+		return false // and there may be no table yet
+	}
 	_, ok := s.slot(packID(id))
 	return ok
 }

@@ -86,10 +86,10 @@ func TestLiveSamplePeersDrawsFromTheView(t *testing.T) {
 // when the full inbox drops it. The lazy push's two repair steps are
 // pinned at zero too: a receive that pulls unseen ids, and one that
 // serves a pull — their ids and events go through the peer's Out
-// scratch. So are the eager pushes: a receive that relays a new event
-// from its publisher at once, one that floods a new big event from
-// anyone, and a publish that pushes, beyond the one event record Publish
-// allocates by design. (A relaying receive decodes its event into the
+// scratch. So are the eager pushes: a receive that relays a hop-1 push's
+// new event at once, one that relays a hop-2 push's as the third hop, one
+// that floods a new big event from anyone, and a publish that pushes,
+// beyond the one event record Publish allocates by design. (A relaying receive decodes its event into the
 // decoder's slabs, two allocations every eight events —
 // TestRecordDecodeAllocBudget's — which AllocsPerRun's whole-number
 // average rounds away.) The rounds are driven by hand on an unstarted
@@ -110,12 +110,17 @@ func TestLiveRoundPathAllocs(t *testing.T) {
 	lazy := envelope(1, wire.Msg{Kind: wire.KindLazy, Parts: &wire.Parts{IDs: unseen}})
 	pull := envelope(1, wire.Msg{Kind: wire.KindPull, Parts: &wire.Parts{IDs: ids}})
 	// Each relaying step receives a new event published by peer 1: a
-	// small one from peer 1 itself, or a big one from peer 2.
-	receiveNew := func(from uint32, payload int) func(p *peer) {
+	// small one in an eager push of the given hop from peer 1 or 2, or a
+	// big one in a round's gossip from peer 2.
+	receiveNew := func(from uint32, payload int, hop uint8) func(p *peer) {
 		fresh := make([][]byte, 260)
 		for k := range fresh {
 			ev := &pubsub.Event{ID: pubsub.EventID{Publisher: 1, Seq: uint32(k + 1)}, Topic: "topic", Payload: make([]byte, payload)}
-			fresh[k] = envelope(from, wire.Msg{Kind: wire.KindEvents, Events: []*pubsub.Event{ev}})
+			m := wire.Msg{Kind: wire.KindEvents, Events: []*pubsub.Event{ev}}
+			if hop > 0 {
+				m.Kind, m.Hop = wire.KindEager, hop
+			}
+			fresh[k] = envelope(from, m)
 		}
 		n := 0
 		return func(p *peer) { p.receive(fresh[n]); n++ }
@@ -135,9 +140,10 @@ func TestLiveRoundPathAllocs(t *testing.T) {
 		{"lazy gossip", 1 << 20, 1024, (*peer).round, wire.KindLazy, 0},
 		{"receive that pulls", 1 << 20, 8, func(p *peer) { p.receive(lazy) }, wire.KindPull, 0},
 		{"receive that serves a pull", 1 << 20, 1024, func(p *peer) { p.receive(pull) }, wire.KindEvents, 0},
-		{"receive that relays at once", 1 << 20, 8, receiveNew(1, 8), wire.KindEvents, 0},
-		{"receive that floods a big event", 1 << 20, 8, receiveNew(2, 1024), wire.KindEvents, 0},
-		{"publish that pushes", 1 << 20, 8, publish, wire.KindEvents, 1},
+		{"receive that relays at once", 1 << 20, 8, receiveNew(1, 8, 1), wire.KindEager, 0},
+		{"receive that relays a third hop", 1 << 20, 8, receiveNew(2, 8, 2), wire.KindEager, 0},
+		{"receive that floods a big event", 1 << 20, 8, receiveNew(2, 1024, 0), wire.KindEvents, 0},
+		{"publish that pushes", 1 << 20, 8, publish, wire.KindEager, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := mustCluster(t, Config{

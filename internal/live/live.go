@@ -15,13 +15,15 @@
 //
 // Messages move as encoded bytes: each round a peer packs its selected
 // events into one wire envelope (internal/wire) in its reused scratch, as
-// a publisher does with its new event and a peer with the new events it
-// hears from their publisher, or any new event of 256 B or more — at
-// once, not at the next round (protocol.Peer's eager pushes) — and hands
-// the bytes to its transport endpoint (internal/transport), which keeps
-// nothing past Send; receivers validate the envelope, dedup on the
-// event ids, decode — into events they own outright — only what they have
-// not seen, then release the lent buffer. So an event of 256 B or more
+// a publisher does with its new event and a peer with the new events of
+// an eager push for an event's first protocol.EagerHops hops, or any new
+// event of 256 B or more — at once, not at the next round
+// (protocol.Peer's eager pushes; this driver carries an eager push's hop
+// and decides nothing by it) — and hands the bytes to its transport
+// endpoint (internal/transport), which keeps nothing past Send; receivers
+// validate the envelope, dedup on the event ids, decode — into events
+// they own outright — only what they have not seen, then release the lent
+// buffer. So an event of 256 B or more
 // travels in full once per peer, and a round push carries only its id in
 // a lazy push (wire.KindLazy); a receiver that lacks it pulls it from the
 // sender (wire.KindPull), which answers from its buffer: both kinds run
@@ -94,7 +96,8 @@ type Config struct {
 	InboxDepth int
 	// BufferMaxAge is how many rounds an event stays forwardable at
 	// most (default 8; raise it for bursty publication loads); 2 × batch
-	// returned copies retire it sooner (gossip.Buffer.Duplicate).
+	// returned copies retire it sooner, 4 × batch for an event of 256 B
+	// or more (gossip.Buffer.Duplicate).
 	BufferMaxAge int
 	// Policy is the SELECTEVENTS policy (default random; least-sent
 	// guarantees fresh events win send slots under backlog).
@@ -912,7 +915,7 @@ func (p *peer) receive(buf []byte) {
 	// an eager decode would charge. A kind only the simulator runs is
 	// well-formed, but nothing a live peer acts on, so it is counted with
 	// what it cannot use.
-	in := protocol.In{Kind: p.env.Kind, Entries: p.env.Entries, Parts: &p.env.Parts, Events: scanned{p}}
+	in := protocol.In{Kind: p.env.Kind, Hop: p.env.Hop, Entries: p.env.Entries, Parts: &p.env.Parts, Events: scanned{p}}
 	novel, junk, ok := p.m.Recv(simnet.NodeID(from), in, &p.out)
 	if !ok {
 		p.c.traffic.malformed.Add(1)

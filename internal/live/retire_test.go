@@ -12,8 +12,9 @@ import (
 )
 
 // fedEvent is the event both feeders hold: published by peer 2, outside
-// the two-peer clusters, so neither feeder is its publisher and no copy
-// the receiver gets is relayed at once.
+// the two-peer clusters, so neither feeder is its publisher, and sent as
+// a round's gossip (wire.KindEvents), so no copy the receiver gets is
+// relayed at once.
 var fedEvent = &pubsub.Event{ID: pubsub.EventID{Publisher: 2, Seq: 1}, Topic: "t", Payload: []byte("x")}
 
 // batchOf is a protocol.Batch of decoded events.
@@ -26,13 +27,12 @@ func (b batchOf) Event(i int) *pubsub.Event        { return b[i] }
 // simRetiresOn feeds a simulated node one copy of one event at a time
 // and returns the copy after which it no longer forwards the event. The
 // feeder is node 0 of a two-node cluster whose tickers never start,
-// handed fedEvent by its publisher through the machine alone (the relay
-// that answer asks for is discarded): each hand-driven Round of node 0
-// pushes the event to its only partner and the kernel is run dry, so
-// node 1 has received exactly k copies when its own first Round shows —
-// by a charged application message or none — whether the event is still
-// in its buffer. That Round sends node 0 a duplicate, hence a fresh
-// cluster per k.
+// handed fedEvent by its publisher through the machine alone: each
+// hand-driven Round of node 0 pushes the event to its only partner and
+// the kernel is run dry, so node 1 has received exactly k copies when its
+// own first Round shows — by a charged application message or none —
+// whether the event is still in its buffer. That Round sends node 0 a
+// duplicate, hence a fresh cluster per k.
 func simRetiresOn(t *testing.T, batch int) int {
 	t.Helper()
 	for k := 1; k <= 4*batch+2; k++ {

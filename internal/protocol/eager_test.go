@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -51,18 +52,23 @@ func gossipIn(out *Out) []Outgoing {
 	return msgs
 }
 
-// checkPush fails unless msgs is one eager push of exactly want, in
-// full, to fanout distinct partners, drawn and dressed as mode's round
-// would: one message to view members with no parts (flat), one to group
-// members with the topic and ads (topics), or one a partner, each with an
-// interest fingerprint (semantic). Padding is there exactly when the peer
-// cheats.
-func checkPush(t *testing.T, p *Peer, mode string, msgs []Outgoing, want ...*pubsub.Event) {
+// checkPush fails unless msgs is one push of exactly want, in full, to
+// fanout distinct partners, drawn and dressed as mode's round would: one
+// message to view members with no parts (flat), one to group members with
+// the topic and ads (topics), or one a partner, each with an interest
+// fingerprint (semantic). It is an eager push of the given hop, or with
+// hop 0 a round's KindEvents (a big event's flood). Padding is there
+// exactly when the peer cheats.
+func checkPush(t *testing.T, p *Peer, mode string, msgs []Outgoing, hop uint8, want ...*pubsub.Event) {
 	t.Helper()
+	kind := wire.KindEager
+	if hop == 0 {
+		kind = wire.KindEvents
+	}
 	var to []simnet.NodeID
 	for _, m := range msgs {
-		if m.Kind != wire.KindEvents || !slices.Equal(m.Events, want) {
-			t.Fatalf("%s: pushed kind %d with %v, want KindEvents with %v", mode, m.Kind, m.Events, want)
+		if m.Kind != kind || m.Hop != hop || !slices.Equal(m.Events, want) {
+			t.Fatalf("%s: pushed kind %d hop %d with %v, want kind %d hop %d with %v", mode, m.Kind, m.Hop, m.Events, kind, hop, want)
 		}
 		x := m.Opt()
 		if p.Cheat && x.Pad != JunkPadding || !p.Cheat && x.Pad != 0 {
@@ -102,10 +108,11 @@ func checkPush(t *testing.T, p *Peer, mode string, msgs []Outgoing, want ...*pub
 }
 
 // TestPublishPushesAtOnce: Publish sends the new event at once to fanout
-// partners — in every push mode, as that mode's round would, padded only
-// by a cheat — and marks it sent, so no second eager push follows. A
-// free-rider's publication leaves nothing, and under topic groups a
-// publisher outside the group hands the event to a walk instead.
+// partners as an eager push of hop 1 — in every push mode, as that mode's
+// round would, padded only by a cheat — and marks it sent, so no second
+// eager push follows. A free-rider's publication leaves nothing, and
+// under topic groups a publisher outside the group hands the event to a
+// walk instead.
 func TestPublishPushesAtOnce(t *testing.T) {
 	for _, mode := range pushModes {
 		for _, cheat := range []bool{false, true} {
@@ -113,7 +120,7 @@ func TestPublishPushesAtOnce(t *testing.T) {
 			p.Cheat = cheat
 			var out Out
 			ev := p.Publish("t", nil, []byte("x"), &out)
-			checkPush(t, p, mode, gossipIn(&out), ev)
+			checkPush(t, p, mode, gossipIn(&out), 1, ev)
 			if mode != "topics" { // the group's buffer is not the flat one
 				if _, again := p.Buffer().FirstSend(ev.ID); again {
 					t.Fatalf("%s: the published event is still unsent after its push", mode)
@@ -135,56 +142,158 @@ func TestPublishPushesAtOnce(t *testing.T) {
 	}
 }
 
-// TestFirstHopRelaysOnce: a peer relays at once, in one push, the new
-// events of a gossip message whose sender published them — the second
-// hop — and only those; a copy it has had before, from the publisher or
-// anyone, and a pull answer for an event it already holds, are relayed no
-// more. An event pulled back from its publisher after a lazy push is
-// relayed when it arrives; a relay is never lazy, even of a big event in
-// a lazy push's full part. A free-rider relays nothing, and only a cheat
-// pads. All three push modes.
+// TestFirstHopRelaysOnce: a peer relays at once, in one eager push of hop
+// h+1, every new event of a hop-h eager push while h < EagerHops — whoever
+// published it — and only those; a copy it has had before, eager or not,
+// is relayed no more. A hop-EagerHops push, a round push and a pull
+// answer are delivered and relay nothing (but a new big event over the
+// flat overlay, which floods as a round's gossip). A relay is never lazy.
+// A free-rider relays nothing, and only a cheat pads. All three push
+// modes.
 func TestFirstHopRelaysOnce(t *testing.T) {
 	for _, mode := range pushModes {
 		for _, cheat := range []bool{false, true} {
 			p := modePeer(mode)
 			p.Cheat = cheat
-			tag := &wire.Parts{Topic: "t"}
 			var out Out
-			gossip := func(from simnet.NodeID, evs ...*pubsub.Event) []Outgoing {
-				p.Recv(from, In{Kind: wire.KindEvents, Parts: tag, Events: &events{evs: evs}}, &out)
+			hear := func(kind Kind, hop uint8, from simnet.NodeID, ids []pubsub.EventID, evs ...*pubsub.Event) []Outgoing {
+				p.Recv(from, In{Kind: kind, Hop: hop, Parts: &wire.Parts{Topic: "t", IDs: ids}, Events: &events{evs: evs}}, &out)
 				return gossipIn(&out)
 			}
+			delivered := func() uint64 { return p.ledger.Account(0).Delivered }
 
-			// Only the sender's own events are relayed.
-			own, relayed := event(5, 1), event(7, 1)
-			checkPush(t, p, mode, gossip(5, own, relayed), own)
-			// Copies from the publisher, or from anyone, are not.
-			if msgs := gossip(5, own, event(7, 1)); len(msgs) != 0 {
+			// Every new event of an eager push is relayed, one hop on.
+			var a, b *pubsub.Event
+			for hop := uint8(1); hop < EagerHops; hop++ {
+				a, b = event(5, uint32(hop)), event(7, uint32(hop))
+				checkPush(t, p, mode, hear(wire.KindEager, hop, 5, nil, a, b), hop+1, a, b)
+			}
+			// Copies, eager or not, from the publisher or anyone, are not.
+			if msgs := hear(wire.KindEager, 1, 7, nil, a, b); len(msgs) != 0 {
 				t.Fatalf("%s: a repeated copy was relayed: %+v", mode, msgs)
 			}
-			if msgs := gossip(7, relayed); len(msgs) != 0 {
-				t.Fatalf("%s: the publisher's copy of an event held already was relayed: %+v", mode, msgs)
+			// The last eager hop, a round push and a pull answer deliver
+			// their new events and relay none.
+			for _, k := range []Kind{wire.KindEager, wire.KindEvents} {
+				n := delivered()
+				if msgs := hear(k, EagerHops, 5, nil, event(5, uint32(40+k))); len(msgs) != 0 || delivered() != n+1 {
+					t.Fatalf("%s: kind %d at hop %d relayed %+v, delivered %d", mode, k, EagerHops, msgs, delivered()-n)
+				}
 			}
 
-			// A lazy push's ids are pulled; the publisher's answer is
-			// relayed once, in full, and a second answer not at all.
-			big, lazy := bigEvent(5, 2), bigEvent(5, 3)
-			lx := &wire.Parts{Topic: "t", IDs: []pubsub.EventID{lazy.ID}}
-			p.Recv(5, In{Kind: wire.KindLazy, Parts: lx, Events: &events{evs: []*pubsub.Event{big}}}, &out)
-			checkPush(t, p, mode, gossipIn(&out), big)
+			// A lazy push's full events are a round's: a big one floods
+			// over the flat overlay, as gossip of hop 0, and nothing else
+			// is relayed; its ids are pulled, and the answer relays the
+			// same way.
+			big, lazy := bigEvent(5, 20), bigEvent(5, 21)
+			msgs := hear(wire.KindLazy, 0, 5, []pubsub.EventID{lazy.ID}, big, event(5, 22))
 			if !slices.ContainsFunc(out.Msgs, func(m Outgoing) bool { return m.Kind == wire.KindPull }) {
 				t.Fatalf("%s: the lazy id was not pulled: %+v", mode, out.Msgs)
 			}
-			checkPush(t, p, mode, gossip(5, lazy), lazy)
-			if msgs := gossip(5, lazy); len(msgs) != 0 {
-				t.Fatalf("%s: a second pull answer was relayed: %+v", mode, msgs)
+			flood := func(msgs []Outgoing, ev *pubsub.Event) {
+				if mode == "flat" {
+					checkPush(t, p, mode, msgs, 0, ev)
+				} else if len(msgs) != 0 {
+					t.Fatalf("%s: a lazy push or its answer was relayed: %+v", mode, msgs)
+				}
+			}
+			flood(msgs, big)
+			flood(hear(wire.KindEvents, 0, 5, nil, lazy), lazy)
+			if msgs := hear(wire.KindEager, 1, 5, nil, lazy); len(msgs) != 0 {
+				t.Fatalf("%s: an eager copy of a pulled event was relayed: %+v", mode, msgs)
 			}
 
 			// A free-rider relays nothing.
 			p.FreeRide = true
-			if msgs := gossip(5, event(5, 4)); len(msgs) != 0 {
+			if msgs := hear(wire.KindEager, 1, 5, nil, event(5, 30)); len(msgs) != 0 {
 				t.Fatalf("%s: a free-rider relayed %+v", mode, msgs)
 			}
+		}
+	}
+}
+
+// TestEagerHopsOnARing: on a fixed topology — 32 peers, each with the
+// next three in its view and fanout 3 — a publication that only eager
+// pushes move reaches exactly the peers within EagerHops hops of its
+// publisher. Every eager push's hop is its shortest distance from the
+// publisher, so sends stop after EagerHops hops; every peer sends at most
+// one push of the event, and one whose first copy came at hop EagerHops
+// delivers it and sends none. A free-rider delivers and sends nothing,
+// and hostile hops (0, 255) cost at most one relay per peer.
+func TestEagerHopsOnARing(t *testing.T) {
+	const n, fanout = 32, 3
+	ring := func(freeRider simnet.NodeID) *wiring {
+		par := livelike()
+		par.Fanout, par.ShuffleEvery = fanout, 1<<20
+		w := &wiring{}
+		ledger := fairness.NewLedger(n, fairness.DefaultWeights())
+		for id := range simnet.NodeID(n) {
+			p := new(Peer)
+			p.Init(id, n, &par, int64(id)+1, ledger)
+			p.Subscribe(pubsub.MatchAll(), &Out{})
+			for d := simnet.NodeID(1); d <= fanout; d++ {
+				p.View().Add((id + d) % n)
+			}
+			p.FreeRide = id == freeRider
+			w.peers = append(w.peers, p)
+		}
+		return w
+	}
+	// sends counts each peer's eager pushes of the event and checks each
+	// push's hop against its sender's distance from the publisher, peer 0.
+	sends := func(w *wiring) []int {
+		sent := make([]int, n)
+		for _, pc := range w.log[fanout:] { // the first fanout are the publication's
+			if pc.m.Kind != wire.KindEager || int(pc.m.Hop) != (int(pc.from)+fanout-1)/fanout+1 || pc.m.Hop > EagerHops {
+				t.Fatalf("peer %d sent kind %d hop %d", pc.from, pc.m.Kind, pc.m.Hop)
+			}
+			sent[pc.from]++
+		}
+		for i := range sent {
+			sent[i] /= fanout // one push to fanout partners
+		}
+		return sent
+	}
+
+	w := ring(simnet.None)
+	ev := w.peers[0].Publish("t", nil, []byte("x"), &w.out)
+	w.post(0)
+	w.run()
+	sent := sends(w)
+	for id := 1; id < n; id++ {
+		dist := (id + fanout - 1) / fanout
+		wantSeen, wantSent := dist <= EagerHops, 0
+		if dist < EagerHops {
+			wantSent = 1
+		}
+		if w.peers[id].Seen(ev.ID) != wantSeen || sent[id] != wantSent {
+			t.Fatalf("peer %d, %d hops out: seen %v, sent %d pushes; want %v and %d", id, dist, w.peers[id].Seen(ev.ID), sent[id], wantSeen, wantSent)
+		}
+	}
+
+	// A free-rider delivers what reaches it and sends nothing.
+	w = ring(2)
+	w.peers[0].Publish("t", nil, []byte("x"), &w.out)
+	w.post(0)
+	w.run()
+	if sent := sends(w); sent[2] != 0 || w.peers[2].ledger.Account(2).Delivered != 1 {
+		t.Fatalf("the free-rider sent %d pushes and delivered %d events", sent[2], w.peers[2].ledger.Account(2).Delivered)
+	}
+
+	// Hostile hops: a hop-255 push of a new event is delivered and not
+	// relayed; a hop-0 push reads as the publisher's and is relayed once,
+	// at hop 2, however many hop-0 and hop-255 copies follow.
+	p, out := w.peers[n-1], &w.out
+	far, near := event(9, 1), event(9, 2)
+	for i, c := range []struct {
+		hop    uint8
+		ev     *pubsub.Event
+		relays int
+	}{{math.MaxUint8, far, 0}, {0, far, 0}, {0, near, 1}, {0, near, 0}, {math.MaxUint8, near, 0}} {
+		p.Recv(simnet.NodeID(i), In{Kind: wire.KindEager, Hop: c.hop, Events: &events{evs: []*pubsub.Event{c.ev}}}, out)
+		msgs := gossipIn(out)
+		if len(msgs) != c.relays || c.relays == 1 && (msgs[0].Hop != 2 || !slices.Equal(msgs[0].Events, []*pubsub.Event{c.ev})) || !p.Seen(c.ev.ID) {
+			t.Fatalf("push %d, hop %d: sent %+v, want %d relays at hop 2", i, c.hop, msgs, c.relays)
 		}
 	}
 }
@@ -192,9 +301,8 @@ func TestFirstHopRelaysOnce(t *testing.T) {
 // TestBigEventsFloodOnce: over the flat overlay a peer relays a new big
 // event at once, in full, whoever sent it — a pull answer included — and
 // at most once, however many copies, lazy ids and answers follow; its
-// rounds then carry only the id. A small event from someone other than
-// its publisher is not relayed, a free-rider relays nothing, and only a
-// cheat pads. Topic groups and semantic bias, whose rounds send no ids,
+// rounds then carry only the id. A small event in a round's gossip is not
+// relayed, a free-rider relays nothing, and only a cheat pads. Topic groups and semantic bias, whose rounds send no ids,
 // do not flood.
 func TestBigEventsFloodOnce(t *testing.T) {
 	for _, mode := range pushModes {
@@ -215,7 +323,7 @@ func TestBigEventsFloodOnce(t *testing.T) {
 				}
 				continue
 			}
-			checkPush(t, p, mode, msgs, big)
+			checkPush(t, p, mode, msgs, 0, big)
 
 			// Copies, from anyone, and lazy ids of it are not relayed.
 			for _, from := range []simnet.NodeID{5, 7, 6} {
@@ -233,7 +341,7 @@ func TestBigEventsFloodOnce(t *testing.T) {
 			if msgs := hear(wire.KindLazy, 6, []pubsub.EventID{pulled.ID}); len(msgs) != 0 || len(out.Msgs) != 1 || out.Msgs[0].Kind != wire.KindPull {
 				t.Fatalf("a lazy id of a new event sent %+v, want one pull", out.Msgs)
 			}
-			checkPush(t, p, mode, hear(wire.KindEvents, 6, nil, pulled), pulled)
+			checkPush(t, p, mode, hear(wire.KindEvents, 6, nil, pulled), 0, pulled)
 			if msgs := hear(wire.KindEvents, 6, nil, pulled); len(msgs) != 0 {
 				t.Fatalf("a second pull answer was relayed: %+v", msgs)
 			}

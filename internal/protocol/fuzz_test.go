@@ -17,7 +17,7 @@ import (
 // operands. A script that runs out of bytes reads zeros.
 const (
 	opTick      = iota // Tick, then Adapt
-	opRecv             // kind (any byte), from, entry count, (id, age)…, event count, (publisher, seq)…, parts
+	opRecv             // kind (any byte), from, entry count, (id, age)…, event count, (publisher, seq)…, parts; an eager push's hop last
 	opJoin             // seed (population: simnet.None)
 	opLeave            //
 	opSubscribe        // topic
@@ -81,6 +81,12 @@ func (s script) events(from byte, seqs ...byte) script {
 	return s.recv(int(wire.KindEvents), from, nil, seqs, 0)
 }
 
+// eager appends an eager push of hop hop with events of from's
+// publication (by seq).
+func (s script) eager(from, hop byte, seqs ...byte) script {
+	return s.recv(int(wire.KindEager), from, nil, seqs, 0, hop)
+}
+
 func (s script) join(seed byte) script       { return append(s, opJoin, seed) }
 func (s script) leave() script               { return append(s, opLeave) }
 func (s script) subscribe(topic byte) script { return append(s, opSubscribe, topic) }
@@ -89,13 +95,14 @@ func (s script) publish(topic byte) script   { return append(s, opPublish, topic
 // FuzzPeerInputs drives one peer, under a fuzz-drawn choice of topic
 // groups, semantic bias and push-pull, through arbitrary sequences of
 // every input — Tick, Recv of any kind byte from any sender (itself
-// included) with any entries, events and parts, Join, Leave, Subscribe and
-// Publish — and checks after each that nothing panicked, that the view
-// holds at most ViewCap distinct entries and never the peer itself, that
-// nothing the peer sends targets it (but the ack of its own subscription
-// walk come back to it), and that a kind which is neither membership nor
-// events nor the lazy push and its pull nor run by the peer's Params comes
-// back unhandled and leaves the peer as it was.
+// included) with any entries, events, parts and hop, Join, Leave,
+// Subscribe and Publish — and checks after each that nothing panicked,
+// that the view holds at most ViewCap distinct entries and never the peer
+// itself, that nothing the peer sends targets it (but the ack of its own
+// subscription walk come back to it), that no eager push it sends is past
+// hop EagerHops, and that a kind which is neither membership nor events
+// nor an eager or lazy push and its pull nor run by the peer's Params
+// comes back unhandled and leaves the peer as it was.
 func FuzzPeerInputs(f *testing.F) {
 	k := func(kind Kind) int { return int(kind) }
 	e := func(id, age int) membership.Entry { return membership.Entry{ID: simnet.NodeID(id), Age: age} }
@@ -145,6 +152,21 @@ func FuzzPeerInputs(f *testing.F) {
 			recv(k(wire.KindLazy), 2, nil, []byte{3}, partIDs, 2, 0, 1, 2, 5).
 			recv(k(wire.KindLazy), 0, nil, nil, partIDs|partPad, 1, 2, 6).
 			recv(k(wire.KindPull), 2, nil, nil, partIDs, 2, 0, 1, 0, 7).tick(2),
+		// Eager pushes: relayed while the hop is below EagerHops, at most
+		// once per event, hostile hops 0 and 255 included; the last hop
+		// delivered only; a copy from the peer itself.
+		peer(0).membership(k(wire.KindReply), 1, e(2, 0), e(3, 0), e(4, 0)).
+			eager(2, 1, 1, 2).eager(3, 1, 1).eager(3, 0, 3).eager(4, 0, 3).eager(4, 255, 4).
+			eager(2, EagerHops-1, 5).eager(2, EagerHops, 6).eager(0, 1, 7).tick(2),
+		// Eager pushes in a topic group (tagged, with ads) and under
+		// semantic bias (fingerprints) and push-pull.
+		peer(extTopics).membership(k(wire.KindReply), 1, e(2, 0), e(3, 0)).subscribe(0).
+			recv(k(wire.KindSubAck), 2, []membership.Entry{e(2, 0), e(4, 1)}, nil, partTopic).
+			recv(k(wire.KindEager), 2, nil, []byte{1, 2}, partTopic|partAds, 1, 7, 0, 1).
+			recv(k(wire.KindEager), 3, nil, []byte{3}, partTopic|partPad, 2).tick(2),
+		peer(extSemantic|extAntiEntropy).membership(k(wire.KindReply), 1, e(2, 0), e(3, 0)).subscribe(0).
+			recv(k(wire.KindEager), 2, nil, []byte{1, 2}, partFP, 0x7f, 1).
+			recv(k(wire.KindEager), 3, nil, []byte{3}, partFP|partPad, 0x7f, 255).tick(2),
 	} {
 		f.Add([]byte(s))
 	}
@@ -193,7 +215,8 @@ func FuzzPeerInputs(f *testing.F) {
 					b.evs = append(b.evs, event(uint32(id()), uint32(next()%8)))
 				}
 				m.Events = b
-				if parts := next(); parts != 0 {
+				parts := next()
+				if parts != 0 {
 					m.Parts = &wire.Parts{}
 					if parts&partTopic != 0 {
 						m.Parts.Topic = "t"
@@ -218,9 +241,12 @@ func FuzzPeerInputs(f *testing.F) {
 						m.Parts.Pad = JunkPadding
 					}
 				}
+				if kind == wire.KindEager {
+					m.Hop = uint8(next())
+				}
 				before := state()
 				_, _, ok := p.Recv(from, m, &out)
-				runs := kind == wire.KindEvents || kind == wire.KindLazy || kind == wire.KindPull ||
+				runs := kind == wire.KindEvents || kind == wire.KindEager || kind == wire.KindLazy || kind == wire.KindPull ||
 					(kind >= wire.KindOffer && kind <= wire.KindLeave) ||
 					(par.Topics && kind >= wire.KindSubWalk && kind <= wire.KindPubWalk) ||
 					(par.AntiEntropy > 0 && kind == wire.KindDigest)
@@ -258,6 +284,9 @@ func FuzzPeerInputs(f *testing.F) {
 			for _, m := range out.Msgs {
 				if slices.Contains(m.To, p.ID()) {
 					t.Fatalf("step %d: the peer sent itself %+v", step, m)
+				}
+				if m.Kind == wire.KindEager && (m.Hop < 1 || m.Hop > EagerHops) {
+					t.Fatalf("step %d: the peer sent an eager push of hop %d", step, m.Hop)
 				}
 			}
 		}

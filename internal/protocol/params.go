@@ -42,6 +42,26 @@ const (
 	// membership rounds (plus seeded jitter) in between.
 	JoinAttempts   = 8
 	JoinBackoffCap = 16
+
+	// EagerHops is how many of an event's hops leave at once: Publish
+	// sends hop 1 (wire.KindEager), and a peer relays a hop-h push's new
+	// events on receipt as hop h+1 while h < EagerHops; later hops wait for
+	// rounds. It was swept over 2–5 on the four bench workloads: medians
+	// against the rule it replaced (the publisher's push and its
+	// receivers' relay), seeds 1–3 at H = 2 and 3, 1–10 at 4 and 5
+	// (PERFORMANCE.md "The first H hops"):
+	//
+	//	H   live-chan p50 / p99 / CPU   sim-fair p50 / CPU   sim-huge p50 / RSS
+	//	2   −19 % /  +1 % / +2 %        +3 % /  −3 %         +5 % / −3 %
+	//	3   −82 % / −32 % / +7 %       −24 % /  −6 %         −8 % / −2 %
+	//	4   −74 % / −61 % / +5 %       −41 % /  +7 %        −17 % / −1 %
+	//	5   −73 % / −70 % / +6 %       −47 % / +21 %        −27 % / +5 %
+	//
+	// 4 is the largest H that moves no metric it should not: at 5,
+	// sim-huge's peak RSS rose in 10 of 10 pairs and sim-fair's CPU per
+	// delivery by a fifth. Each hop multiplies an event's eager copies by
+	// the fanout; flooding every event more than doubled sim-huge's RSS.
+	EagerHops = 4
 )
 
 // Params is what a driver's own configuration (core.Config, live.Config)

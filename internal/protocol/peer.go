@@ -17,13 +17,16 @@
 //     (Subscribe, Unsubscribe, Publish, Recv, Join, Leave) at any time
 //     between Ticks. What Params enables runs inside those calls.
 //   - Gossip: Tick's push is not the only one. Publish pushes the new
-//     event at once to fanout partners, and Recv relays at once the new
-//     events a message's sender published — an event's first two hops —
-//     and, over the flat overlay, every new big event (gossip.Big),
-//     whoever sent it, a pull answer included; each at most once per
-//     peer (gossip.Buffer.FirstSend), in full, never by id. All are
-//     ClassApp messages in the Out like a round's, so a driver flushes
-//     after every input, not only after Tick.
+//     event at once to fanout partners as an eager push of hop 1
+//     (wire.KindEager), and Recv relays at once the new events of a hop-h
+//     eager push as hop h+1 while h < EagerHops — an event's first
+//     EagerHops hops — and, over the flat overlay, every new big event
+//     (gossip.Big), whoever sent it, a pull answer included; each at most
+//     once per peer (gossip.Buffer.FirstSend), in full, never by id. A
+//     round push or a pull answer relays nothing else. All are ClassApp
+//     messages in the Out like a round's, so a driver flushes after every
+//     input, not only after Tick. A driver carries an eager push's hop
+//     (In.Hop) and decides nothing by it.
 //   - Buffers: an input that takes an *Out overwrites it, and the driver
 //     sends each of out.Msgs, in order, to each of its To before its next
 //     call — one flush loop. A message's slices and its To are scratch that
@@ -136,11 +139,13 @@ type Outgoing struct {
 	Class fairness.Class
 }
 
-// In is a received message as its driver holds it: the kind, entries and
-// parts the wire carried (Parts nil: none), and its events as a Batch,
-// which is read for the kinds that carry events.
+// In is a received message as its driver holds it: the kind, an eager
+// push's hop, the entries and parts the wire carried (Parts nil: none),
+// and its events as a Batch, which is read for the kinds that carry
+// events.
 type In struct {
 	Kind    Kind
+	Hop     uint8
 	Entries []wire.ViewEntry
 	Parts   *wire.Parts
 	Events  Batch
@@ -266,9 +271,9 @@ func (p *Peer) Unsubscribe(id pubsub.SubID) bool {
 
 // Publish originates an event: charged, marked seen, delivered locally if
 // it matches, kept for forwarding — in the flat buffer, or the topic's
-// group — and pushed at once to fanout partners, the event's first hop; a
-// publisher outside the group hands it to a member by a publication walk
-// instead.
+// group — and pushed at once to fanout partners, the event's first hop (an
+// eager push of hop 1); a publisher outside the group hands it to a member
+// by a publication walk instead.
 func (p *Peer) Publish(topic string, attrs []pubsub.Attr, payload []byte, out *Out) *pubsub.Event {
 	out.reset()
 	buf := &p.buffer
@@ -299,7 +304,7 @@ func (p *Peer) Publish(topic string, attrs []pubsub.Attr, payload []byte, out *O
 	if !p.FreeRide {
 		if e, ok := buf.FirstSend(ev.ID); ok {
 			out.sel = append(out.sel[:0], e)
-			p.spread(out, topic, out.sel, nil)
+			p.spread(out, topic, out.sel, nil, 1)
 		}
 	}
 	return ev
@@ -351,7 +356,7 @@ func (p *Peer) flat() bool { return !p.par.Topics && p.par.SemanticBias <= 0 }
 func (p *Peer) push(out *Out) {
 	if !p.FreeRide {
 		events, lazy := p.buffer.SelectSplit(p.rand(), &out.sel, &out.lazy, p.batch, p.par.Policy)
-		p.spread(out, "", events, lazy)
+		p.spread(out, "", events, lazy, 0)
 	}
 	p.buffer.Tick()
 }
@@ -360,21 +365,22 @@ func (p *Peer) push(out *Out) {
 // them: from the topic's group view, tagged and with the group's ads
 // (a heartbeat when the batch is empty); per topic, biased towards peers
 // whose interest overlaps, under semantic bias; otherwise from the
-// overlay, and only when there is something to send. A round's push and
-// an event's eager first two hops both send through it.
-func (p *Peer) spread(out *Out, topic string, events []*pubsub.Event, lazy []pubsub.EventID) {
+// overlay, and only when there is something to send. A round's push
+// (hop 0), an eager push (hop ≥ 1) and a big event's flood (hop 0) all
+// send through it.
+func (p *Peer) spread(out *Out, topic string, events []*pubsub.Event, lazy []pubsub.EventID, hop uint8) {
 	switch {
 	case p.par.Topics:
 		g := p.group(topic)
 		ads := p.groupSample(g, adLen, out)
-		p.gossip(out, p.viewSample(g.view, p.fanout, out), topic, events, nil, ads)
+		p.gossip(out, p.viewSample(g.view, p.fanout, out), topic, events, nil, ads, hop)
 	case p.par.SemanticBias > 0:
 		for _, group := range splitByTopic(events) {
-			p.gossip(out, p.biasedPeers(p.fanout, batchFingerprint(group), out), "", group, nil, nil)
+			p.gossip(out, p.biasedPeers(p.fanout, batchFingerprint(group), out), "", group, nil, nil, hop)
 		}
 	default:
 		if len(events)+len(lazy) > 0 {
-			p.gossip(out, p.partners(p.fanout, out), "", events, lazy, nil)
+			p.gossip(out, p.partners(p.fanout, out), "", events, lazy, nil, hop)
 		}
 	}
 }
@@ -399,14 +405,17 @@ func (p *Peer) viewSample(v *membership.View, k int, out *Out) []simnet.NodeID {
 	return out.ids
 }
 
-// gossip sends a batch — with lazy ids a wire.KindLazy, in a topic group
-// tagged, with membership ads — to the peers to: one message to all of
-// them, or, under semantic bias, one each, every one with its own draw of
-// fingerprint ads.
-func (p *Peer) gossip(out *Out, to []simnet.NodeID, topic string, events []*pubsub.Event, lazy []pubsub.EventID, ads []wire.ViewEntry) {
-	m, x := wire.Msg{Kind: wire.KindEvents, Events: events}, wire.Parts{IDs: lazy, Topic: topic, Ads: ads}
-	if len(lazy) > 0 {
+// gossip sends a batch — with lazy ids a wire.KindLazy, with a hop a
+// wire.KindEager, in a topic group tagged, with membership ads — to the
+// peers to: one message to all of them, or, under semantic bias, one
+// each, every one with its own draw of fingerprint ads.
+func (p *Peer) gossip(out *Out, to []simnet.NodeID, topic string, events []*pubsub.Event, lazy []pubsub.EventID, ads []wire.ViewEntry, hop uint8) {
+	m, x := wire.Msg{Kind: wire.KindEvents, Hop: hop, Events: events}, wire.Parts{IDs: lazy, Topic: topic, Ads: ads}
+	switch {
+	case len(lazy) > 0:
 		m.Kind = wire.KindLazy
+	case hop > 0:
+		m.Kind = wire.KindEager
 	}
 	if p.Cheat {
 		x.Pad = JunkPadding
@@ -466,9 +475,11 @@ func (p *Peer) Recv(from simnet.NodeID, m In, out *Out) (novel, junk int, ok boo
 	ok = true
 	switch m.Kind {
 	case wire.KindEvents:
-		novel, junk = p.recvGossip(from, x, m.Events, out)
+		novel, junk = p.recvGossip(from, x, m.Events, 0, out)
+	case wire.KindEager:
+		novel, junk = p.recvGossip(from, x, m.Events, max(m.Hop, 1), out)
 	case wire.KindLazy:
-		novel, junk = p.recvGossip(from, x, m.Events, out)
+		novel, junk = p.recvGossip(from, x, m.Events, 0, out)
 		junk += p.recvLazy(from, x.IDs, out)
 	case wire.KindOffer:
 		if view {
@@ -512,14 +523,16 @@ func (p *Peer) Recv(from simnet.NodeID, m In, out *Out) (novel, junk int, ok boo
 	return novel, junk, ok
 }
 
-// recvGossip admits a gossip message. Semantic bias learns the
-// fingerprints it carries and a topic group its ads; under topic groups
-// only a member keeps a topic's events for forwarding — anyone else
-// delivers them, if interesting, and never buffers them (fair by
-// structure). The new events the sender published are relayed at once, in
-// one batch — their second hop — and so, over the flat overlay, is every
-// new big event.
-func (p *Peer) recvGossip(from simnet.NodeID, x *wire.Parts, b Batch, out *Out) (novel, junk int) {
+// recvGossip admits a gossip message: an eager push of hop ≥ 1 (a hostile
+// hop 0 reads as 1), or a round push or pull answer (hop 0). Semantic bias
+// learns the fingerprints it carries and a topic group its ads; under
+// topic groups only a member keeps a topic's events for forwarding —
+// anyone else delivers them, if interesting, and never buffers them (fair
+// by structure). A hop-h push's new events are relayed at once, in one
+// eager push of hop h+1, while h < EagerHops; over the flat overlay every
+// new big event is relayed at once too, as a round's gossip when nothing
+// else is.
+func (p *Peer) recvGossip(from simnet.NodeID, x *wire.Parts, b Batch, hop uint8, out *Out) (novel, junk int) {
 	if p.par.SemanticBias > 0 {
 		p.rememberFingerprint(from, x.FP)
 		for _, ad := range x.FPAds {
@@ -536,14 +549,18 @@ func (p *Peer) recvGossip(from simnet.NodeID, x *wire.Parts, b Batch, out *Out) 
 			}
 		}
 	}
+	next := uint8(0) // the relay's hop; 0: only big events flood
+	if hop > 0 && hop < EagerHops {
+		next = hop + 1
+	}
 	var relay *[]*pubsub.Event
-	if buf != nil && !p.FreeRide {
+	if buf != nil && !p.FreeRide && (next > 0 || p.flat()) {
 		out.sel = out.sel[:0]
 		relay = &out.sel
 	}
-	novel, dup := p.admitEvents(from, buf, b, relay)
+	novel, dup := p.admitEvents(from, buf, b, relay, next > 0)
 	if relay != nil && len(out.sel) > 0 {
-		p.spread(out, x.Topic, out.sel, nil)
+		p.spread(out, x.Topic, out.sel, nil, next)
 	}
 	return novel, dup + x.Pad
 }
@@ -552,14 +569,12 @@ func (p *Peer) recvGossip(from simnet.NodeID, x *wire.Parts, b Batch, out *Out) 
 // (nil: deliver only) and in the archive, and returns the bytes that were
 // news and the bytes that were not. A duplicate — most of what push gossip
 // delivers — costs a seen-set probe and a count towards retiring the
-// peer's own copy (Buffer.Duplicate). With relay set, a new event that
-// from published — or, over the flat overlay, any new big event — is
-// appended to *relay and marked sent, unless this peer has already sent
-// it (Buffer.FirstSend).
-func (p *Peer) admitEvents(from simnet.NodeID, buf *gossip.Buffer, b Batch, relay *[]*pubsub.Event) (novel, dup int) {
+// peer's own copy (Buffer.Duplicate). With relay set, a new event — every
+// one when all is set, otherwise a big one — is appended to *relay and
+// marked sent, unless this peer has already sent it (Buffer.FirstSend).
+func (p *Peer) admitEvents(from simnet.NodeID, buf *gossip.Buffer, b Batch, relay *[]*pubsub.Event, all bool) (novel, dup int) {
 	p.heard(from)
 	a := p.archive()
-	flood := p.flat()
 	for i, n := 0, b.Len(); i < n; i++ {
 		id, size := b.Head(i)
 		if !p.seen.Add(id) {
@@ -579,7 +594,7 @@ func (p *Peer) admitEvents(from simnet.NodeID, buf *gossip.Buffer, b Batch, rela
 		}
 		if buf != nil {
 			buf.Insert(ev)
-			if relay != nil && (id.Publisher == uint32(from) || flood && gossip.Big(ev)) {
+			if relay != nil && (all || gossip.Big(ev)) {
 				if e, ok := buf.FirstSend(id); ok {
 					*relay = append(*relay, e)
 				}

@@ -106,6 +106,6 @@ func (p *Peer) recvPull(from simnet.NodeID, x *wire.Parts, out *Out) {
 	out.sel = events
 	if len(events) > 0 {
 		out.ids = append(out.ids[:0], from)
-		p.gossip(out, out.ids, "", events, nil, nil)
+		p.gossip(out, out.ids, "", events, nil, nil, 0)
 	}
 }

@@ -31,7 +31,7 @@ import (
 // topic, each part to its own biased partners.
 func (p *Peer) pushSemantic(out *Out) {
 	if !p.FreeRide {
-		p.spread(out, "", p.selectFrom(&p.buffer, out), nil)
+		p.spread(out, "", p.selectFrom(&p.buffer, out), nil, 0)
 	}
 	p.buffer.Tick()
 }

@@ -142,7 +142,7 @@ func (p *Peer) pushTopics(out *Out) {
 			g.buffer.Tick()
 			continue
 		}
-		p.spread(out, topic, events, nil)
+		p.spread(out, topic, events, nil, 0)
 		g.buffer.Tick()
 	}
 }
@@ -227,7 +227,7 @@ func (p *Peer) recvSubAck(x *wire.Parts, entries []wire.ViewEntry) {
 // like any batch, unaudited.
 func (p *Peer) recvPubWalk(from simnet.NodeID, x *wire.Parts, b Batch, out *Out) {
 	if g := p.group(x.Topic); g != nil {
-		p.admitEvents(from, g.buffer, b, nil)
+		p.admitEvents(from, g.buffer, b, nil, false)
 		return
 	}
 	p.relayWalk(from, wire.KindPubWalk, x, b, out)

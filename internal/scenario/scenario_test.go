@@ -99,8 +99,11 @@ func TestSimColumnHasAnOverlay(t *testing.T) {
 // contract"). And once from 6455a26d…, when an event's first two hops
 // began to leave at once — the publisher's push on Publish, its
 // receivers' relay on receipt — which moves every partner draw after a
-// publication (PERFORMANCE.md "The first two hops").
-const simColumnGolden = "508d1f8be498ad54088f3ef7de1eba1d07b5234df60a7b7d4650564a6983455e"
+// publication. And once from 508d1f8b…, when the hop went on the wire and
+// an event's first protocol.EagerHops hops began to leave at once, which
+// adds partner draws at every eager relay (PERFORMANCE.md "The first H
+// hops").
+const simColumnGolden = "5707a6c65eefb5578181445316f1f01170fbfe020ab4b81b6b34e67ff3759fe1"
 
 func TestSimColumnGolden(t *testing.T) {
 	h := sha256.New()

@@ -102,10 +102,8 @@ func FuzzWireDecode(f *testing.F) {
 		for _, rec := range env.Records {
 			body = append(body, rec.Raw...)
 		}
-		at := HeaderSize
-		if _, walk, _, _ := env.Kind.layout(); walk {
-			at += walkSize
-		}
+		_, pre, _, _ := env.Kind.layout()
+		at := HeaderSize + pre
 		if !bytes.Equal(body, data[at:at+len(body)]) {
 			t.Fatalf("records do not tile the bytes they came from:\n in  %x\n got %x", data[at:], body)
 		}

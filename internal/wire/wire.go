@@ -8,7 +8,7 @@
 //
 // The format is compact, big-endian and length-prefixed at every variable
 // field: a 10-byte header, then the kind's body — a walk's origin and
-// hops, the count records the kind carries (event records, which pubsub
+// hops or an eager push's hop, the count records the kind carries (event records, which pubsub
 // encodes and walks: Event.AppendBinary and ReadRecord; 6-byte view
 // entries or 8-byte event ids), a lazy push's count(2) and ids, and the
 // optional parts the header announces, each costing bytes only when
@@ -55,17 +55,18 @@ const (
 	// IDWireSize is the encoded size of one event id: publisher(4) + seq(4).
 	IDWireSize = 8
 	walkSize   = 6  // a walk's origin(4) + hops(2)
+	hopSize    = 1  // an eager push's hop(1)
 	fpAdSize   = 12 // a fingerprint ad: id(4) + fingerprint(8)
 )
 
 // Kind names a message: the one kind family both drivers speak. The live
-// runtime runs events, lazy pushes and the pulls that repair them, and the
-// four membership kinds; the rest only the simulator runs, and a live peer
-// counts them as malformed.
+// runtime runs events, eager and lazy pushes and the pulls that repair
+// them, and the four membership kinds; the rest only the simulator runs,
+// and a live peer counts them as malformed.
 type Kind uint8
 
 const (
-	KindEvents  Kind = iota // a batch of event records: gossip
+	KindEvents  Kind = iota // a batch of event records: a round's gossip, or a pull's answer
 	KindOffer               // the initiator's half of a Cyclon shuffle
 	KindReply               // entries answering an offer, or a join
 	KindJoin                // a booting peer's announcement to its seed (its view, usually empty)
@@ -76,6 +77,7 @@ const (
 	KindDigest              // the ids of a push-pull archive
 	KindPull                // the ids of a digest or lazy push its receiver has not seen
 	KindLazy                // KindEvents' records, then the ids of big events: a lazy push
+	KindEager               // a hop(1), then KindEvents' records: an event's first hops, sent on receipt
 	NumKinds                // bounds the family: every kind is below it
 )
 
@@ -89,26 +91,28 @@ const (
 	recID
 )
 
-// layout is the shape of kind k's body: the record its count counts,
-// whether a walk's origin and hops precede them, and whether a lazy
-// push's count(2) and ids (at least one) follow them. ok is false outside
-// the family.
-func (k Kind) layout() (rec record, walk, lazy, ok bool) {
+// layout is the shape of kind k's body: the record its count counts, the
+// bytes that precede them (pre: a walk's origin and hops, or an eager
+// push's hop), and whether a lazy push's count(2) and ids (at least one)
+// follow them. ok is false outside the family.
+func (k Kind) layout() (rec record, pre int, lazy, ok bool) {
 	switch k {
 	case KindEvents:
-		return recEvent, false, false, true
+		return recEvent, 0, false, true
 	case KindOffer, KindReply, KindJoin, KindLeave, KindSubAck:
-		return recEntry, false, false, true
+		return recEntry, 0, false, true
 	case KindSubWalk:
-		return recNone, true, false, true
+		return recNone, walkSize, false, true
 	case KindPubWalk:
-		return recEvent, true, false, true
+		return recEvent, walkSize, false, true
 	case KindDigest, KindPull:
-		return recID, false, false, true
+		return recID, 0, false, true
 	case KindLazy:
-		return recEvent, false, true, true
+		return recEvent, 0, true, true
+	case KindEager:
+		return recEvent, hopSize, false, true
 	}
-	return recNone, false, false, false
+	return recNone, 0, false, false
 }
 
 // The optional parts, in encoding order, one bit each in the kind byte.
@@ -137,9 +141,11 @@ type FPAd struct {
 
 // Msg is one message as its sender holds it. Only the records its kind
 // counts are encoded: Events, Entries or Parts.IDs, and a lazy push's
-// Events and Parts.IDs (Kind.layout).
+// Events and Parts.IDs (Kind.layout). Hop is encoded on KindEager only; it
+// sits in the padding after Kind, so it costs a Msg no bytes.
 type Msg struct {
 	Kind    Kind
+	Hop     uint8 // KindEager: the hop this push is (the publisher's is 1)
 	Events  []*pubsub.Event
 	Entries []ViewEntry
 	Parts   *Parts // nil: none of its fields is set
@@ -173,12 +179,9 @@ func (m *Msg) Opt() *Parts {
 // Size returns the exact number of bytes Append encodes m to — the one
 // size a sender is charged on either driver.
 func (m *Msg) Size() int {
-	rec, walk, lazy, _ := m.Kind.layout()
+	rec, pre, lazy, _ := m.Kind.layout()
 	p := m.Opt()
-	n := HeaderSize
-	if walk {
-		n += walkSize
-	}
+	n := HeaderSize + pre
 	switch rec {
 	case recEvent:
 		for _, ev := range m.Events {
@@ -218,8 +221,9 @@ var (
 	ErrTooLarge  = errors.New("wire: message exceeds encodable limits")
 )
 
-// Envelope is one scanned message: its kind, sender, records (Records,
-// Entries or Parts.IDs, as the kind says) and parts. DecodeEnvelope reuses
+// Envelope is one scanned message: its kind, an eager push's hop, its
+// sender, records (Records, Entries or Parts.IDs, as the kind says) and
+// parts. DecodeEnvelope reuses
 // its backing arrays; only a topic part costs an allocation. Records alias
 // the buffer DecodeEnvelope was given: they are valid only while that
 // buffer is, must be treated as read-only, and must not outlive the call
@@ -227,6 +231,7 @@ var (
 // after). Events produced by EventRecord.Decode never alias it.
 type Envelope struct {
 	Kind    Kind
+	Hop     uint8
 	Sender  uint32
 	Records []EventRecord
 	Entries []ViewEntry
@@ -347,7 +352,7 @@ func AppendEnvelope(dst []byte, sender uint32, events []*pubsub.Event) ([]byte, 
 // Append appends m, sent by sender, to dst: exactly m.Size() bytes. On
 // error the returned slice may hold a partial encoding; discard it.
 func Append(dst []byte, sender uint32, m *Msg) ([]byte, error) {
-	rec, walk, lazy, ok := m.Kind.layout()
+	rec, pre, lazy, ok := m.Kind.layout()
 	if !ok {
 		return dst, fmt.Errorf("%w: unknown message kind %d", ErrCorrupt, m.Kind)
 	}
@@ -364,9 +369,12 @@ func Append(dst []byte, sender uint32, m *Msg) ([]byte, error) {
 	dst = append(dst, Version, kind)
 	dst = binary.BigEndian.AppendUint32(dst, sender)
 	dst = binary.BigEndian.AppendUint16(dst, uint16(count))
-	if walk {
+	switch pre {
+	case walkSize:
 		dst = binary.BigEndian.AppendUint32(dst, p.Origin)
 		dst = binary.BigEndian.AppendUint16(dst, p.Hops)
+	case hopSize:
+		dst = append(dst, m.Hop)
 	}
 	switch rec {
 	case recEvent:
@@ -462,7 +470,7 @@ func DecodeEnvelope(data []byte, env *Envelope) error {
 		return fmt.Errorf("%w: %d", ErrVersion, data[2])
 	}
 	kind, parts := Kind(data[3]&kindMask), data[3]&^kindMask
-	rec, walk, lazy, ok := kind.layout()
+	rec, pre, lazy, ok := kind.layout()
 	if !ok {
 		return fmt.Errorf("%w: unknown message kind %#02x", ErrCorrupt, kind)
 	}
@@ -470,8 +478,12 @@ func DecodeEnvelope(data []byte, env *Envelope) error {
 	count := int(binary.BigEndian.Uint16(data[8:10]))
 	// Everything reaches env only once the last byte has checked out.
 	r := reader{pubsub.Reader{Buf: data, Off: HeaderSize, Short: ErrTruncated}}
-	if walk {
+	var hop uint8
+	switch pre {
+	case walkSize:
 		x.Origin, x.Hops = r.U32(), r.U16()
+	case hopSize:
+		hop = r.U8()
 	}
 	switch rec {
 	case recNone:
@@ -531,7 +543,7 @@ func DecodeEnvelope(data []byte, env *Envelope) error {
 	if r.Off != len(data) {
 		return fmt.Errorf("%w: %d trailing bytes after %d records", ErrCorrupt, len(data)-r.Off, count)
 	}
-	env.Records, env.Entries, env.Parts = recs, ents, x
+	env.Hop, env.Records, env.Entries, env.Parts = hop, recs, ents, x
 	return nil
 }
 

@@ -69,13 +69,16 @@ func sampleMsgs() []Msg {
 		{Kind: KindEvents, Events: evs, Parts: &Parts{Pad: 512}},
 		{Kind: KindPubWalk, Events: evs, Parts: all},
 		{Kind: KindSubAck, Entries: ents, Parts: all},
+		{Kind: KindEager, Hop: 1, Events: evs},
+		{Kind: KindEager, Hop: math.MaxUint8, Events: evs[:1], Parts: &Parts{Topic: "news", Ads: ents, Pad: 512}},
+		{Kind: KindEager, Events: evs, Parts: &Parts{FP: 0xfeed, FPAds: ads}},
 	}
 }
 
 // msgOf is the Msg a scanned envelope holds, its events materialised
 // through d.
 func msgOf(t testing.TB, env *Envelope, d *Decoder) Msg {
-	return Msg{Kind: env.Kind, Events: decodeAll(t, env, d), Entries: env.Entries, Parts: &env.Parts}
+	return Msg{Kind: env.Kind, Hop: env.Hop, Events: decodeAll(t, env, d), Entries: env.Entries, Parts: &env.Parts}
 }
 
 func eventsEqual(t *testing.T, got, want *pubsub.Event) {
@@ -293,6 +296,42 @@ func TestLazyPushIsEventsThenIDs(t *testing.T) {
 	}
 }
 
+// TestEagerPushIsHopThenEvents: an eager push is the KindEvents envelope
+// of the same events, its kind byte changed and its hop after the header,
+// one byte more — and it scans back to that hop and those records, any
+// hop from 0 to 255. A scan of another kind after it reads hop 0.
+func TestEagerPushIsHopThenEvents(t *testing.T) {
+	events := sampleEvents()
+	for n := 0; n <= len(events); n++ {
+		plain, err := AppendEnvelope(nil, 42, events[:n])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, hop := range []uint8{0, 1, 3, math.MaxUint8} {
+			m := Msg{Kind: KindEager, Hop: hop, Events: events[:n]}
+			buf, err := Append(nil, 42, &m)
+			if err != nil {
+				t.Fatalf("n=%d hop %d: %v", n, hop, err)
+			}
+			want := append(mutate(plain, 3, byte(KindEager))[:HeaderSize:HeaderSize], hop)
+			want = append(want, plain[HeaderSize:]...)
+			if !bytes.Equal(buf, want) || m.Size() != len(plain)+hopSize {
+				t.Fatalf("n=%d hop %d: eager push encodes to\n %x\nwant\n %x (Size %d)", n, hop, buf, want, m.Size())
+			}
+			var env Envelope
+			if err := DecodeEnvelope(buf, &env); err != nil {
+				t.Fatalf("n=%d hop %d: %v", n, hop, err)
+			}
+			if env.Kind != KindEager || env.Hop != hop || len(env.Records) != n {
+				t.Fatalf("n=%d hop %d: scanned kind %d, hop %d, %d records", n, hop, env.Kind, env.Hop, len(env.Records))
+			}
+			if err := DecodeEnvelope(plain, &env); err != nil || env.Hop != 0 {
+				t.Fatalf("n=%d: a KindEvents scan after a hop-%d push reads hop %d (%v)", n, hop, env.Hop, err)
+			}
+		}
+	}
+}
+
 // TestSizeIsEncoded: for every kind and every optional part, the size a
 // sender is charged is the length Append encodes, the scan accepts the
 // bytes, and re-encoding what it read reproduces them — the one byte
@@ -488,6 +527,10 @@ func TestDecodeRejectsHostileInput(t *testing.T) {
 	if _, err := Append(nil, 7, &Msg{Kind: KindLazy, Events: sampleEvents()}); err == nil {
 		t.Fatal("Append encoded a lazy push without ids")
 	}
+	// An eager push's hop precedes its records: a KindEvents body under
+	// the eager kind byte is one byte short or misreads its first record.
+	cases["eager push without its hop"] = mutate(good, 3, byte(KindEager))
+	cases["eager push with only its hop"] = mutate(good[:HeaderSize+1], 3, byte(KindEager))
 	// Truncation sweep: every prefix must fail cleanly — of a plain
 	// envelope and of one carrying every optional part, since nothing but
 	// the walk through the body says where it ends.
