@@ -146,8 +146,13 @@ func TestFairbenchBadFlag(t *testing.T) {
 // publication, and every entry marked "first H hops" (the same sixteen)
 // once more when the hop went on the wire and the first
 // protocol.EagerHops hops began to leave at once, which adds and moves
-// partner draws at every relay (PERFORMANCE.md "The first H hops"). If
-// a change moves an entry on purpose, regenerate with:
+// partner draws at every relay (PERFORMANCE.md "The first H hops").
+// EXP-T5, marked "live seed", moved once more when its rejoiners began to
+// bootstrap through the lowest-numbered other node that is up
+// (core.Cluster.Rejoin), not always node 0, a light node that was itself
+// down or the rejoiner in 11 of 44 static rejoins: static rage quits
+// 65 → 59, light delivery 0.760 → 0.812. If a change moves an entry on
+// purpose, regenerate with:
 //
 //	go run ./cmd/fairbench -seed 1 -small -out '' > /tmp/fb.txt && cd "$(mktemp -d)" && awk '/^##########/{id=$2; next} id{print > id}' /tmp/fb.txt && sha256sum EXP-*
 var goldenStdoutHash = map[string]string{
@@ -165,7 +170,7 @@ var goldenStdoutHash = map[string]string{
 	"EXP-T2": "e243640362e8e1d96b923a1334a92d5cbd4cd5617bf945c975706c757feab38c",
 	"EXP-T3": "f605e91444e9cd8a8a2cb73a4375c4e7421ec5bce9e04027216fd86c1393fb23", // one byte model: walks, acks, ads count; first two hops; first H hops
 	"EXP-T4": "b38472dbcd6096f880bc9964e367535d8f10bd365251c4e26ac8ff524df0f638", // first two hops; first H hops
-	"EXP-T5": "cd179289d45ea7e8cbada04e3e06e52aa53892cd6ab48fb5296fe56b9437bc55", // first two hops; first H hops
+	"EXP-T5": "10fdd0725022094d1d5255ece860d29f89427da0fcfdf90578548e811502aecf", // first two hops; first H hops; live seed
 	"EXP-X1": "f6d5186e7d777eeda07315965e862ef4994966a45d96f42993417ca7d811c61e", // one byte model: digests and pulls: 10-byte header; first two hops; first H hops
 	"EXP-X2": "44edc9c908b9f0f38f272904b2c5d51dcc90ebb8c81910ece7b1fe275f7bd762", // one byte model: fingerprint ads count; first two hops; first H hops
 }

@@ -21,8 +21,9 @@ import (
 )
 
 const (
-	peers  = 96
-	phases = 16
+	peers         = 96
+	phases        = 16
+	repairPenalty = 200 // §3.2 instability charge per rejoin
 )
 
 func main() {
@@ -43,11 +44,10 @@ func main() {
 
 func run(spec fairgossip.ControllerSpec) (quits int, downtimePct float64) {
 	cluster := fairgossip.NewSim(peers, fairgossip.SimConfig{
-		Mode:          fairgossip.ModeContent,
-		Fanout:        5,
-		Batch:         8,
-		Controller:    spec,
-		RepairPenalty: 200,
+		Mode:       fairgossip.ModeContent,
+		Fanout:     5,
+		Batch:      8,
+		Controller: spec,
 	}, fairgossip.SimOptions{
 		Seed:      11,
 		NetConfig: simnet.Config{Latency: simnet.ConstantLatency(2 * time.Millisecond)},
@@ -81,7 +81,8 @@ func run(spec fairgossip.ControllerSpec) (quits int, downtimePct float64) {
 			}
 		}
 		for _, id := range rq.Rejoins(phase) {
-			cluster.Node(id).Rejoin(0)
+			cluster.Rejoin(id)
+			cluster.Ledger.AddChurnPenalty(id, repairPenalty)
 		}
 		cur := cluster.Ledger.Snapshot()
 		ratios := make([]float64, peers)
@@ -96,7 +97,7 @@ func run(spec fairgossip.ControllerSpec) (quits int, downtimePct float64) {
 		for _, id := range quit {
 			fmt.Printf("  phase %2d: peer %2d rage-quits (window ratio %.0f vs median %.0f)\n",
 				phase, id, ratios[id], med)
-			cluster.Node(id).Leave()
+			cluster.Crash(id)
 		}
 		quits += len(quit)
 	}

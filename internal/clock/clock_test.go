@@ -286,12 +286,24 @@ func TestSteadyRearmZeroAlloc(t *testing.T) {
 	t.Log("allocs: 0 per entry re-arm and per run round trip")
 }
 
+// goroutineBaseline waits until the goroutine count holds still: an
+// earlier test's goroutines may still be exiting when this one starts.
+func goroutineBaseline() int {
+	for {
+		a := runtime.NumGoroutine()
+		time.Sleep(2 * time.Millisecond)
+		if runtime.NumGoroutine() == a {
+			return a
+		}
+	}
+}
+
 // TestCloseEndsTheGoroutine: the clock starts its goroutine on the
 // first entry scheduled, and Close returns once it has exited.
 func TestCloseEndsTheGoroutine(t *testing.T) {
 	for _, src := range sources {
 		t.Run(src.name, func(t *testing.T) {
-			base := runtime.NumGoroutine()
+			base := goroutineBaseline()
 			c := newClock(src.mk)
 			if got := runtime.NumGoroutine(); got != base {
 				t.Fatalf("%d goroutines before any entry, want %d", got, base)

@@ -10,11 +10,13 @@ import (
 	"fairgossip/internal/wire"
 )
 
+// TestLeaveRejoinWithPenalty crashes a node and brings it back through
+// the cluster, charging the §3.2 penalty as a churn schedule does: the
+// cluster adds none of its own, and the rejoiner recovers delivery.
 func TestLeaveRejoinWithPenalty(t *testing.T) {
 	c := NewCluster(32, Config{
-		Mode:          ModeContent,
-		Fanout:        5,
-		RepairPenalty: 500,
+		Mode:   ModeContent,
+		Fanout: 5,
 	}, ClusterOptions{
 		Seed:      1,
 		NetConfig: simnet.Config{Latency: simnet.ConstantLatency(2 * time.Millisecond)},
@@ -25,9 +27,9 @@ func TestLeaveRejoinWithPenalty(t *testing.T) {
 	c.RunRounds(10)
 
 	victim := c.Node(7)
-	victim.Leave()
+	c.Crash(7)
 	if victim.Active() {
-		t.Fatal("node still active after Leave")
+		t.Fatal("node still active after Crash")
 	}
 	deliveredBefore := c.Ledger.Account(7).Delivered
 	c.Node(0).Publish("t", nil, nil)
@@ -36,7 +38,8 @@ func TestLeaveRejoinWithPenalty(t *testing.T) {
 		t.Fatal("down node delivered events")
 	}
 
-	victim.Rejoin(simnet.NodeID(0))
+	c.Rejoin(7)
+	c.Ledger.AddChurnPenalty(7, 500)
 	c.RunRounds(5)
 	if !victim.Active() {
 		t.Fatal("node not active after Rejoin")
@@ -52,13 +55,22 @@ func TestLeaveRejoinWithPenalty(t *testing.T) {
 	}
 }
 
+// TestRejoinWithoutPenaltyConfigured: the cluster's churn calls charge
+// no penalty; only a caller that schedules the churn does.
 func TestRejoinWithoutPenaltyConfigured(t *testing.T) {
 	c := NewCluster(8, Config{Mode: ModeContent}, ClusterOptions{Seed: 2})
 	c.RunRounds(2)
-	c.Node(3).Leave()
-	c.Node(3).Rejoin(0)
-	if got := c.Ledger.Account(3).ChurnPenalty; got != 0 {
-		t.Fatalf("penalty charged despite RepairPenalty=0: %v", got)
+	c.Crash(3)
+	c.Rejoin(3)
+	c.Leave(4)
+	c.Rejoin(4)
+	for _, id := range []int{3, 4} {
+		if !c.Up(id) {
+			t.Fatalf("node %d down after Rejoin", id)
+		}
+		if got := c.Ledger.Account(id).ChurnPenalty; got != 0 {
+			t.Fatalf("node %d: the cluster charged a penalty of %v", id, got)
+		}
 	}
 }
 
@@ -130,11 +142,14 @@ func TestCheaterAuditExposure(t *testing.T) {
 
 func TestInactiveNodeSkipsRounds(t *testing.T) {
 	c := NewCluster(4, Config{Mode: ModeContent}, ClusterOptions{Seed: 4})
-	c.Node(2).Leave()
-	sent := c.Stats(2).MsgsSent
+	c.Crash(2)
+	sent := c.Ledger.Account(2).MsgsSent
 	c.RunRounds(10)
-	if got := c.Stats(2).MsgsSent; got != sent {
+	if got := c.Ledger.Account(2).MsgsSent; got != sent {
 		t.Fatal("inactive node kept sending")
+	}
+	if c.TotalTraffic().MsgsSent == 0 {
+		t.Fatal("the up nodes sent nothing either")
 	}
 }
 

@@ -149,15 +149,16 @@ func TestClassicConfiguration(t *testing.T) {
 				c.Node(0).HandleMessage(simnet.Message{From: 1, To: 0, Payload: &wireMsg{Msg: wire.Msg{Kind: wire.KindPull, Parts: &wire.Parts{IDs: []pubsub.EventID{id}}}}})
 				c.Drain()
 			}
+			sent0 := func() uint64 { m := c.Ledger.Account(0).MsgsSent; return m[fairness.ClassApp] + m[fairness.ClassInfra] }
 			pull(pubsub.EventID{Publisher: 5, Seq: 5})
-			if sent := c.Stats(0).MsgsSent; sent != 0 {
+			if sent := sent0(); sent != 0 {
 				t.Fatalf("%d replies to a pull for an unknown id", sent)
 			}
 			id := c.Node(0).Publish("t", nil, nil)
 			c.Drain()
-			pushed := c.Stats(0).MsgsSent // the publisher's eager push
+			pushed := sent0() // the publisher's eager push
 			pull(id)
-			if sent, got := c.Stats(0).MsgsSent-pushed, c.Ledger.Account(1).Delivered; sent != 1 || got != 1 {
+			if sent, got := sent0()-pushed, c.Ledger.Account(1).Delivered; sent != 1 || got != 1 {
 				t.Fatalf("a pull for a held event got %d replies and %d deliveries, want 1 and 1", sent, got)
 			}
 		}},

@@ -245,23 +245,28 @@ func (c *Cluster) Join(seed int) (int, error) {
 // announces nothing. It returns false for an id out of range.
 func (c *Cluster) Leave(id int) bool {
 	return c.do(id, func(nd *Node) {
-		if nd.active {
+		if nd.Active() {
 			nd.Peer.Leave(&nd.sh.out)
 			nd.flush()
-			nd.Leave()
+			nd.sh.net.SetUp(nd.ID(), false)
 		}
 	})
 }
 
-// Crash takes node id offline without notice (Node.Leave).
-func (c *Cluster) Crash(id int) bool { return c.do(id, (*Node).Leave) }
+// Crash takes node id offline without notice.
+func (c *Cluster) Crash(id int) bool {
+	return c.do(id, func(nd *Node) { nd.sh.net.SetUp(nd.ID(), false) })
+}
 
-// Rejoin brings a crashed node back through the lowest-numbered other
-// node that is up (Node.Rejoin). A node that is up is left alone, as on
-// the live runtime.
+// Rejoin brings a crashed node back and announces it, like any joiner,
+// to the lowest-numbered other node that is up (protocol.Peer.Join:
+// charged, retried under back-off, and walking again into the topic
+// groups it lost). A node that is up is left alone, as on the live
+// runtime. The §3.2 churn penalty is the caller's to charge: whoever
+// schedules the churn knows what it costs.
 func (c *Cluster) Rejoin(id int) bool {
 	return c.do(id, func(nd *Node) {
-		if nd.active {
+		if nd.Active() {
 			return
 		}
 		boot := 0
@@ -271,7 +276,9 @@ func (c *Cluster) Rejoin(id int) bool {
 				break
 			}
 		}
-		nd.Rejoin(simnet.NodeID(boot))
+		nd.sh.net.SetUp(nd.ID(), true)
+		nd.Join(simnet.NodeID(boot), &nd.sh.out)
+		nd.flush()
 	})
 }
 
@@ -374,24 +381,12 @@ func (c *Cluster) Settle(rounds int) {
 // source shard, receives and delivery-time drops on the destination
 // shard), so the sum is the whole-population truth.
 func (c *Cluster) TotalTraffic() simnet.Traffic {
-	return c.sumTraffic((*simnet.Network).TotalTraffic)
-}
-
-// Stats sums one node's traffic counters across shards (its owner shard
-// holds almost everything; destination shards hold delivery-time drops
-// charged back to it).
-func (c *Cluster) Stats(id int) simnet.Traffic {
-	return c.sumTraffic(func(n *simnet.Network) simnet.Traffic { return n.Stats(simnet.NodeID(id)) })
-}
-
-func (c *Cluster) sumTraffic(of func(*simnet.Network) simnet.Traffic) simnet.Traffic {
 	var t simnet.Traffic
 	for _, sh := range c.shards {
-		st := of(sh.net)
+		st := sh.net.TotalTraffic()
 		t.MsgsSent += st.MsgsSent
 		t.BytesSent += st.BytesSent
 		t.MsgsRecv += st.MsgsRecv
-		t.BytesRecv += st.BytesRecv
 		t.Dropped += st.Dropped
 	}
 	return t

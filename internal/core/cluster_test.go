@@ -264,6 +264,45 @@ func TestClusterJoinMidRun(t *testing.T) {
 	})
 }
 
+// TestRejoinBootsThroughLowestUpNode: Cluster.Rejoin announces the
+// rejoiner to the lowest-numbered other node that is up — never to
+// itself, never to a node that is down — and that node alone answers.
+// On two shards too, where the seed may live on the other shard.
+func TestRejoinBootsThroughLowestUpNode(t *testing.T) {
+	for _, tc := range []struct {
+		down         []int
+		rejoin, seed int
+	}{
+		{down: []int{5}, rejoin: 5, seed: 0},
+		{down: []int{0}, rejoin: 0, seed: 1},          // not itself
+		{down: []int{0, 1, 2, 4}, rejoin: 1, seed: 3}, // not a down node
+		{down: []int{0, 1, 2, 3, 4}, rejoin: 2, seed: 5},
+	} {
+		for _, shards := range []int{1, 2} {
+			c := NewShardedCluster(8, shards, Config{Mode: ModeContent}, ClusterOptions{Seed: 7})
+			for _, id := range tc.down {
+				c.Crash(id)
+			}
+			before := c.Ledger.Snapshot()
+			if !c.Rejoin(tc.rejoin) || !c.Up(tc.rejoin) {
+				t.Fatalf("down %v, shards %d: node %d not up after Rejoin", tc.down, shards, tc.rejoin)
+			}
+			c.Drain()
+			if tot := c.TotalTraffic(); tot.MsgsSent != 2 || tot.Dropped != 0 {
+				t.Errorf("down %v, shards %d: rejoining %d sent %d messages, %d dropped; want the announcement and its answer",
+					tc.down, shards, tc.rejoin, tot.MsgsSent, tot.Dropped)
+			}
+			for i := range c.Nodes {
+				answered := c.Ledger.Account(i).MsgsSent[fairness.ClassInfra] > before[i].MsgsSent[fairness.ClassInfra]
+				if i != tc.rejoin && answered != (i == tc.seed) {
+					t.Errorf("down %v, shards %d: rejoining %d, node %d answered %v; want the seed %d alone",
+						tc.down, shards, tc.rejoin, i, answered, tc.seed)
+				}
+			}
+		}
+	}
+}
+
 // TestClusterJoinRejectsWhatCannotBeIntroduced: a seed that names no
 // node, and a cluster on the full sampler (whose population is fixed),
 // are refused with nothing grown — the joiner could never be reached.
@@ -284,8 +323,8 @@ func TestClusterJoinRejectsWhatCannotBeIntroduced(t *testing.T) {
 			t.Errorf("a refused join grew the cluster to %d nodes, ledger %d", len(cl.Nodes), cl.Ledger.Len())
 		}
 	}
-	full.Node(2).Leave()
-	full.Node(2).Rejoin(0)
+	full.Crash(2)
+	full.Rejoin(2)
 	if got := full.Ledger.Account(2).MsgsSent[fairness.ClassInfra]; got != 0 || !full.Node(2).Active() {
 		t.Errorf("full-sampler rejoin: %d infrastructure messages, active %v", got, full.Node(2).Active())
 	}
@@ -314,7 +353,7 @@ func TestDetectorScrubsCrashed(t *testing.T) {
 	if viewsHolding(c, 0) == 0 {
 		t.Fatal("nobody holds node 0 before the crash: the test checks nothing")
 	}
-	c.Node(0).Leave()
+	c.Crash(0)
 	rounds := 0
 	for ; viewsHolding(c, 0) > 0; rounds++ {
 		if rounds == 2*n {
@@ -339,7 +378,7 @@ func TestDetectorScrubsCrashed(t *testing.T) {
 func TestJoinerGivesUpOnDeadSeed(t *testing.T) {
 	c := NewCluster(4, Config{Mode: ModeContent, ShuffleEvery: 1}, ClusterOptions{Seed: 53})
 	c.RunRounds(2)
-	c.Node(1).Leave()
+	c.Crash(1)
 	id, err := c.Join(1)
 	if err != nil {
 		t.Fatal(err)
@@ -393,7 +432,7 @@ func TestClusterJoinDeterminism(t *testing.T) {
 }
 
 // TestDownNodeSendsNothing: a node that is down sends nothing, so neither
-// its ledger account nor its traffic counters move when it publishes or
+// its ledger account nor the network's counters move when it publishes or
 // subscribes — the topic-group walks and the eager push those calls make
 // on an up node included. The ledger used to be charged for sends the
 // network refused.
@@ -401,16 +440,16 @@ func TestDownNodeSendsNothing(t *testing.T) {
 	for _, mode := range []Mode{ModeContent, ModeTopics} {
 		c := NewCluster(16, Config{Mode: mode, Fanout: 3}, ClusterOptions{Seed: 3})
 		c.RunRounds(4)
-		c.Node(0).Leave()
-		before, traffic := c.Ledger.Account(0), c.Stats(0)
+		c.Crash(0)
+		before, traffic := c.Ledger.Account(0), c.TotalTraffic()
 		c.Node(0).Publish("t", nil, []byte("x"))
 		c.Node(0).Subscribe(pubsub.Topic("u"))
 		after := c.Ledger.Account(0)
 		if after.MsgsSent != before.MsgsSent || after.BytesSent != before.BytesSent {
 			t.Errorf("mode %v: a down node was charged %v messages, was %v", mode, after.MsgsSent, before.MsgsSent)
 		}
-		if got := c.Stats(0); got != traffic {
-			t.Errorf("mode %v: a down node's traffic went %+v -> %+v", mode, traffic, got)
+		if got := c.TotalTraffic(); got != traffic {
+			t.Errorf("mode %v: the network's traffic went %+v -> %+v", mode, traffic, got)
 		}
 	}
 }

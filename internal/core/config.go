@@ -87,14 +87,13 @@ type Config struct {
 	// (default 16) and the rounds between a node's Cyclon shuffle
 	// initiations (default 4) — which is also the failure detector's
 	// probe cadence, so scenarios that must scrub views fast lower it.
-	Membership    Membership
-	ViewCap       int
-	ShuffleEvery  int
-	BufferCap     int     // event buffer capacity (default 256)
-	BufferMaxAge  int     // rounds an event stays forwardable at most (default 8; gossip.Buffer.Duplicate retires it sooner)
-	SeenCap       int     // dedup memory (default 8192)
-	RepairPenalty float64 // churn penalty charged per rejoin (default 0: off)
-	AntiEntropy   int     // rounds between push-pull digests (EXP-X1, protocol/pushpull.go; default 0: off)
+	Membership   Membership
+	ViewCap      int
+	ShuffleEvery int
+	BufferCap    int // event buffer capacity (default 256)
+	BufferMaxAge int // rounds an event stays forwardable at most (default 8; gossip.Buffer.Duplicate retires it sooner)
+	SeenCap      int // dedup memory (default 8192)
+	AntiEntropy  int // rounds between push-pull digests (EXP-X1, protocol/pushpull.go; default 0: off)
 
 	// SemanticBias ∈ (0,1] biases that fraction of content-mode gossip
 	// partners toward peers with overlapping interest fingerprints

@@ -178,7 +178,7 @@ func TestHotRecordSizes(t *testing.T) {
 		{"core.wireMsg (an envelope)", unsafe.Sizeof(wireMsg{}), 80},
 		{"core.pendingMsg (a message parked for the barrier)", blockElem(field(sh, "outbox").Elem()), 40},
 		{"core.deferredAudit (an audit parked for the barrier)", blockElem(field(sh, "audits")), 12},
-		{"core.Node (the peer's stream, seen-set and buffer headers inside)", unsafe.Sizeof(Node{}), 360},
+		{"core.Node (the peer's stream, seen-set and buffer headers inside)", unsafe.Sizeof(Node{}), 344},
 	} {
 		if r.size != r.want {
 			t.Errorf("%s is %d bytes, pinned at %d", r.name, r.size, r.want)

@@ -87,7 +87,7 @@ func TestChargedIsEncoded(t *testing.T) {
 		}
 		c.Leave(5)
 		c.RunRounds(2)
-		c.Node(5).Rejoin(4)
+		c.Rejoin(5)
 		c.RunRounds(6)
 	})
 	run("semantic", 16, Config{Mode: ModeContent, SemanticBias: 0.5}, func(c *Cluster) {

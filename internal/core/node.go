@@ -11,7 +11,9 @@ import (
 // semantic bias, push-pull and cheat padding included — is the peer's;
 // the node sends what it decides, charges the ledger, and hands it what
 // arrives. It implements simnet.Handler; the cluster drives its Round
-// method from a round ticker.
+// method from a round ticker. Whether it is up is its network's to say,
+// and the cluster alone takes it down and brings it back (Crash, Leave,
+// Rejoin).
 //
 // Nodes are single-threaded: all methods run on the simulator goroutine
 // of the shard that owns them.
@@ -21,14 +23,11 @@ type Node struct {
 	// sh is the owning shard: its network, ledger, envelope pool, audit
 	// sink and the Out every Peer call of the shard writes to (each
 	// caller flushes it before the shard's next call).
-	sh  *shard
-	cfg *Config // the cluster's, shared and read-only
-
-	active bool
+	sh *shard
 }
 
-// Active reports whether the node is participating.
-func (nd *Node) Active() bool { return nd.active }
+// Active reports whether the node is up on its network.
+func (nd *Node) Active() bool { return nd.sh.net.Up(nd.ID()) }
 
 // flush sends what the peer's last input left in the shard's Out, in
 // order: each message copied once into a pooled envelope, which every one
@@ -36,7 +35,7 @@ func (nd *Node) Active() bool { return nd.active }
 // internal/wire encodes it to. A node that is down sends nothing and is
 // charged nothing.
 func (nd *Node) flush() {
-	if !nd.active {
+	if !nd.Active() {
 		return
 	}
 	out := &nd.sh.out
@@ -76,7 +75,7 @@ func (nd *Node) Publish(topic string, attrs []pubsub.Attr, payload []byte) pubsu
 // the peer adapts after the sends, so its window reads what they were
 // charged.
 func (nd *Node) Round() {
-	if !nd.active {
+	if !nd.Active() {
 		return
 	}
 	nd.Tick(&nd.sh.out)
@@ -84,38 +83,17 @@ func (nd *Node) Round() {
 	nd.Adapt()
 }
 
-// --- Churn (§3.2 penalty) ----------------------------------------------------
-
-// Leave takes the node offline without notice.
-func (nd *Node) Leave() {
-	nd.active = false
-	nd.sh.net.SetUp(nd.ID(), false)
-}
-
-// Rejoin brings the node back, announcing it to the bootstrap contact
-// like any joiner (protocol.Peer.Join: charged, retried under back-off,
-// and walking again into the topic groups it lost) and charging the
-// configured instability penalty.
-func (nd *Node) Rejoin(bootstrap simnet.NodeID) {
-	nd.active = true
-	nd.sh.net.SetUp(nd.ID(), true)
-	if nd.cfg.RepairPenalty > 0 {
-		nd.sh.ledger.AddChurnPenalty(int(nd.ID()), nd.cfg.RepairPenalty)
-	}
-	nd.Join(bootstrap, &nd.sh.out)
-	nd.flush()
-}
-
 // --- Receive path ------------------------------------------------------------
 
-// HandleMessage implements simnet.Handler: the peer handles the message,
-// the node sends what it answers and books the novelty audit against the
-// sender. This is the one ledger write aimed at ANOTHER process's account,
-// so it goes through the shard's auditSink: a remote sender's controller
-// must never race it mid-window.
+// HandleMessage implements simnet.Handler (the network delivers only to
+// an up node): the peer handles the message, the node sends what it
+// answers and books the novelty audit against the sender. This is the one
+// ledger write aimed at ANOTHER process's account, so it goes through the
+// shard's auditSink: a remote sender's controller must never race it
+// mid-window.
 func (nd *Node) HandleMessage(msg simnet.Message) {
 	m, ok := msg.Payload.(*wireMsg)
-	if !ok || !nd.active {
+	if !ok {
 		return
 	}
 	in := protocol.In{Kind: m.Kind, Hop: m.Hop, Entries: m.Entries, Parts: m.Parts, Events: m}

@@ -100,7 +100,7 @@ func (c *Cluster) fill(sh *shard) {
 // construction path of founders (fill) and joiners (Join).
 func (c *Cluster) initNode(nd *Node, sh *shard, id, n int) *Node {
 	nd.Peer.Init(simnet.NodeID(id), n, &c.par, randutil.NodeSeed(c.seed, id), c.Ledger)
-	nd.sh, nd.cfg, nd.active = sh, &c.cfg, true
+	nd.sh = sh
 	sh.net.AddNode(nd)
 	return nd
 }

@@ -39,29 +39,28 @@ func runSharded(n, shards int, seed int64) *Cluster {
 		}
 		sc.RunRounds(4)
 	}
-	sc.Node(n / 2).Leave()
+	sc.Crash(n / 2)
 	sc.RunRounds(4)
-	sc.Node(n / 2).Rejoin(0)
+	sc.Rejoin(n / 2)
 	sc.RunRounds(8)
 	sc.Stop()
 	sc.Drain()
 	return sc
 }
 
-// fingerprint folds every account and every per-node traffic counter
-// into one comparable string: if any counter anywhere differs between
-// two runs, the fingerprints differ.
+// fingerprint folds every account, every node's view and the network's
+// totals into one comparable string: if any counter anywhere differs
+// between two runs, the fingerprints differ.
 func fingerprint(sc *Cluster) string {
 	var b strings.Builder
+	views := sc.Views()
 	for i := 0; i < sc.N(); i++ {
 		a := sc.Ledger.Account(i)
-		t := sc.Stats(i)
-		fmt.Fprintf(&b, "%d %v|%v %d %d %d %d %d|%d %d %d %d %d\n",
-			i, a.MsgsSent, a.BytesSent, a.Published, a.Delivered, a.UsefulBytes, a.JunkBytes, a.Filters,
-			t.MsgsSent, t.BytesSent, t.MsgsRecv, t.BytesRecv, t.Dropped)
+		fmt.Fprintf(&b, "%d %v|%v %d %d %d %d %d|%v\n",
+			i, a.MsgsSent, a.BytesSent, a.Published, a.Delivered, a.UsefulBytes, a.JunkBytes, a.Filters, views[i])
 	}
 	tot := sc.TotalTraffic()
-	fmt.Fprintf(&b, "total %d %d %d %d %d\n", tot.MsgsSent, tot.BytesSent, tot.MsgsRecv, tot.BytesRecv, tot.Dropped)
+	fmt.Fprintf(&b, "total %d %d %d %d\n", tot.MsgsSent, tot.BytesSent, tot.MsgsRecv, tot.Dropped)
 	return b.String()
 }
 
@@ -78,12 +77,16 @@ func fingerprint(sc *Cluster) string {
 // aba007d9…, b55b104c… and 96f6074b…, when the hop went on the wire and
 // an event's first protocol.EagerHops hops began to leave at once: relays
 // at every eager hop draw partners and send across shards
-// (PERFORMANCE.md "The first H hops").
+// (PERFORMANCE.md "The first H hops"). All four moved once more, from
+// ae4205b8…, a672dcb0…, b4cf9120… and 4636668e…, with no run moving:
+// simnet stopped counting traffic per node, so fingerprint folds each
+// node's view where its per-node network counters were, and this
+// fingerprint hashes the same on the code before and after that change.
 var shardedGolden = map[int]string{
-	1: "ae4205b82f6a637258d89df599e6ec04f58b60f12d6b2f442e9a5b1144b194c7",
-	2: "a672dcb01b3b82aef8334ba113c55858e3a9731b5caa6db46e6d6d9cb82f2b1e",
-	4: "b4cf91204e807a21244899d20ead9e11e636ba762e63bd033219a1bdde6a170d",
-	8: "4636668ed7503f8a35381ea395328d12c089750768c7a1df7e4e49d82f9c1a76",
+	1: "f4bd4379bdf5302955c2ae46c1e0f549f2952f74a9001cac6512a7846f78527c",
+	2: "bca3dfde441c25b09f83a21a55b6fd7963344047b005d2c9838faf5fe86c43d6",
+	4: "fe742f8d6ee1fc1cede8aba88d868b0d8ef05b2ad09bd97080d1b90a7508586e",
+	8: "3c749d0e82e2469e604adc90907b234d70644ad90b7e2a306d71df366bb2fc48",
 }
 
 // Fixed seed + fixed shard count must reproduce every counter exactly,
@@ -142,9 +145,9 @@ func TestShardedPublishPushesAcrossShards(t *testing.T) {
 			nd.Subscribe(pubsub.Topic("t"))
 		}
 		sc.RunRounds(10) // topic groups form
-		sent := sc.Stats(0).MsgsSent
+		sent := sc.Ledger.Account(0).MsgsSent
 		sc.Node(0).Publish("t", nil, []byte("x")) // lives on shard 0
-		if sc.Stats(0).MsgsSent == sent {
+		if sc.Ledger.Account(0).MsgsSent == sent {
 			t.Fatalf("mode %d, bias %.1f: the publication sent nothing", cfg.Mode, cfg.SemanticBias)
 		}
 		sc.RunRounds(30)

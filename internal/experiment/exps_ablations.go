@@ -314,7 +314,7 @@ func ExpA5(opts Options) []Table {
 		// unchanged.
 		rng := rand.New(rand.NewSource(opts.Seed + 403))
 		for _, id := range workload.SampleDistinct(rng, n, n/5, nil) {
-			c.Node(id).Leave()
+			c.Crash(id)
 		}
 		c.SetShape(transport.Profile{Loss: 0.10})
 		c.RunRounds(10) // let membership digest the failures

@@ -385,6 +385,7 @@ func ExpT4(opts Options) []Table {
 // perform too much work". A rage-quit policy drives churn from measured
 // window ratios; adaptation defuses it.
 func ExpT5(opts Options) []Table {
+	const repairPenalty = 200 // §3.2 instability charge per rejoin
 	n := pick(opts.Small, 96, 256)
 	phases := pick(opts.Small, 16, 36)
 	t := Table{
@@ -402,11 +403,10 @@ func ExpT5(opts Options) []Table {
 	} {
 		stocks := workload.NewStocks(16)
 		c := core.NewCluster(n, core.Config{
-			Mode:          core.ModeContent,
-			Fanout:        5,
-			Batch:         8,
-			Controller:    v.spec,
-			RepairPenalty: 200,
+			Mode:       core.ModeContent,
+			Fanout:     5,
+			Batch:      8,
+			Controller: v.spec,
 		}, core.ClusterOptions{Seed: opts.Seed, NetConfig: defaultNet()})
 		// A heavy-interest majority and a light-interest minority: under
 		// static gossip the minority works as much as everyone while
@@ -445,7 +445,8 @@ func ExpT5(opts Options) []Table {
 				}
 			}
 			for _, id := range rq.Rejoins(phase) {
-				c.Node(id).Rejoin(0)
+				c.Rejoin(id)
+				c.Ledger.AddChurnPenalty(id, repairPenalty)
 			}
 			cur := c.Ledger.Snapshot()
 			ratios := make([]float64, n)
@@ -459,7 +460,7 @@ func ExpT5(opts Options) []Table {
 			}
 			quit, _ := rq.Check(phase, ratios, func(i int) bool { return c.Node(i).Active() })
 			for _, id := range quit {
-				c.Node(id).Leave()
+				c.Crash(id)
 			}
 			quits += len(quit)
 		}

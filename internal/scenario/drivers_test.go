@@ -42,11 +42,13 @@ var (
 
 // TestDriversAnswerAlike: each row makes the same calls on an unstarted
 // simulated and live cluster and must read the same answers on both —
-// refusals, up states, population and what the ledger was charged. The
-// sim's RepairPenalty is set, so a rejoin that re-announced would show.
-// Calls after Stop are each driver's own business and stay out of it.
+// refusals, up states, population and what the ledger was charged.
+// Neither cluster charges the §3.2 churn penalty (the engine's Run.Rejoin
+// does), so the ledger rows see only what a driver sent: a rejoin that
+// re-announced would show. Calls after Stop are each driver's own
+// business and stay out of it.
 func TestDriversAnswerAlike(t *testing.T) {
-	sc := Scenario{Name: "drivers", N: 8, RepairPenalty: 200}
+	sc := Scenario{Name: "drivers", N: 8}
 	drivers := []struct {
 		name  string
 		build func() (driver, *fairness.Ledger)

@@ -312,7 +312,9 @@ func (r *Run) releaseLocked(drop func(rec *evRec, peer int) bool) {
 }
 
 // Rejoin brings a crashed node back. It is not retroactively eligible
-// for events published while it was away.
+// for events published while it was away. A peer the model had down is
+// charged Scenario.RepairPenalty, on every column: the schedule that
+// churns a peer is what the §3.2 penalty prices.
 func (r *Run) Rejoin(id int) {
 	if !r.rt.Rejoin(id) {
 		return
@@ -320,6 +322,9 @@ func (r *Run) Rejoin(id int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.noteFault()
+	if !r.peers[id].up {
+		r.rt.Ledger().AddChurnPenalty(id, r.sc.RepairPenalty)
+	}
 	r.peers[id].up = true
 }
 

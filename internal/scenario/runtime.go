@@ -134,14 +134,13 @@ type SimRuntime struct{ *core.Cluster }
 func NewSimRuntime(sc Scenario, seed int64) *SimRuntime {
 	sc = sc.withDefaults()
 	cfg := core.Config{
-		Mode:          core.ModeContent,
-		Membership:    core.MemberCyclon,
-		ViewCap:       viewCap,
-		ShuffleEvery:  sc.ShuffleEvery,
-		Fanout:        fanout,
-		Batch:         batch,
-		BufferMaxAge:  sc.BufferMaxAge,
-		RepairPenalty: sc.RepairPenalty,
+		Mode:         core.ModeContent,
+		Membership:   core.MemberCyclon,
+		ViewCap:      viewCap,
+		ShuffleEvery: sc.ShuffleEvery,
+		Fanout:       fanout,
+		Batch:        batch,
+		BufferMaxAge: sc.BufferMaxAge,
 		// Least-sent selection guarantees every fresh event wins send
 		// slots even under flash-crowd backlog; the eventual-delivery
 		// invariant is a real protocol property only in that regime

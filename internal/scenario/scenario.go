@@ -50,8 +50,8 @@ type Scenario struct {
 	// TargetRatio > 0 runs the AIMD fairness controller and checks the
 	// fairness-convergence invariant.
 	TargetRatio float64
-	// RepairPenalty is the §3.2 instability charge per rejoin (sim only;
-	// the live ledger has no churn-penalty hook wired yet).
+	// RepairPenalty is the §3.2 instability charge per rejoin of a peer
+	// that was down (Run.Rejoin).
 	RepairPenalty float64
 	// Shards splits the sim column's kernel across that many per-core
 	// shards (default 1: one kernel on the caller's goroutine, the

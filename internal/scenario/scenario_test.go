@@ -225,6 +225,50 @@ func TestEligibilityExcludesCrashed(t *testing.T) {
 	}
 }
 
+// TestRepairPenaltyOnEveryColumn: the engine charges
+// Scenario.RepairPenalty once for each peer it brings back from down, on
+// every column, and nothing for a Rejoin of a peer that is up. While the
+// penalty was a core.Config knob only the sim column charged it, and both
+// live columns read 0 here.
+func TestRepairPenaltyOnEveryColumn(t *testing.T) {
+	rejoined := 0
+	sc := Scenario{
+		Name:          "repair-penalty",
+		N:             16,
+		Rounds:        10,
+		RepairPenalty: 200,
+		Steps: []Step{
+			{Round: 2, Action: CrashFrac(0.25)},
+			{Round: 5, Action: func(r *Run) {
+				for id := 0; id < r.N(); id++ {
+					if !r.NodeUp(id) {
+						rejoined++
+					}
+				}
+				RejoinAll()(r)
+				r.Rejoin(0) // up by now: charges nothing
+			}},
+		},
+	}
+	for _, col := range Columns {
+		rejoined = 0
+		rt, err := NewRuntime(col, sc, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", col, err)
+		}
+		if res := Execute(rt, sc, 1); !res.Ok() {
+			t.Errorf("%s: violations:\n%s", col, res.String())
+		}
+		var charged float64
+		for _, a := range rt.Ledger().Snapshot() {
+			charged += a.ChurnPenalty
+		}
+		if rejoined == 0 || charged != 200*float64(rejoined) {
+			t.Errorf("%s: %d rejoins charged %v in all, want 200 each", col, rejoined, charged)
+		}
+	}
+}
+
 // TestFreeRidersDoNotForward: with every peer but the publisher
 // free-riding, events must still self-deliver but cannot spread — the
 // engine's eligibility model stays sound either way.

@@ -1,8 +1,8 @@
 // Package simnet simulates a point-to-point message network on top of the
 // eventsim kernel: configurable latency, i.i.d. message loss, crash/stop
-// failures, and network partitions. Every byte that crosses the network is
-// accounted per node, which is the raw material of the paper's
-// contribution measurements.
+// failures, and network partitions. It counts only network-wide totals
+// (TotalTraffic); what each process sent and received is booked by its
+// driver in the fairness ledger, the paper's one per-process account.
 package simnet
 
 import (
@@ -73,14 +73,12 @@ func UniformLatency(lo, hi time.Duration) LatencyModel {
 	}
 }
 
-// Traffic is the per-node byte/message accounting maintained by the
-// network.
+// Traffic is the network-wide message and byte count.
 type Traffic struct {
 	MsgsSent  uint64
 	BytesSent uint64
 	MsgsRecv  uint64
-	BytesRecv uint64
-	Dropped   uint64 // messages sent by this node that the network dropped
+	Dropped   uint64 // messages the network dropped
 }
 
 // Config parameterises a Network.
@@ -100,7 +98,6 @@ type Network struct {
 	up       []bool
 	group    []uint8 // partition side (0 or 1); messages cross sides only when healed
 	split    bool
-	stats    []Traffic
 	total    Traffic
 	remote   RemoteFunc
 }
@@ -126,7 +123,6 @@ func (n *Network) Grow(k int) {
 	n.handlers = append(make([]Handler, 0, size), n.handlers...)
 	n.up = append(make([]bool, 0, size), n.up...)
 	n.group = append(make([]uint8, 0, size), n.group...)
-	n.stats = append(make([]Traffic, 0, size), n.stats...)
 }
 
 // AddNode registers a handler and returns its NodeID. Nodes start up.
@@ -135,22 +131,17 @@ func (n *Network) AddNode(h Handler) NodeID {
 	n.handlers = append(n.handlers, h)
 	n.up = append(n.up, true)
 	n.group = append(n.group, 0)
-	n.stats = append(n.stats, Traffic{})
 	return id
 }
 
 // AddRemote reserves the next NodeID for a node that lives on another
 // shard's network. The slot has no handler; sends toward it are handed
-// to the RemoteFunc installed with SetRemote. Its stats slot accumulates
-// only what this network observes locally (delivery-time drops charged
-// to a remote sender); a sharded cluster sums the per-shard stats to
-// recover whole-population counters.
+// to the RemoteFunc installed with SetRemote.
 func (n *Network) AddRemote() NodeID {
 	id := NodeID(len(n.handlers))
 	n.handlers = append(n.handlers, nil)
 	n.up = append(n.up, true)
 	n.group = append(n.group, 0)
-	n.stats = append(n.stats, Traffic{})
 	return id
 }
 
@@ -222,14 +213,6 @@ func (n *Network) SetLoss(p float64) {
 	n.cfg.Loss = p
 }
 
-// Stats returns a copy of the traffic counters for one node.
-func (n *Network) Stats(id NodeID) Traffic {
-	if !n.valid(id) {
-		return Traffic{}
-	}
-	return n.stats[id]
-}
-
 // TotalTraffic returns network-wide counters.
 func (n *Network) TotalTraffic() Traffic { return n.total }
 
@@ -245,13 +228,10 @@ func (n *Network) Send(from, to NodeID, payload any, size int) {
 	if !n.valid(from) || !n.valid(to) || !n.up[from] {
 		return
 	}
-	n.stats[from].MsgsSent++
-	n.stats[from].BytesSent += uint64(size)
 	n.total.MsgsSent++
 	n.total.BytesSent += uint64(size)
 
 	if n.cfg.Loss > 0 && n.sim.Rand().Float64() < n.cfg.Loss {
-		n.stats[from].Dropped++
 		n.total.Dropped++
 		return
 	}
@@ -263,7 +243,6 @@ func (n *Network) Send(from, to NodeID, payload any, size int) {
 		// mailbox hook. A missing hook is a wiring error observed as a
 		// counted drop so conservation survives it.
 		if n.remote == nil {
-			n.stats[from].Dropped++
 			n.total.Dropped++
 			return
 		}
@@ -290,15 +269,11 @@ func (n *Network) HandleSimMsg(m eventsim.Msg) {
 
 func (n *Network) deliver(msg Message) {
 	if !n.up[msg.To] || (n.split && n.group[msg.From] != n.group[msg.To]) {
-		n.stats[msg.From].Dropped++
 		n.total.Dropped++
 		n.releasePayload(msg.Payload)
 		return
 	}
-	n.stats[msg.To].MsgsRecv++
-	n.stats[msg.To].BytesRecv += uint64(msg.Size)
 	n.total.MsgsRecv++
-	n.total.BytesRecv += uint64(msg.Size)
 	n.handlers[msg.To].HandleMessage(msg)
 	n.releasePayload(msg.Payload)
 }

@@ -50,21 +50,7 @@ func TestTrafficAccounting(t *testing.T) {
 	net.Send(0, 2, nil, 50)
 	net.Send(1, 0, nil, 25)
 	sim.Run()
-	s0, s1, s2 := net.Stats(0), net.Stats(1), net.Stats(2)
-	if s0.MsgsSent != 2 || s0.BytesSent != 150 {
-		t.Errorf("node0 sent: %+v", s0)
-	}
-	if s0.MsgsRecv != 1 || s0.BytesRecv != 25 {
-		t.Errorf("node0 recv: %+v", s0)
-	}
-	if s1.MsgsSent != 1 || s1.BytesRecv != 100 {
-		t.Errorf("node1: %+v", s1)
-	}
-	if s2.MsgsRecv != 1 || s2.BytesRecv != 50 {
-		t.Errorf("node2: %+v", s2)
-	}
-	tot := net.TotalTraffic()
-	if tot.MsgsSent != 3 || tot.BytesSent != 175 || tot.MsgsRecv != 3 {
+	if tot := net.TotalTraffic(); tot != (Traffic{MsgsSent: 3, BytesSent: 175, MsgsRecv: 3}) {
 		t.Errorf("total: %+v", tot)
 	}
 }
@@ -81,7 +67,7 @@ func TestLossRateApproximate(t *testing.T) {
 	if got < 6800 || got > 7200 {
 		t.Fatalf("delivered %d of %d at 30%% loss", got, total)
 	}
-	if d := net.Stats(0).Dropped; int(d) != total-got {
+	if d := net.TotalTraffic().Dropped; int(d) != total-got {
 		t.Fatalf("dropped counter %d, want %d", d, total-got)
 	}
 }
@@ -108,8 +94,8 @@ func TestCrashStopsDelivery(t *testing.T) {
 	if len(recs[0].got) != 0 {
 		t.Fatal("down node sent a message")
 	}
-	if net.Stats(1).MsgsSent != 0 {
-		t.Fatal("down node's send was accounted")
+	if tot := net.TotalTraffic(); tot.MsgsSent != 2 {
+		t.Fatalf("down node's send was accounted: %d sends, want 2", tot.MsgsSent)
 	}
 	// Restart restores delivery.
 	net.SetUp(1, true)
@@ -148,7 +134,7 @@ func TestUnknownAddressesAreSilentDrops(t *testing.T) {
 	if len(recs[0].got) != 0 {
 		t.Fatal("unexpected delivery")
 	}
-	if net.Stats(0).MsgsSent != 0 {
+	if net.TotalTraffic().MsgsSent != 0 {
 		t.Fatal("sends to unknown nodes must not be accounted")
 	}
 }
@@ -208,31 +194,13 @@ func TestSelfSend(t *testing.T) {
 }
 
 // checkConservation asserts the network-wide counter invariant: every
-// accounted send is eventually delivered or charged to its sender as a
-// drop, and per-node counters sum to the totals.
-func checkConservation(t *testing.T, net *Network, nodes int) {
+// accounted send is eventually delivered or counted as a drop.
+func checkConservation(t *testing.T, net *Network) {
 	t.Helper()
 	tot := net.TotalTraffic()
 	if tot.MsgsSent != tot.MsgsRecv+tot.Dropped {
 		t.Fatalf("conservation broken: sent %d != recv %d + dropped %d",
 			tot.MsgsSent, tot.MsgsRecv, tot.Dropped)
-	}
-	var sent, recv, dropped, bytesSent, bytesRecv uint64
-	for id := 0; id < nodes; id++ {
-		s := net.Stats(NodeID(id))
-		sent += s.MsgsSent
-		recv += s.MsgsRecv
-		dropped += s.Dropped
-		bytesSent += s.BytesSent
-		bytesRecv += s.BytesRecv
-	}
-	if sent != tot.MsgsSent || recv != tot.MsgsRecv || dropped != tot.Dropped {
-		t.Fatalf("per-node sums (%d/%d/%d) disagree with totals (%d/%d/%d)",
-			sent, recv, dropped, tot.MsgsSent, tot.MsgsRecv, tot.Dropped)
-	}
-	if bytesSent != tot.BytesSent || bytesRecv != tot.BytesRecv {
-		t.Fatalf("byte sums (%d/%d) disagree with totals (%d/%d)",
-			bytesSent, bytesRecv, tot.BytesSent, tot.BytesRecv)
 	}
 }
 
@@ -242,7 +210,7 @@ func TestDropConservationUnderLoss(t *testing.T) {
 		net.Send(NodeID(i%4), NodeID((i+1)%4), nil, 8)
 	}
 	sim.Run()
-	checkConservation(t, net, 4)
+	checkConservation(t, net)
 	if net.TotalTraffic().Dropped == 0 {
 		t.Fatal("25% loss produced zero drops")
 	}
@@ -255,20 +223,15 @@ func TestDropConservationUnderPartition(t *testing.T) {
 		net.Send(NodeID(i%6), NodeID((i+3)%6), nil, 8) // all cross-partition
 	}
 	sim.Run()
-	checkConservation(t, net, 6)
-	// Cross-partition sends are charged to the sender at delivery time.
+	checkConservation(t, net)
+	// Cross-partition sends are dropped at delivery time.
 	if d := net.TotalTraffic().Dropped; d != 600 {
 		t.Fatalf("dropped %d of 600 cross-partition sends", d)
-	}
-	for id := 0; id < 6; id++ {
-		if s := net.Stats(NodeID(id)); s.Dropped != 100 {
-			t.Fatalf("node %d charged %d drops, want its own 100", id, s.Dropped)
-		}
 	}
 	net.Heal()
 	net.Send(0, 3, nil, 8)
 	sim.Run()
-	checkConservation(t, net, 6)
+	checkConservation(t, net)
 }
 
 func TestDropConservationUnderCrash(t *testing.T) {
@@ -280,17 +243,17 @@ func TestDropConservationUnderCrash(t *testing.T) {
 	}
 	net.SetUp(2, false)
 	sim.Run()
-	checkConservation(t, net, 3)
+	checkConservation(t, net)
 	if len(recs[2].got) != 0 {
 		t.Fatal("crashed node received messages")
 	}
-	if s0, s1 := net.Stats(0), net.Stats(1); s0.Dropped != 50 || s1.Dropped != 50 {
-		t.Fatalf("crash-time drops mischarged: %d / %d, want 50 / 50", s0.Dropped, s1.Dropped)
+	if d := net.TotalTraffic().Dropped; d != 100 {
+		t.Fatalf("crash-time drops: %d, want 100", d)
 	}
 	// A down sender is never accounted at all, so the invariant still holds.
 	net.Send(2, 0, nil, 8)
 	sim.Run()
-	checkConservation(t, net, 3)
+	checkConservation(t, net)
 	// Restart and mix loss + crash in one run.
 	net.SetUp(2, true)
 	net.SetLoss(0.5)
@@ -298,7 +261,7 @@ func TestDropConservationUnderCrash(t *testing.T) {
 		net.Send(0, 2, nil, 8)
 	}
 	sim.Run()
-	checkConservation(t, net, 3)
+	checkConservation(t, net)
 }
 
 // The send→deliver cycle must be allocation-free in steady state: message
@@ -395,8 +358,8 @@ func TestRemoteHandOff(t *testing.T) {
 	if delays[0] != time.Millisecond {
 		t.Fatalf("delay = %v, want the latency draw", delays[0])
 	}
-	// The send is charged to the sender like any other.
-	if st := n.Stats(local); st.MsgsSent != 1 || st.BytesSent != 10 {
+	// The send is counted like any other.
+	if st := n.TotalTraffic(); st.MsgsSent != 1 || st.BytesSent != 10 {
 		t.Fatalf("sender stats = %+v", st)
 	}
 	// Nothing was scheduled locally.
@@ -411,7 +374,7 @@ func TestRemoteWithoutHookCountsDrop(t *testing.T) {
 	local := n.AddNode(&recorder{})
 	remote := n.AddRemote()
 	n.Send(local, remote, "x", 10)
-	if st := n.Stats(local); st.Dropped != 1 {
+	if st := n.TotalTraffic(); st.Dropped != 1 {
 		t.Fatalf("dropped = %d, want 1 (no remote hook installed)", st.Dropped)
 	}
 }
@@ -428,7 +391,7 @@ func TestInjectAtDeliversWithAccounting(t *testing.T) {
 	if len(sink.got) != 1 || sink.got[0].Payload != "hello" {
 		t.Fatalf("delivered %+v", sink.got)
 	}
-	if st := n.Stats(dst); st.MsgsRecv != 1 || st.BytesRecv != 7 {
+	if st := n.TotalTraffic(); st.MsgsRecv != 1 {
 		t.Fatalf("recv stats = %+v", st)
 	}
 	// A past timestamp coerces to Now rather than firing out of order.
@@ -447,8 +410,8 @@ func TestInjectAtDropsToDownNodeCounted(t *testing.T) {
 	n.SetUp(dst, false)
 	n.InjectAt(0, eventsim.Msg{From: int32(src), To: int32(dst), Payload: "x", Size: 1})
 	sim.Run()
-	if st := n.Stats(src); st.Dropped != 1 {
-		t.Fatalf("delivery-time drop charged to remote sender: %+v", st)
+	if st := n.TotalTraffic(); st.Dropped != 1 {
+		t.Fatalf("delivery-time drop to a down node not counted: %+v", st)
 	}
 }
 
